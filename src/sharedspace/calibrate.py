@@ -25,8 +25,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import TrajectoryRecord
+from .dataio import MetricUndefinedError, TrajectoryRecord, ade, index_decisions
 from .engine import (
+    KIND_DEFAULTS,
     AgentEntry,
     Scenario,
     ScenarioError,
@@ -40,6 +41,9 @@ from .params import GameParams, ParameterSet, SfmParams
 from .scene import AgentKind, Scene
 
 SCENARIO_FAILURE_PENALTY = 1000.0
+
+# A calibration run simulates this many steps past the last observed frame.
+STEPS_PAST_LAST_FRAME = 20
 
 SFM_GENE_NAMES = (
     "v0_pp",
@@ -285,12 +289,6 @@ class CalibrationScenario:
     annotations: dict[tuple[str, int], Action] = field(default_factory=dict)
 
 
-_KIND_DEFAULTS = {
-    AgentKind.PEDESTRIAN: {"diameter": 0.5, "fallback_speed": 1.34},
-    AgentKind.CAR: {"diameter": 2.0, "fallback_speed": 5.0},
-}
-
-
 def scenario_from_records(
     scenario_id: str,
     records: Sequence[TrajectoryRecord],
@@ -313,7 +311,7 @@ def scenario_from_records(
     for agent_id in sorted(by_agent):
         rows = sorted(by_agent[agent_id], key=lambda r: r.frame)
         kind = kinds[agent_id]
-        defaults = _KIND_DEFAULTS[kind]
+        defaults = KIND_DEFAULTS[kind]
         first = rows[0]
         position = Vec2(first.x, first.y)
         goal = Vec2(rows[-1].x, rows[-1].y)
@@ -326,7 +324,7 @@ def scenario_from_records(
             velocity = Vec2((rows[1].x - rows[0].x) / dt0, (rows[1].y - rows[0].y) / dt0)
         else:
             velocity = Vec2(0.0, 0.0)
-        desired = max(sum(speeds) / len(speeds) if speeds else defaults["fallback_speed"], 0.05)
+        desired = max(sum(speeds) / len(speeds) if speeds else defaults["desired_speed"], 0.05)
         max_speed = max(desired, max(speeds, default=0.0))
         entries.append(
             AgentEntry(
@@ -396,14 +394,10 @@ def position_error_score(
     positional error on frames both sources share."""
     per_user = []
     for agent_id in sorted(real):
-        real_traj = real[agent_id]
-        sim_traj = sim.get(agent_id, {})
-        common = sorted(set(real_traj) & set(sim_traj))
-        if not common:
-            raise ScoreUndefinedError(f"agent {agent_id!r} shares no frames")
-        per_user.append(
-            sum(real_traj[f].distance_to(sim_traj[f]) for f in common) / len(common)
-        )
+        try:
+            per_user.append(ade(real[agent_id], sim.get(agent_id, {})))
+        except MetricUndefinedError:
+            raise ScoreUndefinedError(f"agent {agent_id!r} shares no frames") from None
     if not per_user:
         raise ScoreUndefinedError("scenario has no users")
     return sum(per_user) / len(per_user)
@@ -435,13 +429,7 @@ def trace_positions(trace: SimulationTrace) -> dict[str, dict[int, Vec2]]:
 def trace_decisions(trace: SimulationTrace) -> dict[tuple[str, int], Action]:
     """Index decisions by (agent, ordinal): an agent's n-th game in
     creation order, which is how annotations refer to them."""
-    counters: dict[str, int] = {}
-    out: dict[tuple[str, int], Action] = {}
-    for row in trace.decisions:
-        idx = counters.get(row.agent_id, 0)
-        counters[row.agent_id] = idx + 1
-        out[(row.agent_id, idx)] = row.action
-    return out
+    return index_decisions(((row.agent_id,), row.action) for row in trace.decisions)
 
 
 def _simulate(
@@ -449,7 +437,6 @@ def _simulate(
     scene: Scene,
     params: ParameterSet,
     frame_seconds: float,
-    extra_steps: int = 20,
 ) -> SimulationTrace:
     last_frame = max(max(t) for t in item.real_positions.values())
     config = SimulationConfig(
@@ -457,7 +444,7 @@ def _simulate(
         scenario=item.scenario,
         params=params,
         dt=frame_seconds,
-        max_steps=last_frame + extra_steps,
+        max_steps=last_frame + STEPS_PAST_LAST_FRAME,
     )
     return run_scenario(config)
 
@@ -507,26 +494,3 @@ def fitness_game(
         except Exception:
             scores.append(-1.0)
     return sum(scores) / len(scores)
-
-
-def sfm_objective(
-    training: Sequence[CalibrationScenario],
-    scene: Scene,
-    base: ParameterSet,
-    frame_seconds: float = 0.5,
-) -> BatchObjective:
-    return per_individual(
-        lambda genes: fitness_sfm(genes, training, scene, base, frame_seconds)
-    )
-
-
-def game_objective(
-    training: Sequence[CalibrationScenario],
-    scene: Scene,
-    base: ParameterSet,
-    frame_seconds: float = 0.5,
-) -> BatchObjective:
-    # The GA minimizes, agreement is maximized: negate.
-    return per_individual(
-        lambda genes: -fitness_game(genes, training, scene, base, frame_seconds)
-    )

@@ -16,6 +16,7 @@ defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -44,10 +45,7 @@ from .calibrate import (
     fitness_game,
     fitness_sfm,
     ga_optimize,
-    game_objective,
     game_reference_values,
-    per_individual,
-    sfm_objective,
     sfm_reference_values,
     train_test_split,
     write_history_csv,
@@ -60,6 +58,7 @@ from .dataio import (
     compare_trajectories,
     format_report_summary,
     load_annotations,
+    load_decisions,
     load_trajectories,
     parse_action,
     write_metric_report,
@@ -227,25 +226,6 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 
-def _decisions_from_csv(path: Path) -> dict[tuple[str, str, int], Action]:
-    """Simulator decisions keyed by (scenario, agent, per-agent ordinal)."""
-    out: dict[tuple[str, str, int], Action] = {}
-    counters: dict[tuple[str, str], int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"scenario_id", "agent_id", "action"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise TrajectoryFormatError(
-                f"{path}: decisions CSV needs columns {sorted(required)}"
-            )
-        for row in reader:
-            key = (row["scenario_id"], row["agent_id"])
-            idx = counters.get(key, 0)
-            counters[key] = idx + 1
-            out[(key[0], key[1], idx)] = parse_action(row["action"])
-    return out
-
-
 def _kind_stats(report, kind_value: str) -> dict:
     agents = [m for m in report.per_agent if m.kind.value == kind_value]
     if not agents:
@@ -286,7 +266,7 @@ def _cmd_evaluate(ns: argparse.Namespace) -> int:
         if not ns.sim_decisions:
             raise CliError("--annotations requires --sim-decisions")
         annotations = load_annotations(ns.annotations)
-        simulated = _decisions_from_csv(Path(ns.sim_decisions))
+        simulated = load_decisions(ns.sim_decisions)
         missing = attach_decision_metrics(report, annotations, simulated)
         if report.decision_error_rate is None:
             raise AlignmentError("no annotated decision matched a simulated one")
@@ -326,7 +306,8 @@ def _cmd_evaluate(ns: argparse.Namespace) -> int:
 # calibration (shared plumbing)
 
 class _FitnessWorker:
-    """Picklable per-chromosome objective for process pools."""
+    """Per-chromosome objective; picklable so `--jobs` can map it over
+    a process pool."""
 
     def __init__(
         self,
@@ -355,15 +336,15 @@ def _run_ga(ns: argparse.Namespace, worker: _FitnessWorker, bounds) -> tuple:
         seed=ns.seed,
         stagnation_window=ns.stagnation,
     )
-    if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            def batch(population: np.ndarray) -> np.ndarray:
-                rows = [row.tolist() for row in population]
-                return np.array(list(pool.map(worker, rows)), dtype=float)
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if ns.jobs > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=ns.jobs)).map
 
-            result = ga_optimize(bounds, batch, ga_config)
-    else:
-        result = ga_optimize(bounds, per_individual(lambda g: worker(list(g))), ga_config)
+        def batch(population: np.ndarray) -> np.ndarray:
+            return np.array(list(mapper(worker, population.tolist())), dtype=float)
+
+        result = ga_optimize(bounds, batch, ga_config)
     return result, ga_config
 
 
@@ -549,7 +530,8 @@ def _cmd_select_features(ns: argparse.Namespace) -> int:
     for k, outcome in enumerate(m.outcomes):
         for j, name in enumerate(m.feature_names):
             model_lines.append(
-                f"{outcome},{name},{m.coef[k, j]!r},{m.std_errors[k, j]!r},{m.p_values[k, j]!r}"
+                f"{outcome},{name},{float(m.coef[k, j])!r},"
+                f"{float(m.std_errors[k, j])!r},{float(m.p_values[k, j])!r}"
             )
     (out / "model.csv").write_text("\n".join(model_lines) + "\n")
     elim_lines = ["step,feature,p_value"]

@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .game import Action
 from .geometry import Vec2
@@ -155,6 +155,37 @@ def load_annotations(path: str | Path) -> list[DecisionAnnotation]:
                 raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
             out.append(DecisionAnnotation(scenario_id, agent_id, idx, action))
     return out
+
+
+def index_decisions(
+    decisions: Iterable[tuple[tuple[str, ...], Action]],
+) -> dict[tuple, Action]:
+    """Key each (owner, action) decision by the owner's fields plus an
+    ordinal: the owner's n-th decision in input order. Decisions arrive
+    in game-creation order, and an annotation's conflict_idx is this
+    ordinal."""
+    counters: dict[tuple[str, ...], int] = {}
+    out: dict[tuple, Action] = {}
+    for owner, action in decisions:
+        idx = counters.get(owner, 0)
+        counters[owner] = idx + 1
+        out[(*owner, idx)] = action
+    return out
+
+
+def load_decisions(path: str | Path) -> dict[tuple[str, str, int], Action]:
+    """Simulator decisions CSV keyed by (scenario, agent, ordinal)."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        required = {"scenario_id", "agent_id", "action"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise TrajectoryFormatError(
+                f"{path}: decisions CSV needs columns {sorted(required)}"
+            )
+        return index_decisions(
+            ((row["scenario_id"], row["agent_id"]), parse_action(row["action"]))
+            for row in reader
+        )
 
 
 def write_annotations(annotations: Sequence[DecisionAnnotation], path: str | Path) -> None:

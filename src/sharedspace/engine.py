@@ -31,6 +31,20 @@ from .planner import build_visibility_graph, plan_path
 from .scene import AgentKind, AgentState, Scene, in_field_of_view
 
 
+# Distances (m) at which an agent counts as arrived at its goal, passes
+# a waypoint, and keeps its planned path clear of obstacles beyond its
+# own radius.
+ARRIVAL_TOLERANCE = 0.5
+WAYPOINT_TOLERANCE = 0.5
+PLANNER_CLEARANCE_MARGIN = 0.2
+
+# Per-kind values for whatever a scenario leaves out.
+KIND_DEFAULTS = {
+    AgentKind.PEDESTRIAN: {"diameter": 0.5, "desired_speed": 1.34, "max_speed": 2.0},
+    AgentKind.CAR: {"diameter": 2.0, "desired_speed": 5.0, "max_speed": 8.0},
+}
+
+
 class ScenarioError(ValueError):
     """Raised for malformed scenario files."""
 
@@ -90,11 +104,6 @@ class SimulationConfig:
     seed: int = 0
     recognition_interval: int = 1
     conflict_timeout: int = 40
-    arrival_tolerance: float = 0.5
-    waypoint_tolerance: float = 0.5
-    resolve_each_step: bool = False
-    blend_obstacles_in_game: bool = False
-    planner_clearance_margin: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -175,7 +184,7 @@ class Simulation:
     def _plan_all(self) -> dict[str, list[Vec2]]:
         waypoints: dict[str, list[Vec2]] = {}
         for entry in self._entries:
-            clearance = entry.diameter / 2.0 + self.config.planner_clearance_margin
+            clearance = entry.diameter / 2.0 + PLANNER_CLEARANCE_MARGIN
             graph = self._graph_cache.get(clearance)
             if graph is None:
                 graph = build_visibility_graph(self.config.scene, clearance)
@@ -395,11 +404,7 @@ class Simulation:
         peds = self._pedestrians()
         assignments: dict[str, tuple[Mode, object]] = {}
         for car in self._cars():
-            stopping_for = [
-                p for p in peds
-                if forces_mod.in_stopping_corridor(car, p, sfm)
-                and abs(p.velocity.dot(car.heading.left_normal())) > 1e-9
-            ]
+            stopping_for = forces_mod.reactive_stopping(car, peds, sfm)
             runtime = self._bound_runtime(car.id)
             if regime != "dut" and stopping_for:
                 target = min(
@@ -482,12 +487,7 @@ class Simulation:
         partner = self._game_partner(agent.id, runtime)
         if partner is None:
             return [forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed)]
-        directive = game_mod.apply_action(agent, action, partner, sfm)
-        out: list[forces_mod.Directive] = [directive]
-        if self.config.blend_obstacles_in_game and agent.kind is AgentKind.PEDESTRIAN:
-            if not isinstance(directive, forces_mod.SetSpeed):
-                out.append(forces_mod.Forces(forces_mod.obstacle_repulsion(agent, scene, sfm)))
-        return out
+        return [game_mod.apply_action(agent, action, partner, sfm)]
 
     # - main loop --------------------------------------------------------
 
@@ -519,7 +519,7 @@ class Simulation:
     def _advance_waypoints(self, agent: AgentState) -> None:
         while (
             len(agent.waypoints) > 1
-            and agent.position.distance_to(agent.waypoints[0]) <= self.config.waypoint_tolerance
+            and agent.position.distance_to(agent.waypoints[0]) <= WAYPOINT_TOLERANCE
         ):
             agent.waypoints.pop(0)
 
@@ -541,8 +541,6 @@ class Simulation:
         self._refresh_conflict_bookkeeping()
         if self.world.step % self.config.recognition_interval == 0:
             self._run_recognition()
-            if self.config.resolve_each_step:
-                self._resolve_active_games()
 
         assignments = self._assign_modes()
         directives = {
@@ -564,7 +562,7 @@ class Simulation:
         self.world.agents = new_agents
 
         for aid, agent in self.world.agents.items():
-            if agent.position.distance_to(agent.goal) <= self.config.arrival_tolerance:
+            if agent.position.distance_to(agent.goal) <= ARRIVAL_TOLERANCE:
                 if aid not in self.trace.arrived_step:
                     self.trace.arrived_step[aid] = self.world.step
                     self._pending_despawn.add(aid)
@@ -572,35 +570,6 @@ class Simulation:
         self._retire_conflicts()
         self.world.step += 1
         self.trace.steps_run = self.world.step
-
-    def _resolve_active_games(self) -> None:
-        # Optional re-solve of latched actions mid-conflict.
-        sfm, gp = self.config.params.sfm, self.config.params.game
-        for runtime in self.world.active_conflicts:
-            leader = self.world.agents.get(runtime.leader)
-            if leader is None:
-                continue
-            followers = [
-                self.world.agents[uid]
-                for uid in runtime.conflict.competitive_users
-                if uid in self.world.agents
-            ]
-            if not followers:
-                continue
-            contexts = {
-                f.id: PairContext(
-                    leader_view=game_mod.extract_features(leader, f, sfm, gp),
-                    follower_view=game_mod.extract_features(f, leader, sfm, gp),
-                    paths_cross=segments_intersect(
-                        leader.position, leader.goal, f.position, f.goal
-                    ),
-                )
-                for f in followers
-            }
-            payoff = game_mod.build_payoff_matrix(leader, followers, contexts, gp)
-            leader_action, profile = game_mod.solve_spne(payoff)
-            runtime.actions = {leader.id: leader_action}
-            runtime.actions.update({f.id: a for f, a in zip(followers, profile)})
 
     def run(self) -> SimulationTrace:
         while self.world.step < self.config.max_steps and (
@@ -622,8 +591,6 @@ _ENTRY_KEYS = {
     "id", "kind", "entry_step", "position", "velocity", "goal",
     "desired_speed", "max_speed", "diameter",
 }
-_KIND_DEFAULT_MAX_SPEED = {AgentKind.PEDESTRIAN: 2.0, AgentKind.CAR: 8.0}
-_KIND_DEFAULT_DIAMETER = {AgentKind.PEDESTRIAN: 0.5, AgentKind.CAR: 2.0}
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -647,7 +614,11 @@ def load_scenario(path: str | Path) -> Scenario:
             goal = Vec2(*map(float, item["goal"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"{path}: agents[{i}]: bad position/goal") from exc
-        velocity = Vec2(*map(float, item.get("velocity", (0.0, 0.0))))
+        try:
+            velocity = Vec2(*map(float, item.get("velocity", (0.0, 0.0))))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{path}: agents[{i}]: bad velocity") from exc
+        defaults = KIND_DEFAULTS[kind]
         entries.append(
             AgentEntry(
                 id=str(item.get("id", f"agent{i}")),
@@ -656,9 +627,9 @@ def load_scenario(path: str | Path) -> Scenario:
                 position=position,
                 velocity=velocity,
                 goal=goal,
-                desired_speed=float(item.get("desired_speed", 1.34 if kind is AgentKind.PEDESTRIAN else 5.0)),
-                max_speed=float(item.get("max_speed", _KIND_DEFAULT_MAX_SPEED[kind])),
-                diameter=float(item.get("diameter", _KIND_DEFAULT_DIAMETER[kind])),
+                desired_speed=float(item.get("desired_speed", defaults["desired_speed"])),
+                max_speed=float(item.get("max_speed", defaults["max_speed"])),
+                diameter=float(item.get("diameter", defaults["diameter"])),
             )
         )
     scenario = Scenario(scenario_id=str(raw["scenario_id"]), entries=entries)

@@ -173,15 +173,16 @@ def in_stopping_corridor(car: AgentState, ped: AgentState, params: SfmParams) ->
     return 0.0 < longitudinal <= params.d_min_pc and abs(lateral) <= half_width
 
 
-def reactive_stopping(car: AgentState, pedestrians: Sequence[AgentState], params: SfmParams) -> bool:
-    """Car must brake for a pedestrian already walking across its front."""
-    for ped in pedestrians:
-        if not in_stopping_corridor(car, ped, params):
-            continue
-        crossing = abs(ped.velocity.dot(car.heading.left_normal()))
-        if crossing > 1e-9:
-            return True
-    return False
+def reactive_stopping(
+    car: AgentState, pedestrians: Sequence[AgentState], params: SfmParams
+) -> list[AgentState]:
+    """Pedestrians, in input order, that the car must brake for: those
+    in its stopping corridor already walking across its front."""
+    return [
+        ped for ped in pedestrians
+        if in_stopping_corridor(car, ped, params)
+        and abs(ped.velocity.dot(car.heading.left_normal())) > 1e-9
+    ]
 
 
 def integrate_step(

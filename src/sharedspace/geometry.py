@@ -62,8 +62,6 @@ class Vec2:
         return math.isfinite(self.x) and math.isfinite(self.y)
 
 
-ZERO = Vec2(0.0, 0.0)
-
 # Angular guard soaking up one-ulp atan2 noise on boundary fixtures.
 # 1e-9 degrees is far below any physically meaningful bearing.
 _ANGLE_EPS_DEG = 1e-9

@@ -28,19 +28,18 @@ from sharedspace.calibrate import (
     fitness_game,
     fitness_sfm,
     ga_optimize,
-    game_objective,
     game_reference_values,
     ga_optimize as _ga,  # noqa: F401  (re-exported name sanity)
     per_individual,
     position_error_score,
     scenario_from_records,
-    sfm_objective,
     sfm_reference_values,
     trace_decisions,
     trace_positions,
     train_test_split,
     write_history_csv,
 )
+from sharedspace.cli import _FitnessWorker
 from sharedspace.dataio import DecisionAnnotation, TrajectoryRecord
 from sharedspace.engine import (
     AgentEntry,
@@ -686,10 +685,9 @@ class TestFitnessSfm:
         scenario = Scenario("lone", [ped_entry("p1", Vec2(0.0, -8.0), Vec2(0.0, 8.0))])
         trace = run_scenario(SimulationConfig(scene=scene, scenario=scenario, params=base))
         item = CalibrationScenario(scenario=scenario, real_positions=trace_positions(trace))
-        objective = sfm_objective([item], scene, base)
-        values = objective(np.array([sfm_reference_values(base.sfm)], dtype=float))
-        assert values.shape == (1,)
-        assert values[0] == 0.0
+        worker = _FitnessWorker("sfm", [item], scene, base, 0.5)
+        genes = sfm_reference_values(base.sfm)
+        assert worker(genes) == fitness_sfm(genes, [item], scene, base) == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -766,7 +764,6 @@ class TestFitnessGame:
     def test_game_objective_negates_agreement(self, crossing) -> None:
         scene, base, scenario, trace = crossing
         item = CalibrationScenario(scenario, trace_positions(trace), dict(trace_decisions(trace)))
-        objective = game_objective([item], scene, base)
-        values = objective(np.array([game_reference_values(base.game)], dtype=float))
-        assert values.shape == (1,)
-        assert values[0] == -1.0
+        worker = _FitnessWorker("game", [item], scene, base, 0.5)
+        genes = game_reference_values(base.game)
+        assert worker(genes) == -fitness_game(genes, [item], scene, base) == -1.0

@@ -185,6 +185,23 @@ class TestSimulate:
         ])
         assert code == 2
 
+    def test_bad_velocity_exits_2_with_one_line(self, tmp_path, capsys) -> None:
+        scene_path, _ = write_crossing_inputs(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "scenario_id": "s1",
+            "agents": [{"kind": "ped", "position": [0, 0], "goal": [5, 0],
+                        "velocity": [1, 2, 3]}],
+        }))
+        code = main([
+            "simulate", "--scene", str(scene_path), "--scenario", str(bad),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad velocity" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unreachable_goal_exits_3(self, tmp_path, capsys) -> None:
         scene_path = write_boxed_scene(tmp_path)
         scenario_path = tmp_path / "trapped.json"
@@ -384,6 +401,9 @@ class TestSelectFeatures:
         assert model_lines[0] == "outcome,feature,coefficient,std_error,p_value"
         # one equation (decelerate vs continue) with two retained features
         assert len(model_lines) == 3
+        for line in model_lines[1:]:
+            for field in line.split(",")[2:]:
+                float(field)  # plain numbers, not numpy scalar reprs
         elim_lines = (out / "elimination.csv").read_text().splitlines()
         assert elim_lines[0] == "step,feature,p_value"
         step, feature, p_value = elim_lines[1].split(",")

@@ -27,7 +27,9 @@ from sharedspace.dataio import (
     confusion_matrix,
     decision_error,
     group_by_agent,
+    index_decisions,
     load_annotations,
+    load_decisions,
     load_trajectories,
     parse_action,
     speed_deviation,
@@ -162,6 +164,42 @@ class TestAnnotations:
         path = write_csv(tmp_path / "a.csv", TRAJECTORY_COLUMNS, [])
         with pytest.raises(TrajectoryFormatError, match="header"):
             load_annotations(path)
+
+
+class TestDecisionIndexing:
+    def test_ordinals_count_per_owner_in_input_order(self) -> None:
+        decisions = [
+            (("s1", "c1"), Action.CONTINUE),
+            (("s1", "p1"), Action.DEVIATE),
+            (("s2", "p1"), Action.CONTINUE),
+            (("s1", "p1"), Action.DECELERATE),
+        ]
+        assert index_decisions(decisions) == {
+            ("s1", "c1", 0): Action.CONTINUE,
+            ("s1", "p1", 0): Action.DEVIATE,
+            ("s2", "p1", 0): Action.CONTINUE,
+            ("s1", "p1", 1): Action.DECELERATE,
+        }
+
+    def test_load_decisions_keys_rows_by_scenario_agent_and_ordinal(self, tmp_path) -> None:
+        path = tmp_path / "decisions.csv"
+        path.write_text(
+            "scenario_id,step,conflict_id,agent_id,action\n"
+            "s1,3,0,c1,continue\n"
+            "s1,3,0,p1,deviate\n"
+            "s1,9,1,p1,accelerate\n"
+        )
+        assert load_decisions(path) == {
+            ("s1", "c1", 0): Action.CONTINUE,
+            ("s1", "p1", 0): Action.DEVIATE,
+            ("s1", "p1", 1): Action.CONTINUE,
+        }
+
+    def test_load_decisions_needs_its_columns(self, tmp_path) -> None:
+        path = tmp_path / "decisions.csv"
+        path.write_text("scenario_id,agent_id\ns1,c1\n")
+        with pytest.raises(TrajectoryFormatError, match="action"):
+            load_decisions(path)
 
 
 class TestGroupByAgent:

@@ -140,6 +140,22 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="kind"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("velocity", [[1, 2, 3], [1], 5, ["a", "b"]])
+    def test_bad_velocity_rejected(self, tmp_path: Path, velocity) -> None:
+        path = tmp_path / "s.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "scenario_id": "s1",
+                    "agents": [
+                        {"kind": "ped", "position": [0, 0], "goal": [5, 0], "velocity": velocity}
+                    ],
+                }
+            )
+        )
+        with pytest.raises(ScenarioError, match="velocity"):
+            load_scenario(path)
+
     def test_missing_scenario_id_rejected(self, tmp_path: Path) -> None:
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"agents": []}))

@@ -236,6 +236,7 @@ class TestStoppingCorridor:
         along = ped(position=Vec2(4, 0), heading=Vec2(1, 0), speed=1.0)
         assert reactive_stopping(c, [crossing], P)
         assert not reactive_stopping(c, [along], P)
+        assert reactive_stopping(c, [along, crossing], P) == [crossing]
 
 
 class TestIntegrateStep:

@@ -12,11 +12,15 @@ Chromosomes are flat real vectors; the GA is elitist tournament
 selection with single-point crossover and Gaussian mutation, fully
 deterministic under a fixed seed. Candidate evaluations are independent
 simulations, so a caller may evaluate a population concurrently;
-results merge by chromosome index.
+results merge by chromosome index. A chromosome seen before in the same
+run is answered from its earlier score. Agent routes do not depend on
+the genes, so each calibration scenario plans them once and reuses the
+plan in every evaluation.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -31,8 +35,10 @@ from .engine import (
     AgentEntry,
     Scenario,
     ScenarioError,
+    ScenarioRejectedError,
     SimulationConfig,
     SimulationTrace,
+    plan_waypoints,
     run_scenario,
 )
 from .game import Action
@@ -42,7 +48,8 @@ from .scene import AgentKind, Scene
 
 SCENARIO_FAILURE_PENALTY = 1000.0
 
-# A calibration run simulates this many steps past the last observed frame.
+# The decision objective simulates this many steps past the last
+# observed frame.
 STEPS_PAST_LAST_FRAME = 20
 
 SFM_GENE_NAMES = (
@@ -117,8 +124,9 @@ class GaResult:
     best_genes: np.ndarray
     best_fitness: float
     history: list[GenStats]
-    evaluations: int
+    evaluations: int  # chromosomes scored, repeats included
     stopped_early: bool
+    cache_hits: int  # repeats answered from an earlier score
 
 
 BatchObjective = Callable[[np.ndarray], np.ndarray]
@@ -144,7 +152,8 @@ def ga_optimize(
     config: GaConfig = GaConfig(),
 ) -> GaResult:
     """Minimize `evaluate` over the gene box. Non-finite scores count as
-    the worst possible fitness; the run continues."""
+    the worst possible fitness; the run continues. `evaluate` must be
+    deterministic: it sees each distinct chromosome once per run."""
     config.validate()
     box = np.asarray(bounds, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
@@ -154,14 +163,23 @@ def ga_optimize(
         raise GaConfigError("each bound must satisfy low < high and be finite")
     n_genes = box.shape[0]
     rng = np.random.default_rng(config.seed)
+    seen: dict[bytes, float] = {}
+    cache_hits = 0
 
     def scored(population: np.ndarray) -> np.ndarray:
-        values = np.asarray(evaluate(population), dtype=float)
-        if values.shape != (population.shape[0],):
-            raise GaConfigError(
-                f"objective returned shape {values.shape}, expected ({population.shape[0]},)"
-            )
-        return np.where(np.isfinite(values), values, math.inf)
+        nonlocal cache_hits
+        keys = [individual.tobytes() for individual in population]
+        fresh = list(dict.fromkeys(k for k in keys if k not in seen))
+        cache_hits += len(keys) - len(fresh)
+        if fresh:
+            batch = population[[keys.index(k) for k in fresh]]
+            values = np.asarray(evaluate(batch), dtype=float)
+            if values.shape != (batch.shape[0],):
+                raise GaConfigError(
+                    f"objective returned shape {values.shape}, expected ({batch.shape[0]},)"
+                )
+            seen.update(zip(fresh, np.where(np.isfinite(values), values, math.inf).tolist()))
+        return np.array([seen[k] for k in keys])
 
     population = rng.uniform(lows, highs, size=(config.population_size, n_genes))
     fitness = scored(population)
@@ -219,7 +237,7 @@ def ga_optimize(
             stopped_early = True
             break
 
-    return GaResult(best_genes, best_fitness, history, evaluations, stopped_early)
+    return GaResult(best_genes, best_fitness, history, evaluations, stopped_early, cache_hits)
 
 
 def write_history_csv(history: Sequence[GenStats], path: str | Path) -> None:
@@ -287,6 +305,11 @@ class CalibrationScenario:
     scenario: Scenario
     real_positions: dict[str, dict[int, Vec2]]
     annotations: dict[tuple[str, int], Action] = field(default_factory=dict)
+    # (scene planned on, its waypoints or the rejection planning raised);
+    # see plan_scenarios
+    plan: tuple[Scene, dict[str, list[Vec2]] | ScenarioRejectedError] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def scenario_from_records(
@@ -432,11 +455,28 @@ def trace_decisions(trace: SimulationTrace) -> dict[tuple[str, int], Action]:
     return index_decisions(((row.agent_id,), row.action) for row in trace.decisions)
 
 
+def plan_scenarios(items: Sequence[CalibrationScenario], scene: Scene) -> None:
+    """Plan the agent routes of every item that holds no plan for an
+    equal scene, and keep them on the item: routes do not depend on the
+    genes, so every evaluation reuses them, and copies of the items (such
+    as those pickled to worker processes) carry them. A scenario that
+    planning rejects keeps the ScenarioRejectedError instead."""
+    for item in items:
+        if item.plan is None or item.plan[0] != scene:
+            try:
+                outcome = plan_waypoints(scene, item.scenario.entries)
+            except ScenarioRejectedError as exc:
+                outcome = exc
+            # a copy, so that a scene later changed in place no longer matches
+            item.plan = (copy.deepcopy(scene), outcome)
+
+
 def _simulate(
     item: CalibrationScenario,
     scene: Scene,
     params: ParameterSet,
     frame_seconds: float,
+    steps_past_last_frame: int,
 ) -> SimulationTrace:
     last_frame = max(max(t) for t in item.real_positions.values())
     config = SimulationConfig(
@@ -444,9 +484,13 @@ def _simulate(
         scenario=item.scenario,
         params=params,
         dt=frame_seconds,
-        max_steps=last_frame + STEPS_PAST_LAST_FRAME,
+        max_steps=last_frame + steps_past_last_frame,
     )
-    return run_scenario(config)
+    plan_scenarios([item], scene)
+    waypoints = item.plan[1]
+    if isinstance(waypoints, ScenarioRejectedError):
+        raise waypoints.with_traceback(None)
+    return run_scenario(config, waypoints)
 
 
 def fitness_sfm(
@@ -465,7 +509,8 @@ def fitness_sfm(
     scores = []
     for item in training:
         try:
-            trace = _simulate(item, scene, params, frame_seconds)
+            # Only observed frames are scored: simulate up to the last one.
+            trace = _simulate(item, scene, params, frame_seconds, 1)
             scores.append(position_error_score(item.real_positions, trace_positions(trace)))
         except Exception:
             scores.append(failure_penalty)
@@ -489,7 +534,9 @@ def fitness_game(
     scores = []
     for item in annotated:
         try:
-            trace = _simulate(item, scene, params, frame_seconds)
+            # A game created after the last observed frame can still match
+            # an annotation, so run on past it.
+            trace = _simulate(item, scene, params, frame_seconds, STEPS_PAST_LAST_FRAME)
             scores.append(agreement_score(item.annotations, trace_decisions(trace)))
         except Exception:
             scores.append(-1.0)

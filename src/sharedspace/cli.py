@@ -46,6 +46,7 @@ from .calibrate import (
     fitness_sfm,
     ga_optimize,
     game_reference_values,
+    plan_scenarios,
     sfm_reference_values,
     train_test_split,
     write_history_csv,
@@ -147,10 +148,27 @@ def _out_dir(path_str: str) -> Path:
     return out
 
 
-def _apply_config_file(ns: argparse.Namespace) -> None:
+def _config_value(action: argparse.Action, key: str, value, path: Path):
+    """A config-file value read as its flag would read the same text:
+    through the option's type, then checked against its choices."""
+    bad = CliError(f"config file {path}: bad value {json.dumps(value)} for option {key!r}")
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+        raise bad
+    try:
+        converted = (action.type or str)(str(value))
+    except ValueError:
+        raise bad from None
+    if action.choices is not None and converted not in action.choices:
+        raise bad
+    return converted
+
+
+def _apply_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Config-file keys override flags (dashes and underscores equivalent)."""
     if not getattr(ns, "config", None):
         return
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in commands.choices[ns.command]._actions}
     path = Path(ns.config)
     try:
         data = json.loads(path.read_text())
@@ -160,9 +178,9 @@ def _apply_config_file(ns: argparse.Namespace) -> None:
         raise CliError(f"config file {path}: top level must be an object")
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest in {"config", "command", "func"} or not hasattr(ns, dest):
+        if dest in {"config", "help"} or dest not in actions:
             raise CliError(f"config file {path}: unknown option {key!r}")
-        setattr(ns, dest, value)
+        setattr(ns, dest, _config_value(actions[dest], key, value, path))
 
 
 def _load_params(ns: argparse.Namespace) -> ParameterSet:
@@ -307,7 +325,8 @@ def _cmd_evaluate(ns: argparse.Namespace) -> int:
 
 class _FitnessWorker:
     """Per-chromosome objective; picklable so `--jobs` can map it over
-    a process pool."""
+    a process pool. It plans the training scenarios' routes when built,
+    so every pickled copy carries them and no worker process re-plans."""
 
     def __init__(
         self,
@@ -317,6 +336,7 @@ class _FitnessWorker:
         base: ParameterSet,
         frame_seconds: float,
     ) -> None:
+        plan_scenarios(training, scene)
         self.mode = mode
         self.training = training
         self.scene = scene
@@ -405,6 +425,7 @@ def _cmd_calibrate_sfm(ns: argparse.Namespace) -> int:
             "best_fitness": result.best_fitness,
             "test_fitness": test_score,
             "evaluations": result.evaluations,
+            "cache_hits": result.cache_hits,
             "stopped_early": result.stopped_early,
             "train_scenarios": [t.scenario.scenario_id for t in train],
             "test_scenarios": [t.scenario.scenario_id for t in test],
@@ -460,6 +481,7 @@ def _cmd_calibrate_game(ns: argparse.Namespace) -> int:
             "best_agreement": agreement,
             "test_agreement": test_score,
             "evaluations": result.evaluations,
+            "cache_hits": result.cache_hits,
             "stopped_early": result.stopped_early,
             "train_scenarios": [t.scenario.scenario_id for t in train],
             "test_scenarios": [t.scenario.scenario_id for t in test],
@@ -677,7 +699,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv if argv is not None else sys.argv[1:])
     try:
-        _apply_config_file(ns)
+        _apply_config_file(ns, parser)
         return ns.func(ns)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -161,8 +161,36 @@ class WorldState:
     active_conflicts: list[ConflictRuntime]
 
 
+def plan_waypoints(scene: Scene, entries: Iterable[AgentEntry]) -> dict[str, list[Vec2]]:
+    """Each entry's route around the scene's obstacles: the waypoints
+    after its start, ending at its goal. The route depends only on the
+    scene and the entry's position, goal and diameter, so a caller that
+    simulates one scenario many times can plan once and pass the result
+    to every Simulation. One visibility graph is built per distinct
+    clearance. Raises ScenarioRejectedError naming the first entry whose
+    goal is unreachable."""
+    graphs: dict[float, object] = {}
+    waypoints: dict[str, list[Vec2]] = {}
+    for entry in entries:
+        clearance = entry.diameter / 2.0 + PLANNER_CLEARANCE_MARGIN
+        graph = graphs.get(clearance)
+        if graph is None:
+            graph = graphs[clearance] = build_visibility_graph(scene, clearance)
+        try:
+            path = plan_path(graph, entry.position, entry.goal, scene)
+        except Exception as exc:
+            raise ScenarioRejectedError(f"agent {entry.id}: {exc}") from exc
+        waypoints[entry.id] = path[1:] if len(path) > 1 else [entry.goal]
+    return waypoints
+
+
 class Simulation:
-    def __init__(self, config: SimulationConfig) -> None:
+    def __init__(
+        self, config: SimulationConfig, waypoints: dict[str, list[Vec2]] | None = None
+    ) -> None:
+        """`waypoints` maps every agent id to its planned route, as
+        returned by plan_waypoints; when omitted the routes are planned
+        here. Spawned agents get copies, so the mapping is never changed."""
         config.scene.validate()
         config.scenario.validate()
         config.params.validate()
@@ -176,25 +204,9 @@ class Simulation:
         self._next_conflict_id = 0
         self._binding: dict[str, int] = {}
         self._pending_despawn: set[str] = set()
-        self._graph_cache: dict[float, object] = {}
-        self._waypoints = self._plan_all()
-
-    # - planning -------------------------------------------------------
-
-    def _plan_all(self) -> dict[str, list[Vec2]]:
-        waypoints: dict[str, list[Vec2]] = {}
-        for entry in self._entries:
-            clearance = entry.diameter / 2.0 + PLANNER_CLEARANCE_MARGIN
-            graph = self._graph_cache.get(clearance)
-            if graph is None:
-                graph = build_visibility_graph(self.config.scene, clearance)
-                self._graph_cache[clearance] = graph
-            try:
-                path = plan_path(graph, entry.position, entry.goal, self.config.scene)
-            except Exception as exc:
-                raise ScenarioRejectedError(f"agent {entry.id}: {exc}") from exc
-            waypoints[entry.id] = path[1:] if len(path) > 1 else [entry.goal]
-        return waypoints
+        if waypoints is None:
+            waypoints = plan_waypoints(config.scene, self._entries)
+        self._waypoints = waypoints
 
     # - bookkeeping ----------------------------------------------------
 
@@ -581,8 +593,10 @@ class Simulation:
         return self.trace
 
 
-def run_scenario(config: SimulationConfig) -> SimulationTrace:
-    return Simulation(config).run()
+def run_scenario(
+    config: SimulationConfig, waypoints: dict[str, list[Vec2]] | None = None
+) -> SimulationTrace:
+    return Simulation(config, waypoints).run()
 
 
 # - scenario files -----------------------------------------------------
@@ -600,8 +614,13 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict) or "scenario_id" not in raw:
         raise ScenarioError(f"{path}: expected an object with scenario_id")
+    agents = raw.get("agents", [])
+    if not isinstance(agents, list):
+        raise ScenarioError(f"{path}: agents must be a list")
     entries = []
-    for i, item in enumerate(raw.get("agents", [])):
+    for i, item in enumerate(agents):
+        if not isinstance(item, dict):
+            raise ScenarioError(f"{path}: agents[{i}]: expected an object")
         unknown = set(item) - _ENTRY_KEYS
         if unknown:
             raise ScenarioError(f"{path}: agents[{i}]: unknown keys {sorted(unknown)}")
@@ -619,17 +638,25 @@ def load_scenario(path: str | Path) -> Scenario:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{path}: agents[{i}]: bad velocity") from exc
         defaults = KIND_DEFAULTS[kind]
+        scalars = {}
+        for key, convert, default in (
+            ("entry_step", int, 0),
+            ("desired_speed", float, defaults["desired_speed"]),
+            ("max_speed", float, defaults["max_speed"]),
+            ("diameter", float, defaults["diameter"]),
+        ):
+            try:
+                scalars[key] = convert(item.get(key, default))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ScenarioError(f"{path}: agents[{i}]: bad {key}") from exc
         entries.append(
             AgentEntry(
                 id=str(item.get("id", f"agent{i}")),
                 kind=kind,
-                entry_step=int(item.get("entry_step", 0)),
                 position=position,
                 velocity=velocity,
                 goal=goal,
-                desired_speed=float(item.get("desired_speed", defaults["desired_speed"])),
-                max_speed=float(item.get("max_speed", defaults["max_speed"])),
-                diameter=float(item.get("diameter", defaults["diameter"])),
+                **scalars,
             )
         )
     scenario = Scenario(scenario_id=str(raw["scenario_id"]), entries=entries)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from sharedspace import engine
 from sharedspace.geometry import Vec2
 from sharedspace.scene import AgentKind, AgentState, Rect, Scene
 
@@ -92,3 +93,16 @@ def ped(
         diameter=kw.pop("diameter", 0.5),
         **kw,
     )
+
+
+def count_graph_builds(monkeypatch) -> list[float]:
+    """Record the clearance of every visibility graph the engine builds."""
+    clearances: list[float] = []
+    build = engine.build_visibility_graph
+
+    def counting(scene, clearance=0.0):
+        clearances.append(clearance)
+        return build(scene, clearance)
+
+    monkeypatch.setattr(engine, "build_visibility_graph", counting)
+    return clearances

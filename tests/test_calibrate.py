@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import open_square_scene
+from helpers import count_graph_builds, open_square_scene
+from sharedspace import engine
 from sharedspace.calibrate import (
     GAME_GENE_NAMES,
     SCENARIO_FAILURE_PENALTY,
@@ -224,6 +226,23 @@ class TestGaOptimize:
         )
         assert result.best_fitness == result.history[0].best_fitness
         assert result.stopped_early
+
+    def test_repeated_chromosomes_are_scored_once(self) -> None:
+        # Without variation every child copies a parent, so after
+        # generation 0 every chromosome is a repeat.
+        seen: list[bytes] = []
+
+        def counting(population: np.ndarray) -> np.ndarray:
+            seen.extend(individual.tobytes() for individual in population)
+            return per_individual(quadratic)(population)
+
+        config = GaConfig(
+            population_size=6, max_generations=3, seed=5, mutation_rate=0.0, crossover_rate=0.0
+        )
+        result = ga_optimize(QUAD_BOUNDS, counting, config)
+        assert len(seen) == len(set(seen)) == config.population_size
+        assert result.evaluations == config.population_size + 3 * (config.population_size - 1)
+        assert result.cache_hits == result.evaluations - config.population_size
 
     def test_per_individual_adapts_scalar_objective(self) -> None:
         batch = per_individual(quadratic)
@@ -660,8 +679,11 @@ class TestFitnessSfm:
     def test_failed_scenario_scores_the_penalty(self) -> None:
         base = ParameterSet()
         genes = sfm_reference_values(base.sfm)
-        score = fitness_sfm(genes, [unreachable_item()], boxed_scene(), base)
-        assert score == SCENARIO_FAILURE_PENALTY == 1000.0
+        item = unreachable_item()
+        # the second call meets the rejection kept from the first
+        for _ in range(2):
+            score = fitness_sfm(genes, [item], boxed_scene(), base)
+            assert score == SCENARIO_FAILURE_PENALTY == 1000.0
 
     def test_scores_average_across_scenarios(self) -> None:
         scene = boxed_scene()
@@ -759,7 +781,9 @@ class TestFitnessGame:
     def test_failed_simulation_scores_minus_one(self) -> None:
         base = ParameterSet()
         genes = game_reference_values(base.game)
-        assert fitness_game(genes, [unreachable_item()], boxed_scene(), base) == -1.0
+        item = unreachable_item()
+        for _ in range(2):
+            assert fitness_game(genes, [item], boxed_scene(), base) == -1.0
 
     def test_game_objective_negates_agreement(self, crossing) -> None:
         scene, base, scenario, trace = crossing
@@ -767,3 +791,48 @@ class TestFitnessGame:
         worker = _FitnessWorker("game", [item], scene, base, 0.5)
         genes = game_reference_values(base.game)
         assert worker(genes) == -fitness_game(genes, [item], scene, base) == -1.0
+
+
+# ---------------------------------------------------------------------------
+# Route plans kept across evaluations
+# ---------------------------------------------------------------------------
+
+
+def detour_item(scene: Scene) -> CalibrationScenario:
+    """A pedestrian whose straight route crosses the boxed_scene obstacle,
+    observed as simulated at the default parameters."""
+    scenario = Scenario("detour", [ped_entry("p1", Vec2(-10.0, 0.5), Vec2(10.0, 0.5))])
+    trace = run_scenario(SimulationConfig(scene=scene, scenario=scenario))
+    return CalibrationScenario(scenario=scenario, real_positions=trace_positions(trace))
+
+
+class TestPlanReuse:
+    def test_routes_are_planned_once_while_the_scene_is_equal(self, monkeypatch) -> None:
+        scene = boxed_scene()
+        item = detour_item(scene)
+        base = ParameterSet()
+        genes = sfm_reference_values(base.sfm)
+        builds = count_graph_builds(monkeypatch)
+        assert fitness_sfm(genes, [item], scene, base) == 0.0
+        assert fitness_sfm(genes, [item], boxed_scene(), base) == 0.0
+        fitness_sfm([1.1 * g for g in genes], [item], scene, base)
+        assert len(builds) == 1
+        moved = dataclasses.replace(scene, obstacles=[[v + Vec2(0.0, 1.0) for v in scene.obstacles[0]]])
+        fitness_sfm(genes, [item], moved, base)
+        assert len(builds) == 2
+
+    def test_pickled_worker_scores_without_planning(self, monkeypatch) -> None:
+        scene = boxed_scene()
+        base = ParameterSet()
+        genes = sfm_reference_values(base.sfm)
+        training = [detour_item(scene), unreachable_item()]
+        worker = _FitnessWorker("sfm", training, scene, base, 0.5)
+        expected = fitness_sfm(genes, [detour_item(scene), unreachable_item()], scene, base)
+
+        def no_planning(*args, **kwargs):
+            raise AssertionError("planned again")
+
+        monkeypatch.setattr(engine, "build_visibility_graph", no_planning)
+        monkeypatch.setattr(engine, "plan_path", no_planning)
+        restored = pickle.loads(pickle.dumps(worker))
+        assert restored(genes) == expected == pytest.approx(500.0, rel=1e-12)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import open_square_scene
+from helpers import count_graph_builds, open_square_scene
 from sharedspace import __version__
 from sharedspace.cli import main
 from sharedspace.engine import AgentEntry, Scenario, save_scenario
@@ -202,6 +202,23 @@ class TestSimulate:
         assert err.startswith("error:") and "bad velocity" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_bad_speed_exits_2_with_one_line(self, tmp_path, capsys) -> None:
+        scene_path, _ = write_crossing_inputs(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "scenario_id": "s1",
+            "agents": [{"kind": "ped", "position": [0, 0], "goal": [5, 0],
+                        "desired_speed": [1]}],
+        }))
+        code = main([
+            "simulate", "--scene", str(scene_path), "--scenario", str(bad),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad desired_speed" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unreachable_goal_exits_3(self, tmp_path, capsys) -> None:
         scene_path = write_boxed_scene(tmp_path)
         scenario_path = tmp_path / "trapped.json"
@@ -253,6 +270,38 @@ class TestSimulate:
         assert manifest["config"]["max_steps"] == 3
         assert manifest["steps_run"] == 3
         assert manifest["truncated"] is True
+
+    def test_config_values_are_read_as_their_flags_read_text(self, tmp_path) -> None:
+        scene_path, scenario_path = write_crossing_inputs(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"max_steps": "3", "dt": 0.25}))
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--scene", str(scene_path), "--scenario", str(scenario_path),
+            "--config", str(config_path), "--out-dir", str(out),
+        ])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["config"]["max_steps"], manifest["config"]["dt"]) == (3, 0.25)
+        assert manifest["steps_run"] == 3
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"max_steps": "ten"}, {"max_steps": 2.5}, {"max_steps": [10]}, {"dt": None},
+         {"seed": True}, {"regime": "campus"}],
+    )
+    def test_bad_config_value_exits_2_with_one_line(self, tmp_path, capsys, setting) -> None:
+        scene_path, scenario_path = write_crossing_inputs(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(setting))
+        code = main([
+            "simulate", "--scene", str(scene_path), "--scenario", str(scenario_path),
+            "--config", str(config_path), "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file") and "bad value" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys) -> None:
         scene_path, scenario_path = write_crossing_inputs(tmp_path)
@@ -547,6 +596,30 @@ class TestCalibrateSfm:
         assert code == 0
         assert (sha256(scene_path), sha256(records)) == before
 
+    def test_routes_are_planned_once_per_run(self, tmp_path, monkeypatch) -> None:
+        scene_path = write_boxed_scene(tmp_path)
+        records = tmp_path / "detours.csv"
+        rows = [TRACE_HEADER]
+        # both straight routes cross the box; agents of two sizes need two
+        # visibility graphs
+        for f, (x, y) in enumerate([(-10, 0), (-5, 3), (0, 3.5), (5, 3), (10, 0)]):
+            rows.append(f"s1,{f},p1,ped,{float(x)!r},{float(y)!r}")
+        for f, (x, y) in enumerate([(-16, 0), (-8, -4), (0, -4.5), (8, -4), (16, 0)]):
+            rows.append(f"s1,{f},c1,car,{float(x)!r},{float(y)!r}")
+        records.write_text("\n".join(rows) + "\n")
+        clearances = count_graph_builds(monkeypatch)
+        out = tmp_path / "cal"
+        code = main([
+            "calibrate-sfm", "--scene", str(scene_path), "--trajectories", str(records),
+            "--out-dir", str(out), "--population", "3", "--generations", "1",
+            "--jobs", "1", "--seed", "0",
+        ])
+        assert code == 0
+        assert len(clearances) == len(set(clearances)) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["evaluations"] == 5
+        assert manifest["cache_hits"] >= 0
+
     def test_every_candidate_failing_exits_5(self, tmp_path, capsys) -> None:
         scene_path = write_boxed_scene(tmp_path)
         records = tmp_path / "doomed.csv"
@@ -578,6 +651,7 @@ class TestCalibrateGame:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "calibrate-game"
         assert manifest["best_agreement"] == 1.0
+        assert 0 <= manifest["cache_hits"] < manifest["evaluations"]
         assert len(manifest["config"]["gene_names"]) == 6
         fitted = load_parameter_set(out / "best_params.json")
         assert fitted.game.regime == "hbs"

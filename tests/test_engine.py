@@ -18,6 +18,7 @@ from sharedspace.engine import (
     Simulation,
     SimulationConfig,
     load_scenario,
+    plan_waypoints,
     run_scenario,
     save_scenario,
     write_decisions_csv,
@@ -156,6 +157,44 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="velocity"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("desired_speed", [1]),
+            ("max_speed", "fast"),
+            ("diameter", None),
+            ("entry_step", {"at": 3}),
+            ("entry_step", float("inf")),
+        ],
+    )
+    def test_bad_scalar_field_rejected(self, tmp_path: Path, key, value) -> None:
+        path = tmp_path / "s.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "scenario_id": "s1",
+                    "agents": [{"kind": "ped", "position": [0, 0], "goal": [5, 0], key: value}],
+                }
+            )
+        )
+        with pytest.raises(ScenarioError, match=f"bad {key}"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "agents, message",
+        [
+            (5, "agents must be a list"),
+            ({"kind": "ped"}, "agents must be a list"),
+            ([1], r"agents\[0\]: expected an object"),
+            ([["ped"]], r"agents\[0\]: expected an object"),
+        ],
+    )
+    def test_agents_not_a_list_of_objects_rejected(self, tmp_path: Path, agents, message) -> None:
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"scenario_id": "s1", "agents": agents}))
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(path)
+
     def test_missing_scenario_id_rejected(self, tmp_path: Path) -> None:
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"agents": []}))
@@ -253,6 +292,29 @@ class TestLifecycle:
         scenario = Scenario("s", [ped_entry("p1", position=Vec2(-10.0, 0.0), goal=Vec2(0.0, 0.0))])
         with pytest.raises(ScenarioRejectedError, match="p1"):
             Simulation(SimulationConfig(scene=scene, scenario=scenario))
+
+
+class TestPlannedWaypoints:
+    def test_given_waypoints_give_the_same_trace_and_stay_unchanged(self) -> None:
+        box = (Vec2(-2.0, -2.0), Vec2(2.0, -2.0), Vec2(2.0, 2.0), Vec2(-2.0, 2.0))
+        ring = (Vec2(-30.0, -30.0), Vec2(30.0, -30.0), Vec2(30.0, 30.0), Vec2(-30.0, 30.0))
+        scene = Scene(
+            obstacles=(box,),
+            intersection_zones=(ring,),
+            road_zones=(),
+            bounds=Rect(-40.0, -40.0, 40.0, 40.0),
+            meters_per_unit=1.0,
+        )
+        config = crossing_config(scene=scene)
+        plan = plan_waypoints(scene, config.scenario.entries)
+        # both straight routes cross the box, so each agent has a corner to pass
+        assert all(len(route) > 1 for route in plan.values())
+        before = {aid: list(route) for aid, route in plan.items()}
+        planned_here = run_scenario(config)
+        given = run_scenario(config, plan)
+        assert given == planned_here
+        assert given.conflicts
+        assert plan == before
 
 
 # ---------------------------------------------------------------------------

@@ -324,9 +324,9 @@ def _cmd_evaluate(ns: argparse.Namespace) -> int:
 # calibration (shared plumbing)
 
 class _FitnessWorker:
-    """Per-chromosome objective; picklable so `--jobs` can map it over
-    a process pool. It plans the training scenarios' routes when built,
-    so every pickled copy carries them and no worker process re-plans."""
+    """Per-chromosome objective; picklable so `--jobs` can hand it to
+    each pool process once. It plans the training scenarios' routes
+    when built, so every copy carries them and no process re-plans."""
 
     def __init__(
         self,
@@ -349,6 +349,21 @@ class _FitnessWorker:
         return -fitness_game(genes, self.training, self.scene, self.base, self.frame_seconds)
 
 
+# The objective of the GA run in progress in this process: set once per
+# pool process by the pool's initializer (in-process for --jobs 1), so
+# each task carries only its genes.
+_installed_worker: _FitnessWorker | None = None
+
+
+def _install_worker(worker: _FitnessWorker | None) -> None:
+    global _installed_worker
+    _installed_worker = worker
+
+
+def _evaluate(genes: list[float]) -> float:
+    return _installed_worker(genes)
+
+
 def _run_ga(ns: argparse.Namespace, worker: _FitnessWorker, bounds) -> tuple:
     ga_config = GaConfig(
         population_size=ns.population,
@@ -357,12 +372,18 @@ def _run_ga(ns: argparse.Namespace, worker: _FitnessWorker, bounds) -> tuple:
         stagnation_window=ns.stagnation,
     )
     with contextlib.ExitStack() as stack:
-        mapper = map
         if ns.jobs > 1:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=ns.jobs)).map
+            pool = ProcessPoolExecutor(
+                max_workers=ns.jobs, initializer=_install_worker, initargs=(worker,)
+            )
+            mapper = stack.enter_context(pool).map
+        else:
+            _install_worker(worker)
+            stack.callback(_install_worker, None)
+            mapper = map
 
         def batch(population: np.ndarray) -> np.ndarray:
-            return np.array(list(mapper(worker, population.tolist())), dtype=float)
+            return np.array(list(mapper(_evaluate, population.tolist())), dtype=float)
 
         result = ga_optimize(bounds, batch, ga_config)
     return result, ga_config

@@ -97,14 +97,17 @@ def classify_conflict(
     """
     peds = tuple(peds)
     cars = tuple(cars)
+    # No competitors: nothing to classify, so no zone test either.
+    if not peds and not cars:
+        return ConflictClass.NO_NEW_CONFLICT, (), []
     if peds and cars:
         return ConflictClass.PEDESTRIANS_TO_CARS, peds + cars, []
-    if not peds and cars:
+    if cars:
         return ConflictClass.CAR_TO_CAR, cars, []
-    anchor_in_intersection = in_intersection_zone(anchor.position, scene)
-    if anchor_in_intersection and peds:
+    # Pedestrians only.
+    if in_intersection_zone(anchor.position, scene):
         return ConflictClass.PEDESTRIANS_TO_CAR, peds, []
-    if in_road_zone(anchor.position, scene) and peds:
+    if in_road_zone(anchor.position, scene):
         own_nearest = _nearest_id(anchor, peds, agents)
         merged: list[str] = []
         for other in all_cars:

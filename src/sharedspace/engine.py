@@ -4,11 +4,11 @@ Each step: spawn due agents, record the frame, run conflict
 recognition (every recognition_interval steps), solve games for new
 conflicts and latch the chosen actions, assign one mode per agent
 (cars: stopping > game > following > free flow; pedestrians: game >
-forces), integrate everyone from the same pre-step snapshot, then
+forces), sum the agent repulsion on every pedestrian in force mode in
+one pass, integrate everyone from the same pre-step snapshot, then
 retire conflicts whose actions have completed or timed out.
 
-Runs are deterministic: equal configuration and seed give bit-identical
-traces.
+Runs are deterministic: equal configuration gives bit-identical traces.
 """
 
 from __future__ import annotations
@@ -468,12 +468,8 @@ class Simulation:
         if mode is Mode.FREE_FLOW:
             return [forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed)]
         if mode is Mode.FORCES:
-            repulsion = Vec2(0.0, 0.0)
-            for other in self.world.agents.values():
-                if other.id == agent.id:
-                    continue
-                repulsion = repulsion + forces_mod.agent_repulsion(agent, other, sfm)
-            repulsion = repulsion + forces_mod.obstacle_repulsion(agent, scene, sfm)
+            # payload: the summed repulsion from the other agents.
+            repulsion = payload + forces_mod.obstacle_repulsion(agent, scene, sfm)
             return [
                 forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed),
                 forces_mod.Forces(repulsion),
@@ -555,6 +551,11 @@ class Simulation:
             self._run_recognition()
 
         assignments = self._assign_modes()
+        agents = list(self.world.agents.values())
+        targets = [a for a in agents if assignments[a.id][0] is Mode.FORCES]
+        totals = forces_mod.agent_repulsion_totals(targets, agents, self.config.params.sfm)
+        for agent, total in zip(targets, totals):
+            assignments[agent.id] = (Mode.FORCES, total)
         directives = {
             aid: self._directives_for(agent, *assignments[aid])
             for aid, agent in self.world.agents.items()

@@ -5,6 +5,14 @@ agents and obstacles, weighted by an anisotropy factor that discounts
 events behind them. Cars move through discrete modes (free flow,
 following, game action, reactive stopping); their updates arrive here
 as movement directives.
+
+`agent_repulsion` is the pairwise rule. The engine sums it for every
+pedestrian in one numpy pass per step (`agent_repulsion_totals`), which
+applies the same rule to all pairs at once and adds each target's terms
+in agent order. numpy's `exp` and `hypot` may differ from `math`'s in
+the last bit, so a summed force can differ from the sequential sum of
+`agent_repulsion` by a few ulps: the tests bound each component by
+1e-12 times the sum of the pair forces' magnitudes.
 """
 
 from __future__ import annotations
@@ -13,6 +21,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .geometry import Vec2, nearest_point_on_polygon, point_in_zone
 from .params import SfmParams
@@ -106,6 +116,55 @@ def agent_repulsion(i: AgentState, j: AgentState, params: SfmParams) -> Vec2:
     return offset.normalized() * (v0 * math.exp(-d / sigma) * factor)
 
 
+def agent_repulsion_totals(
+    targets: Sequence[AgentState], agents: Sequence[AgentState], params: SfmParams
+) -> list[Vec2]:
+    """For each target, the sum of agent_repulsion from every other
+    agent, added in the order of `agents`; every target must be one of
+    `agents`. One numpy pass over an (agents x targets) grid."""
+    if not targets:
+        return []
+    column = {a.id: k for k, a in enumerate(agents)}
+    # One row per agent: x, y, disc radius (0 for pedestrians), is-car.
+    table = np.array([
+        (a.position.x, a.position.y, a.radius() if a.kind is AgentKind.CAR else 0.0,
+         a.kind is AgentKind.CAR)
+        for a in agents
+    ])
+    rows = np.array([column[t.id] for t in targets])
+    # Grid axis 0 is the source j, axis 1 the target i.
+    src, tgt = table[:, None, :], table[rows][None, :, :]
+    own = np.arange(len(agents))[:, None] == rows[None, :]
+    ox = tgt[..., 0] - src[..., 0]
+    oy = tgt[..., 1] - src[..., 1]
+    coincident = (ox * ox + oy * oy == 0.0) & ~own
+    pp = (src[..., 3] == 0.0) & (tgt[..., 3] == 0.0)
+    v0 = np.where(pp, params.v0_pp, params.v0_pc)
+    sigma = np.where(pp, params.sigma_pp, params.sigma_pc)
+    headings = [t.heading.normalized() for t in targets]
+    heading = np.array([(h.x, h.y) for h in headings])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.hypot(ox, oy)
+        ux, uy = ox / n, oy / n
+    d = np.maximum(0.0, n - tgt[..., 2] - src[..., 2])
+    # Anisotropy: cosine between the heading and the direction to j.
+    cos_phi = np.clip(heading[:, 0] * -ux + heading[:, 1] * -uy, -1.0, 1.0)
+    a = params.anisotropy
+    factor = a + (1.0 - a) * (1.0 + cos_phi) / 2.0
+    magnitude = v0 * np.exp(-d / sigma) * factor
+    fx, fy = ux * magnitude, uy * magnitude
+    if coincident.any():
+        # Push along the target's left normal at full strength.
+        normals = [t.heading.left_normal().normalized() for t in targets]
+        push = np.array([(p.x, p.y) for p in normals])
+        fx = np.where(coincident, push[:, 0] * v0, fx)
+        fy = np.where(coincident, push[:, 1] * v0, fy)
+    # cumsum adds each column in agent order, as a sequential loop would.
+    fx = np.where(own, 0.0, fx).cumsum(axis=0)[-1]
+    fy = np.where(own, 0.0, fy).cumsum(axis=0)[-1]
+    return [Vec2(float(x), float(y)) for x, y in zip(fx, fy)]
+
+
 def obstacle_repulsion(agent: AgentState, scene: Scene, params: SfmParams) -> Vec2:
     """Summed exponential repulsion from every obstacle polygon."""
     total = Vec2(0.0, 0.0)
@@ -166,9 +225,11 @@ def decel_rate(speed: float, distance: float, d_min: float) -> float:
 def in_stopping_corridor(car: AgentState, ped: AgentState, params: SfmParams) -> bool:
     """True when ped stands in the frontal corridor of the car: within
     one safety distance ahead, inside a lane as wide as both bodies."""
-    offset = ped.position - car.position
-    longitudinal = offset.dot(car.heading)
-    lateral = offset.dot(car.heading.left_normal())
+    hx, hy = car.heading.x, car.heading.y
+    ox = ped.position.x - car.position.x
+    oy = ped.position.y - car.position.y
+    longitudinal = ox * hx + oy * hy
+    lateral = ox * -hy + oy * hx  # along the heading's left normal
     half_width = (car.diameter + ped.diameter) / 2.0
     return 0.0 < longitudinal <= params.d_min_pc and abs(lateral) <= half_width
 
@@ -178,10 +239,11 @@ def reactive_stopping(
 ) -> list[AgentState]:
     """Pedestrians, in input order, that the car must brake for: those
     in its stopping corridor already walking across its front."""
+    hx, hy = car.heading.x, car.heading.y
     return [
         ped for ped in pedestrians
         if in_stopping_corridor(car, ped, params)
-        and abs(ped.velocity.dot(car.heading.left_normal())) > 1e-9
+        and abs(ped.velocity.x * -hy + ped.velocity.y * hx) > 1e-9
     ]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import count_graph_builds, open_square_scene
-from sharedspace import __version__
+from sharedspace import __version__, cli
 from sharedspace.cli import main
 from sharedspace.engine import AgentEntry, Scenario, save_scenario
 from sharedspace.geometry import Vec2
@@ -581,11 +581,25 @@ class TestCalibrateSfm:
         assert manifest["test_scenarios"] == []  # a single scenario is never split
         assert manifest["best_fitness"] < 1.0
 
-    def test_parallel_evaluation_reproduces_the_serial_run(self, tmp_path) -> None:
+    def test_parallel_evaluation_reproduces_the_serial_run(self, tmp_path, monkeypatch) -> None:
+        pickles = []
+
+        def counting_getstate(worker):
+            pickles.append(worker.mode)
+            return dict(worker.__dict__)
+
+        monkeypatch.setattr(cli._FitnessWorker, "__getstate__", counting_getstate, raising=False)
         _, serial = self.run_micro(tmp_path, "serial")
+        assert pickles == []
         _, parallel = self.run_micro(tmp_path, "parallel", "--jobs", "2")
         assert (serial / "best_params.json").read_bytes() == (parallel / "best_params.json").read_bytes()
         assert (serial / "history.csv").read_bytes() == (parallel / "history.csv").read_bytes()
+        # At most once per pool process (never, where processes fork),
+        # not once per evaluation.
+        evaluations = json.loads((parallel / "manifest.json").read_text())["evaluations"]
+        assert evaluations > 2
+        assert len(pickles) <= 2
+        assert cli._installed_worker is None
 
     def test_inputs_are_not_mutated(self, tmp_path) -> None:
         scene_path = tmp_path / "scene.json"

@@ -1,18 +1,24 @@
 import math
 
+import pytest
+
 from helpers import car, open_square_scene, ped
+from sharedspace import conflicts
 from sharedspace.conflicts import (
     Conflict,
     ConflictClass,
+    classify_conflict,
     predicted_position,
     recognize_conflicts,
 )
 from sharedspace.geometry import Vec2
 from sharedspace.params import SfmParams
+from sharedspace.scene import Rect, Scene
 
 P = SfmParams()
 INTERSECTION = open_square_scene(zone="intersection")
 ROAD = open_square_scene(zone="road")
+NO_ZONE = Scene(bounds=Rect(-60, -60, 60, 60))
 
 CAR_PREDICTED = Vec2(2.7, 0.0)  # origin car, heading +x, max 0.3, horizon 9
 
@@ -237,3 +243,53 @@ class TestPassBehavior:
         before = (c1.prior_conflict_partners, p1.prior_conflict_partners)
         recognize([c1], [p1])
         assert (c1.prior_conflict_partners, p1.prior_conflict_partners) == before
+
+
+class TestClassifyConflict:
+    @pytest.fixture
+    def zone_tests(self, monkeypatch):
+        """Count the zone tests classify_conflict makes."""
+        calls: list[str] = []
+        for name in ("in_intersection_zone", "in_road_zone"):
+            test = getattr(conflicts, name)
+
+            def counting(p, scene, name=name, test=test):
+                calls.append(name)
+                return test(p, scene)
+
+            monkeypatch.setattr(conflicts, name, counting)
+        return calls
+
+    def classify(self, peds, cars, scene, partner_sets=None):
+        anchor = slow_car("c0")
+        others = [slow_car(cid, position=Vec2(20, 5)) for cid in ("c1", "c2")]
+        agents = {a.id: a for a in [anchor, *others]}
+        for k, pid in enumerate(("p1", "p2")):
+            agents[pid] = ped(pid, position=Vec2(4 + k, 1))
+        return classify_conflict(
+            anchor, peds, cars, [anchor, *others], agents, scene, partner_sets or {}
+        )
+
+    @pytest.mark.parametrize("scene", [INTERSECTION, ROAD, NO_ZONE])
+    def test_no_competitors_makes_no_zone_test(self, zone_tests, scene):
+        assert self.classify([], [], scene) == (ConflictClass.NO_NEW_CONFLICT, (), [])
+        assert zone_tests == []
+
+    @pytest.mark.parametrize(
+        "peds, cars, scene, expected, n_zone_tests",
+        [
+            (["p1"], ["c1"], NO_ZONE, (ConflictClass.PEDESTRIANS_TO_CARS, ("p1", "c1"), []), 0),
+            ([], ["c1", "c2"], NO_ZONE, (ConflictClass.CAR_TO_CAR, ("c1", "c2"), []), 0),
+            (["p1", "p2"], [], INTERSECTION, (ConflictClass.PEDESTRIANS_TO_CAR, ("p1", "p2"), []), 1),
+            (["p1"], [], ROAD, (ConflictClass.PEDESTRIANS_TO_CAR, ("p1",), []), 2),
+            (["p1"], [], NO_ZONE, (ConflictClass.NO_NEW_CONFLICT, (), []), 2),
+        ],
+    )
+    def test_classes(self, zone_tests, peds, cars, scene, expected, n_zone_tests):
+        assert self.classify(peds, cars, scene) == expected
+        assert len(zone_tests) == n_zone_tests
+
+    def test_road_merge(self):
+        # c1 already competes with p1, the anchor's nearest pedestrian.
+        got = self.classify(["p1", "p2"], [], ROAD, {"c1": {"p1"}, "c2": set()})
+        assert got == (ConflictClass.PEDESTRIANS_TO_CARS, ("p1", "p2", "c1"), ["c1"])

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import open_square_scene
+from sharedspace import forces
 from sharedspace.conflicts import Conflict, ConflictClass
 from sharedspace.engine import (
     AgentEntry,
@@ -327,6 +328,22 @@ def modes_at_step(trace, step: int) -> dict[str, str]:
 
 
 class TestModes:
+    def test_steps_without_force_mode_agents(self, monkeypatch) -> None:
+        # Step 0 holds no agent; at step 1 both agents are in a game.
+        sums = []
+        totals = forces.agent_repulsion_totals
+
+        def recording(targets, agents, params):
+            sums.append(([t.id for t in targets], [a.id for a in agents]))
+            return totals(targets, agents, params)
+
+        monkeypatch.setattr(forces, "agent_repulsion_totals", recording)
+        scenario = Scenario("crossing", [car_entry(entry_step=1), ped_entry(entry_step=1)])
+        trace = run_scenario(crossing_config(scenario=scenario, max_steps=3))
+        assert modes_at_step(trace, 1) == {"c1": "game", "p1": "game"}
+        assert sums[:2] == [([], []), ([], ["c1", "p1"])]
+        assert trace.steps_run == 3
+
     def test_lone_car_free_flows_and_lone_ped_uses_forces(self) -> None:
         scenario = Scenario(
             "s",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -13,6 +14,7 @@ from sharedspace.forces import (
     SetSpeed,
     Steer,
     agent_repulsion,
+    agent_repulsion_totals,
     anisotropy_factor,
     car_following_force,
     decel_rate,
@@ -24,7 +26,7 @@ from sharedspace.forces import (
 )
 from sharedspace.geometry import Vec2
 from sharedspace.params import SfmParams
-from sharedspace.scene import Rect, Scene
+from sharedspace.scene import AgentKind, Rect, Scene
 
 P = SfmParams()
 
@@ -138,6 +140,108 @@ class TestAgentRepulsion:
         assert f.norm() == pytest.approx(1.4, rel=1e-12)
 
 
+def sequential_totals(targets, agents, params=P):
+    """The reference: agent_repulsion summed one pair at a time, plus
+    the sum of the pair forces' magnitudes that scales the tolerance."""
+    out = []
+    for t in targets:
+        total, scale = Vec2(0.0, 0.0), 0.0
+        for other in agents:
+            if other.id == t.id:
+                continue
+            f = agent_repulsion(t, other, params)
+            total, scale = total + f, scale + f.norm()
+        out.append((total, scale))
+    return out
+
+
+def assert_matches_sequential(targets, agents, params=P):
+    got = agent_repulsion_totals(targets, agents, params)
+    assert len(got) == len(targets)
+    for g, (want, scale) in zip(got, sequential_totals(targets, agents, params)):
+        assert abs(g.x - want.x) <= 1e-12 * scale
+        assert abs(g.y - want.y) <= 1e-12 * scale
+
+
+# Coordinates on a 0.25 m grid, so generated crowds often hold
+# coincident agents; headings include zero.
+_coord = st.integers(-24, 24).map(lambda k: k * 0.25)
+_agent = st.tuples(
+    st.sampled_from([AgentKind.PEDESTRIAN, AgentKind.CAR]),
+    _coord,
+    _coord,
+    st.sampled_from([Vec2(1, 0), Vec2(0, -1), Vec2(0.6, 0.8), Vec2(-3, 1), Vec2(0, 0)]),
+    st.sampled_from([0.5, 1.0, 2.0, 3.5]),
+)
+
+
+class TestAgentRepulsionTotals:
+    @given(
+        st.lists(_agent, min_size=1, max_size=40),
+        st.lists(st.booleans(), min_size=40, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sequential_sum_on_mixed_crowds(self, specs, chosen):
+        agents = [
+            (car if kind is AgentKind.CAR else ped)(
+                f"a{k}", position=Vec2(x, y), heading=h, diameter=diameter
+            )
+            for k, (kind, x, y, h, diameter) in enumerate(specs)
+        ]
+        targets = [a for a, keep in zip(agents, chosen) if keep]
+        assert_matches_sequential(targets, agents)
+        assert_matches_sequential(agents, agents)
+
+    def test_no_targets(self):
+        assert agent_repulsion_totals([], [], P) == []
+        assert agent_repulsion_totals([], [ped("a"), car("b")], P) == []
+
+    def test_single_agent_feels_nothing(self):
+        a = ped("a", position=Vec2(2, 3))
+        assert agent_repulsion_totals([a], [a], P) == [Vec2(0.0, 0.0)]
+
+    def test_coincident_agents_push_along_left_normal(self):
+        a = ped("a", position=Vec2(1, 1), heading=Vec2(1, 0))
+        b = ped("b", position=Vec2(1, 1), heading=Vec2(0, 1))
+        got = agent_repulsion_totals([a, b], [a, b], P)
+        assert got == [Vec2(0.0, 1.4), Vec2(-1.4, 0.0)]
+        assert got == [agent_repulsion(a, b, P), agent_repulsion(b, a, P)]
+
+    def test_zero_heading(self):
+        a = ped("a", position=Vec2(0, 0), heading=Vec2(0, 0))
+        b = ped("b", position=Vec2(0.4, 0))
+        c = ped("c", position=Vec2(0, 0))
+        # Away from b at the side weight; no push from the coincident c.
+        [got] = agent_repulsion_totals([a], [a, b, c], P)
+        assert got.x == pytest.approx(-1.4 * math.exp(-1.0) * 0.6, rel=1e-12)
+        assert got.y == 0.0
+        assert_matches_sequential([a], [a, b, c])
+
+    def test_car_target_subtracts_both_radii(self):
+        a = car("a", position=Vec2(0, 0), heading=Vec2(1, 0), diameter=2.0)
+        b = car("b", position=Vec2(5, 0), heading=Vec2(-1, 0), diameter=3.0)
+        [got] = agent_repulsion_totals([a], [a, b], P)
+        assert got.x == pytest.approx(-10.0 * math.exp(-2.5 / 0.2), rel=1e-12)
+        assert got.y == 0.0
+        assert_matches_sequential([a], [a, b])
+
+    def test_wide_pedestrian_range(self):
+        wide = dataclasses.replace(P, sigma_pp=4 * P.sigma_pp)
+        rng = random.Random(7)
+        agents = [
+            (car if k % 5 == 0 else ped)(
+                f"a{k}",
+                position=Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5)),
+                heading=Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            )
+            for k in range(25)
+        ]
+        assert_matches_sequential(agents, agents, wide)
+        assert agent_repulsion_totals(agents, agents, wide) != agent_repulsion_totals(
+            agents, agents, P
+        )
+
+
 class TestObstacleRepulsion:
     SQUARE = (Vec2(0, 0), Vec2(4, 0), Vec2(4, 4), Vec2(0, 4))
 
@@ -237,6 +341,35 @@ class TestStoppingCorridor:
         assert reactive_stopping(c, [crossing], P)
         assert not reactive_stopping(c, [along], P)
         assert reactive_stopping(c, [along, crossing], P) == [crossing]
+
+    @given(
+        st.floats(-12, 12),
+        st.floats(-12, 12),
+        st.floats(-math.pi, math.pi),
+        st.floats(-2.0, 10.0),
+        st.floats(-3.0, 3.0),
+        st.floats(-math.pi, math.pi),
+        st.floats(0.0, 2.0),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_vector_form(self, cx, cy, car_angle, ahead, aside, ped_angle, ped_speed):
+        h = Vec2(math.cos(car_angle), math.sin(car_angle))
+        c = car(position=Vec2(cx, cy), heading=h)
+        p = ped(
+            position=c.position + h * ahead + h.left_normal() * aside,
+            heading=Vec2(math.cos(ped_angle), math.sin(ped_angle)),
+            speed=ped_speed,
+        )
+        # The rule in Vec2 arithmetic; the float form must agree exactly.
+        offset = p.position - c.position
+        normal = c.heading.left_normal()
+        in_corridor = (
+            0.0 < offset.dot(c.heading) <= P.d_min_pc
+            and abs(offset.dot(normal)) <= (c.diameter + p.diameter) / 2.0
+        )
+        assert in_stopping_corridor(c, p, P) is in_corridor
+        crossing = in_corridor and abs(p.velocity.dot(normal)) > 1e-9
+        assert reactive_stopping(c, [p], P) == ([p] if crossing else [])
 
 
 class TestIntegrateStep:

@@ -43,7 +43,7 @@ from .engine import (
 )
 from .game import Action
 from .geometry import Vec2
-from .params import GameParams, ParameterSet, SfmParams
+from .params import GameParams, ParameterFileError, ParameterSet, SfmParams
 from .scene import AgentKind, Scene
 
 SCENARIO_FAILURE_PENALTY = 1000.0
@@ -258,33 +258,11 @@ def default_bounds(values: Sequence[float]) -> list[tuple[float, float]]:
 
 
 def sfm_reference_values(base: SfmParams) -> list[float]:
-    mapping = {
-        "v0_pp": base.v0_pp,
-        "v0_pc": base.v0_pc,
-        "u0": base.u0,
-        "sigma_pp": base.sigma_pp,
-        "sigma_pc": base.sigma_pc,
-        "r_obstacle": base.r_obstacle,
-        "anisotropy": base.anisotropy,
-        "d_min_pc": base.d_min_pc,
-        "d_min_cc": base.d_min_cc,
-        "s_a": base.s_a,
-        "v_r": base.v_r,
-        "s_c": base.s_c,
-    }
-    return [mapping[name] for name in SFM_GENE_NAMES]
+    return [getattr(base, name) for name in SFM_GENE_NAMES]
 
 
 def game_reference_values(base: GameParams) -> list[float]:
-    mapping = {
-        "g_own_speed": base.g_own_speed,
-        "g_competitor_speed": base.g_competitor_speed,
-        "g_angle": base.g_angle,
-        "g_noai": base.g_noai,
-        "g_stopped": base.g_stopped,
-        "g_distance": base.g_distance,
-    }
-    return [mapping[name] for name in GAME_GENE_NAMES]
+    return [getattr(base, name) for name in GAME_GENE_NAMES]
 
 
 def decode_sfm(genes: Sequence[float], base: ParameterSet) -> ParameterSet:
@@ -410,6 +388,17 @@ class ScoreUndefinedError(ValueError):
     """Raised when a score has no comparison units to average over."""
 
 
+# What simulating and scoring one scenario raise by design; a fitness
+# function scores any of them as a failed scenario. Anything else is a
+# fault in the program and propagates.
+SIMULATION_FAILURES = (
+    ScenarioError,
+    ScenarioRejectedError,
+    ParameterFileError,
+    ScoreUndefinedError,
+)
+
+
 def position_error_score(
     real: Mapping[str, Mapping[int, Vec2]], sim: Mapping[str, Mapping[int, Vec2]]
 ) -> float:
@@ -512,7 +501,7 @@ def fitness_sfm(
             # Only observed frames are scored: simulate up to the last one.
             trace = _simulate(item, scene, params, frame_seconds, 1)
             scores.append(position_error_score(item.real_positions, trace_positions(trace)))
-        except Exception:
+        except SIMULATION_FAILURES:
             scores.append(failure_penalty)
     return sum(scores) / len(scores)
 
@@ -538,6 +527,6 @@ def fitness_game(
             # an annotation, so run on past it.
             trace = _simulate(item, scene, params, frame_seconds, STEPS_PAST_LAST_FRAME)
             scores.append(agreement_score(item.annotations, trace_decisions(trace)))
-        except Exception:
+        except SIMULATION_FAILURES:
             scores.append(-1.0)
     return sum(scores) / len(scores)

@@ -67,7 +67,11 @@ def _angle_gate(car: AgentState, other: AgentState, params: SfmParams) -> bool:
     return within_cone(car.heading, other.position - car.position, half)
 
 
-def _nearest_id(agent: AgentState, candidates: Iterable[str], agents: Mapping[str, AgentState]) -> str | None:
+def nearest_id(
+    agent: AgentState, candidates: Iterable[str], agents: Mapping[str, AgentState]
+) -> str | None:
+    """The candidate present in `agents` nearest to `agent`; ties go to
+    the smallest id, and None when no candidate is present."""
     best: str | None = None
     best_d = float("inf")
     for cid in sorted(candidates):
@@ -81,6 +85,21 @@ def _nearest_id(agent: AgentState, candidates: Iterable[str], agents: Mapping[st
     return best
 
 
+def _engage(partners: dict[str, set[str]], conflict: Conflict) -> None:
+    members = [m for m in conflict.participants() if m in partners]
+    for member in members:
+        partners[member].update(m for m in members if m != member)
+
+
+def partner_sets(conflicts: Iterable[Conflict], ids: Iterable[str]) -> dict[str, set[str]]:
+    """Each id's fellow participants across the conflicts; members
+    outside `ids` are left out."""
+    partners: dict[str, set[str]] = {aid: set() for aid in ids}
+    for conflict in conflicts:
+        _engage(partners, conflict)
+    return partners
+
+
 def classify_conflict(
     anchor: AgentState,
     peds: Sequence[str],
@@ -88,7 +107,7 @@ def classify_conflict(
     all_cars: Sequence[AgentState],
     agents: Mapping[str, AgentState],
     scene: Scene,
-    partner_sets: Mapping[str, set[str]],
+    partners: Mapping[str, set[str]],
 ) -> tuple[ConflictClass, tuple[str, ...], list[str]]:
     """Map the competitor sets found for one car onto a conflict class.
 
@@ -108,15 +127,15 @@ def classify_conflict(
     if in_intersection_zone(anchor.position, scene):
         return ConflictClass.PEDESTRIANS_TO_CAR, peds, []
     if in_road_zone(anchor.position, scene):
-        own_nearest = _nearest_id(anchor, peds, agents)
+        own_nearest = nearest_id(anchor, peds, agents)
         merged: list[str] = []
         for other in all_cars:
             if other.id == anchor.id:
                 continue
-            partners = partner_sets.get(other.id) or set()
-            if not partners:
+            engaged = partners.get(other.id)
+            if not engaged:
                 continue
-            if _nearest_id(other, partners, agents) == own_nearest:
+            if nearest_id(other, engaged, agents) == own_nearest:
                 merged.append(other.id)
         if merged:
             return ConflictClass.PEDESTRIANS_TO_CARS, peds + tuple(merged), merged
@@ -140,36 +159,15 @@ def recognize_conflicts(
     agents.update({a.id: a for a in pedestrians})
 
     conflict_by_id: dict[int, Conflict] = {c.id: c for c in active_conflicts}
-    partner_sets: dict[str, set[str]] = {}
-
-    def rebuild_partner_sets() -> None:
-        partner_sets.clear()
-        partner_sets.update({aid: set() for aid in agents})
-        for conflict in conflict_by_id.values():
-            members = [m for m in conflict.participants() if m in partner_sets]
-            for member in members:
-                partner_sets[member].update(m for m in members if m != member)
-
-    rebuild_partner_sets()
+    partners = partner_sets(conflict_by_id.values(), agents)
     outcome = RecognitionOutcome()
     counter = next_id
-
-    def dissolve_for(car_id: str) -> None:
-        # Road-zone merge absorbs a car's existing conflicts.
-        for conflict in list(conflict_by_id.values()):
-            if car_id != conflict.anchor_car and car_id not in conflict.competitive_users:
-                continue
-            del conflict_by_id[conflict.id]
-            if conflict in outcome.new_conflicts:
-                outcome.new_conflicts.remove(conflict)
-            else:
-                outcome.dissolved_ids.append(conflict.id)
-        rebuild_partner_sets()
 
     for car in cars:
         competitive_peds: list[str] = []
         competitive_cars: list[str] = []
         if in_intersection_zone(car.position, scene):
+            car_ahead = predicted_position(car, params)
             for other in cars + pedestrians:
                 if other.id == car.id:
                     continue
@@ -179,15 +177,13 @@ def recognize_conflicts(
                     continue
                 if car.id in other.prior_conflict_partners:
                     continue
-                if other.id in partner_sets.get(car.id, ()):
+                if other.id in partners.get(car.id, ()):
                     continue
                 if car.position.distance_to(other.position) > params.v_r:
                     continue
                 if not _angle_gate(car, other, params):
                     continue
-                predicted_gap = predicted_position(car, params).distance_to(
-                    predicted_position(other, params)
-                )
+                predicted_gap = car_ahead.distance_to(predicted_position(other, params))
                 if predicted_gap > params.d_min_for(other.kind is AgentKind.CAR):
                     continue
                 if other.kind is AgentKind.CAR:
@@ -198,7 +194,7 @@ def recognize_conflicts(
             for ped in pedestrians:
                 if ped.id in car.prior_conflict_partners:
                     continue
-                if ped.id in partner_sets.get(car.id, ()):
+                if ped.id in partners.get(car.id, ()):
                     continue
                 if car.position.distance_to(ped.position) > params.v_r:
                     continue
@@ -209,12 +205,22 @@ def recognize_conflicts(
                     competitive_peds.append(ped.id)
 
         conflict_class, users, merged_cars = classify_conflict(
-            car, competitive_peds, competitive_cars, cars, agents, scene, partner_sets
+            car, competitive_peds, competitive_cars, cars, agents, scene, partners
         )
         if conflict_class is ConflictClass.NO_NEW_CONFLICT:
             continue
-        for merged in merged_cars:
-            dissolve_for(merged)
+        if merged_cars:
+            # A road-zone merge absorbs the merged cars' existing conflicts.
+            absorbed = set(merged_cars)
+            for conflict in list(conflict_by_id.values()):
+                if absorbed.isdisjoint(conflict.participants()):
+                    continue
+                del conflict_by_id[conflict.id]
+                if conflict in outcome.new_conflicts:
+                    outcome.new_conflicts.remove(conflict)
+                else:
+                    outcome.dissolved_ids.append(conflict.id)
+            partners = partner_sets(conflict_by_id.values(), agents)
         conflict = Conflict(
             id=counter,
             anchor_car=car.id,
@@ -225,9 +231,6 @@ def recognize_conflicts(
         counter += 1
         outcome.new_conflicts.append(conflict)
         conflict_by_id[conflict.id] = conflict
-        members = conflict.participants()
-        for member in members:
-            if member in partner_sets:
-                partner_sets[member].update(m for m in members if m != member)
+        _engage(partners, conflict)
     outcome.dissolved_ids.sort()
     return outcome

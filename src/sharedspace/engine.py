@@ -1,19 +1,21 @@
 """Discrete-time simulation loop.
 
-Each step: spawn due agents, record the frame, run conflict
+Each step: spawn due agents, drop those that arrived last step, split
+the rest once into cars and pedestrians in id order, run conflict
 recognition (every recognition_interval steps), solve games for new
 conflicts and latch the chosen actions, assign one mode per agent
 (cars: stopping > game > following > free flow; pedestrians: game >
-forces), sum the agent repulsion on every pedestrian in force mode in
-one pass, integrate everyone from the same pre-step snapshot, then
-retire conflicts whose actions have completed or timed out.
+forces), record the frame with each agent's mode (the dropped agents
+as "arrived"), sum the agent repulsion on every pedestrian in force
+mode in one pass, integrate everyone from the same pre-step snapshot
+(a non-finite position or velocity rejects the scenario), then retire
+conflicts whose actions have completed or timed out.
 
 Runs are deterministic: equal configuration gives bit-identical traces.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 from dataclasses import dataclass, field
@@ -202,7 +204,9 @@ class Simulation:
         self._entries = sorted(config.scenario.entries, key=lambda e: (e.entry_step, e.id))
         self._spawn_cursor = 0
         self._next_conflict_id = 0
-        self._binding: dict[str, int] = {}
+        # Each agent's first active game: it acts on that one until the
+        # game retires, whatever later games it joins.
+        self._binding: dict[str, ConflictRuntime] = {}
         self._pending_despawn: set[str] = set()
         if waypoints is None:
             waypoints = plan_waypoints(config.scene, self._entries)
@@ -211,59 +215,39 @@ class Simulation:
     # - bookkeeping ----------------------------------------------------
 
     def _refresh_conflict_bookkeeping(self) -> None:
-        partners: dict[str, set[str]] = {aid: set() for aid in self.world.agents}
-        counts: dict[str, int] = {aid: 0 for aid in self.world.agents}
-        for runtime in self.world.active_conflicts:
-            members = [m for m in runtime.conflict.participants() if m in partners]
-            for m in members:
-                partners[m].update(x for x in members if x != m)
-                counts[m] += 1
+        """Set each agent's partners and count of active games, which
+        recognition and feature extraction read, from the active games."""
+        conflicts = [r.conflict for r in self.world.active_conflicts]
+        partners = conflicts_mod.partner_sets(conflicts, self.world.agents)
+        counts = dict.fromkeys(self.world.agents, 0)
+        for conflict in conflicts:
+            for m in conflict.participants():
+                if m in counts:
+                    counts[m] += 1
         for aid, agent in self.world.agents.items():
             agent.prior_conflict_partners = frozenset(partners[aid])
             agent.active_interactions = counts[aid]
 
-    def _cars(self) -> list[AgentState]:
-        return sorted(
-            (a for a in self.world.agents.values() if a.kind is AgentKind.CAR),
-            key=lambda a: a.id,
-        )
-
-    def _pedestrians(self) -> list[AgentState]:
-        return sorted(
-            (a for a in self.world.agents.values() if a.kind is AgentKind.PEDESTRIAN),
-            key=lambda a: a.id,
-        )
-
-    def _nearest_of(self, agent: AgentState, ids: Iterable[str]) -> AgentState | None:
-        best = None
-        best_d = float("inf")
-        for other_id in sorted(ids):
-            other = self.world.agents.get(other_id)
-            if other is None:
-                continue
-            d = agent.position.distance_to(other.position)
-            if d < best_d:
-                best = other
-                best_d = d
-        return best
-
     def _game_partner(self, agent_id: str, runtime: ConflictRuntime) -> AgentState | None:
+        """The leader plays against its nearest follower, a follower
+        against the leader; None once that agent has left."""
+        agents = self.world.agents
         if agent_id == runtime.leader:
-            return self._nearest_of(
-                self.world.agents[agent_id],
-                (u for u in runtime.conflict.competitive_users if u != agent_id),
-            )
-        return self.world.agents.get(runtime.leader)
+            others = (u for u in runtime.conflict.competitive_users if u != agent_id)
+            partner_id = conflicts_mod.nearest_id(agents[agent_id], others, agents)
+        else:
+            partner_id = runtime.leader
+        return agents.get(partner_id)
 
     # - conflict handling ----------------------------------------------
 
-    def _run_recognition(self) -> None:
-        sfm = self.config.params.sfm
+    def _run_recognition(self, cars: list[AgentState], peds: list[AgentState]) -> None:
+        self._refresh_conflict_bookkeeping()
         outcome = conflicts_mod.recognize_conflicts(
-            self._cars(),
-            self._pedestrians(),
+            cars,
+            peds,
             self.config.scene,
-            sfm,
+            self.config.params.sfm,
             active_conflicts=[r.conflict for r in self.world.active_conflicts],
             step=self.world.step,
             next_id=self._next_conflict_id,
@@ -273,14 +257,14 @@ class Simulation:
             self.world.active_conflicts = [
                 r for r in self.world.active_conflicts if r.conflict.id not in dissolved
             ]
-            for aid, cid in list(self._binding.items()):
-                if cid in dissolved:
+            for aid, runtime in list(self._binding.items()):
+                if runtime.conflict.id in dissolved:
                     del self._binding[aid]
             self._refresh_conflict_bookkeeping()
+        # Each new game updates its members' bookkeeping itself.
         for conflict in outcome.new_conflicts:
             self._next_conflict_id = max(self._next_conflict_id, conflict.id + 1)
             self._create_game(conflict)
-        self._refresh_conflict_bookkeeping()
 
     def _create_game(self, conflict: Conflict) -> None:
         self.trace.conflicts.append(conflict)
@@ -311,18 +295,20 @@ class Simulation:
         actions.update({f.id: a for f, a in zip(followers, profile)})
         runtime = ConflictRuntime(conflict=conflict, leader=leader.id, actions=actions)
         self.world.active_conflicts.append(runtime)
-        nearest_follower = self._nearest_of(leader, [f.id for f in followers])
+        nearest_follower = conflicts_mod.nearest_id(
+            leader, [f.id for f in followers], self.world.agents
+        )
         for aid, action in actions.items():
             agent = self.world.agents[aid]
             self.trace.decisions.append(
                 DecisionRow(self.world.step, conflict.id, aid, action)
             )
-            competitor = leader if aid != leader.id else nearest_follower
+            competitor = leader.id if aid != leader.id else nearest_follower
             if competitor is not None:
                 fv = (
                     contexts[aid].follower_view
                     if aid != leader.id
-                    else contexts[competitor.id].leader_view
+                    else contexts[competitor].leader_view
                 )
                 self.trace.feature_rows.append(
                     FeatureRow(
@@ -336,7 +322,7 @@ class Simulation:
                     )
                 )
             if aid not in self._binding:
-                self._binding[aid] = conflict.id
+                self._binding[aid] = runtime
             if agent.kind is AgentKind.CAR and action is Action.DECELERATE:
                 agent.giveway_count += 1
 
@@ -371,8 +357,8 @@ class Simulation:
                         done = False
                         break
             if done:
-                for aid, cid in list(self._binding.items()):
-                    if cid == runtime.conflict.id:
+                for aid, bound in list(self._binding.items()):
+                    if bound is runtime:
                         del self._binding[aid]
             else:
                 kept.append(runtime)
@@ -380,22 +366,15 @@ class Simulation:
 
     # - modes and movement ----------------------------------------------
 
-    def _bound_runtime(self, agent_id: str) -> ConflictRuntime | None:
-        cid = self._binding.get(agent_id)
-        if cid is None:
-            return None
-        for runtime in self.world.active_conflicts:
-            if runtime.conflict.id == cid:
-                return runtime
-        return None
-
-    def _find_following_leader(self, car: AgentState) -> AgentState | None:
+    def _find_following_leader(
+        self, car: AgentState, cars: list[AgentState]
+    ) -> AgentState | None:
         """Nearest other car ahead (frontal 90-degree cone) within view
         range and moving roughly the same way."""
         sfm = self.config.params.sfm
         best = None
         best_d = float("inf")
-        for other in self._cars():
+        for other in cars:
             if other.id == car.id:
                 continue
             offset = other.position - car.position
@@ -410,14 +389,15 @@ class Simulation:
             best_d = d
         return best
 
-    def _assign_modes(self) -> dict[str, tuple[Mode, object]]:
+    def _assign_modes(
+        self, cars: list[AgentState], peds: list[AgentState]
+    ) -> dict[str, tuple[Mode, object]]:
         sfm = self.config.params.sfm
         regime = self.config.params.game.regime
-        peds = self._pedestrians()
         assignments: dict[str, tuple[Mode, object]] = {}
-        for car in self._cars():
+        for car in cars:
             stopping_for = forces_mod.reactive_stopping(car, peds, sfm)
-            runtime = self._bound_runtime(car.id)
+            runtime = self._binding.get(car.id)
             if regime != "dut" and stopping_for:
                 target = min(
                     stopping_for, key=lambda p: (car.position.distance_to(p.position), p.id)
@@ -434,14 +414,14 @@ class Simulation:
                     else frozenset()
                 )
             else:
-                leader = self._find_following_leader(car)
+                leader = self._find_following_leader(car, cars)
                 if leader is not None:
                     assignments[car.id] = (Mode.FOLLOWING, leader)
                 else:
                     assignments[car.id] = (Mode.FREE_FLOW, None)
                 car.currently_stopping_for = frozenset()
         follower_of: dict[str, str] = {}
-        for car in self._cars():
+        for car in cars:
             mode, payload = assignments[car.id]
             car.following_car_id = payload.id if mode is Mode.FOLLOWING else None
             if mode is Mode.FOLLOWING:
@@ -450,10 +430,10 @@ class Simulation:
                     self.world.agents[prev].position.distance_to(payload.position)
                 ):
                     follower_of[payload.id] = car.id
-        for car in self._cars():
+        for car in cars:
             car.followed_by_car_id = follower_of.get(car.id)
         for ped in peds:
-            runtime = self._bound_runtime(ped.id)
+            runtime = self._binding.get(ped.id)
             if runtime is not None:
                 assignments[ped.id] = (Mode.GAME, runtime)
             else:
@@ -533,24 +513,27 @@ class Simulation:
 
     def step(self) -> None:
         self._spawn_due()
-        # Record the frame, then drop agents that arrived last step.
-        row_index: dict[str, int] = {}
-        for aid, agent in self.world.agents.items():
-            mode = "arrived" if aid in self._pending_despawn else ""
-            row_index[aid] = len(self.trace.rows)
-            self.trace.rows.append(
-                TraceRow(self.world.step, aid, agent.kind, agent.position.x, agent.position.y, mode)
-            )
-        for aid in self._pending_despawn:
-            self.world.agents.pop(aid, None)
+        # The frame still shows the agents that arrived last step; drop
+        # them from the world before anything else looks at it.
+        frame = list(self.world.agents.values())
+        arrived = self._pending_despawn
+        self._pending_despawn = set()
+        for aid in arrived:
+            del self.world.agents[aid]
             self._binding.pop(aid, None)
-        self._pending_despawn.clear()
+        ordered = sorted(self.world.agents.values(), key=lambda a: a.id)
+        cars = [a for a in ordered if a.kind is AgentKind.CAR]
+        peds = [a for a in ordered if a.kind is AgentKind.PEDESTRIAN]
 
-        self._refresh_conflict_bookkeeping()
         if self.world.step % self.config.recognition_interval == 0:
-            self._run_recognition()
+            self._run_recognition(cars, peds)
 
-        assignments = self._assign_modes()
+        assignments = self._assign_modes(cars, peds)
+        for agent in frame:
+            mode = "arrived" if agent.id in arrived else assignments[agent.id][0].value
+            self.trace.rows.append(
+                TraceRow(self.world.step, agent.id, agent.kind, agent.position.x, agent.position.y, mode)
+            )
         agents = list(self.world.agents.values())
         targets = [a for a in agents if assignments[a.id][0] is Mode.FORCES]
         totals = forces_mod.agent_repulsion_totals(targets, agents, self.config.params.sfm)
@@ -560,18 +543,18 @@ class Simulation:
             aid: self._directives_for(agent, *assignments[aid])
             for aid, agent in self.world.agents.items()
         }
-        for aid in self.world.agents:
-            idx = row_index[aid]
-            self.trace.rows[idx] = dataclasses.replace(
-                self.trace.rows[idx], mode=assignments[aid][0].value
-            )
 
         new_agents: dict[str, AgentState] = {}
         for aid, agent in self.world.agents.items():
             self._advance_waypoints(agent)
-            new_agents[aid] = forces_mod.integrate_step(
+            moved = forces_mod.integrate_step(
                 agent, directives[aid], self.config.dt, self.config.params.sfm
             )
+            if not (moved.position.is_finite() and moved.velocity.is_finite()):
+                raise ScenarioRejectedError(
+                    f"agent {aid}: non-finite state at step {self.world.step}"
+                )
+            new_agents[aid] = moved
         self.world.agents = new_agents
 
         for aid, agent in self.world.agents.items():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import count_graph_builds, open_square_scene
-from sharedspace import engine
+from sharedspace import calibrate, engine
 from sharedspace.calibrate import (
     GAME_GENE_NAMES,
     SCENARIO_FAILURE_PENALTY,
@@ -48,6 +48,7 @@ from sharedspace.engine import (
     DecisionRow,
     Scenario,
     ScenarioError,
+    ScenarioRejectedError,
     SimulationConfig,
     SimulationTrace,
     TraceRow,
@@ -55,7 +56,7 @@ from sharedspace.engine import (
 )
 from sharedspace.game import Action
 from sharedspace.geometry import Vec2
-from sharedspace.params import ParameterSet
+from sharedspace.params import ParameterFileError, ParameterSet
 from sharedspace.scene import AgentKind, Rect, Scene
 
 
@@ -791,6 +792,47 @@ class TestFitnessGame:
         worker = _FitnessWorker("game", [item], scene, base, 0.5)
         genes = game_reference_values(base.game)
         assert worker(genes) == -fitness_game(genes, [item], scene, base) == -1.0
+
+
+class TestFitnessFailures:
+    """A fitness function scores a scenario as failed only for the errors
+    simulating and scoring raise by design; any other error is a fault
+    and must not pass itself off as a bad score."""
+
+    @pytest.fixture
+    def raising_simulator(self, monkeypatch):
+        def install(error: Exception) -> None:
+            def run(*args, **kwargs):
+                raise error
+
+            monkeypatch.setattr(calibrate, "run_scenario", run)
+
+        return install
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ScenarioError("bad"),
+            ScenarioRejectedError("rejected"),
+            ParameterFileError("bad"),
+            ScoreUndefinedError("none"),
+        ],
+    )
+    def test_expected_failures_score_the_penalty(self, crossing, raising_simulator, error) -> None:
+        scene, base, scenario, trace = crossing
+        item = CalibrationScenario(scenario, trace_positions(trace), dict(trace_decisions(trace)))
+        raising_simulator(error)
+        assert fitness_sfm(sfm_reference_values(base.sfm), [item], scene, base) == 1000.0
+        assert fitness_game(game_reference_values(base.game), [item], scene, base) == -1.0
+
+    def test_a_programming_error_propagates(self, crossing, raising_simulator) -> None:
+        scene, base, scenario, trace = crossing
+        item = CalibrationScenario(scenario, trace_positions(trace), dict(trace_decisions(trace)))
+        raising_simulator(ZeroDivisionError("division by zero"))
+        with pytest.raises(ZeroDivisionError):
+            fitness_sfm(sfm_reference_values(base.sfm), [item], scene, base)
+        with pytest.raises(ZeroDivisionError):
+            fitness_game(game_reference_values(base.game), [item], scene, base)
 
 
 # ---------------------------------------------------------------------------

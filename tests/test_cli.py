@@ -17,6 +17,7 @@ from sharedspace.geometry import Vec2
 from sharedspace.params import ParameterSet, load_parameter_set, save_parameter_set
 from sharedspace.scene import AgentKind, save_scene
 
+DATA = Path(__file__).resolve().parents[1] / "data"
 TRACE_HEADER = "scenario_id,frame,agent_id,kind,x,y"
 DECISIONS_HEADER = "scenario_id,step,conflict_id,agent_id,action"
 
@@ -235,6 +236,24 @@ class TestSimulate:
         ])
         assert code == 3
         assert "rejected" in capsys.readouterr().err
+
+    def test_non_finite_state_exits_3_with_one_line(self, tmp_path, capsys) -> None:
+        # Speeds of 1e308 overflow the first integration step.
+        scene_path = tmp_path / "scene.json"
+        save_scene(open_square_scene(), scene_path)
+        scenario = json.loads((DATA / "crossing.json").read_text())
+        scenario["agents"][0].update(desired_speed=1e308, max_speed=1e308)
+        scenario_path = tmp_path / "huge.json"
+        scenario_path.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--scene", str(scene_path), "--scenario", str(scenario_path),
+            "--out-dir", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: scenario rejected: agent c1: non-finite state at step 0\n"
+        assert not (out / "trace.csv").exists()
 
     def test_regime_flag_recorded_in_manifest(self, tmp_path) -> None:
         code, out = run_simulate(tmp_path, "run", "--regime", "dut")

@@ -523,7 +523,10 @@ class TestConflictLifecycle:
         sim = Simulation(config)
         sim.step()
         first_id = sim.trace.conflicts[0].id
-        assert sim._binding == {"c1": first_id, "p1": first_id}
+        assert {aid: r.conflict.id for aid, r in sim._binding.items()} == {
+            "c1": first_id,
+            "p1": first_id,
+        }
         # A later conflict that also involves p1 must not rebind it.
         extra = Conflict(
             id=99,
@@ -533,9 +536,65 @@ class TestConflictLifecycle:
             created_at_step=sim.world.step,
         )
         sim._create_game(extra)
-        assert sim._binding["p1"] == first_id
-        assert sim._binding["c9"] == 99
-        assert sim._bound_runtime("p1").conflict.id == first_id
+        assert sim._binding["p1"].conflict.id == first_id
+        assert sim._binding["c9"].conflict.id == 99
+        assert sim._binding["p1"] is sim.world.active_conflicts[0]
+
+    def test_retiring_the_bound_game_unbinds_despite_a_later_game(self, monkeypatch) -> None:
+        config = crossing_config(max_steps=3, conflict_timeout=1)
+        config.scenario.entries.append(
+            car_entry("c9", position=Vec2(20.0, 20.0), goal=Vec2(-20.0, 20.0), velocity=Vec2(-2.0, 0.0))
+        )
+        sim = Simulation(config)
+        sim.step()
+        first = sim._binding["p1"]
+        later = Conflict(
+            id=99,
+            conflict_class=ConflictClass.PEDESTRIANS_TO_CAR,
+            anchor_car="c9",
+            competitive_users=("p1",),
+            created_at_step=sim.world.step,
+        )
+        sim._create_game(later)
+        # Only the timeout retires games here: the first one has reached
+        # it, the later one has not.
+        monkeypatch.setattr(sim, "_action_completed", lambda agent, action, partner: False)
+        sim._retire_conflicts()
+        assert [r.conflict.id for r in sim.world.active_conflicts] == [99]
+        assert first not in sim.world.active_conflicts
+        # p1 still plays in game 99 but was never bound to it.
+        assert {aid: r.conflict.id for aid, r in sim._binding.items()} == {"c9": 99}
+
+    def test_road_merge_dissolves_the_absorbed_game_and_unbinds_it(self) -> None:
+        # c2 engages p1 at step 0; c1 arrives at step 1 with the same
+        # nearest pedestrian, so its new game absorbs c2's.
+        scenario = Scenario(
+            "merge",
+            [
+                car_entry("c2", position=Vec2(0.0, 6.0), velocity=Vec2(1.0, 0.0),
+                          goal=Vec2(30.0, 6.0), desired_speed=1.0, max_speed=1.2),
+                ped_entry("p1", position=Vec2(6.0, -3.0), goal=Vec2(6.0, 20.0)),
+                car_entry("c1", position=Vec2(0.0, 0.0), velocity=Vec2(1.0, 0.0),
+                          goal=Vec2(30.0, 0.0), desired_speed=1.0, max_speed=1.2, entry_step=1),
+            ],
+        )
+        config = SimulationConfig(
+            scene=open_square_scene(zone="road"), scenario=scenario, max_steps=3
+        )
+        sim = Simulation(config)
+        sim.step()
+        absorbed = sim._binding["c2"]
+        assert absorbed.conflict.participants() == ("c2", "p1")
+        assert sim._binding["p1"] is absorbed
+        sim.step()
+        (merged,) = sim.world.active_conflicts
+        assert merged.conflict.conflict_class is ConflictClass.PEDESTRIANS_TO_CARS
+        assert merged.conflict.participants() == ("c1", "p1", "c2")
+        # Without the unbinding, c2 and p1 would still act on the
+        # dissolved game.
+        assert sim._binding == {"c1": merged, "p1": merged, "c2": merged}
+        modes = {r.agent_id: r.mode for r in sim.trace.rows if r.step == 1}
+        assert modes == {"c1": "game", "c2": "game", "p1": "game"}
 
     def test_car_decelerating_in_a_game_counts_a_giveway(self) -> None:
         # A slow car against a fast pedestrian brakes (its decelerate

@@ -29,7 +29,7 @@ from .conflicts import CAR_CONE_HALF_ANGLE_DEG, Conflict
 from .game import Action, FeatureVector, PairContext
 from .geometry import Vec2, segments_intersect, within_cone
 from .params import ParameterSet
-from .planner import build_visibility_graph, plan_path
+from .planner import UnreachableGoalError, build_visibility_graph, plan_path
 from .scene import AgentKind, AgentState, Scene, in_field_of_view
 
 
@@ -180,7 +180,7 @@ def plan_waypoints(scene: Scene, entries: Iterable[AgentEntry]) -> dict[str, lis
             graph = graphs[clearance] = build_visibility_graph(scene, clearance)
         try:
             path = plan_path(graph, entry.position, entry.goal, scene)
-        except Exception as exc:
+        except UnreachableGoalError as exc:
             raise ScenarioRejectedError(f"agent {entry.id}: {exc}") from exc
         waypoints[entry.id] = path[1:] if len(path) > 1 else [entry.goal]
     return waypoints

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 
 class InvalidSceneError(ValueError):
     """Raised for degenerate or self-intersecting scene geometry."""
@@ -66,6 +68,12 @@ class Vec2:
 # 1e-9 degrees is far below any physically meaningful bearing.
 _ANGLE_EPS_DEG = 1e-9
 
+# Zero bands of the boundary rules, scaled by the operands: a cross
+# product within _LINE_TOL of zero counts as collinear, and a segment
+# parameter within _PARAM_TOL outside [0, 1] still counts as on it.
+_LINE_TOL = 1e-9
+_PARAM_TOL = 1e-12
+
 
 def manhattan(a: Vec2, b: Vec2) -> float:
     return abs(a.x - b.x) + abs(a.y - b.y)
@@ -78,10 +86,10 @@ def _on_segment(p: Vec2, a: Vec2, b: Vec2) -> bool:
     ab = b - a
     ap = p - a
     scale = max(1.0, ab.norm() * max(1.0, ap.norm()))
-    if abs(ab.cross(ap)) > 1e-9 * scale:
+    if abs(ab.cross(ap)) > _LINE_TOL * scale:
         return False
     t = ap.dot(ab)
-    return -1e-12 * scale <= t <= ab.norm_sq() + 1e-12 * scale
+    return -_PARAM_TOL * scale <= t <= ab.norm_sq() + _PARAM_TOL * scale
 
 
 def _orient_sign(a: Vec2, b: Vec2, c: Vec2) -> int:
@@ -90,7 +98,7 @@ def _orient_sign(a: Vec2, b: Vec2, c: Vec2) -> int:
         return -_orient_sign(b, a, c)
     v = (b - a).cross(c - a)
     scale = max(1.0, (b - a).norm() * max(1.0, (c - a).norm(), (c - b).norm()))
-    if abs(v) <= 1e-9 * scale:
+    if abs(v) <= _LINE_TOL * scale:
         return 0
     return 1 if v > 0.0 else -1
 
@@ -204,7 +212,7 @@ def _crossing_params(a: Vec2, b: Vec2, c: Vec2, d: Vec2) -> list[float]:
     if denom != 0.0:
         t = ac.cross(cd) / denom
         u = ac.cross(ab) / denom
-        if -1e-12 <= t <= 1.0 + 1e-12 and -1e-12 <= u <= 1.0 + 1e-12:
+        if -_PARAM_TOL <= t <= 1.0 + _PARAM_TOL and -_PARAM_TOL <= u <= 1.0 + _PARAM_TOL:
             return [min(1.0, max(0.0, t))]
         return []
     # Parallel. Only a collinear overlap yields crossings.
@@ -240,6 +248,102 @@ def segment_clear_of_polygon(a: Vec2, b: Vec2, poly: Sequence[Vec2]) -> bool:
         if point_strictly_inside(mid, poly):
             return False
     return True
+
+
+# Batched forms of the rules above. They repeat the scalar arithmetic
+# operation by operation, so every product, quotient and comparison
+# matches bit for bit; only the norms in _on_segment's bands come from
+# np.hypot, which may differ from math.hypot in the last bit. A value
+# within this relative margin of such a band comes back as unsure, and
+# the caller decides it with the scalar rule. Like Python floats, the
+# kernels overflow and divide by zero silently (np.errstate).
+_BAND_MARGIN = 1e-6
+
+
+def _on_segment_batch(px, py, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray]:
+    """_on_segment over broadcast arrays: (on, unsure); `on` holds
+    where `unsure` is False."""
+    swap = (bx < ax) | ((bx == ax) & (by < ay))
+    ax, bx = np.where(swap, bx, ax), np.where(swap, ax, bx)
+    ay, by = np.where(swap, by, ay), np.where(swap, ay, by)
+    abx, aby = bx - ax, by - ay
+    apx, apy = px - ax, py - ay
+    scale = np.maximum(1.0, np.hypot(abx, aby) * np.maximum(1.0, np.hypot(apx, apy)))
+    cross = np.abs(abx * apy - aby * apx)
+    band = _LINE_TOL * scale
+    t = apx * abx + apy * aby
+    tol = _PARAM_TOL * scale
+    hi = (abx * abx + aby * aby) + tol
+    lo_slack = _BAND_MARGIN * tol
+    # hi also rounds, possibly to the float next to the scalar one
+    hi_slack = lo_slack + 1e-15 * hi
+    on = (cross < band * (1.0 - _BAND_MARGIN)) & (t > -tol + lo_slack) & (t < hi - hi_slack)
+    off = (cross > band * (1.0 + _BAND_MARGIN)) | (t < -tol - lo_slack) | (t > hi + hi_slack)
+    return on, ~(on | off)
+
+
+@np.errstate(all="ignore")
+def points_strictly_inside(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """point_strictly_inside for points (px, py) of shape (P, m) against
+    polygons verts of shape (P, n, 2), row by row: (inside, unsure).
+    `inside` is exact where `unsure` is False."""
+    ax, ay = verts[:, None, :, 0], verts[:, None, :, 1]
+    nxt = np.roll(verts, -1, axis=1)
+    bx, by = nxt[:, None, :, 0], nxt[:, None, :, 1]
+    x, y = px[..., None], py[..., None]
+    on, unsure = _on_segment_batch(x, y, ax, ay, bx, by)
+    on_edge = on.any(axis=-1)
+    x_cross = ax + (y - ay) * (bx - ax) / (by - ay)
+    odd = ((((ay > y) != (by > y)) & (x < x_cross)).sum(axis=-1) % 2).astype(bool)
+    return odd & ~on_edge, unsure.any(axis=-1) & ~on_edge
+
+
+@np.errstate(all="ignore")
+def segments_clear_of_polygons(a: np.ndarray, b: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """segment_clear_of_polygon for segments a-b (each of shape (P, 2))
+    against polygons verts of shape (P, n, 2), row by row: (clear,
+    unsure). `clear` is exact where `unsure` is False. A zero-length
+    segment gets parameters {0, 1} alone, so its one midpoint is `a`,
+    as in the scalar rule."""
+    ax, ay = a[:, :1], a[:, 1:]
+    abx, aby = b[:, :1] - ax, b[:, 1:] - ay
+    cx, cy = verts[..., 0], verts[..., 1]
+    dx, dy = np.roll(cx, -1, axis=1), np.roll(cy, -1, axis=1)
+    cdx, cdy = dx - cx, dy - cy
+    acx, acy = cx - ax, cy - ay
+    denom = abx * cdy - aby * cdx
+    denom_sq = abx * abx + aby * aby
+    # _crossing_params, proper crossing
+    t = (acx * cdy - acy * cdx) / denom
+    u = (acx * aby - acy * abx) / denom
+    crossing = (
+        (denom != 0.0) & (-_PARAM_TOL <= t) & (t <= 1.0 + _PARAM_TOL)
+        & (-_PARAM_TOL <= u) & (u <= 1.0 + _PARAM_TOL)
+    )
+    t = np.where(t > 0.0, t, 0.0)
+    t = np.where(t < 1.0, t, 1.0)
+    # _crossing_params, collinear overlap
+    t0 = (acx * abx + acy * aby) / denom_sq
+    t1 = ((dx - ax) * abx + (dy - ay) * aby) / denom_sq
+    lo, hi = np.where(t1 < t0, t1, t0), np.where(t1 > t0, t1, t0)
+    lo, hi = np.where(lo > 0.0, lo, 0.0), np.where(hi < 1.0, hi, 1.0)
+    overlap = (denom == 0.0) & (abx * acy - aby * acx == 0.0) & (lo <= hi)
+    ends = np.broadcast_to([0.0, 1.0], (len(a), 2))
+    params = np.concatenate(
+        [ends, np.where(crossing, t, np.where(overlap, lo, np.nan)), np.where(overlap, hi, np.nan)], axis=1
+    )
+    # sorted set of parameters: NaN marks a missing one and sorts last
+    params.sort(axis=1)
+    params[:, 1:][params[:, 1:] == params[:, :-1]] = np.nan
+    params.sort(axis=1)
+    params = params[:, : int((~np.isnan(params)).sum(axis=1).max())]
+    t0, t1 = params[:, :-1], params[:, 1:]
+    valid = ~np.isnan(t1)
+    s = np.where(valid, (t0 + t1) / 2.0, 0.0)
+    inside, unsure = points_strictly_inside(ax + abx * s, ay + aby * s, verts)
+    blocked = (inside & ~unsure & valid).any(axis=1)
+    unsure = ~blocked & (unsure & valid).any(axis=1)
+    return ~blocked & ~unsure, unsure
 
 
 def _validate_simple_polygon(poly: Sequence[Vec2], label: str) -> None:

@@ -4,6 +4,25 @@ Graph nodes are obstacle corners pushed outward by a clearance margin;
 edges connect mutually visible nodes. Paths come from A* with the
 straight-line heuristic and are returned as corner waypoints without
 densification.
+
+Visibility is decided in bulk, with results identical to the scalar
+rules `point_strictly_inside` and `segment_clear_of_polygon`, which
+stay the oracle (`segment_is_free` is their scene-wide form):
+
+- Bounding-box pre-check. A (segment, polygon) or (corner, polygon)
+  pair whose boxes are strictly disjoint, the polygon's padded by
+  _BOX_PAD of the coordinate scale, is clear. Every point the scalar
+  rule tests lies on the segment to within rounding, far less than the
+  pad, and the even-odd rule counts no crossing, or an even number, for
+  a point outside the polygon's box. The tolerance bands of
+  `_on_segment` and `_crossing_params` can only add boundary points,
+  which are never strictly inside, so they cannot block such a pair.
+- One numpy pass over the pairs left, grouped by the polygon's vertex
+  count (`geometry.segments_clear_of_polygons`,
+  `geometry.points_strictly_inside`), repeating the scalar arithmetic
+  element by element.
+- A pair whose answer lies within a margin of a tolerance band, where
+  np.hypot and math.hypot could disagree, is decided by the scalar rule.
 """
 
 from __future__ import annotations
@@ -12,14 +31,27 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from .geometry import (
+    InvalidSceneError,
     Vec2,
     point_strictly_inside,
+    points_strictly_inside,
     polygon_signed_area,
     segment_clear_of_polygon,
+    segments_clear_of_polygons,
 )
 from .scene import Scene
+
+# Padding of each obstacle's bounding box in the pre-check, relative to
+# the largest coordinate in play (and at least this in absolute terms).
+_BOX_PAD = 1e-6
+# Pairs per kernel call: bounds the kernels' temporary arrays (about
+# 0.5 MB at this size for boxes) whatever the scene's size.
+_CHUNK = 256
 
 
 class UnreachableGoalError(RuntimeError):
@@ -64,24 +96,94 @@ def segment_is_free(scene: Scene, a: Vec2, b: Vec2) -> bool:
     return all(segment_clear_of_polygon(a, b, poly) for poly in scene.obstacles)
 
 
+def _xy(points: Sequence[Vec2]) -> np.ndarray:
+    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+
+
+class _Obstacles:
+    """A scene's obstacle polygons as arrays for the batched visibility
+    tests: vertices stacked by vertex count, and bounding boxes."""
+
+    def __init__(self, polygons: Sequence[Sequence[Vec2]]) -> None:
+        self.polygons = polygons
+        verts = [_xy(poly) for poly in polygons]
+        if any(len(v) < 3 for v in verts):
+            raise InvalidSceneError("obstacle polygon needs at least 3 vertices")
+        self.lo = np.array([v.min(axis=0) for v in verts]).reshape(-1, 2)
+        self.hi = np.array([v.max(axis=0) for v in verts]).reshape(-1, 2)
+        self.extent = max((float(np.abs(v).max()) for v in verts), default=0.0)
+        # polygon k is row slot[k] of stacks[count[k]]
+        self.count = np.array([len(v) for v in verts], dtype=int)
+        self.slot = np.zeros(len(verts), dtype=int)
+        self.stacks: dict[int, np.ndarray] = {}
+        for n in np.unique(self.count).tolist():
+            members = np.flatnonzero(self.count == n)
+            self.slot[members] = np.arange(len(members))
+            self.stacks[n] = np.stack([verts[k] for k in members.tolist()])
+
+    def _near(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(query, polygon) index pairs whose boxes are not strictly
+        disjoint; query q spans the box lo[q]-hi[q]."""
+        extent = max(self.extent, float(np.abs(lo).max()), float(np.abs(hi).max()))
+        pad = _BOX_PAD * max(1.0, extent)
+        near = ((lo[:, None, :] <= self.hi + pad) & (hi[:, None, :] >= self.lo - pad)).all(axis=2)
+        return np.nonzero(near)
+
+    def _by_count(self, queries: np.ndarray, polygons: np.ndarray):
+        """The pairs split by the polygon's vertex count, in chunks of
+        at most _CHUNK: (queries, polygon indices, their stacked
+        vertices) per chunk."""
+        for n, stack in self.stacks.items():
+            sel = np.flatnonzero(self.count[polygons] == n)
+            for c in range(0, len(sel), _CHUNK):
+                k = polygons[sel[c : c + _CHUNK]]
+                yield queries[sel[c : c + _CHUNK]], k, stack[self.slot[k]]
+
+    def inside_any(self, points: Sequence[Vec2]) -> np.ndarray:
+        """Per point: strictly inside some obstacle (point_strictly_inside)."""
+        inside = np.zeros(len(points), dtype=bool)
+        if not self.polygons or not points:
+            return inside
+        xy = _xy(points)
+        for q, k, verts in self._by_count(*self._near(xy, xy)):
+            hit, unsure = points_strictly_inside(xy[q, :1], xy[q, 1:], verts)
+            hit, unsure = hit[:, 0], unsure[:, 0]
+            for m in np.flatnonzero(unsure).tolist():
+                hit[m] = point_strictly_inside(points[q[m]], self.polygons[k[m]])
+            inside[q[hit]] = True
+        return inside
+
+    def visible(self, points: Sequence[Vec2], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Per index pair: segment points[i]-points[j] is free of every
+        obstacle (segment_is_free)."""
+        free = np.ones(len(i), dtype=bool)
+        if not self.polygons or not len(i):
+            return free
+        xy = _xy(points)
+        a, b = xy[i], xy[j]
+        for s, k, verts in self._by_count(*self._near(np.minimum(a, b), np.maximum(a, b))):
+            clear, unsure = segments_clear_of_polygons(a[s], b[s], verts)
+            for m in np.flatnonzero(unsure).tolist():
+                clear[m] = segment_clear_of_polygon(points[i[s[m]]], points[j[s[m]]], self.polygons[k[m]])
+            free[s[~clear]] = False
+        return free
+
+
 def build_visibility_graph(scene: Scene, clearance: float = 0.0) -> VisibilityGraph:
     """Nodes are obstacle corners offset outward by clearance; an edge
     joins every mutually visible node pair."""
     if clearance < 0.0:
         raise ValueError("clearance must be nonnegative")
-    nodes: list[Vec2] = []
-    for poly in scene.obstacles:
-        for corner in _inflated_corners(poly, clearance):
-            if any(point_strictly_inside(corner, other) for other in scene.obstacles):
-                continue
-            nodes.append(corner)
+    obstacles = _Obstacles(scene.obstacles)
+    corners = [c for poly in scene.obstacles for c in _inflated_corners(poly, clearance)]
+    nodes = [c for c, inside in zip(corners, obstacles.inside_any(corners).tolist()) if not inside]
     edges: dict[int, list[tuple[int, float]]] = {i: [] for i in range(len(nodes))}
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if segment_is_free(scene, nodes[i], nodes[j]):
-                d = nodes[i].distance_to(nodes[j])
-                edges[i].append((j, d))
-                edges[j].append((i, d))
+    i, j = np.triu_indices(len(nodes), k=1)
+    free = obstacles.visible(nodes, i, j)
+    for a, b in zip(i[free].tolist(), j[free].tolist()):
+        d = nodes[a].distance_to(nodes[b])
+        edges[a].append((b, d))
+        edges[b].append((a, d))
     return VisibilityGraph(nodes=nodes, edges=edges)
 
 
@@ -90,21 +192,24 @@ def plan_path(graph: VisibilityGraph, start: Vec2, goal: Vec2, scene: Scene) -> 
 
     Raises UnreachableGoalError when no obstacle-free route exists.
     """
-    if segment_is_free(scene, start, goal):
-        return [start, goal]
     nodes = list(graph.nodes) + [start, goal]
     start_idx = len(graph.nodes)
     goal_idx = start_idx + 1
-    adjacency: dict[int, list[tuple[int, float]]] = {i: list(graph.edges.get(i, [])) for i in range(len(graph.nodes))}
-    adjacency[start_idx] = []
-    adjacency[goal_idx] = []
-    for endpoint_idx in (start_idx, goal_idx):
-        p = nodes[endpoint_idx]
-        for i in range(len(graph.nodes)):
-            if segment_is_free(scene, p, nodes[i]):
-                d = p.distance_to(nodes[i])
-                adjacency[endpoint_idx].append((i, d))
-                adjacency[i].append((endpoint_idx, d))
+    # the direct segment, then each endpoint to every graph node
+    ends = np.repeat([start_idx, goal_idx], start_idx)
+    others = np.tile(np.arange(start_idx), 2)
+    free = _Obstacles(scene.obstacles).visible(
+        nodes, np.concatenate(([start_idx], ends)), np.concatenate(([goal_idx], others))
+    )
+    if free[0]:
+        return [start, goal]
+    # Endpoint edges sit beside the graph's and follow a node's own
+    # edges, so the graph is read in place and A* breaks ties as before.
+    endpoint_edges: dict[int, list[tuple[int, float]]] = {start_idx: [], goal_idx: []}
+    for e, i in zip(ends[free[1:]].tolist(), others[free[1:]].tolist()):
+        d = nodes[e].distance_to(nodes[i])
+        endpoint_edges[e].append((i, d))
+        endpoint_edges.setdefault(i, []).append((e, d))
 
     counter = itertools.count()
     g_score = {start_idx: 0.0}
@@ -121,7 +226,8 @@ def plan_path(graph: VisibilityGraph, start: Vec2, goal: Vec2, scene: Scene) -> 
         if current in closed:
             continue
         closed.add(current)
-        for neighbor, weight in adjacency[current]:
+        neighbors = itertools.chain(graph.edges.get(current, ()), endpoint_edges.get(current, ()))
+        for neighbor, weight in neighbors:
             tentative = g_score[current] + weight
             if tentative < g_score.get(neighbor, math.inf):
                 g_score[neighbor] = tentative

@@ -834,6 +834,27 @@ class TestFitnessFailures:
         with pytest.raises(ZeroDivisionError):
             fitness_game(game_reference_values(base.game), [item], scene, base)
 
+    def test_a_planner_fault_propagates(self, monkeypatch) -> None:
+        scene = boxed_scene()
+        base = ParameterSet()
+        item = detour_item(scene)
+
+        def broken(*args, **kwargs):
+            raise TypeError("planner fault")
+
+        monkeypatch.setattr(engine, "plan_path", broken)
+        with pytest.raises(TypeError):
+            engine.plan_waypoints(scene, item.scenario.entries)
+        with pytest.raises(TypeError):
+            fitness_sfm(sfm_reference_values(base.sfm), [item], scene, base)
+
+    def test_an_unreachable_goal_scores_the_penalty(self) -> None:
+        scene = boxed_scene()
+        base = ParameterSet()
+        with pytest.raises(ScenarioRejectedError, match="agent p1"):
+            engine.plan_waypoints(scene, unreachable_item().scenario.entries)
+        assert fitness_sfm(sfm_reference_values(base.sfm), [unreachable_item()], scene, base) == 1000.0
+
 
 # ---------------------------------------------------------------------------
 # Route plans kept across evaluations

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,10 @@ from sharedspace.geometry import (
     nearest_point_on_segment,
     point_in_zone,
     point_strictly_inside,
+    points_strictly_inside,
     polygon_signed_area,
     segment_clear_of_polygon,
+    segments_clear_of_polygons,
     segments_intersect,
     within_cone,
 )
@@ -205,3 +208,41 @@ class TestPolygonHelpers:
 
     def test_segment_grazing_edge_is_clear(self):
         assert segment_clear_of_polygon(Vec2(0, -1), Vec2(0, 5), SQUARE)
+
+
+# Batched rules: where they are sure, they agree with the scalar ones.
+CONCAVE = (Vec2(0, 0), Vec2(3, 0), Vec2(3, 1), Vec2(1, 1), Vec2(1, 3), Vec2(0, 3))
+near = st.one_of(st.integers(-2, 10).map(lambda k: k * 0.5), st.floats(-1.0, 5.0, allow_nan=False))
+near_vec = st.builds(Vec2, near, near)
+
+
+def as_rows(points):
+    return np.array([(p.x, p.y) for p in points], dtype=float)
+
+
+class TestBatchedRules:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(near_vec, near_vec), min_size=1, max_size=8), st.sampled_from([SQUARE, CONCAVE]))
+    def test_segments_clear_of_polygons_matches_scalar(self, segments, poly):
+        a, b = as_rows([s[0] for s in segments]), as_rows([s[1] for s in segments])
+        verts = np.broadcast_to(as_rows(poly), (len(segments), len(poly), 2))
+        clear, unsure = segments_clear_of_polygons(a, b, verts)
+        for (p, q), got, skip in zip(segments, clear.tolist(), unsure.tolist()):
+            if not skip:
+                assert got == segment_clear_of_polygon(p, q, poly)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(near_vec, min_size=1, max_size=8), st.sampled_from([SQUARE, CONCAVE]))
+    def test_points_strictly_inside_matches_scalar(self, points, poly):
+        xy = as_rows(points)
+        verts = np.broadcast_to(as_rows(poly), (len(points), len(poly), 2))
+        inside, unsure = points_strictly_inside(xy[:, :1], xy[:, 1:], verts)
+        for p, got, skip in zip(points, inside[:, 0].tolist(), unsure[:, 0].tolist()):
+            if not skip:
+                assert got == point_strictly_inside(p, poly)
+
+    def test_zero_length_segment_is_the_point_test(self):
+        a = as_rows([Vec2(2, 2), Vec2(0, 2), Vec2(5, 5)])
+        clear, unsure = segments_clear_of_polygons(a, a, np.broadcast_to(as_rows(SQUARE), (3, 4, 2)))
+        assert clear.tolist() == [False, True, True]
+        assert not unsure.any()

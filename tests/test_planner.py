@@ -1,12 +1,24 @@
 import heapq
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sharedspace.geometry import Vec2, nearest_point_on_polygon, point_strictly_inside
+from sharedspace import planner
+from sharedspace.geometry import (
+    Vec2,
+    nearest_point_on_polygon,
+    point_strictly_inside,
+    segment_clear_of_polygon,
+)
 from sharedspace.planner import (
     UnreachableGoalError,
+    VisibilityGraph,
+    _inflated_corners,
     build_visibility_graph,
     plan_path,
     segment_is_free,
@@ -173,3 +185,149 @@ class TestPlanPath:
             assert path_length(path) == pytest.approx(expected, rel=1e-9)
             checked += 1
         assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# The batched visibility tests against the scalar rules
+# ---------------------------------------------------------------------------
+
+
+def reference_graph(scene, clearance):
+    """build_visibility_graph decided pair by pair with the scalar rules."""
+    nodes = [
+        corner
+        for poly in scene.obstacles
+        for corner in _inflated_corners(poly, clearance)
+        if not any(point_strictly_inside(corner, other) for other in scene.obstacles)
+    ]
+    edges = {i: [] for i in range(len(nodes))}
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            if all(segment_clear_of_polygon(nodes[i], nodes[j], poly) for poly in scene.obstacles):
+                d = nodes[i].distance_to(nodes[j])
+                edges[i].append((j, d))
+                edges[j].append((i, d))
+    return VisibilityGraph(nodes=nodes, edges=edges)
+
+
+def reference_plan(graph, start, goal, scene):
+    """plan_path with scalar endpoint visibility over a full adjacency copy."""
+    if segment_is_free(scene, start, goal):
+        return [start, goal]
+    nodes = list(graph.nodes) + [start, goal]
+    start_idx, goal_idx = len(graph.nodes), len(graph.nodes) + 1
+    adjacency = {i: list(graph.edges[i]) for i in range(len(graph.nodes))}
+    adjacency[start_idx], adjacency[goal_idx] = [], []
+    for endpoint in (start_idx, goal_idx):
+        for i in range(len(graph.nodes)):
+            if segment_is_free(scene, nodes[endpoint], nodes[i]):
+                d = nodes[endpoint].distance_to(nodes[i])
+                adjacency[endpoint].append((i, d))
+                adjacency[i].append((endpoint, d))
+    counter = itertools.count()
+    g_score, came_from, closed = {start_idx: 0.0}, {}, set()
+    heap = [(start.distance_to(goal), next(counter), start_idx)]
+    while heap:
+        _, _, current = heapq.heappop(heap)
+        if current == goal_idx:
+            path = [current]
+            while path[-1] in came_from:
+                path.append(came_from[path[-1]])
+            return [nodes[i] for i in reversed(path)]
+        if current in closed:
+            continue
+        closed.add(current)
+        for neighbor, weight in adjacency[current]:
+            tentative = g_score[current] + weight
+            if tentative < g_score.get(neighbor, math.inf):
+                g_score[neighbor] = tentative
+                came_from[neighbor] = current
+                heapq.heappush(heap, (tentative + nodes[neighbor].distance_to(goal), next(counter), neighbor))
+    raise UnreachableGoalError(start, goal)
+
+
+def plan_or_none(plan, graph, start, goal, scene):
+    try:
+        return plan(graph, start, goal, scene)
+    except UnreachableGoalError:
+        return None
+
+
+def assert_same_graph(got, expected):
+    assert got.nodes == expected.nodes
+    assert list(got.edges.items()) == list(expected.edges.items())
+
+
+# Half-metre grid coordinates make boxes overlap, touch, share edges and
+# put corners (inflated by a multiple of 0.25) on other boxes' boundaries.
+grid = st.integers(-8, 8).map(lambda k: k * 0.5)
+coord = st.one_of(grid, st.floats(-5.0, 5.0, allow_nan=False))
+side = st.one_of(st.integers(1, 6).map(lambda k: k * 0.5), st.floats(0.3, 3.0))
+box = st.builds(lambda x, y, w, h: rect_poly(x, y, x + w, y + h), coord, coord, side, side)
+
+
+def tilted_box(x, y, w, h, angle):
+    # Off-axis edges: a midpoint of a segment along one lies off the edge
+    # by rounding, inside _on_segment's band.
+    u = Vec2(math.cos(angle), math.sin(angle))
+    v = u.left_normal()
+    return (Vec2(x, y), Vec2(x, y) + u * w, Vec2(x, y) + u * w + v * h, Vec2(x, y) + v * h)
+
+
+tilted = st.builds(tilted_box, coord, coord, side, side, st.floats(0.0, math.pi))
+
+
+@st.composite
+def box_scenes(draw):
+    obstacles = draw(st.lists(st.one_of(box, tilted), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # an L-shaped (concave) polygon
+        x, y = draw(grid), draw(grid)
+        obstacles.append(tuple(
+            Vec2(x + u, y + v) for u, v in ((0, 0), (3, 0), (3, 1), (1, 1), (1, 3), (0, 3))
+        ))
+    return scene_with(draw(st.permutations(obstacles)))
+
+
+clearances = st.sampled_from([0.0, 0.25, 0.45, 0.5, 1.2, 1.3])
+points = st.builds(Vec2, st.one_of(grid, st.floats(-8.0, 8.0)), st.one_of(grid, st.floats(-8.0, 8.0)))
+
+
+class TestBatchedMatchesScalarRules:
+    @settings(max_examples=80, deadline=None)
+    @given(box_scenes(), clearances, st.lists(st.tuples(points, points), min_size=1, max_size=4))
+    def test_graph_and_plans_match_the_scalar_reference(self, scene, clearance, routes):
+        got = build_visibility_graph(scene, clearance)
+        expected = reference_graph(scene, clearance)
+        assert_same_graph(got, expected)
+        for start, goal in routes:
+            assert plan_or_none(plan_path, got, start, goal, scene) == plan_or_none(
+                reference_plan, expected, start, goal, scene
+            )
+
+    def test_unsure_pairs_are_decided_by_the_scalar_rules(self, monkeypatch):
+        """Every pair the batch leaves unsure goes to the scalar rule: with
+        all of them unsure, the result is still the reference's."""
+        def all_unsure(kernel):
+            def wrapped(*args):
+                decided, _ = kernel(*args)
+                return ~decided, np.ones_like(decided)
+            return wrapped
+
+        monkeypatch.setattr(planner, "segments_clear_of_polygons", all_unsure(planner.segments_clear_of_polygons))
+        monkeypatch.setattr(planner, "points_strictly_inside", all_unsure(planner.points_strictly_inside))
+        scene = scene_with([rect_poly(0, 0, 4, 4), rect_poly(3, 3, 10, 10), rect_poly(-6, 0, -2, 2)])
+        for clearance in (0.0, 0.5):
+            got = build_visibility_graph(scene, clearance)
+            expected = reference_graph(scene, clearance)
+            assert_same_graph(got, expected)
+            assert plan_path(got, Vec2(-9, -3), Vec2(12, 12), scene) == reference_plan(
+                expected, Vec2(-9, -3), Vec2(12, 12), scene
+            )
+
+    def test_plan_path_leaves_the_graph_unchanged(self):
+        scene = scene_with([rect_poly(-2, -2, 2, 2)])
+        graph = build_visibility_graph(scene, clearance=0.5)
+        before = {i: list(nbrs) for i, nbrs in graph.edges.items()}
+        plan_path(graph, Vec2(-6, 0), Vec2(6, 0), scene)
+        assert graph.edges == before

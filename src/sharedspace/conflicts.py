@@ -108,8 +108,11 @@ def classify_conflict(
     agents: Mapping[str, AgentState],
     scene: Scene,
     partners: Mapping[str, set[str]],
+    in_intersection: bool,
 ) -> tuple[ConflictClass, tuple[str, ...], list[str]]:
     """Map the competitor sets found for one car onto a conflict class.
+    `in_intersection` says whether the anchor stands in an intersection
+    zone, as the recognition pass found it.
 
     Returns (class, competitive users, cars whose own conflicts were
     absorbed by a road-zone merge).
@@ -124,7 +127,7 @@ def classify_conflict(
     if cars:
         return ConflictClass.CAR_TO_CAR, cars, []
     # Pedestrians only.
-    if in_intersection_zone(anchor.position, scene):
+    if in_intersection:
         return ConflictClass.PEDESTRIANS_TO_CAR, peds, []
     if in_road_zone(anchor.position, scene):
         own_nearest = nearest_id(anchor, peds, agents)
@@ -162,12 +165,20 @@ def recognize_conflicts(
     partners = partner_sets(conflict_by_id.values(), agents)
     outcome = RecognitionOutcome()
     counter = next_id
+    # Each agent's predicted position, made when a pair first needs it.
+    ahead: dict[str, Vec2] = {}
+
+    def predicted(agent: AgentState) -> Vec2:
+        p = ahead.get(agent.id)
+        if p is None:
+            p = ahead[agent.id] = predicted_position(agent, params)
+        return p
 
     for car in cars:
         competitive_peds: list[str] = []
         competitive_cars: list[str] = []
-        if in_intersection_zone(car.position, scene):
-            car_ahead = predicted_position(car, params)
+        in_intersection = in_intersection_zone(car.position, scene)
+        if in_intersection:
             for other in cars + pedestrians:
                 if other.id == car.id:
                     continue
@@ -183,7 +194,7 @@ def recognize_conflicts(
                     continue
                 if not _angle_gate(car, other, params):
                     continue
-                predicted_gap = car_ahead.distance_to(predicted_position(other, params))
+                predicted_gap = predicted(car).distance_to(predicted(other))
                 if predicted_gap > params.d_min_for(other.kind is AgentKind.CAR):
                     continue
                 if other.kind is AgentKind.CAR:
@@ -205,7 +216,7 @@ def recognize_conflicts(
                     competitive_peds.append(ped.id)
 
         conflict_class, users, merged_cars = classify_conflict(
-            car, competitive_peds, competitive_cars, cars, agents, scene, partners
+            car, competitive_peds, competitive_cars, cars, agents, scene, partners, in_intersection
         )
         if conflict_class is ConflictClass.NO_NEW_CONFLICT:
             continue

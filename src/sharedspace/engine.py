@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -91,6 +92,9 @@ class Scenario:
                 raise ScenarioError(f"{e.id}: entry_step must be nonnegative")
             if not (e.desired_speed > 0.0 and e.max_speed > 0.0 and e.diameter > 0.0):
                 raise ScenarioError(f"{e.id}: speeds and diameter must be positive")
+            for name in ("desired_speed", "max_speed", "diameter"):
+                if not math.isfinite(getattr(e, name)):
+                    raise ScenarioError(f"{e.id}: {name} must be finite")
             for v in (e.position, e.velocity, e.goal):
                 if not v.is_finite():
                     raise ScenarioError(f"{e.id}: non-finite coordinates")

@@ -80,16 +80,23 @@ def manhattan(a: Vec2, b: Vec2) -> float:
 
 
 def _on_segment(p: Vec2, a: Vec2, b: Vec2) -> bool:
+    return _on_segment_xy(p.x, p.y, a.x, a.y, b.x, b.y)
+
+
+def _on_segment_xy(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
+    """_on_segment on plain floats, in the same operations."""
     # Canonical endpoint order keeps the tolerance band symmetric in (a, b).
-    if (b.x, b.y) < (a.x, a.y):
-        a, b = b, a
-    ab = b - a
-    ap = p - a
-    scale = max(1.0, ab.norm() * max(1.0, ap.norm()))
-    if abs(ab.cross(ap)) > _LINE_TOL * scale:
+    if (bx, by) < (ax, ay):
+        ax, ay, bx, by = bx, by, ax, ay
+    abx = bx - ax
+    aby = by - ay
+    apx = px - ax
+    apy = py - ay
+    scale = max(1.0, math.hypot(abx, aby) * max(1.0, math.hypot(apx, apy)))
+    if abs(abx * apy - aby * apx) > _LINE_TOL * scale:
         return False
-    t = ap.dot(ab)
-    return -_PARAM_TOL * scale <= t <= ab.norm_sq() + _PARAM_TOL * scale
+    t = apx * abx + apy * aby
+    return -_PARAM_TOL * scale <= t <= abx * abx + aby * aby + _PARAM_TOL * scale
 
 
 def _orient_sign(a: Vec2, b: Vec2, c: Vec2) -> int:
@@ -107,18 +114,21 @@ def point_in_zone(p: Vec2, zone: Sequence[Vec2]) -> bool:
     """Even-odd membership test, boundary inclusive."""
     if len(zone) < 3:
         raise InvalidSceneError("zone polygon needs at least 3 vertices")
-    n = len(zone)
-    for i in range(n):
-        if _on_segment(p, zone[i], zone[(i + 1) % n]):
-            return True
+    px, py = p.x, p.y
     inside = False
-    for i in range(n):
-        a = zone[i]
-        b = zone[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < x_cross:
+    # Edge a -> b for every vertex b, a its predecessor: a point on any
+    # edge is inside, whatever the crossings of the other edges say.
+    a = zone[-1]
+    ax, ay = a.x, a.y
+    for b in zone:
+        bx, by = b.x, b.y
+        if _on_segment_xy(px, py, ax, ay, bx, by):
+            return True
+        if (ay > py) != (by > py):
+            x_cross = ax + (py - ay) * (bx - ax) / (by - ay)
+            if px < x_cross:
                 inside = not inside
+        ax, ay = bx, by
     return inside
 
 
@@ -151,9 +161,11 @@ def segments_intersect(a1: Vec2, a2: Vec2, b1: Vec2, b2: Vec2) -> bool:
 
 def bearing_deg(heading: Vec2, offset: Vec2) -> float:
     """Angle from heading to offset in degrees, normalized to [0, 360)."""
-    if offset.norm_sq() == 0.0:
+    ox, oy = offset.x, offset.y
+    if ox * ox + oy * oy == 0.0:
         return 0.0
-    ang = math.degrees(math.atan2(heading.cross(offset), heading.dot(offset))) % 360.0
+    hx, hy = heading.x, heading.y
+    ang = math.degrees(math.atan2(hx * oy - hy * ox, hx * ox + hy * oy)) % 360.0
     return 0.0 if ang >= 360.0 else ang
 
 

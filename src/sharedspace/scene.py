@@ -104,6 +104,18 @@ class AgentState:
     def next_waypoint(self) -> Vec2:
         return self.waypoints[0] if self.waypoints else self.goal
 
+    def moved(self, position: Vec2, velocity: Vec2, heading: Vec2) -> "AgentState":
+        """A copy with new kinematics that shares every other field, the
+        waypoints list included, as dataclasses.replace would, but
+        without running __init__: the engine makes one per agent-step."""
+        fields = self.__dict__.copy()
+        fields["position"] = position
+        fields["velocity"] = velocity
+        fields["heading"] = heading
+        copy = object.__new__(type(self))
+        copy.__dict__ = fields
+        return copy
+
 
 def in_field_of_view(
     observer: AgentState, target: Vec2, half_angle_deg: float, range_m: float

@@ -237,6 +237,24 @@ class TestSimulate:
         assert code == 3
         assert "rejected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["desired_speed", "max_speed", "diameter"])
+    def test_infinite_speed_or_size_exits_2_with_one_line(self, tmp_path, capsys, field) -> None:
+        # Infinity is valid JSON to Python's reader; an infinite max_speed
+        # once ran with 0 conflicts, its predicted position out of reach.
+        scenario = json.loads((DATA / "crossing.json").read_text())
+        c1 = next(a for a in scenario["agents"] if a["id"] == "c1")
+        c1[field] = float("inf")
+        scenario_path = tmp_path / "infinite.json"
+        scenario_path.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--scene", str(DATA / "scene.json"), "--scenario", str(scenario_path),
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: c1: {field} must be finite\n"
+        assert not (out / "trace.csv").exists()
+
     def test_non_finite_state_exits_3_with_one_line(self, tmp_path, capsys) -> None:
         # Speeds of 1e308 overflow the first integration step.
         scene_path = tmp_path / "scene.json"

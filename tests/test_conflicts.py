@@ -13,7 +13,7 @@ from sharedspace.conflicts import (
 )
 from sharedspace.geometry import Vec2
 from sharedspace.params import SfmParams
-from sharedspace.scene import Rect, Scene
+from sharedspace.scene import Rect, Scene, in_intersection_zone
 
 P = SfmParams()
 INTERSECTION = open_square_scene(zone="intersection")
@@ -112,6 +112,23 @@ class TestIntersectionOtherGates:
         c = out.new_conflicts[0]
         assert c.conflict_class is ConflictClass.PEDESTRIANS_TO_CARS
         assert c.competitive_users == ("p1", "c2")  # pedestrians listed first
+
+    def test_each_predicted_position_made_once_per_pass(self, monkeypatch):
+        made = []
+        predict = conflicts.predicted_position
+
+        def counting(agent, params):
+            made.append(agent.id)
+            return predict(agent, params)
+
+        monkeypatch.setattr(conflicts, "predicted_position", counting)
+        # Both cars see each other and the pedestrian walking away, so
+        # every pair reaches the predicted-gap gate.
+        c1 = slow_car("c1")
+        c2 = slow_car("c2", position=Vec2(0, 3), heading=Vec2(1, 0.2))
+        away = ped("p1", position=Vec2(14.77, 2.60), heading=Vec2(0, 1), speed=0.3, max_speed=0.3)
+        recognize([c1, c2], [away])
+        assert sorted(made) == ["c1", "c2", "p1"]
 
     def test_previous_conflict_guard(self):
         c1 = slow_car("c1", prior_conflict_partners=frozenset({"p1"}))
@@ -266,8 +283,10 @@ class TestClassifyConflict:
         agents = {a.id: a for a in [anchor, *others]}
         for k, pid in enumerate(("p1", "p2")):
             agents[pid] = ped(pid, position=Vec2(4 + k, 1))
+        # The flag the recognition pass found, tested outside the count.
+        in_intersection = in_intersection_zone(anchor.position, scene)
         return classify_conflict(
-            anchor, peds, cars, [anchor, *others], agents, scene, partner_sets or {}
+            anchor, peds, cars, [anchor, *others], agents, scene, partner_sets or {}, in_intersection
         )
 
     @pytest.mark.parametrize("scene", [INTERSECTION, ROAD, NO_ZONE])
@@ -280,9 +299,9 @@ class TestClassifyConflict:
         [
             (["p1"], ["c1"], NO_ZONE, (ConflictClass.PEDESTRIANS_TO_CARS, ("p1", "c1"), []), 0),
             ([], ["c1", "c2"], NO_ZONE, (ConflictClass.CAR_TO_CAR, ("c1", "c2"), []), 0),
-            (["p1", "p2"], [], INTERSECTION, (ConflictClass.PEDESTRIANS_TO_CAR, ("p1", "p2"), []), 1),
-            (["p1"], [], ROAD, (ConflictClass.PEDESTRIANS_TO_CAR, ("p1",), []), 2),
-            (["p1"], [], NO_ZONE, (ConflictClass.NO_NEW_CONFLICT, (), []), 2),
+            (["p1", "p2"], [], INTERSECTION, (ConflictClass.PEDESTRIANS_TO_CAR, ("p1", "p2"), []), 0),
+            (["p1"], [], ROAD, (ConflictClass.PEDESTRIANS_TO_CAR, ("p1",), []), 1),
+            (["p1"], [], NO_ZONE, (ConflictClass.NO_NEW_CONFLICT, (), []), 1),
         ],
     )
     def test_classes(self, zone_tests, peds, cars, scene, expected, n_zone_tests):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import car, ped
+from sharedspace import forces
 from sharedspace.forces import (
+    SCALAR_REPULSION_MAX_PAIRS,
     Decelerate,
     DriveTo,
     Forces,
@@ -26,7 +28,7 @@ from sharedspace.forces import (
 )
 from sharedspace.geometry import Vec2
 from sharedspace.params import SfmParams
-from sharedspace.scene import AgentKind, Rect, Scene
+from sharedspace.scene import AgentKind, AgentState, Rect, Scene
 
 P = SfmParams()
 
@@ -242,6 +244,60 @@ class TestAgentRepulsionTotals:
         )
 
 
+def bits(*vectors):
+    return [(v.x.hex(), v.y.hex()) for v in vectors]
+
+
+def sequential_bits(targets, agents):
+    """Bits of the reference sums: exactly the totals up to the crossover."""
+    return bits(*(total for total, _ in sequential_totals(targets, agents)))
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Count the numpy passes agent_repulsion_totals makes."""
+    calls = []
+    grid = forces._agent_repulsion_grid
+
+    def counting(targets, agents, params):
+        calls.append(len(targets) * (len(agents) - 1))
+        return grid(targets, agents, params)
+
+    monkeypatch.setattr(forces, "_agent_repulsion_grid", counting)
+    return calls
+
+
+class TestRepulsionCrossover:
+    @given(st.lists(_agent, min_size=1, max_size=SCALAR_REPULSION_MAX_PAIRS + 1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_sequential_sum_up_to_the_crossover(self, specs, data):
+        agents = [
+            (car if kind is AgentKind.CAR else ped)(
+                f"a{k}", position=Vec2(x, y), heading=h, diameter=diameter
+            )
+            for k, (kind, x, y, h, diameter) in enumerate(specs)
+        ]
+        most = max(1, SCALAR_REPULSION_MAX_PAIRS // max(1, len(agents) - 1))
+        targets = data.draw(st.lists(st.sampled_from(agents), min_size=1, max_size=most, unique_by=lambda a: a.id))
+        got = agent_repulsion_totals(targets, agents, P)
+        assert bits(*got) == sequential_bits(targets, agents)
+
+    def row(self, n):
+        # A lane of pedestrians 0.3 m apart: every pair pushes.
+        return [ped(f"p{k}", position=Vec2(0.3 * k, 0.1 * (k % 2)), heading=Vec2(1, 0)) for k in range(n)]
+
+    def test_at_the_crossover_sums_pair_by_pair(self, grid_calls):
+        agents = self.row(SCALAR_REPULSION_MAX_PAIRS + 1)
+        got = agent_repulsion_totals(agents[:1], agents, P)
+        assert grid_calls == []
+        assert bits(*got) == sequential_bits(agents[:1], agents)
+
+    def test_above_the_crossover_takes_one_numpy_pass(self, grid_calls):
+        agents = self.row(SCALAR_REPULSION_MAX_PAIRS + 2)
+        assert_matches_sequential(agents[:1], agents)
+        assert grid_calls == [SCALAR_REPULSION_MAX_PAIRS + 1]
+
+
 class TestObstacleRepulsion:
     SQUARE = (Vec2(0, 0), Vec2(4, 0), Vec2(4, 4), Vec2(0, 4))
 
@@ -372,6 +428,35 @@ class TestStoppingCorridor:
         assert reactive_stopping(c, [p], P) == ([p] if crossing else [])
 
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-4, 20).map(lambda k: k * 0.5),
+                st.integers(-8, 8).map(lambda k: k * 0.25),
+                st.sampled_from([Vec2(0, 1), Vec2(1, 0), Vec2(0.6, -0.8), Vec2(0, 0)]),
+                st.sampled_from([0.0, 1e-10, 1.2]),
+            ),
+            max_size=8,
+        ),
+        st.sampled_from([Vec2(1, 0), Vec2(0, -1), Vec2(0.6, 0.8)]),
+    )
+    @settings(max_examples=200)
+    def test_many_pedestrians_match_the_corridor_rule(self, specs, heading):
+        # Half-metre steps along the heading and quarter-metre steps
+        # across it land exactly on the corridor's edges.
+        c = car(position=Vec2(1.0, -2.0), heading=heading, diameter=2.0)
+        normal = heading.left_normal()
+        peds = [
+            ped(f"p{k}", position=c.position + heading * ahead + normal * aside, heading=h, speed=speed)
+            for k, (ahead, aside, h, speed) in enumerate(specs)
+        ]
+        want = [
+            p for p in peds
+            if in_stopping_corridor(c, p, P) and abs(p.velocity.dot(normal)) > 1e-9
+        ]
+        assert reactive_stopping(c, peds, P) == want
+
+
 class TestIntegrateStep:
     def test_semi_implicit_order(self):
         a = ped(position=Vec2(0, 0), heading=Vec2(1, 0), speed=1.0, max_speed=10.0)
@@ -417,3 +502,97 @@ class TestIntegrateStep:
         for _ in range(40):
             a = integrate_step(a, [DriveTo(Vec2(1000, 0), 1.4)], dt=0.5, params=P)
         assert a.velocity.x == pytest.approx(1.4, rel=1e-6)
+
+
+def vec_integrate_step(agent, directives, dt, params):
+    """integrate_step in its Vec2 form, as it was before it was written
+    out on plain floats; the float form must agree to the bit."""
+    speed_sets = [d for d in directives if isinstance(d, SetSpeed)]
+    if speed_sets:
+        new_speed = min(d.speed for d in speed_sets)
+        new_speed = max(0.0, new_speed)
+        direction = agent.velocity.normalized()
+        if direction.norm_sq() == 0.0:
+            direction = agent.heading
+        velocity = direction * new_speed
+    else:
+        total = Vec2(0.0, 0.0)
+        for d in directives:
+            if isinstance(d, DriveTo):
+                total = total + driving_force(agent, d.target, d.speed, params.tau)
+            elif isinstance(d, Forces):
+                total = total + d.total
+        velocity = agent.velocity + total * dt
+    speed = velocity.norm()
+    if speed > agent.max_speed > 0.0:
+        velocity = velocity * (agent.max_speed / speed)
+    position = agent.position + velocity * dt
+    heading = velocity.normalized() if velocity.norm_sq() > 1e-18 else agent.heading
+    return dataclasses.replace(agent, position=position, velocity=velocity, heading=heading)
+
+
+def state_bits(a: AgentState):
+    """Every field, with floats by their bits, so -0.0 != 0.0."""
+    out = []
+    for f in dataclasses.fields(a):
+        v = getattr(a, f.name)
+        if isinstance(v, Vec2):
+            v = (v.x.hex(), v.y.hex())
+        elif isinstance(v, float):
+            v = v.hex()
+        out.append((f.name, v))
+    return out
+
+
+_signed = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-10]),
+    st.floats(-20.0, 20.0, allow_nan=False),
+)
+_vec = st.builds(Vec2, _signed, _signed)
+_directive = st.one_of(
+    st.builds(SetSpeed, st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-5.0, 10.0))),
+    st.builds(DriveTo, _vec, st.floats(0.0, 10.0)),
+    st.builds(Forces, _vec),
+)
+
+
+class TestIntegrateStepMatchesVec2Form:
+    @given(
+        st.sampled_from([car, ped]),
+        _vec,
+        _vec,
+        st.sampled_from([Vec2(1, 0), Vec2(0, -1), Vec2(0.6, 0.8)]),
+        st.one_of(st.sampled_from([0.5, 2.2, 1e-9]), st.floats(0.01, 30.0)),
+        st.lists(_directive, max_size=4),
+        st.sampled_from([0.5, 0.1, 1.0]),
+        st.sampled_from([P, dataclasses.replace(P, tau=0.3)]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_bits(self, make, position, velocity, heading, max_speed, directives, dt, params):
+        agent = dataclasses.replace(
+            make(position=position, heading=heading, max_speed=max_speed, waypoints=[Vec2(5, 5)]),
+            velocity=velocity,
+        )
+        before = state_bits(agent)
+        got = integrate_step(agent, directives, dt, params)
+        assert state_bits(got) == state_bits(vec_integrate_step(agent, directives, dt, params))
+        assert got.waypoints is agent.waypoints
+        assert state_bits(agent) == before
+
+    @pytest.mark.parametrize(
+        "velocity, directives",
+        [
+            (Vec2(0.0, 0.0), [SetSpeed(1.0)]),  # no motion: along the heading
+            (Vec2(-0.0, 0.0), [SetSpeed(-0.0)]),
+            (Vec2(0.0, -0.0), [Forces(Vec2(-0.0, -0.0))]),  # 0.0 + -0.0 is 0.0
+            (Vec2(-0.0, -0.0), []),
+            (Vec2(1.0, 0.0), [DriveTo(Vec2(0.0, 0.0), 1.0)]),  # target underfoot
+            (Vec2(3.0, 4.0), [Forces(Vec2(100.0, 0.0))]),  # clamped
+            (Vec2(3.0, 4.0), [SetSpeed(9.0), DriveTo(Vec2(5, 5), 1.0)]),  # clamped
+            (Vec2(1e-10, 0.0), [Forces(Vec2(0.0, 0.0))]),  # too slow to turn
+        ],
+    )
+    def test_edge_cases(self, velocity, directives):
+        agent = dataclasses.replace(ped(max_speed=2.0, heading=Vec2(0, 1)), velocity=velocity)
+        got = integrate_step(agent, directives, 0.5, P)
+        assert state_bits(got) == state_bits(vec_integrate_step(agent, directives, 0.5, P))

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharedspace.geometry import (
+    _LINE_TOL,
+    _PARAM_TOL,
     InvalidSceneError,
     Vec2,
+    _on_segment,
     bearing_deg,
     manhattan,
     nearest_point_on_polygon,
@@ -246,3 +249,111 @@ class TestBatchedRules:
         clear, unsure = segments_clear_of_polygons(a, a, np.broadcast_to(as_rows(SQUARE), (3, 4, 2)))
         assert clear.tolist() == [False, True, True]
         assert not unsure.any()
+
+
+# The zone test and the bearing in their Vec2 form, as they were before
+# they were written out on plain floats; the float forms must agree to
+# the bit.
+def vec_on_segment(p, a, b):
+    if (b.x, b.y) < (a.x, a.y):
+        a, b = b, a
+    ab = b - a
+    ap = p - a
+    scale = max(1.0, ab.norm() * max(1.0, ap.norm()))
+    if abs(ab.cross(ap)) > _LINE_TOL * scale:
+        return False
+    t = ap.dot(ab)
+    return -_PARAM_TOL * scale <= t <= ab.norm_sq() + _PARAM_TOL * scale
+
+
+def vec_point_in_zone(p, zone):
+    n = len(zone)
+    for i in range(n):
+        if vec_on_segment(p, zone[i], zone[(i + 1) % n]):
+            return True
+    inside = False
+    for i in range(n):
+        a = zone[i]
+        b = zone[(i + 1) % n]
+        if (a.y > p.y) != (b.y > p.y):
+            x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
+            if p.x < x_cross:
+                inside = not inside
+    return inside
+
+
+def vec_bearing_deg(heading, offset):
+    if offset.norm_sq() == 0.0:
+        return 0.0
+    ang = math.degrees(math.atan2(heading.cross(offset), heading.dot(offset))) % 360.0
+    return 0.0 if ang >= 360.0 else ang
+
+
+# Half-metre grid values make vertices, on-edge points and repeated
+# vertices common; the floats reach the rounding cases.
+coord = st.one_of(
+    st.integers(-8, 8).map(lambda k: k * 0.5),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+point = st.builds(Vec2, coord, coord)
+band = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def zone_and_probes(draw):
+    """A polygon (not always simple) and points on, near and off it:
+    every vertex, a point along every edge, and points a few band
+    widths off each edge's line and past each edge's ends."""
+    zone = draw(st.lists(point, min_size=3, max_size=6))
+    probes = list(zone) + draw(st.lists(point, max_size=4))
+    for i, a in enumerate(zone):
+        b = zone[(i + 1) % len(zone)]
+        ab = b - a
+        length = ab.norm()
+        on = a + ab * draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)))
+        probes.append(on)
+        if length * length == 0.0:
+            continue
+        scale = max(1.0, length * max(1.0, (on - a).norm()))
+        # Distance from the line at which the cross product meets its band.
+        off_line = _LINE_TOL * scale / length
+        normal = ab.left_normal() * (1.0 / length)
+        probes.extend(on + normal * (k * off_line) for k in draw(st.lists(band, max_size=3)))
+        # Parameter past an end at which the dot product meets its band.
+        past = _PARAM_TOL * scale / (length * length)
+        probes.extend(b + ab * (k * past) for k in draw(st.lists(band, max_size=2)))
+        probes.extend(a - ab * (k * past) for k in draw(st.lists(band, max_size=2)))
+    return zone, probes
+
+
+class TestFloatRulesMatchVec2Forms:
+    @settings(max_examples=150, deadline=None)
+    @given(zone_and_probes(), st.booleans())
+    def test_zone_test(self, case, as_list):
+        zone, probes = case
+        zone = list(zone) if as_list else tuple(zone)
+        n = len(zone)
+        for p in probes:
+            assert point_in_zone(p, zone) == vec_point_in_zone(p, zone)
+            for i in range(n):
+                a, b = zone[i], zone[(i + 1) % n]
+                assert _on_segment(p, a, b) == vec_on_segment(p, a, b)
+
+    def test_both_sides_of_each_band(self):
+        # The edge (0, 0)-(1, 0) has scale 1: half a band off it counts
+        # as on it, two bands off do not.
+        a, b = Vec2(0.0, 0.0), Vec2(1.0, 0.0)
+        for k, on in ((0.5, True), (2.0, False)):
+            p = Vec2(0.5, k * _LINE_TOL)
+            assert _on_segment(p, a, b) is on is vec_on_segment(p, a, b)
+        for k, on in ((0.5, True), (2.0, False)):
+            p = Vec2(1.0 + k * _PARAM_TOL, 0.0)
+            assert _on_segment(p, a, b) is on is vec_on_segment(p, a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(point, st.sampled_from([Vec2(0.0, 0.0), Vec2(-0.0, 0.0), Vec2(1.0, 0.0), Vec2(0.0, -1.0)])),
+        st.one_of(point, st.sampled_from([Vec2(0.0, 0.0), Vec2(0.0, -0.0), Vec2(-2.0, 0.0), Vec2(-2.0, -0.0)])),
+    )
+    def test_bearing(self, heading, offset):
+        assert bearing_deg(heading, offset).hex() == vec_bearing_deg(heading, offset).hex()

@@ -1,7 +1,9 @@
 """Discrete-time simulation loop.
 
 Each step: spawn due agents, drop those that arrived last step, split
-the rest once into cars and pedestrians in id order, run conflict
+the rest once into cars and pedestrians in id order and take one
+AgentColumns snapshot of them, which recognition, reactive stopping,
+the leader search and the repulsion pass all read; run conflict
 recognition (every recognition_interval steps), solve games for new
 conflicts and latch the chosen actions, assign one mode per agent
 (cars: stopping > game > following > free flow; pedestrians: game >
@@ -23,15 +25,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from . import conflicts as conflicts_mod
 from . import forces as forces_mod
 from . import game as game_mod
 from .conflicts import CAR_CONE_HALF_ANGLE_DEG, Conflict
 from .game import Action, FeatureVector, PairContext
-from .geometry import Vec2, segments_intersect, within_cone
+from .geometry import Vec2, cone_limit, segments_intersect, widened, within_cone
 from .params import ParameterSet
 from .planner import UnreachableGoalError, build_visibility_graph, plan_path
-from .scene import AgentKind, AgentState, Scene, in_field_of_view
+from .scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view, pick
 
 
 # Distances (m) at which an agent counts as arrived at its goal, passes
@@ -40,6 +44,13 @@ from .scene import AgentKind, AgentState, Scene, in_field_of_view
 ARRIVAL_TOLERANCE = 0.5
 WAYPOINT_TOLERANCE = 0.5
 PLANNER_CLEARANCE_MARGIN = 0.2
+
+# Up to this many (car, other car) pairs the leader search tests every
+# pair; above it a numpy screen runs first. Measured as
+# conflicts.RECOGNITION_SCALAR_MAX_PAIRS is: the two break even at ~56
+# pairs (8 cars; 150 against 108 us at 90 pairs), also when the pass
+# builds the snapshot's numpy columns itself.
+FOLLOWING_SCALAR_MAX_PAIRS = 56
 
 # Per-kind values for whatever a scenario leaves out.
 KIND_DEFAULTS = {
@@ -222,6 +233,12 @@ class Simulation:
         """Set each agent's partners and count of active games, which
         recognition and feature extraction read, from the active games."""
         conflicts = [r.conflict for r in self.world.active_conflicts]
+        if not conflicts:
+            # The common case in calibration: nobody is engaged.
+            for agent in self.world.agents.values():
+                agent.prior_conflict_partners = frozenset()
+                agent.active_interactions = 0
+            return
         partners = conflicts_mod.partner_sets(conflicts, self.world.agents)
         counts = dict.fromkeys(self.world.agents, 0)
         for conflict in conflicts:
@@ -245,16 +262,17 @@ class Simulation:
 
     # - conflict handling ----------------------------------------------
 
-    def _run_recognition(self, cars: list[AgentState], peds: list[AgentState]) -> None:
+    def _run_recognition(self, columns: AgentColumns) -> None:
         self._refresh_conflict_bookkeeping()
         outcome = conflicts_mod.recognize_conflicts(
-            cars,
-            peds,
+            columns.cars,
+            columns.pedestrians,
             self.config.scene,
             self.config.params.sfm,
             active_conflicts=[r.conflict for r in self.world.active_conflicts],
             step=self.world.step,
             next_id=self._next_conflict_id,
+            columns=columns,
         )
         if outcome.dissolved_ids:
             dissolved = set(outcome.dissolved_ids)
@@ -393,16 +411,41 @@ class Simulation:
             best_d = d
         return best
 
-    def _assign_modes(
-        self, cars: list[AgentState], peds: list[AgentState]
-    ) -> dict[str, tuple[Mode, object]]:
+    def _leader_candidates(self, columns: AgentColumns) -> list[list[AgentState]]:
+        """Per car of `columns`: the cars, in id order, that
+        _find_following_leader must test. Up to
+        FOLLOWING_SCALAR_MAX_PAIRS pairs that is every car; above it,
+        those a numpy screen cannot rule out by range, cone or heading."""
+        cars = columns.cars
+        n = len(cars)
+        if n * (n - 1) <= FOLLOWING_SCALAR_MAX_PAIRS:
+            return [cars] * n
+        pairs, k = columns.car_pairs, columns.kinematics
+        hx, hy = k.hx[:n], k.hy[:n]
+        with np.errstate(all="ignore"):
+            out = (
+                (pairs.distance[:, :n] > widened(self.config.params.sfm.v_r))
+                | (pairs.bearing[:, :n] > cone_limit(CAR_CONE_HALF_ANGLE_DEG))
+                # car.heading.dot(other.heading) <= 0, in its operations
+                | (hx[:, None] * hx + hy[:, None] * hy <= 0.0)
+            )
+        return pick(~out, cars)
+
+    def _assign_modes(self, columns: AgentColumns) -> dict[str, tuple[Mode, object]]:
+        cars, peds = columns.cars, columns.pedestrians
         sfm = self.config.params.sfm
-        regime = self.config.params.game.regime
+        # The dut regime never brakes reactively.
+        stopping = (
+            forces_mod.stopping_candidates(columns, sfm)
+            if self.config.params.game.regime != "dut"
+            else [[]] * len(cars)
+        )
+        leaders: list[list[AgentState]] | None = None
         assignments: dict[str, tuple[Mode, object]] = {}
-        for car in cars:
-            stopping_for = forces_mod.reactive_stopping(car, peds, sfm)
+        for k, (car, candidates) in enumerate(zip(cars, stopping)):
+            stopping_for = forces_mod.reactive_stopping(car, candidates, sfm)
             runtime = self._binding.get(car.id)
-            if regime != "dut" and stopping_for:
+            if stopping_for:
                 target = min(
                     stopping_for, key=lambda p: (car.position.distance_to(p.position), p.id)
                 )
@@ -418,7 +461,9 @@ class Simulation:
                     else frozenset()
                 )
             else:
-                leader = self._find_following_leader(car, cars)
+                if leaders is None:
+                    leaders = self._leader_candidates(columns)
+                leader = self._find_following_leader(car, leaders[k])
                 if leader is not None:
                     assignments[car.id] = (Mode.FOLLOWING, leader)
                 else:
@@ -526,13 +571,16 @@ class Simulation:
             del self.world.agents[aid]
             self._binding.pop(aid, None)
         ordered = sorted(self.world.agents.values(), key=lambda a: a.id)
-        cars = [a for a in ordered if a.kind is AgentKind.CAR]
-        peds = [a for a in ordered if a.kind is AgentKind.PEDESTRIAN]
+        columns = AgentColumns(
+            [a for a in ordered if a.kind is AgentKind.CAR],
+            [a for a in ordered if a.kind is AgentKind.PEDESTRIAN],
+            self.config.scene,
+        )
 
         if self.world.step % self.config.recognition_interval == 0:
-            self._run_recognition(cars, peds)
+            self._run_recognition(columns)
 
-        assignments = self._assign_modes(cars, peds)
+        assignments = self._assign_modes(columns)
         for agent in frame:
             mode = "arrived" if agent.id in arrived else assignments[agent.id][0].value
             self.trace.rows.append(
@@ -540,7 +588,7 @@ class Simulation:
             )
         agents = list(self.world.agents.values())
         targets = [a for a in agents if assignments[a.id][0] is Mode.FORCES]
-        totals = forces_mod.agent_repulsion_totals(targets, agents, self.config.params.sfm)
+        totals = forces_mod.agent_repulsion_totals(targets, agents, self.config.params.sfm, columns)
         for agent, total in zip(targets, totals):
             assignments[agent.id] = (Mode.FORCES, total)
         directives = {

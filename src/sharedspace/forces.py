@@ -24,7 +24,12 @@ The crossover was measured on one core of a shared 2-vCPU Xeon host
 of the scalar rule (both ~100 us at 8 pairs, where a pair took ~12 us),
 and the two paths break even between 8 and 10 pairs. A calibration
 step (2-3 agents) sums pair by pair; a crowd step (~60 agents) takes
-the numpy pass.
+the numpy pass, which reads the step's AgentColumns snapshot.
+
+`reactive_stopping` is the stopping rule for one car. Above
+STOPPING_SCALAR_MAX_PAIRS (car, pedestrian) pairs the engine first
+screens the pairs with `stopping_candidates` and passes each car only
+the pedestrians the screen keeps.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Vec2, nearest_point_on_polygon, point_in_zone
+from .geometry import Vec2, nearest_point_on_polygon, point_in_zone, widened
 from .params import SfmParams
-from .scene import AgentKind, AgentState, Scene
+from .scene import AgentColumns, AgentKind, AgentState, Scene, pick
 
 
 @dataclass(frozen=True)
@@ -133,12 +138,16 @@ SCALAR_REPULSION_MAX_PAIRS = 8
 
 
 def agent_repulsion_totals(
-    targets: Sequence[AgentState], agents: Sequence[AgentState], params: SfmParams
+    targets: Sequence[AgentState],
+    agents: Sequence[AgentState],
+    params: SfmParams,
+    columns: AgentColumns | None = None,
 ) -> list[Vec2]:
     """For each target, the sum of agent_repulsion from every other
     agent, added in the order of `agents`; every target must be one of
     `agents`. Up to SCALAR_REPULSION_MAX_PAIRS (target, other agent)
-    pairs this is that sum, pair by pair; above it, one numpy pass."""
+    pairs this is that sum, pair by pair; above it, one numpy pass,
+    which reads `columns` when given: a snapshot of these same agents."""
     if not targets:
         return []
     if len(targets) * (len(agents) - 1) <= SCALAR_REPULSION_MAX_PAIRS:
@@ -150,39 +159,45 @@ def agent_repulsion_totals(
                     total = total + agent_repulsion(t, other, params)
             totals.append(total)
         return totals
-    return _agent_repulsion_grid(targets, agents, params)
+    if columns is None:
+        columns = AgentColumns(
+            [a for a in agents if a.kind is AgentKind.CAR],
+            [a for a in agents if a.kind is AgentKind.PEDESTRIAN],
+            Scene(),
+        )
+    return _agent_repulsion_grid(targets, agents, params, columns)
 
 
 def _agent_repulsion_grid(
-    targets: Sequence[AgentState], agents: Sequence[AgentState], params: SfmParams
+    targets: Sequence[AgentState],
+    agents: Sequence[AgentState],
+    params: SfmParams,
+    columns: AgentColumns,
 ) -> list[Vec2]:
     """agent_repulsion_totals as one numpy pass over an (agents x
     targets) grid."""
-    column = {a.id: k for k, a in enumerate(agents)}
-    # One row per agent: x, y, disc radius (0 for pedestrians), is-car.
-    table = np.array([
-        (a.position.x, a.position.y, a.radius() if a.kind is AgentKind.CAR else 0.0,
-         a.kind is AgentKind.CAR)
-        for a in agents
-    ])
-    rows = np.array([column[t.id] for t in targets])
+    row = columns.row
+    k = columns.kinematics
+    cols = np.array([row[a.id] for a in agents])
+    rows = np.array([row[t.id] for t in targets])
+    radius = np.where(k.is_car, k.diameter / 2.0, 0.0)
     # Grid axis 0 is the source j, axis 1 the target i.
-    src, tgt = table[:, None, :], table[rows][None, :, :]
-    own = np.arange(len(agents))[:, None] == rows[None, :]
-    ox = tgt[..., 0] - src[..., 0]
-    oy = tgt[..., 1] - src[..., 1]
+    sx, sy, sr, s_car = k.x[cols, None], k.y[cols, None], radius[cols, None], k.is_car[cols, None]
+    tx, ty, tr, t_car = k.x[rows], k.y[rows], radius[rows], k.is_car[rows]
+    own = cols[:, None] == rows[None, :]
+    ox = tx - sx
+    oy = ty - sy
     coincident = (ox * ox + oy * oy == 0.0) & ~own
-    pp = (src[..., 3] == 0.0) & (tgt[..., 3] == 0.0)
+    pp = ~s_car & ~t_car
     v0 = np.where(pp, params.v0_pp, params.v0_pc)
     sigma = np.where(pp, params.sigma_pp, params.sigma_pc)
-    headings = [t.heading.normalized() for t in targets]
-    heading = np.array([(h.x, h.y) for h in headings])
+    hx, hy = k.ux[rows], k.uy[rows]
     with np.errstate(divide="ignore", invalid="ignore"):
         n = np.hypot(ox, oy)
         ux, uy = ox / n, oy / n
-    d = np.maximum(0.0, n - tgt[..., 2] - src[..., 2])
+    d = np.maximum(0.0, n - tr - sr)
     # Anisotropy: cosine between the heading and the direction to j.
-    cos_phi = np.clip(heading[:, 0] * -ux + heading[:, 1] * -uy, -1.0, 1.0)
+    cos_phi = np.clip(hx * -ux + hy * -uy, -1.0, 1.0)
     a = params.anisotropy
     factor = a + (1.0 - a) * (1.0 + cos_phi) / 2.0
     magnitude = v0 * np.exp(-d / sigma) * factor
@@ -292,6 +307,35 @@ def reactive_stopping(
         if abs(ped.velocity.x * -hy + ped.velocity.y * hx) > 1e-9:
             braking.append(ped)
     return braking
+
+
+# Up to this many (car, pedestrian) pairs reactive_stopping tests every
+# pair; above it a numpy screen runs first. Measured as
+# RECOGNITION_SCALAR_MAX_PAIRS is, but on a snapshot whose pair geometry
+# recognition has built, as it has in a step with this many pairs: the
+# two break even between 120 and 180 pairs (28 against 33 us at 120,
+# 46 against 29 us at 300). Building that geometry for this pass alone
+# would not pay below ~1,000 pairs.
+STOPPING_SCALAR_MAX_PAIRS = 150
+
+
+def stopping_candidates(columns: AgentColumns, params: SfmParams) -> list[list[AgentState]]:
+    """Per car of `columns`: the pedestrians, in id order, that
+    reactive_stopping must test. Up to STOPPING_SCALAR_MAX_PAIRS pairs
+    that is every pedestrian; above it, those that a numpy pass over the
+    corridor cannot rule out. Its bands (0 and d_min_pc ahead, half the
+    two diameters aside) are widened like geometry's screens."""
+    cars, peds = columns.cars, columns.pedestrians
+    if len(cars) * len(peds) <= STOPPING_SCALAR_MAX_PAIRS:
+        return [peds] * len(cars)
+    n = len(cars)
+    pairs, diameter = columns.car_pairs, columns.kinematics.diameter
+    ahead, aside = pairs.ahead[:, n:], pairs.aside[:, n:]
+    slack = widened(params.d_min_pc) - params.d_min_pc
+    with np.errstate(all="ignore"):
+        half_width = (diameter[:n, None] + diameter[n:]) / 2.0
+        out = (ahead <= -slack) | (ahead > params.d_min_pc + slack) | (np.abs(aside) > widened(half_width))
+    return pick(~out, peds)
 
 
 def _unit_or(x: float, y: float, fallback: Vec2) -> tuple[float, float]:

@@ -92,7 +92,11 @@ def _on_segment_xy(px: float, py: float, ax: float, ay: float, bx: float, by: fl
     aby = by - ay
     apx = px - ax
     apy = py - ay
-    scale = max(1.0, math.hypot(abx, aby) * max(1.0, math.hypot(apx, apy)))
+    # max(1.0, |ab| * max(1.0, |ap|)), without the cost of calling max
+    ap = math.hypot(apx, apy)
+    scale = math.hypot(abx, aby) * (ap if ap > 1.0 else 1.0)
+    if not scale > 1.0:
+        scale = 1.0
     if abs(abx * apy - aby * apx) > _LINE_TOL * scale:
         return False
     t = apx * abx + apy * aby
@@ -112,32 +116,35 @@ def _orient_sign(a: Vec2, b: Vec2, c: Vec2) -> int:
 
 def point_in_zone(p: Vec2, zone: Sequence[Vec2]) -> bool:
     """Even-odd membership test, boundary inclusive."""
+    return _even_odd(p, zone, True)
+
+
+def point_strictly_inside(p: Vec2, zone: Sequence[Vec2]) -> bool:
+    """Even-odd membership test, boundary exclusive."""
+    return _even_odd(p, zone, False)
+
+
+def _even_odd(p: Vec2, zone: Sequence[Vec2], on_edge: bool) -> bool:
+    """`on_edge` for a point on any edge of the zone, otherwise its
+    even-odd parity, in one pass over the edges."""
     if len(zone) < 3:
         raise InvalidSceneError("zone polygon needs at least 3 vertices")
     px, py = p.x, p.y
     inside = False
     # Edge a -> b for every vertex b, a its predecessor: a point on any
-    # edge is inside, whatever the crossings of the other edges say.
+    # edge returns at once, whatever the crossings of the other edges say.
     a = zone[-1]
     ax, ay = a.x, a.y
     for b in zone:
         bx, by = b.x, b.y
         if _on_segment_xy(px, py, ax, ay, bx, by):
-            return True
+            return on_edge
         if (ay > py) != (by > py):
             x_cross = ax + (py - ay) * (bx - ax) / (by - ay)
             if px < x_cross:
                 inside = not inside
         ax, ay = bx, by
     return inside
-
-
-def point_strictly_inside(p: Vec2, zone: Sequence[Vec2]) -> bool:
-    n = len(zone)
-    for i in range(n):
-        if _on_segment(p, zone[i], zone[(i + 1) % n]):
-            return False
-    return point_in_zone(p, zone)
 
 
 def segments_intersect(a1: Vec2, a2: Vec2, b1: Vec2, b2: Vec2) -> bool:
@@ -356,6 +363,38 @@ def segments_clear_of_polygons(a: np.ndarray, b: np.ndarray, verts: np.ndarray) 
     blocked = (inside & ~unsure & valid).any(axis=1)
     unsure = ~blocked & (unsure & valid).any(axis=1)
     return ~blocked & ~unsure, unsure
+
+
+# Screens of the pair rules (recognition, reactive stopping, car
+# following): numpy passes that drop the pairs a scalar rule surely
+# rejects and keep every other pair for that rule to decide. numpy's
+# hypot, arctan2 and degrees may differ from math's in the last bits,
+# so a screen tests `not value > limit`, which keeps NaN, against the
+# rule's bound widened by _BAND_MARGIN of its scale, and at least by
+# _BAND_MARGIN.
+
+
+def widened(bound):
+    """bound plus _BAND_MARGIN times max(1, |bound|), for a float or an
+    array of them."""
+    return bound + _BAND_MARGIN * np.maximum(1.0, np.abs(bound))
+
+
+def cone_limit(half_angle_deg: float) -> float:
+    """The screen's limit on abs_bearings_deg for within_cone: beyond
+    it the rule surely fails. Its margin is relative to the full turn,
+    which bearing_deg rounds its angle into."""
+    if half_angle_deg >= 180.0:
+        return math.inf
+    return half_angle_deg + _ANGLE_EPS_DEG + 360.0 * _BAND_MARGIN
+
+
+def abs_bearings_deg(cross, dot, norm_sq) -> np.ndarray:
+    """bearing_deg from the cross and dot products of heading and offset
+    and the offset's squared norm, broadcast and folded onto [0, 180]:
+    the angle either way round, 0 where the squared norm is 0, as there."""
+    ang = np.abs(np.degrees(np.arctan2(cross, dot)))
+    return np.where(norm_sq == 0.0, 0.0, ang)
 
 
 def _validate_simple_polygon(poly: Sequence[Vec2], label: str) -> None:

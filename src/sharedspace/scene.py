@@ -9,14 +9,19 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .geometry import (
     InvalidSceneError,
     Vec2,
     _validate_simple_polygon,
+    abs_bearings_deg,
     point_in_zone,
     within_cone,
 )
@@ -64,11 +69,17 @@ class Scene:
 
 
 def in_intersection_zone(p: Vec2, scene: Scene) -> bool:
-    return any(point_in_zone(p, z) for z in scene.intersection_zones)
+    for zone in scene.intersection_zones:
+        if point_in_zone(p, zone):
+            return True
+    return False
 
 
 def in_road_zone(p: Vec2, scene: Scene) -> bool:
-    return any(point_in_zone(p, z) for z in scene.road_zones)
+    for zone in scene.road_zones:
+        if point_in_zone(p, zone):
+            return True
+    return False
 
 
 @dataclass
@@ -115,6 +126,100 @@ class AgentState:
         copy = object.__new__(type(self))
         copy.__dict__ = fields
         return copy
+
+
+class Kinematics(NamedTuple):
+    """Per-agent columns, one entry per agent of an AgentColumns."""
+
+    x: np.ndarray
+    y: np.ndarray
+    hx: np.ndarray
+    hy: np.ndarray
+    ux: np.ndarray  # heading.normalized(), made by that rule on floats
+    uy: np.ndarray
+    max_speed: np.ndarray
+    diameter: np.ndarray
+    is_car: np.ndarray  # bool
+
+
+class CarPairs(NamedTuple):
+    """(cars x agents) arrays: row k is car k, column j agent j, and the
+    offset is agent j's position minus car k's."""
+
+    ahead: np.ndarray  # offset along the car's heading (dot product)
+    aside: np.ndarray  # offset along the heading's left normal (cross product)
+    distance: np.ndarray  # np.hypot of the offset
+    bearing: np.ndarray  # abs_bearings_deg of the offset from the heading
+
+
+class AgentColumns:
+    """One engine step's snapshot of its agents, shared by the passes of
+    that step: the cars, then the pedestrians, each in ascending id
+    order. The agents must not move while it is in use.
+
+    Each car's zone flags are tested here, once, with the scalar zone
+    tests: `in_intersection`, and `in_road` (in a road zone and in no
+    intersection zone; the road zones are tested only for cars outside
+    every intersection zone). The numpy columns of the kinematic state
+    and the (cars x agents) pair geometry that the pair passes screen
+    with are made on first use, at most once. A pass below its scalar
+    guard reads none of them, so a calibration-sized step never builds
+    them."""
+
+    def __init__(
+        self, cars: list[AgentState], pedestrians: list[AgentState], scene: Scene
+    ) -> None:
+        self.cars = cars
+        self.pedestrians = pedestrians
+        self.agents = cars + pedestrians
+        self.in_intersection = [in_intersection_zone(c.position, scene) for c in self.cars]
+        self.in_road = [
+            not inside and in_road_zone(c.position, scene)
+            for c, inside in zip(self.cars, self.in_intersection)
+        ]
+
+    @cached_property
+    def row(self) -> dict[str, int]:
+        """Each agent's index in `agents`."""
+        return {a.id: k for k, a in enumerate(self.agents)}
+
+    @cached_property
+    def kinematics(self) -> Kinematics:
+        flat: list[float] = []
+        add = flat.extend
+        for a in self.agents:
+            p, h = a.position, a.heading
+            hx, hy = h.x, h.y
+            norm = math.hypot(hx, hy)
+            ux, uy = (hx / norm, hy / norm) if norm != 0.0 else (0.0, 0.0)
+            add((p.x, p.y, hx, hy, ux, uy, a.max_speed, a.diameter))
+        n = len(self.agents)
+        table = np.array(flat, dtype=float).reshape(n, 8).T.copy()
+        return Kinematics(*table, np.arange(n) < len(self.cars))
+
+    @cached_property
+    def car_pairs(self) -> CarPairs:
+        k = self.kinematics
+        n = len(self.cars)
+        hx, hy = k.hx[:n, None], k.hy[:n, None]
+        # In the operations of in_stopping_corridor and bearing_deg.
+        with np.errstate(all="ignore"):
+            ox = k.x - k.x[:n, None]
+            oy = k.y - k.y[:n, None]
+            ahead = ox * hx + oy * hy
+            aside = ox * -hy + oy * hx
+            bearing = abs_bearings_deg(aside, ahead, ox * ox + oy * oy)
+            return CarPairs(ahead, aside, np.hypot(ox, oy), bearing)
+
+
+def pick(mask: np.ndarray, pool: Sequence[AgentState]) -> list[list[AgentState]]:
+    """For each row of a (rows x len(pool)) boolean mask, the members of
+    pool that it marks, in pool order."""
+    lists: list[list[AgentState]] = [[] for _ in range(len(mask))]
+    rows, cols = np.nonzero(mask)
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        lists[r].append(pool[c])
+    return lists
 
 
 def in_field_of_view(

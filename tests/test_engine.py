@@ -4,12 +4,13 @@ priorities, conflict lifecycle, determinism, and trace output."""
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from helpers import open_square_scene
-from sharedspace import forces
+from sharedspace import conflicts, engine, forces
 from sharedspace.conflicts import Conflict, ConflictClass
 from sharedspace.engine import (
     AgentEntry,
@@ -29,7 +30,7 @@ from sharedspace.engine import (
 from sharedspace.game import Action
 from sharedspace.geometry import Vec2
 from sharedspace.params import ParameterSet
-from sharedspace.scene import AgentKind, Rect, Scene
+from sharedspace.scene import AgentKind, Rect, Scene, load_scene
 
 
 def car_entry(
@@ -333,9 +334,9 @@ class TestModes:
         sums = []
         totals = forces.agent_repulsion_totals
 
-        def recording(targets, agents, params):
+        def recording(targets, agents, params, *columns):
             sums.append(([t.id for t in targets], [a.id for a in agents]))
-            return totals(targets, agents, params)
+            return totals(targets, agents, params, *columns)
 
         monkeypatch.setattr(forces, "agent_repulsion_totals", recording)
         scenario = Scenario("crossing", [car_entry(entry_step=1), ped_entry(entry_step=1)])
@@ -682,3 +683,82 @@ class TestOutputs:
             assert cells[4] in ("ped", "car")
             assert cells[5] in ("leader", "follower")
             assert cells[-1] in ("continue", "decelerate", "deviate")
+
+
+# ---------------------------------------------------------------------------
+# Screened pair passes
+# ---------------------------------------------------------------------------
+
+
+def two_way_crowd(seed: int = 0, n_peds: int = 32, n_cars: int = 8) -> Scenario:
+    """Pedestrians crossing S<->N over x in [-25, 25] and cars driving
+    W<->E near y = 0 from x = -38 to 38, spawned over the first steps."""
+    rng = random.Random(seed)
+    entries = []
+    for i in range(n_peds):
+        sign = 1.0 if i % 2 else -1.0
+        x = rng.uniform(-25.0, 25.0)
+        speed = rng.uniform(1.0, 1.5)
+        entries.append(AgentEntry(
+            f"p{i:02d}", AgentKind.PEDESTRIAN, rng.randrange(0, 20), Vec2(x, -24.0 * sign),
+            Vec2(0.0, speed * sign), Vec2(x, 24.0 * sign), speed, 2.0, 0.5,
+        ))
+    for i in range(n_cars):
+        sign = 1.0 if i % 2 else -1.0
+        y = 3.0 * sign + rng.uniform(-0.5, 0.5)
+        speed = rng.uniform(4.0, 6.0)
+        entries.append(AgentEntry(
+            f"c{i:02d}", AgentKind.CAR, rng.randrange(0, 30), Vec2(-38.0 * sign, y),
+            Vec2(speed * sign, 0.0), Vec2(38.0 * sign, y), speed, 8.0, 2.0,
+        ))
+    return Scenario("two_way", entries)
+
+
+def _box(x0: float, y0: float, x1: float, y1: float) -> tuple[Vec2, ...]:
+    return (Vec2(x0, y0), Vec2(x1, y0), Vec2(x1, y1), Vec2(x0, y1))
+
+
+BUNDLED_SCENE = Path(__file__).resolve().parents[1] / "data" / "scene.json"
+# A central intersection with a road section on each side of it, where
+# the cars' lanes meet the pedestrians' crossings.
+ROAD_SCENE = Scene(
+    intersection_zones=(_box(-10, -10, 10, 10),),
+    road_zones=(_box(-40, -8, -10, 8), _box(10, -8, 40, 8)),
+    bounds=Rect(-60, -60, 60, 60),
+)
+
+
+class TestScreenedPasses:
+    @pytest.mark.parametrize("scene_name", ["bundled", "road"])
+    @pytest.mark.parametrize("regime", ["hbs", "dut"])
+    def test_screened_and_all_pairs_runs_match(self, monkeypatch, scene_name, regime) -> None:
+        scene = load_scene(BUNDLED_SCENE) if scene_name == "bundled" else ROAD_SCENE
+        road_scans = []
+        crossing = conflicts.segments_intersect
+
+        def counting(*segments):
+            road_scans.append(segments)
+            return crossing(*segments)
+
+        monkeypatch.setattr(conflicts, "segments_intersect", counting)
+        traces = []
+        for guard in (0, 10**9):  # screen every pass, then none
+            for module, name in (
+                (conflicts, "RECOGNITION_SCALAR_MAX_PAIRS"),
+                (forces, "STOPPING_SCALAR_MAX_PAIRS"),
+                (engine, "FOLLOWING_SCALAR_MAX_PAIRS"),
+            ):
+                monkeypatch.setattr(module, name, guard)
+            config = SimulationConfig(
+                scene=scene, scenario=two_way_crowd(), params=ParameterSet.defaults(regime),
+                max_steps=60,
+            )
+            traces.append(run_scenario(config))
+        screened, everyone = traces
+        assert screened.rows == everyone.rows
+        assert screened.decisions == everyone.decisions
+        assert screened.feature_rows == everyone.feature_rows
+        assert screened.conflicts == everyone.conflicts
+        assert everyone.decisions
+        # The road scene reaches recognition's road-section branch.
+        assert bool(road_scans) is (scene_name == "road")

@@ -259,9 +259,9 @@ def grid_calls(monkeypatch):
     calls = []
     grid = forces._agent_repulsion_grid
 
-    def counting(targets, agents, params):
+    def counting(targets, agents, params, *columns):
         calls.append(len(targets) * (len(agents) - 1))
-        return grid(targets, agents, params)
+        return grid(targets, agents, params, *columns)
 
     monkeypatch.setattr(forces, "_agent_repulsion_grid", counting)
     return calls

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sharedspace import geometry
 from sharedspace.geometry import (
     _LINE_TOL,
     _PARAM_TOL,
@@ -282,6 +283,14 @@ def vec_point_in_zone(p, zone):
     return inside
 
 
+def vec_point_strictly_inside(p, zone):
+    n = len(zone)
+    for i in range(n):
+        if vec_on_segment(p, zone[i], zone[(i + 1) % n]):
+            return False
+    return vec_point_in_zone(p, zone)
+
+
 def vec_bearing_deg(heading, offset):
     if offset.norm_sq() == 0.0:
         return 0.0
@@ -338,6 +347,31 @@ class TestFloatRulesMatchVec2Forms:
             for i in range(n):
                 a, b = zone[i], zone[(i + 1) % n]
                 assert _on_segment(p, a, b) == vec_on_segment(p, a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(zone_and_probes())
+    def test_strict_zone_test(self, case):
+        zone, probes = case
+        for p in probes:
+            assert point_strictly_inside(p, zone) == vec_point_strictly_inside(p, zone)
+
+    def test_strict_zone_test_makes_one_pass(self, monkeypatch):
+        calls = []
+        on_segment = geometry._on_segment_xy
+
+        def counting(*args):
+            calls.append(args)
+            return on_segment(*args)
+
+        monkeypatch.setattr(geometry, "_on_segment_xy", counting)
+        assert point_strictly_inside(Vec2(2, 2), SQUARE)
+        assert len(calls) == len(SQUARE)
+
+    @pytest.mark.parametrize("zone", [(), (Vec2(0, 0),), (Vec2(0, 0), Vec2(1, 0))])
+    def test_strict_zone_test_needs_three_vertices(self, zone):
+        # Also for a point on the one segment that two vertices make.
+        with pytest.raises(InvalidSceneError):
+            point_strictly_inside(Vec2(0.5, 0.0), zone)
 
     def test_both_sides_of_each_band(self):
         # The edge (0, 0)-(1, 0) has scale 1: half a band off it counts

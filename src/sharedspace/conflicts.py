@@ -13,8 +13,8 @@ conflict kinds, or dismissed.
 The pair gates are the scalar rules below. Above
 RECOGNITION_SCALAR_MAX_PAIRS (car, other agent) pairs a numpy pass over
 the snapshot first drops the pairs that surely fail range, cone or
-predicted gap (geometry's screens, with their bands widened), and only
-the rest go through the scalar rules, in the same order. The screen
+predicted gap (its bands widened by geometry's margins), and only the
+rest go through the scalar rules, in the same order. The screen
 decides nothing, so conflicts, their ids and order are the same with
 or without it.
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .geometry import Vec2, cone_limit, segments_intersect, widened, within_cone
 from .params import SfmParams
-from .scene import AgentColumns, AgentKind, AgentState, Scene, in_road_zone, pick
+from .scene import AgentColumns, AgentKind, AgentState, Scene, in_road_zone
 from .scene import in_intersection_zone  # noqa: F401  (kept: perfbench/tracer.py patches this name)
 
 CAR_CONE_HALF_ANGLE_DEG = 90.0
@@ -194,7 +194,11 @@ def _scan_lists(columns: AgentColumns, params: SfmParams) -> list[list[AgentStat
     close = ~(unseen | (gap > d_min))
     inter = np.array(columns.in_intersection)[:, None]
     road = np.array(columns.in_road)[:, None] & ~k.is_car & ~unseen
-    return pick(np.where(inter, close, road), agents)
+    lists: list[list[AgentState]] = [[] for _ in cars]
+    rows, cols = np.nonzero(np.where(inter, close, road))
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        lists[r].append(agents[c])
+    return lists
 
 
 def recognize_conflicts(

@@ -2,16 +2,16 @@
 
 Each step: spawn due agents, drop those that arrived last step, split
 the rest once into cars and pedestrians in id order and take one
-AgentColumns snapshot of them, which recognition, reactive stopping,
-the leader search and the repulsion pass all read; run conflict
-recognition (every recognition_interval steps), solve games for new
-conflicts and latch the chosen actions, assign one mode per agent
-(cars: stopping > game > following > free flow; pedestrians: game >
-forces), record the frame with each agent's mode (the dropped agents
-as "arrived"), sum the agent repulsion on every pedestrian in force
-mode in one pass, integrate everyone from the same pre-step snapshot
-(a non-finite position or velocity rejects the scenario), then retire
-conflicts whose actions have completed or timed out.
+AgentColumns snapshot of them, which recognition and the repulsion
+pass read; run conflict recognition (every recognition_interval
+steps), solve games for new conflicts and latch the chosen actions,
+assign one mode per agent (cars: stopping > game > following > free
+flow; pedestrians: game > forces), record the frame with each agent's
+mode (the dropped agents as "arrived"), sum the agent repulsion on
+every pedestrian in force mode in one pass, integrate everyone from the
+same pre-step snapshot (a non-finite position or velocity rejects the
+scenario), then retire conflicts whose actions have completed or timed
+out.
 
 Runs are deterministic: equal configuration gives bit-identical traces.
 """
@@ -25,17 +25,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from . import conflicts as conflicts_mod
 from . import forces as forces_mod
 from . import game as game_mod
 from .conflicts import CAR_CONE_HALF_ANGLE_DEG, Conflict
 from .game import Action, FeatureVector, PairContext
-from .geometry import Vec2, cone_limit, segments_intersect, widened, within_cone
+from .geometry import Vec2, segments_intersect, within_cone
 from .params import ParameterSet
 from .planner import UnreachableGoalError, build_visibility_graph, plan_path
-from .scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view, pick
+from .scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view
 
 
 # Distances (m) at which an agent counts as arrived at its goal, passes
@@ -44,13 +42,6 @@ from .scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view,
 ARRIVAL_TOLERANCE = 0.5
 WAYPOINT_TOLERANCE = 0.5
 PLANNER_CLEARANCE_MARGIN = 0.2
-
-# Up to this many (car, other car) pairs the leader search tests every
-# pair; above it a numpy screen runs first. Measured as
-# conflicts.RECOGNITION_SCALAR_MAX_PAIRS is: the two break even at ~56
-# pairs (8 cars; 150 against 108 us at 90 pairs), also when the pass
-# builds the snapshot's numpy columns itself.
-FOLLOWING_SCALAR_MAX_PAIRS = 56
 
 # Per-kind values for whatever a scenario leaves out.
 KIND_DEFAULTS = {
@@ -411,39 +402,14 @@ class Simulation:
             best_d = d
         return best
 
-    def _leader_candidates(self, columns: AgentColumns) -> list[list[AgentState]]:
-        """Per car of `columns`: the cars, in id order, that
-        _find_following_leader must test. Up to
-        FOLLOWING_SCALAR_MAX_PAIRS pairs that is every car; above it,
-        those a numpy screen cannot rule out by range, cone or heading."""
-        cars = columns.cars
-        n = len(cars)
-        if n * (n - 1) <= FOLLOWING_SCALAR_MAX_PAIRS:
-            return [cars] * n
-        pairs, k = columns.car_pairs, columns.kinematics
-        hx, hy = k.hx[:n], k.hy[:n]
-        with np.errstate(all="ignore"):
-            out = (
-                (pairs.distance[:, :n] > widened(self.config.params.sfm.v_r))
-                | (pairs.bearing[:, :n] > cone_limit(CAR_CONE_HALF_ANGLE_DEG))
-                # car.heading.dot(other.heading) <= 0, in its operations
-                | (hx[:, None] * hx + hy[:, None] * hy <= 0.0)
-            )
-        return pick(~out, cars)
-
     def _assign_modes(self, columns: AgentColumns) -> dict[str, tuple[Mode, object]]:
         cars, peds = columns.cars, columns.pedestrians
         sfm = self.config.params.sfm
         # The dut regime never brakes reactively.
-        stopping = (
-            forces_mod.stopping_candidates(columns, sfm)
-            if self.config.params.game.regime != "dut"
-            else [[]] * len(cars)
-        )
-        leaders: list[list[AgentState]] | None = None
+        brakes = self.config.params.game.regime != "dut"
         assignments: dict[str, tuple[Mode, object]] = {}
-        for k, (car, candidates) in enumerate(zip(cars, stopping)):
-            stopping_for = forces_mod.reactive_stopping(car, candidates, sfm)
+        for car in cars:
+            stopping_for = forces_mod.reactive_stopping(car, peds, sfm) if brakes else []
             runtime = self._binding.get(car.id)
             if stopping_for:
                 target = min(
@@ -461,9 +427,7 @@ class Simulation:
                     else frozenset()
                 )
             else:
-                if leaders is None:
-                    leaders = self._leader_candidates(columns)
-                leader = self._find_following_leader(car, leaders[k])
+                leader = self._find_following_leader(car, cars)
                 if leader is not None:
                     assignments[car.id] = (Mode.FOLLOWING, leader)
                 else:

@@ -25,11 +25,6 @@ of the scalar rule (both ~100 us at 8 pairs, where a pair took ~12 us),
 and the two paths break even between 8 and 10 pairs. A calibration
 step (2-3 agents) sums pair by pair; a crowd step (~60 agents) takes
 the numpy pass, which reads the step's AgentColumns snapshot.
-
-`reactive_stopping` is the stopping rule for one car. Above
-STOPPING_SCALAR_MAX_PAIRS (car, pedestrian) pairs the engine first
-screens the pairs with `stopping_candidates` and passes each car only
-the pedestrians the screen keeps.
 """
 
 from __future__ import annotations
@@ -40,9 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Vec2, nearest_point_on_polygon, point_in_zone, widened
+from .geometry import Vec2, nearest_point_on_polygon, point_in_zone
 from .params import SfmParams
-from .scene import AgentColumns, AgentKind, AgentState, Scene, pick
+from .scene import AgentColumns, AgentKind, AgentState, Scene
 
 
 @dataclass(frozen=True)
@@ -307,35 +302,6 @@ def reactive_stopping(
         if abs(ped.velocity.x * -hy + ped.velocity.y * hx) > 1e-9:
             braking.append(ped)
     return braking
-
-
-# Up to this many (car, pedestrian) pairs reactive_stopping tests every
-# pair; above it a numpy screen runs first. Measured as
-# RECOGNITION_SCALAR_MAX_PAIRS is, but on a snapshot whose pair geometry
-# recognition has built, as it has in a step with this many pairs: the
-# two break even between 120 and 180 pairs (28 against 33 us at 120,
-# 46 against 29 us at 300). Building that geometry for this pass alone
-# would not pay below ~1,000 pairs.
-STOPPING_SCALAR_MAX_PAIRS = 150
-
-
-def stopping_candidates(columns: AgentColumns, params: SfmParams) -> list[list[AgentState]]:
-    """Per car of `columns`: the pedestrians, in id order, that
-    reactive_stopping must test. Up to STOPPING_SCALAR_MAX_PAIRS pairs
-    that is every pedestrian; above it, those that a numpy pass over the
-    corridor cannot rule out. Its bands (0 and d_min_pc ahead, half the
-    two diameters aside) are widened like geometry's screens."""
-    cars, peds = columns.cars, columns.pedestrians
-    if len(cars) * len(peds) <= STOPPING_SCALAR_MAX_PAIRS:
-        return [peds] * len(cars)
-    n = len(cars)
-    pairs, diameter = columns.car_pairs, columns.kinematics.diameter
-    ahead, aside = pairs.ahead[:, n:], pairs.aside[:, n:]
-    slack = widened(params.d_min_pc) - params.d_min_pc
-    with np.errstate(all="ignore"):
-        half_width = (diameter[:n, None] + diameter[n:]) / 2.0
-        out = (ahead <= -slack) | (ahead > params.d_min_pc + slack) | (np.abs(aside) > widened(half_width))
-    return pick(~out, peds)
 
 
 def _unit_or(x: float, y: float, fallback: Vec2) -> tuple[float, float]:

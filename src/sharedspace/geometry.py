@@ -365,13 +365,12 @@ def segments_clear_of_polygons(a: np.ndarray, b: np.ndarray, verts: np.ndarray) 
     return ~blocked & ~unsure, unsure
 
 
-# Screens of the pair rules (recognition, reactive stopping, car
-# following): numpy passes that drop the pairs a scalar rule surely
-# rejects and keep every other pair for that rule to decide. numpy's
-# hypot, arctan2 and degrees may differ from math's in the last bits,
-# so a screen tests `not value > limit`, which keeps NaN, against the
-# rule's bound widened by _BAND_MARGIN of its scale, and at least by
-# _BAND_MARGIN.
+# Screening of conflict recognition's pairs: a numpy pass that drops
+# the pairs the scalar gates surely reject and keeps every other pair
+# for them to decide. numpy's hypot, arctan2 and degrees may differ from
+# math's in the last bits, so the screen tests `not value > limit`,
+# which keeps NaN, against the gate's bound widened by _BAND_MARGIN of
+# its scale, and at least by _BAND_MARGIN.
 
 
 def widened(bound):

@@ -146,8 +146,6 @@ class CarPairs(NamedTuple):
     """(cars x agents) arrays: row k is car k, column j agent j, and the
     offset is agent j's position minus car k's."""
 
-    ahead: np.ndarray  # offset along the car's heading (dot product)
-    aside: np.ndarray  # offset along the heading's left normal (cross product)
     distance: np.ndarray  # np.hypot of the offset
     bearing: np.ndarray  # abs_bearings_deg of the offset from the heading
 
@@ -161,10 +159,10 @@ class AgentColumns:
     tests: `in_intersection`, and `in_road` (in a road zone and in no
     intersection zone; the road zones are tested only for cars outside
     every intersection zone). The numpy columns of the kinematic state
-    and the (cars x agents) pair geometry that the pair passes screen
-    with are made on first use, at most once. A pass below its scalar
-    guard reads none of them, so a calibration-sized step never builds
-    them."""
+    and the (cars x agents) pair geometry that recognition screens with
+    are made on first use, at most once. Recognition and the repulsion
+    pass below their scalar guards read none of them, so a
+    calibration-sized step never builds them."""
 
     def __init__(
         self, cars: list[AgentState], pedestrians: list[AgentState], scene: Scene
@@ -202,24 +200,12 @@ class AgentColumns:
         k = self.kinematics
         n = len(self.cars)
         hx, hy = k.hx[:n, None], k.hy[:n, None]
-        # In the operations of in_stopping_corridor and bearing_deg.
         with np.errstate(all="ignore"):
             ox = k.x - k.x[:n, None]
             oy = k.y - k.y[:n, None]
-            ahead = ox * hx + oy * hy
-            aside = ox * -hy + oy * hx
-            bearing = abs_bearings_deg(aside, ahead, ox * ox + oy * oy)
-            return CarPairs(ahead, aside, np.hypot(ox, oy), bearing)
-
-
-def pick(mask: np.ndarray, pool: Sequence[AgentState]) -> list[list[AgentState]]:
-    """For each row of a (rows x len(pool)) boolean mask, the members of
-    pool that it marks, in pool order."""
-    lists: list[list[AgentState]] = [[] for _ in range(len(mask))]
-    rows, cols = np.nonzero(mask)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        lists[r].append(pool[c])
-    return lists
+            # bearing_deg's cross and dot products and squared norm.
+            bearing = abs_bearings_deg(hx * oy - hy * ox, hx * ox + hy * oy, ox * ox + oy * oy)
+            return CarPairs(np.hypot(ox, oy), bearing)
 
 
 def in_field_of_view(

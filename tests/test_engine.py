@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import open_square_scene
-from sharedspace import conflicts, engine, forces
+from sharedspace import conflicts, forces
 from sharedspace.conflicts import Conflict, ConflictClass
 from sharedspace.engine import (
     AgentEntry,
@@ -742,13 +742,8 @@ class TestScreenedPasses:
 
         monkeypatch.setattr(conflicts, "segments_intersect", counting)
         traces = []
-        for guard in (0, 10**9):  # screen every pass, then none
-            for module, name in (
-                (conflicts, "RECOGNITION_SCALAR_MAX_PAIRS"),
-                (forces, "STOPPING_SCALAR_MAX_PAIRS"),
-                (engine, "FOLLOWING_SCALAR_MAX_PAIRS"),
-            ):
-                monkeypatch.setattr(module, name, guard)
+        for guard in (0, 10**9):  # screen recognition, then test all pairs
+            monkeypatch.setattr(conflicts, "RECOGNITION_SCALAR_MAX_PAIRS", guard)
             config = SimulationConfig(
                 scene=scene, scenario=two_way_crowd(), params=ParameterSet.defaults(regime),
                 max_steps=60,

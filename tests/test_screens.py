@@ -1,10 +1,9 @@
-"""The numpy screens of the pair passes against their scalar rules.
+"""Conflict recognition's numpy screen against its scalar gates.
 
-Recognition, reactive stopping and the car-following leader search
-screen their pairs with one numpy pass over the step's AgentColumns
-above a pair-count guard. A screen may drop only pairs that its scalar
-rule rejects, so the screened pass must give what the all-pairs pass
-gives: the same conflicts, braking lists and leaders.
+Recognition screens its (car, agent) pairs with one numpy pass over the
+step's AgentColumns above a pair-count guard. The screen may drop only
+pairs that the scalar gates reject, so the screened pass must give what
+the all-pairs pass gives: the same conflicts and dissolved ids.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import car, open_square_scene, ped
-from sharedspace import conflicts, engine, forces
+from sharedspace import conflicts
 from sharedspace.conflicts import (
     CAR_CONE_HALF_ANGLE_DEG,
     Conflict,
@@ -30,32 +29,23 @@ from sharedspace.conflicts import (
     predicted_position,
     recognize_conflicts,
 )
-from sharedspace.engine import Scenario, Simulation, SimulationConfig
-from sharedspace.forces import in_stopping_corridor, reactive_stopping, stopping_candidates
 from sharedspace.geometry import Vec2, bearing_deg, within_cone
-from sharedspace.params import ParameterSet, SfmParams
+from sharedspace.params import SfmParams
 from sharedspace.scene import AgentColumns, AgentKind, Rect, Scene
 
 P = SfmParams()
-GUARDS = (
-    (conflicts, "RECOGNITION_SCALAR_MAX_PAIRS"),
-    (forces, "STOPPING_SCALAR_MAX_PAIRS"),
-    (engine, "FOLLOWING_SCALAR_MAX_PAIRS"),
-)
 ALWAYS, NEVER = 0, 10**9
 
 
 @contextmanager
-def guards(value: int):
-    """Set every pass's guard: ALWAYS screens, NEVER tests all pairs."""
-    saved = [getattr(module, name) for module, name in GUARDS]
-    for module, name in GUARDS:
-        setattr(module, name, value)
+def guard(value: int):
+    """Set recognition's guard: ALWAYS screens, NEVER tests all pairs."""
+    saved = conflicts.RECOGNITION_SCALAR_MAX_PAIRS
+    conflicts.RECOGNITION_SCALAR_MAX_PAIRS = value
     try:
         yield
     finally:
-        for (module, name), old in zip(GUARDS, saved):
-            setattr(module, name, old)
+        conflicts.RECOGNITION_SCALAR_MAX_PAIRS = saved
 
 
 def _box(x0, y0, x1, y1):
@@ -72,7 +62,7 @@ MIXED = Scene(
 INTERSECTION = open_square_scene(zone="intersection")
 ROAD = open_square_scene(zone="road")
 
-# - the scalar rules each screen stands in front of ---------------------
+# - the scalar gates the screen stands in front of ----------------------
 
 def recognition_accepts(c, other, in_intersection, in_road, params=P):
     """The geometric gates of the recognition scan, pair by pair."""
@@ -91,50 +81,28 @@ def recognition_accepts(c, other, in_intersection, in_road, params=P):
     )
 
 
-def follows(c, other, params=P):
-    """_find_following_leader's tests of one pair, best distance aside."""
-    offset = other.position - c.position
-    d = offset.norm()
-    return (
-        other is not c
-        and not (d > params.v_r or d == 0.0)
-        and within_cone(c.heading, offset, CAR_CONE_HALF_ANGLE_DEG)
-        and not c.heading.dot(other.heading) <= 0.0
-    )
-
-
 def check_screens(cars, peds, scene=MIXED, active=(), params=P):
-    """Every screen keeps every pair its rule accepts, and each pass
+    """The screen keeps every pair the gates accept, and recognition
     gives the same answer screened and over all pairs."""
     cars = sorted(cars, key=lambda a: a.id)
     peds = sorted(peds, key=lambda a: a.id)
-    sim = Simulation(SimulationConfig(scene=scene, scenario=Scenario("none"), params=ParameterSet(sfm=params)))
 
     def recognize():
         return recognize_conflicts(cars, peds, scene, params, active_conflicts=active, step=4, next_id=3)
 
-    with guards(ALWAYS):
+    with guard(ALWAYS):
         columns = AgentColumns(cars, peds, scene)
         scans = conflicts._scan_lists(columns, params)
-        braking = stopping_candidates(columns, params)
-        leaders = sim._leader_candidates(columns)
         screened = recognize()
-    with guards(NEVER):
+    with guard(NEVER):
         columns = AgentColumns(cars, peds, scene)
         everyone = recognize()
-        assert sim._leader_candidates(columns) == [cars] * len(cars)
     for k, c in enumerate(cars):
         inter, road = columns.in_intersection[k], columns.in_road[k]
         ids = {a.id for a in scans[k]}
         for other in cars + peds:
             if recognition_accepts(c, other, inter, road, params):
                 assert other.id in ids, (c.id, other.id)
-        kept = {p.id for p in braking[k]}
-        assert {p.id for p in peds if in_stopping_corridor(c, p, params)} <= kept
-        assert reactive_stopping(c, braking[k], params) == reactive_stopping(c, peds, params)
-        kept = {o.id for o in leaders[k]}
-        assert {o.id for o in cars if follows(c, o, params)} <= kept
-        assert sim._find_following_leader(c, leaders[k]) is sim._find_following_leader(c, cars)
     assert screened.new_conflicts == everyone.new_conflicts
     assert screened.dissolved_ids == everyone.dissolved_ids
     return everyone
@@ -214,14 +182,13 @@ class TestBandEdges:
         c = car("c1", position=Vec2(0, 0), heading=Vec2(1, 0), max_speed=0.3)
         inside = ped("p1", position=Vec2(P.v_r, 0.0), heading=Vec2(-1, 0), max_speed=1.0)
         beyond = ped("p2", position=Vec2(math.nextafter(P.v_r, 99.0), 0.0), heading=Vec2(-1, 0), max_speed=1.0)
-        # A diagonal whose hypot rounds onto the bound, and a leader car.
+        # A diagonal whose hypot rounds onto the bound, and a car at the bound.
         diagonal = ped("p3", position=Vec2(0.6 * P.v_r, 0.8 * P.v_r), heading=Vec2(-0.6, -0.8), max_speed=1.2)
         lead = car("c2", position=Vec2(P.v_r, 0.0), heading=Vec2(1, 0), max_speed=0.3)
         for scene in (INTERSECTION, ROAD):
             assert recognition_accepts(c, inside, scene is INTERSECTION, scene is ROAD)
             assert not recognition_accepts(c, beyond, True, True)
             out = check_screens([c, lead], [inside, beyond, diagonal], scene)
-        assert follows(c, lead)
         assert out.new_conflicts
 
     @pytest.mark.parametrize("half", [P.fov_half_angle_deg, CAR_CONE_HALF_ANGLE_DEG])
@@ -254,28 +221,6 @@ class TestBandEdges:
         assert recognition_accepts(c, other, True, False) is not beyond
         out = check_screens([c, other], [p], INTERSECTION)
         assert bool(out.new_conflicts) is not beyond
-
-    @pytest.mark.parametrize("h", [Vec2(1, 0), Vec2(0.6, 0.8), Vec2(-0.8, 0.6)])
-    def test_corridor_points_at_its_edges(self, h):
-        # The car is 2 m wide and pedestrians 0.5 m, so the half width
-        # is 1.25 m; the corridor reaches d_min_pc = 8 m ahead.
-        c = car("c1", position=Vec2(1.0, -2.0), heading=h, diameter=2.0)
-        n = h.left_normal()
-        up = math.nextafter
-        spots = [
-            (8.0, 0.0), (up(8.0, 9.0), 0.0), (0.0, 0.0), (up(0.0, 1.0), 0.0),
-            (4.0, 1.25), (4.0, -1.25), (4.0, up(1.25, 2.0)), (8.0, 1.25),
-        ]
-        # Walking across the car's front, so each one in the corridor brakes it.
-        peds = [
-            ped(f"p{k}", position=c.position + h * ahead + n * aside, heading=n, speed=1.0)
-            for k, (ahead, aside) in enumerate(spots)
-        ]
-        check_screens([c], peds, INTERSECTION)
-        if h == Vec2(1, 0):
-            # Exact on the axis: the far end and the sides are closed,
-            # the near end open (the car's own x absorbs the smallest step).
-            assert [p.id for p in reactive_stopping(c, peds, P)] == ["p0", "p4", "p5", "p7"]
 
     def test_subnormal_offset_reads_as_dead_ahead(self):
         # The offset's squared norm underflows to 0, so bearing_deg reads
@@ -380,10 +325,6 @@ class TestAgentColumns:
         for i, c in enumerate(cars):
             for j, a in enumerate(agents):
                 offset = a.position - c.position
-                normal = c.heading.left_normal()
-                # The products and sums of in_stopping_corridor, to the bit.
-                assert pairs.ahead[i, j] == offset.x * c.heading.x + offset.y * c.heading.y
-                assert pairs.aside[i, j] == offset.x * normal.x + offset.y * normal.y
                 assert pairs.distance[i, j] == pytest.approx(offset.norm(), rel=1e-15, abs=0.0)
                 theta = bearing_deg(c.heading, offset)
                 folded = theta if theta <= 180.0 else 360.0 - theta

@@ -5,13 +5,14 @@ the rest once into cars and pedestrians in id order and take one
 AgentColumns snapshot of them, which recognition and the repulsion
 pass read; run conflict recognition (every recognition_interval
 steps), solve games for new conflicts and latch the chosen actions,
-assign one mode per agent (cars: stopping > game > following > free
-flow; pedestrians: game > forces), record the frame with each agent's
-mode (the dropped agents as "arrived"), sum the agent repulsion on
-every pedestrian in force mode in one pass, integrate everyone from the
-same pre-step snapshot (a non-finite position or velocity rejects the
-scenario), then retire conflicts whose actions have completed or timed
-out.
+assign each agent one mode together with the one directive it moves
+under (cars: stopping > game > following > free flow; pedestrians:
+game > forces), record the frame with each agent's mode (the dropped
+agents as "arrived"), sum the agent repulsion on every pedestrian in
+force mode in one pass to complete their directives, integrate everyone
+from the same pre-step snapshot (a non-finite position or velocity
+rejects the scenario), then retire conflicts whose actions have
+completed or timed out.
 
 Runs are deterministic: equal configuration gives bit-identical traces.
 """
@@ -402,93 +403,71 @@ class Simulation:
             best_d = d
         return best
 
-    def _assign_modes(self, columns: AgentColumns) -> dict[str, tuple[Mode, object]]:
+    def _assign_modes(
+        self, columns: AgentColumns
+    ) -> dict[str, tuple[Mode, forces_mod.Directive | None]]:
+        """Each agent's mode and the one directive it moves under this
+        step; None for a pedestrian in force mode, whose directive needs
+        the step's repulsion pass."""
         cars, peds = columns.cars, columns.pedestrians
         sfm = self.config.params.sfm
         # The dut regime never brakes reactively.
         brakes = self.config.params.game.regime != "dut"
-        assignments: dict[str, tuple[Mode, object]] = {}
+        assignments: dict[str, tuple[Mode, forces_mod.Directive | None]] = {}
+        follower_of: dict[str, str] = {}
         for car in cars:
             stopping_for = forces_mod.reactive_stopping(car, peds, sfm) if brakes else []
             runtime = self._binding.get(car.id)
+            leader = None
             if stopping_for:
                 target = min(
                     stopping_for, key=lambda p: (car.position.distance_to(p.position), p.id)
                 )
-                assignments[car.id] = (Mode.STOPPING, target)
+                assignments[car.id] = (Mode.STOPPING, forces_mod.brake_for(car, target, sfm))
                 car.currently_stopping_for = frozenset(p.id for p in stopping_for)
             elif runtime is not None:
-                assignments[car.id] = (Mode.GAME, runtime)
-                action = runtime.actions.get(car.id)
-                partner = self._game_partner(car.id, runtime)
-                car.currently_stopping_for = (
-                    frozenset({partner.id})
-                    if action is Action.DECELERATE and partner is not None
-                    else frozenset()
-                )
+                directive, partner = self._game_directive(car, runtime)
+                assignments[car.id] = (Mode.GAME, directive)
+                # A car braking in its game (Decelerate) stops for its partner.
+                braking = isinstance(directive, forces_mod.SetSpeed)
+                car.currently_stopping_for = frozenset({partner.id}) if braking else frozenset()
             else:
                 leader = self._find_following_leader(car, cars)
                 if leader is not None:
-                    assignments[car.id] = (Mode.FOLLOWING, leader)
+                    directive = forces_mod.car_following_force(car, leader, sfm)
+                    assignments[car.id] = (Mode.FOLLOWING, directive)
+                    # The leader's nearest follower, the first in id order on a tie.
+                    prev = follower_of.get(leader.id)
+                    if prev is None or car.position.distance_to(leader.position) < (
+                        self.world.agents[prev].position.distance_to(leader.position)
+                    ):
+                        follower_of[leader.id] = car.id
                 else:
-                    assignments[car.id] = (Mode.FREE_FLOW, None)
+                    directive = forces_mod.DriveTo(car.next_waypoint(), car.desired_speed)
+                    assignments[car.id] = (Mode.FREE_FLOW, directive)
                 car.currently_stopping_for = frozenset()
-        follower_of: dict[str, str] = {}
-        for car in cars:
-            mode, payload = assignments[car.id]
-            car.following_car_id = payload.id if mode is Mode.FOLLOWING else None
-            if mode is Mode.FOLLOWING:
-                prev = follower_of.get(payload.id)
-                if prev is None or car.position.distance_to(payload.position) < (
-                    self.world.agents[prev].position.distance_to(payload.position)
-                ):
-                    follower_of[payload.id] = car.id
+            car.following_car_id = leader.id if leader is not None else None
         for car in cars:
             car.followed_by_car_id = follower_of.get(car.id)
         for ped in peds:
             runtime = self._binding.get(ped.id)
             if runtime is not None:
-                assignments[ped.id] = (Mode.GAME, runtime)
+                assignments[ped.id] = (Mode.GAME, self._game_directive(ped, runtime)[0])
             else:
                 assignments[ped.id] = (Mode.FORCES, None)
         return assignments
 
-    def _directives_for(
-        self, agent: AgentState, mode: Mode, payload: object
-    ) -> list[forces_mod.Directive]:
-        sfm = self.config.params.sfm
-        scene = self.config.scene
-        if mode is Mode.FREE_FLOW:
-            return [forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed)]
-        if mode is Mode.FORCES:
-            # payload: the summed repulsion from the other agents.
-            repulsion = payload + forces_mod.obstacle_repulsion(agent, scene, sfm)
-            return [
-                forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed),
-                forces_mod.Forces(repulsion),
-            ]
-        if mode is Mode.FOLLOWING:
-            leader = payload
-            outcome = forces_mod.car_following_force(agent, leader, sfm)
-            if isinstance(outcome, forces_mod.Steer):
-                return [forces_mod.DriveTo(outcome.target, agent.desired_speed)]
-            rate = forces_mod.decel_rate(
-                agent.speed, agent.position.distance_to(leader.position), sfm.d_min_cc
-            )
-            return [forces_mod.SetSpeed(max(0.0, agent.speed - rate))]
-        if mode is Mode.STOPPING:
-            ped = payload
-            rate = forces_mod.decel_rate(
-                agent.speed, agent.position.distance_to(ped.position), sfm.d_min_pc
-            )
-            return [forces_mod.SetSpeed(max(0.0, agent.speed - rate))]
-        # Game mode.
-        runtime = payload
-        action = runtime.actions.get(agent.id, Action.CONTINUE)
+    def _game_directive(
+        self, agent: AgentState, runtime: ConflictRuntime
+    ) -> tuple[forces_mod.Directive, AgentState | None]:
+        """The agent's latched game action as a directive, and the
+        partner it plays against; once that partner has left, the agent
+        drives on to its waypoint."""
         partner = self._game_partner(agent.id, runtime)
         if partner is None:
-            return [forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed)]
-        return [game_mod.apply_action(agent, action, partner, sfm)]
+            return forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed), None
+        action = runtime.actions.get(agent.id, Action.CONTINUE)
+        return game_mod.apply_action(agent, action, partner, self.config.params.sfm), partner
 
     # - main loop --------------------------------------------------------
 
@@ -550,22 +529,19 @@ class Simulation:
             self.trace.rows.append(
                 TraceRow(self.world.step, agent.id, agent.kind, agent.position.x, agent.position.y, mode)
             )
+        sfm = self.config.params.sfm
         agents = list(self.world.agents.values())
-        targets = [a for a in agents if assignments[a.id][0] is Mode.FORCES]
-        totals = forces_mod.agent_repulsion_totals(targets, agents, self.config.params.sfm, columns)
+        targets = [a for a in agents if assignments[a.id][1] is None]
+        totals = forces_mod.agent_repulsion_totals(targets, agents, sfm, columns)
         for agent, total in zip(targets, totals):
-            assignments[agent.id] = (Mode.FORCES, total)
-        directives = {
-            aid: self._directives_for(agent, *assignments[aid])
-            for aid, agent in self.world.agents.items()
-        }
+            push = total + forces_mod.obstacle_repulsion(agent, self.config.scene, sfm)
+            directive = forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed, push)
+            assignments[agent.id] = (Mode.FORCES, directive)
 
         new_agents: dict[str, AgentState] = {}
         for aid, agent in self.world.agents.items():
             self._advance_waypoints(agent)
-            moved = forces_mod.integrate_step(
-                agent, directives[aid], self.config.dt, self.config.params.sfm
-            )
+            moved = forces_mod.integrate_step(agent, assignments[aid][1], self.config.dt, sfm)
             if not (moved.position.is_finite() and moved.velocity.is_finite()):
                 raise ScenarioRejectedError(
                     f"agent {aid}: non-finite state at step {self.world.step}"

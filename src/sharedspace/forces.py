@@ -3,8 +3,11 @@
 Pedestrians move under a driving force plus exponential repulsion from
 agents and obstacles, weighted by an anisotropy factor that discounts
 events behind them. Cars move through discrete modes (free flow,
-following, game action, reactive stopping); their updates arrive here
-as movement directives.
+following, game action, reactive stopping). Each agent-step arrives
+here as one directive: a `DriveTo`, whose `push` carries a force-mode
+pedestrian's summed agent and obstacle repulsion, or a `SetSpeed`. A
+car stopping, following too close or decelerating in a game slows by
+the one braking rule, `brake_for`.
 
 `agent_repulsion` is the pairwise rule. The engine sums it for every
 pedestrian in force mode once per step (`agent_repulsion_totals`), by
@@ -42,10 +45,12 @@ from .scene import AgentColumns, AgentKind, AgentState, Scene
 
 @dataclass(frozen=True)
 class DriveTo:
-    """Relax velocity toward a target point at a cruise speed."""
+    """Relax velocity toward a target point at a cruise speed, plus a
+    pre-summed acceleration (a pedestrian's repulsion terms)."""
 
     target: Vec2
     speed: float
+    push: Vec2 = Vec2(0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -55,26 +60,7 @@ class SetSpeed:
     speed: float
 
 
-@dataclass(frozen=True)
-class Forces:
-    """Pre-summed accelerations (repulsion terms)."""
-
-    total: Vec2
-
-
-Directive = DriveTo | SetSpeed | Forces
-
-
-@dataclass(frozen=True)
-class Steer:
-    """Car-following outcome: head toward a point beside the leader."""
-
-    target: Vec2
-
-
-@dataclass(frozen=True)
-class Decelerate:
-    """Car-following outcome: gap below the safety distance."""
+Directive = DriveTo | SetSpeed
 
 
 def driving_force(agent: AgentState, target: Vec2, speed: float, tau: float) -> Vec2:
@@ -243,20 +229,20 @@ def _outward_normal_near(p: Vec2, poly: Sequence[Vec2]) -> Vec2:
     return best_normal
 
 
-def car_following_force(car: AgentState, leader: AgentState, params: SfmParams) -> Steer | Decelerate:
+def car_following_force(car: AgentState, leader: AgentState, params: SfmParams) -> Directive:
     """Keep-distance rule behind another car.
 
-    At or beyond the safety gap the car steers toward the point one
+    At or beyond the safety gap the car drives toward the point one
     safety gap along the leader's direction of motion; closer than that
-    it must decelerate.
+    it brakes for the leader.
     """
     d = car.position.distance_to(leader.position)
     if d >= params.d_min_cc:
         leader_dir = leader.velocity.normalized()
         if leader_dir.norm_sq() == 0.0:
             leader_dir = leader.heading
-        return Steer(target=car.position + leader_dir * params.d_min_cc)
-    return Decelerate()
+        return DriveTo(car.position + leader_dir * params.d_min_cc, car.desired_speed)
+    return brake_for(car, leader, params)
 
 
 def decel_rate(speed: float, distance: float, d_min: float) -> float:
@@ -264,6 +250,15 @@ def decel_rate(speed: float, distance: float, d_min: float) -> float:
     if distance <= d_min:
         return speed / 2.0
     return speed * speed / (distance - d_min)
+
+
+def brake_for(car: AgentState, other: AgentState, params: SfmParams) -> SetSpeed:
+    """The car's next speed when it brakes for `other`: reduced at
+    decel_rate against the safety distance for other's kind, never
+    below zero."""
+    distance = car.position.distance_to(other.position)
+    d_min = params.d_min_for(other.kind is AgentKind.CAR)
+    return SetSpeed(max(0.0, car.speed - decel_rate(car.speed, distance, d_min)))
 
 
 def in_stopping_corridor(car: AgentState, ped: AgentState, params: SfmParams) -> bool:
@@ -314,36 +309,26 @@ def _unit_or(x: float, y: float, fallback: Vec2) -> tuple[float, float]:
     return fallback.x, fallback.y
 
 
-def integrate_step(
-    agent: AgentState, directives: Sequence[Directive], dt: float, params: SfmParams
-) -> AgentState:
-    """Advance one step: velocity first, then position with the new
-    velocity. Speed is clamped to the agent's maximum.
+def integrate_step(agent: AgentState, directive: Directive, dt: float, params: SfmParams) -> AgentState:
+    """Advance one step under one directive: velocity first, then
+    position with the new velocity. Speed is clamped to the agent's
+    maximum.
 
     The arithmetic is that of the Vec2 rules (`driving_force`,
     `Vec2.normalized`, ...) written out on plain floats, operation by
     operation, so the result is the same to the bit."""
     vx, vy = agent.velocity.x, agent.velocity.y
-    speed_sets = [d for d in directives if isinstance(d, SetSpeed)]
-    if speed_sets:
-        new_speed = min(d.speed for d in speed_sets)
-        new_speed = max(0.0, new_speed)
+    if isinstance(directive, SetSpeed):
+        new_speed = max(0.0, directive.speed)
         dx, dy = _unit_or(vx, vy, agent.heading)
         vx, vy = dx * new_speed, dy * new_speed
     else:
-        tx, ty = 0.0, 0.0
-        for d in directives:
-            if isinstance(d, DriveTo):
-                # driving_force(agent, d.target, d.speed, params.tau)
-                dx, dy = _unit_or(
-                    d.target.x - agent.position.x, d.target.y - agent.position.y, agent.heading
-                )
-                inv_tau = 1.0 / params.tau
-                tx = tx + (dx * d.speed - vx) * inv_tau
-                ty = ty + (dy * d.speed - vy) * inv_tau
-            elif isinstance(d, Forces):
-                tx = tx + d.total.x
-                ty = ty + d.total.y
+        # driving_force(agent, target, speed, params.tau) + push
+        target, push = directive.target, directive.push
+        dx, dy = _unit_or(target.x - agent.position.x, target.y - agent.position.y, agent.heading)
+        inv_tau = 1.0 / params.tau
+        tx = 0.0 + (dx * directive.speed - vx) * inv_tau + push.x
+        ty = 0.0 + (dy * directive.speed - vy) * inv_tau + push.y
         vx, vy = vx + tx * dt, vy + ty * dt
     speed = math.hypot(vx, vy)
     if speed > agent.max_speed > 0.0:

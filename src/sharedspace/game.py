@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .forces import Directive, DriveTo, SetSpeed, decel_rate
+from .forces import Directive, DriveTo, SetSpeed, brake_for
 from .geometry import Vec2, bearing_deg, manhattan, segments_intersect
 from .params import GameParams, SfmParams
 from .scene import AgentKind, AgentState, in_field_of_view
@@ -346,8 +346,8 @@ def apply_action(
 
     Continue keeps the pedestrian crossing ahead of the car (one action
     scale in front) when their goal line cuts the car's frontal
-    segment. Decelerate halves pedestrian speed, or brakes a car at a
-    distance-dependent rate. Deviate aims one action scale behind the
+    segment. Decelerate halves pedestrian speed, or brakes a car for its
+    partner (brake_for). Deviate aims one action scale behind the
     car while it stays in view.
     """
     if agent.kind is AgentKind.CAR and action is Action.DEVIATE:
@@ -362,10 +362,7 @@ def apply_action(
     if action is Action.DECELERATE:
         if agent.kind is AgentKind.PEDESTRIAN:
             return SetSpeed(speed=agent.speed / 2.0)
-        distance = agent.position.distance_to(partner.position)
-        d_min = sfm.d_min_for(partner.kind is AgentKind.CAR)
-        rate = decel_rate(agent.speed, distance, d_min)
-        return SetSpeed(speed=max(0.0, agent.speed - rate))
+        return brake_for(agent, partner, sfm)
     # Deviate, pedestrian only.
     if in_field_of_view(agent, partner.position, sfm.fov_half_angle_deg, sfm.v_r):
         target = partner.position - partner.heading * sfm.s_a

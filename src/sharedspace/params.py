@@ -160,6 +160,13 @@ _GAME_SCALARS = {
 }
 
 
+def _number(key: str, value: object) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterFileError(f"{key}: expected a number, got {value!r}") from exc
+
+
 def parameter_set_from_dict(raw: dict) -> ParameterSet:
     known = set(_PAIR_KEYS) | set(_SFM_SCALARS) | set(_GAME_SCALARS) | {"regime"}
     unknown = set(raw) - known
@@ -177,16 +184,16 @@ def parameter_set_from_dict(raw: dict) -> ParameterSet:
                 raise ParameterFileError(f"{key}: unknown sub-keys {sorted(bad)}")
             for sub, attr in slots:
                 if sub in value:
-                    setattr(ps.sfm, attr, float(value[sub]))
+                    setattr(ps.sfm, attr, _number(f"{key}.{sub}", value[sub]))
         else:
             for _, attr in slots:
-                setattr(ps.sfm, attr, float(value))
+                setattr(ps.sfm, attr, _number(key, value))
     for key, attr in _SFM_SCALARS.items():
         if key in raw:
-            setattr(ps.sfm, attr, float(raw[key]))
+            setattr(ps.sfm, attr, _number(key, raw[key]))
     for key, attr in _GAME_SCALARS.items():
         if key in raw:
-            setattr(ps.game, attr, float(raw[key]))
+            setattr(ps.game, attr, _number(key, raw[key]))
     ps.validate()
     return ps
 

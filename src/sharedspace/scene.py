@@ -220,6 +220,13 @@ def in_field_of_view(
     return within_cone(observer.heading, offset, half_angle_deg)
 
 
+def _number(raw: object, label: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSceneError(f"{label}: expected a number, got {raw!r}") from exc
+
+
 def _poly_from_json(raw: object, scale: float, label: str) -> tuple[Vec2, ...]:
     if not isinstance(raw, list):
         raise InvalidSceneError(f"{label}: expected a list of [x, y] pairs")
@@ -227,8 +234,15 @@ def _poly_from_json(raw: object, scale: float, label: str) -> tuple[Vec2, ...]:
     for pt in raw:
         if not (isinstance(pt, list) and len(pt) == 2):
             raise InvalidSceneError(f"{label}: expected [x, y] pairs")
-        out.append(Vec2(float(pt[0]) * scale, float(pt[1]) * scale))
+        out.append(Vec2(_number(pt[0], label) * scale, _number(pt[1], label) * scale))
     return tuple(out)
+
+
+def _polys_from_json(raw: dict, key: str, scale: float, path: object) -> tuple[tuple[Vec2, ...], ...]:
+    polys = raw.get(key, [])
+    if not isinstance(polys, list):
+        raise InvalidSceneError(f"{path}: {key}: expected a list of polygons")
+    return tuple(_poly_from_json(p, scale, f"{path}: {key}[{i}]") for i, p in enumerate(polys))
 
 
 _SCENE_KEYS = {"obstacles", "intersection_zones", "road_zones", "bounds", "meters_per_unit"}
@@ -244,27 +258,17 @@ def load_scene(path: str | Path) -> Scene:
     unknown = set(raw) - _SCENE_KEYS
     if unknown:
         raise InvalidSceneError(f"{path}: unknown keys {sorted(unknown)}")
-    scale = float(raw.get("meters_per_unit", 1.0))
+    scale = _number(raw.get("meters_per_unit", 1.0), f"{path}: meters_per_unit")
     if not scale > 0.0:
         raise InvalidSceneError(f"{path}: meters_per_unit must be positive")
     bounds_raw = raw.get("bounds")
-    if bounds_raw is None or len(bounds_raw) != 4:
+    if not (isinstance(bounds_raw, list) and len(bounds_raw) == 4):
         raise InvalidSceneError(f"{path}: bounds must be [x_min, y_min, x_max, y_max]")
-    bounds = Rect(*(float(v) * scale for v in bounds_raw))
     scene = Scene(
-        obstacles=tuple(
-            _poly_from_json(p, scale, f"obstacles[{i}]")
-            for i, p in enumerate(raw.get("obstacles", []))
-        ),
-        intersection_zones=tuple(
-            _poly_from_json(p, scale, f"intersection_zones[{i}]")
-            for i, p in enumerate(raw.get("intersection_zones", []))
-        ),
-        road_zones=tuple(
-            _poly_from_json(p, scale, f"road_zones[{i}]")
-            for i, p in enumerate(raw.get("road_zones", []))
-        ),
-        bounds=bounds,
+        obstacles=_polys_from_json(raw, "obstacles", scale, path),
+        intersection_zones=_polys_from_json(raw, "intersection_zones", scale, path),
+        road_zones=_polys_from_json(raw, "road_zones", scale, path),
+        bounds=Rect(*(_number(v, f"{path}: bounds") * scale for v in bounds_raw)),
         meters_per_unit=scale,
     )
     scene.validate()

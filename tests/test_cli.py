@@ -767,3 +767,31 @@ class TestValidate:
         bad = tmp_path / "params.json"
         bad.write_text(json.dumps({"tau": -1.0}))
         assert main(["validate", "--scene", str(scene_path), "--params", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "content, field",
+        [
+            ({"bounds": 5}, "bounds"),
+            ({"bounds": [0, 0, 10, [1]]}, "bounds"),
+            ({"bounds": [0, 0, 10, 10], "meters_per_unit": [1]}, "meters_per_unit"),
+            ({"bounds": [0, 0, 10, 10], "obstacles": [[[1, 1], [2, 1], [0, None]]]}, "obstacles[0]"),
+            ({"bounds": [0, 0, 10, 10], "obstacles": 5}, "obstacles"),
+        ],
+    )
+    def test_malformed_scene_exits_2_with_one_line(self, tmp_path, capsys, content, field) -> None:
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps(content))
+        assert main(["validate", "--scene", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("content, key", [({"u0": [1]}, "u0"), ({"v0": {"pp": None}}, "v0.pp")])
+    def test_wrong_typed_params_exit_2_with_one_line(self, tmp_path, capsys, content, key) -> None:
+        scene_path, _ = write_crossing_inputs(tmp_path)
+        bad = tmp_path / "params.json"
+        bad.write_text(json.dumps(content))
+        assert main(["validate", "--scene", str(scene_path), "--params", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key}: expected a number" in err
+        assert len(err.strip().splitlines()) == 1

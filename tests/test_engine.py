@@ -432,6 +432,62 @@ class TestModes:
         assert modes["p1"] == "game"
 
 
+class TestBraking:
+    # The car's 10 m gap to cars and 8 m gap to pedestrians put each
+    # case on a different branch of decel_rate if the wrong one is used.
+    @pytest.mark.parametrize(
+        "zone, entries, braking, other, mode",
+        [
+            # A pedestrian 8.08 m off, just inside the car's lane, walks across it.
+            (
+                "intersection",
+                [
+                    car_entry("c1", position=Vec2(0.0, 0.0), goal=Vec2(30.0, 0.0)),
+                    ped_entry("p1", position=Vec2(7.99, 1.2), velocity=Vec2(0.0, -1.2), goal=Vec2(7.99, -8.0)),
+                ],
+                "c1", "p1", "stopping",
+            ),
+            # A car 9 m behind another; a road zone hosts no car-car game.
+            (
+                "road",
+                [
+                    car_entry("c1", position=Vec2(0.0, 0.0), goal=Vec2(40.0, 0.0)),
+                    car_entry("c2", position=Vec2(-9.0, 0.0), goal=Vec2(40.0, 0.0)),
+                ],
+                "c2", "c1", "following",
+            ),
+            # A slow car yields to a fast pedestrian in a game.
+            (
+                "intersection",
+                [
+                    car_entry(position=Vec2(-6.0, 0.0), velocity=Vec2(1.0, 0.0), desired_speed=1.0, max_speed=1.2),
+                    ped_entry(position=Vec2(0.0, -6.0)),
+                ],
+                "c1", "p1", "game",
+            ),
+        ],
+    )
+    def test_one_rule_in_every_braking_mode(self, zone, entries, braking, other, mode) -> None:
+        params = ParameterSet()
+        params.sfm.d_min_cc = 10.0
+        config = SimulationConfig(
+            scene=open_square_scene(zone=zone), scenario=Scenario("s", entries), params=params
+        )
+        sim = Simulation(config)
+        sim.step()
+        assert modes_at_step(sim.trace, 0)[braking] == mode
+        if mode == "game":
+            decided = {d.agent_id: d.action for d in sim.trace.decisions}
+            assert decided[braking] is Action.DECELERATE
+        entry = {e.id: e for e in entries}
+        car, them = entry[braking], entry[other]
+        v = car.velocity.norm()
+        d_min = params.sfm.d_min_for(them.kind is AgentKind.CAR)
+        want = max(0.0, v - forces.decel_rate(v, car.position.distance_to(them.position), d_min))
+        # Along +x the unit direction is exact, so the speed keeps its bits.
+        assert sim.world.agents[braking].velocity == Vec2(want, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Conflict lifecycle
 # ---------------------------------------------------------------------------

@@ -10,14 +10,12 @@ from helpers import car, ped
 from sharedspace import forces
 from sharedspace.forces import (
     SCALAR_REPULSION_MAX_PAIRS,
-    Decelerate,
     DriveTo,
-    Forces,
     SetSpeed,
-    Steer,
     agent_repulsion,
     agent_repulsion_totals,
     anisotropy_factor,
+    brake_for,
     car_following_force,
     decel_rate,
     driving_force,
@@ -335,20 +333,36 @@ class TestCarFollowing:
         follower = car("f", position=Vec2(0, 0), heading=Vec2(1, 0))
         leader = car("l", position=Vec2(10, 0), heading=Vec2(1, 0), speed=3.0)
         out = car_following_force(follower, leader, P)
-        assert isinstance(out, Steer)
-        assert out.target == Vec2(8.0, 0.0)  # one safety gap along leader motion
+        # one safety gap along leader motion, at the follower's cruise speed
+        assert out == DriveTo(Vec2(8.0, 0.0), follower.desired_speed)
 
     def test_decelerate_when_too_close(self):
-        follower = car("f", position=Vec2(0, 0), heading=Vec2(1, 0))
+        follower = car("f", position=Vec2(0, 0), heading=Vec2(1, 0), speed=4.0)
         leader = car("l", position=Vec2(5, 0), heading=Vec2(1, 0))
-        assert isinstance(car_following_force(follower, leader, P), Decelerate)
+        out = car_following_force(follower, leader, P)
+        assert out == brake_for(follower, leader, P) == SetSpeed(2.0)
 
     def test_stationary_leader_uses_heading(self):
         follower = car("f", position=Vec2(0, 0), heading=Vec2(1, 0))
         leader = car("l", position=Vec2(9, 0), heading=Vec2(0, 1), speed=0.0)
         out = car_following_force(follower, leader, P)
-        assert isinstance(out, Steer)
+        assert isinstance(out, DriveTo)
         assert out.target == Vec2(0.0, 8.0)
+
+
+class TestBrakeFor:
+    def test_safety_distance_by_kind_of_other(self):
+        params = dataclasses.replace(P, d_min_pc=5.0, d_min_cc=7.0)
+        c = car("c", position=Vec2(0, 0), heading=Vec2(1, 0), speed=4.0)
+        # 6 m beyond a pedestrian's 5 m safety distance: 16 / 1 = 4, so a stop
+        assert brake_for(c, ped("p", position=Vec2(6, 0)), params) == SetSpeed(0.0)
+        # 6 m inside a car's 7 m safety distance: half speed
+        assert brake_for(c, car("o", position=Vec2(6, 0)), params) == SetSpeed(2.0)
+
+    def test_far_beyond_safety_distance_slows_gently(self):
+        c = car("c", position=Vec2(0, 0), heading=Vec2(1, 0), speed=4.0)
+        other = car("o", position=Vec2(24, 0))
+        assert brake_for(c, other, P) == SetSpeed(4.0 - 16.0 / 16.0)
 
 
 class TestDecelRate:
@@ -460,68 +474,52 @@ class TestStoppingCorridor:
 class TestIntegrateStep:
     def test_semi_implicit_order(self):
         a = ped(position=Vec2(0, 0), heading=Vec2(1, 0), speed=1.0, max_speed=10.0)
-        out = integrate_step(a, [Forces(Vec2(2.0, 0.0))], dt=0.5, params=P)
+        # At its cruise speed the driving term is zero: only the push acts.
+        out = integrate_step(a, DriveTo(Vec2(5, 0), 1.0, push=Vec2(2.0, 0.0)), dt=0.5, params=P)
         # v' = 1 + 0.5*2 = 2; x' = 0 + 0.5*2 = 1 (new velocity moves the agent)
         assert out.velocity.x == pytest.approx(2.0)
         assert out.position.x == pytest.approx(1.0)
 
     def test_speed_clamped_to_max(self):
         a = ped(position=Vec2(0, 0), heading=Vec2(1, 0), speed=1.0, max_speed=1.2)
-        out = integrate_step(a, [Forces(Vec2(100.0, 0.0))], dt=0.5, params=P)
+        out = integrate_step(a, DriveTo(Vec2(5, 0), 1.0, push=Vec2(100.0, 0.0)), dt=0.5, params=P)
         assert out.velocity.norm() == pytest.approx(1.2)
-
-    def test_set_speed_overrides_forces(self):
-        a = car(position=Vec2(0, 0), heading=Vec2(1, 0), speed=4.0, max_speed=10.0)
-        out = integrate_step(a, [SetSpeed(2.0), Forces(Vec2(50, 50))], dt=0.5, params=P)
-        assert out.velocity == Vec2(2.0, 0.0)
-        assert out.position == Vec2(1.0, 0.0)
-
-    def test_multiple_set_speeds_take_minimum(self):
-        a = car(position=Vec2(0, 0), heading=Vec2(1, 0), speed=4.0, max_speed=10.0)
-        out = integrate_step(a, [SetSpeed(3.0), SetSpeed(1.0)], dt=0.5, params=P)
-        assert out.velocity.norm() == pytest.approx(1.0)
 
     def test_set_speed_never_negative(self):
         a = car(position=Vec2(0, 0), heading=Vec2(1, 0), speed=1.0)
-        out = integrate_step(a, [SetSpeed(-5.0)], dt=0.5, params=P)
+        out = integrate_step(a, SetSpeed(-5.0), dt=0.5, params=P)
         assert out.velocity.norm() == 0.0
         assert out.position == Vec2(0.0, 0.0)
 
     def test_heading_follows_motion(self):
         a = ped(position=Vec2(0, 0), heading=Vec2(1, 0), speed=0.0, max_speed=5.0)
-        out = integrate_step(a, [Forces(Vec2(0.0, 3.0))], dt=0.5, params=P)
+        out = integrate_step(a, DriveTo(Vec2(0, 0), 0.0, push=Vec2(0.0, 3.0)), dt=0.5, params=P)
         assert out.heading.y == pytest.approx(1.0)
 
     def test_heading_kept_when_stopped(self):
         a = car(position=Vec2(0, 0), heading=Vec2(1, 0), speed=0.0)
-        out = integrate_step(a, [SetSpeed(0.0)], dt=0.5, params=P)
+        out = integrate_step(a, SetSpeed(0.0), dt=0.5, params=P)
         assert out.heading == Vec2(1.0, 0.0)
 
     def test_drive_to_converges_to_cruise_speed(self):
         a = ped(position=Vec2(0, 0), heading=Vec2(1, 0), speed=0.0, max_speed=5.0)
         for _ in range(40):
-            a = integrate_step(a, [DriveTo(Vec2(1000, 0), 1.4)], dt=0.5, params=P)
+            a = integrate_step(a, DriveTo(Vec2(1000, 0), 1.4), dt=0.5, params=P)
         assert a.velocity.x == pytest.approx(1.4, rel=1e-6)
 
 
-def vec_integrate_step(agent, directives, dt, params):
+def vec_integrate_step(agent, directive, dt, params):
     """integrate_step in its Vec2 form, as it was before it was written
     out on plain floats; the float form must agree to the bit."""
-    speed_sets = [d for d in directives if isinstance(d, SetSpeed)]
-    if speed_sets:
-        new_speed = min(d.speed for d in speed_sets)
-        new_speed = max(0.0, new_speed)
+    if isinstance(directive, SetSpeed):
+        new_speed = max(0.0, directive.speed)
         direction = agent.velocity.normalized()
         if direction.norm_sq() == 0.0:
             direction = agent.heading
         velocity = direction * new_speed
     else:
-        total = Vec2(0.0, 0.0)
-        for d in directives:
-            if isinstance(d, DriveTo):
-                total = total + driving_force(agent, d.target, d.speed, params.tau)
-            elif isinstance(d, Forces):
-                total = total + d.total
+        drive = driving_force(agent, directive.target, directive.speed, params.tau)
+        total = Vec2(0.0, 0.0) + drive + directive.push
         velocity = agent.velocity + total * dt
     speed = velocity.norm()
     if speed > agent.max_speed > 0.0:
@@ -552,7 +550,7 @@ _vec = st.builds(Vec2, _signed, _signed)
 _directive = st.one_of(
     st.builds(SetSpeed, st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-5.0, 10.0))),
     st.builds(DriveTo, _vec, st.floats(0.0, 10.0)),
-    st.builds(Forces, _vec),
+    st.builds(DriveTo, _vec, st.floats(0.0, 10.0), push=_vec),
 )
 
 
@@ -563,36 +561,37 @@ class TestIntegrateStepMatchesVec2Form:
         _vec,
         st.sampled_from([Vec2(1, 0), Vec2(0, -1), Vec2(0.6, 0.8)]),
         st.one_of(st.sampled_from([0.5, 2.2, 1e-9]), st.floats(0.01, 30.0)),
-        st.lists(_directive, max_size=4),
+        _directive,
         st.sampled_from([0.5, 0.1, 1.0]),
         st.sampled_from([P, dataclasses.replace(P, tau=0.3)]),
     )
     @settings(max_examples=400, deadline=None)
-    def test_same_bits(self, make, position, velocity, heading, max_speed, directives, dt, params):
+    def test_same_bits(self, make, position, velocity, heading, max_speed, directive, dt, params):
         agent = dataclasses.replace(
             make(position=position, heading=heading, max_speed=max_speed, waypoints=[Vec2(5, 5)]),
             velocity=velocity,
         )
         before = state_bits(agent)
-        got = integrate_step(agent, directives, dt, params)
-        assert state_bits(got) == state_bits(vec_integrate_step(agent, directives, dt, params))
+        got = integrate_step(agent, directive, dt, params)
+        assert state_bits(got) == state_bits(vec_integrate_step(agent, directive, dt, params))
         assert got.waypoints is agent.waypoints
         assert state_bits(agent) == before
 
     @pytest.mark.parametrize(
         "velocity, directives",
         [
-            (Vec2(0.0, 0.0), [SetSpeed(1.0)]),  # no motion: along the heading
-            (Vec2(-0.0, 0.0), [SetSpeed(-0.0)]),
-            (Vec2(0.0, -0.0), [Forces(Vec2(-0.0, -0.0))]),  # 0.0 + -0.0 is 0.0
-            (Vec2(-0.0, -0.0), []),
-            (Vec2(1.0, 0.0), [DriveTo(Vec2(0.0, 0.0), 1.0)]),  # target underfoot
-            (Vec2(3.0, 4.0), [Forces(Vec2(100.0, 0.0))]),  # clamped
-            (Vec2(3.0, 4.0), [SetSpeed(9.0), DriveTo(Vec2(5, 5), 1.0)]),  # clamped
-            (Vec2(1e-10, 0.0), [Forces(Vec2(0.0, 0.0))]),  # too slow to turn
+            (Vec2(0.0, 0.0), SetSpeed(1.0)),  # no motion: along the heading
+            (Vec2(-0.0, 0.0), SetSpeed(-0.0)),
+            (Vec2(0.0, -0.0), DriveTo(Vec2(0.0, 0.0), 0.0, push=Vec2(-0.0, -0.0))),  # 0.0 + -0.0 is 0.0
+            (Vec2(-0.0, -0.0), DriveTo(Vec2(0.0, 0.0), 0.0)),
+            (Vec2(1.0, 0.0), DriveTo(Vec2(0.0, 0.0), 1.0)),  # target underfoot
+            (Vec2(3.0, 4.0), DriveTo(Vec2(0.0, 0.0), 0.0, push=Vec2(100.0, 0.0))),  # clamped
+            (Vec2(3.0, 4.0), SetSpeed(9.0)),  # clamped
+            (Vec2(1e-10, 0.0), DriveTo(Vec2(5.0, 0.0), 1e-10)),  # too slow to turn
         ],
     )
     def test_edge_cases(self, velocity, directives):
+        # One directive per case; the column keeps its name for stable test ids.
         agent = dataclasses.replace(ped(max_speed=2.0, heading=Vec2(0, 1)), velocity=velocity)
         got = integrate_step(agent, directives, 0.5, P)
         assert state_bits(got) == state_bits(vec_integrate_step(agent, directives, 0.5, P))

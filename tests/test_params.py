@@ -109,6 +109,15 @@ class TestSerialization:
         with pytest.raises(ParameterFileError):
             parameter_set_from_dict({"v0": {"pp": 1.0, "zz": 2.0}})
 
+    @pytest.mark.parametrize(
+        "raw, key",
+        [({"u0": [1]}, "u0"), ({"v0": {"pp": None}}, "v0.pp"), ({"v0": "x"}, "v0"),
+         ({"g_angle": {}}, "g_angle")],
+    )
+    def test_wrong_typed_value_names_its_key(self, raw, key):
+        with pytest.raises(ParameterFileError, match=rf"^{key}: expected a number"):
+            parameter_set_from_dict(raw)
+
     def test_to_dict_round_trips_through_from_dict(self):
         ps = ParameterSet.defaults("hbs")
         assert parameter_set_from_dict(parameter_set_to_dict(ps)) == ps

@@ -156,7 +156,7 @@ def _config_value(action: argparse.Action, key: str, value, path: Path):
         raise bad
     try:
         converted = (action.type or str)(str(value))
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise bad from None
     if action.choices is not None and converted not in action.choices:
         raise bad
@@ -634,12 +634,20 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _seconds(text: str) -> float:
+    """A --dt value: a positive, finite number of seconds."""
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive, finite number of seconds, got {text!r}")
+    return value
+
+
 def _add_common_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params", help="parameter set JSON (default: built-in values)")
     p.add_argument("--regime", choices=["hbs", "dut"], default=None,
                    help="parameter regime when no file is given; overrides the file's regime field")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dt", type=float, default=0.5, help="seconds per step/frame")
+    p.add_argument("--dt", type=_seconds, default=0.5, help="seconds per step/frame")
     p.add_argument("--config", help="JSON file whose keys override the flags")
 
 
@@ -674,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", help="recorded decisions CSV")
     p.add_argument("--sim-decisions", help="decisions CSV from a simulate run")
     p.add_argument("--out", required=True)
-    p.add_argument("--dt", type=float, default=0.5)
+    p.add_argument("--dt", type=_seconds, default=0.5)
     p.add_argument("--config", help="JSON file whose keys override the flags")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -18,8 +18,12 @@ rest go through the scalar rules, in the same order. The screen
 decides nothing, so conflicts, their ids and order are the same with
 or without it.
 
-Guards consume prior-step state only, so a pass is idempotent on a
-fixed snapshot.
+The active conflicts are the only record of who is engaged with whom.
+A pass reads two maps of engagements from them: the one it started
+with and a live one that it updates as it creates conflicts and merges
+them away. A pair engaged in either map is not tested again, so a
+road-zone merge that dissolves an engagement does not let the pair be
+detected again in the same pass.
 """
 
 from __future__ import annotations
@@ -227,7 +231,8 @@ def recognize_conflicts(
     agents: dict[str, AgentState] = {a.id: a for a in columns.agents}
 
     conflict_by_id: dict[int, Conflict] = {c.id: c for c in active_conflicts}
-    partners = partner_sets(conflict_by_id.values(), agents)
+    prior = partner_sets(active_conflicts, agents)
+    partners = {aid: set(ids) for aid, ids in prior.items()}
     counter = next_id
     # Each agent's predicted position, made when a pair first needs it.
     ahead: dict[str, Vec2] = {}
@@ -241,17 +246,11 @@ def recognize_conflicts(
     for car, scan, in_intersection in zip(cars, scans, columns.in_intersection):
         competitive_peds: list[str] = []
         competitive_cars: list[str] = []
+        # Agents engaged with the car when the pass began or since.
+        engaged = prior[car.id] | partners[car.id]
         if in_intersection:
             for other in scan:
-                if other.id == car.id:
-                    continue
-                # Skip pairs already engaged with each other, including
-                # engagements created earlier in this same pass.
-                if other.id in car.prior_conflict_partners:
-                    continue
-                if car.id in other.prior_conflict_partners:
-                    continue
-                if other.id in partners.get(car.id, ()):
+                if other.id == car.id or other.id in engaged:
                     continue
                 if car.position.distance_to(other.position) > params.v_r:
                     continue
@@ -266,9 +265,7 @@ def recognize_conflicts(
                     competitive_peds.append(other.id)
         else:
             for ped in scan:
-                if ped.id in car.prior_conflict_partners:
-                    continue
-                if ped.id in partners.get(car.id, ()):
+                if ped.id in engaged:
                     continue
                 if car.position.distance_to(ped.position) > params.v_r:
                     continue

@@ -3,16 +3,18 @@
 Each step: spawn due agents, drop those that arrived last step, split
 the rest once into cars and pedestrians in id order and take one
 AgentColumns snapshot of them, which recognition and the repulsion
-pass read; run conflict recognition (every recognition_interval
-steps), solve games for new conflicts and latch the chosen actions,
-assign each agent one mode together with the one directive it moves
-under (cars: stopping > game > following > free flow; pedestrians:
-game > forces), record the frame with each agent's mode (the dropped
-agents as "arrived"), sum the agent repulsion on every pedestrian in
-force mode in one pass to complete their directives, integrate everyone
-from the same pre-step snapshot (a non-finite position or velocity
-rejects the scenario), then retire conflicts whose actions have
-completed or timed out.
+pass read; run conflict recognition, solve games for new conflicts and
+latch the chosen actions, assign each agent one mode together with the
+one directive it moves under (cars: stopping > game > following > free
+flow; pedestrians: game > forces), record the frame with each agent's
+mode (the dropped agents as "arrived"), sum the agent repulsion on
+every pedestrian in force mode in one pass to complete their
+directives, integrate everyone from the same pre-step snapshot (a
+non-finite position or velocity rejects the scenario), then retire
+conflicts whose actions have completed or timed out.
+
+The active conflicts are the only record of who is engaged with whom;
+recognition and feature extraction derive what they need from them.
 
 Runs are deterministic: equal configuration gives bit-identical traces.
 """
@@ -111,7 +113,6 @@ class SimulationConfig:
     dt: float = 0.5
     max_steps: int = 400
     seed: int = 0
-    recognition_interval: int = 1
     conflict_timeout: int = 40
 
 
@@ -159,7 +160,6 @@ class SimulationTrace:
 @dataclass
 class ConflictRuntime:
     conflict: Conflict
-    leader: str
     actions: dict[str, Action]
 
 
@@ -203,8 +203,8 @@ class Simulation:
         config.scene.validate()
         config.scenario.validate()
         config.params.validate()
-        if config.dt <= 0.0:
-            raise ScenarioError("dt must be positive")
+        if not (config.dt > 0.0 and math.isfinite(config.dt)):
+            raise ScenarioError("dt must be positive and finite")
         self.config = config
         self.world = WorldState(step=0, agents={}, active_conflicts=[])
         self.trace = SimulationTrace(scenario_id=config.scenario.scenario_id)
@@ -219,43 +219,22 @@ class Simulation:
             waypoints = plan_waypoints(config.scene, self._entries)
         self._waypoints = waypoints
 
-    # - bookkeeping ----------------------------------------------------
-
-    def _refresh_conflict_bookkeeping(self) -> None:
-        """Set each agent's partners and count of active games, which
-        recognition and feature extraction read, from the active games."""
-        conflicts = [r.conflict for r in self.world.active_conflicts]
-        if not conflicts:
-            # The common case in calibration: nobody is engaged.
-            for agent in self.world.agents.values():
-                agent.prior_conflict_partners = frozenset()
-                agent.active_interactions = 0
-            return
-        partners = conflicts_mod.partner_sets(conflicts, self.world.agents)
-        counts = dict.fromkeys(self.world.agents, 0)
-        for conflict in conflicts:
-            for m in conflict.participants():
-                if m in counts:
-                    counts[m] += 1
-        for aid, agent in self.world.agents.items():
-            agent.prior_conflict_partners = frozenset(partners[aid])
-            agent.active_interactions = counts[aid]
-
     def _game_partner(self, agent_id: str, runtime: ConflictRuntime) -> AgentState | None:
-        """The leader plays against its nearest follower, a follower
-        against the leader; None once that agent has left."""
+        """The leader (the conflict's anchor car) plays against its
+        nearest follower, a follower against the leader; None once that
+        agent has left."""
         agents = self.world.agents
-        if agent_id == runtime.leader:
+        leader = runtime.conflict.anchor_car
+        if agent_id == leader:
             others = (u for u in runtime.conflict.competitive_users if u != agent_id)
             partner_id = conflicts_mod.nearest_id(agents[agent_id], others, agents)
         else:
-            partner_id = runtime.leader
+            partner_id = leader
         return agents.get(partner_id)
 
     # - conflict handling ----------------------------------------------
 
     def _run_recognition(self, columns: AgentColumns) -> None:
-        self._refresh_conflict_bookkeeping()
         outcome = conflicts_mod.recognize_conflicts(
             columns.cars,
             columns.pedestrians,
@@ -274,8 +253,6 @@ class Simulation:
             for aid, runtime in list(self._binding.items()):
                 if runtime.conflict.id in dissolved:
                     del self._binding[aid]
-            self._refresh_conflict_bookkeeping()
-        # Each new game updates its members' bookkeeping itself.
         for conflict in outcome.new_conflicts:
             self._next_conflict_id = max(self._next_conflict_id, conflict.id + 1)
             self._create_game(conflict)
@@ -290,11 +267,14 @@ class Simulation:
         ]
         if not followers:
             return
-        # Feature extraction sees the conflict being created.
+        # Feature extraction counts each member's active games, the one
+        # being created included.
         for m in conflict.participants():
             agent = self.world.agents.get(m)
             if agent is not None:
-                agent.active_interactions += 1
+                agent.active_interactions = 1 + sum(
+                    m in r.conflict.participants() for r in self.world.active_conflicts
+                )
         sfm, gp = self.config.params.sfm, self.config.params.game
         contexts = {}
         for f in followers:
@@ -307,7 +287,7 @@ class Simulation:
         leader_action, profile = game_mod.solve_spne(payoff)
         actions = {leader.id: leader_action}
         actions.update({f.id: a for f, a in zip(followers, profile)})
-        runtime = ConflictRuntime(conflict=conflict, leader=leader.id, actions=actions)
+        runtime = ConflictRuntime(conflict=conflict, actions=actions)
         self.world.active_conflicts.append(runtime)
         nearest_follower = conflicts_mod.nearest_id(
             leader, [f.id for f in followers], self.world.agents
@@ -520,9 +500,7 @@ class Simulation:
             self.config.scene,
         )
 
-        if self.world.step % self.config.recognition_interval == 0:
-            self._run_recognition(columns)
-
+        self._run_recognition(columns)
         assignments = self._assign_modes(columns)
         for agent in frame:
             mode = "arrived" if agent.id in arrived else assignments[agent.id][0].value

@@ -10,12 +10,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 
 class ParameterFileError(ValueError):
     """Raised for malformed or unknown parameter file content."""
+
+
+def _require_finite(params: object) -> None:
+    """Reject NaN and infinity in every numeric field of `params`."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ParameterFileError(f"{f.name} must be finite")
 
 
 @dataclass
@@ -39,6 +48,7 @@ class SfmParams:
     fov_half_angle_deg: float = 113.0
 
     def validate(self) -> None:
+        _require_finite(self)
         for name in (
             "v0_pp", "v0_pc", "u0", "sigma_pp", "sigma_pc", "r_obstacle",
             "tau", "d_min_pc", "d_min_cc", "s_a", "v_r", "s_c",
@@ -79,6 +89,7 @@ class GameParams:
     collision_penalty: float = -100.0
 
     def validate(self) -> None:
+        _require_finite(self)
         for name in (
             "g_own_speed", "g_competitor_speed", "g_angle", "g_noai",
             "g_stopped", "g_distance", "g_giveway", "g_following", "g_followed",

@@ -85,8 +85,9 @@ def in_road_zone(p: Vec2, scene: Scene) -> bool:
 @dataclass
 class AgentState:
     """Kinematic state plus the interaction bookkeeping the decision
-    layer reads (give-way count, who is stopping for whom, following
-    links, active conflict partners)."""
+    layer reads: give-way count, number of active games (set when a
+    game is created, from the active conflicts), who is stopping for
+    whom and following links."""
 
     id: str
     kind: AgentKind
@@ -103,7 +104,6 @@ class AgentState:
     currently_stopping_for: frozenset[str] = frozenset()
     following_car_id: str | None = None
     followed_by_car_id: str | None = None
-    prior_conflict_partners: frozenset[str] = frozenset()
 
     @property
     def speed(self) -> float:

@@ -115,6 +115,30 @@ class TestParser:
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dt", ["0", "-0.5", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "command, required",
+        [
+            ("simulate", ["--scene", "s", "--scenario", "x", "--out-dir", "o"]),
+            ("evaluate", ["--real", "r", "--sim", "s", "--out", "o"]),
+            ("calibrate-sfm", ["--scene", "s", "--trajectories", "t", "--out-dir", "o"]),
+            ("calibrate-game",
+             ["--scene", "s", "--trajectories", "t", "--annotations", "a", "--out-dir", "o"]),
+        ],
+    )
+    def test_dt_must_be_positive_and_finite(self, tmp_path, capsys, command, required, dt) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, "--dt", dt])
+        assert exc.value.code == 2
+        assert "argument --dt: must be a positive, finite number" in capsys.readouterr().err
+        # A config file's value gets the same check, as a one-line error.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"dt": float(dt)}))
+        assert main([command, *required, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file") and "bad value" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -271,6 +295,22 @@ class TestSimulate:
         assert code == 3
         err = capsys.readouterr().err
         assert err == "error: scenario rejected: agent c1: non-finite state at step 0\n"
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("params", [{"g_angle": float("nan")}, {"u0": float("inf")}])
+    def test_non_finite_params_exit_2_with_one_line(self, tmp_path, capsys, params) -> None:
+        # A NaN weight once flipped the pedestrian's decision silently.
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(params))
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--scene", str(DATA / "scene.json"),
+            "--scenario", str(DATA / "crossing.json"), "--params", str(params_path),
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        (key,) = params
+        assert capsys.readouterr().err == f"error: {params_path}: {key} must be finite\n"
         assert not (out / "trace.csv").exists()
 
     def test_regime_flag_recorded_in_manifest(self, tmp_path) -> None:
@@ -785,6 +825,26 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "content, field",
+        [
+            ({"g_angle": float("nan")}, "g_angle"),
+            ({"g_noai": float("-inf")}, "g_noai"),
+            ({"m": float("nan")}, "m"),
+            ({"s_high": float("inf")}, "s_high"),
+            ({"base_continue": float("inf")}, "base_continue"),
+            ({"u0": float("inf")}, "u0"),
+            ({"v0": {"pc": float("nan")}}, "v0_pc"),
+            ({"lambda": float("nan")}, "anisotropy"),
+        ],
+    )
+    def test_non_finite_params_exit_2_with_one_line(self, tmp_path, capsys, content, field) -> None:
+        scene_path, _ = write_crossing_inputs(tmp_path)
+        bad = tmp_path / "params.json"
+        bad.write_text(json.dumps(content))
+        assert main(["validate", "--scene", str(scene_path), "--params", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {field} must be finite\n"
 
     @pytest.mark.parametrize("content, key", [({"u0": [1]}, "u0"), ({"v0": {"pp": None}}, "v0.pp")])
     def test_wrong_typed_params_exit_2_with_one_line(self, tmp_path, capsys, content, key) -> None:

@@ -131,19 +131,15 @@ class TestIntersectionOtherGates:
         assert sorted(made) == ["c1", "c2", "p1"]
 
     def test_previous_conflict_guard(self):
-        c1 = slow_car("c1", prior_conflict_partners=frozenset({"p1"}))
-        p1 = ped_at_angle(10.0)
-        p1.prior_conflict_partners = frozenset({"c1"})
-        out = recognize([c1], [p1])
-        assert out.new_conflicts == []
-
-    def test_guard_one_sided_still_skips(self):
-        # Pair guard: either side remembering the engagement suffices.
+        # A pair engaged in an active conflict is not detected again,
+        # whichever of them anchors it.
         c1 = slow_car("c1")
         p1 = ped_at_angle(10.0)
-        p1.prior_conflict_partners = frozenset({"c1"})
-        out = recognize([c1], [p1])
-        assert out.new_conflicts == []
+        engaged = Conflict(0, "c1", ("p1",), ConflictClass.PEDESTRIANS_TO_CAR, 0)
+        assert recognize([c1], [p1], active=[engaged], next_id=1).new_conflicts == []
+        c2 = slow_car("c2", position=Vec2(6, 0), heading=Vec2(-1, 0))
+        engaged = Conflict(0, "c2", ("c1",), ConflictClass.CAR_TO_CAR, 0)
+        assert recognize([c1, c2], [], active=[engaged], next_id=1).new_conflicts == []
 
     def test_no_duplicate_mirror_conflict_within_pass(self):
         c1 = slow_car("c1")
@@ -186,10 +182,8 @@ class TestRoadZone:
 
     def test_merge_absorbs_car_with_same_nearest_competitor(self):
         c1 = car("c1", position=Vec2(0, 0), heading=Vec2(1, 0), goal=Vec2(30, 0))
-        c2 = car("c2", position=Vec2(0, 6), heading=Vec2(1, 0), goal=Vec2(30, 6),
-                 prior_conflict_partners=frozenset({"p1"}))
-        p1 = ped("p1", position=Vec2(6, 0.3), heading=Vec2(0, 1), goal=Vec2(6, 20), diameter=0.5,
-                 prior_conflict_partners=frozenset({"c2"}))
+        c2 = car("c2", position=Vec2(0, 6), heading=Vec2(1, 0), goal=Vec2(30, 6))
+        p1 = ped("p1", position=Vec2(6, 0.3), heading=Vec2(0, 1), goal=Vec2(6, 20), diameter=0.5)
         prior = Conflict(
             id=0,
             anchor_car="c2",
@@ -212,11 +206,9 @@ class TestRoadZone:
         # detects p1 and absorbs c1's fresh conflict, since both cars'
         # nearest competitor is p1. c2's conflict with p2 stays active.
         c1 = car("c1", position=Vec2(0, 0), heading=Vec2(1, 0), goal=Vec2(30, 0))
-        c2 = car("c2", position=Vec2(0, 12), heading=Vec2(1, 0), goal=Vec2(30, 12),
-                 prior_conflict_partners=frozenset({"p2"}))
+        c2 = car("c2", position=Vec2(0, 12), heading=Vec2(1, 0), goal=Vec2(30, 12))
         p1 = ped("p1", position=Vec2(6, 0.3), heading=Vec2(0, 1), goal=Vec2(6, 20), diameter=0.5)
-        p2 = ped("p2", position=Vec2(6, 12.3), heading=Vec2(0, 1), goal=Vec2(6, 30), diameter=0.5,
-                 prior_conflict_partners=frozenset({"c2"}))
+        p2 = ped("p2", position=Vec2(6, 12.3), heading=Vec2(0, 1), goal=Vec2(6, 30), diameter=0.5)
         prior = Conflict(
             id=0,
             anchor_car="c2",
@@ -231,6 +223,27 @@ class TestRoadZone:
         assert c.conflict_class is ConflictClass.PEDESTRIANS_TO_CARS
         assert c.anchor_car == "c2"
         assert c.competitive_users == ("p1", "c1")
+
+    def test_merged_car_does_not_detect_its_old_partner_again(self):
+        # c2's game holds p1 and p2. c1 detects p1, c2's nearest partner,
+        # so c1's new game absorbs c2 and dissolves c2's game. When the
+        # pass reaches c2, it still must not detect p2, with whom it was
+        # engaged when the pass began.
+        c1 = car("c1", position=Vec2(0, 0), heading=Vec2(1, 0), goal=Vec2(30, 0))
+        c2 = car("c2", position=Vec2(0, 6), heading=Vec2(1, 0), goal=Vec2(30, 6))
+        p1 = ped("p1", position=Vec2(6, 0.3), heading=Vec2(0, 1), goal=Vec2(6, 20), diameter=0.5)
+        p2 = ped("p2", position=Vec2(10, 6.3), heading=Vec2(0, 1), goal=Vec2(10, 20), diameter=0.5)
+        prior = Conflict(0, "c2", ("p1", "p2"), ConflictClass.PEDESTRIANS_TO_CARS, 0)
+        out = recognize([c1, c2], [p1, p2], scene=ROAD, active=[prior], next_id=1)
+        assert out.dissolved_ids == [0]
+        assert [(c.anchor_car, c.competitive_users) for c in out.new_conflicts] == [
+            ("c1", ("p1", "c2"))
+        ]
+        # Without the old game, c2 would detect p2.
+        fresh = recognize([c2], [p2], scene=ROAD)
+        assert [(c.anchor_car, c.competitive_users) for c in fresh.new_conflicts] == [
+            ("c2", ("p2",))
+        ]
 
 
 class TestPassBehavior:
@@ -255,11 +268,17 @@ class TestPassBehavior:
         assert out.new_conflicts[0].id == 7
 
     def test_snapshot_not_mutated(self):
-        c1 = slow_car()
-        p1 = ped_at_angle(10.0)
-        before = (c1.prior_conflict_partners, p1.prior_conflict_partners)
-        recognize([c1], [p1])
-        assert (c1.prior_conflict_partners, p1.prior_conflict_partners) == before
+        # A pass that creates a conflict and dissolves one by merging
+        # changes neither the agents nor the active conflicts it reads.
+        c1 = car("c1", position=Vec2(0, 0), heading=Vec2(1, 0), goal=Vec2(30, 0))
+        c2 = car("c2", position=Vec2(0, 6), heading=Vec2(1, 0), goal=Vec2(30, 6))
+        p1 = ped("p1", position=Vec2(6, 0.3), heading=Vec2(0, 1), goal=Vec2(6, 20), diameter=0.5)
+        active = [Conflict(0, "c2", ("p1",), ConflictClass.PEDESTRIANS_TO_CAR, 0)]
+        states = [dict(a.__dict__) for a in (c1, c2, p1)]
+        out = recognize([c1, c2], [p1], scene=ROAD, active=active, next_id=1)
+        assert out.dissolved_ids == [0] and out.new_conflicts
+        assert active == [Conflict(0, "c2", ("p1",), ConflictClass.PEDESTRIANS_TO_CAR, 0)]
+        assert [a.__dict__ for a in (c1, c2, p1)] == states
 
 
 class TestClassifyConflict:

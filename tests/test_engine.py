@@ -228,6 +228,11 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="dt"):
             Simulation(crossing_config(dt=0.0))
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_nonfinite_dt_rejected(self, dt) -> None:
+        with pytest.raises(ScenarioError, match="dt must be positive and finite"):
+            Simulation(crossing_config(dt=dt))
+
 
 # ---------------------------------------------------------------------------
 # Lifecycle
@@ -525,11 +530,26 @@ class TestConflictLifecycle:
         assert by_role["leader"].features.noai == 1.0
         assert by_role["follower"].features.noai == 1.0
 
-    def test_recognition_interval_delays_detection(self) -> None:
-        config = crossing_config(recognition_interval=2)
-        config.scenario.entries[0] = car_entry(entry_step=1)
-        trace = run_scenario(config)
-        assert trace.conflicts[0].created_at_step == 2
+    def test_a_second_game_counts_both_in_noai(self) -> None:
+        # c1 meets p1 at step 0; p2 enters ahead of c1 at step 1 while
+        # the first game is still active, and c1 joins a second game.
+        config = crossing_config(max_steps=2)
+        config.scenario.entries.append(ped_entry("p2", position=Vec2(4.0, -6.0),
+                                                 goal=Vec2(4.0, 8.0), entry_step=1))
+        sim = Simulation(config)
+        sim.step()
+        sim.step()
+        first, second = sim.trace.conflicts
+        assert first.participants() == ("c1", "p1")
+        assert second.participants() == ("c1", "p2")
+        assert second.created_at_step == 1
+        noai = {(f.conflict_id, f.agent_id): f.features.noai for f in sim.trace.feature_rows}
+        assert noai == {
+            (first.id, "c1"): 1.0,
+            (first.id, "p1"): 1.0,
+            (second.id, "c1"): 2.0,
+            (second.id, "p2"): 2.0,  # the car's count: both games are c1's
+        }
 
     def test_stalemate_expires_after_the_timeout(self) -> None:
         # Two near-stationary agents keep every completion condition
@@ -813,3 +833,46 @@ class TestScreenedPasses:
         assert everyone.decisions
         # The road scene reaches recognition's road-section branch.
         assert bool(road_scans) is (scene_name == "road")
+
+
+# ---------------------------------------------------------------------------
+# Road-zone merges in a crowd
+# ---------------------------------------------------------------------------
+
+
+class TestRoadZoneCrowds:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("regime", ["hbs", "dut"])
+    def test_merges_never_re_engage_a_pair(self, monkeypatch, seed, regime) -> None:
+        # A two-way crowd on a square that is all road zone: cars merge
+        # into each other's games and dissolve them, yet no new game
+        # pairs a car with a pedestrian it was engaged with when the
+        # step began.
+        dissolved: list[int] = []
+        recognize = conflicts.recognize_conflicts
+
+        def recording(*args, **kwargs):
+            outcome = recognize(*args, **kwargs)
+            dissolved.extend(outcome.dissolved_ids)
+            return outcome
+
+        monkeypatch.setattr(conflicts, "recognize_conflicts", recording)
+        config = SimulationConfig(
+            scene=open_square_scene(zone="road"), scenario=two_way_crowd(seed, n_peds=16, n_cars=6),
+            params=ParameterSet.defaults(regime), max_steps=40,
+        )
+        peds = {e.id for e in config.scenario.entries if e.kind is AgentKind.PEDESTRIAN}
+        sim = Simulation(config)
+        for _ in range(config.max_steps):
+            engaged = {
+                (a, b)
+                for r in sim.world.active_conflicts
+                for a in r.conflict.participants()
+                for b in r.conflict.participants()
+            }
+            seen = len(sim.trace.conflicts)
+            sim.step()
+            for conflict in sim.trace.conflicts[seen:]:
+                for user in peds.intersection(conflict.competitive_users):
+                    assert (conflict.anchor_car, user) not in engaged
+        assert dissolved

@@ -25,7 +25,6 @@ from sharedspace.conflicts import (
     CAR_CONE_HALF_ANGLE_DEG,
     Conflict,
     ConflictClass,
-    partner_sets,
     predicted_position,
     recognize_conflicts,
 )
@@ -149,16 +148,13 @@ def crowds(draw):
                 diameter=diameter,
             )
         )
-    # Some cars already engaged with some pedestrians, as the engine
-    # records them, to reach the partner guards and road-zone merges.
+    # Some cars already engaged with some pedestrians, to reach the
+    # partner guards and road-zone merges.
     active = []
     for k, c in enumerate(cars):
         engaged = [p.id for p in peds if draw(st.booleans()) and draw(st.booleans())]
         if engaged:
             active.append(Conflict(k, c.id, tuple(engaged), ConflictClass.PEDESTRIANS_TO_CAR, 0))
-    partners = partner_sets(active, [a.id for a in cars + peds])
-    for a in cars + peds:
-        a.prior_conflict_partners = frozenset(partners[a.id])
     return cars, peds, active
 
 

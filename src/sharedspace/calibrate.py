@@ -8,6 +8,9 @@ Two calibration targets share one GA core:
   annotated conflict decisions (higher is better; the GA minimizes its
   negation).
 
+Both targets share one command path and one gene decoder, `decode`,
+which fills the parameter group a target names in `GENE_NAMES`.
+
 Chromosomes are flat real vectors; the GA is elitist tournament
 selection with single-point crossover and Gaussian mutation, fully
 deterministic under a fixed seed. Candidate evaluations are independent
@@ -29,7 +32,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import MetricUndefinedError, TrajectoryRecord, ade, index_decisions
+from .dataio import (
+    MetricUndefinedError,
+    Trajectory,
+    TrajectoryRecord,
+    ade,
+    group_by_agent,
+    index_decisions,
+    segment_speeds,
+)
 from .engine import (
     KIND_DEFAULTS,
     AgentEntry,
@@ -75,6 +86,9 @@ GAME_GENE_NAMES = (
     "g_stopped",
     "g_distance",
 )
+
+# The genes of each parameter group, in chromosome order.
+GENE_NAMES = {"sfm": SFM_GENE_NAMES, "game": GAME_GENE_NAMES}
 
 
 class GaConfigError(ValueError):
@@ -265,14 +279,10 @@ def game_reference_values(base: GameParams) -> list[float]:
     return [getattr(base, name) for name in GAME_GENE_NAMES]
 
 
-def decode_sfm(genes: Sequence[float], base: ParameterSet) -> ParameterSet:
-    values = dict(zip(SFM_GENE_NAMES, (float(g) for g in genes), strict=True))
-    return dataclasses.replace(base, sfm=dataclasses.replace(base.sfm, **values))
-
-
-def decode_game(genes: Sequence[float], base: ParameterSet) -> ParameterSet:
-    values = dict(zip(GAME_GENE_NAMES, (float(g) for g in genes), strict=True))
-    return dataclasses.replace(base, game=dataclasses.replace(base.game, **values))
+def decode(genes: Sequence[float], base: ParameterSet, group: str) -> ParameterSet:
+    """`base` with the genes written into its `group` ("sfm" or "game")."""
+    values = dict(zip(GENE_NAMES[group], (float(g) for g in genes), strict=True))
+    return dataclasses.replace(base, **{group: dataclasses.replace(getattr(base, group), **values)})
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +300,39 @@ class CalibrationScenario:
     )
 
 
+def _scenario(
+    scenario_id: str,
+    agents: Mapping[str, tuple[AgentKind, Trajectory]],
+    frame_seconds: float,
+) -> Scenario:
+    entries = []
+    for agent_id in sorted(agents):
+        kind, traj = agents[agent_id]
+        defaults = KIND_DEFAULTS[kind]
+        frames = sorted(traj)
+        speeds = segment_speeds(traj, frames, frame_seconds)
+        first = traj[frames[0]]
+        velocity = Vec2(0.0, 0.0)
+        if len(frames) >= 2:
+            second, dt0 = traj[frames[1]], (frames[1] - frames[0]) * frame_seconds
+            velocity = Vec2((second.x - first.x) / dt0, (second.y - first.y) / dt0)
+        desired = max(sum(speeds) / len(speeds) if speeds else defaults["desired_speed"], 0.05)
+        entries.append(
+            AgentEntry(
+                id=agent_id,
+                kind=kind,
+                entry_step=frames[0],
+                position=first,
+                velocity=velocity,
+                goal=traj[frames[-1]],
+                desired_speed=desired,
+                max_speed=max(desired, max(speeds, default=0.0)),
+                diameter=defaults["diameter"],
+            )
+        )
+    return Scenario(scenario_id=scenario_id, entries=entries)
+
+
 def scenario_from_records(
     scenario_id: str,
     records: Sequence[TrajectoryRecord],
@@ -299,48 +342,14 @@ def scenario_from_records(
     the first observed frame with velocity from the first displacement,
     goal at the last observed position, desired speed from the mean
     observed speed."""
-    by_agent: dict[str, list[TrajectoryRecord]] = {}
-    kinds: dict[str, AgentKind] = {}
-    for r in records:
-        if r.scenario_id != scenario_id:
-            continue
-        by_agent.setdefault(r.agent_id, []).append(r)
-        kinds[r.agent_id] = r.kind
-    if not by_agent:
+    agents = {
+        agent_id: agent
+        for (sid, agent_id), agent in group_by_agent(records).items()
+        if sid == scenario_id
+    }
+    if not agents:
         raise ScenarioError(f"no records for scenario {scenario_id!r}")
-    entries = []
-    for agent_id in sorted(by_agent):
-        rows = sorted(by_agent[agent_id], key=lambda r: r.frame)
-        kind = kinds[agent_id]
-        defaults = KIND_DEFAULTS[kind]
-        first = rows[0]
-        position = Vec2(first.x, first.y)
-        goal = Vec2(rows[-1].x, rows[-1].y)
-        speeds = []
-        for a, b in zip(rows, rows[1:]):
-            dt = (b.frame - a.frame) * frame_seconds
-            speeds.append(math.hypot(b.x - a.x, b.y - a.y) / dt)
-        if len(rows) >= 2:
-            dt0 = (rows[1].frame - rows[0].frame) * frame_seconds
-            velocity = Vec2((rows[1].x - rows[0].x) / dt0, (rows[1].y - rows[0].y) / dt0)
-        else:
-            velocity = Vec2(0.0, 0.0)
-        desired = max(sum(speeds) / len(speeds) if speeds else defaults["desired_speed"], 0.05)
-        max_speed = max(desired, max(speeds, default=0.0))
-        entries.append(
-            AgentEntry(
-                id=agent_id,
-                kind=kind,
-                entry_step=first.frame,
-                position=position,
-                velocity=velocity,
-                goal=goal,
-                desired_speed=desired,
-                max_speed=max_speed,
-                diameter=defaults["diameter"],
-            )
-        )
-    return Scenario(scenario_id=scenario_id, entries=entries)
+    return _scenario(scenario_id, agents, frame_seconds)
 
 
 def build_calibration_set(
@@ -348,24 +357,20 @@ def build_calibration_set(
     annotations: Sequence = (),
     frame_seconds: float = 0.5,
 ) -> list[CalibrationScenario]:
-    scenario_ids = sorted({r.scenario_id for r in records})
     annotation_map: dict[str, dict[tuple[str, int], Action]] = {}
     for a in annotations:
         annotation_map.setdefault(a.scenario_id, {})[(a.agent_id, a.conflict_idx)] = a.action
-    out = []
-    for sid in scenario_ids:
-        positions: dict[str, dict[int, Vec2]] = {}
-        for r in records:
-            if r.scenario_id == sid:
-                positions.setdefault(r.agent_id, {})[r.frame] = Vec2(r.x, r.y)
-        out.append(
-            CalibrationScenario(
-                scenario=scenario_from_records(sid, records, frame_seconds),
-                real_positions=positions,
-                annotations=annotation_map.get(sid, {}),
-            )
+    by_scenario: dict[str, dict[str, tuple[AgentKind, Trajectory]]] = {}
+    for (sid, agent_id), agent in group_by_agent(records).items():
+        by_scenario.setdefault(sid, {})[agent_id] = agent
+    return [
+        CalibrationScenario(
+            scenario=_scenario(sid, by_scenario[sid], frame_seconds),
+            real_positions={agent_id: traj for agent_id, (_, traj) in by_scenario[sid].items()},
+            annotations=annotation_map.get(sid, {}),
         )
-    return out
+        for sid in sorted(by_scenario)
+    ]
 
 
 def train_test_split(
@@ -494,7 +499,7 @@ def fitness_sfm(
     a scenario whose simulation fails scores the penalty."""
     if not training:
         raise ScoreUndefinedError("no training scenarios")
-    params = decode_sfm(genes, base)
+    params = decode(genes, base, "sfm")
     scores = []
     for item in training:
         try:
@@ -519,7 +524,7 @@ def fitness_game(
     annotated = [item for item in training if item.annotations]
     if not annotated:
         raise ScoreUndefinedError("no annotated scenarios")
-    params = decode_game(genes, base)
+    params = decode(genes, base, "game")
     scores = []
     for item in annotated:
         try:

@@ -32,22 +32,18 @@ import numpy as np
 
 from . import __version__
 from .calibrate import (
-    GAME_GENE_NAMES,
+    GENE_NAMES,
     SCENARIO_FAILURE_PENALTY,
-    SFM_GENE_NAMES,
     CalibrationScenario,
     GaConfig,
     GaConfigError,
     build_calibration_set,
-    decode_game,
-    decode_sfm,
+    decode,
     default_bounds,
     fitness_game,
     fitness_sfm,
     ga_optimize,
-    game_reference_values,
     plan_scenarios,
-    sfm_reference_values,
     train_test_split,
     write_history_csv,
 )
@@ -57,6 +53,7 @@ from .dataio import (
     TrajectoryFormatError,
     attach_decision_metrics,
     compare_trajectories,
+    dict_rows,
     format_report_summary,
     load_annotations,
     load_decisions,
@@ -65,7 +62,6 @@ from .dataio import (
     write_metric_report,
 )
 from .engine import (
-    Scenario,
     ScenarioError,
     ScenarioRejectedError,
     Simulation,
@@ -389,16 +385,18 @@ def _run_ga(ns: argparse.Namespace, worker: _FitnessWorker, bounds) -> tuple:
     return result, ga_config
 
 
-def _prepare_training(ns: argparse.Namespace, need_annotations: bool):
+def _prepare_training(ns: argparse.Namespace):
     scene = load_scene(ns.scene)
     records = load_trajectories(ns.trajectories)
-    annotations = load_annotations(ns.annotations) if getattr(ns, "annotations", None) else ()
+    # only calibrate-game reads annotations, and it fits only annotated scenarios
+    fits_decisions = hasattr(ns, "annotations")
+    annotations = load_annotations(ns.annotations) if fits_decisions else ()
     items = build_calibration_set(records, annotations, frame_seconds=ns.dt)
-    if need_annotations:
+    if fits_decisions:
         items = [item for item in items if item.annotations]
         if not items:
             raise CliError("no scenario carries decision annotations")
-    if len(items) > 1 and 0.0 < ns.train_fraction < 1.0:
+    if len(items) > 1 and ns.train_fraction < 1.0:
         train, test = train_test_split(items, ns.train_fraction, ns.seed)
     else:
         train, test = items, []
@@ -406,101 +404,79 @@ def _prepare_training(ns: argparse.Namespace, need_annotations: bool):
     return scene, base, train, test
 
 
-def _cmd_calibrate_sfm(ns: argparse.Namespace) -> int:
-    scene, base, train, test = _prepare_training(ns, need_annotations=False)
-    bounds = default_bounds(sfm_reference_values(base.sfm))
-    worker = _FitnessWorker("sfm", train, scene, base, ns.dt)
+@dataclasses.dataclass(frozen=True)
+class _Target:
+    """What one calibrate-* command fits and how it reports the fit."""
+
+    group: str  # the parameter group the genes fill, a key of GENE_NAMES
+    score: str  # manifest keys best_<score> and test_<score>
+    sign: float  # score = sign * the GA's minimum
+    worst: float  # a run whose best score is this or worse has failed
+    failure: str  # error message, formatted with the score
+    report: str  # stdout line, formatted with the score
+
+
+_TARGETS = {
+    "calibrate-sfm": _Target(
+        "sfm", "fitness", 1.0, SCENARIO_FAILURE_PENALTY,
+        "calibration failed: every candidate scored the failure penalty (best {score})",
+        "best positional error {score:.4f} m",
+    ),
+    "calibrate-game": _Target(
+        "game", "agreement", -1.0, -1.0,
+        "calibration failed: no candidate reproduced any decision (best agreement {score})",
+        "best decision agreement {score:.4f}",
+    ),
+}
+
+
+def _cmd_calibrate(ns: argparse.Namespace) -> int:
+    target = _TARGETS[ns.command]
+    scene, base, train, test = _prepare_training(ns)
+    gene_names = GENE_NAMES[target.group]
+    reference = getattr(base, target.group)
+    bounds = default_bounds([getattr(reference, name) for name in gene_names])
+    worker = _FitnessWorker(target.group, train, scene, base, ns.dt)
     result, ga_config = _run_ga(ns, worker, bounds)
-    if not math.isfinite(result.best_fitness) or result.best_fitness >= SCENARIO_FAILURE_PENALTY:
-        raise CliError(
-            f"calibration failed: every candidate scored the failure penalty "
-            f"(best {result.best_fitness})",
-            EXIT_CONVERGENCE,
-        )
-    best = decode_sfm(result.best_genes, base)
+    score = target.sign * result.best_fitness
+    # compared in the GA's terms, where lower is better
+    if not math.isfinite(score) or result.best_fitness >= target.sign * target.worst:
+        raise CliError(target.failure.format(score=score), EXIT_CONVERGENCE)
+    best = decode(result.best_genes, base, target.group)
     out = _out_dir(ns.out_dir)
     save_parameter_set(best, out / "best_params.json")
     write_history_csv(result.history, out / "history.csv")
     test_score = (
-        fitness_sfm(result.best_genes, test, scene, base, ns.dt) if test else None
-    )
-    _write_manifest(
-        out,
-        "calibrate-sfm",
-        ns.seed,
-        {
-            "scene": ns.scene,
-            "trajectories": ns.trajectories,
-            "params": ns.params,
-            "regime": base.game.regime,
-            "dt": ns.dt,
-            "train_fraction": ns.train_fraction,
-            "jobs": ns.jobs,
-            "ga": dataclasses.asdict(ga_config),
-            "gene_names": list(SFM_GENE_NAMES),
-            "bounds": bounds,
-        },
-        [Path(ns.scene), Path(ns.trajectories)] + ([Path(ns.params)] if ns.params else []),
-        ["best_params.json", "history.csv"],
-        extra={
-            "best_fitness": result.best_fitness,
-            "test_fitness": test_score,
-            "evaluations": result.evaluations,
-            "cache_hits": result.cache_hits,
-            "stopped_early": result.stopped_early,
-            "train_scenarios": [t.scenario.scenario_id for t in train],
-            "test_scenarios": [t.scenario.scenario_id for t in test],
-        },
-    )
-    print(f"best positional error {result.best_fitness:.4f} m "
-          f"({result.evaluations} evaluations) -> {out}")
-    return EXIT_OK
-
-
-def _cmd_calibrate_game(ns: argparse.Namespace) -> int:
-    scene, base, train, test = _prepare_training(ns, need_annotations=True)
-    bounds = default_bounds(game_reference_values(base.game))
-    worker = _FitnessWorker("game", train, scene, base, ns.dt)
-    result, ga_config = _run_ga(ns, worker, bounds)
-    agreement = -result.best_fitness
-    if not math.isfinite(agreement) or agreement <= -1.0:
-        raise CliError(
-            f"calibration failed: no candidate reproduced any decision "
-            f"(best agreement {agreement})",
-            EXIT_CONVERGENCE,
-        )
-    best = decode_game(result.best_genes, base)
-    out = _out_dir(ns.out_dir)
-    save_parameter_set(best, out / "best_params.json")
-    write_history_csv(result.history, out / "history.csv")
-    test_score = (
-        fitness_game(result.best_genes, test, scene, base, ns.dt)
-        if any(t.annotations for t in test)
+        target.sign * _FitnessWorker(target.group, test, scene, base, ns.dt)(result.best_genes)
+        if test
         else None
     )
+    config = {
+        "scene": ns.scene,
+        "trajectories": ns.trajectories,
+        "params": ns.params,
+        "regime": base.game.regime,
+        "dt": ns.dt,
+        "train_fraction": ns.train_fraction,
+        "jobs": ns.jobs,
+        "ga": dataclasses.asdict(ga_config),
+        "gene_names": list(gene_names),
+        "bounds": bounds,
+    }
+    inputs = [Path(ns.scene), Path(ns.trajectories)]
+    if hasattr(ns, "annotations"):
+        config["annotations"] = ns.annotations
+        inputs.append(Path(ns.annotations))
     _write_manifest(
         out,
-        "calibrate-game",
+        ns.command,
         ns.seed,
-        {
-            "scene": ns.scene,
-            "trajectories": ns.trajectories,
-            "annotations": ns.annotations,
-            "params": ns.params,
-            "regime": base.game.regime,
-            "dt": ns.dt,
-            "train_fraction": ns.train_fraction,
-            "jobs": ns.jobs,
-            "ga": dataclasses.asdict(ga_config),
-            "gene_names": list(GAME_GENE_NAMES),
-            "bounds": bounds,
-        },
-        [Path(ns.scene), Path(ns.trajectories), Path(ns.annotations)]
-        + ([Path(ns.params)] if ns.params else []),
+        config,
+        inputs + ([Path(ns.params)] if ns.params else []),
         ["best_params.json", "history.csv"],
         extra={
-            "best_agreement": agreement,
-            "test_agreement": test_score,
+            f"best_{target.score}": score,
+            f"test_{target.score}": test_score,
             "evaluations": result.evaluations,
             "cache_hits": result.cache_hits,
             "stopped_early": result.stopped_early,
@@ -508,8 +484,7 @@ def _cmd_calibrate_game(ns: argparse.Namespace) -> int:
             "test_scenarios": [t.scenario.scenario_id for t in test],
         },
     )
-    print(f"best decision agreement {agreement:.4f} "
-          f"({result.evaluations} evaluations) -> {out}")
+    print(target.report.format(score=score) + f" ({result.evaluations} evaluations) -> {out}")
     return EXIT_OK
 
 
@@ -535,7 +510,7 @@ def _load_observations(path: Path, subject: str, wanted: list[str] | None):
             raise TrajectoryFormatError(f"{path}: no feature columns")
         has_kind = "kind" in reader.fieldnames
         rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in dict_rows(reader, path):
             if has_kind and row["kind"] != subject:
                 continue
             try:
@@ -634,12 +609,26 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _seconds(text: str) -> float:
-    """A --dt value: a positive, finite number of seconds."""
-    value = float(text)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a positive, finite number of seconds, got {text!r}")
-    return value
+def _checked(convert, holds, requirement: str):
+    """An argparse type: the text read by `convert`, rejected unless the
+    value `holds`. A --config value goes through the same check."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_seconds = _checked(
+    float, lambda v: v > 0.0 and math.isfinite(v), "must be a positive, finite number of seconds"
+)
+_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+_jobs = _checked(int, lambda v: v >= 1, "must be at least 1")
+_alpha = _checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 
 
 def _add_common_sim_flags(p: argparse.ArgumentParser) -> None:
@@ -655,8 +644,8 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--population", type=int, default=50)
     p.add_argument("--generations", type=int, default=200)
     p.add_argument("--stagnation", type=int, default=30)
-    p.add_argument("--train-fraction", type=float, default=0.66)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--train-fraction", type=_fraction, default=0.66)
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="concurrent chromosome evaluations")
 
 
@@ -692,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     _add_common_sim_flags(p)
     _add_ga_flags(p)
-    p.set_defaults(func=_cmd_calibrate_sfm)
+    p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("calibrate-game", help="fit game weights to annotated decisions")
     p.add_argument("--scene", required=True)
@@ -701,13 +690,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     _add_common_sim_flags(p)
     _add_ga_flags(p)
-    p.set_defaults(func=_cmd_calibrate_game)
+    p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("select-features", help="backward-eliminate decision-model features")
     p.add_argument("--observations", required=True,
                    help="features CSV (e.g. from simulate) with an action column")
     p.add_argument("--subject", choices=["car", "ped"], required=True)
-    p.add_argument("--alpha", type=float, default=0.09)
+    p.add_argument("--alpha", type=_alpha, default=0.09)
     p.add_argument("--keep", default="", help="comma-separated features never dropped")
     p.add_argument("--features", default="", help="comma-separated feature subset to start from")
     p.add_argument("--out-dir", required=True)

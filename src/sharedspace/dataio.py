@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .game import Action
 from .geometry import Vec2
@@ -173,8 +173,20 @@ def index_decisions(
     return out
 
 
+def dict_rows(reader: csv.DictReader, path: str | Path) -> Iterator[tuple[int, dict]]:
+    """The rows of `reader` with their line numbers. A row with more or
+    fewer fields than the header raises."""
+    width, last = len(reader.fieldnames), reader.fieldnames[-1]
+    for row in reader:
+        # DictReader files extra fields under None and fills missing ones with None
+        if None in row or row[last] is None:
+            raise TrajectoryFormatError(f"{path}:{reader.line_num}: expected {width} columns")
+        yield reader.line_num, row
+
+
 def load_decisions(path: str | Path) -> dict[tuple[str, str, int], Action]:
     """Simulator decisions CSV keyed by (scenario, agent, ordinal)."""
+    decisions = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"scenario_id", "agent_id", "action"}
@@ -182,10 +194,13 @@ def load_decisions(path: str | Path) -> dict[tuple[str, str, int], Action]:
             raise TrajectoryFormatError(
                 f"{path}: decisions CSV needs columns {sorted(required)}"
             )
-        return index_decisions(
-            ((row["scenario_id"], row["agent_id"]), parse_action(row["action"]))
-            for row in reader
-        )
+        for lineno, row in dict_rows(reader, path):
+            try:
+                action = parse_action(row["action"])
+            except TrajectoryFormatError as exc:
+                raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
+            decisions.append(((row["scenario_id"], row["agent_id"]), action))
+    return index_decisions(decisions)
 
 
 def write_annotations(annotations: Sequence[DecisionAnnotation], path: str | Path) -> None:
@@ -222,7 +237,8 @@ def ade(real: Mapping[int, Vec2], sim: Mapping[int, Vec2]) -> float:
     return sum(real[f].distance_to(sim[f]) for f in common) / len(common)
 
 
-def _segment_speeds(traj: Mapping[int, Vec2], frames: Sequence[int], frame_seconds: float) -> list[float]:
+def segment_speeds(traj: Mapping[int, Vec2], frames: Sequence[int], frame_seconds: float) -> list[float]:
+    """Speed over each step between consecutive `frames` of `traj`."""
     speeds = []
     for f0, f1 in zip(frames, frames[1:]):
         dt = (f1 - f0) * frame_seconds
@@ -240,8 +256,8 @@ def speed_deviation(
     common = sorted(set(real) & set(sim))
     if len(common) < 2:
         raise MetricUndefinedError("need at least two common frames")
-    real_speeds = _segment_speeds(real, common, frame_seconds)
-    sim_speeds = _segment_speeds(sim, common, frame_seconds)
+    real_speeds = segment_speeds(real, common, frame_seconds)
+    sim_speeds = segment_speeds(sim, common, frame_seconds)
     return sum(abs(r - s) for r, s in zip(real_speeds, sim_speeds)) / len(real_speeds)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -659,18 +659,12 @@ def write_decisions_csv(trace: SimulationTrace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_FEATURE_FIELDS = (
-    "own_speed", "competitor_speed", "noai", "car_stopped", "car_following",
-    "angle", "car_followed", "min_dist", "giveway_nr",
-    "pedestrian_min_dist", "car_min_dist",
-)
-
-
 def write_features_csv(trace: SimulationTrace, path: str | Path) -> None:
-    header = "scenario_id,step,conflict_id,agent_id,kind,role," + ",".join(_FEATURE_FIELDS) + ",action"
+    names = [spec.name for spec in fields(FeatureVector)]
+    header = "scenario_id,step,conflict_id,agent_id,kind,role," + ",".join(names) + ",action"
     lines = [header]
     for f in trace.feature_rows:
-        values = ",".join(repr(getattr(f.features, name)) for name in _FEATURE_FIELDS)
+        values = ",".join(repr(getattr(f.features, name)) for name in names)
         lines.append(
             f"{trace.scenario_id},{f.step},{f.conflict_id},{f.agent_id},{f.kind.value},{f.role},{values},{f.action.value}"
         )

@@ -112,25 +112,16 @@ class ParameterSet:
         self.game.validate()
 
     @classmethod
-    def hbs_defaults(cls) -> "ParameterSet":
-        return cls()
-
-    @classmethod
-    def dut_defaults(cls) -> "ParameterSet":
-        ps = cls()
-        ps.sfm.v_r = 12.0
-        ps.sfm.d_min_pc = 5.0
-        ps.sfm.d_min_cc = 5.0
-        ps.game.regime = "dut"
-        return ps
-
-    @classmethod
     def defaults(cls, regime: str = "hbs") -> "ParameterSet":
-        if regime == "hbs":
-            return cls.hbs_defaults()
+        ps = cls()
         if regime == "dut":
-            return cls.dut_defaults()
-        raise ParameterFileError(f"unknown regime {regime!r}")
+            ps.sfm.v_r = 12.0
+            ps.sfm.d_min_pc = 5.0
+            ps.sfm.d_min_cc = 5.0
+            ps.game.regime = "dut"
+        elif regime != "hbs":
+            raise ParameterFileError(f"unknown regime {regime!r}")
+        return ps
 
 
 # File schema. Paired symbols accept either a scalar (applied to both

@@ -24,8 +24,7 @@ from sharedspace.calibrate import (
     ScoreUndefinedError,
     agreement_score,
     build_calibration_set,
-    decode_game,
-    decode_sfm,
+    decode,
     default_bounds,
     fitness_game,
     fitness_sfm,
@@ -42,7 +41,7 @@ from sharedspace.calibrate import (
     write_history_csv,
 )
 from sharedspace.cli import _FitnessWorker
-from sharedspace.dataio import DecisionAnnotation, TrajectoryRecord
+from sharedspace.dataio import DecisionAnnotation, TrajectoryFormatError, TrajectoryRecord
 from sharedspace.engine import (
     AgentEntry,
     DecisionRow,
@@ -301,35 +300,35 @@ class TestGenes:
         assert by_name["g_own_speed"] == base.game.g_own_speed
         assert by_name["g_distance"] == base.game.g_distance
 
-    def test_decode_sfm_round_trips_the_reference_vector(self) -> None:
+    def test_decode_round_trips_the_sfm_reference_vector(self) -> None:
         base = ParameterSet()
-        assert decode_sfm(sfm_reference_values(base.sfm), base) == base
+        assert decode(sfm_reference_values(base.sfm), base, "sfm") == base
 
-    def test_decode_game_round_trips_the_reference_vector(self) -> None:
+    def test_decode_round_trips_the_game_reference_vector(self) -> None:
         base = ParameterSet()
-        assert decode_game(game_reference_values(base.game), base) == base
+        assert decode(game_reference_values(base.game), base, "game") == base
 
-    def test_decode_sfm_changes_only_the_named_gene(self) -> None:
+    def test_decode_changes_only_the_named_sfm_gene(self) -> None:
         base = ParameterSet()
         genes = sfm_reference_values(base.sfm)
         genes[SFM_GENE_NAMES.index("sigma_pp")] = 0.9
-        decoded = decode_sfm(genes, base)
+        decoded = decode(genes, base, "sfm")
         assert decoded.sfm.sigma_pp == 0.9
         assert decoded.game == base.game
         assert dataclasses.replace(decoded.sfm, sigma_pp=base.sfm.sigma_pp) == base.sfm
 
-    def test_decode_game_leaves_forces_untouched(self) -> None:
+    def test_decode_of_game_genes_leaves_forces_untouched(self) -> None:
         base = ParameterSet()
         genes = game_reference_values(base.game)
         genes[GAME_GENE_NAMES.index("g_angle")] = 2.5
-        decoded = decode_game(genes, base)
+        decoded = decode(genes, base, "game")
         assert decoded.game.g_angle == 2.5
         assert decoded.sfm == base.sfm
 
-    @pytest.mark.parametrize("decode", [decode_sfm, decode_game])
-    def test_wrong_gene_count_rejected(self, decode) -> None:
+    @pytest.mark.parametrize("group", ["sfm", "game"])
+    def test_wrong_gene_count_rejected(self, group) -> None:
         with pytest.raises(ValueError):
-            decode([1.0, 2.0], ParameterSet())
+            decode([1.0, 2.0], ParameterSet(), group)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +413,28 @@ class TestScenarioFromRecords:
         rows = [record("a", 0, "p1", AgentKind.PEDESTRIAN, 0.0, 0.0)]
         with pytest.raises(ScenarioError, match="'b'"):
             scenario_from_records("b", rows)
+
+    def test_agent_changing_kind_rejected(self) -> None:
+        rows = [
+            record("s", 0, "p1", AgentKind.PEDESTRIAN, 0.0, 0.0),
+            record("s", 1, "p1", AgentKind.CAR, 0.6, 0.0),
+        ]
+        with pytest.raises(TrajectoryFormatError, match="changes kind"):
+            scenario_from_records("s", rows)
+        with pytest.raises(TrajectoryFormatError, match="changes kind"):
+            build_calibration_set(rows)
+
+    def test_duplicated_frame_keeps_the_last_record(self) -> None:
+        rows = [
+            record("s", 0, "p1", AgentKind.PEDESTRIAN, 0.0, 0.0),
+            record("s", 1, "p1", AgentKind.PEDESTRIAN, 9.0, 9.0),
+            record("s", 1, "p1", AgentKind.PEDESTRIAN, 0.6, 0.0),
+        ]
+        entry = scenario_from_records("s", rows).entries[0]
+        assert entry.goal == Vec2(0.6, 0.0)
+        assert entry.velocity.x == pytest.approx(1.2, rel=1e-12)
+        (item,) = build_calibration_set(rows)
+        assert item.real_positions == {"p1": {0: Vec2(0.0, 0.0), 1: Vec2(0.6, 0.0)}}
 
     def test_entries_sorted_by_agent_id(self) -> None:
         rows = [

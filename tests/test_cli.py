@@ -98,6 +98,14 @@ def run_simulate(tmp_path: Path, out_name: str = "run", *extra: str) -> tuple[in
     return code, out
 
 
+# Each command's required flags, with placeholder values.
+REQUIRED = {
+    "calibrate-sfm": ["--scene", "s", "--trajectories", "t", "--out-dir", "o"],
+    "calibrate-game": ["--scene", "s", "--trajectories", "t", "--annotations", "a", "--out-dir", "o"],
+    "select-features": ["--observations", "x", "--subject", "car", "--out-dir", "o"],
+}
+
+
 # ---------------------------------------------------------------------------
 # Parser basics
 # ---------------------------------------------------------------------------
@@ -138,6 +146,40 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("error: config file") and "bad value" in err
         assert len(err.strip().splitlines()) == 1
+
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            *[("calibrate-sfm", "--train-fraction", v, "must lie in (0, 1]")
+              for v in ("5", "nan", "-1", "0")],
+            *[("calibrate-game", "--jobs", v, "must be at least 1") for v in ("0", "-2")],
+            *[("select-features", "--alpha", v, "must lie in [0, 1]") for v in ("nan", "-1", "1.5")],
+        ],
+    )
+    def test_out_of_range_flags_exit_2(self, tmp_path, capsys, command, flag, value, message) -> None:
+        args = [command, *REQUIRED[command]]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        # A config file's value gets the same check, as a one-line error.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({flag.lstrip("-"): value}))
+        assert main([*args, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file") and "bad value" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_range_limits_of_flags_are_accepted(self) -> None:
+        parser = cli.build_parser()
+        ns = parser.parse_args(
+            ["calibrate-sfm", *REQUIRED["calibrate-sfm"], "--train-fraction", "1", "--jobs", "1"]
+        )
+        assert (ns.train_fraction, ns.jobs) == (1.0, 1)
+        for alpha in ("0", "1"):
+            ns = parser.parse_args(["select-features", *REQUIRED["select-features"], "--alpha", alpha])
+            assert ns.alpha == float(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +534,28 @@ class TestEvaluate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("crossing,3,0,c1", "expected 5 columns"),
+            ("crossing,3,0,c1,fly", "unknown action 'fly'"),
+        ],
+    )
+    def test_bad_decisions_row_exits_2_with_its_line(self, tmp_path, capsys, row, message) -> None:
+        _, run = run_simulate(tmp_path)
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text(ANNOTATIONS_MATCHING)
+        decisions = tmp_path / "decisions.csv"
+        decisions.write_text(f"{DECISIONS_HEADER}\n{row}\n")
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--real", str(run / "trace.csv"), "--sim", str(run / "trace.csv"),
+            "--annotations", str(annotations), "--sim-decisions", str(decisions),
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {decisions}:2: {message}\n"
+
     def test_annotations_matching_nothing_exit_4(self, tmp_path) -> None:
         _, run = run_simulate(tmp_path)
         annotations = tmp_path / "annotations.csv"
@@ -605,6 +669,17 @@ class TestSelectFeatures:
             "--subject", "car", "--out-dir", str(tmp_path / "sel"),
         ])
         assert code == 2
+
+    def test_short_row_exits_2_with_its_line(self, tmp_path, capsys) -> None:
+        path = write_logit_observations(tmp_path)
+        with open(path, "a") as fh:
+            fh.write("s,600,0,a600,car,leader,0.5\n")  # line 602
+        code = main([
+            "select-features", "--observations", str(path), "--subject", "car",
+            "--out-dir", str(tmp_path / "sel"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}:602: expected 10 columns\n"
 
     def test_all_constant_features_exit_2(self, tmp_path, capsys) -> None:
         observations = tmp_path / "observations.csv"
@@ -760,6 +835,53 @@ class TestCalibrateGame:
         assert "annotations" in capsys.readouterr().err
 
 
+def calibrate_bundled(tmp_path: Path, command: str, trajectories: Path) -> tuple[int, Path]:
+    """A short seed-0 run of `command` on the bundled scene and annotations."""
+    out = tmp_path / "cal"
+    annotations = ["--annotations", str(DATA / "annotations.csv")] if command == "calibrate-game" else []
+    code = main([
+        command, "--scene", str(DATA / "scene.json"), "--trajectories", str(trajectories),
+        *annotations, "--out-dir", str(out), "--population", "6", "--generations", "2",
+        "--seed", "0",
+    ])
+    return code, out
+
+
+class TestCalibrateBundledData:
+    # sha256 of (history.csv, best_params.json), recorded before both
+    # commands shared one code path; a refactor must not change them.
+    PINNED = {
+        "calibrate-sfm": (
+            "220e26600c804926c672b99dd54d686b41f5779c9e2895d725795c910bad00ba",
+            "8d65e8d99d2b37a573187c73ae9f98c425ecddc6cc3b6f08747f3524a0bc3b35",
+        ),
+        "calibrate-game": (
+            "5205d2b3d4cc51514135d0976286e526cce9ad5bbedfd43d536f0d8ae4b22a33",
+            "a6e4e37fe9d4eada40a9fde6491352babf412a0860f09d1c89689010e2b25c12",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["calibrate-sfm", "calibrate-game"])
+    def test_outputs_match_the_pinned_digests(self, tmp_path, command) -> None:
+        code, out = calibrate_bundled(tmp_path, command, DATA / "trajectories.csv")
+        assert code == 0
+        assert (sha256(out / "history.csv"), sha256(out / "best_params.json")) == self.PINNED[command]
+
+    @pytest.mark.parametrize("command", ["calibrate-sfm", "calibrate-game"])
+    def test_agent_changing_kind_exits_2_with_one_line(self, tmp_path, capsys, command) -> None:
+        lines = (DATA / "trajectories.csv").read_text().splitlines()
+        flipped = next(i for i, line in enumerate(lines) if ",p1,ped," in line)
+        lines[flipped] = lines[flipped].replace(",p1,ped,", ",p1,car,")
+        trajectories = tmp_path / "flipped.csv"
+        trajectories.write_text("\n".join(lines) + "\n")
+        code, out = calibrate_bundled(tmp_path, command, trajectories)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "changes kind mid-stream" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -780,7 +902,7 @@ class TestValidate:
     def test_params_file_checked(self, tmp_path, capsys) -> None:
         scene_path, _ = write_crossing_inputs(tmp_path)
         params_path = tmp_path / "params.json"
-        save_parameter_set(ParameterSet.dut_defaults(), params_path)
+        save_parameter_set(ParameterSet.defaults("dut"), params_path)
         code = main(["validate", "--scene", str(scene_path), "--params", str(params_path)])
         assert code == 0
         assert "params" in capsys.readouterr().out

@@ -411,7 +411,7 @@ class TestModes:
             SimulationConfig(
                 scene=open_square_scene(),
                 scenario=scenario,
-                params=ParameterSet.dut_defaults(),
+                params=ParameterSet.defaults("dut"),
                 max_steps=2,
             )
         )
@@ -576,7 +576,7 @@ class TestConflictLifecycle:
         config = SimulationConfig(
             scene=open_square_scene(),
             scenario=scenario,
-            params=ParameterSet.dut_defaults(),
+            params=ParameterSet.defaults("dut"),
             conflict_timeout=5,
             max_steps=8,
         )

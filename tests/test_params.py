@@ -45,7 +45,7 @@ class TestDefaults:
         assert g.regime == "hbs"
 
     def test_dut_regime_overrides(self):
-        ps = ParameterSet.dut_defaults()
+        ps = ParameterSet.defaults("dut")
         assert ps.game.regime == "dut"
         assert ps.sfm.v_r == 12.0
         assert ps.sfm.d_min_pc == 5.0
@@ -85,7 +85,7 @@ class TestValidation:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        ps = ParameterSet.dut_defaults()
+        ps = ParameterSet.defaults("dut")
         path = tmp_path / "params.json"
         save_parameter_set(ps, path)
         assert load_parameter_set(path) == ps

@@ -493,7 +493,6 @@ def fitness_sfm(
     scene: Scene,
     base: ParameterSet,
     frame_seconds: float = 0.5,
-    failure_penalty: float = SCENARIO_FAILURE_PENALTY,
 ) -> float:
     """Scenario-averaged positional error of the decoded parameter set;
     a scenario whose simulation fails scores the penalty."""
@@ -507,7 +506,7 @@ def fitness_sfm(
             trace = _simulate(item, scene, params, frame_seconds, 1)
             scores.append(position_error_score(item.real_positions, trace_positions(trace)))
         except SIMULATION_FAILURES:
-            scores.append(failure_penalty)
+            scores.append(SCENARIO_FAILURE_PENALTY)
     return sum(scores) / len(scores)
 
 

@@ -22,7 +22,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -85,7 +84,7 @@ from .params import (
     load_parameter_set,
     save_parameter_set,
 )
-from .scene import load_scene
+from .scene import AgentKind, load_scene
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -240,23 +239,6 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 
-def _kind_stats(report, kind_value: str) -> dict:
-    agents = [m for m in report.per_agent if m.kind.value == kind_value]
-    if not agents:
-        return {}
-    ades = [m.ade for m in agents]
-    sds = [m.speed_deviation for m in agents if m.speed_deviation is not None]
-    stats = {
-        "n": len(agents),
-        "ade_mean": statistics.mean(ades),
-        "ade_std": statistics.stdev(ades) if len(ades) > 1 else 0.0,
-    }
-    if sds:
-        stats["speed_dev_mean"] = statistics.mean(sds)
-        stats["speed_dev_std"] = statistics.stdev(sds) if len(sds) > 1 else 0.0
-    return stats
-
-
 def _write_confusion_csv(confusion: dict, path: Path) -> None:
     actions = [a.value for a in Action]
     lines = ["real\\sim," + ",".join(actions)]
@@ -305,8 +287,8 @@ def _cmd_evaluate(ns: argparse.Namespace) -> int:
         inputs,
         outputs,
         extra={
-            "pedestrian": _kind_stats(report, "ped"),
-            "car": _kind_stats(report, "car"),
+            "pedestrian": report.kind_stats(AgentKind.PEDESTRIAN),
+            "car": report.kind_stats(AgentKind.CAR),
             "decision_error_rate": report.decision_error_rate,
             "unmatched_agents": len(report.unmatched_agents),
             "unannotated_simulated_keys": len(missing),
@@ -519,7 +501,10 @@ def _load_observations(path: Path, subject: str, wanted: list[str] | None):
                 raise TrajectoryFormatError(
                     f"{path}:{lineno}: non-numeric feature value"
                 ) from None
-            labels.append(parse_action(row["action"]).value)
+            try:
+                labels.append(parse_action(row["action"]).value)
+            except TrajectoryFormatError as exc:
+                raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise TrajectoryFormatError(f"{path}: no rows for subject {subject!r}")
     return np.array(rows, dtype=float), labels, feature_cols

@@ -36,8 +36,9 @@ import numpy as np
 
 from .geometry import Vec2, cone_limit, segments_intersect, widened, within_cone
 from .params import SfmParams
-from .scene import AgentColumns, AgentKind, AgentState, Scene, in_road_zone
-from .scene import in_intersection_zone  # noqa: F401  (kept: perfbench/tracer.py patches this name)
+from .scene import AgentColumns, AgentKind, AgentState, Scene
+# Kept importable here: perfbench/tracer.py patches these names.
+from .scene import in_intersection_zone, in_road_zone  # noqa: F401
 
 CAR_CONE_HALF_ANGLE_DEG = 90.0
 
@@ -130,20 +131,19 @@ def classify_conflict(
     cars: Sequence[str],
     all_cars: Sequence[AgentState],
     agents: Mapping[str, AgentState],
-    scene: Scene,
     partners: Mapping[str, set[str]],
     in_intersection: bool,
+    in_road: bool,
 ) -> tuple[ConflictClass, tuple[str, ...], list[str]]:
     """Map the competitor sets found for one car onto a conflict class.
-    `in_intersection` says whether the anchor stands in an intersection
-    zone, as the recognition pass found it.
+    `in_intersection` and `in_road` say whether the anchor stands in an
+    intersection zone or a road zone, as the step's snapshot found it.
 
     Returns (class, competitive users, cars whose own conflicts were
     absorbed by a road-zone merge).
     """
     peds = tuple(peds)
     cars = tuple(cars)
-    # No competitors: nothing to classify, so no zone test either.
     if not peds and not cars:
         return ConflictClass.NO_NEW_CONFLICT, (), []
     if peds and cars:
@@ -153,7 +153,7 @@ def classify_conflict(
     # Pedestrians only.
     if in_intersection:
         return ConflictClass.PEDESTRIANS_TO_CAR, peds, []
-    if in_road_zone(anchor.position, scene):
+    if in_road:
         own_nearest = nearest_id(anchor, peds, agents)
         merged: list[str] = []
         for other in all_cars:
@@ -243,7 +243,9 @@ def recognize_conflicts(
             p = ahead[agent.id] = predicted_position(agent, params)
         return p
 
-    for car, scan, in_intersection in zip(cars, scans, columns.in_intersection):
+    for car, scan, in_intersection, in_road in zip(
+        cars, scans, columns.in_intersection, columns.in_road
+    ):
         competitive_peds: list[str] = []
         competitive_cars: list[str] = []
         # Agents engaged with the car when the pass began or since.
@@ -276,7 +278,8 @@ def recognize_conflicts(
                     competitive_peds.append(ped.id)
 
         conflict_class, users, merged_cars = classify_conflict(
-            car, competitive_peds, competitive_cars, cars, agents, scene, partners, in_intersection
+            car, competitive_peds, competitive_cars, cars, agents, partners,
+            in_intersection, in_road,
         )
         if conflict_class is ConflictClass.NO_NEW_CONFLICT:
             continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -298,21 +299,24 @@ class MetricReport:
     confusion: dict[tuple[Action, Action], int] = field(default_factory=dict)
     unmatched_agents: list[tuple[str, str]] = field(default_factory=list)
 
-    def mean_ade(self, kind: AgentKind | None = None) -> float:
-        values = [m.ade for m in self.per_agent if kind is None or m.kind is kind]
-        if not values:
-            raise MetricUndefinedError("no agents matched")
-        return sum(values) / len(values)
-
-    def mean_speed_deviation(self, kind: AgentKind | None = None) -> float:
-        values = [
-            m.speed_deviation
-            for m in self.per_agent
-            if m.speed_deviation is not None and (kind is None or m.kind is kind)
-        ]
-        if not values:
-            raise MetricUndefinedError("no agents matched")
-        return sum(values) / len(values)
+    def kind_stats(self, kind: AgentKind) -> dict:
+        """Count, mean and standard deviation of the ADE and of the speed
+        deviation over the agents of `kind`; {} when there are none, and
+        no speed keys when no such agent has a speed deviation."""
+        agents = [m for m in self.per_agent if m.kind is kind]
+        if not agents:
+            return {}
+        ades = [m.ade for m in agents]
+        sds = [m.speed_deviation for m in agents if m.speed_deviation is not None]
+        stats = {
+            "n": len(agents),
+            "ade_mean": statistics.mean(ades),
+            "ade_std": statistics.stdev(ades) if len(ades) > 1 else 0.0,
+        }
+        if sds:
+            stats["speed_dev_mean"] = statistics.mean(sds)
+            stats["speed_dev_std"] = statistics.stdev(sds) if len(sds) > 1 else 0.0
+        return stats
 
 
 def compare_trajectories(
@@ -382,16 +386,12 @@ def write_metric_report(report: MetricReport, path: str | Path) -> None:
 def format_report_summary(report: MetricReport) -> str:
     lines = []
     for kind in (AgentKind.PEDESTRIAN, AgentKind.CAR):
-        agents = [m for m in report.per_agent if m.kind is kind]
-        if not agents:
+        stats = report.kind_stats(kind)
+        if not stats:
             continue
-        mean_ade = sum(m.ade for m in agents) / len(agents)
-        lines.append(f"{kind.value}: n={len(agents)} mean_ade={mean_ade:.3f} m")
-        sds = [m.speed_deviation for m in agents if m.speed_deviation is not None]
-        if sds:
-            lines.append(
-                f"{kind.value}: mean_speed_deviation={sum(sds) / len(sds):.3f} m/s"
-            )
+        lines.append(f"{kind.value}: n={stats['n']} mean_ade={stats['ade_mean']:.3f} m")
+        if "speed_dev_mean" in stats:
+            lines.append(f"{kind.value}: mean_speed_deviation={stats['speed_dev_mean']:.3f} m/s")
     if report.decision_error_rate is not None:
         lines.append(f"decision_error_rate={report.decision_error_rate:.3f}")
         for (r, s), count in sorted(

@@ -16,6 +16,10 @@ conflicts whose actions have completed or timed out.
 The active conflicts are the only record of who is engaged with whom;
 recognition and feature extraction derive what they need from them.
 
+The trace holds one row per decision: each game member's action with
+the features it saw. decisions.csv and features.csv are both written
+from those rows, one line each, in the same order.
+
 Runs are deterministic: equal configuration gives bit-identical traces.
 """
 
@@ -128,14 +132,10 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class DecisionRow:
-    step: int
-    conflict_id: int
-    agent_id: str
-    action: Action
+    """One member's equilibrium action in one game, with the features it
+    saw: a follower its view of the leader, the leader its view of its
+    nearest follower."""
 
-
-@dataclass(frozen=True)
-class FeatureRow:
     step: int
     conflict_id: int
     agent_id: str
@@ -150,7 +150,6 @@ class SimulationTrace:
     scenario_id: str
     rows: list[TraceRow] = field(default_factory=list)
     decisions: list[DecisionRow] = field(default_factory=list)
-    feature_rows: list[FeatureRow] = field(default_factory=list)
     conflicts: list[Conflict] = field(default_factory=list)
     arrived_step: dict[str, int] = field(default_factory=dict)
     steps_run: int = 0
@@ -294,27 +293,13 @@ class Simulation:
         )
         for aid, action in actions.items():
             agent = self.world.agents[aid]
+            if aid == leader.id:
+                role, fv = "leader", contexts[nearest_follower].leader_view
+            else:
+                role, fv = "follower", contexts[aid].follower_view
             self.trace.decisions.append(
-                DecisionRow(self.world.step, conflict.id, aid, action)
+                DecisionRow(self.world.step, conflict.id, aid, agent.kind, role, fv, action)
             )
-            competitor = leader.id if aid != leader.id else nearest_follower
-            if competitor is not None:
-                fv = (
-                    contexts[aid].follower_view
-                    if aid != leader.id
-                    else contexts[competitor].leader_view
-                )
-                self.trace.feature_rows.append(
-                    FeatureRow(
-                        self.world.step,
-                        conflict.id,
-                        aid,
-                        agent.kind,
-                        "leader" if aid == leader.id else "follower",
-                        fv,
-                        action,
-                    )
-                )
             if aid not in self._binding:
                 self._binding[aid] = runtime
             if agent.kind is AgentKind.CAR and action is Action.DECELERATE:
@@ -663,9 +648,9 @@ def write_features_csv(trace: SimulationTrace, path: str | Path) -> None:
     names = [spec.name for spec in fields(FeatureVector)]
     header = "scenario_id,step,conflict_id,agent_id,kind,role," + ",".join(names) + ",action"
     lines = [header]
-    for f in trace.feature_rows:
-        values = ",".join(repr(getattr(f.features, name)) for name in names)
+    for d in trace.decisions:
+        values = ",".join(repr(getattr(d.features, name)) for name in names)
         lines.append(
-            f"{trace.scenario_id},{f.step},{f.conflict_id},{f.agent_id},{f.kind.value},{f.role},{values},{f.action.value}"
+            f"{trace.scenario_id},{d.step},{d.conflict_id},{d.agent_id},{d.kind.value},{d.role},{values},{d.action.value}"
         )
     Path(path).write_text("\n".join(lines) + "\n")

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+MAX_ITER = 200
 GRADIENT_TOL = 1e-6
 LOGLIK_TOL = 1e-8
 MAX_HALVINGS = 40
@@ -127,9 +128,6 @@ def fit_multinomial_logit(
     y: Sequence[str],
     baseline: str,
     feature_names: Sequence[str] | None = None,
-    max_iter: int = 200,
-    loglik_tol: float = LOGLIK_TOL,
-    gradient_tol: float = GRADIENT_TOL,
 ) -> LogitModel:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -156,9 +154,9 @@ def fit_multinomial_logit(
     ll, probs = _log_likelihood(X, codes, beta)
 
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         grad = _gradient(X, codes, probs)
-        if np.abs(grad).max() < gradient_tol:
+        if np.abs(grad).max() < GRADIENT_TOL:
             break
         H = _hessian(X, probs)
         try:
@@ -182,10 +180,10 @@ def fit_multinomial_logit(
             raise ConvergenceError(
                 "coefficients diverging; outcomes may be perfectly separable"
             )
-        if abs(improved) < loglik_tol and np.abs(_gradient(X, codes, probs)).max() < gradient_tol:
+        if abs(improved) < LOGLIK_TOL and np.abs(_gradient(X, codes, probs)).max() < GRADIENT_TOL:
             break
     else:
-        raise ConvergenceError(f"no convergence after {max_iter} iterations")
+        raise ConvergenceError(f"no convergence after {MAX_ITER} iterations")
 
     H = _hessian(X, probs)
     try:

@@ -141,25 +141,8 @@ _SFM_SCALARS = {
     "s_c": "s_c",
     "fov_half_angle_deg": "fov_half_angle_deg",
 }
-_GAME_SCALARS = {
-    "g_own_speed": "g_own_speed",
-    "g_competitor_speed": "g_competitor_speed",
-    "g_angle": "g_angle",
-    "g_noai": "g_noai",
-    "g_stopped": "g_stopped",
-    "g_distance": "g_distance",
-    "g_giveway": "g_giveway",
-    "g_following": "g_following",
-    "g_followed": "g_followed",
-    "m": "m",
-    "n": "n",
-    "s_high": "s_high",
-    "s_normal": "s_normal",
-    "base_continue": "base_continue",
-    "base_decelerate": "base_decelerate",
-    "base_deviate": "base_deviate",
-    "collision_penalty": "collision_penalty",
-}
+# Every GameParams field but the regime, under its own name.
+_GAME_SCALARS = tuple(f.name for f in dataclasses.fields(GameParams) if f.name != "regime")
 
 
 def _number(key: str, value: object) -> float:
@@ -193,9 +176,9 @@ def parameter_set_from_dict(raw: dict) -> ParameterSet:
     for key, attr in _SFM_SCALARS.items():
         if key in raw:
             setattr(ps.sfm, attr, _number(key, raw[key]))
-    for key, attr in _GAME_SCALARS.items():
+    for key in _GAME_SCALARS:
         if key in raw:
-            setattr(ps.game, attr, _number(key, raw[key]))
+            setattr(ps.game, key, _number(key, raw[key]))
     ps.validate()
     return ps
 
@@ -209,8 +192,8 @@ def parameter_set_to_dict(ps: ParameterSet) -> dict:
     }
     for key, attr in _SFM_SCALARS.items():
         out[key] = getattr(ps.sfm, attr)
-    for key, attr in _GAME_SCALARS.items():
-        out[key] = getattr(ps.game, attr)
+    for key in _GAME_SCALARS:
+        out[key] = getattr(ps.game, key)
     return out
 
 

@@ -53,7 +53,7 @@ from sharedspace.engine import (
     TraceRow,
     run_scenario,
 )
-from sharedspace.game import Action
+from sharedspace.game import Action, FeatureVector
 from sharedspace.geometry import Vec2
 from sharedspace.params import ParameterFileError, ParameterSet
 from sharedspace.scene import AgentKind, Rect, Scene
@@ -617,12 +617,14 @@ class TestTraceIndexing:
         }
 
     def test_trace_decisions_index_by_per_agent_ordinal(self) -> None:
+        fv = FeatureVector(*[0.0] * len(dataclasses.fields(FeatureVector)))
+        car, ped = AgentKind.CAR, AgentKind.PEDESTRIAN
         trace = SimulationTrace(
             scenario_id="s",
             decisions=[
-                DecisionRow(3, 0, "c1", Action.CONTINUE),
-                DecisionRow(3, 0, "p1", Action.DEVIATE),
-                DecisionRow(9, 1, "p1", Action.DECELERATE),
+                DecisionRow(3, 0, "c1", car, "leader", fv, Action.CONTINUE),
+                DecisionRow(3, 0, "p1", ped, "follower", fv, Action.DEVIATE),
+                DecisionRow(9, 1, "p1", ped, "follower", fv, Action.DECELERATE),
             ],
         )
         assert trace_decisions(trace) == {

@@ -208,6 +208,32 @@ class TestSimulate:
         assert manifest["truncated"] is False
         assert sorted(manifest["outputs"]) == ["decisions.csv", "features.csv", "trace.csv"]
 
+    # sha256 of the outputs on the bundled crossing, recorded before
+    # decisions.csv and features.csv were written from one row per
+    # decision; a refactor must not change them.
+    PINNED = {
+        "hbs": {
+            "trace.csv": "0b37a765acacbeee0a31daf35a5b9938bd1da032a982c8606a9ad87968733c10",
+            "decisions.csv": "89af7d6888c5c81a43a0152be6ea71f1c1bf1776d98845b32e7340bc6e49d108",
+            "features.csv": "0f1466a3c9d0e183a21e8b4210aa22df01a2881a089fd33c9c69ea405c698cbc",
+        },
+        "dut": {
+            "trace.csv": "7c42d560fbb17e3292c96e296651cb2128dbc7310f5b0cb883d7a628fdcf461c",
+            "decisions.csv": "be670a9244da4ed169c6bfedf6de21ca20d5eaf6991d653841dd36f96355fbc2",
+            "features.csv": "868b801ed8fcabd4fc29f361293dc891f085f4fc632ebee75f2650b39d583c3e",
+        },
+    }
+
+    @pytest.mark.parametrize("regime", ["hbs", "dut"])
+    def test_bundled_crossing_outputs_match_the_pinned_digests(self, tmp_path, regime) -> None:
+        out = tmp_path / regime
+        code = main([
+            "simulate", "--scene", str(DATA / "scene.json"),
+            "--scenario", str(DATA / "crossing.json"), "--regime", regime, "--out-dir", str(out),
+        ])
+        assert code == 0
+        assert {name: sha256(out / name) for name in self.PINNED[regime]} == self.PINNED[regime]
+
     def test_manifest_hashes_match_the_input_files(self, tmp_path) -> None:
         code, out = run_simulate(tmp_path)
         assert code == 0
@@ -476,6 +502,34 @@ class TestEvaluate:
         assert manifest["unmatched_agents"] == 0
         assert (out / "summary.txt").read_text().strip() == stdout.strip()
 
+    def test_summary_lines_are_the_manifest_statistics(self, tmp_path) -> None:
+        # The bundled trajectories against a copy that drifts by a
+        # per-agent amount, so every kind has a spread of ADEs and speeds.
+        lines = (DATA / "trajectories.csv").read_text().splitlines()
+        drifted = [lines[0]]
+        for line in lines[1:]:
+            scenario, frame, agent, kind, x, y = line.split(",")
+            k = sum(map(ord, scenario + agent)) % 5 + 1
+            x = float(x) + 0.01 * k * int(frame)
+            drifted.append(f"{scenario},{frame},{agent},{kind},{x!r},{y}")
+        sim = tmp_path / "sim.csv"
+        sim.write_text("\n".join(drifted) + "\n")
+        out = tmp_path / "eval"
+        code = main([
+            "evaluate", "--real", str(DATA / "trajectories.csv"), "--sim", str(sim),
+            "--out", str(out),
+        ])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = []
+        for kind, key in (("ped", "pedestrian"), ("car", "car")):
+            stats = manifest[key]
+            assert stats["n"] > 1 and stats["ade_std"] > 0.0
+            expected.append(f"{kind}: n={stats['n']} mean_ade={stats['ade_mean']:.3f} m")
+            expected.append(f"{kind}: mean_speed_deviation={stats['speed_dev_mean']:.3f} m/s")
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert [line for line in summary if line.startswith(("ped:", "car:"))] == expected
+
     def test_matching_annotations_score_zero_error(self, tmp_path) -> None:
         _, run = run_simulate(tmp_path)
         annotations = tmp_path / "annotations.csv"
@@ -680,6 +734,16 @@ class TestSelectFeatures:
         ])
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}:602: expected 10 columns\n"
+
+    def test_unknown_action_exits_2_with_its_line(self, tmp_path, capsys) -> None:
+        path = tmp_path / "observations.csv"
+        path.write_text("kind,f0,action\ncar,1.0,continue\ncar,2.0,fly\n")
+        code = main([
+            "select-features", "--observations", str(path), "--subject", "car",
+            "--out-dir", str(tmp_path / "sel"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}:3: unknown action 'fly'\n"
 
     def test_all_constant_features_exit_2(self, tmp_path, capsys) -> None:
         observations = tmp_path / "observations.csv"

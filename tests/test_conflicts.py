@@ -13,7 +13,7 @@ from sharedspace.conflicts import (
 )
 from sharedspace.geometry import Vec2
 from sharedspace.params import SfmParams
-from sharedspace.scene import Rect, Scene, in_intersection_zone
+from sharedspace.scene import Rect, Scene, in_intersection_zone, in_road_zone
 
 P = SfmParams()
 INTERSECTION = open_square_scene(zone="intersection")
@@ -302,10 +302,11 @@ class TestClassifyConflict:
         agents = {a.id: a for a in [anchor, *others]}
         for k, pid in enumerate(("p1", "p2")):
             agents[pid] = ped(pid, position=Vec2(4 + k, 1))
-        # The flag the recognition pass found, tested outside the count.
+        # The flags the step's snapshot found, tested outside the count.
         in_intersection = in_intersection_zone(anchor.position, scene)
+        in_road = not in_intersection and in_road_zone(anchor.position, scene)
         return classify_conflict(
-            anchor, peds, cars, [anchor, *others], agents, scene, partner_sets or {}, in_intersection
+            anchor, peds, cars, [anchor, *others], agents, partner_sets or {}, in_intersection, in_road
         )
 
     @pytest.mark.parametrize("scene", [INTERSECTION, ROAD, NO_ZONE])
@@ -319,8 +320,8 @@ class TestClassifyConflict:
             (["p1"], ["c1"], NO_ZONE, (ConflictClass.PEDESTRIANS_TO_CARS, ("p1", "c1"), []), 0),
             ([], ["c1", "c2"], NO_ZONE, (ConflictClass.CAR_TO_CAR, ("c1", "c2"), []), 0),
             (["p1", "p2"], [], INTERSECTION, (ConflictClass.PEDESTRIANS_TO_CAR, ("p1", "p2"), []), 0),
-            (["p1"], [], ROAD, (ConflictClass.PEDESTRIANS_TO_CAR, ("p1",), []), 1),
-            (["p1"], [], NO_ZONE, (ConflictClass.NO_NEW_CONFLICT, (), []), 1),
+            (["p1"], [], ROAD, (ConflictClass.PEDESTRIANS_TO_CAR, ("p1",), []), 0),
+            (["p1"], [], NO_ZONE, (ConflictClass.NO_NEW_CONFLICT, (), []), 0),
         ],
     )
     def test_classes(self, zone_tests, peds, cars, scene, expected, n_zone_tests):

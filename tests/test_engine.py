@@ -518,10 +518,10 @@ class TestConflictLifecycle:
         seen = [(d.conflict_id, d.agent_id) for d in trace.decisions]
         assert len(seen) == len(set(seen))
 
-    def test_feature_rows_mirror_decisions(self) -> None:
+    def test_decision_rows_carry_role_and_features(self) -> None:
         trace = run_scenario(crossing_config(max_steps=2))
-        assert len(trace.feature_rows) == 2
-        by_role = {f.role: f for f in trace.feature_rows}
+        assert len(trace.decisions) == 2
+        by_role = {d.role: d for d in trace.decisions}
         assert by_role["leader"].agent_id == "c1"
         assert by_role["leader"].kind is AgentKind.CAR
         assert by_role["follower"].agent_id == "p1"
@@ -543,7 +543,7 @@ class TestConflictLifecycle:
         assert first.participants() == ("c1", "p1")
         assert second.participants() == ("c1", "p2")
         assert second.created_at_step == 1
-        noai = {(f.conflict_id, f.agent_id): f.features.noai for f in sim.trace.feature_rows}
+        noai = {(d.conflict_id, d.agent_id): d.features.noai for d in sim.trace.decisions}
         assert noai == {
             (first.id, "c1"): 1.0,
             (first.id, "p1"): 1.0,
@@ -753,7 +753,7 @@ class TestOutputs:
             "angle,car_followed,min_dist,giveway_nr,"
             "pedestrian_min_dist,car_min_dist,action"
         )
-        assert len(lines) == 1 + len(trace.feature_rows)
+        assert len(lines) == 1 + len(trace.decisions)
         for line in lines[1:]:
             cells = line.split(",")
             assert cells[4] in ("ped", "car")
@@ -828,7 +828,6 @@ class TestScreenedPasses:
         screened, everyone = traces
         assert screened.rows == everyone.rows
         assert screened.decisions == everyone.decisions
-        assert screened.feature_rows == everyone.feature_rows
         assert screened.conflicts == everyone.conflicts
         assert everyone.decisions
         # The road scene reaches recognition's road-section branch.
@@ -876,3 +875,21 @@ class TestRoadZoneCrowds:
                 for user in peds.intersection(conflict.competitive_users):
                     assert (conflict.anchor_car, user) not in engaged
         assert dissolved
+
+    @pytest.mark.parametrize("regime", ["hbs", "dut"])
+    def test_features_csv_lines_match_decisions_csv(self, tmp_path, regime) -> None:
+        # Both files are written from the same decision rows: line for
+        # line, they name the same step, conflict, agent and action.
+        config = SimulationConfig(
+            scene=open_square_scene(zone="road"), scenario=two_way_crowd(0, n_peds=16, n_cars=6),
+            params=ParameterSet.defaults(regime), max_steps=40,
+        )
+        trace = run_scenario(config)
+        write_decisions_csv(trace, tmp_path / "decisions.csv")
+        write_features_csv(trace, tmp_path / "features.csv")
+        decisions = (tmp_path / "decisions.csv").read_text().splitlines()
+        features = [line.split(",") for line in (tmp_path / "features.csv").read_text().splitlines()]
+        shared = ("scenario_id", "step", "conflict_id", "agent_id", "action")
+        columns = [features[0].index(c) for c in shared]
+        assert [",".join(row[c] for c in columns) for row in features] == decisions
+        assert len(decisions) > 10

@@ -496,11 +496,14 @@ def _load_observations(path: Path, subject: str, wanted: list[str] | None):
             if has_kind and row["kind"] != subject:
                 continue
             try:
-                rows.append([float(row[c]) for c in feature_cols])
+                values = [float(row[c]) for c in feature_cols]
             except ValueError:
                 raise TrajectoryFormatError(
                     f"{path}:{lineno}: non-numeric feature value"
                 ) from None
+            if not all(map(math.isfinite, values)):
+                raise TrajectoryFormatError(f"{path}:{lineno}: non-finite feature value")
+            rows.append(values)
             try:
                 labels.append(parse_action(row["action"]).value)
             except TrajectoryFormatError as exc:
@@ -612,7 +615,8 @@ _seconds = _checked(
     float, lambda v: v > 0.0 and math.isfinite(v), "must be a positive, finite number of seconds"
 )
 _fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
-_jobs = _checked(int, lambda v: v >= 1, "must be at least 1")
+_at_least_one = _checked(int, lambda v: v >= 1, "must be at least 1")
+_seed = _checked(int, lambda v: v >= 0, "must be nonnegative")
 _alpha = _checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 
 
@@ -620,7 +624,7 @@ def _add_common_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params", help="parameter set JSON (default: built-in values)")
     p.add_argument("--regime", choices=["hbs", "dut"], default=None,
                    help="parameter regime when no file is given; overrides the file's regime field")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dt", type=_seconds, default=0.5, help="seconds per step/frame")
     p.add_argument("--config", help="JSON file whose keys override the flags")
 
@@ -630,7 +634,7 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generations", type=int, default=200)
     p.add_argument("--stagnation", type=int, default=30)
     p.add_argument("--train-fraction", type=_fraction, default=0.66)
-    p.add_argument("--jobs", type=_jobs, default=1,
+    p.add_argument("--jobs", type=_at_least_one, default=1,
                    help="concurrent chromosome evaluations")
 
 
@@ -646,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--max-steps", type=int, default=400)
+    p.add_argument("--max-steps", type=_at_least_one, default=400)
     _add_common_sim_flags(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -722,9 +726,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ScenarioError,
         TrajectoryFormatError,
         GaConfigError,
-        FileNotFoundError,
-        IsADirectoryError,
-        PermissionError,
+        OSError,
         json.JSONDecodeError,
         ValueError,
     ) as exc:

@@ -570,11 +570,11 @@ def load_scenario(path: str | Path) -> Scenario:
         try:
             position = Vec2(*map(float, item["position"]))
             goal = Vec2(*map(float, item["goal"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{path}: agents[{i}]: bad position/goal") from exc
         try:
             velocity = Vec2(*map(float, item.get("velocity", (0.0, 0.0))))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{path}: agents[{i}]: bad velocity") from exc
         defaults = KIND_DEFAULTS[kind]
         scalars = {}

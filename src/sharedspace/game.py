@@ -3,7 +3,7 @@
 The anchor car of a conflict leads; every competitive user follows.
 Followers best-respond to each leader action independently, and the
 leader picks the action whose induced follower profile maximizes its
-own utility (subgame perfect equilibrium by enumeration).
+own utility (subgame perfect equilibrium).
 
 Utilities are reconstructed from ordinal action preferences, a mutual
 penalty when leader and follower insist on crossing paths, and
@@ -14,7 +14,6 @@ fitted decision models of the active regime.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -239,11 +238,14 @@ class PairContext:
 
 @dataclass
 class PayoffGame:
-    """Normal-form payoff tables for one leader and its followers.
+    """Payoff tables for one leader and its followers.
 
-    leader_utility maps (leader action, follower action profile) to the
-    leader's payoff; follower_utility[fid] maps (leader action, own
-    action) to that follower's payoff.
+    follower_utility[fid] maps (leader action, own action) to that
+    follower's payoff. leader_utility maps (leader action, follower
+    action profile) to the leader's payoff; a built game holds it only
+    at each leader action's best-response profile, the one entry per
+    leader action that solve_spne reads. A caller may still pass a full
+    table.
     """
 
     leader: str
@@ -277,20 +279,7 @@ def build_payoff_matrix(
         follower_utility[f.id] = table
 
     leader_utility: dict[tuple[Action, tuple[Action, ...]], float] = {}
-    for la in leader_actions:
-        base = _base_value(la, gp)
-        feature_sum = sum(
-            _feature_term(contexts[fid].leader_view, leader.kind, la, gp)
-            for fid in follower_ids
-        )
-        for profile in itertools.product(*(follower_actions[fid] for fid in follower_ids)):
-            u = base + feature_sum
-            for fid, fa in zip(follower_ids, profile):
-                if contexts[fid].paths_cross and la is Action.CONTINUE and fa is Action.CONTINUE:
-                    u += gp.collision_penalty
-            leader_utility[(la, profile)] = u
-
-    return PayoffGame(
+    game = PayoffGame(
         leader=leader.id,
         followers=follower_ids,
         leader_actions=leader_actions,
@@ -298,18 +287,22 @@ def build_payoff_matrix(
         leader_utility=leader_utility,
         follower_utility=follower_utility,
     )
+    for la in leader_actions:
+        profile = follower_best_response(game, la)
+        u = _base_value(la, gp) + sum(
+            _feature_term(contexts[fid].leader_view, leader.kind, la, gp)
+            for fid in follower_ids
+        )
+        for fid, fa in zip(follower_ids, profile):
+            if contexts[fid].paths_cross and la is Action.CONTINUE and fa is Action.CONTINUE:
+                u += gp.collision_penalty
+        leader_utility[(la, profile)] = u
+    return game
 
 
 def _best_action(actions: Sequence[Action], utility_of) -> Action:
-    best = None
-    best_u = None
-    for action in sorted(actions, key=ACTION_ORDER.index):
-        u = utility_of(action)
-        if best_u is None or u > best_u:
-            best = action
-            best_u = u
-    assert best is not None
-    return best
+    # max keeps the first of equal maxima, so ties go to ACTION_ORDER.
+    return max(sorted(actions, key=ACTION_ORDER.index), key=utility_of)
 
 
 def follower_best_response(game: PayoffGame, leader_action: Action) -> tuple[Action, ...]:

@@ -148,7 +148,7 @@ _GAME_SCALARS = tuple(f.name for f in dataclasses.fields(GameParams) if f.name !
 def _number(key: str, value: object) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterFileError(f"{key}: expected a number, got {value!r}") from exc
 
 

@@ -223,7 +223,7 @@ def in_field_of_view(
 def _number(raw: object, label: str) -> float:
     try:
         return float(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSceneError(f"{label}: expected a number, got {raw!r}") from exc
 
 

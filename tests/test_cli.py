@@ -100,6 +100,7 @@ def run_simulate(tmp_path: Path, out_name: str = "run", *extra: str) -> tuple[in
 
 # Each command's required flags, with placeholder values.
 REQUIRED = {
+    "simulate": ["--scene", "s", "--scenario", "x", "--out-dir", "o"],
     "calibrate-sfm": ["--scene", "s", "--trajectories", "t", "--out-dir", "o"],
     "calibrate-game": ["--scene", "s", "--trajectories", "t", "--annotations", "a", "--out-dir", "o"],
     "select-features": ["--observations", "x", "--subject", "car", "--out-dir", "o"],
@@ -154,6 +155,9 @@ class TestParser:
             *[("calibrate-sfm", "--train-fraction", v, "must lie in (0, 1]")
               for v in ("5", "nan", "-1", "0")],
             *[("calibrate-game", "--jobs", v, "must be at least 1") for v in ("0", "-2")],
+            *[("simulate", "--max-steps", v, "must be at least 1") for v in ("0", "-5")],
+            ("simulate", "--seed", "-1", "must be nonnegative"),
+            ("calibrate-sfm", "--seed", "-1", "must be nonnegative"),
             *[("select-features", "--alpha", v, "must lie in [0, 1]") for v in ("nan", "-1", "1.5")],
         ],
     )
@@ -267,6 +271,24 @@ class TestSimulate:
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flag, relative",
+        [("--out-dir", "blocker"), ("--out-dir", "blocker/out"), ("--scene", "blocker/scene.json")],
+    )
+    def test_unusable_path_exits_2_with_one_line(self, tmp_path, capsys, flag, relative) -> None:
+        # An existing file is no directory to write into, and no path
+        # under a file can be read or made.
+        scene_path, scenario_path = write_crossing_inputs(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        paths = {"--scene": scene_path, "--out-dir": tmp_path / "out", flag: tmp_path / relative}
+        code = main([
+            "simulate", "--scene", str(paths["--scene"]), "--scenario", str(scenario_path),
+            "--out-dir", str(paths["--out-dir"]),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
     def test_corrupt_scenario_exits_2(self, tmp_path) -> None:
         scene_path, _ = write_crossing_inputs(tmp_path)
@@ -745,6 +767,19 @@ class TestSelectFeatures:
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}:3: unknown action 'fly'\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_exits_2_with_its_line(self, tmp_path, capsys, value) -> None:
+        path = tmp_path / "observations.csv"
+        rows = ["kind,a,b,action", "car,1,5,continue", "car,2,4,decelerate"]
+        rows += [f"car,{value},3,continue", "car,4,2,decelerate", "car,5,1,continue"]
+        path.write_text("\n".join(rows) + "\n")
+        code = main([
+            "select-features", "--observations", str(path), "--subject", "car",
+            "--out-dir", str(tmp_path / "sel"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}:4: non-finite feature value\n"
+
     def test_all_constant_features_exit_2(self, tmp_path, capsys) -> None:
         observations = tmp_path / "observations.csv"
         rows = ["scenario_id,kind,f0,action"]
@@ -1031,6 +1066,31 @@ class TestValidate:
         bad.write_text(json.dumps(content))
         assert main(["validate", "--scene", str(scene_path), "--params", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {field} must be finite\n"
+
+    @pytest.mark.parametrize(
+        "loader, field", [("scene", "meters_per_unit"), ("scenario", "position"), ("params", "u0")]
+    )
+    def test_integer_too_large_for_a_float_exits_2_with_one_line(
+        self, tmp_path, capsys, loader, field
+    ) -> None:
+        scene_path, scenario_path = write_crossing_inputs(tmp_path)
+        huge = 10**400  # valid JSON, but float() overflows on it
+        args = ["validate", "--scene", str(scene_path)]
+        if loader == "scene":
+            scene_path.write_text(json.dumps({"bounds": [0, 0, 10, 10], "meters_per_unit": huge}))
+        elif loader == "scenario":
+            scenario = json.loads(scenario_path.read_text())
+            scenario["agents"][0]["position"] = [huge, 0]
+            scenario_path.write_text(json.dumps(scenario))
+            args += ["--scenario", str(scenario_path)]
+        else:
+            params_path = tmp_path / "params.json"
+            params_path.write_text(json.dumps({"u0": huge}))
+            args += ["--params", str(params_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("content, key", [({"u0": [1]}, "u0"), ({"v0": {"pp": None}}, "v0.pp")])
     def test_wrong_typed_params_exit_2_with_one_line(self, tmp_path, capsys, content, key) -> None:

@@ -3,6 +3,7 @@ priorities, conflict lifecycle, determinism, and trace output."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -857,7 +858,7 @@ class TestRoadZoneCrowds:
 
         monkeypatch.setattr(conflicts, "recognize_conflicts", recording)
         config = SimulationConfig(
-            scene=open_square_scene(zone="road"), scenario=two_way_crowd(seed, n_peds=16, n_cars=6),
+            scene=open_square_scene(zone="road"), scenario=two_way_crowd(seed),
             params=ParameterSet.defaults(regime), max_steps=40,
         )
         peds = {e.id for e in config.scenario.entries if e.kind is AgentKind.PEDESTRIAN}
@@ -881,7 +882,7 @@ class TestRoadZoneCrowds:
         # Both files are written from the same decision rows: line for
         # line, they name the same step, conflict, agent and action.
         config = SimulationConfig(
-            scene=open_square_scene(zone="road"), scenario=two_way_crowd(0, n_peds=16, n_cars=6),
+            scene=open_square_scene(zone="road"), scenario=two_way_crowd(0),
             params=ParameterSet.defaults(regime), max_steps=40,
         )
         trace = run_scenario(config)
@@ -893,3 +894,27 @@ class TestRoadZoneCrowds:
         columns = [features[0].index(c) for c in shared]
         assert [",".join(row[c] for c in columns) for row in features] == decisions
         assert len(decisions) > 10
+
+    # sha256 of the outputs of a crowd whose games grow to 14
+    # followers, recorded when the builder still filled the leader's
+    # payoff at every joint follower profile; building only the
+    # best-response entries must not change them.
+    PINNED = {
+        "trace.csv": "855cf4063bbf5d49bd276f681f9396b0f646a33b70670dd88478af9b3c6f817b",
+        "decisions.csv": "49c160a020e8cc591df4ff6385d3a8d86e07ba2c886c8f3777f0d805ec721eb2",
+        "features.csv": "58ce3887b8dddbaf79d049b3fdd82ed491bca5adbd9d6814f2f6740b18472576",
+    }
+
+    def test_crowd_outputs_match_the_pinned_digests(self, tmp_path) -> None:
+        config = SimulationConfig(
+            scene=open_square_scene(zone="road"), scenario=two_way_crowd(3),
+            params=ParameterSet.defaults("hbs"), max_steps=60,
+        )
+        trace = run_scenario(config)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        write_decisions_csv(trace, tmp_path / "decisions.csv")
+        write_features_csv(trace, tmp_path / "features.csv")
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.PINNED
+        }
+        assert digests == self.PINNED

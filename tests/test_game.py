@@ -8,8 +8,10 @@ independent set-based enumerator on randomized games.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,8 @@ from sharedspace.game import (
     IllegalActionError,
     PairContext,
     PayoffGame,
+    _base_value,
+    _feature_term,
     actions_for,
     angle_bucket,
     apply_action,
@@ -253,13 +257,11 @@ class TestPayoffMatrix:
         lu, fu = game.leader_utility, game.follower_utility["p1"]
         C, D, V = Action.CONTINUE, Action.DECELERATE, Action.DEVIATE
 
+        # The follower deviates under either leader action (19 beats 16
+        # and continue), so the leader's table holds one entry for each.
         # Car decelerate term: -11*2 + 11*1 + 3*2 + 2*1 + 1*7 - 1*3 = 1.
-        assert lu[(D, (C,))] == pytest.approx(2.0 + 1.0, rel=1e-12)
-        assert lu[(D, (D,))] == pytest.approx(3.0, rel=1e-12)
-        assert lu[(D, (V,))] == pytest.approx(3.0, rel=1e-12)
-        # Continue carries no feature term; mutual continue collides.
-        assert lu[(C, (C,))] == pytest.approx(4.0 - 100.0, rel=1e-12)
-        assert lu[(C, (D,))] == pytest.approx(4.0, rel=1e-12)
+        assert lu[(D, (V,))] == pytest.approx(2.0 + 1.0, rel=1e-12)
+        # Continue carries no feature term.
         assert lu[(C, (V,))] == pytest.approx(4.0, rel=1e-12)
 
         # Ped decelerate term: 11*1 - 11*0 - 2*1 + 1*5 + 0*1 = 14.
@@ -279,8 +281,9 @@ class TestPayoffMatrix:
         C, D, V = Action.CONTINUE, Action.DECELERATE, Action.DEVIATE
 
         # Car decelerate term flips the stopped sign and swaps the
-        # distance feature: -22 + 11 + 6 - 2 + 7 - 5 = -5.
-        assert lu[(D, (C,))] == pytest.approx(2.0 - 5.0, rel=1e-12)
+        # distance feature: -22 + 11 + 6 - 2 + 7 - 5 = -5. The follower
+        # deviates (15 beats 12 and continue).
+        assert lu[(D, (V,))] == pytest.approx(2.0 - 5.0, rel=1e-12)
         # Ped decelerate gains -1 * car_min_dist: 14 - 4 = 10.
         assert fu[(C, D)] == pytest.approx(2.0 + 10.0, rel=1e-12)
         # Ped deviate gains the same: 16 - 4 = 12.
@@ -288,10 +291,12 @@ class TestPayoffMatrix:
 
     def test_no_penalty_without_crossing_paths(self) -> None:
         game = _one_follower_game(GameParams(), paths_cross=False)
-        assert game.leader_utility[(Action.CONTINUE, (Action.CONTINUE,))] == pytest.approx(4.0)
+        assert game.leader_utility[(Action.CONTINUE, (Action.DEVIATE,))] == pytest.approx(4.0)
         assert game.follower_utility["p1"][(Action.CONTINUE, Action.CONTINUE)] == pytest.approx(4.0)
 
     def test_penalty_adds_per_crossing_follower(self) -> None:
+        # Continuing is worth 104, so every follower continues even
+        # under the mutual penalty (4 beats 3 and 2).
         gp = GameParams(
             g_own_speed=0.0,
             g_competitor_speed=0.0,
@@ -299,23 +304,25 @@ class TestPayoffMatrix:
             g_noai=0.0,
             g_stopped=0.0,
             g_distance=0.0,
+            base_continue=104.0,
         )
         leader = car("c1")
         followers = [ped("p1", Vec2(10.0, 0.0)), car("c2", Vec2(-10.0, 0.0))]
-        contexts = {
-            "p1": PairContext(FV_LEADER, FV_FOLLOWER, paths_cross=True),
-            "c2": PairContext(FV_LEADER, FV_LEADER, paths_cross=True),
-        }
-        game = build_payoff_matrix(leader, followers, contexts, gp)
         C, D = Action.CONTINUE, Action.DECELERATE
-        assert game.leader_utility[(C, (C, C))] == pytest.approx(4.0 - 200.0)
-        assert game.leader_utility[(C, (C, D))] == pytest.approx(4.0 - 100.0)
-        assert game.leader_utility[(C, (D, C))] == pytest.approx(4.0 - 100.0)
-        assert game.leader_utility[(C, (D, D))] == pytest.approx(4.0)
-        # Each follower is only penalized for its own mutual continue.
-        assert game.follower_utility["p1"][(C, C)] == pytest.approx(-96.0)
-        assert game.follower_utility["c2"][(C, C)] == pytest.approx(-96.0)
-        assert game.follower_utility["c2"][(C, D)] == pytest.approx(2.0)
+        for cross_ped, cross_car, penalty in (
+            (True, True, -200.0), (True, False, -100.0), (False, True, -100.0), (False, False, 0.0)
+        ):
+            contexts = {
+                "p1": PairContext(FV_LEADER, FV_FOLLOWER, paths_cross=cross_ped),
+                "c2": PairContext(FV_LEADER, FV_LEADER, paths_cross=cross_car),
+            }
+            game = build_payoff_matrix(leader, followers, contexts, gp)
+            assert follower_best_response(game, C) == (C, C)
+            assert game.leader_utility[(C, (C, C))] == pytest.approx(104.0 + penalty)
+            # Each follower is only penalized for its own mutual continue.
+            assert game.follower_utility["p1"][(C, C)] == pytest.approx(104.0 - 100.0 * cross_ped)
+            assert game.follower_utility["c2"][(C, C)] == pytest.approx(104.0 - 100.0 * cross_car)
+            assert game.follower_utility["c2"][(C, D)] == pytest.approx(2.0)
 
     def test_table_completeness(self) -> None:
         leader = car("c1")
@@ -327,10 +334,77 @@ class TestPayoffMatrix:
         game = build_payoff_matrix(leader, followers, contexts, GP)
         assert game.leader == "c1"
         assert game.followers == ("p1", "c2")
-        # 2 leader actions x (3 ped actions x 2 car actions) profiles.
-        assert len(game.leader_utility) == 2 * 3 * 2
+        # One best-response profile per leader action.
+        assert len(game.leader_utility) == len(game.leader_actions)
         assert len(game.follower_utility["p1"]) == 2 * 3
         assert len(game.follower_utility["c2"]) == 2 * 2
+
+
+def _eager_leader_utility(leader, followers, contexts, gp):
+    """The leader's payoff at every joint follower profile, filled the
+    way the builder once did: base plus the followers' feature terms in
+    follower order, then the penalty of each crossing follower that
+    continues while the leader continues."""
+    follower_ids = tuple(f.id for f in followers)
+    table = {}
+    for la in actions_for(leader.kind):
+        base = _base_value(la, gp)
+        feature_sum = sum(
+            _feature_term(contexts[fid].leader_view, leader.kind, la, gp) for fid in follower_ids
+        )
+        for profile in itertools.product(*(actions_for(f.kind) for f in followers)):
+            u = base + feature_sum
+            for fid, fa in zip(follower_ids, profile):
+                if contexts[fid].paths_cross and la is Action.CONTINUE and fa is Action.CONTINUE:
+                    u += gp.collision_penalty
+            table[(la, profile)] = u
+    return table
+
+
+def _random_feature_vector(rng: random.Random) -> FeatureVector:
+    # Whole numbers make exact payoff ties between actions common.
+    values = [rng.choice([0.0, 1.0, 2.0, rng.uniform(0.0, 12.0)]) for _ in range(11)]
+    return FeatureVector(*values)
+
+
+class TestBestResponseTable:
+    def test_entries_match_the_full_table(self) -> None:
+        rng = random.Random(13)
+        for _ in range(400):
+            gp = GameParams(regime=rng.choice(["hbs", "dut"]))
+            kinds = [rng.choice(list(AgentKind)) for _ in range(rng.randint(1, 6))]
+            followers = [
+                (car if kind is AgentKind.CAR else ped)(f"f{i}", Vec2(float(i), 5.0))
+                for i, kind in enumerate(kinds)
+            ]
+            leader = rng.choice([car, ped])("L")
+            contexts = {
+                f.id: PairContext(
+                    _random_feature_vector(rng), _random_feature_vector(rng), rng.random() < 0.5
+                )
+                for f in followers
+            }
+            game = build_payoff_matrix(leader, followers, contexts, gp)
+            full = _eager_leader_utility(leader, followers, contexts, gp)
+            assert len(game.leader_utility) == len(game.leader_actions)
+            for la in game.leader_actions:
+                key = (la, follower_best_response(game, la))
+                assert game.leader_utility[key].hex() == full[key].hex()
+            assert solve_spne(game) == solve_spne(dataclasses.replace(game, leader_utility=full))
+
+    def test_twenty_followers_build_and_solve_fast(self) -> None:
+        followers = [ped(f"p{i}", Vec2(float(i), 5.0)) for i in range(10)]
+        followers += [car(f"c{i}", Vec2(float(i), -5.0)) for i in range(10)]
+        contexts = {f.id: PairContext(FV_LEADER, FV_FOLLOWER, paths_cross=True) for f in followers}
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            game = build_payoff_matrix(car("L"), followers, contexts, GP)
+            la, profile = solve_spne(game)
+            best = min(best, time.perf_counter() - start)
+        assert len(profile) == 20
+        assert (la, profile) in game.leader_utility
+        assert best < 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,18 @@ GAME_GENE_NAMES = (
 GENE_NAMES = {"sfm": SFM_GENE_NAMES, "game": GAME_GENE_NAMES}
 
 
+# The GA's operators: each parent is the fittest of TOURNAMENT_SIZE
+# chromosomes drawn with replacement; a child takes a single-point
+# crossover with probability CROSSOVER_RATE, then each of its genes
+# Gaussian noise of MUTATION_SIGMA_FRACTION times the gene's range with
+# probability MUTATION_RATE; the ELITISM fittest chromosomes carry over.
+TOURNAMENT_SIZE = 3
+CROSSOVER_RATE = 0.9
+MUTATION_RATE = 0.1
+MUTATION_SIGMA_FRACTION = 0.1
+ELITISM = 1
+
+
 class GaConfigError(ValueError):
     """Raised for out-of-range GA settings."""
 
@@ -99,11 +111,6 @@ class GaConfigError(ValueError):
 class GaConfig:
     population_size: int = 50
     max_generations: int = 200
-    tournament_size: int = 3
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.1
-    mutation_sigma_fraction: float = 0.1
-    elitism: int = 1
     stagnation_window: int = 30
     seed: int = 0
 
@@ -112,16 +119,6 @@ class GaConfig:
             raise GaConfigError("population_size must be at least 2")
         if self.max_generations < 1:
             raise GaConfigError("max_generations must be at least 1")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise GaConfigError("crossover_rate must lie in [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise GaConfigError("mutation_rate must lie in [0, 1]")
-        if self.mutation_sigma_fraction < 0.0:
-            raise GaConfigError("mutation_sigma_fraction must be non-negative")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise GaConfigError("tournament_size must lie in [1, population_size]")
-        if not 0 <= self.elitism < self.population_size:
-            raise GaConfigError("elitism must lie in [0, population_size)")
         if self.stagnation_window < 1:
             raise GaConfigError("stagnation_window must be at least 1")
 
@@ -204,40 +201,35 @@ def ga_optimize(
     best_fitness = float(fitness[best_idx])
     history = [GenStats(0, best_fitness, _finite_mean(fitness))]
 
-    sigma = config.mutation_sigma_fraction * (highs - lows)
+    sigma = MUTATION_SIGMA_FRACTION * (highs - lows)
     stagnant = 0
     stopped_early = False
-    n_children = config.population_size - config.elitism
+    n_children = config.population_size - ELITISM
 
     for generation in range(1, config.max_generations + 1):
-        picks = rng.integers(
-            0, config.population_size, size=(2 * n_children, config.tournament_size)
-        )
+        picks = rng.integers(0, config.population_size, size=(2 * n_children, TOURNAMENT_SIZE))
         winners = picks[np.arange(2 * n_children), np.argmin(fitness[picks], axis=1)]
         parents_a = population[winners[:n_children]]
         parents_b = population[winners[n_children:]]
 
         children = parents_a.copy()
         if n_genes > 1:
-            crossed = rng.random(n_children) < config.crossover_rate
+            crossed = rng.random(n_children) < CROSSOVER_RATE
             cuts = rng.integers(1, n_genes, size=n_children)
             tail = np.arange(n_genes)[None, :] >= cuts[:, None]
             take_b = tail & crossed[:, None]
             children[take_b] = parents_b[take_b]
 
-        mutate = rng.random(children.shape) < config.mutation_rate
+        mutate = rng.random(children.shape) < MUTATION_RATE
         noise = rng.normal(0.0, 1.0, size=children.shape) * sigma
         children = np.where(mutate, children + noise, children)
         np.clip(children, lows, highs, out=children)
 
         child_fitness = scored(children)
         evaluations += children.shape[0]
-        if config.elitism:
-            elite = np.argsort(fitness, kind="stable")[: config.elitism]
-            population = np.vstack([population[elite], children])
-            fitness = np.concatenate([fitness[elite], child_fitness])
-        else:
-            population, fitness = children, child_fitness
+        elite = np.argsort(fitness, kind="stable")[:ELITISM]
+        population = np.vstack([population[elite], children])
+        fitness = np.concatenate([fitness[elite], child_fitness])
 
         gen_best = int(np.argmin(fitness))
         if float(fitness[gen_best]) < best_fitness:

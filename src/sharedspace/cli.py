@@ -616,6 +616,7 @@ _seconds = _checked(
 )
 _fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 _at_least_one = _checked(int, lambda v: v >= 1, "must be at least 1")
+_at_least_two = _checked(int, lambda v: v >= 2, "must be at least 2")
 _seed = _checked(int, lambda v: v >= 0, "must be nonnegative")
 _alpha = _checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 
@@ -630,9 +631,9 @@ def _add_common_sim_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--population", type=int, default=50)
-    p.add_argument("--generations", type=int, default=200)
-    p.add_argument("--stagnation", type=int, default=30)
+    p.add_argument("--population", type=_at_least_two, default=50)
+    p.add_argument("--generations", type=_at_least_one, default=200)
+    p.add_argument("--stagnation", type=_at_least_one, default=30)
     p.add_argument("--train-fraction", type=_fraction, default=0.66)
     p.add_argument("--jobs", type=_at_least_one, default=1,
                    help="concurrent chromosome evaluations")

@@ -68,11 +68,8 @@ def parse_action(token: str) -> Action:
         raise TrajectoryFormatError(f"unknown action {token!r}") from exc
 
 
-def load_trajectories(
-    path: str | Path, meters_per_unit: float = 1.0
-) -> list[TrajectoryRecord]:
-    if meters_per_unit <= 0.0:
-        raise TrajectoryFormatError("meters_per_unit must be positive")
+def load_trajectories(path: str | Path) -> list[TrajectoryRecord]:
+    """The records of a trajectory CSV, whose coordinates are meters."""
     records: list[TrajectoryRecord] = []
     last_frame: dict[tuple[str, str], int] = {}
     with open(path, newline="") as fh:
@@ -104,8 +101,8 @@ def load_trajectories(
                     f"{path}:{lineno}: kind must be 'ped' or 'car', got {kind_s!r}"
                 ) from None
             try:
-                x = float(x_s) * meters_per_unit
-                y = float(y_s) * meters_per_unit
+                x = float(x_s)
+                y = float(y_s)
             except ValueError:
                 raise TrajectoryFormatError(f"{path}:{lineno}: bad coordinates") from None
             if not (math.isfinite(x) and math.isfinite(y)):

@@ -9,9 +9,10 @@ one directive it moves under (cars: stopping > game > following > free
 flow; pedestrians: game > forces), record the frame with each agent's
 mode (the dropped agents as "arrived"), sum the agent repulsion on
 every pedestrian in force mode in one pass to complete their
-directives, integrate everyone from the same pre-step snapshot (a
+directives, then move each agent in place under its directive (a
 non-finite position or velocity rejects the scenario), then retire
-conflicts whose actions have completed or timed out.
+conflicts whose actions have completed or timed out. An agent is one
+AgentState object from its spawn until it is dropped.
 
 The active conflicts are the only record of who is engaged with whom;
 recognition and feature extraction derive what they need from them.
@@ -49,6 +50,9 @@ from .scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view
 ARRIVAL_TOLERANCE = 0.5
 WAYPOINT_TOLERANCE = 0.5
 PLANNER_CLEARANCE_MARGIN = 0.2
+
+# A game retires at this age (steps) even if its actions never complete.
+CONFLICT_TIMEOUT_STEPS = 40
 
 # Per-kind values for whatever a scenario leaves out.
 KIND_DEFAULTS = {
@@ -117,7 +121,6 @@ class SimulationConfig:
     dt: float = 0.5
     max_steps: int = 400
     seed: int = 0
-    conflict_timeout: int = 40
 
 
 @dataclass(frozen=True)
@@ -325,7 +328,7 @@ class Simulation:
         kept = []
         for runtime in self.world.active_conflicts:
             age = self.world.step - runtime.conflict.created_at_step
-            done = age >= self.config.conflict_timeout
+            done = age >= CONFLICT_TIMEOUT_STEPS
             if not done:
                 done = True
                 for aid, action in runtime.actions.items():
@@ -401,12 +404,8 @@ class Simulation:
                 if leader is not None:
                     directive = forces_mod.car_following_force(car, leader, sfm)
                     assignments[car.id] = (Mode.FOLLOWING, directive)
-                    # The leader's nearest follower, the first in id order on a tie.
-                    prev = follower_of.get(leader.id)
-                    if prev is None or car.position.distance_to(leader.position) < (
-                        self.world.agents[prev].position.distance_to(leader.position)
-                    ):
-                        follower_of[leader.id] = car.id
+                    # Only whether a car is followed is read: keep the first follower.
+                    follower_of.setdefault(leader.id, car.id)
                 else:
                     directive = forces_mod.DriveTo(car.next_waypoint(), car.desired_speed)
                     assignments[car.id] = (Mode.FREE_FLOW, directive)
@@ -501,16 +500,17 @@ class Simulation:
             directive = forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed, push)
             assignments[agent.id] = (Mode.FORCES, directive)
 
-        new_agents: dict[str, AgentState] = {}
+        # Each agent moves in place: its integration reads only its own
+        # state and its directive, all of which are built by now.
         for aid, agent in self.world.agents.items():
             self._advance_waypoints(agent)
-            moved = forces_mod.integrate_step(agent, assignments[aid][1], self.config.dt, sfm)
-            if not (moved.position.is_finite() and moved.velocity.is_finite()):
+            agent.position, agent.velocity, agent.heading = forces_mod.integrate_step(
+                agent, assignments[aid][1], self.config.dt, sfm
+            )
+            if not (agent.position.is_finite() and agent.velocity.is_finite()):
                 raise ScenarioRejectedError(
                     f"agent {aid}: non-finite state at step {self.world.step}"
                 )
-            new_agents[aid] = moved
-        self.world.agents = new_agents
 
         for aid, agent in self.world.agents.items():
             if agent.position.distance_to(agent.goal) <= ARRIVAL_TOLERANCE:
@@ -540,10 +540,18 @@ def run_scenario(
 
 # - scenario files -----------------------------------------------------
 
+_SCENARIO_KEYS = {"scenario_id", "agents"}
 _ENTRY_KEYS = {
     "id", "kind", "entry_step", "position", "velocity", "goal",
     "desired_speed", "max_speed", "diameter",
 }
+
+
+def _whole(value: object) -> int:
+    """int(value), refusing a float with a fractional part."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -553,6 +561,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict) or "scenario_id" not in raw:
         raise ScenarioError(f"{path}: expected an object with scenario_id")
+    unknown = set(raw) - _SCENARIO_KEYS
+    if unknown:
+        raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
     agents = raw.get("agents", [])
     if not isinstance(agents, list):
         raise ScenarioError(f"{path}: agents must be a list")
@@ -579,7 +590,7 @@ def load_scenario(path: str | Path) -> Scenario:
         defaults = KIND_DEFAULTS[kind]
         scalars = {}
         for key, convert, default in (
-            ("entry_step", int, 0),
+            ("entry_step", _whole, 0),
             ("desired_speed", float, defaults["desired_speed"]),
             ("max_speed", float, defaults["max_speed"]),
             ("diameter", float, defaults["diameter"]),

@@ -309,10 +309,12 @@ def _unit_or(x: float, y: float, fallback: Vec2) -> tuple[float, float]:
     return fallback.x, fallback.y
 
 
-def integrate_step(agent: AgentState, directive: Directive, dt: float, params: SfmParams) -> AgentState:
-    """Advance one step under one directive: velocity first, then
-    position with the new velocity. Speed is clamped to the agent's
-    maximum.
+def integrate_step(
+    agent: AgentState, directive: Directive, dt: float, params: SfmParams
+) -> tuple[Vec2, Vec2, Vec2]:
+    """The agent's (position, velocity, heading) after one step under one
+    directive: velocity first, then position with the new velocity.
+    Speed is clamped to the agent's maximum. The agent is not changed.
 
     The arithmetic is that of the Vec2 rules (`driving_force`,
     `Vec2.normalized`, ...) written out on plain floats, operation by
@@ -341,4 +343,4 @@ def integrate_step(agent: AgentState, directive: Directive, dt: float, params: S
         heading = Vec2(vx / n, vy / n)
     else:
         heading = agent.heading
-    return agent.moved(position, Vec2(vx, vy), heading)
+    return position, Vec2(vx, vy), heading

@@ -39,10 +39,6 @@ class LogitModel:
     p_values: np.ndarray      # (n_outcomes, n_features), two-sided Wald
     log_likelihood: float
     n_obs: int
-    n_iter: int
-
-    def coefficient(self, outcome: str, feature: str) -> float:
-        return float(self.coef[self.outcomes.index(outcome), self.feature_names.index(feature)])
 
     def p_value(self, outcome: str, feature: str) -> float:
         return float(self.p_values[self.outcomes.index(outcome), self.feature_names.index(feature)])
@@ -59,19 +55,6 @@ class LogitModel:
         eta -= eta.max(axis=1, keepdims=True)
         expd = np.exp(eta)
         return expd / expd.sum(axis=1, keepdims=True)
-
-    def summary(self) -> str:
-        lines = [
-            f"n={self.n_obs} ll={self.log_likelihood:.4f} baseline={self.baseline}"
-        ]
-        for k, outcome in enumerate(self.outcomes):
-            lines.append(f"[{outcome} vs {self.baseline}]")
-            for j, name in enumerate(self.feature_names):
-                lines.append(
-                    f"  {name:<22} coef={self.coef[k, j]: .4f} "
-                    f"se={self.std_errors[k, j]:.4f} p={self.p_values[k, j]:.4g}"
-                )
-        return "\n".join(lines)
 
 
 def _encode_labels(y: Sequence[str], baseline: str) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -153,8 +136,7 @@ def fit_multinomial_logit(
     beta = np.zeros((K, p))
     ll, probs = _log_likelihood(X, codes, beta)
 
-    n_iter = 0
-    for n_iter in range(1, MAX_ITER + 1):
+    for _ in range(MAX_ITER):
         grad = _gradient(X, codes, probs)
         if np.abs(grad).max() < GRADIENT_TOL:
             break
@@ -205,7 +187,6 @@ def fit_multinomial_logit(
         p_values=p_values,
         log_likelihood=ll,
         n_obs=n,
-        n_iter=n_iter,
     )
 
 

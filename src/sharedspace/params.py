@@ -148,7 +148,9 @@ _GAME_SCALARS = tuple(f.name for f in dataclasses.fields(GameParams) if f.name !
 def _number(key: str, value: object) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        raise ParameterFileError(f"{key}: number out of range") from exc
+    except (TypeError, ValueError) as exc:
         raise ParameterFileError(f"{key}: expected a number, got {value!r}") from exc
 
 

@@ -115,18 +115,6 @@ class AgentState:
     def next_waypoint(self) -> Vec2:
         return self.waypoints[0] if self.waypoints else self.goal
 
-    def moved(self, position: Vec2, velocity: Vec2, heading: Vec2) -> "AgentState":
-        """A copy with new kinematics that shares every other field, the
-        waypoints list included, as dataclasses.replace would, but
-        without running __init__: the engine makes one per agent-step."""
-        fields = self.__dict__.copy()
-        fields["position"] = position
-        fields["velocity"] = velocity
-        fields["heading"] = heading
-        copy = object.__new__(type(self))
-        copy.__dict__ = fields
-        return copy
-
 
 class Kinematics(NamedTuple):
     """Per-agent columns, one entry per agent of an AgentColumns."""
@@ -223,7 +211,9 @@ def in_field_of_view(
 def _number(raw: object, label: str) -> float:
     try:
         return float(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        raise InvalidSceneError(f"{label}: number out of range") from exc
+    except (TypeError, ValueError) as exc:
         raise InvalidSceneError(f"{label}: expected a number, got {raw!r}") from exc
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import count_graph_builds, open_square_scene
-from sharedspace import __version__, cli
+from sharedspace import __version__, calibrate, cli
 from sharedspace.cli import main
 from sharedspace.engine import AgentEntry, Scenario, save_scenario
 from sharedspace.geometry import Vec2
@@ -155,6 +155,10 @@ class TestParser:
             *[("calibrate-sfm", "--train-fraction", v, "must lie in (0, 1]")
               for v in ("5", "nan", "-1", "0")],
             *[("calibrate-game", "--jobs", v, "must be at least 1") for v in ("0", "-2")],
+            *[("calibrate-sfm", "--population", v, "must be at least 2") for v in ("1", "0")],
+            ("calibrate-game", "--population", "-3", "must be at least 2"),
+            *[("calibrate-sfm", "--generations", v, "must be at least 1") for v in ("0", "-1")],
+            *[("calibrate-game", "--stagnation", v, "must be at least 1") for v in ("0", "-4")],
             *[("simulate", "--max-steps", v, "must be at least 1") for v in ("0", "-5")],
             ("simulate", "--seed", "-1", "must be nonnegative"),
             ("calibrate-sfm", "--seed", "-1", "must be nonnegative"),
@@ -178,9 +182,11 @@ class TestParser:
     def test_range_limits_of_flags_are_accepted(self) -> None:
         parser = cli.build_parser()
         ns = parser.parse_args(
-            ["calibrate-sfm", *REQUIRED["calibrate-sfm"], "--train-fraction", "1", "--jobs", "1"]
+            ["calibrate-sfm", *REQUIRED["calibrate-sfm"], "--train-fraction", "1", "--jobs", "1",
+             "--population", "2", "--generations", "1", "--stagnation", "1"]
         )
         assert (ns.train_fraction, ns.jobs) == (1.0, 1)
+        assert (ns.population, ns.generations, ns.stagnation) == (2, 1, 1)
         for alpha in ("0", "1"):
             ns = parser.parse_args(["select-features", *REQUIRED["select-features"], "--alpha", alpha])
             assert ns.alpha == float(alpha)
@@ -333,6 +339,32 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "bad desired_speed" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            # a misspelled "agents" would otherwise load no agents at all
+            ({"scenario_id": "s1", "agent": [{"kind": "ped", "position": [0, 0], "goal": [5, 0]}]},
+             "unknown keys ['agent']"),
+            # an entry step of 2.7 would otherwise spawn at step 2
+            ({"scenario_id": "s1",
+              "agents": [{"kind": "ped", "position": [0, 0], "goal": [5, 0], "entry_step": 2.7}]},
+             "agents[0]: bad entry_step"),
+        ],
+    )
+    def test_scenario_that_would_run_wrong_exits_2_with_one_line(
+        self, tmp_path, capsys, content, message
+    ) -> None:
+        scene_path, _ = write_crossing_inputs(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        code = main([
+            "simulate", "--scene", str(scene_path), "--scenario", str(bad),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unreachable_goal_exits_3(self, tmp_path, capsys) -> None:
         scene_path = write_boxed_scene(tmp_path)
@@ -825,12 +857,22 @@ class TestCalibrateSfm:
         assert len(history) >= 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "calibrate-sfm"
-        assert manifest["config"]["ga"]["population_size"] == 6
+        assert manifest["config"]["ga"] == {
+            "population_size": 6, "max_generations": 2, "stagnation_window": 30, "seed": 0,
+        }
         assert len(manifest["config"]["gene_names"]) == 12
         assert len(manifest["config"]["bounds"]) == 12
         assert manifest["train_scenarios"] == ["s1"]
         assert manifest["test_scenarios"] == []  # a single scenario is never split
         assert manifest["best_fitness"] < 1.0
+
+    def test_population_of_two_runs(self, tmp_path) -> None:
+        # A tournament draws with replacement, so it needs no more
+        # chromosomes than the smallest population holds.
+        assert calibrate.TOURNAMENT_SIZE > 2
+        code, out = self.run_micro(tmp_path, "cal", "--population", "2")
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["evaluations"] == 4
 
     def test_parallel_evaluation_reproduces_the_serial_run(self, tmp_path, monkeypatch) -> None:
         pickles = []
@@ -1091,6 +1133,19 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_scene_number_out_of_range_is_named_not_printed(self, tmp_path, capsys) -> None:
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps({"bounds": [0, 0, 10**400, 10]}))
+        assert main(["validate", "--scene", str(scene_path)]) == 2
+        assert capsys.readouterr().err == f"error: {scene_path}: bounds: number out of range\n"
+
+    def test_params_number_out_of_range_is_named_not_printed(self, tmp_path, capsys) -> None:
+        scene_path, _ = write_crossing_inputs(tmp_path)
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({"v0": {"pc": -10**400}}))
+        assert main(["validate", "--scene", str(scene_path), "--params", str(params_path)]) == 2
+        assert capsys.readouterr().err == f"error: {params_path}: v0.pc: number out of range\n"
 
     @pytest.mark.parametrize("content, key", [({"u0": [1]}, "u0"), ({"v0": {"pp": None}}, "v0.pp")])
     def test_wrong_typed_params_exit_2_with_one_line(self, tmp_path, capsys, content, key) -> None:

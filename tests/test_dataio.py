@@ -69,13 +69,6 @@ class TestLoadTrajectories:
             TrajectoryRecord("s1", 0, "c1", AgentKind.CAR, 0.0, 0.0),
         ]
 
-    def test_unit_scaling(self, tmp_path: Path) -> None:
-        path = write_csv(tmp_path / "t.csv", TRAJECTORY_COLUMNS, ["s1,0,p1,ped,4.0,-6.0"])
-        (record,) = load_trajectories(path, meters_per_unit=0.5)
-        assert (record.x, record.y) == (2.0, -3.0)
-        with pytest.raises(TrajectoryFormatError, match="meters_per_unit"):
-            load_trajectories(path, meters_per_unit=0.0)
-
     def test_wrong_header_rejected(self, tmp_path: Path) -> None:
         path = write_csv(tmp_path / "t.csv", ("a", "b"), ["1,2"])
         with pytest.raises(TrajectoryFormatError, match=r"t\.csv:1"):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from helpers import open_square_scene
-from sharedspace import conflicts, forces
+from sharedspace import conflicts, engine, forces
 from sharedspace.conflicts import Conflict, ConflictClass
 from sharedspace.engine import (
     AgentEntry,
@@ -31,7 +31,7 @@ from sharedspace.engine import (
 from sharedspace.game import Action
 from sharedspace.geometry import Vec2
 from sharedspace.params import ParameterSet
-from sharedspace.scene import AgentKind, Rect, Scene, load_scene
+from sharedspace.scene import AgentKind, AgentState, Rect, Scene, load_scene
 
 
 def car_entry(
@@ -287,6 +287,26 @@ class TestLifecycle:
                 steps = row.step - prev_step
                 assert pos.distance_to(prev_pos) <= top[row.agent_id] * 0.5 * steps + 1e-9
             last[row.agent_id] = (row.step, pos)
+
+    def test_an_agent_is_one_object_from_spawn_to_despawn(self, monkeypatch) -> None:
+        moved = {}
+        integrate = forces.integrate_step
+
+        def recording(agent, directive, dt, params):
+            moved[agent.id] = integrate(agent, directive, dt, params)
+            return moved[agent.id]
+
+        monkeypatch.setattr(forces, "integrate_step", recording)
+        sim = Simulation(crossing_config())
+        spawned: dict[str, AgentState] = {}
+        while sim.world.agents or not spawned:
+            sim.step()
+            for aid, agent in sim.world.agents.items():
+                assert spawned.setdefault(aid, agent) is agent
+                assert (agent.position, agent.velocity, agent.heading) == moved.pop(aid)
+            assert not moved  # every agent integrated this step is still in the world
+        assert set(spawned) == {"c1", "p1"}
+        assert set(sim.trace.arrived_step) == {"c1", "p1"}
 
     def test_unreachable_goal_rejected_at_construction(self) -> None:
         box = (Vec2(-2.0, -2.0), Vec2(2.0, -2.0), Vec2(2.0, 2.0), Vec2(-2.0, 2.0))
@@ -552,9 +572,10 @@ class TestConflictLifecycle:
             (second.id, "p2"): 2.0,  # the car's count: both games are c1's
         }
 
-    def test_stalemate_expires_after_the_timeout(self) -> None:
+    def test_stalemate_expires_after_the_timeout(self, monkeypatch) -> None:
         # Two near-stationary agents keep every completion condition
         # false, so only the timeout can retire the conflict.
+        monkeypatch.setattr(engine, "CONFLICT_TIMEOUT_STEPS", 5)
         scenario = Scenario(
             "s",
             [
@@ -578,7 +599,6 @@ class TestConflictLifecycle:
             scene=open_square_scene(),
             scenario=scenario,
             params=ParameterSet.defaults("dut"),
-            conflict_timeout=5,
             max_steps=8,
         )
         sim = Simulation(config)
@@ -619,7 +639,8 @@ class TestConflictLifecycle:
         assert sim._binding["p1"] is sim.world.active_conflicts[0]
 
     def test_retiring_the_bound_game_unbinds_despite_a_later_game(self, monkeypatch) -> None:
-        config = crossing_config(max_steps=3, conflict_timeout=1)
+        monkeypatch.setattr(engine, "CONFLICT_TIMEOUT_STEPS", 1)
+        config = crossing_config(max_steps=3)
         config.scenario.entries.append(
             car_entry("c9", position=Vec2(20.0, 20.0), goal=Vec2(-20.0, 20.0), velocity=Vec2(-2.0, 0.0))
         )
@@ -910,11 +931,40 @@ class TestRoadZoneCrowds:
             scene=open_square_scene(zone="road"), scenario=two_way_crowd(3),
             params=ParameterSet.defaults("hbs"), max_steps=60,
         )
-        trace = run_scenario(config)
-        write_trace_csv(trace, tmp_path / "trace.csv")
-        write_decisions_csv(trace, tmp_path / "decisions.csv")
-        write_features_csv(trace, tmp_path / "features.csv")
-        digests = {
-            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.PINNED
-        }
-        assert digests == self.PINNED
+        assert output_digests(config, tmp_path) == self.PINNED
+
+    # sha256 of the outputs of a smaller crowd, recorded when each step
+    # still replaced every agent with a moved copy; moving the agents in
+    # place must not change them.
+    PINNED_SMALL = {
+        "hbs": {
+            "trace.csv": "7eb148ed4d6343204c23bb6c34a03dbf3ac876493c59a0c80e31e6ed11d1f16a",
+            "decisions.csv": "8cba351cba2cabde0f561fde1081d505b77be5420e92e279812a0de967b00c05",
+            "features.csv": "2625a77bcac1453ef3e71c2a975fd0ddc5b3c622946c79f51343b63e71272d4f",
+        },
+        "dut": {
+            "trace.csv": "0386374d980c4954b1eb0ad4c333b822c47839abb8e83125733033fce4a2d3f5",
+            "decisions.csv": "0ec9321f454dccc4a98c38ec34e35c975ab4d0201541229f46a34b02310e01d3",
+            "features.csv": "4768fceab7f00e9ba7dd2ea103d7c50bb7679e38d5009a58299c9117944d53ca",
+        },
+    }
+
+    @pytest.mark.parametrize("regime", ["hbs", "dut"])
+    def test_small_crowd_outputs_match_the_pinned_digests(self, tmp_path, regime) -> None:
+        config = SimulationConfig(
+            scene=open_square_scene(zone="road"), scenario=two_way_crowd(0, 16, 6),
+            params=ParameterSet.defaults(regime), max_steps=60,
+        )
+        assert output_digests(config, tmp_path) == self.PINNED_SMALL[regime]
+
+
+def output_digests(config: SimulationConfig, out: Path) -> dict[str, str]:
+    """sha256 of each CSV a run of `config` writes."""
+    trace = run_scenario(config)
+    write_trace_csv(trace, out / "trace.csv")
+    write_decisions_csv(trace, out / "decisions.csv")
+    write_features_csv(trace, out / "features.csv")
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("trace.csv", "decisions.csv", "features.csv")
+    }

@@ -51,6 +51,7 @@ from .dataio import (
     MetricUndefinedError,
     TrajectoryFormatError,
     attach_decision_metrics,
+    check_unique_columns,
     compare_trajectories,
     dict_rows,
     format_report_summary,
@@ -473,23 +474,69 @@ def _cmd_calibrate(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # select-features
 
+def _feature_columns(path: Path, header: list[str] | None, wanted: list[str] | None) -> list[str]:
+    """The feature columns of an observations header, in file order."""
+    if header is None or "action" not in header:
+        raise TrajectoryFormatError(f"{path}: needs an 'action' column")
+    check_unique_columns(header, path)
+    feature_cols = [c for c in header if c not in _ID_COLUMNS and c != "action"]
+    if wanted:
+        unknown = set(wanted) - set(feature_cols)
+        if unknown:
+            raise TrajectoryFormatError(
+                f"{path}: unknown feature columns {sorted(unknown)}"
+            )
+        feature_cols = [c for c in feature_cols if c in wanted]
+    if not feature_cols:
+        raise TrajectoryFormatError(f"{path}: no feature columns")
+    return feature_cols
+
+
 def _load_observations(path: Path, subject: str, wanted: list[str] | None):
+    """The feature matrix, action labels and feature names of the rows of
+    `subject`. One csv pass reads the file and each column is converted
+    whole; a file that breaks any rule is re-read row by row, which
+    raises with the line number of the first bad row."""
+    return _screen_observations(path, subject, wanted) or _observation_rows(path, subject, wanted)
+
+
+def _screen_observations(path: Path, subject: str, wanted: list[str] | None):
+    """`_observation_rows` of `path` by its rules checked column by
+    column, or None when any rule fails."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            feature_cols = _feature_columns(path, header, wanted)
+            rows = list(filter(None, reader))
+        if set(map(len, rows)) - {len(header)}:
+            return None
+        if "kind" in header:
+            k = header.index("kind")
+            rows = [row for row in rows if row[k] == subject]
+        n = len(rows)
+        if not n:
+            return None
+        columns = list(zip(*rows))
+        del rows
+        X = np.empty((n, len(feature_cols)))
+        for j, name in enumerate(feature_cols):
+            X[:, j] = np.fromiter(map(float, columns[header.index(name)]), float, n)
+        tokens = columns[header.index("action")]
+        label_of = {token: parse_action(token).value for token in set(tokens)}
+    except (ValueError, csv.Error):
+        return None
+    if not np.isfinite(X).all():
+        return None
+    return X, list(map(label_of.__getitem__, tokens)), feature_cols
+
+
+def _observation_rows(path: Path, subject: str, wanted: list[str] | None):
+    """`_load_observations` read row by row; the first bad row raises
+    with its line number."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "action" not in reader.fieldnames:
-            raise TrajectoryFormatError(f"{path}: needs an 'action' column")
-        feature_cols = [
-            c for c in reader.fieldnames if c not in _ID_COLUMNS and c != "action"
-        ]
-        if wanted:
-            unknown = set(wanted) - set(feature_cols)
-            if unknown:
-                raise TrajectoryFormatError(
-                    f"{path}: unknown feature columns {sorted(unknown)}"
-                )
-            feature_cols = [c for c in feature_cols if c in wanted]
-        if not feature_cols:
-            raise TrajectoryFormatError(f"{path}: no feature columns")
+        feature_cols = _feature_columns(path, reader.fieldnames, wanted)
         has_kind = "kind" in reader.fieldnames
         rows, labels = [], []
         for lineno, row in dict_rows(reader, path):

@@ -16,12 +16,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .game import Action
 from .geometry import Vec2
 from .scene import AgentKind
 
 TRAJECTORY_COLUMNS = ("scenario_id", "frame", "agent_id", "kind", "x", "y")
 ANNOTATION_COLUMNS = ("scenario_id", "agent_id", "conflict_idx", "action")
+# A trajectory table stores each row's kind as an index into AGENT_KINDS.
+AGENT_KINDS = tuple(AgentKind)
+_KIND_CODES = {kind.value: code for code, kind in enumerate(AGENT_KINDS)}
+# Frames are stored as 64-bit integers.
+_FRAME_MAX = np.iinfo(np.int64).max
 
 
 class TrajectoryFormatError(ValueError):
@@ -68,8 +75,109 @@ def parse_action(token: str) -> Action:
         raise TrajectoryFormatError(f"unknown action {token!r}") from exc
 
 
-def load_trajectories(path: str | Path) -> list[TrajectoryRecord]:
-    """The records of a trajectory CSV, whose coordinates are meters."""
+@dataclass(eq=False)
+class TrajectoryTable(Sequence[TrajectoryRecord]):
+    """The rows of a trajectory file in file order, held by column.
+
+    Row i belongs to agent `agents[agent[i]]`, a (scenario_id, agent_id)
+    key; `agents` lists the keys in order of first appearance. `kind[i]`
+    indexes AGENT_KINDS, and `frame`, `x` and `y` are arrays. Iterating
+    or indexing yields TrajectoryRecords and `len` is the row count, so a
+    table stands wherever a list of records is read.
+    """
+
+    agents: list[tuple[str, str]]
+    agent: np.ndarray
+    kind: np.ndarray
+    frame: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[TrajectoryRecord]) -> "TrajectoryTable":
+        codes: dict[tuple[str, str], int] = {}
+        agent, kind, frame, x, y = [], [], [], [], []
+        for r in records:
+            agent.append(codes.setdefault((r.scenario_id, r.agent_id), len(codes)))
+            kind.append(AGENT_KINDS.index(r.kind))
+            frame.append(r.frame)
+            x.append(r.x)
+            y.append(r.y)
+        return cls(
+            list(codes), np.array(agent, dtype=np.intp), np.array(kind, dtype=np.int8),
+            np.array(frame, dtype=np.int64), np.array(x, dtype=float), np.array(y, dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        sid, aid = self.agents[self.agent[i]]
+        return TrajectoryRecord(
+            sid, int(self.frame[i]), aid, AGENT_KINDS[self.kind[i]], float(self.x[i]), float(self.y[i])
+        )
+
+    def __iter__(self) -> Iterator[TrajectoryRecord]:
+        agents = self.agents
+        for a, k, f, x, y in zip(self.agent.tolist(), self.kind.tolist(), self.frame.tolist(),
+                                 self.x.tolist(), self.y.tolist()):
+            sid, aid = agents[a]
+            yield TrajectoryRecord(sid, f, aid, AGENT_KINDS[k], x, y)
+
+
+def load_trajectories(path: str | Path) -> TrajectoryTable:
+    """The rows of a trajectory CSV, whose coordinates are meters.
+
+    One csv pass reads the file and each column is converted whole. A
+    file that breaks any rule is re-read row by row, which raises with
+    the line number of the first bad row.
+    """
+    table = _screen_trajectories(path)
+    if table is None:
+        table = TrajectoryTable.from_records(_trajectory_records(path))
+    return table
+
+
+def _screen_trajectories(path: str | Path) -> TrajectoryTable | None:
+    """The table of `path` by the rules of `_trajectory_records`
+    checked column by column, or None when any rule fails."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(map(str.strip, header)) != TRAJECTORY_COLUMNS:
+                return None
+            rows = list(filter(None, reader))
+        if set(map(len, rows)) - {6}:
+            return None
+        n = len(rows)
+        sid, frame_s, aid, kind_s, x_s, y_s = zip(*rows) if rows else ((),) * 6
+        del rows
+        frame = np.fromiter(map(int, map(str.strip, frame_s)), np.int64, n)
+        kind = np.fromiter(map(_KIND_CODES.__getitem__, map(str.strip, kind_s)), np.int8, n)
+        x = np.fromiter(map(float, map(str.strip, x_s)), float, n)
+        y = np.fromiter(map(float, map(str.strip, y_s)), float, n)
+    except (ValueError, OverflowError, KeyError, csv.Error):
+        return None
+    keys = list(zip(map(str.strip, sid), map(str.strip, aid)))
+    codes = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    agent = np.fromiter(map(codes.__getitem__, keys), np.intp, n)
+    del keys
+    if n and (frame.min() < 0 or not (np.isfinite(x).all() and np.isfinite(y).all())):
+        return None
+    # frames increase per agent in file order
+    order = np.argsort(agent, kind="stable")
+    a, f = agent[order], frame[order]
+    if np.any((a[1:] == a[:-1]) & (f[1:] <= f[:-1])):
+        return None
+    return TrajectoryTable(list(codes), agent, kind, frame, x, y)
+
+
+def _trajectory_records(path: str | Path) -> list[TrajectoryRecord]:
+    """The records of a trajectory CSV read row by row; the first bad
+    row raises with its line number."""
     records: list[TrajectoryRecord] = []
     last_frame: dict[tuple[str, str], int] = {}
     with open(path, newline="") as fh:
@@ -94,6 +202,8 @@ def load_trajectories(path: str | Path) -> list[TrajectoryRecord]:
                 raise TrajectoryFormatError(f"{path}:{lineno}: bad frame {frame_s!r}") from None
             if frame < 0:
                 raise TrajectoryFormatError(f"{path}:{lineno}: negative frame")
+            if frame > _FRAME_MAX:
+                raise TrajectoryFormatError(f"{path}:{lineno}: frame out of range")
             try:
                 kind = AgentKind(kind_s)
             except ValueError:
@@ -171,6 +281,16 @@ def index_decisions(
     return out
 
 
+def check_unique_columns(header: Sequence[str], path: str | Path) -> None:
+    """Raise on a header that names a column twice: a csv.DictReader
+    would silently keep only the last of the two."""
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise TrajectoryFormatError(f"{path}:1: duplicate column {name!r}")
+        seen.add(name)
+
+
 def dict_rows(reader: csv.DictReader, path: str | Path) -> Iterator[tuple[int, dict]]:
     """The rows of `reader` with their line numbers. A row with more or
     fewer fields than the header raises."""
@@ -192,6 +312,7 @@ def load_decisions(path: str | Path) -> dict[tuple[str, str, int], Action]:
             raise TrajectoryFormatError(
                 f"{path}: decisions CSV needs columns {sorted(required)}"
             )
+        check_unique_columns(reader.fieldnames, path)
         for lineno, row in dict_rows(reader, path):
             try:
                 action = parse_action(row["action"])
@@ -316,6 +437,39 @@ class MetricReport:
         return stats
 
 
+def _agent_tracks(
+    records: Sequence[TrajectoryRecord],
+) -> dict[tuple[str, str], tuple[AgentKind, np.ndarray, np.ndarray, np.ndarray]]:
+    """(scenario_id, agent_id) -> (kind, frames, x, y) with frames sorted
+    and the last row of a repeated frame kept, as `group_by_agent` reads
+    them."""
+    table = records if isinstance(records, TrajectoryTable) else TrajectoryTable.from_records(records)
+    if not len(table):
+        return {}
+    agent, kind = table.agent, table.kind
+    first_kind = kind[np.unique(agent, return_index=True)[1]]
+    flipped = np.flatnonzero(kind != first_kind[agent])
+    if flipped.size:
+        sid, aid = table.agents[agent[flipped[0]]]
+        raise TrajectoryFormatError(f"agent {aid!r} in {sid!r} changes kind mid-stream")
+    order = np.lexsort((table.frame, agent))
+    a, f = agent[order], table.frame[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (a[1:] != a[:-1]) | (f[1:] != f[:-1])
+    order, a, f = order[last], a[last], f[last]
+    x, y = table.x[order], table.y[order]
+    bounds = [0, *(np.flatnonzero(a[1:] != a[:-1]) + 1).tolist(), len(order)]
+    return {
+        table.agents[a[lo]]: (AGENT_KINDS[first_kind[a[lo]]], f[lo:hi], x[lo:hi], y[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    }
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> list[float]:
+    # math.hypot, as Vec2.distance_to computes it: np.hypot may round differently
+    return list(map(math.hypot, dx.tolist(), dy.tolist()))
+
+
 def compare_trajectories(
     real_records: Sequence[TrajectoryRecord],
     sim_records: Sequence[TrajectoryRecord],
@@ -324,26 +478,33 @@ def compare_trajectories(
     """Per-agent displacement and speed metrics over shared frames.
 
     Agents present in the real data but absent from the simulation (or
-    sharing no frames with it) are listed as unmatched.
+    sharing no frames with it) are listed as unmatched. Each metric
+    equals `ade` and `speed_deviation` on `group_by_agent`'s
+    trajectories bit for bit: the same float operations in frame order.
     """
-    real_by_agent = group_by_agent(real_records)
-    sim_by_agent = group_by_agent(sim_records)
+    real_by_agent = _agent_tracks(real_records)
+    sim_by_agent = _agent_tracks(sim_records)
     report = MetricReport()
     for key in sorted(real_by_agent):
-        kind, real_traj = real_by_agent[key]
-        sim_entry = sim_by_agent.get(key)
-        if sim_entry is None or not (set(real_traj) & set(sim_entry[1])):
+        kind, real_frames, rx, ry = real_by_agent[key]
+        if key not in sim_by_agent:
             report.unmatched_agents.append(key)
             continue
-        _, sim_traj = sim_entry
-        displacement = ade(real_traj, sim_traj)
-        try:
-            sd = speed_deviation(real_traj, sim_traj, frame_seconds)
-        except MetricUndefinedError:
-            sd = None
-        report.per_agent.append(
-            AgentMetrics(key[0], key[1], kind, displacement, sd)
-        )
+        _, sim_frames, sx, sy = sim_by_agent[key]
+        common, ri, si = np.intersect1d(real_frames, sim_frames, assume_unique=True, return_indices=True)
+        if not common.size:
+            report.unmatched_agents.append(key)
+            continue
+        rx, ry, sx, sy = rx[ri], ry[ri], sx[si], sy[si]
+        displacement = sum(_hypot(rx - sx, ry - sy)) / common.size
+        sd = None
+        # speed_deviation's test: a NaN frame_seconds passes it
+        if common.size >= 2 and not frame_seconds <= 0.0:
+            dt = np.diff(common) * frame_seconds
+            real_speeds = np.array(_hypot(np.diff(rx), np.diff(ry))) / dt
+            sim_speeds = np.array(_hypot(np.diff(sx), np.diff(sy))) / dt
+            sd = sum(np.abs(real_speeds - sim_speeds).tolist()) / dt.size
+        report.per_agent.append(AgentMetrics(key[0], key[1], kind, displacement, sd))
     return report
 
 

@@ -547,8 +547,17 @@ _ENTRY_KEYS = {
 }
 
 
+def _real(value: object) -> float:
+    """float(value), refusing a JSON boolean, which float() reads as 1 or 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _whole(value: object) -> int:
-    """int(value), refusing a float with a fractional part."""
+    """int(value), refusing a boolean and a float with a fractional part."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
@@ -579,21 +588,21 @@ def load_scenario(path: str | Path) -> Scenario:
         except (KeyError, ValueError) as exc:
             raise ScenarioError(f"{path}: agents[{i}]: kind must be 'ped' or 'car'") from exc
         try:
-            position = Vec2(*map(float, item["position"]))
-            goal = Vec2(*map(float, item["goal"]))
+            position = Vec2(*map(_real, item["position"]))
+            goal = Vec2(*map(_real, item["goal"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{path}: agents[{i}]: bad position/goal") from exc
         try:
-            velocity = Vec2(*map(float, item.get("velocity", (0.0, 0.0))))
+            velocity = Vec2(*map(_real, item.get("velocity", (0.0, 0.0))))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{path}: agents[{i}]: bad velocity") from exc
         defaults = KIND_DEFAULTS[kind]
         scalars = {}
         for key, convert, default in (
             ("entry_step", _whole, 0),
-            ("desired_speed", float, defaults["desired_speed"]),
-            ("max_speed", float, defaults["max_speed"]),
-            ("diameter", float, defaults["diameter"]),
+            ("desired_speed", _real, defaults["desired_speed"]),
+            ("max_speed", _real, defaults["max_speed"]),
+            ("diameter", _real, defaults["diameter"]),
         ):
             try:
                 scalars[key] = convert(item.get(key, default))

@@ -146,6 +146,8 @@ _GAME_SCALARS = tuple(f.name for f in dataclasses.fields(GameParams) if f.name !
 
 
 def _number(key: str, value: object) -> float:
+    if isinstance(value, bool):  # float() would read JSON true/false as 1/0
+        raise ParameterFileError(f"{key}: expected a number, got {json.dumps(value)}")
     try:
         return float(value)
     except OverflowError as exc:

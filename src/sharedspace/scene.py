@@ -209,6 +209,8 @@ def in_field_of_view(
 
 
 def _number(raw: object, label: str) -> float:
+    if isinstance(raw, bool):  # float() would read JSON true/false as 1/0
+        raise InvalidSceneError(f"{label}: expected a number, got {json.dumps(raw)}")
     try:
         return float(raw)
     except OverflowError as exc:

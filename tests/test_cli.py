@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,54 @@ def write_logit_observations(tmp_path: Path, extra_ped_row: bool = False) -> Pat
     path = tmp_path / "observations.csv"
     path.write_text("\n".join(rows) + "\n")
     return path
+
+
+def write_analysis_inputs(tmp_path: Path) -> dict[str, Path]:
+    """Seeded evaluate and select-features inputs: a recorded crowd and a
+    drifted copy with dropped frames and shifted starts, and an
+    observation table of car and pedestrian decisions drawn from a
+    multinomial logit."""
+    rng = np.random.default_rng(2024)
+    real, sim = [TRACE_HEADER], [TRACE_HEADER]
+    for i in range(30):
+        kind = "car" if i % 4 == 0 else "ped"
+        scenario = f"s{i % 3}"
+        speed = rng.uniform(3.0, 5.0) if kind == "car" else rng.uniform(1.0, 1.6)
+        heading = rng.uniform(0.0, 2.0 * math.pi)
+        x0, y0 = rng.uniform(-20.0, 20.0, size=2).tolist()
+        first = int(rng.integers(0, 10))
+        for f in range(first, first + 40):
+            t = 0.5 * (f - first)
+            x = x0 + speed * math.cos(heading) * t + rng.normal(0.0, 0.02)
+            y = y0 + speed * math.sin(heading) * t + rng.normal(0.0, 0.02)
+            real.append(f"{scenario},{f},a{i:02d},{kind},{x!r},{y!r}")
+            # the simulation skips some frames and starts some agents late
+            if rng.random() < 0.15 or f < first + i % 5:
+                continue
+            dx, dy = rng.normal(0.0, 0.1, size=2).tolist()
+            sim.append(f"{scenario},{f},a{i:02d},{kind},{x + dx!r},{y + dy!r}")
+    # an agent the simulation never saw, and one it saw in one frame only
+    real += ["s0,0,ghost,ped,0.0,0.0", "s1,0,solo,car,1.0,2.0", "s1,1,solo,car,2.0,2.0"]
+    sim.append("s1,1,solo,car,2.5,2.0")
+    paths = {"real": tmp_path / "real.csv", "sim": tmp_path / "sim.csv"}
+    paths["real"].write_text("\n".join(real) + "\n")
+    paths["sim"].write_text("\n".join(sim) + "\n")
+    names = ("own_speed", "min_dist", "angle", "noise")
+    truth = {"decelerate": (0.8, -1.2, 0.0, 0.0), "deviate": (-0.6, 0.0, 0.9, 0.0)}
+    rows = ["scenario_id,step,conflict_id,agent_id,kind,role," + ",".join(names) + ",action"]
+    for subject in ("car", "ped"):
+        X = rng.normal(size=(500, len(names)))
+        utility = np.column_stack([np.zeros(500)] + [X @ np.array(c) for c in truth.values()])
+        prob = np.exp(utility)
+        cumulative = np.cumsum(prob / prob.sum(axis=1, keepdims=True), axis=1)
+        choice = (rng.random(500)[:, None] > cumulative).sum(axis=1)
+        actions = ["continue", *truth]
+        for k, (values, c) in enumerate(zip(X.tolist(), choice.tolist())):
+            cells = ",".join(repr(v) for v in values)
+            rows.append(f"obs,{k},{k},{subject}{k},{subject},leader,{cells},{actions[c]}")
+    paths["observations"] = tmp_path / "observations.csv"
+    paths["observations"].write_text("\n".join(rows) + "\n")
+    return paths
 
 
 def run_simulate(tmp_path: Path, out_name: str = "run", *extra: str) -> tuple[int, Path]:
@@ -365,6 +414,33 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("entry_step", True, "bad entry_step"),
+            ("desired_speed", True, "bad desired_speed"),
+            ("max_speed", False, "bad max_speed"),
+            ("diameter", True, "bad diameter"),
+            ("position", [True, 0], "bad position/goal"),
+            ("goal", [5, False], "bad position/goal"),
+            ("velocity", [True, 0], "bad velocity"),
+        ],
+    )
+    def test_boolean_scenario_number_exits_2_with_one_line(
+        self, tmp_path, capsys, key, value, message
+    ) -> None:
+        # float() and int() read JSON true as 1 and false as 0
+        scene_path, _ = write_crossing_inputs(tmp_path)
+        entry = {"kind": "ped", "position": [0, 0], "goal": [5, 0], key: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenario_id": "s1", "agents": [entry]}))
+        code = main([
+            "simulate", "--scene", str(scene_path), "--scenario", str(bad),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: agents[0]: {message}\n"
 
     def test_unreachable_goal_exits_3(self, tmp_path, capsys) -> None:
         scene_path = write_boxed_scene(tmp_path)
@@ -664,6 +740,52 @@ class TestEvaluate:
         assert code == 2
         assert capsys.readouterr().err == f"error: {decisions}:2: {message}\n"
 
+    @pytest.mark.parametrize("flipped", ["real", "sim"])
+    def test_agent_whose_kind_flips_exits_2(self, tmp_path, capsys, flipped) -> None:
+        rows = ["s1,0,p1,ped,0.0,0.0", "s1,0,c1,car,5.0,0.0", "s1,1,p1,ped,1.0,0.0"]
+        paths = {name: tmp_path / f"{name}.csv" for name in ("real", "sim")}
+        for name, path in paths.items():
+            extra = ["s1,2,p1,car,2.0,0.0"] if name == flipped else ["s1,2,p1,ped,2.0,0.0"]
+            path.write_text("\n".join([TRACE_HEADER, *rows, *extra]) + "\n")
+        code = main([
+            "evaluate", "--real", str(paths["real"]), "--sim", str(paths["sim"]),
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: agent 'p1' in 's1' changes kind mid-stream\n"
+
+    def test_duplicate_decisions_column_exits_2(self, tmp_path, capsys) -> None:
+        _, run = run_simulate(tmp_path)
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text(ANNOTATIONS_MATCHING)
+        decisions = tmp_path / "decisions.csv"
+        decisions.write_text(DECISIONS_HEADER + ",action\ncrossing,3,0,c1,continue,deviate\n")
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--real", str(run / "trace.csv"), "--sim", str(run / "trace.csv"),
+            "--annotations", str(annotations), "--sim-decisions", str(decisions),
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {decisions}:1: duplicate column 'action'\n"
+
+    # sha256 of evaluate's outputs on write_analysis_inputs, recorded when
+    # the metrics were computed on per-agent dicts of Vec2
+    PINNED = {
+        "report.csv": "95a3be7ad96a7b2a0ea4b462c623ed15c8012c34b821bdfc50228fb24469e993",
+        "summary.txt": "c0bee68da0709ccdbfc4247115b1c9e78579877504a8ea0211fe4bd6da8a6652",
+    }
+
+    def test_outputs_match_the_pinned_digests(self, tmp_path) -> None:
+        inputs = write_analysis_inputs(tmp_path)
+        out = tmp_path / "eval"
+        code = main([
+            "evaluate", "--real", str(inputs["real"]), "--sim", str(inputs["sim"]),
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert {name: sha256(out / name) for name in self.PINNED} == self.PINNED
+
     def test_annotations_matching_nothing_exit_4(self, tmp_path) -> None:
         _, run = run_simulate(tmp_path)
         annotations = tmp_path / "annotations.csv"
@@ -812,6 +934,43 @@ class TestSelectFeatures:
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}:4: non-finite feature value\n"
 
+    def test_duplicate_column_exits_2(self, tmp_path, capsys) -> None:
+        # a csv.DictReader would keep the second own_speed and drop the first
+        path = tmp_path / "observations.csv"
+        rows = ["kind,own_speed,own_speed,action"]
+        rows += [f"car,{i},{i % 3},{a}" for i, a in enumerate(("continue", "decelerate") * 10)]
+        path.write_text("\n".join(rows) + "\n")
+        code = main([
+            "select-features", "--observations", str(path), "--subject", "car",
+            "--out-dir", str(tmp_path / "sel"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}:1: duplicate column 'own_speed'\n"
+
+    # sha256 of select-features' outputs on write_analysis_inputs, recorded
+    # when observations were read row by row
+    PINNED = {
+        "car": {
+            "model.csv": "83dbc1df20677e0cea61cca4034a3533156534f1e22eeaedfc2172d6a2d2d455",
+            "elimination.csv": "1f9bb957cb2e5841a5465e39389b97120d03c06562f36962b392373e201fcd25",
+        },
+        "ped": {
+            "model.csv": "863be7bfed90ad6b4477c7981c01b144ffcb4711f8f45109cfe8acb9342cbfa9",
+            "elimination.csv": "2c2db9443958c92a608b217dae7abd44412ed5f4e114f89545850469e641b3aa",
+        },
+    }
+
+    @pytest.mark.parametrize("subject", ["car", "ped"])
+    def test_outputs_match_the_pinned_digests(self, tmp_path, subject) -> None:
+        inputs = write_analysis_inputs(tmp_path)
+        out = tmp_path / "sel"
+        code = main([
+            "select-features", "--observations", str(inputs["observations"]),
+            "--subject", subject, "--out-dir", str(out),
+        ])
+        assert code == 0
+        assert {name: sha256(out / name) for name in self.PINNED[subject]} == self.PINNED[subject]
+
     def test_all_constant_features_exit_2(self, tmp_path, capsys) -> None:
         observations = tmp_path / "observations.csv"
         rows = ["scenario_id,kind,f0,action"]
@@ -823,6 +982,67 @@ class TestSelectFeatures:
         ])
         assert code == 2
         assert "constant" in capsys.readouterr().err
+
+
+OBSERVATIONS_HEADER = "kind,f0,f1,action"
+
+
+class TestObservationScreen:
+    """select-features reads its table column by column and hands any
+    file that breaks a rule to the row-by-row reader, which names the
+    line. The column pass must give what the row pass gives."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "kind,f0,f1,action\r\ncar,1.5,2,continue\r\ncar,-0.5,3e-2,decelerate\r\n",
+            "kind,f0,f1,action\n\ncar,1.5,2,continue\n\n\ncar,-0.5,3,deviate\n",
+            'kind,f0,f1,action\n"car","1.5",2,"continue"\ncar,"-0.5","3",decelerate\n',
+            "kind,f0,f1,action\ncar, 1.5 ,2\t,continue \ncar,-0.5,3,  Decelerate\n",
+            "kind,f0,f1,action\ncar,+3,1_0,accelerate\ncar,-0.5,.5,deviate\n",
+            # the pedestrian rows are dropped before any value is read
+            "kind,f0,f1,action\nped,x,y,fly\ncar,1,2,continue\nped,1\t,2,continue\n",
+            # a kind with padding is another subject
+            "kind,f0,f1,action\n car,1,2,continue\ncar,1,2,continue\n",
+        ],
+    )
+    def test_column_pass_reads_what_the_row_pass_reads(self, tmp_path, text) -> None:
+        path = tmp_path / "observations.csv"
+        path.write_bytes(text.encode())
+        screened = cli._screen_observations(path, "car", None)
+        assert screened is not None
+        X, labels, names = cli._observation_rows(path, "car", None)
+        assert np.array_equal(screened[0], X) and screened[0].shape == X.shape
+        assert screened[1:] == (labels, names)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("car,nan,1,continue", "non-finite feature value"),
+            ("car,1,-inf,continue", "non-finite feature value"),
+            ("car,1,two,continue", "non-numeric feature value"),
+            ("car,1,2,fly", "unknown action 'fly'"),
+            ("car,1,2", "expected 4 columns"),
+            ("ped,1,2,continue,extra", "expected 4 columns"),
+        ],
+    )
+    def test_bad_row_is_handed_to_the_row_pass(self, tmp_path, row, message) -> None:
+        path = tmp_path / "observations.csv"
+        path.write_text(f"{OBSERVATIONS_HEADER}\ncar,1,2,continue\n{row}\ncar,2,1,deviate\n")
+        assert cli._screen_observations(path, "car", None) is None
+        with pytest.raises(ValueError) as err:
+            cli._observation_rows(path, "car", None)
+        assert str(err.value) == f"{path}:3: {message}"
+
+    def test_no_rows_of_the_subject_exits_2(self, tmp_path, capsys) -> None:
+        path = tmp_path / "observations.csv"
+        path.write_text(f"{OBSERVATIONS_HEADER}\nped,1,2,continue\n")
+        code = main([
+            "select-features", "--observations", str(path), "--subject", "car",
+            "--out-dir", str(tmp_path / "sel"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: no rows for subject 'car'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1146,6 +1366,34 @@ class TestValidate:
         params_path.write_text(json.dumps({"v0": {"pc": -10**400}}))
         assert main(["validate", "--scene", str(scene_path), "--params", str(params_path)]) == 2
         assert capsys.readouterr().err == f"error: {params_path}: v0.pc: number out of range\n"
+
+    @pytest.mark.parametrize(
+        "content, field",
+        [
+            ({"bounds": [0, 0, 10, 10], "meters_per_unit": True}, "meters_per_unit: expected a number, got true"),
+            ({"bounds": [0, 0, True, 10]}, "bounds: expected a number, got true"),
+            ({"bounds": [0, 0, 10, 10], "obstacles": [[[1, 1], [2, 1], [2, False]]]},
+             "obstacles[0]: expected a number, got false"),
+        ],
+    )
+    def test_boolean_scene_number_exits_2_with_one_line(self, tmp_path, capsys, content, field) -> None:
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps(content))
+        assert main(["validate", "--scene", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {field}\n"
+
+    @pytest.mark.parametrize(
+        "content, field",
+        [({"u0": True}, "u0: expected a number, got true"),
+         ({"v0": {"pp": False}}, "v0.pp: expected a number, got false"),
+         ({"tau": True}, "tau: expected a number, got true")],
+    )
+    def test_boolean_params_number_exits_2_with_one_line(self, tmp_path, capsys, content, field) -> None:
+        scene_path, _ = write_crossing_inputs(tmp_path)
+        bad = tmp_path / "params.json"
+        bad.write_text(json.dumps(content))
+        assert main(["validate", "--scene", str(scene_path), "--params", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {field}\n"
 
     @pytest.mark.parametrize("content, key", [({"u0": [1]}, "u0"), ({"v0": {"pp": None}}, "v0.pp")])
     def test_wrong_typed_params_exit_2_with_one_line(self, tmp_path, capsys, content, key) -> None:

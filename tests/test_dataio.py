@@ -7,10 +7,11 @@ computed in the comments.
 from __future__ import annotations
 
 import math
+import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharedspace.dataio import (
@@ -21,6 +22,9 @@ from sharedspace.dataio import (
     MetricUndefinedError,
     TrajectoryFormatError,
     TrajectoryRecord,
+    TrajectoryTable,
+    _screen_trajectories,
+    _trajectory_records,
     ade,
     attach_decision_metrics,
     compare_trajectories,
@@ -63,7 +67,7 @@ class TestLoadTrajectories:
             ["s1,0,p1,ped,1.5,-2.25", "s1,1,p1,ped,2.0,-2.0", "s1,0,c1,car,0.0,0.0"],
         )
         records = load_trajectories(path)
-        assert records == [
+        assert list(records) == [
             TrajectoryRecord("s1", 0, "p1", AgentKind.PEDESTRIAN, 1.5, -2.25),
             TrajectoryRecord("s1", 1, "p1", AgentKind.PEDESTRIAN, 2.0, -2.0),
             TrajectoryRecord("s1", 0, "c1", AgentKind.CAR, 0.0, 0.0),
@@ -122,7 +126,105 @@ class TestLoadTrajectories:
         ]
         path = tmp_path / "t.csv"
         write_trajectories(records, path)
-        assert load_trajectories(path) == records
+        assert list(load_trajectories(path)) == records
+
+
+class TestTrajectoryScreen:
+    """load_trajectories reads a file column by column and hands any file
+    that breaks a rule to the row-by-row reader, which names the line.
+    The column pass must give what the row pass gives."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scenario_id,frame,agent_id,kind,x,y\r\ns1,0,p1,ped,1.5,2\r\ns1,1,p1,ped,2.5,2\r\n",
+            "scenario_id,frame,agent_id,kind,x,y\n\ns1,0,p1,ped,1.5,2\n\n\ns1,0,c1,car,0,0\n\n",
+            'scenario_id,frame,agent_id,kind,x,y\n"s1","0",p1,"ped","1.5",2\n"s,1",0,"p1",car,0,0\n',
+            " scenario_id , frame,agent_id,kind,x,y\n s1 , 0 ,p1 , ped,1.5 , 2\t\ns1,1, p1,ped ,\t2.5,2\n",
+            "scenario_id,frame,agent_id,kind,x,y\ns1,+3,p1,ped,+1.5,-0\ns1,1_0,p1,ped,1_0.5,1e-320\n",
+            # agents told apart by scenario; the same frame for another agent
+            "scenario_id,frame,agent_id,kind,x,y\ns1,5,p1,ped,0,0\ns2,5,p1,ped,0,0\ns1,5,p2,car,0,0\n",
+            # a kind that flips is the evaluation's error, not the loader's
+            "scenario_id,frame,agent_id,kind,x,y\ns1,0,p1,ped,0,0\ns1,1,p1,car,0,0\n",
+            "scenario_id,frame,agent_id,kind,x,y\n",
+            f"scenario_id,frame,agent_id,kind,x,y\ns1,{2**63 - 1},p1,ped,1e308,-1e308\n",
+        ],
+    )
+    def test_column_pass_reads_what_the_row_pass_reads(self, tmp_path: Path, text: str) -> None:
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        table = _screen_trajectories(path)
+        assert table is not None
+        records = _trajectory_records(path)
+        assert list(table) == records
+        assert [tuple(map(type, (r.frame, r.x, r.y))) for r in table] == [(int, float, float)] * len(records)
+        assert list(load_trajectories(path)) == records
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("s1,zero,p1,ped,0,0", "bad frame 'zero'"),
+            ("s1,1.0,p1,ped,0,0", "bad frame '1.0'"),
+            ("s1,-1,p1,ped,0,0", "negative frame"),
+            (f"s1,{2**63},p1,ped,0,0", "frame out of range"),
+            ("s1,0,p1,bike,0,0", "kind must be 'ped' or 'car', got 'bike'"),
+            ("s1,0,p1,PED,0,0", "kind must be 'ped' or 'car', got 'PED'"),
+            ("s1,0,p1,ped,abc,0", "bad coordinates"),
+            ("s1,0,p1,ped,0,", "bad coordinates"),
+            ("s1,0,p1,ped,nan,0", "non-finite coordinates"),
+            ("s1,0,p1,ped,0,-inf", "non-finite coordinates"),
+            ("s1,0,p1,ped,1e999,0", "non-finite coordinates"),
+            ("s1,0,p1,ped,0", "expected 6 columns"),
+            ("s1,0,p1,ped,0,0,0", "expected 6 columns"),
+            ("s1,0,q1,ped,0,0", "frames must increase per agent (agent 'q1' frame 0 after 0)"),
+            (" s1 ,-0,q1 ,ped,0,0", "frames must increase per agent (agent 'q1' frame 0 after 0)"),
+        ],
+    )
+    def test_bad_row_is_handed_to_the_row_pass(self, tmp_path: Path, row: str, message: str) -> None:
+        path = write_csv(tmp_path / "t.csv", TRAJECTORY_COLUMNS, ["s1,0,q1,ped,0,0", row, "s1,9,q1,ped,0,0"])
+        assert _screen_trajectories(path) is None
+        with pytest.raises(TrajectoryFormatError) as err:
+            load_trajectories(path)
+        assert str(err.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("text", ["", "\n", "scenario_id,frame,agent_id,kind,x\n"])
+    def test_bad_header_is_handed_to_the_row_pass(self, tmp_path: Path, text: str) -> None:
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        assert _screen_trajectories(path) is None
+        with pytest.raises(TrajectoryFormatError, match=r"t\.csv:1: "):
+            load_trajectories(path)
+
+    def test_length_is_the_number_of_data_rows(self, tmp_path: Path) -> None:
+        rows = [f"s{i % 2},{i // 4},a{i % 4},{'car' if i % 3 else 'ped'},{i}.5,0" for i in range(40)]
+        path = write_csv(tmp_path / "t.csv", TRAJECTORY_COLUMNS, rows[:20] + [""] + rows[20:])
+        assert len(load_trajectories(path)) == 40
+
+
+class TestTrajectoryTable:
+    RECORDS = [
+        TrajectoryRecord("s1", 4, "p1", AgentKind.PEDESTRIAN, 1.5, -2.0),
+        TrajectoryRecord("s1", 0, "c1", AgentKind.CAR, 0.1, 0.2),
+        TrajectoryRecord("s2", 4, "p1", AgentKind.CAR, 3.0, 1e-300),
+        TrajectoryRecord("s1", 5, "p1", AgentKind.PEDESTRIAN, 2.5, -2.0),
+    ]
+
+    def test_a_table_is_a_sequence_of_its_records(self) -> None:
+        table = TrajectoryTable.from_records(self.RECORDS)
+        assert len(table) == 4
+        assert list(table) == self.RECORDS
+        assert [table[i] for i in range(-4, 4)] == self.RECORDS * 2
+        assert table[1:3] == self.RECORDS[1:3]
+        assert table.agents == [("s1", "p1"), ("s1", "c1"), ("s2", "p1")]
+        assert self.RECORDS[2] in table
+        with pytest.raises(IndexError):
+            table[4]
+
+    def test_written_and_loaded_back_unchanged(self, tmp_path: Path) -> None:
+        path = tmp_path / "t.csv"
+        write_trajectories(TrajectoryTable.from_records(self.RECORDS), path)
+        assert list(load_trajectories(path)) == self.RECORDS
+        assert len(TrajectoryTable.from_records([])) == 0
 
 
 class TestAnnotations:
@@ -369,6 +471,101 @@ class TestCompareTrajectories:
         report = compare_trajectories([], [])
         assert report.per_agent == []
         assert report.kind_stats(AgentKind.PEDESTRIAN) == report.kind_stats(AgentKind.CAR) == {}
+
+
+def random_tracks(seed: int) -> tuple[list[TrajectoryRecord], list[TrajectoryRecord]]:
+    """Recorded and simulated records of a few agents: frames with gaps
+    and shifted starts, agents that share one frame or none, an agent
+    the simulation lacks, repeated frames (the last row counts) and rows
+    in no particular order."""
+    rng = random.Random(seed)
+    real: list[TrajectoryRecord] = []
+    sim: list[TrajectoryRecord] = []
+    for i in range(rng.randint(1, 6)):
+        key = (f"s{rng.randint(0, 1)}", f"a{i}")
+        kind = rng.choice(list(AgentKind))
+        start = rng.randint(0, 5)
+        frames = sorted(rng.sample(range(start, start + 30), rng.randint(1, 12)))
+        shape = rng.choice(["overlap", "one", "none", "absent"])
+        if shape == "overlap":
+            shift = rng.randint(-3, 3)
+            sim_frames = sorted(rng.sample(range(start + shift, start + shift + 30), rng.randint(1, 12)))
+        elif shape == "one":
+            sim_frames = [frames[-1], frames[-1] + 100]
+        elif shape == "none":
+            sim_frames = [f + 1000 for f in frames]
+        else:
+            sim_frames = []
+        for frames_of, out in ((frames, real), (sim_frames, sim)):
+            for f in frames_of:
+                for _ in range(rng.choice([1, 1, 1, 2])):
+                    x, y = rng.uniform(-50, 50), rng.uniform(-50, 50)
+                    out.append(TrajectoryRecord(key[0], f, key[1], kind, x, y))
+    rng.shuffle(real)
+    rng.shuffle(sim)
+    return real, sim
+
+
+class TestCompareTrajectoriesOracle:
+    """compare_trajectories scores each agent on arrays; the dict metrics
+    `ade` and `speed_deviation` on group_by_agent's trajectories are its
+    oracle, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 0.1, 1.0 / 3.0]))
+    def test_per_agent_metrics_equal_the_dict_metrics(self, seed: int, frame_seconds: float) -> None:
+        real, sim = random_tracks(seed)
+        report = compare_trajectories(real, sim, frame_seconds)
+        real_by_agent, sim_by_agent = group_by_agent(real), group_by_agent(sim)
+        unmatched = [
+            key for key in sorted(real_by_agent)
+            if not set(real_by_agent[key][1]) & set(sim_by_agent.get(key, (None, {}))[1])
+        ]
+        assert report.unmatched_agents == unmatched
+        scored = [key for key in sorted(real_by_agent) if key not in unmatched]
+        assert [(m.scenario_id, m.agent_id) for m in report.per_agent] == scored
+        for m in report.per_agent:
+            kind, real_traj = real_by_agent[(m.scenario_id, m.agent_id)]
+            sim_traj = sim_by_agent[(m.scenario_id, m.agent_id)][1]
+            assert m.kind is kind
+            assert m.ade.hex() == ade(real_traj, sim_traj).hex()
+            try:
+                expected = speed_deviation(real_traj, sim_traj, frame_seconds).hex()
+            except MetricUndefinedError:
+                expected = None
+            assert (None if m.speed_deviation is None else m.speed_deviation.hex()) == expected
+
+    def test_loaded_tables_score_as_their_records(self, tmp_path: Path) -> None:
+        real, sim = random_tracks(3)
+        # a file keeps frames increasing per agent and has no repeats
+        paths = []
+        for name, records in (("real", real), ("sim", sim)):
+            path = tmp_path / f"{name}.csv"
+            write_trajectories(list(group_records(records)), path)
+            paths.append(path)
+        from_files = compare_trajectories(*map(load_trajectories, paths))
+        from_lists = compare_trajectories(*(list(load_trajectories(p)) for p in paths))
+        assert from_files == from_lists
+
+    def test_a_kind_that_flips_is_named_as_group_by_agent_names_it(self) -> None:
+        real = make_records("s1", "p1", AgentKind.PEDESTRIAN, [(0, 0.0, 0.0), (1, 1.0, 0.0)])
+        real += make_records("s1", "p2", AgentKind.CAR, [(0, 0.0, 0.0)])
+        real += make_records("s1", "p2", AgentKind.PEDESTRIAN, [(1, 0.0, 0.0)])
+        real += make_records("s1", "p1", AgentKind.CAR, [(2, 0.0, 0.0)])
+        with pytest.raises(TrajectoryFormatError) as expected:
+            group_by_agent(real)
+        with pytest.raises(TrajectoryFormatError) as got:
+            compare_trajectories(real, [])
+        assert str(got.value) == str(expected.value) == "agent 'p2' in 's1' changes kind mid-stream"
+
+
+def group_records(records: list[TrajectoryRecord]) -> list[TrajectoryRecord]:
+    """`records` as group_by_agent reads them: per agent, frames in order
+    and the last row of a repeated frame."""
+    out = []
+    for (sid, aid), (kind, traj) in group_by_agent(records).items():
+        out += [TrajectoryRecord(sid, f, aid, kind, traj[f].x, traj[f].y) for f in sorted(traj)]
+    return out
 
 
 class TestAttachDecisionMetrics:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import hashlib
 import json
@@ -51,14 +50,13 @@ from .dataio import (
     MetricUndefinedError,
     TrajectoryFormatError,
     attach_decision_metrics,
-    check_unique_columns,
     compare_trajectories,
-    dict_rows,
     format_report_summary,
     load_annotations,
     load_decisions,
     load_trajectories,
     parse_action,
+    read_columns,
     write_metric_report,
 )
 from .engine import (
@@ -148,7 +146,8 @@ def _config_value(action: argparse.Action, key: str, value, path: Path):
     """A config-file value read as its flag would read the same text:
     through the option's type, then checked against its choices."""
     bad = CliError(f"config file {path}: bad value {json.dumps(value)} for option {key!r}")
-    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+    # no flag can carry a NUL byte, and no file path can hold one
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool) or "\0" in str(value):
         raise bad
     try:
         converted = (action.type or str)(str(value))
@@ -292,7 +291,7 @@ def _cmd_evaluate(ns: argparse.Namespace) -> int:
             "car": report.kind_stats(AgentKind.CAR),
             "decision_error_rate": report.decision_error_rate,
             "unmatched_agents": len(report.unmatched_agents),
-            "unannotated_simulated_keys": len(missing),
+            "unmatched_annotations": len(missing),
         },
     )
     print(summary)
@@ -379,6 +378,8 @@ def _prepare_training(ns: argparse.Namespace):
         items = [item for item in items if item.annotations]
         if not items:
             raise CliError("no scenario carries decision annotations")
+    if not items:
+        raise CliError("no training scenarios")
     if len(items) > 1 and ns.train_fraction < 1.0:
         train, test = train_test_split(items, ns.train_fraction, ns.seed)
     else:
@@ -474,90 +475,25 @@ def _cmd_calibrate(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # select-features
 
-def _feature_columns(path: Path, header: list[str] | None, wanted: list[str] | None) -> list[str]:
-    """The feature columns of an observations header, in file order."""
-    if header is None or "action" not in header:
-        raise TrajectoryFormatError(f"{path}: needs an 'action' column")
-    check_unique_columns(header, path)
-    feature_cols = [c for c in header if c not in _ID_COLUMNS and c != "action"]
-    if wanted:
-        unknown = set(wanted) - set(feature_cols)
-        if unknown:
-            raise TrajectoryFormatError(
-                f"{path}: unknown feature columns {sorted(unknown)}"
-            )
-        feature_cols = [c for c in feature_cols if c in wanted]
-    if not feature_cols:
-        raise TrajectoryFormatError(f"{path}: no feature columns")
-    return feature_cols
-
-
 def _load_observations(path: Path, subject: str, wanted: list[str] | None):
-    """The feature matrix, action labels and feature names of the rows of
-    `subject`. One csv pass reads the file and each column is converted
-    whole; a file that breaks any rule is re-read row by row, which
-    raises with the line number of the first bad row."""
-    return _screen_observations(path, subject, wanted) or _observation_rows(path, subject, wanted)
-
-
-def _screen_observations(path: Path, subject: str, wanted: list[str] | None):
-    """`_observation_rows` of `path` by its rules checked column by
-    column, or None when any rule fails."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            feature_cols = _feature_columns(path, header, wanted)
-            rows = list(filter(None, reader))
-        if set(map(len, rows)) - {len(header)}:
-            return None
-        if "kind" in header:
-            k = header.index("kind")
-            rows = [row for row in rows if row[k] == subject]
-        n = len(rows)
-        if not n:
-            return None
-        columns = list(zip(*rows))
-        del rows
-        X = np.empty((n, len(feature_cols)))
-        for j, name in enumerate(feature_cols):
-            X[:, j] = np.fromiter(map(float, columns[header.index(name)]), float, n)
-        tokens = columns[header.index("action")]
-        label_of = {token: parse_action(token).value for token in set(tokens)}
-    except (ValueError, csv.Error):
-        return None
-    if not np.isfinite(X).all():
-        return None
-    return X, list(map(label_of.__getitem__, tokens)), feature_cols
-
-
-def _observation_rows(path: Path, subject: str, wanted: list[str] | None):
-    """`_load_observations` read row by row; the first bad row raises
-    with its line number."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        feature_cols = _feature_columns(path, reader.fieldnames, wanted)
-        has_kind = "kind" in reader.fieldnames
-        rows, labels = [], []
-        for lineno, row in dict_rows(reader, path):
-            if has_kind and row["kind"] != subject:
-                continue
-            try:
-                values = [float(row[c]) for c in feature_cols]
-            except ValueError:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: non-numeric feature value"
-                ) from None
-            if not all(map(math.isfinite, values)):
-                raise TrajectoryFormatError(f"{path}:{lineno}: non-finite feature value")
-            rows.append(values)
-            try:
-                labels.append(parse_action(row["action"]).value)
-            except TrajectoryFormatError as exc:
-                raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+    """The feature matrix, action labels and feature names (in file
+    order) of the rows of `subject`; the rows of other subjects are
+    dropped before any value is read."""
+    table = read_columns(path, ("action",), exact=False, keep=("kind", subject))
+    feature_cols = [c for c in table.columns if c not in _ID_COLUMNS and c != "action"]
+    unknown = set(wanted or ()) - set(feature_cols)
+    if unknown:
+        raise TrajectoryFormatError(f"{path}:1: unknown feature columns {sorted(unknown)}")
+    feature_cols = [c for c in feature_cols if not wanted or c in wanted]
+    if not feature_cols:
+        raise TrajectoryFormatError(f"{path}:1: no feature columns")
+    X = np.column_stack([table.convert(c, float, float, "non-numeric feature value") for c in feature_cols])
+    table.flag(~np.isfinite(X).all(axis=1), "non-finite feature value")
+    labels = table.convert("action", lambda token: parse_action(token).value)
+    table.check()
+    if not labels:
         raise TrajectoryFormatError(f"{path}: no rows for subject {subject!r}")
-    return np.array(rows, dtype=float), labels, feature_cols
+    return X, labels, feature_cols
 
 
 def _drop_constant_columns(X: np.ndarray, names: list[str]):
@@ -573,6 +509,14 @@ def _cmd_select_features(ns: argparse.Namespace) -> int:
     if not names:
         raise CliError("all feature columns are constant; nothing to fit")
     keep = [s.strip() for s in ns.keep.split(",") if s.strip()] if ns.keep else []
+    unknown = set(keep) - set(names)
+    if unknown:
+        raise CliError(f"keep-list names unknown features: {sorted(unknown)}")
+    outcomes = sorted(set(labels))
+    if Action.CONTINUE.value not in outcomes:
+        raise CliError(f"baseline 'continue' not present in outcomes {outcomes}")
+    if len(outcomes) < 2:
+        raise CliError("need at least two distinct outcomes")
     result = backward_eliminate(
         X, labels, baseline=Action.CONTINUE.value, feature_names=names,
         alpha=ns.alpha, keep=keep,
@@ -776,7 +720,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         GaConfigError,
         OSError,
         json.JSONDecodeError,
-        ValueError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,8 +13,9 @@ import csv
 import math
 import statistics
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,8 +28,6 @@ ANNOTATION_COLUMNS = ("scenario_id", "agent_id", "conflict_idx", "action")
 # A trajectory table stores each row's kind as an index into AGENT_KINDS.
 AGENT_KINDS = tuple(AgentKind)
 _KIND_CODES = {kind.value: code for code, kind in enumerate(AGENT_KINDS)}
-# Frames are stored as 64-bit integers.
-_FRAME_MAX = np.iinfo(np.int64).max
 
 
 class TrajectoryFormatError(ValueError):
@@ -62,17 +61,14 @@ class DecisionAnnotation:
 
 
 # Some annotation sets name the keep-going action "accelerate".
-_ACTION_ALIASES = {"accelerate": Action.CONTINUE}
+_ACTIONS = {action.value: action for action in Action} | {"accelerate": Action.CONTINUE}
 
 
 def parse_action(token: str) -> Action:
     token = token.strip().lower()
-    if token in _ACTION_ALIASES:
-        return _ACTION_ALIASES[token]
-    try:
-        return Action(token)
-    except ValueError as exc:
-        raise TrajectoryFormatError(f"unknown action {token!r}") from exc
+    if token not in _ACTIONS:
+        raise TrajectoryFormatError(f"unknown action {token!r}")
+    return _ACTIONS[token]
 
 
 @dataclass(eq=False)
@@ -127,105 +123,139 @@ class TrajectoryTable(Sequence[TrajectoryRecord]):
             yield TrajectoryRecord(sid, f, aid, AGENT_KINDS[k], x, y)
 
 
-def load_trajectories(path: str | Path) -> TrajectoryTable:
-    """The rows of a trajectory CSV, whose coordinates are meters.
+@dataclass
+class CsvColumns:
+    """The data rows of one CSV file, by column, every field stripped.
 
-    One csv pass reads the file and each column is converted whole. A
-    file that breaks any rule is re-read row by row, which raises with
-    the line number of the first bad row.
+    A loader tests its rules with `convert` and `flag` in the order a
+    loop over the rows would test them within one row. Each rule reads
+    only the rows before the first bad row found so far, so a later rule
+    takes over only with a lower row, and `check` raises what that loop
+    would raise: the first bad row's line and the first rule it breaks.
     """
-    table = _screen_trajectories(path)
-    if table is None:
-        table = TrajectoryTable.from_records(_trajectory_records(path))
-    return table
 
+    path: str | Path
+    columns: dict[str, tuple[str, ...]]
+    # each row's record index in the file, counting the header and blank
+    # rows: a quoted field that spans two lines is on one line
+    lines: np.ndarray
+    n: int  # the rows before the first bad row found so far
+    error: str | None  # the first bad row's message
 
-def _screen_trajectories(path: str | Path) -> TrajectoryTable | None:
-    """The table of `path` by the rules of `_trajectory_records`
-    checked column by column, or None when any rule fails."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(map(str.strip, header)) != TRAJECTORY_COLUMNS:
-                return None
-            rows = list(filter(None, reader))
-        if set(map(len, rows)) - {6}:
-            return None
-        n = len(rows)
-        sid, frame_s, aid, kind_s, x_s, y_s = zip(*rows) if rows else ((),) * 6
-        del rows
-        frame = np.fromiter(map(int, map(str.strip, frame_s)), np.int64, n)
-        kind = np.fromiter(map(_KIND_CODES.__getitem__, map(str.strip, kind_s)), np.int8, n)
-        x = np.fromiter(map(float, map(str.strip, x_s)), float, n)
-        y = np.fromiter(map(float, map(str.strip, y_s)), float, n)
-    except (ValueError, OverflowError, KeyError, csv.Error):
-        return None
-    keys = list(zip(map(str.strip, sid), map(str.strip, aid)))
-    codes = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    agent = np.fromiter(map(codes.__getitem__, keys), np.intp, n)
-    del keys
-    if n and (frame.min() < 0 or not (np.isfinite(x).all() and np.isfinite(y).all())):
-        return None
-    # frames increase per agent in file order
-    order = np.argsort(agent, kind="stable")
-    a, f = agent[order], frame[order]
-    if np.any((a[1:] == a[:-1]) & (f[1:] <= f[:-1])):
-        return None
-    return TrajectoryTable(list(codes), agent, kind, frame, x, y)
+    def fail(self, i: int, message: str) -> None:
+        self.n = i
+        self.error = f"{self.path}:{self.lines[i]}: {message}"
 
+    def check(self) -> None:
+        if self.error is not None:
+            raise TrajectoryFormatError(self.error)
 
-def _trajectory_records(path: str | Path) -> list[TrajectoryRecord]:
-    """The records of a trajectory CSV read row by row; the first bad
-    row raises with its line number."""
-    records: list[TrajectoryRecord] = []
-    last_frame: dict[tuple[str, str], int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    def flag(self, bad: np.ndarray, message: str | Callable[[int], str]) -> None:
+        """Fail the first row in play that `bad` marks, with `message`
+        or `message(row)`."""
+        hits = np.flatnonzero(bad[:self.n])
+        if hits.size:
+            i = int(hits[0])
+            self.fail(i, message(i) if callable(message) else message)
+
+    def convert(self, name: str, convert: Callable[[str], object], dtype=None, message: str = ""):
+        """Column `name` converted field by field into an array of `dtype`,
+        or a list when `dtype` is None. A field that `convert` rejects
+        fails its row with `message` formatted with the field, or else
+        with the converter's own message."""
+        fields = self.columns[name]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TrajectoryFormatError(f"{path}:1: empty file") from None
-        if tuple(h.strip() for h in header) != TRAJECTORY_COLUMNS:
-            raise TrajectoryFormatError(
-                f"{path}:1: header must be {','.join(TRAJECTORY_COLUMNS)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise TrajectoryFormatError(f"{path}:{lineno}: expected 6 columns")
-            scenario_id, frame_s, agent_id, kind_s, x_s, y_s = (v.strip() for v in row)
+            if dtype is None:
+                value_of = {field: convert(field) for field in set(fields)}
+                return list(map(value_of.__getitem__, fields))
+            return np.fromiter(map(convert, fields), dtype, len(fields))
+        except (ValueError, KeyError, OverflowError):
+            pass
+        values = [None] * len(fields) if dtype is None else np.zeros(len(fields), dtype)
+        for i, field in enumerate(fields[:self.n]):
             try:
-                frame = int(frame_s)
-            except ValueError:
-                raise TrajectoryFormatError(f"{path}:{lineno}: bad frame {frame_s!r}") from None
-            if frame < 0:
-                raise TrajectoryFormatError(f"{path}:{lineno}: negative frame")
-            if frame > _FRAME_MAX:
-                raise TrajectoryFormatError(f"{path}:{lineno}: frame out of range")
-            try:
-                kind = AgentKind(kind_s)
-            except ValueError:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: kind must be 'ped' or 'car', got {kind_s!r}"
-                ) from None
-            try:
-                x = float(x_s)
-                y = float(y_s)
-            except ValueError:
-                raise TrajectoryFormatError(f"{path}:{lineno}: bad coordinates") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise TrajectoryFormatError(f"{path}:{lineno}: non-finite coordinates")
-            key = (scenario_id, agent_id)
-            if key in last_frame and frame <= last_frame[key]:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: frames must increase per agent "
-                    f"(agent {agent_id!r} frame {frame} after {last_frame[key]})"
-                )
-            last_frame[key] = frame
-            records.append(TrajectoryRecord(scenario_id, frame, agent_id, kind, x, y))
-    return records
+                values[i] = convert(field)
+            except OverflowError:  # a value that does not fit `dtype`
+                self.fail(i, f"{name} out of range")
+                break
+            except (ValueError, KeyError) as exc:
+                self.fail(i, message.format(field) if message else str(exc))
+                break
+        return values
+
+
+def read_columns(
+    path: str | Path, columns: Sequence[str], exact: bool = True, keep: tuple[str, str] | None = None
+) -> CsvColumns:
+    """The data rows of the CSV file at `path`, by column.
+
+    The header, every name stripped, must be `columns`, or hold all of
+    them when not `exact`, and may name no column twice; else this
+    raises for line 1. Blank rows are skipped. The first row whose width
+    is not the header's, or that the csv module cannot parse, is the
+    table's first bad row, and the table holds only the rows before it.
+    With `keep` = (name, value) and a header that names that column, it
+    holds only the rows whose field reads `value`.
+    """
+    rows: list[list[str]] = []
+    error = None
+    with open(path, newline="") as fh:
+        try:
+            rows.extend(csv.reader(fh))
+        except csv.Error as exc:
+            error = f"{path}:{len(rows) + 1}: {exc}"
+    if not rows:
+        raise TrajectoryFormatError(error or f"{path}:1: empty file")
+    header = [name.strip() for name in rows.pop(0)]
+    if exact and tuple(header) != tuple(columns):
+        raise TrajectoryFormatError(f"{path}:1: header must be {','.join(columns)}")
+    if not set(columns) <= set(header):
+        raise TrajectoryFormatError(f"{path}:1: needs columns {sorted(columns)}")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise TrajectoryFormatError(f"{path}:1: duplicate column {name!r}")
+    width = np.fromiter(map(len, rows), np.intp, len(rows))
+    lines = np.flatnonzero(width) + 2
+    rows = list(filter(None, rows))
+    wrong = np.flatnonzero(width[lines - 2] != len(header))
+    if wrong.size:
+        end = int(wrong[0])
+        error = f"{path}:{lines[end]}: expected {len(header)} columns"
+        del rows[end:]
+        lines = lines[:end]
+    if keep and keep[0] in header:
+        k, value = header.index(keep[0]), keep[1]
+        mask = np.fromiter((row[k].strip() == value for row in rows), bool, len(rows))
+        rows, lines = list(compress(rows, mask)), lines[mask]
+    stripped = [tuple(map(str.strip, column)) for column in zip(*rows)] or [()] * len(header)
+    return CsvColumns(path, dict(zip(header, stripped)), lines, len(rows), error)
+
+
+def load_trajectories(path: str | Path) -> TrajectoryTable:
+    """The rows of a trajectory CSV, whose coordinates are meters."""
+    table = read_columns(path, TRAJECTORY_COLUMNS)
+    frame = table.convert("frame", int, np.int64, "bad frame {!r}")
+    table.flag(frame < 0, "negative frame")
+    kind = table.convert("kind", _KIND_CODES.__getitem__, np.int8, "kind must be 'ped' or 'car', got {!r}")
+    x = table.convert("x", float, float, "bad coordinates")
+    y = table.convert("y", float, float, "bad coordinates")
+    table.flag(~(np.isfinite(x) & np.isfinite(y)), "non-finite coordinates")
+    agent_ids = table.columns["agent_id"]
+    keys = list(zip(table.columns["scenario_id"], agent_ids))
+    codes = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    agent = np.fromiter(map(codes.__getitem__, keys), np.intp, len(keys))
+    del keys
+    # each row's previous frame of its agent in file order, -1 for the first
+    order = np.argsort(agent, kind="stable")
+    before, after = order[:-1], order[1:]
+    same = agent[after] == agent[before]
+    prev = np.full_like(frame, -1)
+    prev[after[same]] = frame[before[same]]
+    table.flag(frame <= prev, lambda i: (
+        f"frames must increase per agent (agent {agent_ids[i]!r} frame {frame[i]} after {prev[i]})"
+    ))
+    table.check()
+    return TrajectoryTable(list(codes), agent, kind, frame, x, y)
 
 
 def write_trajectories(records: Sequence[TrajectoryRecord], path: str | Path) -> None:
@@ -236,33 +266,11 @@ def write_trajectories(records: Sequence[TrajectoryRecord], path: str | Path) ->
 
 
 def load_annotations(path: str | Path) -> list[DecisionAnnotation]:
-    out: list[DecisionAnnotation] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TrajectoryFormatError(f"{path}:1: empty file") from None
-        if tuple(h.strip() for h in header) != ANNOTATION_COLUMNS:
-            raise TrajectoryFormatError(
-                f"{path}:1: header must be {','.join(ANNOTATION_COLUMNS)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise TrajectoryFormatError(f"{path}:{lineno}: expected 4 columns")
-            scenario_id, agent_id, idx_s, action_s = (v.strip() for v in row)
-            try:
-                idx = int(idx_s)
-            except ValueError:
-                raise TrajectoryFormatError(f"{path}:{lineno}: bad conflict_idx") from None
-            try:
-                action = parse_action(action_s)
-            except TrajectoryFormatError as exc:
-                raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
-            out.append(DecisionAnnotation(scenario_id, agent_id, idx, action))
-    return out
+    table = read_columns(path, ANNOTATION_COLUMNS)
+    idx = table.convert("conflict_idx", int, message="bad conflict_idx")
+    actions = table.convert("action", parse_action)
+    table.check()
+    return list(map(DecisionAnnotation, table.columns["scenario_id"], table.columns["agent_id"], idx, actions))
 
 
 def index_decisions(
@@ -281,45 +289,12 @@ def index_decisions(
     return out
 
 
-def check_unique_columns(header: Sequence[str], path: str | Path) -> None:
-    """Raise on a header that names a column twice: a csv.DictReader
-    would silently keep only the last of the two."""
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise TrajectoryFormatError(f"{path}:1: duplicate column {name!r}")
-        seen.add(name)
-
-
-def dict_rows(reader: csv.DictReader, path: str | Path) -> Iterator[tuple[int, dict]]:
-    """The rows of `reader` with their line numbers. A row with more or
-    fewer fields than the header raises."""
-    width, last = len(reader.fieldnames), reader.fieldnames[-1]
-    for row in reader:
-        # DictReader files extra fields under None and fills missing ones with None
-        if None in row or row[last] is None:
-            raise TrajectoryFormatError(f"{path}:{reader.line_num}: expected {width} columns")
-        yield reader.line_num, row
-
-
 def load_decisions(path: str | Path) -> dict[tuple[str, str, int], Action]:
     """Simulator decisions CSV keyed by (scenario, agent, ordinal)."""
-    decisions = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"scenario_id", "agent_id", "action"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise TrajectoryFormatError(
-                f"{path}: decisions CSV needs columns {sorted(required)}"
-            )
-        check_unique_columns(reader.fieldnames, path)
-        for lineno, row in dict_rows(reader, path):
-            try:
-                action = parse_action(row["action"])
-            except TrajectoryFormatError as exc:
-                raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
-            decisions.append(((row["scenario_id"], row["agent_id"]), action))
-    return index_decisions(decisions)
+    table = read_columns(path, ("scenario_id", "agent_id", "action"), exact=False)
+    actions = table.convert("action", parse_action)
+    table.check()
+    return index_decisions(zip(zip(table.columns["scenario_id"], table.columns["agent_id"]), actions))
 
 
 def write_annotations(annotations: Sequence[DecisionAnnotation], path: str | Path) -> None:

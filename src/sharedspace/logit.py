@@ -58,17 +58,17 @@ class LogitModel:
 
 
 def _encode_labels(y: Sequence[str], baseline: str) -> tuple[np.ndarray, tuple[str, ...]]:
-    labels = [str(v) for v in y]
-    classes = sorted(set(labels))
+    distinct = set(y)
+    classes = sorted(map(str, distinct))
     if baseline not in classes:
         raise ValueError(f"baseline {baseline!r} not present in outcomes {classes}")
     outcomes = tuple(c for c in classes if c != baseline)
     if not outcomes:
         raise ValueError("need at least two distinct outcomes")
-    index = {c: k for k, c in enumerate(outcomes)}
     # Baseline encodes as -1; outcome k as its row in the coefficient matrix.
-    codes = np.array([index.get(v, -1) for v in labels], dtype=int)
-    return codes, outcomes
+    row = {c: k for k, c in enumerate(outcomes)}
+    code = {label: row.get(str(label), -1) for label in distinct}
+    return np.fromiter(map(code.__getitem__, y), int, len(y)), outcomes
 
 
 def _log_likelihood(X: np.ndarray, codes: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from helpers import count_graph_builds, open_square_scene
 from sharedspace import __version__, calibrate, cli
 from sharedspace.cli import main
+from sharedspace.dataio import TrajectoryFormatError, parse_action
 from sharedspace.engine import AgentEntry, Scenario, save_scenario
 from sharedspace.geometry import Vec2
 from sharedspace.params import ParameterSet, load_parameter_set, save_parameter_set
@@ -563,7 +565,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "setting",
         [{"max_steps": "ten"}, {"max_steps": 2.5}, {"max_steps": [10]}, {"dt": None},
-         {"seed": True}, {"regime": "campus"}],
+         {"seed": True}, {"regime": "campus"}, {"out_dir": "out\u0000dir"}],
     )
     def test_bad_config_value_exits_2_with_one_line(self, tmp_path, capsys, setting) -> None:
         scene_path, scenario_path = write_crossing_inputs(tmp_path)
@@ -740,6 +742,46 @@ class TestEvaluate:
         assert code == 2
         assert capsys.readouterr().err == f"error: {decisions}:2: {message}\n"
 
+    def test_padded_decisions_row_joins_its_annotation(self, tmp_path) -> None:
+        # every field of every input is stripped, decisions' ids too
+        _, run = run_simulate(tmp_path)
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text(ANNOTATIONS_MATCHING)
+        decisions = tmp_path / "decisions.csv"
+        decisions.write_text(f"{DECISIONS_HEADER}\ncrossing ,3,0, c1,continue\n crossing,3,0,p1 ,deviate\n")
+        out = tmp_path / "eval"
+        code = main([
+            "evaluate", "--real", str(run / "trace.csv"), "--sim", str(run / "trace.csv"),
+            "--annotations", str(annotations), "--sim-decisions", str(decisions), "--out", str(out),
+        ])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["decision_error_rate"], manifest["unmatched_annotations"]) == (0.0, 0)
+        rows = (out / "confusion.csv").read_text().splitlines()[1:]
+        assert sum(int(n) for row in rows for n in row.split(",")[1:]) == 2
+
+    def test_annotation_without_a_simulated_decision_is_counted(self, tmp_path) -> None:
+        _, run = run_simulate(tmp_path)
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text(ANNOTATIONS_MATCHING + "crossing,p1,5,deviate\n")
+        out = tmp_path / "eval"
+        code = main([
+            "evaluate", "--real", str(run / "trace.csv"), "--sim", str(run / "trace.csv"),
+            "--annotations", str(annotations), "--sim-decisions", str(run / "decisions.csv"),
+            "--out", str(out),
+        ])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["decision_error_rate"], manifest["unmatched_annotations"]) == (0.0, 1)
+
+    def test_undecodable_input_exits_2_with_one_line(self, tmp_path, capsys) -> None:
+        real = tmp_path / "real.csv"
+        real.write_bytes(TRACE_HEADER.encode() + b"\ns1,0,p1,ped,\xff,0\n")
+        code = main(["evaluate", "--real", str(real), "--sim", str(real), "--out", str(tmp_path / "eval")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flipped", ["real", "sim"])
     def test_agent_whose_kind_flips_exits_2(self, tmp_path, capsys, flipped) -> None:
         rows = ["s1,0,p1,ped,0.0,0.0", "s1,0,c1,car,5.0,0.0", "s1,1,p1,ped,1.0,0.0"]
@@ -891,6 +933,33 @@ class TestSelectFeatures:
         assert code == 2
         assert "wat" in capsys.readouterr().err
 
+    def test_unknown_keep_feature_exits_2(self, tmp_path, capsys) -> None:
+        observations = write_logit_observations(tmp_path)
+        code = main([
+            "select-features", "--observations", str(observations),
+            "--subject", "car", "--keep", "zzz", "--out-dir", str(tmp_path / "sel"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: keep-list names unknown features: ['zzz']\n"
+
+    @pytest.mark.parametrize(
+        "actions, message",
+        [
+            (("continue",), "need at least two distinct outcomes"),
+            (("decelerate", "deviate"), "baseline 'continue' not present in outcomes ['decelerate', 'deviate']"),
+        ],
+    )
+    def test_outcomes_that_cannot_be_fitted_exit_2(self, tmp_path, capsys, actions, message) -> None:
+        observations = tmp_path / "observations.csv"
+        rows = ["kind,f0,action"] + [f"car,{i},{actions[i % len(actions)]}" for i in range(20)]
+        observations.write_text("\n".join(rows) + "\n")
+        code = main([
+            "select-features", "--observations", str(observations),
+            "--subject", "car", "--out-dir", str(tmp_path / "sel"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_action_column_exits_2(self, tmp_path) -> None:
         observations = tmp_path / "observations.csv"
         observations.write_text("scenario_id,kind,f0\ns,car,1.0\n")
@@ -987,10 +1056,22 @@ class TestSelectFeatures:
 OBSERVATIONS_HEADER = "kind,f0,f1,action"
 
 
+def read_observation_rows(path: Path, subject: str):
+    """A valid observations file read row by row: the reference for what
+    select-features reads column by column."""
+    with open(path, newline="") as fh:
+        rows = [[field.strip() for field in row] for row in csv.reader(fh) if row]
+    header, rows = rows[0], [dict(zip(rows[0], row)) for row in rows[1:]]
+    rows = [row for row in rows if row.get("kind", subject) == subject]
+    names = [c for c in header if c not in cli._ID_COLUMNS and c != "action"]
+    X = np.array([[float(row[c]) for c in names] for row in rows]).reshape(len(rows), len(names))
+    return X, [parse_action(row["action"]).value for row in rows], names
+
+
 class TestObservationScreen:
-    """select-features reads its table column by column and hands any
-    file that breaks a rule to the row-by-row reader, which names the
-    line. The column pass must give what the row pass gives."""
+    """select-features reads its table column by column. On a valid file
+    it must give what a row-by-row read gives; on a bad one it must name
+    the line and the rule a row-by-row read would stop at."""
 
     @pytest.mark.parametrize(
         "text",
@@ -1002,18 +1083,17 @@ class TestObservationScreen:
             "kind,f0,f1,action\ncar,+3,1_0,accelerate\ncar,-0.5,.5,deviate\n",
             # the pedestrian rows are dropped before any value is read
             "kind,f0,f1,action\nped,x,y,fly\ncar,1,2,continue\nped,1\t,2,continue\n",
-            # a kind with padding is another subject
+            # every field is stripped, so a kind with padding is the same subject
             "kind,f0,f1,action\n car,1,2,continue\ncar,1,2,continue\n",
         ],
     )
     def test_column_pass_reads_what_the_row_pass_reads(self, tmp_path, text) -> None:
         path = tmp_path / "observations.csv"
         path.write_bytes(text.encode())
-        screened = cli._screen_observations(path, "car", None)
-        assert screened is not None
-        X, labels, names = cli._observation_rows(path, "car", None)
-        assert np.array_equal(screened[0], X) and screened[0].shape == X.shape
-        assert screened[1:] == (labels, names)
+        X, labels, names = cli._load_observations(path, "car", None)
+        expected = read_observation_rows(path, "car")
+        assert np.array_equal(X, expected[0]) and X.shape == expected[0].shape
+        assert (labels, names) == expected[1:]
 
     @pytest.mark.parametrize(
         "row, message",
@@ -1029,9 +1109,8 @@ class TestObservationScreen:
     def test_bad_row_is_handed_to_the_row_pass(self, tmp_path, row, message) -> None:
         path = tmp_path / "observations.csv"
         path.write_text(f"{OBSERVATIONS_HEADER}\ncar,1,2,continue\n{row}\ncar,2,1,deviate\n")
-        assert cli._screen_observations(path, "car", None) is None
-        with pytest.raises(ValueError) as err:
-            cli._observation_rows(path, "car", None)
+        with pytest.raises(TrajectoryFormatError) as err:
+            cli._load_observations(path, "car", None)
         assert str(err.value) == f"{path}:3: {message}"
 
     def test_no_rows_of_the_subject_exits_2(self, tmp_path, capsys) -> None:
@@ -1146,6 +1225,17 @@ class TestCalibrateSfm:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["evaluations"] == 5
         assert manifest["cache_hits"] >= 0
+
+    def test_trajectories_without_rows_exit_2(self, tmp_path, capsys) -> None:
+        scene_path, _ = write_crossing_inputs(tmp_path)
+        trajectories = tmp_path / "empty.csv"
+        trajectories.write_text(TRACE_HEADER + "\n")
+        code = main([
+            "calibrate-sfm", "--scene", str(scene_path), "--trajectories", str(trajectories),
+            "--out-dir", str(tmp_path / "cal"), "--population", "2", "--generations", "1",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: no training scenarios\n"
 
     def test_every_candidate_failing_exits_5(self, tmp_path, capsys) -> None:
         scene_path = write_boxed_scene(tmp_path)

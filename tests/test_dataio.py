@@ -6,6 +6,7 @@ computed in the comments.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sharedspace import cli
 from sharedspace.dataio import (
     ANNOTATION_COLUMNS,
     TRAJECTORY_COLUMNS,
@@ -23,8 +25,6 @@ from sharedspace.dataio import (
     TrajectoryFormatError,
     TrajectoryRecord,
     TrajectoryTable,
-    _screen_trajectories,
-    _trajectory_records,
     ade,
     attach_decision_metrics,
     compare_trajectories,
@@ -129,10 +129,21 @@ class TestLoadTrajectories:
         assert list(load_trajectories(path)) == records
 
 
+def read_trajectory_rows(path: Path) -> list[TrajectoryRecord]:
+    """A valid trajectory file read row by row: the reference for what
+    load_trajectories reads column by column."""
+    with open(path, newline="") as fh:
+        rows = [[field.strip() for field in row] for row in csv.reader(fh) if row][1:]
+    return [
+        TrajectoryRecord(sid, int(frame), aid, AgentKind(kind), float(x), float(y))
+        for sid, frame, aid, kind, x, y in rows
+    ]
+
+
 class TestTrajectoryScreen:
-    """load_trajectories reads a file column by column and hands any file
-    that breaks a rule to the row-by-row reader, which names the line.
-    The column pass must give what the row pass gives."""
+    """load_trajectories reads a file column by column. On a valid file it
+    must give what a row-by-row read gives; on a bad one it must name the
+    line and the rule a row-by-row read would stop at."""
 
     @pytest.mark.parametrize(
         "text",
@@ -153,12 +164,10 @@ class TestTrajectoryScreen:
     def test_column_pass_reads_what_the_row_pass_reads(self, tmp_path: Path, text: str) -> None:
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode())
-        table = _screen_trajectories(path)
-        assert table is not None
-        records = _trajectory_records(path)
+        table = load_trajectories(path)
+        records = read_trajectory_rows(path)
         assert list(table) == records
         assert [tuple(map(type, (r.frame, r.x, r.y))) for r in table] == [(int, float, float)] * len(records)
-        assert list(load_trajectories(path)) == records
 
     @pytest.mark.parametrize(
         "row, message",
@@ -167,6 +176,7 @@ class TestTrajectoryScreen:
             ("s1,1.0,p1,ped,0,0", "bad frame '1.0'"),
             ("s1,-1,p1,ped,0,0", "negative frame"),
             (f"s1,{2**63},p1,ped,0,0", "frame out of range"),
+            (f"s1,{-2**63 - 1},p1,ped,0,0", "frame out of range"),
             ("s1,0,p1,bike,0,0", "kind must be 'ped' or 'car', got 'bike'"),
             ("s1,0,p1,PED,0,0", "kind must be 'ped' or 'car', got 'PED'"),
             ("s1,0,p1,ped,abc,0", "bad coordinates"),
@@ -182,7 +192,6 @@ class TestTrajectoryScreen:
     )
     def test_bad_row_is_handed_to_the_row_pass(self, tmp_path: Path, row: str, message: str) -> None:
         path = write_csv(tmp_path / "t.csv", TRAJECTORY_COLUMNS, ["s1,0,q1,ped,0,0", row, "s1,9,q1,ped,0,0"])
-        assert _screen_trajectories(path) is None
         with pytest.raises(TrajectoryFormatError) as err:
             load_trajectories(path)
         assert str(err.value) == f"{path}:3: {message}"
@@ -191,9 +200,14 @@ class TestTrajectoryScreen:
     def test_bad_header_is_handed_to_the_row_pass(self, tmp_path: Path, text: str) -> None:
         path = tmp_path / "t.csv"
         path.write_text(text)
-        assert _screen_trajectories(path) is None
         with pytest.raises(TrajectoryFormatError, match=r"t\.csv:1: "):
             load_trajectories(path)
+
+    def test_a_field_too_large_for_the_csv_module_names_its_line(self, tmp_path: Path) -> None:
+        path = write_csv(tmp_path / "t.csv", TRAJECTORY_COLUMNS, ["s1,0,q1,ped,0,0", "s1,1,q1,ped,0," + "1" * 200_000])
+        with pytest.raises(TrajectoryFormatError) as err:
+            load_trajectories(path)
+        assert str(err.value) == f"{path}:3: field larger than field limit (131072)"
 
     def test_length_is_the_number_of_data_rows(self, tmp_path: Path) -> None:
         rows = [f"s{i % 2},{i // 4},a{i % 4},{'car' if i % 3 else 'ped'},{i}.5,0" for i in range(40)]
@@ -293,8 +307,31 @@ class TestDecisionIndexing:
     def test_load_decisions_needs_its_columns(self, tmp_path) -> None:
         path = tmp_path / "decisions.csv"
         path.write_text("scenario_id,agent_id\ns1,c1\n")
-        with pytest.raises(TrajectoryFormatError, match="action"):
+        with pytest.raises(TrajectoryFormatError) as err:
             load_decisions(path)
+        assert str(err.value) == f"{path}:1: needs columns ['action', 'agent_id', 'scenario_id']"
+
+
+class TestLineNumbers:
+    """Every reader names a row by its record index, counting the header
+    and blank rows: a quoted field that spans two lines is one line."""
+
+    @pytest.mark.parametrize(
+        "load, text",
+        [
+            (load_trajectories, 'scenario_id,frame,agent_id,kind,x,y\ns1,0,"p\n1",ped,0,0\n\ns1,1,p1,ped,0,fly\n'),
+            (load_annotations, 'scenario_id,agent_id,conflict_idx,action\ns1,"c\n1",0,continue\n\ns1,c1,0,fly\n'),
+            (load_decisions, 'scenario_id,agent_id,action\ns1,"c\n1",continue\n\ns1,c1,fly\n'),
+            (lambda path: cli._load_observations(path, "car", None), 'kind,f0,action\ncar,"1\n",continue\n\ncar,2,fly\n'),
+        ],
+        ids=["trajectories", "annotations", "decisions", "observations"],
+    )
+    def test_a_two_line_field_is_one_line(self, tmp_path: Path, load, text: str) -> None:
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with pytest.raises(TrajectoryFormatError, match=r"fly|coordinates") as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}:4: ")
 
 
 class TestGroupByAgent:

@@ -40,6 +40,7 @@ from .dataio import (
     group_by_agent,
     index_decisions,
     segment_speeds,
+    write_csv,
 )
 from .engine import (
     KIND_DEFAULTS,
@@ -247,10 +248,9 @@ def ga_optimize(
 
 
 def write_history_csv(history: Sequence[GenStats], path: str | Path) -> None:
-    lines = ["generation,best_fitness,mean_fitness"]
-    for row in history:
-        lines.append(f"{row.generation},{row.best_fitness!r},{row.mean_fitness!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ("generation", "best_fitness", "mean_fitness"), (
+        f"{row.generation},{row.best_fitness!r},{row.mean_fitness!r}" for row in history
+    ))
 
 
 def default_bounds(values: Sequence[float]) -> list[tuple[float, float]]:

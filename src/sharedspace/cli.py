@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, jsonin
 from .calibrate import (
     GENE_NAMES,
     SCENARIO_FAILURE_PENALTY,
@@ -46,6 +47,7 @@ from .calibrate import (
     write_history_csv,
 )
 from .dataio import (
+    FEATURE_ID_COLUMNS,
     AlignmentError,
     MetricUndefinedError,
     TrajectoryFormatError,
@@ -57,6 +59,7 @@ from .dataio import (
     load_trajectories,
     parse_action,
     read_columns,
+    write_csv,
     write_metric_report,
 )
 from .engine import (
@@ -90,8 +93,6 @@ EXIT_CONFIG = 2
 EXIT_SIMULATION = 3
 EXIT_ALIGNMENT = 4
 EXIT_CONVERGENCE = 5
-
-_ID_COLUMNS = {"scenario_id", "step", "conflict_id", "agent_id", "kind", "role"}
 
 
 class CliError(Exception):
@@ -142,12 +143,14 @@ def _out_dir(path_str: str) -> Path:
     return out
 
 
-def _config_value(action: argparse.Action, key: str, value, path: Path):
+def _config_value(action: argparse.Action, key: str, value):
     """A config-file value read as its flag would read the same text:
     through the option's type, then checked against its choices."""
-    bad = CliError(f"config file {path}: bad value {json.dumps(value)} for option {key!r}")
-    # no flag can carry a NUL byte, and no file path can hold one
-    if not isinstance(value, (str, int, float)) or isinstance(value, bool) or "\0" in str(value):
+    bad = CliError(f"bad value {json.dumps(value)} for option {key!r}")
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+        raise bad
+    # NaN and Infinity are not JSON; a NUL byte or a lone surrogate is no flag's text
+    if isinstance(value, float) and not math.isfinite(value) or re.search("[\0\ud800-\udfff]", str(value)):
         raise bad
     try:
         converted = (action.type or str)(str(value))
@@ -164,18 +167,12 @@ def _apply_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) 
         return
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = {a.dest: a for a in commands.choices[ns.command]._actions}
-    path = Path(ns.config)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise CliError(f"config file {path}: top level must be an object")
-    for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest in {"config", "help"} or dest not in actions:
-            raise CliError(f"config file {path}: unknown option {key!r}")
-        setattr(ns, dest, _config_value(actions[dest], key, value, path))
+    with jsonin.document(ns.config, CliError) as data:
+        for key, value in data.items():
+            dest = key.replace("-", "_")
+            if dest in {"config", "help"} or dest not in actions:
+                raise CliError(f"unknown option {key!r}")
+            setattr(ns, dest, _config_value(actions[dest], key, value))
 
 
 def _load_params(ns: argparse.Namespace) -> ParameterSet:
@@ -240,15 +237,16 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 # evaluate
 
 def _write_confusion_csv(confusion: dict, path: Path) -> None:
-    actions = [a.value for a in Action]
-    lines = ["real\\sim," + ",".join(actions)]
-    for r in Action:
-        counts = [str(confusion.get((r, s), 0)) for s in Action]
-        lines.append(f"{r.value}," + ",".join(counts))
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(path, ["real\\sim", *(a.value for a in Action)], (
+        f"{r.value}," + ",".join(str(confusion.get((r, s), 0)) for s in Action) for r in Action
+    ))
 
 
 def _cmd_evaluate(ns: argparse.Namespace) -> int:
+    if ns.annotations and not ns.sim_decisions:
+        raise CliError("--annotations requires --sim-decisions")
+    if ns.sim_decisions and not ns.annotations:
+        raise CliError("--sim-decisions requires --annotations")
     real = load_trajectories(ns.real)
     sim = load_trajectories(ns.sim)
     report = compare_trajectories(real, sim, frame_seconds=ns.dt)
@@ -259,8 +257,6 @@ def _cmd_evaluate(ns: argparse.Namespace) -> int:
     outputs = ["report.csv", "summary.txt"]
     missing: list = []
     if ns.annotations:
-        if not ns.sim_decisions:
-            raise CliError("--annotations requires --sim-decisions")
         annotations = load_annotations(ns.annotations)
         simulated = load_decisions(ns.sim_decisions)
         missing = attach_decision_metrics(report, annotations, simulated)
@@ -480,7 +476,7 @@ def _load_observations(path: Path, subject: str, wanted: list[str] | None):
     order) of the rows of `subject`; the rows of other subjects are
     dropped before any value is read."""
     table = read_columns(path, ("action",), exact=False, keep=("kind", subject))
-    feature_cols = [c for c in table.columns if c not in _ID_COLUMNS and c != "action"]
+    feature_cols = [c for c in table.columns if c not in FEATURE_ID_COLUMNS and c != "action"]
     unknown = set(wanted or ()) - set(feature_cols)
     if unknown:
         raise TrajectoryFormatError(f"{path}:1: unknown feature columns {sorted(unknown)}")
@@ -522,19 +518,15 @@ def _cmd_select_features(ns: argparse.Namespace) -> int:
         alpha=ns.alpha, keep=keep,
     )
     out = _out_dir(ns.out_dir)
-    model_lines = ["outcome,feature,coefficient,std_error,p_value"]
     m = result.model
-    for k, outcome in enumerate(m.outcomes):
-        for j, name in enumerate(m.feature_names):
-            model_lines.append(
-                f"{outcome},{name},{float(m.coef[k, j])!r},"
-                f"{float(m.std_errors[k, j])!r},{float(m.p_values[k, j])!r}"
-            )
-    (out / "model.csv").write_text("\n".join(model_lines) + "\n")
-    elim_lines = ["step,feature,p_value"]
-    for i, step in enumerate(result.eliminated, start=1):
-        elim_lines.append(f"{i},{step.feature},{step.p_value!r}")
-    (out / "elimination.csv").write_text("\n".join(elim_lines) + "\n")
+    write_csv(out / "model.csv", ("outcome", "feature", "coefficient", "std_error", "p_value"), (
+        f"{outcome},{name},{float(m.coef[k, j])!r},{float(m.std_errors[k, j])!r},{float(m.p_values[k, j])!r}"
+        for k, outcome in enumerate(m.outcomes)
+        for j, name in enumerate(m.feature_names)
+    ))
+    write_csv(out / "elimination.csv", ("step", "feature", "p_value"), (
+        f"{i},{step.feature},{step.p_value!r}" for i, step in enumerate(result.eliminated, start=1)
+    ))
     _write_manifest(
         out,
         "select-features",
@@ -712,16 +704,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConvergenceError, RankDeficiencyError) as exc:
         print(f"error: estimation failed: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (
-        InvalidSceneError,
-        ParameterFileError,
-        ScenarioError,
-        TrajectoryFormatError,
-        GaConfigError,
-        OSError,
-        json.JSONDecodeError,
-        UnicodeDecodeError,
-    ) as exc:
+    except (InvalidSceneError, ParameterFileError, ScenarioError, TrajectoryFormatError, GaConfigError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import statistics
 from dataclasses import dataclass, field
 from itertools import compress
@@ -25,9 +26,13 @@ from .scene import AgentKind
 
 TRAJECTORY_COLUMNS = ("scenario_id", "frame", "agent_id", "kind", "x", "y")
 ANNOTATION_COLUMNS = ("scenario_id", "agent_id", "conflict_idx", "action")
+DECISION_COLUMNS = ("scenario_id", "step", "conflict_id", "agent_id", "action")
+# A features file has these columns, then one per feature, then the action.
+FEATURE_ID_COLUMNS = ("scenario_id", "step", "conflict_id", "agent_id", "kind", "role")
 # A trajectory table stores each row's kind as an index into AGENT_KINDS.
 AGENT_KINDS = tuple(AgentKind)
 _KIND_CODES = {kind.value: code for code, kind in enumerate(AGENT_KINDS)}
+_UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that surrogateescape kept
 
 
 class TrajectoryFormatError(ValueError):
@@ -192,18 +197,29 @@ def read_columns(
     The header, every name stripped, must be `columns`, or hold all of
     them when not `exact`, and may name no column twice; else this
     raises for line 1. Blank rows are skipped. The first row whose width
-    is not the header's, or that the csv module cannot parse, is the
-    table's first bad row, and the table holds only the rows before it.
-    With `keep` = (name, value) and a header that names that column, it
-    holds only the rows whose field reads `value`.
+    is not the header's, that the csv module cannot parse, or that holds
+    a byte UTF-8 cannot decode, is the table's first bad row, and the
+    table holds only the rows before it. With `keep` = (name, value) and
+    a header that names that column, it holds only the rows whose field
+    reads `value`.
     """
     rows: list[list[str]] = []
     error = None
-    with open(path, newline="") as fh:
+    for errors in ("strict", "surrogateescape"):
+        rows.clear()
         try:
-            rows.extend(csv.reader(fh))
+            with open(path, newline="", encoding="utf-8", errors=errors) as fh:
+                rows.extend(csv.reader(fh))
         except csv.Error as exc:
             error = f"{path}:{len(rows) + 1}: {exc}"
+        except UnicodeDecodeError:  # raised for a chunk decoded ahead of the rows: find the row below
+            continue
+        break
+    for i, row in enumerate(rows if errors != "strict" else ()):
+        if _UNDECODED.search(",".join(row)):
+            del rows[i:]
+            error = f"{path}:{i + 1}: not UTF-8 text"
+            break
     if not rows:
         raise TrajectoryFormatError(error or f"{path}:1: empty file")
     header = [name.strip() for name in rows.pop(0)]
@@ -258,11 +274,15 @@ def load_trajectories(path: str | Path) -> TrajectoryTable:
     return TrajectoryTable(list(codes), agent, kind, frame, x, y)
 
 
+def write_csv(path: str | Path, columns: Sequence[str], lines: Iterable[str]) -> None:
+    """A header of `columns`, then `lines`, each a row already joined."""
+    Path(path).write_text("\n".join([",".join(columns), *lines]) + "\n", encoding="utf-8")
+
+
 def write_trajectories(records: Sequence[TrajectoryRecord], path: str | Path) -> None:
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for r in records:
-        lines.append(f"{r.scenario_id},{r.frame},{r.agent_id},{r.kind.value},{r.x!r},{r.y!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, TRAJECTORY_COLUMNS, (
+        f"{r.scenario_id},{r.frame},{r.agent_id},{r.kind.value},{r.x!r},{r.y!r}" for r in records
+    ))
 
 
 def load_annotations(path: str | Path) -> list[DecisionAnnotation]:
@@ -291,17 +311,16 @@ def index_decisions(
 
 def load_decisions(path: str | Path) -> dict[tuple[str, str, int], Action]:
     """Simulator decisions CSV keyed by (scenario, agent, ordinal)."""
-    table = read_columns(path, ("scenario_id", "agent_id", "action"), exact=False)
+    table = read_columns(path, DECISION_COLUMNS, exact=False)
     actions = table.convert("action", parse_action)
     table.check()
     return index_decisions(zip(zip(table.columns["scenario_id"], table.columns["agent_id"]), actions))
 
 
 def write_annotations(annotations: Sequence[DecisionAnnotation], path: str | Path) -> None:
-    lines = [",".join(ANNOTATION_COLUMNS)]
-    for a in annotations:
-        lines.append(f"{a.scenario_id},{a.agent_id},{a.conflict_idx},{a.action.value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ANNOTATION_COLUMNS, (
+        f"{a.scenario_id},{a.agent_id},{a.conflict_idx},{a.action.value}" for a in annotations
+    ))
 
 
 # Trajectory view: frame -> position.
@@ -509,11 +528,11 @@ def attach_decision_metrics(
 
 
 def write_metric_report(report: MetricReport, path: str | Path) -> None:
-    lines = ["scenario_id,agent_id,kind,ade,speed_deviation"]
-    for m in report.per_agent:
-        sd = "" if m.speed_deviation is None else repr(m.speed_deviation)
-        lines.append(f"{m.scenario_id},{m.agent_id},{m.kind.value},{m.ade!r},{sd}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ("scenario_id", "agent_id", "kind", "ade", "speed_deviation"), (
+        f"{m.scenario_id},{m.agent_id},{m.kind.value},{m.ade!r},"
+        + ("" if m.speed_deviation is None else repr(m.speed_deviation))
+        for m in report.per_agent
+    ))
 
 
 def format_report_summary(report: MetricReport) -> str:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
@@ -36,7 +37,9 @@ from typing import Iterable
 from . import conflicts as conflicts_mod
 from . import forces as forces_mod
 from . import game as game_mod
+from . import jsonin
 from .conflicts import CAR_CONE_HALF_ANGLE_DEG, Conflict
+from .dataio import DECISION_COLUMNS, FEATURE_ID_COLUMNS, TRAJECTORY_COLUMNS, write_csv
 from .game import Action, FeatureVector, PairContext
 from .geometry import Vec2, segments_intersect, within_cone
 from .params import ParameterSet
@@ -540,86 +543,49 @@ def run_scenario(
 
 # - scenario files -----------------------------------------------------
 
-_SCENARIO_KEYS = {"scenario_id", "agents"}
-_ENTRY_KEYS = {
-    "id", "kind", "entry_step", "position", "velocity", "goal",
-    "desired_speed", "max_speed", "diameter",
+# Ids go unquoted into the UTF-8 CSV outputs, which these characters would break.
+_ID_BREAKERS = re.compile(r'[,"\r\n\0\ud800-\udfff]')
+
+
+def _identifier(value: object, field: str, error: type[Exception]) -> str:
+    if not (isinstance(value, str) and value and value == value.strip() and not _ID_BREAKERS.search(value)):
+        raise error(f"{field}: expected a nonempty string with no comma, quote, line break, NUL"
+                    f" or surrounding whitespace, got {json.dumps(value)}")
+    return value
+
+
+def _kind(value: object, field: str, error: type[Exception]) -> AgentKind:
+    if value not in ("ped", "car"):
+        raise error(f"{field}: expected 'ped' or 'car', got {json.dumps(value)}")
+    return AgentKind(value)
+
+
+# How each key of a scenario entry is read.
+_ENTRY_RULES = {
+    "id": _identifier, "kind": _kind, "entry_step": jsonin.whole,
+    "position": jsonin.point, "velocity": jsonin.point, "goal": jsonin.point,
+    "desired_speed": jsonin.number, "max_speed": jsonin.number, "diameter": jsonin.number,
 }
 
 
-def _real(value: object) -> float:
-    """float(value), refusing a JSON boolean, which float() reads as 1 or 0."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _whole(value: object) -> int:
-    """int(value), refusing a boolean and a float with a fractional part."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
-
-
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict) or "scenario_id" not in raw:
-        raise ScenarioError(f"{path}: expected an object with scenario_id")
-    unknown = set(raw) - _SCENARIO_KEYS
-    if unknown:
-        raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
-    agents = raw.get("agents", [])
-    if not isinstance(agents, list):
-        raise ScenarioError(f"{path}: agents must be a list")
-    entries = []
-    for i, item in enumerate(agents):
-        if not isinstance(item, dict):
-            raise ScenarioError(f"{path}: agents[{i}]: expected an object")
-        unknown = set(item) - _ENTRY_KEYS
-        if unknown:
-            raise ScenarioError(f"{path}: agents[{i}]: unknown keys {sorted(unknown)}")
-        try:
-            kind = AgentKind(item["kind"])
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"{path}: agents[{i}]: kind must be 'ped' or 'car'") from exc
-        try:
-            position = Vec2(*map(_real, item["position"]))
-            goal = Vec2(*map(_real, item["goal"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"{path}: agents[{i}]: bad position/goal") from exc
-        try:
-            velocity = Vec2(*map(_real, item.get("velocity", (0.0, 0.0))))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"{path}: agents[{i}]: bad velocity") from exc
-        defaults = KIND_DEFAULTS[kind]
-        scalars = {}
-        for key, convert, default in (
-            ("entry_step", _whole, 0),
-            ("desired_speed", _real, defaults["desired_speed"]),
-            ("max_speed", _real, defaults["max_speed"]),
-            ("diameter", _real, defaults["diameter"]),
-        ):
-            try:
-                scalars[key] = convert(item.get(key, default))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ScenarioError(f"{path}: agents[{i}]: bad {key}") from exc
-        entries.append(
-            AgentEntry(
-                id=str(item.get("id", f"agent{i}")),
-                kind=kind,
-                position=position,
-                velocity=velocity,
-                goal=goal,
-                **scalars,
-            )
-        )
-    scenario = Scenario(scenario_id=str(raw["scenario_id"]), entries=entries)
-    scenario.validate()
+    """A scenario file; an entry's kind sets what its other keys default to."""
+    with jsonin.document(path, ScenarioError, ("scenario_id", "agents")) as raw:
+        scenario_id = _identifier(raw.get("scenario_id"), "scenario_id", ScenarioError)
+        agents = raw.get("agents", [])
+        if not isinstance(agents, list):
+            raise ScenarioError("agents must be a list")
+        entries = []
+        for i, item in enumerate(agents):
+            where = f"agents[{i}]"
+            jsonin.fields(item, _ENTRY_RULES, ScenarioError, where)
+            kind = _kind(item.get("kind"), f"{where}.kind", ScenarioError)
+            item = {"id": f"agent{i}", "entry_step": 0, "velocity": [0.0, 0.0], **KIND_DEFAULTS[kind], **item}
+            entries.append(AgentEntry(**{
+                key: read(item.get(key), f"{where}.{key}", ScenarioError) for key, read in _ENTRY_RULES.items()
+            }))
+        scenario = Scenario(scenario_id, entries)
+        scenario.validate()
     return scenario
 
 
@@ -647,30 +613,22 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 # - trace output -------------------------------------------------------
 
 def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
-    lines = ["scenario_id,frame,agent_id,kind,x,y"]
-    for row in trace.rows:
-        lines.append(
-            f"{trace.scenario_id},{row.step},{row.agent_id},{row.kind.value},{row.x!r},{row.y!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, TRAJECTORY_COLUMNS, (
+        f"{trace.scenario_id},{row.step},{row.agent_id},{row.kind.value},{row.x!r},{row.y!r}" for row in trace.rows
+    ))
 
 
 def write_decisions_csv(trace: SimulationTrace, path: str | Path) -> None:
-    lines = ["scenario_id,step,conflict_id,agent_id,action"]
-    for d in trace.decisions:
-        lines.append(
-            f"{trace.scenario_id},{d.step},{d.conflict_id},{d.agent_id},{d.action.value}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, DECISION_COLUMNS, (
+        f"{trace.scenario_id},{d.step},{d.conflict_id},{d.agent_id},{d.action.value}" for d in trace.decisions
+    ))
 
 
 def write_features_csv(trace: SimulationTrace, path: str | Path) -> None:
     names = [spec.name for spec in fields(FeatureVector)]
-    header = "scenario_id,step,conflict_id,agent_id,kind,role," + ",".join(names) + ",action"
-    lines = [header]
-    for d in trace.decisions:
-        values = ",".join(repr(getattr(d.features, name)) for name in names)
-        lines.append(
-            f"{trace.scenario_id},{d.step},{d.conflict_id},{d.agent_id},{d.kind.value},{d.role},{values},{d.action.value}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, (*FEATURE_ID_COLUMNS, *names, "action"), (
+        f"{trace.scenario_id},{d.step},{d.conflict_id},{d.agent_id},{d.kind.value},{d.role},"
+        + ",".join(repr(getattr(d.features, name)) for name in names)
+        + f",{d.action.value}"
+        for d in trace.decisions
+    ))

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import jsonin
+
 
 class ParameterFileError(ValueError):
     """Raised for malformed or unknown parameter file content."""
@@ -145,44 +147,28 @@ _SFM_SCALARS = {
 _GAME_SCALARS = tuple(f.name for f in dataclasses.fields(GameParams) if f.name != "regime")
 
 
-def _number(key: str, value: object) -> float:
-    if isinstance(value, bool):  # float() would read JSON true/false as 1/0
-        raise ParameterFileError(f"{key}: expected a number, got {json.dumps(value)}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ParameterFileError(f"{key}: number out of range") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParameterFileError(f"{key}: expected a number, got {value!r}") from exc
+_KEYS = {*_PAIR_KEYS, *_SFM_SCALARS, *_GAME_SCALARS, "regime"}
 
 
 def parameter_set_from_dict(raw: dict) -> ParameterSet:
-    known = set(_PAIR_KEYS) | set(_SFM_SCALARS) | set(_GAME_SCALARS) | {"regime"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ParameterFileError(f"unknown parameter keys {sorted(unknown)}")
-    regime = raw.get("regime", "hbs")
-    ps = ParameterSet.defaults(regime)
+    jsonin.fields(raw, _KEYS, ParameterFileError)
+    ps = ParameterSet.defaults(raw.get("regime", "hbs"))
     for key, slots in _PAIR_KEYS.items():
-        if key not in raw:
-            continue
-        value = raw[key]
+        value = raw.get(key, {})
         if isinstance(value, dict):
-            bad = set(value) - {s for s, _ in slots}
-            if bad:
-                raise ParameterFileError(f"{key}: unknown sub-keys {sorted(bad)}")
+            jsonin.fields(value, [s for s, _ in slots], ParameterFileError, key)
             for sub, attr in slots:
                 if sub in value:
-                    setattr(ps.sfm, attr, _number(f"{key}.{sub}", value[sub]))
+                    setattr(ps.sfm, attr, jsonin.number(value[sub], f"{key}.{sub}", ParameterFileError))
         else:
             for _, attr in slots:
-                setattr(ps.sfm, attr, _number(key, value))
+                setattr(ps.sfm, attr, jsonin.number(value, key, ParameterFileError))
     for key, attr in _SFM_SCALARS.items():
         if key in raw:
-            setattr(ps.sfm, attr, _number(key, raw[key]))
+            setattr(ps.sfm, attr, jsonin.number(raw[key], key, ParameterFileError))
     for key in _GAME_SCALARS:
         if key in raw:
-            setattr(ps.game, key, _number(key, raw[key]))
+            setattr(ps.game, key, jsonin.number(raw[key], key, ParameterFileError))
     ps.validate()
     return ps
 
@@ -202,16 +188,8 @@ def parameter_set_to_dict(ps: ParameterSet) -> dict:
 
 
 def load_parameter_set(path: str | Path) -> ParameterSet:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParameterFileError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ParameterFileError(f"{path}: expected a JSON object")
-    try:
+    with jsonin.document(path, ParameterFileError) as raw:
         return parameter_set_from_dict(raw)
-    except ParameterFileError as exc:
-        raise ParameterFileError(f"{path}: {exc}") from exc
 
 
 def save_parameter_set(ps: ParameterSet, path: str | Path) -> None:

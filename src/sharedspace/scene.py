@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import jsonin
 from .geometry import (
     InvalidSceneError,
     Vec2,
@@ -208,62 +209,33 @@ def in_field_of_view(
     return within_cone(observer.heading, offset, half_angle_deg)
 
 
-def _number(raw: object, label: str) -> float:
-    if isinstance(raw, bool):  # float() would read JSON true/false as 1/0
-        raise InvalidSceneError(f"{label}: expected a number, got {json.dumps(raw)}")
-    try:
-        return float(raw)
-    except OverflowError as exc:
-        raise InvalidSceneError(f"{label}: number out of range") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidSceneError(f"{label}: expected a number, got {raw!r}") from exc
-
-
-def _poly_from_json(raw: object, scale: float, label: str) -> tuple[Vec2, ...]:
-    if not isinstance(raw, list):
-        raise InvalidSceneError(f"{label}: expected a list of [x, y] pairs")
-    out = []
-    for pt in raw:
-        if not (isinstance(pt, list) and len(pt) == 2):
-            raise InvalidSceneError(f"{label}: expected [x, y] pairs")
-        out.append(Vec2(_number(pt[0], label) * scale, _number(pt[1], label) * scale))
-    return tuple(out)
-
-
-def _polys_from_json(raw: dict, key: str, scale: float, path: object) -> tuple[tuple[Vec2, ...], ...]:
-    polys = raw.get(key, [])
-    if not isinstance(polys, list):
-        raise InvalidSceneError(f"{path}: {key}: expected a list of polygons")
-    return tuple(_poly_from_json(p, scale, f"{path}: {key}[{i}]") for i, p in enumerate(polys))
-
-
-_SCENE_KEYS = {"obstacles", "intersection_zones", "road_zones", "bounds", "meters_per_unit"}
-
-
 def load_scene(path: str | Path) -> Scene:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidSceneError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise InvalidSceneError(f"{path}: expected a JSON object")
-    unknown = set(raw) - _SCENE_KEYS
-    if unknown:
-        raise InvalidSceneError(f"{path}: unknown keys {sorted(unknown)}")
-    scale = _number(raw.get("meters_per_unit", 1.0), f"{path}: meters_per_unit")
-    if not scale > 0.0:
-        raise InvalidSceneError(f"{path}: meters_per_unit must be positive")
-    bounds_raw = raw.get("bounds")
-    if not (isinstance(bounds_raw, list) and len(bounds_raw) == 4):
-        raise InvalidSceneError(f"{path}: bounds must be [x_min, y_min, x_max, y_max]")
-    scene = Scene(
-        obstacles=_polys_from_json(raw, "obstacles", scale, path),
-        intersection_zones=_polys_from_json(raw, "intersection_zones", scale, path),
-        road_zones=_polys_from_json(raw, "road_zones", scale, path),
-        bounds=Rect(*(_number(v, f"{path}: bounds") * scale for v in bounds_raw)),
-        meters_per_unit=scale,
-    )
-    scene.validate()
+    keys = ("obstacles", "intersection_zones", "road_zones", "bounds", "meters_per_unit")
+    with jsonin.document(path, InvalidSceneError, keys) as raw:
+        scale = jsonin.number(raw.get("meters_per_unit", 1.0), "meters_per_unit", InvalidSceneError)
+        bounds = raw.get("bounds")
+        if not (isinstance(bounds, list) and len(bounds) == 4):
+            raise InvalidSceneError("bounds must be [x_min, y_min, x_max, y_max]")
+
+        def polygons(key: str) -> tuple[tuple[Vec2, ...], ...]:
+            polys = raw.get(key, [])
+            if not isinstance(polys, list):
+                raise InvalidSceneError(f"{key}: expected a list of polygons")
+            out = []
+            for i, poly in enumerate(polys):
+                if not isinstance(poly, list):
+                    raise InvalidSceneError(f"{key}[{i}]: expected a list of [x, y] pairs")
+                out.append(tuple(jsonin.point(p, f"{key}[{i}]", InvalidSceneError) * scale for p in poly))
+            return tuple(out)
+
+        scene = Scene(
+            obstacles=polygons("obstacles"),
+            intersection_zones=polygons("intersection_zones"),
+            road_zones=polygons("road_zones"),
+            bounds=Rect(*(jsonin.number(v, "bounds", InvalidSceneError) * scale for v in bounds)),
+            meters_per_unit=scale,
+        )
+        scene.validate()
     return scene
 
 

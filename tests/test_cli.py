@@ -14,7 +14,7 @@ import pytest
 from helpers import count_graph_builds, open_square_scene
 from sharedspace import __version__, calibrate, cli
 from sharedspace.cli import main
-from sharedspace.dataio import TrajectoryFormatError, parse_action
+from sharedspace.dataio import FEATURE_ID_COLUMNS, TrajectoryFormatError, parse_action
 from sharedspace.engine import AgentEntry, Scenario, save_scenario
 from sharedspace.geometry import Vec2
 from sharedspace.params import ParameterSet, load_parameter_set, save_parameter_set
@@ -196,8 +196,7 @@ class TestParser:
         config_path.write_text(json.dumps({"dt": float(dt)}))
         assert main([command, *required, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config file") and "bad value" in err
-        assert len(err.strip().splitlines()) == 1
+        assert err == f"error: {config_path}: bad value {json.dumps(float(dt))} for option 'dt'\n"
 
 
     @pytest.mark.parametrize(
@@ -227,8 +226,7 @@ class TestParser:
         config_path.write_text(json.dumps({flag.lstrip("-"): value}))
         assert main([*args, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config file") and "bad value" in err
-        assert len(err.strip().splitlines()) == 1
+        assert err == f"error: {config_path}: bad value \"{value}\" for option {flag.lstrip('-')!r}\n"
 
     def test_range_limits_of_flags_are_accepted(self) -> None:
         parser = cli.build_parser()
@@ -371,8 +369,7 @@ class TestSimulate:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "bad velocity" in err
-        assert len(err.strip().splitlines()) == 1
+        assert err == f"error: {bad}: agents[0].velocity: expected [x, y], got [1, 2, 3]\n"
 
     def test_bad_speed_exits_2_with_one_line(self, tmp_path, capsys) -> None:
         scene_path, _ = write_crossing_inputs(tmp_path)
@@ -388,8 +385,7 @@ class TestSimulate:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "bad desired_speed" in err
-        assert len(err.strip().splitlines()) == 1
+        assert err == f"error: {bad}: agents[0].desired_speed: expected a number, got [1]\n"
 
     @pytest.mark.parametrize(
         "content, message",
@@ -400,7 +396,7 @@ class TestSimulate:
             # an entry step of 2.7 would otherwise spawn at step 2
             ({"scenario_id": "s1",
               "agents": [{"kind": "ped", "position": [0, 0], "goal": [5, 0], "entry_step": 2.7}]},
-             "agents[0]: bad entry_step"),
+             "agents[0].entry_step: expected a whole number, got 2.7"),
         ],
     )
     def test_scenario_that_would_run_wrong_exits_2_with_one_line(
@@ -420,13 +416,15 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("entry_step", True, "bad entry_step"),
-            ("desired_speed", True, "bad desired_speed"),
-            ("max_speed", False, "bad max_speed"),
-            ("diameter", True, "bad diameter"),
-            ("position", [True, 0], "bad position/goal"),
-            ("goal", [5, False], "bad position/goal"),
-            ("velocity", [True, 0], "bad velocity"),
+            # the ids are the names these cases have always run under
+            pytest.param("entry_step", True, "expected a number, got true", id="entry_step-True-bad entry_step"),
+            pytest.param("desired_speed", True, "expected a number, got true",
+                         id="desired_speed-True-bad desired_speed"),
+            pytest.param("max_speed", False, "expected a number, got false", id="max_speed-False-bad max_speed"),
+            pytest.param("diameter", True, "expected a number, got true", id="diameter-True-bad diameter"),
+            pytest.param("position", [True, 0], "expected a number, got true", id="position-value4-bad position/goal"),
+            pytest.param("goal", [5, False], "expected a number, got false", id="goal-value5-bad position/goal"),
+            pytest.param("velocity", [True, 0], "expected a number, got true", id="velocity-value6-bad velocity"),
         ],
     )
     def test_boolean_scenario_number_exits_2_with_one_line(
@@ -442,7 +440,7 @@ class TestSimulate:
             "--out-dir", str(tmp_path / "out"),
         ])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {bad}: agents[0]: {message}\n"
+        assert capsys.readouterr().err == f"error: {bad}: agents[0].{key}: {message}\n"
 
     def test_unreachable_goal_exits_3(self, tmp_path, capsys) -> None:
         scene_path = write_boxed_scene(tmp_path)
@@ -466,8 +464,8 @@ class TestSimulate:
         # Infinity is valid JSON to Python's reader; an infinite max_speed
         # once ran with 0 conflicts, its predicted position out of reach.
         scenario = json.loads((DATA / "crossing.json").read_text())
-        c1 = next(a for a in scenario["agents"] if a["id"] == "c1")
-        c1[field] = float("inf")
+        i = next(i for i, a in enumerate(scenario["agents"]) if a["id"] == "c1")
+        scenario["agents"][i][field] = float("inf")
         scenario_path = tmp_path / "infinite.json"
         scenario_path.write_text(json.dumps(scenario))
         out = tmp_path / "out"
@@ -476,7 +474,8 @@ class TestSimulate:
             "--out-dir", str(out),
         ])
         assert code == 2
-        assert capsys.readouterr().err == f"error: c1: {field} must be finite\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {scenario_path}: agents[{i}].{field}: expected a finite number, got Infinity\n"
         assert not (out / "trace.csv").exists()
 
     def test_non_finite_state_exits_3_with_one_line(self, tmp_path, capsys) -> None:
@@ -509,8 +508,9 @@ class TestSimulate:
             "--out-dir", str(out),
         ])
         assert code == 2
-        (key,) = params
-        assert capsys.readouterr().err == f"error: {params_path}: {key} must be finite\n"
+        ((key, value),) = params.items()
+        err = capsys.readouterr().err
+        assert err == f"error: {params_path}: {key}: expected a finite number, got {json.dumps(value)}\n"
         assert not (out / "trace.csv").exists()
 
     def test_regime_flag_recorded_in_manifest(self, tmp_path) -> None:
@@ -577,8 +577,8 @@ class TestSimulate:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config file") and "bad value" in err
-        assert len(err.strip().splitlines()) == 1
+        ((key, value),) = setting.items()
+        assert err == f"error: {config_path}: bad value {json.dumps(value)} for option {key!r}\n"
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys) -> None:
         scene_path, scenario_path = write_crossing_inputs(tmp_path)
@@ -710,6 +710,17 @@ class TestEvaluate:
         assert code == 4
         assert "do not align" in capsys.readouterr().err
 
+    def test_sim_decisions_require_annotations(self, tmp_path, capsys) -> None:
+        _, run = run_simulate(tmp_path)
+        out = tmp_path / "eval"
+        code = main([
+            "evaluate", "--real", str(run / "trace.csv"), "--sim", str(run / "trace.csv"),
+            "--sim-decisions", str(tmp_path / "nonexistent.csv"), "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --sim-decisions requires --annotations\n"
+        assert not out.exists()
+
     def test_annotations_require_sim_decisions(self, tmp_path) -> None:
         _, run = run_simulate(tmp_path)
         annotations = tmp_path / "annotations.csv"
@@ -780,7 +791,7 @@ class TestEvaluate:
         code = main(["evaluate", "--real", str(real), "--sim", str(real), "--out", str(tmp_path / "eval")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+        assert err == f"error: {real}:2: not UTF-8 text\n"
 
     @pytest.mark.parametrize("flipped", ["real", "sim"])
     def test_agent_whose_kind_flips_exits_2(self, tmp_path, capsys, flipped) -> None:
@@ -1063,7 +1074,7 @@ def read_observation_rows(path: Path, subject: str):
         rows = [[field.strip() for field in row] for row in csv.reader(fh) if row]
     header, rows = rows[0], [dict(zip(rows[0], row)) for row in rows[1:]]
     rows = [row for row in rows if row.get("kind", subject) == subject]
-    names = [c for c in header if c not in cli._ID_COLUMNS and c != "action"]
+    names = [c for c in header if c not in FEATURE_ID_COLUMNS and c != "action"]
     X = np.array([[float(row[c]) for c in names] for row in rows]).reshape(len(rows), len(names))
     return X, [parse_action(row["action"]).value for row in rows], names
 
@@ -1402,14 +1413,21 @@ class TestValidate:
     @pytest.mark.parametrize(
         "content, field",
         [
-            ({"g_angle": float("nan")}, "g_angle"),
-            ({"g_noai": float("-inf")}, "g_noai"),
-            ({"m": float("nan")}, "m"),
-            ({"s_high": float("inf")}, "s_high"),
-            ({"base_continue": float("inf")}, "base_continue"),
-            ({"u0": float("inf")}, "u0"),
-            ({"v0": {"pc": float("nan")}}, "v0_pc"),
-            ({"lambda": float("nan")}, "anisotropy"),
+            # the ids are the names these cases have always run under
+            pytest.param({"g_angle": float("nan")}, "g_angle: expected a finite number, got NaN",
+                         id="content0-g_angle"),
+            pytest.param({"g_noai": float("-inf")}, "g_noai: expected a finite number, got -Infinity",
+                         id="content1-g_noai"),
+            pytest.param({"m": float("nan")}, "m: expected a finite number, got NaN", id="content2-m"),
+            pytest.param({"s_high": float("inf")}, "s_high: expected a finite number, got Infinity",
+                         id="content3-s_high"),
+            pytest.param({"base_continue": float("inf")}, "base_continue: expected a finite number, got Infinity",
+                         id="content4-base_continue"),
+            pytest.param({"u0": float("inf")}, "u0: expected a finite number, got Infinity", id="content5-u0"),
+            pytest.param({"v0": {"pc": float("nan")}}, "v0.pc: expected a finite number, got NaN",
+                         id="content6-v0_pc"),
+            pytest.param({"lambda": float("nan")}, "lambda: expected a finite number, got NaN",
+                         id="content7-anisotropy"),
         ],
     )
     def test_non_finite_params_exit_2_with_one_line(self, tmp_path, capsys, content, field) -> None:
@@ -1417,7 +1435,7 @@ class TestValidate:
         bad = tmp_path / "params.json"
         bad.write_text(json.dumps(content))
         assert main(["validate", "--scene", str(scene_path), "--params", str(bad)]) == 2
-        assert capsys.readouterr().err == f"error: {bad}: {field} must be finite\n"
+        assert capsys.readouterr().err == f"error: {bad}: {field}\n"
 
     @pytest.mark.parametrize(
         "loader, field", [("scene", "meters_per_unit"), ("scenario", "position"), ("params", "u0")]

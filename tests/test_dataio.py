@@ -309,7 +309,7 @@ class TestDecisionIndexing:
         path.write_text("scenario_id,agent_id\ns1,c1\n")
         with pytest.raises(TrajectoryFormatError) as err:
             load_decisions(path)
-        assert str(err.value) == f"{path}:1: needs columns ['action', 'agent_id', 'scenario_id']"
+        assert str(err.value) == f"{path}:1: needs columns ['action', 'agent_id', 'conflict_id', 'scenario_id', 'step']"
 
 
 class TestLineNumbers:
@@ -321,7 +321,8 @@ class TestLineNumbers:
         [
             (load_trajectories, 'scenario_id,frame,agent_id,kind,x,y\ns1,0,"p\n1",ped,0,0\n\ns1,1,p1,ped,0,fly\n'),
             (load_annotations, 'scenario_id,agent_id,conflict_idx,action\ns1,"c\n1",0,continue\n\ns1,c1,0,fly\n'),
-            (load_decisions, 'scenario_id,agent_id,action\ns1,"c\n1",continue\n\ns1,c1,fly\n'),
+            (load_decisions,
+             'scenario_id,step,conflict_id,agent_id,action\ns1,0,0,"c\n1",continue\n\ns1,0,0,c1,fly\n'),
             (lambda path: cli._load_observations(path, "car", None), 'kind,f0,action\ncar,"1\n",continue\n\ncar,2,fly\n'),
         ],
         ids=["trajectories", "annotations", "decisions", "observations"],
@@ -332,6 +333,33 @@ class TestLineNumbers:
         with pytest.raises(TrajectoryFormatError, match=r"fly|coordinates") as err:
             load(path)
         assert str(err.value).startswith(f"{path}:4: ")
+
+    @pytest.mark.parametrize(
+        "before, message",
+        [
+            ([], "2: not UTF-8 text"),
+            (['s1,0,"p\n1",ped,0,0', "", "s1,1,p1,ped,0,0"], "5: not UTF-8 text"),
+            # the byte lies past the first 8 KiB that the text reader decodes
+            ([f"s1,{f},p1,ped,0,0" for f in range(2000)], "2002: not UTF-8 text"),
+            # a row that breaks a rule ends the table before the byte is reached
+            (["s1,0,p1,ped,0", "s1,1,p1,ped,0,0"], "2: expected 6 columns"),
+        ],
+        ids=["first row", "after a two-line field", "past the first chunk", "after a bad row"],
+    )
+    def test_a_byte_utf8_cannot_decode_names_its_line(self, tmp_path: Path, before, message) -> None:
+        path = tmp_path / "in.csv"
+        text = "\n".join([",".join(TRAJECTORY_COLUMNS), *before, ""]).encode()
+        path.write_bytes(text + b"s1,9999,p\xff1,ped,0,0\ns1,10000,p1,ped,0,0\n")
+        with pytest.raises(TrajectoryFormatError) as err:
+            load_trajectories(path)
+        assert str(err.value) == f"{path}:{message}"
+
+    def test_a_header_utf8_cannot_decode_is_line_1(self, tmp_path: Path) -> None:
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"scenario_id,frame,agent_id,kind,x,\xffy\ns1,0,p1,ped,0,0\n")
+        with pytest.raises(TrajectoryFormatError) as err:
+            load_trajectories(path)
+        assert str(err.value) == f"{path}:1: not UTF-8 text"
 
 
 class TestGroupByAgent:

@@ -180,7 +180,7 @@ class TestScenarioFiles:
                 }
             )
         )
-        with pytest.raises(ScenarioError, match=f"bad {key}"):
+        with pytest.raises(ScenarioError, match=rf": agents\[0\]\.{key}: expected a (finite )?number, got "):
             load_scenario(path)
 
     @pytest.mark.parametrize(

@@ -34,12 +34,12 @@ import numpy as np
 
 from .dataio import (
     MetricUndefinedError,
-    Trajectory,
+    Track,
     TrajectoryRecord,
     ade,
-    group_by_agent,
+    agent_tracks,
     index_decisions,
-    segment_speeds,
+    track_speeds,
     write_csv,
 )
 from .engine import (
@@ -56,7 +56,7 @@ from .engine import (
 from .game import Action
 from .geometry import Vec2
 from .params import GameParams, ParameterFileError, ParameterSet, SfmParams
-from .scene import AgentKind, Scene
+from .scene import Scene
 
 SCENARIO_FAILURE_PENALTY = 1000.0
 
@@ -104,6 +104,11 @@ MUTATION_SIGMA_FRACTION = 0.1
 ELITISM = 1
 
 
+# The largest population a run may ask for: far above any feasible run,
+# and small enough that drawing the first population cannot overflow.
+MAX_POPULATION = 100_000
+
+
 class GaConfigError(ValueError):
     """Raised for out-of-range GA settings."""
 
@@ -118,6 +123,8 @@ class GaConfig:
     def validate(self) -> None:
         if self.population_size < 2:
             raise GaConfigError("population_size must be at least 2")
+        if self.population_size > MAX_POPULATION:
+            raise GaConfigError(f"population_size must be at most {MAX_POPULATION}")
         if self.max_generations < 1:
             raise GaConfigError("max_generations must be at least 1")
         if self.stagnation_window < 1:
@@ -292,36 +299,23 @@ class CalibrationScenario:
     )
 
 
-def _scenario(
-    scenario_id: str,
-    agents: Mapping[str, tuple[AgentKind, Trajectory]],
-    frame_seconds: float,
-) -> Scenario:
+def _scenario(scenario_id: str, agents: Mapping[str, Track], frame_seconds: float) -> Scenario:
     entries = []
     for agent_id in sorted(agents):
-        kind, traj = agents[agent_id]
+        kind, frames, x, y = agents[agent_id]
         defaults = KIND_DEFAULTS[kind]
-        frames = sorted(traj)
-        speeds = segment_speeds(traj, frames, frame_seconds)
-        first = traj[frames[0]]
+        speeds = track_speeds(frames, x, y, frame_seconds).tolist()
+        frames, x, y = frames.tolist(), x.tolist(), y.tolist()
         velocity = Vec2(0.0, 0.0)
         if len(frames) >= 2:
-            second, dt0 = traj[frames[1]], (frames[1] - frames[0]) * frame_seconds
-            velocity = Vec2((second.x - first.x) / dt0, (second.y - first.y) / dt0)
+            dt0 = (frames[1] - frames[0]) * frame_seconds
+            velocity = Vec2((x[1] - x[0]) / dt0, (y[1] - y[0]) / dt0)
         desired = max(sum(speeds) / len(speeds) if speeds else defaults["desired_speed"], 0.05)
-        entries.append(
-            AgentEntry(
-                id=agent_id,
-                kind=kind,
-                entry_step=frames[0],
-                position=first,
-                velocity=velocity,
-                goal=traj[frames[-1]],
-                desired_speed=desired,
-                max_speed=max(desired, max(speeds, default=0.0)),
-                diameter=defaults["diameter"],
-            )
-        )
+        entries.append(AgentEntry(
+            id=agent_id, kind=kind, entry_step=frames[0], position=Vec2(x[0], y[0]), velocity=velocity,
+            goal=Vec2(x[-1], y[-1]), desired_speed=desired, max_speed=max(desired, max(speeds, default=0.0)),
+            diameter=defaults["diameter"],
+        ))
     return Scenario(scenario_id=scenario_id, entries=entries)
 
 
@@ -334,14 +328,10 @@ def scenario_from_records(
     the first observed frame with velocity from the first displacement,
     goal at the last observed position, desired speed from the mean
     observed speed."""
-    agents = {
-        agent_id: agent
-        for (sid, agent_id), agent in group_by_agent(records).items()
-        if sid == scenario_id
-    }
-    if not agents:
-        raise ScenarioError(f"no records for scenario {scenario_id!r}")
-    return _scenario(scenario_id, agents, frame_seconds)
+    for item in build_calibration_set(records, frame_seconds=frame_seconds):
+        if item.scenario.scenario_id == scenario_id:
+            return item.scenario
+    raise ScenarioError(f"no records for scenario {scenario_id!r}")
 
 
 def build_calibration_set(
@@ -352,16 +342,19 @@ def build_calibration_set(
     annotation_map: dict[str, dict[tuple[str, int], Action]] = {}
     for a in annotations:
         annotation_map.setdefault(a.scenario_id, {})[(a.agent_id, a.conflict_idx)] = a.action
-    by_scenario: dict[str, dict[str, tuple[AgentKind, Trajectory]]] = {}
-    for (sid, agent_id), agent in group_by_agent(records).items():
-        by_scenario.setdefault(sid, {})[agent_id] = agent
+    by_scenario: dict[str, dict[str, Track]] = {}
+    for (sid, agent_id), track in agent_tracks(records).items():
+        by_scenario.setdefault(sid, {})[agent_id] = track
     return [
         CalibrationScenario(
-            scenario=_scenario(sid, by_scenario[sid], frame_seconds),
-            real_positions={agent_id: traj for agent_id, (_, traj) in by_scenario[sid].items()},
+            scenario=_scenario(sid, agents, frame_seconds),
+            real_positions={
+                agent_id: dict(zip(frames.tolist(), map(Vec2, x.tolist(), y.tolist())))
+                for agent_id, (_, frames, x, y) in agents.items()
+            },
             annotations=annotation_map.get(sid, {}),
         )
-        for sid in sorted(by_scenario)
+        for sid, agents in sorted(by_scenario.items())
     ]
 
 

@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +33,7 @@ import numpy as np
 from . import __version__, jsonin
 from .calibrate import (
     GENE_NAMES,
+    MAX_POPULATION,
     SCENARIO_FAILURE_PENALTY,
     CalibrationScenario,
     GaConfig,
@@ -345,10 +347,13 @@ def _run_ga(ns: argparse.Namespace, worker: _FitnessWorker, bounds) -> tuple:
         seed=ns.seed,
         stagnation_window=ns.stagnation,
     )
+    # A pool forks all its processes at once: no more than the cores, or
+    # than the chromosomes that one batch can hand out.
+    workers = min(ns.jobs, os.cpu_count() or 1, ns.population)
     with contextlib.ExitStack() as stack:
-        if ns.jobs > 1:
+        if workers > 1:
             pool = ProcessPoolExecutor(
-                max_workers=ns.jobs, initializer=_install_worker, initargs=(worker,)
+                max_workers=workers, initializer=_install_worker, initargs=(worker,)
             )
             mapper = stack.enter_context(pool).map
         else:
@@ -599,7 +604,8 @@ _seconds = _checked(
 )
 _fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 _at_least_one = _checked(int, lambda v: v >= 1, "must be at least 1")
-_at_least_two = _checked(int, lambda v: v >= 2, "must be at least 2")
+_population = _checked(int, lambda v: 2 <= v <= MAX_POPULATION,
+                       f"must be at least 2 and at most {MAX_POPULATION}")
 _seed = _checked(int, lambda v: v >= 0, "must be nonnegative")
 _alpha = _checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 
@@ -614,7 +620,7 @@ def _add_common_sim_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--population", type=_at_least_two, default=50)
+    p.add_argument("--population", type=_population, default=50)
     p.add_argument("--generations", type=_at_least_one, default=200)
     p.add_argument("--stagnation", type=_at_least_one, default=30)
     p.add_argument("--train-fraction", type=_fraction, default=0.66)

@@ -3,8 +3,9 @@
 Trajectory CSVs carry exactly the columns
 scenario_id,frame,agent_id,kind,x,y with kind in {ped, car}; simulator
 traces use the same layout, so real and simulated data interchange
-freely. Positions are compared frame by frame over the frames both
-sources share.
+freely. `agent_tracks` is the one grouping of rows into per-agent
+arrays; calibration and `compare_trajectories` both read it. Positions
+are compared frame by frame over the frames both sources share.
 """
 
 from __future__ import annotations
@@ -286,11 +287,20 @@ def write_trajectories(records: Sequence[TrajectoryRecord], path: str | Path) ->
 
 
 def load_annotations(path: str | Path) -> list[DecisionAnnotation]:
+    """Annotated decisions; each (scenario_id, agent_id, conflict_idx)
+    appears once, with an ordinal that some simulated decision can have."""
     table = read_columns(path, ANNOTATION_COLUMNS)
-    idx = table.convert("conflict_idx", int, message="bad conflict_idx")
+    idx = table.convert("conflict_idx", int, np.int64, "bad conflict_idx")
+    table.flag(idx < 0, "negative conflict_idx")
+    keys = list(zip(table.columns["scenario_id"], table.columns["agent_id"], idx.tolist()))
+    first: dict[tuple[str, str, int], int] = {}
+    repeated = np.fromiter((first.setdefault(key, i) != i for i, key in enumerate(keys)), bool, len(keys))
+    table.flag(repeated, lambda i: (
+        f"scenario_id, agent_id and conflict_idx repeat line {table.lines[first[keys[i]]]}"
+    ))
     actions = table.convert("action", parse_action)
     table.check()
-    return list(map(DecisionAnnotation, table.columns["scenario_id"], table.columns["agent_id"], idx, actions))
+    return [DecisionAnnotation(*key, action) for key, action in zip(keys, actions)]
 
 
 def index_decisions(
@@ -323,23 +333,45 @@ def write_annotations(annotations: Sequence[DecisionAnnotation], path: str | Pat
     ))
 
 
-# Trajectory view: frame -> position.
-Trajectory = dict[int, Vec2]
+# One agent's rows: kind, then frames in order with their x and y.
+Track = tuple[AgentKind, np.ndarray, np.ndarray, np.ndarray]
 
 
-def group_by_agent(
-    records: Sequence[TrajectoryRecord],
-) -> dict[tuple[str, str], tuple[AgentKind, Trajectory]]:
-    """Index records as (scenario_id, agent_id) -> (kind, frame->position)."""
-    out: dict[tuple[str, str], tuple[AgentKind, Trajectory]] = {}
-    for r in records:
-        kind, traj = out.setdefault((r.scenario_id, r.agent_id), (r.kind, {}))
-        if kind is not r.kind:
-            raise TrajectoryFormatError(
-                f"agent {r.agent_id!r} in {r.scenario_id!r} changes kind mid-stream"
-            )
-        traj[r.frame] = Vec2(r.x, r.y)
-    return out
+def agent_tracks(records: Sequence[TrajectoryRecord]) -> dict[tuple[str, str], Track]:
+    """Index records as (scenario_id, agent_id) -> (kind, frames, x, y),
+    agents in order of first appearance, frames sorted and the last row
+    of a repeated frame kept. An agent whose kind changes is an error."""
+    table = records if isinstance(records, TrajectoryTable) else TrajectoryTable.from_records(records)
+    if not len(table):
+        return {}
+    agent, kind = table.agent, table.kind
+    first_kind = kind[np.unique(agent, return_index=True)[1]]
+    flipped = np.flatnonzero(kind != first_kind[agent])
+    if flipped.size:
+        sid, aid = table.agents[agent[flipped[0]]]
+        raise TrajectoryFormatError(f"agent {aid!r} in {sid!r} changes kind mid-stream")
+    order = np.lexsort((table.frame, agent))
+    a, f = agent[order], table.frame[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (a[1:] != a[:-1]) | (f[1:] != f[:-1])
+    order, a, f = order[last], a[last], f[last]
+    x, y = table.x[order], table.y[order]
+    bounds = [0, *(np.flatnonzero(a[1:] != a[:-1]) + 1).tolist(), len(order)]
+    return {
+        table.agents[a[lo]]: (AGENT_KINDS[first_kind[a[lo]]], f[lo:hi], x[lo:hi], y[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    }
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> list[float]:
+    # math.hypot, as Vec2.distance_to computes it: np.hypot may round differently
+    return list(map(math.hypot, dx.tolist(), dy.tolist()))
+
+
+def track_speeds(frames: np.ndarray, x: np.ndarray, y: np.ndarray, frame_seconds: float) -> np.ndarray:
+    """Speed over each step between consecutive frames: `segment_speeds`
+    on arrays, bit for bit."""
+    return np.array(_hypot(np.diff(x), np.diff(y))) / (np.diff(frames) * frame_seconds)
 
 
 def ade(real: Mapping[int, Vec2], sim: Mapping[int, Vec2]) -> float:
@@ -431,39 +463,6 @@ class MetricReport:
         return stats
 
 
-def _agent_tracks(
-    records: Sequence[TrajectoryRecord],
-) -> dict[tuple[str, str], tuple[AgentKind, np.ndarray, np.ndarray, np.ndarray]]:
-    """(scenario_id, agent_id) -> (kind, frames, x, y) with frames sorted
-    and the last row of a repeated frame kept, as `group_by_agent` reads
-    them."""
-    table = records if isinstance(records, TrajectoryTable) else TrajectoryTable.from_records(records)
-    if not len(table):
-        return {}
-    agent, kind = table.agent, table.kind
-    first_kind = kind[np.unique(agent, return_index=True)[1]]
-    flipped = np.flatnonzero(kind != first_kind[agent])
-    if flipped.size:
-        sid, aid = table.agents[agent[flipped[0]]]
-        raise TrajectoryFormatError(f"agent {aid!r} in {sid!r} changes kind mid-stream")
-    order = np.lexsort((table.frame, agent))
-    a, f = agent[order], table.frame[order]
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = (a[1:] != a[:-1]) | (f[1:] != f[:-1])
-    order, a, f = order[last], a[last], f[last]
-    x, y = table.x[order], table.y[order]
-    bounds = [0, *(np.flatnonzero(a[1:] != a[:-1]) + 1).tolist(), len(order)]
-    return {
-        table.agents[a[lo]]: (AGENT_KINDS[first_kind[a[lo]]], f[lo:hi], x[lo:hi], y[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    }
-
-
-def _hypot(dx: np.ndarray, dy: np.ndarray) -> list[float]:
-    # math.hypot, as Vec2.distance_to computes it: np.hypot may round differently
-    return list(map(math.hypot, dx.tolist(), dy.tolist()))
-
-
 def compare_trajectories(
     real_records: Sequence[TrajectoryRecord],
     sim_records: Sequence[TrajectoryRecord],
@@ -473,11 +472,11 @@ def compare_trajectories(
 
     Agents present in the real data but absent from the simulation (or
     sharing no frames with it) are listed as unmatched. Each metric
-    equals `ade` and `speed_deviation` on `group_by_agent`'s
-    trajectories bit for bit: the same float operations in frame order.
+    equals `ade` and `speed_deviation` on the agent's frame -> position
+    dicts bit for bit: the same float operations in frame order.
     """
-    real_by_agent = _agent_tracks(real_records)
-    sim_by_agent = _agent_tracks(sim_records)
+    real_by_agent = agent_tracks(real_records)
+    sim_by_agent = agent_tracks(sim_records)
     report = MetricReport()
     for key in sorted(real_by_agent):
         kind, real_frames, rx, ry = real_by_agent[key]
@@ -494,10 +493,9 @@ def compare_trajectories(
         sd = None
         # speed_deviation's test: a NaN frame_seconds passes it
         if common.size >= 2 and not frame_seconds <= 0.0:
-            dt = np.diff(common) * frame_seconds
-            real_speeds = np.array(_hypot(np.diff(rx), np.diff(ry))) / dt
-            sim_speeds = np.array(_hypot(np.diff(sx), np.diff(sy))) / dt
-            sd = sum(np.abs(real_speeds - sim_speeds).tolist()) / dt.size
+            real_speeds = track_speeds(common, rx, ry, frame_seconds)
+            sim_speeds = track_speeds(common, sx, sy, frame_seconds)
+            sd = sum(np.abs(real_speeds - sim_speeds).tolist()) / (common.size - 1)
         report.per_agent.append(AgentMetrics(key[0], key[1], kind, displacement, sd))
     return report
 

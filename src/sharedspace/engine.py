@@ -164,8 +164,13 @@ class SimulationTrace:
 
 @dataclass
 class ConflictRuntime:
+    """A game in play: its conflict, each member's latched action, and
+    the members it binds, those no active game bound when it was created:
+    an agent acts on its first game until that retires."""
+
     conflict: Conflict
     actions: dict[str, Action]
+    binds: tuple[str, ...]
 
 
 @dataclass
@@ -216,13 +221,15 @@ class Simulation:
         self._entries = sorted(config.scenario.entries, key=lambda e: (e.entry_step, e.id))
         self._spawn_cursor = 0
         self._next_conflict_id = 0
-        # Each agent's first active game: it acts on that one until the
-        # game retires, whatever later games it joins.
-        self._binding: dict[str, ConflictRuntime] = {}
         self._pending_despawn: set[str] = set()
         if waypoints is None:
             waypoints = plan_waypoints(config.scene, self._entries)
         self._waypoints = waypoints
+
+    def engagements(self) -> dict[str, ConflictRuntime]:
+        """The game each bound agent acts on, from the active conflicts;
+        an agent that has left stays listed until its game retires."""
+        return {aid: r for r in self.world.active_conflicts for aid in r.binds}
 
     def _game_partner(self, agent_id: str, runtime: ConflictRuntime) -> AgentState | None:
         """The leader (the conflict's anchor car) plays against its
@@ -255,9 +262,6 @@ class Simulation:
             self.world.active_conflicts = [
                 r for r in self.world.active_conflicts if r.conflict.id not in dissolved
             ]
-            for aid, runtime in list(self._binding.items()):
-                if runtime.conflict.id in dissolved:
-                    del self._binding[aid]
         for conflict in outcome.new_conflicts:
             self._next_conflict_id = max(self._next_conflict_id, conflict.id + 1)
             self._create_game(conflict)
@@ -292,8 +296,9 @@ class Simulation:
         leader_action, profile = game_mod.solve_spne(payoff)
         actions = {leader.id: leader_action}
         actions.update({f.id: a for f, a in zip(followers, profile)})
-        runtime = ConflictRuntime(conflict=conflict, actions=actions)
-        self.world.active_conflicts.append(runtime)
+        bound = self.engagements()
+        binds = tuple(aid for aid in actions if aid not in bound)
+        self.world.active_conflicts.append(ConflictRuntime(conflict, actions, binds))
         nearest_follower = conflicts_mod.nearest_id(
             leader, [f.id for f in followers], self.world.agents
         )
@@ -306,8 +311,6 @@ class Simulation:
             self.trace.decisions.append(
                 DecisionRow(self.world.step, conflict.id, aid, agent.kind, role, fv, action)
             )
-            if aid not in self._binding:
-                self._binding[aid] = runtime
             if agent.kind is AgentKind.CAR and action is Action.DECELERATE:
                 agent.giveway_count += 1
 
@@ -328,25 +331,17 @@ class Simulation:
         return False
 
     def _retire_conflicts(self) -> None:
+        """Keep the games that have not timed out and in which some member
+        still present has not completed its action."""
         kept = []
         for runtime in self.world.active_conflicts:
-            age = self.world.step - runtime.conflict.created_at_step
-            done = age >= CONFLICT_TIMEOUT_STEPS
-            if not done:
-                done = True
-                for aid, action in runtime.actions.items():
-                    agent = self.world.agents.get(aid)
-                    if agent is None:
-                        continue
-                    if not self._action_completed(agent, action, self._game_partner(aid, runtime)):
-                        done = False
-                        break
-            if done:
-                for aid, bound in list(self._binding.items()):
-                    if bound is runtime:
-                        del self._binding[aid]
-            else:
-                kept.append(runtime)
+            if self.world.step - runtime.conflict.created_at_step >= CONFLICT_TIMEOUT_STEPS:
+                continue
+            for aid, action in runtime.actions.items():
+                agent = self.world.agents.get(aid)
+                if agent is not None and not self._action_completed(agent, action, self._game_partner(aid, runtime)):
+                    kept.append(runtime)
+                    break
         self.world.active_conflicts = kept
 
     # - modes and movement ----------------------------------------------
@@ -386,9 +381,10 @@ class Simulation:
         brakes = self.config.params.game.regime != "dut"
         assignments: dict[str, tuple[Mode, forces_mod.Directive | None]] = {}
         follower_of: dict[str, str] = {}
+        games = self.engagements()
         for car in cars:
             stopping_for = forces_mod.reactive_stopping(car, peds, sfm) if brakes else []
-            runtime = self._binding.get(car.id)
+            runtime = games.get(car.id)
             leader = None
             if stopping_for:
                 target = min(
@@ -417,7 +413,7 @@ class Simulation:
         for car in cars:
             car.followed_by_car_id = follower_of.get(car.id)
         for ped in peds:
-            runtime = self._binding.get(ped.id)
+            runtime = games.get(ped.id)
             if runtime is not None:
                 assignments[ped.id] = (Mode.GAME, self._game_directive(ped, runtime)[0])
             else:
@@ -479,7 +475,6 @@ class Simulation:
         self._pending_despawn = set()
         for aid in arrived:
             del self.world.agents[aid]
-            self._binding.pop(aid, None)
         ordered = sorted(self.world.agents.values(), key=lambda a: a.id)
         columns = AgentColumns(
             [a for a in ordered if a.kind is AgentKind.CAR],

@@ -261,39 +261,38 @@ def brake_for(car: AgentState, other: AgentState, params: SfmParams) -> SetSpeed
     return SetSpeed(max(0.0, car.speed - decel_rate(car.speed, distance, d_min)))
 
 
-def in_stopping_corridor(car: AgentState, ped: AgentState, params: SfmParams) -> bool:
-    """True when ped stands in the frontal corridor of the car: within
-    one safety distance ahead, inside a lane as wide as both bodies."""
+def _in_corridor(
+    car: AgentState, pedestrians: Sequence[AgentState], params: SfmParams
+) -> list[AgentState]:
+    """Pedestrians, in input order, in the frontal corridor of the car:
+    within one safety distance ahead along its heading, and inside a lane
+    as wide as both bodies along the heading's left normal."""
+    cx, cy = car.position.x, car.position.y
     hx, hy = car.heading.x, car.heading.y
-    ox = ped.position.x - car.position.x
-    oy = ped.position.y - car.position.y
-    longitudinal = ox * hx + oy * hy
-    lateral = ox * -hy + oy * hx  # along the heading's left normal
-    half_width = (car.diameter + ped.diameter) / 2.0
-    return 0.0 < longitudinal <= params.d_min_pc and abs(lateral) <= half_width
+    d_min, diameter = params.d_min_pc, car.diameter
+    inside = []
+    for ped in pedestrians:
+        ox = ped.position.x - cx
+        oy = ped.position.y - cy
+        if 0.0 < ox * hx + oy * hy <= d_min and abs(ox * -hy + oy * hx) <= (diameter + ped.diameter) / 2.0:
+            inside.append(ped)
+    return inside
+
+
+def in_stopping_corridor(car: AgentState, ped: AgentState, params: SfmParams) -> bool:
+    """True when ped stands in the frontal corridor of the car."""
+    return bool(_in_corridor(car, (ped,), params))
 
 
 def reactive_stopping(
     car: AgentState, pedestrians: Sequence[AgentState], params: SfmParams
 ) -> list[AgentState]:
     """Pedestrians, in input order, that the car must brake for: those
-    in its stopping corridor already walking across its front. The
-    corridor test is in_stopping_corridor's, operation by operation,
-    with the car's values read once."""
-    cx, cy = car.position.x, car.position.y
+    in its stopping corridor (the one `in_stopping_corridor` tests)
+    already walking across its front."""
     hx, hy = car.heading.x, car.heading.y
-    d_min = params.d_min_pc
-    diameter = car.diameter
     braking = []
-    for ped in pedestrians:
-        ox = ped.position.x - cx
-        oy = ped.position.y - cy
-        longitudinal = ox * hx + oy * hy
-        if not 0.0 < longitudinal <= d_min:
-            continue
-        lateral = ox * -hy + oy * hx
-        if not abs(lateral) <= (diameter + ped.diameter) / 2.0:
-            continue
+    for ped in _in_corridor(car, pedestrians, params):
         if abs(ped.velocity.x * -hy + ped.velocity.y * hx) > 1e-9:
             braking.append(ped)
     return braking

@@ -41,7 +41,7 @@ from sharedspace.calibrate import (
     write_history_csv,
 )
 from sharedspace.cli import _FitnessWorker
-from sharedspace.dataio import DecisionAnnotation, TrajectoryFormatError, TrajectoryRecord
+from sharedspace.dataio import DecisionAnnotation, TrajectoryFormatError, TrajectoryRecord, segment_speeds
 from sharedspace.engine import (
     AgentEntry,
     DecisionRow,
@@ -90,6 +90,11 @@ class TestGaConfig:
 
     def test_defaults_valid(self) -> None:
         GaConfig().validate()
+
+    def test_population_is_bounded_above(self) -> None:
+        GaConfig(population_size=calibrate.MAX_POPULATION).validate()
+        with pytest.raises(GaConfigError, match=f"at most {calibrate.MAX_POPULATION}"):
+            GaConfig(population_size=calibrate.MAX_POPULATION + 1).validate()
 
     @pytest.mark.parametrize(
         "bounds",
@@ -436,7 +441,68 @@ class TestScenarioFromRecords:
         assert [e.id for e in scenario.entries] == ["c1", "p2"]
 
 
+def scalar_scenario(scenario_id: str, records: list[TrajectoryRecord], frame_seconds: float) -> Scenario:
+    """The oracle of the spawn reconstruction: each agent's frame ->
+    position dict read one record at a time, speeds by `segment_speeds`."""
+    trajs: dict[str, tuple[AgentKind, dict[int, Vec2]]] = {}
+    for r in records:
+        if r.scenario_id == scenario_id:
+            trajs.setdefault(r.agent_id, (r.kind, {}))[1][r.frame] = Vec2(r.x, r.y)
+    entries = []
+    for agent_id in sorted(trajs):
+        kind, traj = trajs[agent_id]
+        defaults = engine.KIND_DEFAULTS[kind]
+        frames = sorted(traj)
+        speeds = segment_speeds(traj, frames, frame_seconds)
+        first = traj[frames[0]]
+        velocity = Vec2(0.0, 0.0)
+        if len(frames) >= 2:
+            second, dt0 = traj[frames[1]], (frames[1] - frames[0]) * frame_seconds
+            velocity = Vec2((second.x - first.x) / dt0, (second.y - first.y) / dt0)
+        desired = max(sum(speeds) / len(speeds) if speeds else defaults["desired_speed"], 0.05)
+        entries.append(AgentEntry(
+            agent_id, kind, frames[0], first, velocity, traj[frames[-1]], desired,
+            max(desired, max(speeds, default=0.0)), defaults["diameter"],
+        ))
+    return Scenario(scenario_id, entries)
+
+
 class TestBuildCalibrationSet:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["s1", "s2"]),
+                st.integers(0, 12),
+                st.sampled_from(["a", "b", "c"]),
+                st.floats(-50, 50),
+                st.floats(-50, 50),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from([0.5, 0.1, 1.0 / 3.0]),
+    )
+    def test_spawn_conditions_equal_the_scalar_reconstruction(self, rows, frame_seconds) -> None:
+        # Agent "c" is a car, the others pedestrians; frames repeat and
+        # arrive out of order.
+        records = [
+            record(sid, f, aid, AgentKind.CAR if aid == "c" else AgentKind.PEDESTRIAN, x, y)
+            for sid, f, aid, x, y in rows
+        ]
+        items = build_calibration_set(records, frame_seconds=frame_seconds)
+        assert [item.scenario.scenario_id for item in items] == sorted({r.scenario_id for r in records})
+        for item in items:
+            sid = item.scenario.scenario_id
+            expected = scalar_scenario(sid, records, frame_seconds)
+            # repr shows every float's digits and any numpy scalar by name
+            assert repr(item.scenario) == repr(expected)
+            assert repr(scenario_from_records(sid, records, frame_seconds)) == repr(expected)
+            assert item.real_positions == {
+                aid: {r.frame: Vec2(r.x, r.y) for r in records if (r.scenario_id, r.agent_id) == (sid, aid)}
+                for aid in {r.agent_id for r in records if r.scenario_id == sid}
+            }
+
     def test_groups_records_and_attaches_annotations(self) -> None:
         rows = [
             record("s1", 0, "p1", AgentKind.PEDESTRIAN, 0.0, 0.0),

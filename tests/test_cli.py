@@ -207,6 +207,8 @@ class TestParser:
             *[("calibrate-game", "--jobs", v, "must be at least 1") for v in ("0", "-2")],
             *[("calibrate-sfm", "--population", v, "must be at least 2") for v in ("1", "0")],
             ("calibrate-game", "--population", "-3", "must be at least 2"),
+            *[("calibrate-sfm", "--population", v, "must be at least 2 and at most 100000")
+              for v in ("100001", str(10**30))],
             *[("calibrate-sfm", "--generations", v, "must be at least 1") for v in ("0", "-1")],
             *[("calibrate-game", "--stagnation", v, "must be at least 1") for v in ("0", "-4")],
             *[("simulate", "--max-steps", v, "must be at least 1") for v in ("0", "-5")],
@@ -1202,6 +1204,38 @@ class TestCalibrateSfm:
         evaluations = json.loads((parallel / "manifest.json").read_text())["evaluations"]
         assert evaluations > 2
         assert len(pickles) <= 2
+        assert cli._installed_worker is None
+
+    def test_pool_size_is_capped_by_cores_and_population(self, tmp_path, monkeypatch) -> None:
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size asked for and evaluates in this
+            process, so the test starts no process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                cli._install_worker(None)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        _, serial = self.run_micro(tmp_path, "serial")
+        # (cores, --jobs, pool size): --population is 6
+        for cores, jobs, size in ((4, "100000", 4), (64, "100000", 6), (4, "3", 3), (None, "8", None)):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+            sizes.clear()
+            code, out = self.run_micro(tmp_path, f"jobs-{cores}-{jobs}", "--jobs", jobs)
+            assert code == 0
+            assert sizes == ([] if size is None else [size])
+            assert (out / "history.csv").read_bytes() == (serial / "history.csv").read_bytes()
         assert cli._installed_worker is None
 
     def test_inputs_are_not_mutated(self, tmp_path) -> None:

@@ -40,7 +40,7 @@ OBSERVATIONS = [["scenario_id", "kind", "f0", "f1", "action"]] + [
 # tokens that break them.
 FORMATS = {
     "trajectories": (TRAJECTORIES, {1: ["zero", "1.5"], 3: ["bike"], 4: ["abc", "nan"], 5: ["", "-inf"]}),
-    "annotations": (ANNOTATIONS, {2: ["first"], 3: ["fly"]}),
+    "annotations": (ANNOTATIONS, {2: ["first", "-1"], 3: ["fly"]}),
     "decisions": (DECISIONS, {4: ["fly", ""]}),
     "observations": (OBSERVATIONS, {2: ["two", "nan"], 3: ["inf"], 4: ["fly"]}),
 }

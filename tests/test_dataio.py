@@ -26,11 +26,11 @@ from sharedspace.dataio import (
     TrajectoryRecord,
     TrajectoryTable,
     ade,
+    agent_tracks,
     attach_decision_metrics,
     compare_trajectories,
     confusion_matrix,
     decision_error,
-    group_by_agent,
     index_decisions,
     load_annotations,
     load_decisions,
@@ -274,6 +274,33 @@ class TestAnnotations:
         with pytest.raises(TrajectoryFormatError, match="header"):
             load_annotations(path)
 
+    def test_negative_conflict_idx_rejected(self, tmp_path: Path) -> None:
+        # No simulated decision has a negative ordinal, so the row could never match.
+        path = write_csv(tmp_path / "a.csv", ANNOTATION_COLUMNS, ["s1,c1,0,continue", "s1,p1,-1,continue"])
+        with pytest.raises(TrajectoryFormatError) as err:
+            load_annotations(path)
+        assert str(err.value) == f"{path}:3: negative conflict_idx"
+
+    def test_repeated_key_rejected(self, tmp_path: Path) -> None:
+        rows = ["s1,c1,0,continue", "s1,p1,0,deviate", "s2,c1,0,continue", "s1,c1, 0 ,decelerate"]
+        path = write_csv(tmp_path / "a.csv", ANNOTATION_COLUMNS, rows)
+        with pytest.raises(TrajectoryFormatError) as err:
+            load_annotations(path)
+        assert str(err.value) == f"{path}:5: scenario_id, agent_id and conflict_idx repeat line 2"
+
+    def test_the_first_bad_row_is_named_whatever_its_rule(self, tmp_path: Path) -> None:
+        # A row loop stops at the first row that breaks any rule.
+        rows = ["s1,c1,0,continue", "s1,c1,0,fly", "s1,p1,-1,continue", "s1,p1,x,continue"]
+        for k, message in enumerate([
+            "scenario_id, agent_id and conflict_idx repeat line 2",
+            "negative conflict_idx",
+            "bad conflict_idx",
+        ]):
+            path = write_csv(tmp_path / "a.csv", ANNOTATION_COLUMNS, rows[:1] + rows[1 + k:])
+            with pytest.raises(TrajectoryFormatError) as err:
+                load_annotations(path)
+            assert str(err.value) == f"{path}:3: {message}"
+
 
 class TestDecisionIndexing:
     def test_ordinals_count_per_owner_in_input_order(self) -> None:
@@ -365,15 +392,17 @@ class TestLineNumbers:
 class TestGroupByAgent:
     def test_groups_and_indexes_by_frame(self) -> None:
         records = [
-            TrajectoryRecord("s1", 0, "p1", AgentKind.PEDESTRIAN, 0.0, 0.0),
             TrajectoryRecord("s1", 2, "p1", AgentKind.PEDESTRIAN, 1.0, 0.0),
             TrajectoryRecord("s2", 0, "p1", AgentKind.PEDESTRIAN, 5.0, 5.0),
+            TrajectoryRecord("s1", 0, "p1", AgentKind.PEDESTRIAN, 0.0, 0.0),
+            TrajectoryRecord("s1", 2, "p1", AgentKind.PEDESTRIAN, 1.5, 0.5),
         ]
-        grouped = group_by_agent(records)
-        kind, traj = grouped[("s1", "p1")]
+        grouped = agent_tracks(records)
+        assert list(grouped) == [("s1", "p1"), ("s2", "p1")]
+        kind, frames, x, y = grouped[("s1", "p1")]
         assert kind is AgentKind.PEDESTRIAN
-        assert traj == {0: Vec2(0.0, 0.0), 2: Vec2(1.0, 0.0)}
-        assert set(grouped) == {("s1", "p1"), ("s2", "p1")}
+        # frames sorted; the last row of a repeated frame wins
+        assert (frames.tolist(), x.tolist(), y.tolist()) == ([0, 2], [0.0, 1.5], [0.0, 0.5])
 
     def test_kind_change_rejected(self) -> None:
         records = [
@@ -381,7 +410,7 @@ class TestGroupByAgent:
             TrajectoryRecord("s1", 1, "p1", AgentKind.CAR, 1.0, 0.0),
         ]
         with pytest.raises(TrajectoryFormatError, match="kind"):
-            group_by_agent(records)
+            agent_tracks(records)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +600,41 @@ def random_tracks(seed: int) -> tuple[list[TrajectoryRecord], list[TrajectoryRec
     return real, sim
 
 
+def group_by_agent(records: list[TrajectoryRecord]) -> dict:
+    """The scalar oracle of `agent_tracks`: (scenario_id, agent_id) ->
+    (kind, frame -> position), one record at a time."""
+    out: dict = {}
+    for r in records:
+        kind, traj = out.setdefault((r.scenario_id, r.agent_id), (r.kind, {}))
+        if kind is not r.kind:
+            raise TrajectoryFormatError(f"agent {r.agent_id!r} in {r.scenario_id!r} changes kind mid-stream")
+        traj[r.frame] = Vec2(r.x, r.y)
+    return out
+
+
+def group_by_agent_arrays(records: list[TrajectoryRecord]) -> dict:
+    """`group_by_agent` in `agent_tracks`'s form, for comparing the two."""
+    return {
+        key: (kind, frames, [traj[f].x for f in frames], [traj[f].y for f in frames])
+        for key, (kind, traj) in group_by_agent(records).items()
+        for frames in [sorted(traj)]
+    }
+
+
 class TestCompareTrajectoriesOracle:
     """compare_trajectories scores each agent on arrays; the dict metrics
     `ade` and `speed_deviation` on group_by_agent's trajectories are its
     oracle, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_agent_tracks_equal_the_dict_grouping(self, seed: int) -> None:
+        real, _ = random_tracks(seed)
+        tracks = agent_tracks(real)
+        expected = group_by_agent_arrays(real)
+        assert list(tracks) == list(expected)
+        for key, (kind, frames, x, y) in tracks.items():
+            assert (kind, frames.tolist(), x.tolist(), y.tolist()) == expected[key]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 0.1, 1.0 / 3.0]))

@@ -621,7 +621,7 @@ class TestConflictLifecycle:
         sim = Simulation(config)
         sim.step()
         first_id = sim.trace.conflicts[0].id
-        assert {aid: r.conflict.id for aid, r in sim._binding.items()} == {
+        assert {aid: r.conflict.id for aid, r in sim.engagements().items()} == {
             "c1": first_id,
             "p1": first_id,
         }
@@ -634,9 +634,9 @@ class TestConflictLifecycle:
             created_at_step=sim.world.step,
         )
         sim._create_game(extra)
-        assert sim._binding["p1"].conflict.id == first_id
-        assert sim._binding["c9"].conflict.id == 99
-        assert sim._binding["p1"] is sim.world.active_conflicts[0]
+        assert sim.engagements()["p1"].conflict.id == first_id
+        assert sim.engagements()["c9"].conflict.id == 99
+        assert sim.engagements()["p1"] is sim.world.active_conflicts[0]
 
     def test_retiring_the_bound_game_unbinds_despite_a_later_game(self, monkeypatch) -> None:
         monkeypatch.setattr(engine, "CONFLICT_TIMEOUT_STEPS", 1)
@@ -646,7 +646,7 @@ class TestConflictLifecycle:
         )
         sim = Simulation(config)
         sim.step()
-        first = sim._binding["p1"]
+        first = sim.engagements()["p1"]
         later = Conflict(
             id=99,
             conflict_class=ConflictClass.PEDESTRIANS_TO_CAR,
@@ -662,7 +662,7 @@ class TestConflictLifecycle:
         assert [r.conflict.id for r in sim.world.active_conflicts] == [99]
         assert first not in sim.world.active_conflicts
         # p1 still plays in game 99 but was never bound to it.
-        assert {aid: r.conflict.id for aid, r in sim._binding.items()} == {"c9": 99}
+        assert {aid: r.conflict.id for aid, r in sim.engagements().items()} == {"c9": 99}
 
     def test_road_merge_dissolves_the_absorbed_game_and_unbinds_it(self) -> None:
         # c2 engages p1 at step 0; c1 arrives at step 1 with the same
@@ -682,16 +682,16 @@ class TestConflictLifecycle:
         )
         sim = Simulation(config)
         sim.step()
-        absorbed = sim._binding["c2"]
+        absorbed = sim.engagements()["c2"]
         assert absorbed.conflict.participants() == ("c2", "p1")
-        assert sim._binding["p1"] is absorbed
+        assert sim.engagements()["p1"] is absorbed
         sim.step()
         (merged,) = sim.world.active_conflicts
         assert merged.conflict.conflict_class is ConflictClass.PEDESTRIANS_TO_CARS
         assert merged.conflict.participants() == ("c1", "p1", "c2")
         # Without the unbinding, c2 and p1 would still act on the
         # dissolved game.
-        assert sim._binding == {"c1": merged, "p1": merged, "c2": merged}
+        assert sim.engagements() == {"c1": merged, "p1": merged, "c2": merged}
         modes = {r.agent_id: r.mode for r in sim.trace.rows if r.step == 1}
         assert modes == {"c1": "game", "c2": "game", "p1": "game"}
 

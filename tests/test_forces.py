@@ -470,6 +470,24 @@ class TestStoppingCorridor:
         ]
         assert reactive_stopping(c, peds, P) == want
 
+    @given(
+        st.lists(st.tuples(st.floats(-12, 12), st.floats(-12, 12), st.floats(0.1, 3.0)), max_size=10),
+        st.floats(-math.pi, math.pi),
+        st.floats(0.5, 5.0),
+    )
+    @settings(max_examples=200)
+    def test_reactive_stopping_uses_the_corridor_of_in_stopping_corridor(self, specs, angle, diameter):
+        # Every pedestrian walks across the car's heading, so the car
+        # brakes for exactly those that in_stopping_corridor places in
+        # its corridor.
+        h = Vec2(math.cos(angle), math.sin(angle))
+        c = car(position=Vec2(0.5, -1.5), heading=h, diameter=diameter)
+        peds = [
+            ped(f"p{k}", position=Vec2(x, y), heading=h.left_normal(), speed=1.0, diameter=d)
+            for k, (x, y, d) in enumerate(specs)
+        ]
+        assert reactive_stopping(c, peds, P) == [p for p in peds if in_stopping_corridor(c, p, P)]
+
 
 class TestIntegrateStep:
     def test_semi_implicit_order(self):

@@ -55,7 +55,7 @@ from .engine import (
 )
 from .game import Action
 from .geometry import Vec2
-from .params import GameParams, ParameterFileError, ParameterSet, SfmParams
+from .params import ANISOTROPY_MAX, GameParams, ParameterFileError, ParameterSet, SfmParams
 from .scene import Scene
 
 SCENARIO_FAILURE_PENALTY = 1000.0
@@ -260,13 +260,19 @@ def write_history_csv(history: Sequence[GenStats], path: str | Path) -> None:
     ))
 
 
-def default_bounds(values: Sequence[float]) -> list[tuple[float, float]]:
-    """Search box per gene: a quarter to four times its reference value."""
+# The valid upper limit of each gene whose range ends (SfmParams.validate).
+GENE_CEILINGS = {"anisotropy": ANISOTROPY_MAX}
+
+
+def default_bounds(values: Sequence[float], names: Sequence[str]) -> list[tuple[float, float]]:
+    """Search box per gene, given the genes' reference values and names:
+    a quarter to four times the reference value, the top clipped to the
+    gene's GENE_CEILINGS entry, so that no chromosome in it is invalid."""
     out = []
-    for v in values:
+    for v, name in zip(values, names, strict=True):
         if v <= 0.0 or not math.isfinite(v):
             raise GaConfigError(f"reference value {v!r} does not admit relative bounds")
-        out.append((0.25 * v, 4.0 * v))
+        out.append((0.25 * v, min(4.0 * v, GENE_CEILINGS.get(name, math.inf))))
     return out
 
 
@@ -339,12 +345,20 @@ def build_calibration_set(
     annotations: Sequence = (),
     frame_seconds: float = 0.5,
 ) -> list[CalibrationScenario]:
-    annotation_map: dict[str, dict[tuple[str, int], Action]] = {}
-    for a in annotations:
-        annotation_map.setdefault(a.scenario_id, {})[(a.agent_id, a.conflict_idx)] = a.action
+    """One item per scenario of `records`, in id order, with its
+    annotated decisions. Raises ScenarioError naming the first
+    annotation whose scenario has no trajectory of its agent."""
     by_scenario: dict[str, dict[str, Track]] = {}
     for (sid, agent_id), track in agent_tracks(records).items():
         by_scenario.setdefault(sid, {})[agent_id] = track
+    annotation_map: dict[str, dict[tuple[str, int], Action]] = {}
+    for a in annotations:
+        if a.agent_id not in by_scenario.get(a.scenario_id, ()):
+            raise ScenarioError(
+                f"annotations: {a.scenario_id},{a.agent_id},{a.conflict_idx} names an agent"
+                " with no trajectory in its scenario"
+            )
+        annotation_map.setdefault(a.scenario_id, {})[(a.agent_id, a.conflict_idx)] = a.action
     return [
         CalibrationScenario(
             scenario=_scenario(sid, agents, frame_seconds),

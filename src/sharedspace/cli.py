@@ -420,7 +420,7 @@ def _cmd_calibrate(ns: argparse.Namespace) -> int:
     scene, base, train, test = _prepare_training(ns)
     gene_names = GENE_NAMES[target.group]
     reference = getattr(base, target.group)
-    bounds = default_bounds([getattr(reference, name) for name in gene_names])
+    bounds = default_bounds([getattr(reference, name) for name in gene_names], gene_names)
     worker = _FitnessWorker(target.group, train, scene, base, ns.dt)
     result, ga_config = _run_ga(ns, worker, bounds)
     score = target.sign * result.best_fitness

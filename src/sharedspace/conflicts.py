@@ -1,16 +1,19 @@
 """Conflict recognition and classification.
 
 A recognition pass works on one step's AgentColumns snapshot, car by
-car in ascending id order. A car in an intersection zone tests every
-other road user against its view range, a frontal angle window (90
-degrees for cars, the pedestrian field of view otherwise) and its
-predicted positions closing below the safety distance. A car in a road
-zone tests only pedestrians, by a path-crossing test anchored one body
-length behind the pedestrian. A car in neither zone forms no conflict.
-The competitor sets found are then classified into one of three complex
-conflict kinds, or dismissed.
+car in ascending id order. A road user is a candidate for a car only if
+the car sees it: `scene.in_field_of_view`, the one view test that game
+actions and retirement use too, within the view range v_r and a
+frontal half angle of CAR_CONE_HALF_ANGLE_DEG for a car, the
+pedestrian field of view otherwise. A car in an intersection zone tests
+every other road user it sees for predicted positions closing below
+the safety distance. A car in a road zone tests only the pedestrians it
+sees, by a path-crossing test anchored one body length behind the
+pedestrian. A car in neither zone forms no conflict. The competitor
+sets found are then classified into one of three complex conflict
+kinds, or dismissed.
 
-The pair gates are the scalar rules below. Above
+The pair gates are these scalar rules. Above
 RECOGNITION_SCALAR_MAX_PAIRS (car, other agent) pairs a numpy pass over
 the snapshot first drops the pairs that surely fail range, cone or
 predicted gap (its bands widened by geometry's margins), and only the
@@ -34,9 +37,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Vec2, cone_limit, segments_intersect, widened, within_cone
+from .geometry import Vec2, cone_limit, segments_intersect, widened
 from .params import SfmParams
-from .scene import AgentColumns, AgentKind, AgentState, Scene
+from .scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view
 # Kept importable here: perfbench/tracer.py patches these names.
 from .scene import in_intersection_zone, in_road_zone  # noqa: F401
 
@@ -81,15 +84,6 @@ class RecognitionOutcome:
 def predicted_position(agent: AgentState, params: SfmParams) -> Vec2:
     """Position after coasting one prediction horizon at max speed."""
     return agent.position + agent.heading * (params.s_c * agent.max_speed)
-
-
-def _angle_gate(car: AgentState, other: AgentState, params: SfmParams) -> bool:
-    half = (
-        CAR_CONE_HALF_ANGLE_DEG
-        if other.kind is AgentKind.CAR
-        else params.fov_half_angle_deg
-    )
-    return within_cone(car.heading, other.position - car.position, half)
 
 
 def nearest_id(
@@ -219,9 +213,7 @@ def recognize_conflicts(
     `columns`, when given, is the step's snapshot of these same cars and
     pedestrians in `scene`."""
     if columns is None:
-        columns = AgentColumns(
-            sorted(cars, key=lambda a: a.id), sorted(pedestrians, key=lambda a: a.id), scene
-        )
+        columns = AgentColumns([*cars, *pedestrians], scene)
     outcome = RecognitionOutcome()
     scans = _scan_lists(columns, params) if len(columns.agents) > 1 else []
     if not any(scans):
@@ -229,6 +221,7 @@ def recognize_conflicts(
         return outcome
     cars = columns.cars
     agents: dict[str, AgentState] = {a.id: a for a in columns.agents}
+    v_r, ped_half_angle = params.v_r, params.fov_half_angle_deg
 
     conflict_by_id: dict[int, Conflict] = {c.id: c for c in active_conflicts}
     prior = partner_sets(active_conflicts, agents)
@@ -254,24 +247,20 @@ def recognize_conflicts(
             for other in scan:
                 if other.id == car.id or other.id in engaged:
                     continue
-                if car.position.distance_to(other.position) > params.v_r:
-                    continue
-                if not _angle_gate(car, other, params):
+                is_car = other.kind is AgentKind.CAR
+                half_angle = CAR_CONE_HALF_ANGLE_DEG if is_car else ped_half_angle
+                if not in_field_of_view(car, other.position, half_angle, v_r):
                     continue
                 predicted_gap = predicted(car).distance_to(predicted(other))
-                if predicted_gap > params.d_min_for(other.kind is AgentKind.CAR):
+                if predicted_gap > params.d_min_for(is_car):
                     continue
-                if other.kind is AgentKind.CAR:
+                if is_car:
                     competitive_cars.append(other.id)
                 else:
                     competitive_peds.append(other.id)
         else:
             for ped in scan:
-                if ped.id in engaged:
-                    continue
-                if car.position.distance_to(ped.position) > params.v_r:
-                    continue
-                if not within_cone(car.heading, ped.position - car.position, params.fov_half_angle_deg):
+                if ped.id in engaged or not in_field_of_view(car, ped.position, ped_half_angle, v_r):
                     continue
                 back_position = ped.position - ped.heading * ped.diameter
                 if segments_intersect(back_position, ped.goal, car.position, car.goal):

@@ -1,8 +1,8 @@
 """Discrete-time simulation loop.
 
-Each step: spawn due agents, drop those that arrived last step, split
-the rest once into cars and pedestrians in id order and take one
-AgentColumns snapshot of them, which recognition and the repulsion
+Each step: spawn due agents, drop those that arrived last step, take
+one AgentColumns snapshot of the rest (the cars, then the pedestrians,
+in id order), which recognition, mode assignment and the repulsion
 pass read; run conflict recognition, solve games for new conflicts and
 latch the chosen actions, assign each agent one mode together with the
 one directive it moves under (cars: stopping > game > following > free
@@ -41,7 +41,7 @@ from . import jsonin
 from .conflicts import CAR_CONE_HALF_ANGLE_DEG, Conflict
 from .dataio import DECISION_COLUMNS, FEATURE_ID_COLUMNS, TRAJECTORY_COLUMNS, write_csv
 from .game import Action, FeatureVector, PairContext
-from .geometry import Vec2, segments_intersect, within_cone
+from .geometry import Vec2, segments_intersect
 from .params import ParameterSet
 from .planner import UnreachableGoalError, build_visibility_graph, plan_path
 from .scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view
@@ -187,10 +187,16 @@ def plan_waypoints(scene: Scene, entries: Iterable[AgentEntry]) -> dict[str, lis
     simulates one scenario many times can plan once and pass the result
     to every Simulation. One visibility graph is built per distinct
     clearance. Raises ScenarioRejectedError naming the first entry whose
-    goal is unreachable."""
+    position or goal lies outside the scene's bounds, or whose goal is
+    unreachable."""
     graphs: dict[float, object] = {}
     waypoints: dict[str, list[Vec2]] = {}
     for entry in entries:
+        for name, point in (("position", entry.position), ("goal", entry.goal)):
+            if not scene.bounds.contains(point):
+                raise ScenarioRejectedError(
+                    f"agent {entry.id}: {name} ({point.x}, {point.y}) lies outside the scene bounds"
+                )
         clearance = entry.diameter / 2.0 + PLANNER_CLEARANCE_MARGIN
         graph = graphs.get(clearance)
         if graph is None:
@@ -351,19 +357,14 @@ class Simulation:
     ) -> AgentState | None:
         """Nearest other car ahead (frontal 90-degree cone) within view
         range and moving roughly the same way."""
-        sfm = self.config.params.sfm
+        v_r = self.config.params.sfm.v_r
         best = None
         best_d = float("inf")
         for other in cars:
-            if other.id == car.id:
+            if other.id == car.id or not in_field_of_view(car, other.position, CAR_CONE_HALF_ANGLE_DEG, v_r):
                 continue
-            offset = other.position - car.position
-            d = offset.norm()
-            if d > sfm.v_r or d >= best_d or d == 0.0:
-                continue
-            if not within_cone(car.heading, offset, CAR_CONE_HALF_ANGLE_DEG):
-                continue
-            if car.heading.dot(other.heading) <= 0.0:
+            d = car.position.distance_to(other.position)
+            if d >= best_d or d == 0.0 or car.heading.dot(other.heading) <= 0.0:
                 continue
             best = other
             best_d = d
@@ -475,12 +476,7 @@ class Simulation:
         self._pending_despawn = set()
         for aid in arrived:
             del self.world.agents[aid]
-        ordered = sorted(self.world.agents.values(), key=lambda a: a.id)
-        columns = AgentColumns(
-            [a for a in ordered if a.kind is AgentKind.CAR],
-            [a for a in ordered if a.kind is AgentKind.PEDESTRIAN],
-            self.config.scene,
-        )
+        columns = AgentColumns(self.world.agents.values(), self.config.scene)
 
         self._run_recognition(columns)
         assignments = self._assign_modes(columns)

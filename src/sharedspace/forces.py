@@ -141,11 +141,7 @@ def agent_repulsion_totals(
             totals.append(total)
         return totals
     if columns is None:
-        columns = AgentColumns(
-            [a for a in agents if a.kind is AgentKind.CAR],
-            [a for a in agents if a.kind is AgentKind.PEDESTRIAN],
-            Scene(),
-        )
+        columns = AgentColumns(agents, Scene())
     return _agent_repulsion_grid(targets, agents, params, columns)
 
 

@@ -29,6 +29,11 @@ def _require_finite(params: object) -> None:
             raise ParameterFileError(f"{f.name} must be finite")
 
 
+# Anisotropy weighs the events behind an agent against those ahead (1),
+# so it lies in [0, ANISOTROPY_MAX]; calibration's search box stops there.
+ANISOTROPY_MAX = 1.0
+
+
 @dataclass
 class SfmParams:
     """Movement-layer constants: interaction strengths, ranges and the
@@ -57,8 +62,8 @@ class SfmParams:
         ):
             if not getattr(self, name) > 0.0:
                 raise ParameterFileError(f"{name} must be positive")
-        if not 0.0 <= self.anisotropy <= 1.0:
-            raise ParameterFileError("anisotropy must lie in [0, 1]")
+        if not 0.0 <= self.anisotropy <= ANISOTROPY_MAX:
+            raise ParameterFileError(f"anisotropy must lie in [0, {ANISOTROPY_MAX:g}]")
         if not 0.0 < self.fov_half_angle_deg <= 180.0:
             raise ParameterFileError("fov_half_angle_deg must lie in (0, 180]")
 

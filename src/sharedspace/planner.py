@@ -5,22 +5,25 @@ edges connect mutually visible nodes. Paths come from A* with the
 straight-line heuristic and are returned as corner waypoints without
 densification.
 
-Visibility is decided in bulk, with results identical to the scalar
-rules `point_strictly_inside` and `segment_clear_of_polygon`, which
-stay the oracle (`segment_is_free` is their scene-wide form):
+Visibility is decided in bulk by one test, `_Obstacles.visible`, with
+results identical to the scalar rule `segment_clear_of_polygon`, which
+stays the oracle (`segment_is_free` is its scene-wide form). The test
+of whether a corner lies inside an obstacle is the same test on the
+zero-length segment from the corner to itself: such a segment gets the
+parameters {0, 1} alone, so its one midpoint is the corner, and the
+scalar rule reads it as `not point_strictly_inside`.
 
-- Bounding-box pre-check. A (segment, polygon) or (corner, polygon)
-  pair whose boxes are strictly disjoint, the polygon's padded by
-  _BOX_PAD of the coordinate scale, is clear. Every point the scalar
-  rule tests lies on the segment to within rounding, far less than the
-  pad, and the even-odd rule counts no crossing, or an even number, for
-  a point outside the polygon's box. The tolerance bands of
+- Bounding-box pre-check. A (segment, polygon) pair whose boxes are
+  strictly disjoint, the polygon's padded by _BOX_PAD of the coordinate
+  scale, is clear. Every point the scalar rule tests lies on the
+  segment to within rounding, far less than the pad, and the even-odd
+  rule counts no crossing, or an even number, for a point outside the
+  polygon's box. The tolerance bands of
   `_on_segment` and `_crossing_params` can only add boundary points,
   which are never strictly inside, so they cannot block such a pair.
 - One numpy pass over the pairs left, grouped by the polygon's vertex
-  count (`geometry.segments_clear_of_polygons`,
-  `geometry.points_strictly_inside`), repeating the scalar arithmetic
-  element by element.
+  count (`geometry.segments_clear_of_polygons`), repeating the scalar
+  arithmetic element by element.
 - A pair whose answer lies within a margin of a tolerance band, where
   np.hypot and math.hypot could disagree, is decided by the scalar rule.
 """
@@ -38,8 +41,6 @@ import numpy as np
 from .geometry import (
     InvalidSceneError,
     Vec2,
-    point_strictly_inside,
-    points_strictly_inside,
     polygon_signed_area,
     segment_clear_of_polygon,
     segments_clear_of_polygons,
@@ -139,20 +140,6 @@ class _Obstacles:
                 k = polygons[sel[c : c + _CHUNK]]
                 yield queries[sel[c : c + _CHUNK]], k, stack[self.slot[k]]
 
-    def inside_any(self, points: Sequence[Vec2]) -> np.ndarray:
-        """Per point: strictly inside some obstacle (point_strictly_inside)."""
-        inside = np.zeros(len(points), dtype=bool)
-        if not self.polygons or not points:
-            return inside
-        xy = _xy(points)
-        for q, k, verts in self._by_count(*self._near(xy, xy)):
-            hit, unsure = points_strictly_inside(xy[q, :1], xy[q, 1:], verts)
-            hit, unsure = hit[:, 0], unsure[:, 0]
-            for m in np.flatnonzero(unsure).tolist():
-                hit[m] = point_strictly_inside(points[q[m]], self.polygons[k[m]])
-            inside[q[hit]] = True
-        return inside
-
     def visible(self, points: Sequence[Vec2], i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Per index pair: segment points[i]-points[j] is free of every
         obstacle (segment_is_free)."""
@@ -176,7 +163,10 @@ def build_visibility_graph(scene: Scene, clearance: float = 0.0) -> VisibilityGr
         raise ValueError("clearance must be nonnegative")
     obstacles = _Obstacles(scene.obstacles)
     corners = [c for poly in scene.obstacles for c in _inflated_corners(poly, clearance)]
-    nodes = [c for c, inside in zip(corners, obstacles.inside_any(corners).tolist()) if not inside]
+    # A corner is a node unless it lies strictly inside an obstacle: the
+    # zero-length segment from it to itself is not free.
+    k = np.arange(len(corners))
+    nodes = [c for c, free in zip(corners, obstacles.visible(corners, k, k).tolist()) if free]
     edges: dict[int, list[tuple[int, float]]] = {i: [] for i in range(len(nodes))}
     i, j = np.triu_indices(len(nodes), k=1)
     free = obstacles.visible(nodes, i, j)

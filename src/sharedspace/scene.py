@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,9 +140,10 @@ class CarPairs(NamedTuple):
 
 
 class AgentColumns:
-    """One engine step's snapshot of its agents, shared by the passes of
-    that step: the cars, then the pedestrians, each in ascending id
-    order. The agents must not move while it is in use.
+    """One engine step's snapshot of the agents it is given, shared by
+    the passes of that step: the cars, then the pedestrians, each in
+    ascending id order. This is the one place that sorts and splits a
+    step's agents. The agents must not move while it is in use.
 
     Each car's zone flags are tested here, once, with the scalar zone
     tests: `in_intersection`, and `in_road` (in a road zone and in no
@@ -153,12 +154,11 @@ class AgentColumns:
     pass below their scalar guards read none of them, so a
     calibration-sized step never builds them."""
 
-    def __init__(
-        self, cars: list[AgentState], pedestrians: list[AgentState], scene: Scene
-    ) -> None:
-        self.cars = cars
-        self.pedestrians = pedestrians
-        self.agents = cars + pedestrians
+    def __init__(self, agents: Iterable[AgentState], scene: Scene) -> None:
+        ordered = sorted(agents, key=lambda a: a.id)
+        self.cars = [a for a in ordered if a.kind is AgentKind.CAR]
+        self.pedestrians = [a for a in ordered if a.kind is AgentKind.PEDESTRIAN]
+        self.agents = self.cars + self.pedestrians
         self.in_intersection = [in_intersection_zone(c.position, scene) for c in self.cars]
         self.in_road = [
             not inside and in_road_zone(c.position, scene)
@@ -200,13 +200,16 @@ class AgentColumns:
 def in_field_of_view(
     observer: AgentState, target: Vec2, half_angle_deg: float, range_m: float
 ) -> bool:
-    """Boundary-inclusive view test from the observer's heading."""
-    offset = target - observer.position
-    if offset.norm() > range_m:
+    """The view test, the one copy of it: `target` lies within `range_m`
+    of the observer and within `half_angle_deg` either side of its
+    heading, both boundaries included. A target at the observer's own
+    position is in view (bearing_deg reads a zero offset as 0 degrees).
+    The distance is the one `Vec2.distance_to` gives, and no Vec2 is
+    made for a target out of range: recognition runs this per pair."""
+    p = observer.position
+    if math.hypot(p.x - target.x, p.y - target.y) > range_m:
         return False
-    if offset.norm_sq() == 0.0:
-        return True
-    return within_cone(observer.heading, offset, half_angle_deg)
+    return within_cone(observer.heading, target - p, half_angle_deg)
 
 
 def load_scene(path: str | Path) -> Scene:

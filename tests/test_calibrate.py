@@ -272,12 +272,26 @@ class TestHistoryCsv:
 
 class TestGenes:
     def test_default_bounds_span_quarter_to_four_times(self) -> None:
-        assert default_bounds([2.0, 0.4]) == [(0.5, 8.0), (0.1, 1.6)]
+        assert default_bounds([2.0, 0.4], ["v0_pp", "sigma_pp"]) == [(0.5, 8.0), (0.1, 1.6)]
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
     def test_default_bounds_reject_non_positive_references(self, value) -> None:
         with pytest.raises(GaConfigError):
-            default_bounds([value])
+            default_bounds([value], ["v0_pp"])
+
+    def test_default_bounds_stop_at_the_valid_anisotropy(self) -> None:
+        # A reference anisotropy of 0.5 once gave a box up to 2.0, where
+        # every chromosome scored the failure penalty as invalid.
+        base = ParameterSet()
+        base.sfm.anisotropy = 0.5
+        bounds = default_bounds(sfm_reference_values(base.sfm), SFM_GENE_NAMES)
+        assert dict(zip(SFM_GENE_NAMES, bounds))["anisotropy"] == (0.125, 1.0)
+        decode([hi for _, hi in bounds], base, "sfm").validate()
+        decode([lo for lo, _ in bounds], base, "sfm").validate()
+
+    def test_default_bounds_keep_the_default_anisotropy_box(self) -> None:
+        bounds = default_bounds(sfm_reference_values(ParameterSet().sfm), SFM_GENE_NAMES)
+        assert dict(zip(SFM_GENE_NAMES, bounds))["anisotropy"] == (0.05, 0.8)
 
     def test_sfm_reference_values_follow_gene_order(self) -> None:
         base = ParameterSet()
@@ -927,6 +941,14 @@ class TestFitnessFailures:
             engine.plan_waypoints(scene, item.scenario.entries)
         with pytest.raises(TypeError):
             fitness_sfm(sfm_reference_values(base.sfm), [item], scene, base)
+
+    def test_an_agent_outside_the_scene_bounds_scores_the_penalty(self) -> None:
+        scene = boxed_scene()  # bounds +-30 m
+        far = Scenario("far", [ped_entry("p1", Vec2(-10.0, 0.0), Vec2(-10.0, 45.0))])
+        item = CalibrationScenario(far, {"p1": {0: Vec2(-10.0, 0.0), 5: Vec2(-10.0, 5.0)}})
+        with pytest.raises(ScenarioRejectedError, match="agent p1: goal"):
+            engine.plan_waypoints(scene, far.entries)
+        assert fitness_sfm(sfm_reference_values(ParameterSet().sfm), [item], scene, ParameterSet()) == 1000.0
 
     def test_an_unreachable_goal_scores_the_penalty(self) -> None:
         scene = boxed_scene()

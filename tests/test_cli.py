@@ -461,6 +461,24 @@ class TestSimulate:
         assert code == 3
         assert "rejected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_agent_outside_the_scene_bounds_exits_3_with_one_line(self, tmp_path, capsys, command) -> None:
+        # Once simulated with exit 0, far outside the bundled scene's +-60 m.
+        scenario = json.loads((DATA / "crossing.json").read_text())
+        scenario["agents"][0]["position"] = [1e6, 1e6]
+        scenario_path = tmp_path / "far.json"
+        scenario_path.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        args = ["--out-dir", str(out)] if command == "simulate" else []
+        code = main([command, "--scene", str(DATA / "scene.json"), "--scenario", str(scenario_path), *args])
+        assert code == 3
+        agent = scenario["agents"][0]["id"]
+        assert capsys.readouterr().err == (
+            f"error: scenario rejected: agent {agent}: position (1000000.0, 1000000.0)"
+            " lies outside the scene bounds\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["desired_speed", "max_speed", "diameter"])
     def test_infinite_speed_or_size_exits_2_with_one_line(self, tmp_path, capsys, field) -> None:
         # Infinity is valid JSON to Python's reader; an infinite max_speed
@@ -1178,6 +1196,15 @@ class TestCalibrateSfm:
         assert manifest["test_scenarios"] == []  # a single scenario is never split
         assert manifest["best_fitness"] < 1.0
 
+    def test_search_box_stays_inside_the_valid_anisotropy(self, tmp_path) -> None:
+        params = tmp_path / "params.json"
+        params.write_text('{"lambda": 0.5}\n')
+        code, out = self.run_micro(tmp_path, "cal", "--params", str(params))
+        assert code == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        bounds = dict(zip(config["gene_names"], config["bounds"]))
+        assert bounds["anisotropy"] == [0.125, 1.0]
+
     def test_population_of_two_runs(self, tmp_path) -> None:
         # A tournament draws with replacement, so it needs no more
         # chromosomes than the smallest population holds.
@@ -1329,6 +1356,25 @@ class TestCalibrateGame:
         ])
         assert code == 2
         assert "annotations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["crossing,p9,0,continue", "nosuch,p1,0,continue"])
+    def test_annotation_without_a_trajectory_exits_2_with_one_line(self, tmp_path, capsys, row) -> None:
+        # Once silently dropped (no such scenario) or scored as a mismatch
+        # (no such agent in the scenario).
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text((DATA / "annotations.csv").read_text() + row + "\n")
+        out = tmp_path / "cal"
+        code = main([
+            "calibrate-game", "--scene", str(DATA / "scene.json"),
+            "--trajectories", str(DATA / "trajectories.csv"), "--annotations", str(annotations),
+            "--out-dir", str(out), "--population", "2", "--generations", "1",
+        ])
+        assert code == 2
+        key = row.rsplit(",", 1)[0]
+        assert capsys.readouterr().err == (
+            f"error: annotations: {key} names an agent with no trajectory in its scenario\n"
+        )
+        assert not out.exists()
 
 
 def calibrate_bundled(tmp_path: Path, command: str, trajectories: Path) -> tuple[int, Path]:

@@ -315,7 +315,6 @@ class TestBatchedMatchesScalarRules:
             return wrapped
 
         monkeypatch.setattr(planner, "segments_clear_of_polygons", all_unsure(planner.segments_clear_of_polygons))
-        monkeypatch.setattr(planner, "points_strictly_inside", all_unsure(planner.points_strictly_inside))
         scene = scene_with([rect_poly(0, 0, 4, 4), rect_poly(3, 3, 10, 10), rect_poly(-6, 0, -2, 2)])
         for clearance in (0.0, 0.5):
             got = build_visibility_graph(scene, clearance)

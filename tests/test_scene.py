@@ -1,9 +1,13 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import car, ped
-from sharedspace.geometry import InvalidSceneError, Vec2
+from sharedspace.geometry import InvalidSceneError, Vec2, within_cone
 from sharedspace.scene import (
     AgentKind,
     AgentState,
@@ -14,6 +18,17 @@ from sharedspace.scene import (
     in_road_zone,
     load_scene,
     save_scene,
+)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sharedspace"
+
+coords = st.floats(-50.0, 50.0, allow_nan=False)
+# Some points on a coarse grid, so that coincident points, exact range
+# boundaries and axis-aligned offsets come up.
+points = st.one_of(
+    st.builds(Vec2, coords, coords),
+    st.builds(Vec2, st.integers(-3, 3).map(float), st.integers(-3, 3).map(float)),
 )
 
 
@@ -117,6 +132,39 @@ class TestFieldOfView:
     def test_range_boundary_inclusive(self):
         a = ped(position=Vec2(0, 0), heading=Vec2(1, 0))
         assert in_field_of_view(a, Vec2(18.4, 0), half_angle_deg=113.0, range_m=18.4)
+
+    def test_target_at_the_observer_is_in_view(self):
+        a = ped(position=Vec2(3, -2), heading=Vec2(0, 1))
+        assert in_field_of_view(a, Vec2(3, -2), half_angle_deg=1.0, range_m=0.0)
+
+    @given(points, points, points, st.floats(1.0, 180.0), st.floats(0.0, 40.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_range_then_cone_gates(self, at, heading, target, half, view_range):
+        """The gates recognition and car following once tested inline:
+        distance_to against the range, then within_cone of the offset."""
+        a = ped(position=at, heading=heading)
+        inline = at.distance_to(target) <= view_range and within_cone(heading, target - at, half)
+        assert in_field_of_view(a, target, half, view_range) == inline
+
+
+def test_only_the_view_test_calls_within_cone() -> None:
+    """One view test: in the package, only scene.in_field_of_view calls
+    geometry.within_cone."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner.setdefault(inner, node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                if name == "within_cone":
+                    found.append((path.name, owner.get(node)))
+    assert found == [("scene.py", "in_field_of_view")]
 
 
 class TestSceneIO:

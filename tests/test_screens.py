@@ -90,11 +90,11 @@ def check_screens(cars, peds, scene=MIXED, active=(), params=P):
         return recognize_conflicts(cars, peds, scene, params, active_conflicts=active, step=4, next_id=3)
 
     with guard(ALWAYS):
-        columns = AgentColumns(cars, peds, scene)
+        columns = AgentColumns(cars + peds, scene)
         scans = conflicts._scan_lists(columns, params)
         screened = recognize()
     with guard(NEVER):
-        columns = AgentColumns(cars, peds, scene)
+        columns = AgentColumns(cars + peds, scene)
         everyone = recognize()
     for k, c in enumerate(cars):
         inter, road = columns.in_intersection[k], columns.in_road[k]
@@ -307,7 +307,7 @@ class TestAgentColumns:
         # Headings of any length, as a hand-built AgentState may have.
         for k, a in enumerate(cars + peds):
             a.heading = a.heading * (1.0, 3.0, 1e-3, 0.7)[k % 4]
-        columns = AgentColumns(cars, peds, MIXED)
+        columns = AgentColumns(cars + peds, MIXED)
         k = columns.kinematics
         agents = cars + peds
         assert columns.agents == agents
@@ -326,6 +326,15 @@ class TestAgentColumns:
                 folded = theta if theta <= 180.0 else 360.0 - theta
                 assert pairs.bearing[i, j] == pytest.approx(folded, rel=1e-12, abs=1e-12)
 
+    @given(crowds(), st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_agents_are_sorted_and_split_in_any_given_order(self, crowd, rng):
+        cars, peds, _ = crowd
+        given_order = cars + peds
+        rng.shuffle(given_order)
+        columns = AgentColumns(iter(given_order), MIXED)
+        assert (columns.cars, columns.pedestrians, columns.agents) == (cars, peds, cars + peds)
+
     def test_zone_flags_test_each_zone_kind_once_per_car(self, monkeypatch):
         from sharedspace import scene as scene_mod
 
@@ -340,7 +349,7 @@ class TestAgentColumns:
             monkeypatch.setattr(scene_mod, name, counting)
         # One car in each zone and one in neither.
         cars = [car(f"c{k}", position=Vec2(x, 0.0)) for k, x in enumerate((-10.0, 10.0, 30.0))]
-        columns = AgentColumns(cars, [ped("p1")], MIXED)
+        columns = AgentColumns(cars + [ped("p1")], MIXED)
         assert columns.in_intersection == [True, False, False]
         assert columns.in_road == [False, True, False]
         assert columns.in_intersection == [True, False, False]

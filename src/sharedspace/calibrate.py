@@ -19,6 +19,13 @@ results merge by chromosome index. A chromosome seen before in the same
 run is answered from its earlier score. Agent routes do not depend on
 the genes, so each calibration scenario plans them once and reuses the
 plan in every evaluation.
+
+A new chromosome often agrees with an earlier one on every gene that
+some scenario's simulation reads. An objective that passes a
+SimulationMemo to the fitness functions runs each simulation on a
+recording view of the calibrated parameter group and keeps the
+scenario's score under the exact bits of the fields it read; a later
+match on those bits reuses the score with no simulation.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from .engine import (
 )
 from .game import Action
 from .geometry import Vec2
-from .params import ANISOTROPY_MAX, GameParams, ParameterFileError, ParameterSet, SfmParams
+from .params import ANISOTROPY_MAX, GameParams, ParameterFileError, ParameterSet, SfmParams, recording_view
 from .scene import Scene
 
 SCENARIO_FAILURE_PENALTY = 1000.0
@@ -486,27 +493,107 @@ def _simulate(
     return run_scenario(config, waypoints)
 
 
+class SimulationMemo:
+    """The scenario scores of one objective run, each kept under the
+    exact bits of the calibrated parameters that its simulation and
+    scoring read (a `params.recording_view` notes them). A later
+    parameter set that agrees bit for bit on those values gets that
+    score with no simulation: it is the same program on the same inputs.
+    A failed simulation is kept under the reads made before it failed.
+    A memo serves one objective on fixed scenarios, scene, base
+    parameters and frame length, and holds one entry per fresh scenario
+    simulation."""
+
+    def __init__(self) -> None:
+        # scenario position -> fields read -> bits of their values -> score
+        self._scores: dict[int, dict[tuple[str, ...], dict[tuple, float]]] = {}
+
+    def get(self, index: int, group: SfmParams | GameParams) -> float | None:
+        for names, scores in self._scores.get(index, {}).items():
+            score = scores.get(_bits(getattr(group, name) for name in names))
+            if score is not None:
+                return score
+        return None
+
+    def put(self, index: int, view: SfmParams | GameParams, score: float) -> None:
+        read = vars(view)
+        names = tuple(sorted(read))
+        self._scores.setdefault(index, {}).setdefault(names, {})[_bits(read[n] for n in names)] = score
+
+
+def _bits(values) -> tuple:
+    """Exact keys: `==` would merge 0.0 and -0.0."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+def _mean_score(
+    items: Sequence[CalibrationScenario],
+    scene: Scene,
+    params: ParameterSet,
+    group: str,
+    frame_seconds: float,
+    steps_past_last_frame: int,
+    score: Callable[[CalibrationScenario, SimulationTrace], float],
+    failure: float,
+    memo: SimulationMemo | None,
+) -> float:
+    """Mean over `items` of `score` of each one's simulation, or
+    `failure` where simulating or scoring fails by design. With a memo,
+    each scenario is answered from it or simulated on a recording view of
+    the `group` parameters and kept in it."""
+    if memo is not None:
+        try:
+            params.validate()
+        except ParameterFileError:
+            # every simulation fails its own validation, as without a memo
+            memo = None
+
+    def simulated_score(item: CalibrationScenario, run_params: ParameterSet) -> float:
+        try:
+            return score(item, _simulate(item, scene, run_params, frame_seconds, steps_past_last_frame))
+        except SIMULATION_FAILURES:
+            return failure
+
+    scores = []
+    for index, item in enumerate(items):
+        if memo is None:
+            scores.append(simulated_score(item, params))
+            continue
+        value = memo.get(index, getattr(params, group))
+        if value is None:
+            view = recording_view(getattr(params, group))
+            value = simulated_score(item, dataclasses.replace(params, **{group: view}))
+            memo.put(index, view, value)
+        scores.append(value)
+    return sum(scores) / len(scores)
+
+
+def _position_error(item: CalibrationScenario, trace: SimulationTrace) -> float:
+    return position_error_score(item.real_positions, trace_positions(trace))
+
+
+def _agreement(item: CalibrationScenario, trace: SimulationTrace) -> float:
+    return agreement_score(item.annotations, trace_decisions(trace))
+
+
 def fitness_sfm(
     genes: Sequence[float],
     training: Sequence[CalibrationScenario],
     scene: Scene,
     base: ParameterSet,
     frame_seconds: float = 0.5,
+    memo: SimulationMemo | None = None,
 ) -> float:
     """Scenario-averaged positional error of the decoded parameter set;
-    a scenario whose simulation fails scores the penalty."""
+    a scenario whose simulation fails scores the penalty. `memo`, kept
+    across the calls of one objective, answers repeated simulations."""
     if not training:
         raise ScoreUndefinedError("no training scenarios")
-    params = decode(genes, base, "sfm")
-    scores = []
-    for item in training:
-        try:
-            # Only observed frames are scored: simulate up to the last one.
-            trace = _simulate(item, scene, params, frame_seconds, 1)
-            scores.append(position_error_score(item.real_positions, trace_positions(trace)))
-        except SIMULATION_FAILURES:
-            scores.append(SCENARIO_FAILURE_PENALTY)
-    return sum(scores) / len(scores)
+    # Only observed frames are scored: simulate up to the last one.
+    return _mean_score(
+        training, scene, decode(genes, base, "sfm"), "sfm", frame_seconds, 1,
+        _position_error, SCENARIO_FAILURE_PENALTY, memo,
+    )
 
 
 def fitness_game(
@@ -515,21 +602,17 @@ def fitness_game(
     scene: Scene,
     base: ParameterSet,
     frame_seconds: float = 0.5,
+    memo: SimulationMemo | None = None,
 ) -> float:
     """Scenario-averaged decision agreement in [-1, 1] (higher is
     better). Scenarios without annotations are skipped; a failed
-    simulation scores -1 for its scenario."""
+    simulation scores -1 for its scenario. `memo` as for fitness_sfm."""
     annotated = [item for item in training if item.annotations]
     if not annotated:
         raise ScoreUndefinedError("no annotated scenarios")
-    params = decode(genes, base, "game")
-    scores = []
-    for item in annotated:
-        try:
-            # A game created after the last observed frame can still match
-            # an annotation, so run on past it.
-            trace = _simulate(item, scene, params, frame_seconds, STEPS_PAST_LAST_FRAME)
-            scores.append(agreement_score(item.annotations, trace_decisions(trace)))
-        except SIMULATION_FAILURES:
-            scores.append(-1.0)
-    return sum(scores) / len(scores)
+    # A game created after the last observed frame can still match an
+    # annotation, so run on past it.
+    return _mean_score(
+        annotated, scene, decode(genes, base, "game"), "game", frame_seconds, STEPS_PAST_LAST_FRAME,
+        _agreement, -1.0, memo,
+    )

@@ -38,6 +38,7 @@ from .calibrate import (
     CalibrationScenario,
     GaConfig,
     GaConfigError,
+    SimulationMemo,
     build_calibration_set,
     decode,
     default_bounds,
@@ -302,7 +303,8 @@ def _cmd_evaluate(ns: argparse.Namespace) -> int:
 class _FitnessWorker:
     """Per-chromosome objective; picklable so `--jobs` can hand it to
     each pool process once. It plans the training scenarios' routes
-    when built, so every copy carries them and no process re-plans."""
+    when built, so every copy carries them and no process re-plans. Each
+    copy keeps its own SimulationMemo of the scenario simulations it ran."""
 
     def __init__(
         self,
@@ -318,11 +320,13 @@ class _FitnessWorker:
         self.scene = scene
         self.base = base
         self.frame_seconds = frame_seconds
+        self.memo = SimulationMemo()
 
     def __call__(self, genes: list[float]) -> float:
+        args = (genes, self.training, self.scene, self.base, self.frame_seconds, self.memo)
         if self.mode == "sfm":
-            return fitness_sfm(genes, self.training, self.scene, self.base, self.frame_seconds)
-        return -fitness_game(genes, self.training, self.scene, self.base, self.frame_seconds)
+            return fitness_sfm(*args)
+        return -fitness_game(*args)
 
 
 # The objective of the GA run in progress in this process: set once per

@@ -210,9 +210,10 @@ def recognize_conflicts(
     columns: AgentColumns | None = None,
 ) -> RecognitionOutcome:
     """One recognition pass over every car, in ascending id order.
-    `columns`, when given, is the step's snapshot of these same cars and
-    pedestrians in `scene`."""
-    if columns is None:
+    `columns`, when given, is the step's snapshot in `scene`; it is used
+    only when its `cars` and `pedestrians` are the very lists passed,
+    and otherwise a snapshot of the given agents is taken."""
+    if columns is None or columns.cars is not cars or columns.pedestrians is not pedestrians:
         columns = AgentColumns([*cars, *pedestrians], scene)
     outcome = RecognitionOutcome()
     scans = _scan_lists(columns, params) if len(columns.agents) > 1 else []

@@ -180,6 +180,17 @@ class WorldState:
     active_conflicts: list[ConflictRuntime]
 
 
+def check_bounds(scene: Scene, entries: Iterable[AgentEntry]) -> None:
+    """Raise ScenarioRejectedError naming the first entry whose position
+    or goal lies outside the scene's bounds."""
+    for entry in entries:
+        for name, point in (("position", entry.position), ("goal", entry.goal)):
+            if not scene.bounds.contains(point):
+                raise ScenarioRejectedError(
+                    f"agent {entry.id}: {name} ({point.x}, {point.y}) lies outside the scene bounds"
+                )
+
+
 def plan_waypoints(scene: Scene, entries: Iterable[AgentEntry]) -> dict[str, list[Vec2]]:
     """Each entry's route around the scene's obstacles: the waypoints
     after its start, ending at its goal. The route depends only on the
@@ -192,11 +203,7 @@ def plan_waypoints(scene: Scene, entries: Iterable[AgentEntry]) -> dict[str, lis
     graphs: dict[float, object] = {}
     waypoints: dict[str, list[Vec2]] = {}
     for entry in entries:
-        for name, point in (("position", entry.position), ("goal", entry.goal)):
-            if not scene.bounds.contains(point):
-                raise ScenarioRejectedError(
-                    f"agent {entry.id}: {name} ({point.x}, {point.y}) lies outside the scene bounds"
-                )
+        check_bounds(scene, (entry,))
         clearance = entry.diameter / 2.0 + PLANNER_CLEARANCE_MARGIN
         graph = graphs.get(clearance)
         if graph is None:
@@ -215,7 +222,8 @@ class Simulation:
     ) -> None:
         """`waypoints` maps every agent id to its planned route, as
         returned by plan_waypoints; when omitted the routes are planned
-        here. Spawned agents get copies, so the mapping is never changed."""
+        here. Either way every agent must start and end inside the scene's
+        bounds. Spawned agents get copies, so the mapping is never changed."""
         config.scene.validate()
         config.scenario.validate()
         config.params.validate()
@@ -230,6 +238,8 @@ class Simulation:
         self._pending_despawn: set[str] = set()
         if waypoints is None:
             waypoints = plan_waypoints(config.scene, self._entries)
+        else:
+            check_bounds(config.scene, self._entries)
         self._waypoints = waypoints
 
     def engagements(self) -> dict[str, ConflictRuntime]:

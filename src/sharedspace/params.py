@@ -109,6 +109,41 @@ class GameParams:
             raise ParameterFileError("collision_penalty must not be positive")
 
 
+class _Recorded:
+    """A field of a recording view. Its first read copies the value from
+    the view's source into the view's `__dict__`, where every later read
+    finds it without calling here."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, view, owner=None):
+        value = view.__dict__[self.name] = getattr(view._source, self.name)
+        return value
+
+
+def _recording_class(group: type) -> type:
+    namespace = {f.name: _Recorded(f.name) for f in dataclasses.fields(group)}
+    # Validation checks the source, so that it records no read.
+    namespace.update(__slots__=("_source",), validate=lambda view: view._source.validate())
+    return type(f"Recording{group.__name__}", (group,), namespace)
+
+
+_RECORDING = {group: _recording_class(group) for group in (SfmParams, GameParams)}
+
+
+def recording_view(group: SfmParams | GameParams) -> SfmParams | GameParams:
+    """A stand-in for the parameter group `group` that notes what is
+    read of it: `vars(view)` maps each field read so far to its value, in
+    the order of first reads. Its `validate` checks `group` and records
+    nothing."""
+    view = object.__new__(_RECORDING[type(group)])
+    view._source = group
+    return view
+
+
 @dataclass
 class ParameterSet:
     sfm: SfmParams = dataclasses.field(default_factory=SfmParams)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import functools
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from helpers import count_graph_builds, open_square_scene
 from sharedspace import calibrate, engine
 from sharedspace.calibrate import (
     GAME_GENE_NAMES,
+    GENE_NAMES,
     SCENARIO_FAILURE_PENALTY,
     SFM_GENE_NAMES,
     CalibrationScenario,
@@ -22,6 +26,7 @@ from sharedspace.calibrate import (
     GaConfigError,
     GenStats,
     ScoreUndefinedError,
+    SimulationMemo,
     agreement_score,
     build_calibration_set,
     decode,
@@ -41,7 +46,14 @@ from sharedspace.calibrate import (
     write_history_csv,
 )
 from sharedspace.cli import _FitnessWorker
-from sharedspace.dataio import DecisionAnnotation, TrajectoryFormatError, TrajectoryRecord, segment_speeds
+from sharedspace.dataio import (
+    DecisionAnnotation,
+    TrajectoryFormatError,
+    TrajectoryRecord,
+    load_annotations,
+    load_trajectories,
+    segment_speeds,
+)
 from sharedspace.engine import (
     AgentEntry,
     DecisionRow,
@@ -55,8 +67,8 @@ from sharedspace.engine import (
 )
 from sharedspace.game import Action, FeatureVector
 from sharedspace.geometry import Vec2
-from sharedspace.params import ParameterFileError, ParameterSet
-from sharedspace.scene import AgentKind, Rect, Scene
+from sharedspace.params import ParameterFileError, ParameterSet, SfmParams, recording_view
+from sharedspace.scene import AgentKind, Rect, Scene, load_scene
 
 
 def quadratic(genes) -> float:
@@ -1001,3 +1013,203 @@ class TestPlanReuse:
         monkeypatch.setattr(engine, "plan_path", no_planning)
         restored = pickle.loads(pickle.dumps(worker))
         assert restored(genes) == expected == pytest.approx(500.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Scenario simulations reused within one objective run
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+@functools.cache
+def data_set() -> tuple[Scene, list[CalibrationScenario]]:
+    items = build_calibration_set(
+        load_trajectories(DATA / "trajectories.csv"), load_annotations(DATA / "annotations.csv")
+    )
+    return load_scene(DATA / "scene.json"), items
+
+
+@functools.cache
+def boxed_set() -> tuple[Scene, list[CalibrationScenario]]:
+    """Routes around the boxed_scene obstacle, which read u0 and
+    r_obstacle, and a scenario that planning rejects."""
+    scene = boxed_scene()
+    pair = Scenario("pair", [
+        ped_entry("p1", Vec2(-10.0, 0.5), Vec2(10.0, 0.5)),
+        ped_entry("p2", Vec2(10.0, -0.5), Vec2(-10.0, -0.5)),
+    ])
+    trace = run_scenario(SimulationConfig(scene=scene, scenario=pair))
+    observed = CalibrationScenario(pair, trace_positions(trace), {("p1", 0): Action.CONTINUE})
+    return scene, [detour_item(scene), observed, unreachable_item()]
+
+
+SETS = {"data": data_set, "boxed": boxed_set}
+OBJECTIVES = {"sfm": fitness_sfm, "game": fitness_game}
+
+
+@st.composite
+def lineages(draw, bounds: list[tuple[float, float]]) -> list[list[float]]:
+    """A few chromosomes and their offspring by single-point crossover
+    and single-gene mutation, so that later ones share genes with
+    earlier ones."""
+    def gene(i: int) -> st.SearchStrategy[float]:
+        return st.floats(*bounds[i])
+
+    n = len(bounds)
+    pool = [[draw(gene(i)) for i in range(n)] for _ in range(draw(st.integers(1, 2)))]
+    for _ in range(draw(st.integers(2, 4))):
+        child = list(draw(st.sampled_from(pool)))
+        if draw(st.booleans()):
+            cut = draw(st.integers(1, n - 1))
+            child[cut:] = draw(st.sampled_from(pool))[cut:]
+        else:
+            i = draw(st.integers(0, n - 1))
+            child[i] = draw(gene(i))
+        pool.append(child)
+    return pool
+
+
+def reference_bounds(group: str) -> list[tuple[float, float]]:
+    base = ParameterSet()
+    values = sfm_reference_values(base.sfm) if group == "sfm" else game_reference_values(base.game)
+    return default_bounds(values, GENE_NAMES[group])
+
+
+def count_simulations(monkeypatch) -> list[str]:
+    """Record the scenario id of every simulation the objectives run."""
+    ids: list[str] = []
+    simulate = calibrate._simulate
+
+    def counting(item, *args):
+        ids.append(item.scenario.scenario_id)
+        return simulate(item, *args)
+
+    monkeypatch.setattr(calibrate, "_simulate", counting)
+    return ids
+
+
+class TestSimulationMemo:
+    @pytest.mark.parametrize("group,items", [
+        ("sfm", "data"), ("sfm", "boxed"), ("game", "data"), ("game", "boxed"),
+    ])
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_scores_equal_fresh_evaluations_bit_for_bit(self, group, items, data) -> None:
+        scene, training = SETS[items]()
+        objective, base, memo = OBJECTIVES[group], ParameterSet(), SimulationMemo()
+        for genes in data.draw(lineages(reference_bounds(group))):
+            remembered = objective(genes, training, scene, base, 0.5, memo)
+            assert remembered.hex() == objective(genes, training, scene, base).hex()
+
+    def test_a_worker_reuses_across_the_ga_offspring(self, monkeypatch) -> None:
+        scene, training = data_set()
+        worker = _FitnessWorker("sfm", training, scene, ParameterSet(), 0.5)
+        simulations = count_simulations(monkeypatch)
+        result = ga_optimize(reference_bounds("sfm"), per_individual(worker), GaConfig(6, 2, seed=0))
+        assert len(simulations) < len(training) * (result.evaluations - result.cache_hits)
+
+    def test_an_unread_gene_change_reuses_the_simulation(self, monkeypatch) -> None:
+        scene = open_square_scene()  # no obstacles: u0 and r_obstacle go unread
+        scenario = crossing_scenario()
+        item = CalibrationScenario(scenario, trace_positions(run_scenario(SimulationConfig(scene, scenario))))
+        base, memo = ParameterSet(), SimulationMemo()
+        genes = sfm_reference_values(base.sfm)
+        assert fitness_sfm(genes, [item], scene, base, 0.5, memo) == 0.0
+        simulations = count_simulations(monkeypatch)
+        for name in ("u0", "r_obstacle"):
+            changed = list(genes)
+            changed[SFM_GENE_NAMES.index(name)] *= 2.0
+            assert fitness_sfm(changed, [item], scene, base, 0.5, memo) == 0.0
+        assert simulations == []
+
+    def test_a_read_gene_change_simulates_again(self, monkeypatch) -> None:
+        scene, training = boxed_set()
+        base, memo = ParameterSet(), SimulationMemo()
+        genes = sfm_reference_values(base.sfm)
+        fitness_sfm(genes, training[:1], scene, base, 0.5, memo)
+        simulations = count_simulations(monkeypatch)
+        changed = list(genes)
+        changed[SFM_GENE_NAMES.index("u0")] *= 2.0
+        score = fitness_sfm(changed, training[:1], scene, base, 0.5, memo)
+        assert simulations == ["detour"]
+        assert score == fitness_sfm(changed, training[:1], scene, base) != 0.0
+
+    def test_a_failure_is_kept_only_for_the_values_it_read(self, monkeypatch) -> None:
+        scene, training = boxed_set()
+        base, memo = ParameterSet(), SimulationMemo()
+        simulate = calibrate.run_scenario
+
+        def blowing_up(config, waypoints):
+            # a non-finite state that only a large v0_pp brings about
+            if config.params.sfm.v0_pp > 2.0:
+                raise ScenarioRejectedError("agent p1: non-finite state at step 3")
+            return simulate(config, waypoints)
+
+        monkeypatch.setattr(calibrate, "run_scenario", blowing_up)
+        genes = sfm_reference_values(base.sfm)
+        strong = list(genes)
+        strong[SFM_GENE_NAMES.index("v0_pp")] = 3.0
+        item = training[:1]
+        assert fitness_sfm(strong, item, scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
+        assert fitness_sfm(genes, item, scene, base, 0.5, memo) == 0.0
+        simulations = count_simulations(monkeypatch)
+        assert fitness_sfm(strong, item, scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
+        assert fitness_sfm(genes, item, scene, base, 0.5, memo) == 0.0
+        assert simulations == []
+
+    def test_an_unreachable_goal_is_reused_for_any_genes(self, monkeypatch) -> None:
+        scene, training = boxed_set()
+        base, memo = ParameterSet(), SimulationMemo()
+        genes = sfm_reference_values(base.sfm)
+        assert fitness_sfm(genes, training[2:], scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
+        simulations = count_simulations(monkeypatch)
+        assert fitness_sfm([2.0 * g for g in genes], training[2:], scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
+        assert simulations == []
+
+    def test_an_invalid_chromosome_fails_every_scenario(self) -> None:
+        scene, training = boxed_set()
+        base, memo = ParameterSet(), SimulationMemo()
+        genes = sfm_reference_values(base.sfm)
+        genes[SFM_GENE_NAMES.index("anisotropy")] = 1.5
+        for _ in range(2):
+            assert fitness_sfm(genes, training, scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
+
+
+# The modules a simulation runs in, which must read a parameter group
+# field by field, so that a recording view sees every value they use.
+SIMULATOR_MODULES = ("engine", "forces", "conflicts", "game", "scene")
+WHOLESALE_READS = {
+    "vars", "asdict", "astuple", "replace", "deepcopy",
+    "copy.copy", "copy.deepcopy", "dataclasses.asdict", "dataclasses.astuple", "dataclasses.replace",
+}
+
+
+@pytest.mark.parametrize("module", SIMULATOR_MODULES)
+def test_the_simulator_never_reads_a_parameter_group_wholesale(module) -> None:
+    path = Path(calibrate.__file__).with_name(f"{module}.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name == "copy"]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("copy", "dataclasses"):
+            found += [alias.name for alias in node.names if alias.name not in ("dataclass", "field", "fields")]
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name in WHOLESALE_READS or (
+                name in ("fields", "dataclasses.fields") and ast.unparse(node) != f"{name}(FeatureVector)"
+            ):
+                found.append(ast.unparse(node))
+    assert found == []
+
+
+def test_the_memo_tells_signed_zeros_apart() -> None:
+    memo = SimulationMemo()
+    view = recording_view(SfmParams(anisotropy=0.0))
+    assert view.anisotropy == 0.0
+    memo.put(0, view, 1.0)
+    assert memo.get(0, SfmParams(anisotropy=0.0, v_r=1.0)) == 1.0
+    assert memo.get(0, SfmParams(anisotropy=-0.0)) is None
+    assert memo.get(1, SfmParams(anisotropy=0.0)) is None

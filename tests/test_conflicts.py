@@ -13,7 +13,7 @@ from sharedspace.conflicts import (
 )
 from sharedspace.geometry import Vec2
 from sharedspace.params import SfmParams
-from sharedspace.scene import Rect, Scene, in_intersection_zone, in_road_zone
+from sharedspace.scene import AgentColumns, Rect, Scene, in_intersection_zone, in_road_zone
 
 P = SfmParams()
 INTERSECTION = open_square_scene(zone="intersection")
@@ -262,6 +262,15 @@ class TestPassBehavior:
         a = recognize([c1, c2], [p1])
         b = recognize([c2, c1], [p1])
         assert a.new_conflicts == b.new_conflicts
+
+    def test_a_snapshot_of_other_agents_is_not_used(self):
+        c1, p1 = slow_car(), ped_at_angle(10.0)
+        snapshot = AgentColumns([c1, p1], INTERSECTION)
+        assert recognize_conflicts(snapshot.cars, snapshot.pedestrians, INTERSECTION, P, columns=snapshot).new_conflicts
+        for cars_, peds_ in (([], []), ([c1], []), ([slow_car()], [ped_at_angle(150.0)])):
+            given = recognize_conflicts(cars_, peds_, INTERSECTION, P, columns=snapshot)
+            assert given == recognize(cars_, peds_)
+            assert given.new_conflicts == []
 
     def test_ids_continue_from_next_id(self):
         out = recognize([slow_car()], [ped_at_angle(10.0)], next_id=7)

@@ -344,6 +344,18 @@ class TestPlannedWaypoints:
         assert given.conflicts
         assert plan == before
 
+    @pytest.mark.parametrize("name", ["position", "goal"])
+    def test_given_waypoints_do_not_skip_the_bounds_check(self, name) -> None:
+        scene = open_square_scene()  # bounds +-60 m
+        far, near = Vec2(1e6, 1e6), Vec2(0.0, 5.0)
+        entry = ped_entry(position=far if name == "position" else near, goal=near if name == "position" else far)
+        config = SimulationConfig(scene=scene, scenario=Scenario("far", [entry]))
+        message = f"agent p1: {name} \\(1000000.0, 1000000.0\\) lies outside the scene bounds"
+        with pytest.raises(ScenarioRejectedError, match=message):
+            plan_waypoints(scene, [entry])
+        with pytest.raises(ScenarioRejectedError, match=message):
+            Simulation(config, {"p1": [entry.goal]})
+
 
 # ---------------------------------------------------------------------------
 # Mode assignment

@@ -10,6 +10,7 @@ from sharedspace.params import (
     load_parameter_set,
     parameter_set_from_dict,
     parameter_set_to_dict,
+    recording_view,
     save_parameter_set,
 )
 
@@ -127,3 +128,29 @@ class TestSerialization:
         path.write_text(json.dumps({"tau": -1.0}))
         with pytest.raises(ParameterFileError):
             load_parameter_set(path)
+
+
+class TestRecordingView:
+    @pytest.mark.parametrize("group", [SfmParams(v_r=12.0), GameParams(regime="dut")])
+    def test_notes_the_fields_read_in_order(self, group):
+        view = recording_view(group)
+        assert vars(view) == {}
+        fields = [f for f in vars(group) if f != "tau"][::-1][:3]
+        assert [getattr(view, f) for f in fields] == [getattr(group, f) for f in fields]
+        assert getattr(view, fields[0]) == getattr(group, fields[0])
+        assert vars(view) == {f: getattr(group, f) for f in fields}
+        assert list(vars(view)) == fields
+
+    def test_methods_read_through_the_view(self):
+        view = recording_view(SfmParams(d_min_cc=3.0))
+        assert view.d_min_for(True) == 3.0
+        assert vars(view) == {"d_min_cc": 3.0}
+
+    def test_validation_checks_the_source_and_records_nothing(self):
+        recording_view(SfmParams()).validate()
+        view = recording_view(SfmParams(anisotropy=1.5))
+        with pytest.raises(ParameterFileError, match="anisotropy"):
+            view.validate()
+        view = recording_view(ParameterSet().game)
+        ParameterSet(sfm=SfmParams(), game=view).validate()
+        assert vars(view) == {}

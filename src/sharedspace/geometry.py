@@ -126,23 +126,36 @@ def point_strictly_inside(p: Vec2, zone: Sequence[Vec2]) -> bool:
 
 def _even_odd(p: Vec2, zone: Sequence[Vec2], on_edge: bool) -> bool:
     """`on_edge` for a point on any edge of the zone, otherwise its
-    even-odd parity, in one pass over the edges."""
+    even-odd parity.
+
+    `point_in_zone` is parity or on-edge, and `point_strictly_inside` is
+    parity and not on-edge, so the crossing parity is counted first and
+    the on-edge pass runs only when the parity differs from `on_edge`:
+    when it agrees, both branches of the rule give the same answer. A
+    point inside a zone makes no on-edge test, nor a point outside for
+    the strict test; the answer is the same either way."""
     if len(zone) < 3:
         raise InvalidSceneError("zone polygon needs at least 3 vertices")
     px, py = p.x, p.y
     inside = False
-    # Edge a -> b for every vertex b, a its predecessor: a point on any
-    # edge returns at once, whatever the crossings of the other edges say.
+    # Edge a -> b for every vertex b, a its predecessor.
+    a = zone[-1]
+    ax, ay = a.x, a.y
+    for b in zone:
+        bx, by = b.x, b.y
+        if (ay > py) != (by > py):
+            x_cross = ax + (py - ay) * (bx - ax) / (by - ay)
+            if px < x_cross:
+                inside = not inside
+        ax, ay = bx, by
+    if inside == on_edge:
+        return inside
     a = zone[-1]
     ax, ay = a.x, a.y
     for b in zone:
         bx, by = b.x, b.y
         if _on_segment_xy(px, py, ax, ay, bx, by):
             return on_edge
-        if (ay > py) != (by > py):
-            x_cross = ax + (py - ay) * (bx - ax) / (by - ay)
-            if px < x_cross:
-                inside = not inside
         ax, ay = bx, by
     return inside
 
@@ -188,28 +201,46 @@ def within_cone(heading: Vec2, offset: Vec2, half_angle_deg: float) -> bool:
 
 
 def nearest_point_on_segment(p: Vec2, a: Vec2, b: Vec2) -> Vec2:
-    ab = b - a
-    denom = ab.norm_sq()
+    return Vec2(*_nearest_on_segment_xy(p.x, p.y, a.x, a.y, b.x, b.y))
+
+
+def _nearest_on_segment_xy(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> tuple[float, float]:
+    """The point a + ab * t of segment a-b nearest to p, t clamped to
+    [0, 1]; a itself when the segment has zero length."""
+    abx = bx - ax
+    aby = by - ay
+    denom = abx * abx + aby * aby
     if denom == 0.0:
-        return a
-    t = (p - a).dot(ab) / denom
-    t = min(1.0, max(0.0, t))
-    return a + ab * t
+        return ax, ay
+    t = ((px - ax) * abx + (py - ay) * aby) / denom
+    # min(1.0, max(0.0, t)), NaN going to 0.0 as there
+    t = t if t > 0.0 else 0.0
+    t = t if t < 1.0 else 1.0
+    return ax + abx * t, ay + aby * t
 
 
 def nearest_point_on_polygon(p: Vec2, poly: Sequence[Vec2]) -> tuple[Vec2, float]:
     """Closest boundary point of poly to p and its distance."""
-    best: Vec2 | None = None
+    qx, qy, d, _ = _nearest_on_polygon_xy(p.x, p.y, poly)
+    return Vec2(qx, qy), d
+
+
+def _nearest_on_polygon_xy(px: float, py: float, poly: Sequence[Vec2]) -> tuple[float, float, float, int]:
+    """nearest_point_on_polygon on plain floats: (qx, qy, d, i), with
+    i the first edge poly[i] -> poly[(i + 1) % n] at the least
+    distance."""
+    best = None
     best_d = math.inf
     n = len(poly)
     for i in range(n):
-        q = nearest_point_on_segment(p, poly[i], poly[(i + 1) % n])
-        d = p.distance_to(q)
+        a, b = poly[i], poly[(i + 1) % n]
+        qx, qy = _nearest_on_segment_xy(px, py, a.x, a.y, b.x, b.y)
+        d = math.hypot(px - qx, py - qy)
         if d < best_d:
-            best = q
+            best = (qx, qy, d, i)
             best_d = d
     assert best is not None
-    return best, best_d
+    return best
 
 
 def polygon_signed_area(poly: Sequence[Vec2]) -> float:

@@ -148,7 +148,10 @@ class AgentColumns:
     Each car's zone flags are tested here, once, with the scalar zone
     tests: `in_intersection`, and `in_road` (in a road zone and in no
     intersection zone; the road zones are tested only for cars outside
-    every intersection zone). The numpy columns of the kinematic state
+    every intersection zone). Each test counts the crossing parity
+    first and tries the edges' on-segment rule only for a point the
+    parity puts outside, since a point inside is in the zone whether or
+    not it lies on an edge. The numpy columns of the kinematic state
     and the (cars x agents) pair geometry that recognition screens with
     are made on first use, at most once. Recognition and the repulsion
     pass below their scalar guards read none of them, so a

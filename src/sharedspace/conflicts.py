@@ -32,6 +32,7 @@ detected again in the same pass.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -83,7 +84,9 @@ class RecognitionOutcome:
 
 def predicted_position(agent: AgentState, params: SfmParams) -> Vec2:
     """Position after coasting one prediction horizon at max speed."""
-    return agent.position + agent.heading * (params.s_c * agent.max_speed)
+    p, h = agent.position, agent.heading
+    lead = params.s_c * agent.max_speed
+    return Vec2(p.x + h.x * lead, p.y + h.y * lead)
 
 
 def nearest_id(
@@ -252,8 +255,8 @@ def recognize_conflicts(
                 half_angle = CAR_CONE_HALF_ANGLE_DEG if is_car else ped_half_angle
                 if not in_field_of_view(car, other.position, half_angle, v_r):
                     continue
-                predicted_gap = predicted(car).distance_to(predicted(other))
-                if predicted_gap > params.d_min_for(is_car):
+                p, q = predicted(car), predicted(other)
+                if math.hypot(p.x - q.x, p.y - q.y) > params.d_min_for(is_car):
                     continue
                 if is_car:
                     competitive_cars.append(other.id)
@@ -263,7 +266,8 @@ def recognize_conflicts(
             for ped in scan:
                 if ped.id in engaged or not in_field_of_view(car, ped.position, ped_half_angle, v_r):
                     continue
-                back_position = ped.position - ped.heading * ped.diameter
+                p, h, length = ped.position, ped.heading, ped.diameter
+                back_position = Vec2(p.x - h.x * length, p.y - h.y * length)
                 if segments_intersect(back_position, ped.goal, car.position, car.goal):
                     competitive_peds.append(ped.id)
 

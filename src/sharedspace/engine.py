@@ -32,7 +32,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import conflicts as conflicts_mod
 from . import forces as forces_mod
@@ -126,8 +126,7 @@ class SimulationConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     step: int
     agent_id: str
     kind: AgentKind
@@ -335,7 +334,9 @@ class Simulation:
             return True
         if agent.position.distance_to(partner.position) > self.config.params.sfm.v_r:
             return True
-        if (partner.position - agent.position).dot(agent.heading) < 0.0:
+        p, q, h = agent.position, partner.position, agent.heading
+        # The partner is behind: the offset to it points against the heading.
+        if (q.x - p.x) * h.x + (q.y - p.y) * h.y < 0.0:
             return True
         if action is Action.DEVIATE and not in_field_of_view(
             agent,

@@ -9,25 +9,29 @@ pedestrian's summed agent and obstacle repulsion, or a `SetSpeed`. A
 car stopping, following too close or decelerating in a game slows by
 the one braking rule, `brake_for`.
 
-`agent_repulsion` is the pairwise rule. The engine sums it for every
-pedestrian in force mode once per step (`agent_repulsion_totals`), by
-one of two paths chosen from the input size:
+`agent_repulsion` is the pairwise rule, a `Vec2` view of its plain-float
+form `_repulsion_xy`. The engine sums it for every pedestrian in force
+mode once per step (`agent_repulsion_totals`), by one of two paths
+chosen from the input size:
 
 - up to SCALAR_REPULSION_MAX_PAIRS (target, other agent) pairs, the
-  sequential sum of `agent_repulsion`, added in agent order: exactly
-  that sum, bit for bit;
+  sequential sum of `_repulsion_xy`, added in agent order on plain
+  floats: exactly the sum of `agent_repulsion`, bit for bit;
 - above it, one numpy pass that applies the same rule to all pairs at
   once and adds each target's terms in agent order. numpy's `exp` and
   `hypot` may differ from `math`'s in the last bit, so a total can
   differ from the sequential sum by a few ulps: the tests bound each
   component by 1e-12 times the sum of the pair forces' magnitudes.
 
-The crossover was measured on one core of a shared 2-vCPU Xeon host
-(Python 3.11, numpy 2.4): the numpy pass costs about as much as 8 pairs
-of the scalar rule (both ~100 us at 8 pairs, where a pair took ~12 us),
-and the two paths break even between 8 and 10 pairs. A calibration
-step (2-3 agents) sums pair by pair; a crowd step (~60 agents) takes
-the numpy pass, which reads the step's AgentColumns snapshot.
+Measured on one core of a shared 2-vCPU Xeon host (Python 3.11, numpy
+2.4), a pair of the float rule takes ~1.4 us (~5.6 us in its former
+`Vec2` form), and the numpy pass ~55-65 us, building the snapshot's
+numpy columns included: the two break even between 40 and 50 pairs
+(between 8 and 10 with the `Vec2` form). The guard stays at 8, where
+it was set, because moving it changes which path, and so which bits, a
+step of 9 to ~45 pairs gets. A calibration step (2-3 agents) sums pair
+by pair; a crowd step (~60 agents) takes the numpy pass, which reads
+the step's AgentColumns snapshot.
 
 `obstacle_repulsion` makes one pass per obstacle polygon on plain
 floats, with the operations of its former `Vec2` form, so its bits are
@@ -38,8 +42,7 @@ scene a call went from ~200 to ~54 us on the same host.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,18 +51,19 @@ from .params import SfmParams
 from .scene import AgentColumns, AgentKind, AgentState, Scene
 
 
-@dataclass(frozen=True)
-class DriveTo:
+_NO_FORCE = Vec2(0.0, 0.0)
+
+
+class DriveTo(NamedTuple):
     """Relax velocity toward a target point at a cruise speed, plus a
     pre-summed acceleration (a pedestrian's repulsion terms)."""
 
     target: Vec2
     speed: float
-    push: Vec2 = Vec2(0.0, 0.0)
+    push: Vec2 = _NO_FORCE
 
 
-@dataclass(frozen=True)
-class SetSpeed:
+class SetSpeed(NamedTuple):
     """Assign speed directly along the current direction of motion."""
 
     speed: float
@@ -79,47 +83,67 @@ def driving_force(agent: AgentState, target: Vec2, speed: float, tau: float) -> 
 
 def anisotropy_factor(heading: Vec2, to_target: Vec2, anisotropy: float) -> float:
     """Weight in [anisotropy, 1]: 1 dead ahead, anisotropy directly behind."""
-    d = to_target.normalized()
-    if d.norm_sq() == 0.0:
+    return _anisotropy_xy(heading.x, heading.y, to_target.x, to_target.y, anisotropy)
+
+
+def _anisotropy_xy(hx: float, hy: float, tx: float, ty: float, anisotropy: float) -> float:
+    """anisotropy_factor of the heading (hx, hy) toward (tx, ty), on
+    plain floats; both are normalized as Vec2.normalized does."""
+    n = math.hypot(tx, ty)
+    dx, dy = (tx / n, ty / n) if n != 0.0 else (0.0, 0.0)
+    if dx * dx + dy * dy == 0.0:
         cos_phi = 1.0
     else:
-        cos_phi = max(-1.0, min(1.0, heading.normalized().dot(d)))
+        n = math.hypot(hx, hy)
+        ux, uy = (hx / n, hy / n) if n != 0.0 else (0.0, 0.0)
+        # max(-1.0, min(1.0, dot)), NaN going to 1.0 as there
+        cos_phi = ux * dx + uy * dy
+        cos_phi = cos_phi if cos_phi < 1.0 else 1.0
+        cos_phi = cos_phi if cos_phi > -1.0 else -1.0
     return anisotropy + (1.0 - anisotropy) * (1.0 + cos_phi) / 2.0
-
-
-def _interaction_constants(i: AgentState, j: AgentState, params: SfmParams) -> tuple[float, float]:
-    if i.kind is AgentKind.PEDESTRIAN and j.kind is AgentKind.PEDESTRIAN:
-        return params.v0_pp, params.sigma_pp
-    return params.v0_pc, params.sigma_pc
-
-
-def _disc_distance(i: AgentState, j: AgentState) -> float:
-    """Center distance minus the disc radii of any cars involved.
-
-    Pedestrians enter as points; cars as discs of their diameter.
-    """
-    d = i.position.distance_to(j.position)
-    if i.kind is AgentKind.CAR:
-        d -= i.radius()
-    if j.kind is AgentKind.CAR:
-        d -= j.radius()
-    return max(0.0, d)
 
 
 def agent_repulsion(i: AgentState, j: AgentState, params: SfmParams) -> Vec2:
     """Exponential repulsion exerted on i by j."""
-    v0, sigma = _interaction_constants(i, j, params)
-    offset = i.position - j.position
-    if offset.norm_sq() == 0.0:
+    return Vec2(*_repulsion_xy(i, j, params))
+
+
+def _repulsion_xy(i: AgentState, j: AgentState, params: SfmParams) -> tuple[float, float]:
+    """agent_repulsion on plain floats: (x, y) of the force on i.
+
+    Pedestrians enter as points, cars as discs of their diameter: the
+    distance is the centres' minus the radii of any cars, at least 0."""
+    if i.kind is AgentKind.PEDESTRIAN and j.kind is AgentKind.PEDESTRIAN:
+        v0, sigma = params.v0_pp, params.sigma_pp
+    else:
+        v0, sigma = params.v0_pc, params.sigma_pc
+    p, q, h = i.position, j.position, i.heading
+    ix, iy, jx, jy = p.x, p.y, q.x, q.y
+    ox = ix - jx
+    oy = iy - jy
+    if ox * ox + oy * oy == 0.0:
         # Coincident agents: push along i's left normal at full strength.
-        return i.heading.left_normal().normalized() * v0
-    d = _disc_distance(i, j)
-    factor = anisotropy_factor(i.heading, j.position - i.position, params.anisotropy)
-    return offset.normalized() * (v0 * math.exp(-d / sigma) * factor)
+        lx, ly = -h.y, h.x
+        n = math.hypot(lx, ly)
+        lx, ly = (lx / n, ly / n) if n != 0.0 else (0.0, 0.0)
+        return lx * v0, ly * v0
+    # The centre distance, which also normalizes the offset.
+    n = math.hypot(ox, oy)
+    d = n
+    if i.kind is AgentKind.CAR:
+        d -= i.radius()
+    if j.kind is AgentKind.CAR:
+        d -= j.radius()
+    if not d > 0.0:
+        d = 0.0
+    factor = _anisotropy_xy(h.x, h.y, jx - ix, jy - iy, params.anisotropy)
+    s = v0 * math.exp(-d / sigma) * factor
+    return ox / n * s, oy / n * s
 
 
-# Up to this many (target, other agent) pairs, summing the scalar rule
-# is faster than building the numpy grid (see the module docstring).
+# Up to this many (target, other agent) pairs the scalar rule is summed,
+# above it the numpy grid is built; the scalar sum is faster up to ~45
+# pairs (see the module docstring).
 SCALAR_REPULSION_MAX_PAIRS = 8
 
 
@@ -139,11 +163,12 @@ def agent_repulsion_totals(
     if len(targets) * (len(agents) - 1) <= SCALAR_REPULSION_MAX_PAIRS:
         totals = []
         for t in targets:
-            total = Vec2(0.0, 0.0)
+            tx = ty = 0.0
             for other in agents:
                 if other.id != t.id:
-                    total = total + agent_repulsion(t, other, params)
-            totals.append(total)
+                    fx, fy = _repulsion_xy(t, other, params)
+                    tx, ty = tx + fx, ty + fy
+            totals.append(Vec2(tx, ty))
         return totals
     if columns is None:
         columns = AgentColumns(agents, Scene())
@@ -201,7 +226,7 @@ def obstacle_repulsion(agent: AgentState, scene: Scene, params: SfmParams) -> Ve
     if not scene.obstacles:
         # Reads neither u0 nor r_obstacle: the calibration memo keys an
         # obstacle-free scenario on the genes it does read.
-        return Vec2(0.0, 0.0)
+        return _NO_FORCE
     u0, r_obstacle = params.u0, params.r_obstacle
     p = agent.position
     px, py = p.x, p.y
@@ -249,10 +274,9 @@ def car_following_force(car: AgentState, leader: AgentState, params: SfmParams) 
     """
     d = car.position.distance_to(leader.position)
     if d >= params.d_min_cc:
-        leader_dir = leader.velocity.normalized()
-        if leader_dir.norm_sq() == 0.0:
-            leader_dir = leader.heading
-        return DriveTo(car.position + leader_dir * params.d_min_cc, car.desired_speed)
+        p, v, gap = car.position, leader.velocity, params.d_min_cc
+        dx, dy = _unit_or(v.x, v.y, leader.heading)
+        return DriveTo(Vec2(p.x + dx * gap, p.y + dy * gap), car.desired_speed)
     return brake_for(car, leader, params)
 
 

@@ -345,10 +345,12 @@ def apply_action(
     """
     if agent.kind is AgentKind.CAR and action is Action.DEVIATE:
         raise IllegalActionError("cars cannot deviate")
+    p, h = partner.position, partner.heading
     if action is Action.CONTINUE:
         if agent.kind is AgentKind.PEDESTRIAN:
-            front = partner.position + partner.heading * sfm.s_a
-            back = partner.position - partner.heading * (sfm.s_a / 2.0)
+            ahead, behind = sfm.s_a, sfm.s_a / 2.0
+            front = Vec2(p.x + h.x * ahead, p.y + h.y * ahead)
+            back = Vec2(p.x - h.x * behind, p.y - h.y * behind)
             if segments_intersect(agent.position, agent.goal, front, back):
                 return DriveTo(target=front, speed=agent.desired_speed)
         return DriveTo(target=agent.next_waypoint(), speed=agent.desired_speed)
@@ -358,6 +360,6 @@ def apply_action(
         return brake_for(agent, partner, sfm)
     # Deviate, pedestrian only.
     if in_field_of_view(agent, partner.position, sfm.fov_half_angle_deg, sfm.v_r):
-        target = partner.position - partner.heading * sfm.s_a
+        target = Vec2(p.x - h.x * sfm.s_a, p.y - h.y * sfm.s_a)
         return DriveTo(target=target, speed=agent.desired_speed)
     return DriveTo(target=agent.next_waypoint(), speed=agent.desired_speed)

@@ -79,12 +79,8 @@ def manhattan(a: Vec2, b: Vec2) -> float:
     return abs(a.x - b.x) + abs(a.y - b.y)
 
 
-def _on_segment(p: Vec2, a: Vec2, b: Vec2) -> bool:
-    return _on_segment_xy(p.x, p.y, a.x, a.y, b.x, b.y)
-
-
 def _on_segment_xy(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
-    """_on_segment on plain floats, in the same operations."""
+    """True when p lies on segment a-b, within the zero bands."""
     # Canonical endpoint order keeps the tolerance band symmetric in (a, b).
     if (bx, by) < (ax, ay):
         ax, ay, bx, by = bx, by, ax, ay
@@ -103,12 +99,28 @@ def _on_segment_xy(px: float, py: float, ax: float, ay: float, bx: float, by: fl
     return -_PARAM_TOL * scale <= t <= abx * abx + aby * aby + _PARAM_TOL * scale
 
 
-def _orient_sign(a: Vec2, b: Vec2, c: Vec2) -> int:
-    """Sign of the turn a->b->c with a scale-relative zero band."""
-    if (b.x, b.y) < (a.x, a.y):
-        return -_orient_sign(b, a, c)
-    v = (b - a).cross(c - a)
-    scale = max(1.0, (b - a).norm() * max(1.0, (c - a).norm(), (c - b).norm()))
+def _orient_sign_xy(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> int:
+    """Sign of the turn a->b->c with a scale-relative zero band, on
+    plain floats. The endpoints are taken in canonical order, so the
+    band is the same for a->b and b->a and only the sign flips."""
+    if (bx, by) < (ax, ay):
+        return -_orient_sign_xy(bx, by, ax, ay, cx, cy)
+    abx = bx - ax
+    aby = by - ay
+    acx = cx - ax
+    acy = cy - ay
+    v = abx * acy - aby * acx
+    # max(1.0, |ab| * max(1.0, |ac|, |bc|)), NaN norms ignored as there
+    reach = 1.0
+    ac = math.hypot(acx, acy)
+    if ac > reach:
+        reach = ac
+    bc = math.hypot(cx - bx, cy - by)
+    if bc > reach:
+        reach = bc
+    scale = math.hypot(abx, aby) * reach
+    if not scale > 1.0:
+        scale = 1.0
     if abs(v) <= _LINE_TOL * scale:
         return 0
     return 1 if v > 0.0 else -1
@@ -162,38 +174,49 @@ def _even_odd(p: Vec2, zone: Sequence[Vec2], on_edge: bool) -> bool:
 
 def segments_intersect(a1: Vec2, a2: Vec2, b1: Vec2, b2: Vec2) -> bool:
     """True when closed segments a1-a2 and b1-b2 share any point."""
-    o1 = _orient_sign(a1, a2, b1)
-    o2 = _orient_sign(a1, a2, b2)
-    o3 = _orient_sign(b1, b2, a1)
-    o4 = _orient_sign(b1, b2, a2)
+    ax1, ay1, ax2, ay2 = a1.x, a1.y, a2.x, a2.y
+    bx1, by1, bx2, by2 = b1.x, b1.y, b2.x, b2.y
+    o1 = _orient_sign_xy(ax1, ay1, ax2, ay2, bx1, by1)
+    o2 = _orient_sign_xy(ax1, ay1, ax2, ay2, bx2, by2)
+    o3 = _orient_sign_xy(bx1, by1, bx2, by2, ax1, ay1)
+    o4 = _orient_sign_xy(bx1, by1, bx2, by2, ax2, ay2)
     if o1 * o2 < 0 and o3 * o4 < 0:
         return True
-    if o1 == 0 and _on_segment(b1, a1, a2):
+    if o1 == 0 and _on_segment_xy(bx1, by1, ax1, ay1, ax2, ay2):
         return True
-    if o2 == 0 and _on_segment(b2, a1, a2):
+    if o2 == 0 and _on_segment_xy(bx2, by2, ax1, ay1, ax2, ay2):
         return True
-    if o3 == 0 and _on_segment(a1, b1, b2):
+    if o3 == 0 and _on_segment_xy(ax1, ay1, bx1, by1, bx2, by2):
         return True
-    if o4 == 0 and _on_segment(a2, b1, b2):
+    if o4 == 0 and _on_segment_xy(ax2, ay2, bx1, by1, bx2, by2):
         return True
     return False
 
 
 def bearing_deg(heading: Vec2, offset: Vec2) -> float:
     """Angle from heading to offset in degrees, normalized to [0, 360)."""
-    ox, oy = offset.x, offset.y
+    return _bearing_deg_xy(heading.x, heading.y, offset.x, offset.y)
+
+
+def _bearing_deg_xy(hx: float, hy: float, ox: float, oy: float) -> float:
+    """bearing_deg on plain floats."""
     if ox * ox + oy * oy == 0.0:
         return 0.0
-    hx, hy = heading.x, heading.y
     ang = math.degrees(math.atan2(hx * oy - hy * ox, hx * ox + hy * oy)) % 360.0
     return 0.0 if ang >= 360.0 else ang
 
 
 def within_cone(heading: Vec2, offset: Vec2, half_angle_deg: float) -> bool:
     """Boundary-inclusive cone test around heading."""
+    return _within_cone_xy(heading.x, heading.y, offset.x, offset.y, half_angle_deg)
+
+
+def _within_cone_xy(hx: float, hy: float, ox: float, oy: float, half_angle_deg: float) -> bool:
+    """within_cone on plain floats: the offset (ox, oy) from the heading
+    (hx, hy)."""
     if half_angle_deg >= 180.0:
         return True
-    theta = bearing_deg(heading, offset)
+    theta = _bearing_deg_xy(hx, hy, ox, oy)
     return (
         theta <= half_angle_deg + _ANGLE_EPS_DEG
         or theta >= 360.0 - half_angle_deg - _ANGLE_EPS_DEG
@@ -302,7 +325,7 @@ def segment_clear_of_polygon(a: Vec2, b: Vec2, poly: Sequence[Vec2]) -> bool:
 
 # Batched forms of the rules above. They repeat the scalar arithmetic
 # operation by operation, so every product, quotient and comparison
-# matches bit for bit; only the norms in _on_segment's bands come from
+# matches bit for bit; only the norms in _on_segment_xy's bands come from
 # np.hypot, which may differ from math.hypot in the last bit. A value
 # within this relative margin of such a band comes back as unsure, and
 # the caller decides it with the scalar rule. Like Python floats, the
@@ -311,7 +334,7 @@ _BAND_MARGIN = 1e-6
 
 
 def _on_segment_batch(px, py, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray]:
-    """_on_segment over broadcast arrays: (on, unsure); `on` holds
+    """_on_segment_xy over broadcast arrays: (on, unsure); `on` holds
     where `unsure` is False."""
     swap = (bx < ax) | ((bx == ax) & (by < ay))
     ax, bx = np.where(swap, bx, ax), np.where(swap, ax, bx)

@@ -19,7 +19,7 @@ scalar rule reads it as `not point_strictly_inside`.
   segment to within rounding, far less than the pad, and the even-odd
   rule counts no crossing, or an even number, for a point outside the
   polygon's box. The tolerance bands of
-  `_on_segment` and `_crossing_params` can only add boundary points,
+  `_on_segment_xy` and `_crossing_params` can only add boundary points,
   which are never strictly inside, so they cannot block such a pair.
 - One numpy pass over the pairs left, grouped by the polygon's vertex
   count (`geometry.segments_clear_of_polygons`), repeating the scalar

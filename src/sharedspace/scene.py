@@ -22,9 +22,9 @@ from .geometry import (
     InvalidSceneError,
     Vec2,
     _validate_simple_polygon,
+    _within_cone_xy,
     abs_bearings_deg,
     point_in_zone,
-    within_cone,
 )
 
 
@@ -42,6 +42,13 @@ class Rect:
 
     def contains(self, p: Vec2) -> bool:
         return self.x_min <= p.x <= self.x_max and self.y_min <= p.y <= self.y_max
+
+
+# The shortest edge a scene polygon may have (m). The on-edge band of
+# an edge of length L < 1 reaches about 1e-9 / L m from its line, and
+# 1e-12 / L past its ends, so shorter edges would count points far from
+# the polygon as on its boundary.
+MIN_EDGE_M = 1e-3
 
 
 @dataclass
@@ -67,6 +74,10 @@ class Scene:
                 for v in poly:
                     if not self.bounds.contains(v):
                         raise InvalidSceneError(f"{label}[{i}]: vertex outside bounds")
+                for k, (a, b) in enumerate(zip(poly, [*poly[1:], poly[0]])):
+                    length = a.distance_to(b)
+                    if length < MIN_EDGE_M:
+                        raise InvalidSceneError(f"{label}[{i}]: edge {k} is {length!r} m long, shorter than 1 mm")
 
 
 def in_intersection_zone(p: Vec2, scene: Scene) -> bool:
@@ -207,12 +218,15 @@ def in_field_of_view(
     of the observer and within `half_angle_deg` either side of its
     heading, both boundaries included. A target at the observer's own
     position is in view (bearing_deg reads a zero offset as 0 degrees).
-    The distance is the one `Vec2.distance_to` gives, and no Vec2 is
-    made for a target out of range: recognition runs this per pair."""
-    p = observer.position
-    if math.hypot(p.x - target.x, p.y - target.y) > range_m:
+    The distance is the one `Vec2.distance_to` gives, and the cone is
+    tested on plain floats, so no Vec2 is made: recognition runs this
+    per pair."""
+    p, tx, ty = observer.position, target.x, target.y
+    px, py = p.x, p.y
+    if math.hypot(px - tx, py - ty) > range_m:
         return False
-    return within_cone(observer.heading, target - p, half_angle_deg)
+    h = observer.heading
+    return _within_cone_xy(h.x, h.y, tx - px, ty - py, half_angle_deg)
 
 
 def load_scene(path: str | Path) -> Scene:

@@ -59,6 +59,23 @@ def write_boxed_scene(tmp_path: Path) -> Path:
     return path
 
 
+def write_detour_records(tmp_path: Path, *tracks: tuple[str, str, list[tuple[int, int]]]) -> Path:
+    """A pedestrian and a car whose straight routes cross the box of
+    write_boxed_scene, plus any further (id, kind, points) tracks, as
+    recorded trajectories."""
+    rows = [TRACE_HEADER]
+    for agent_id, kind, points in (
+        ("p1", "ped", [(-10, 0), (-5, 3), (0, 3.5), (5, 3), (10, 0)]),
+        ("c1", "car", [(-16, 0), (-8, -4), (0, -4.5), (8, -4), (16, 0)]),
+        *tracks,
+    ):
+        for f, (x, y) in enumerate(points):
+            rows.append(f"s1,{f},{agent_id},{kind},{float(x)!r},{float(y)!r}")
+    path = tmp_path / "detours.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 def write_walk_records(tmp_path: Path) -> Path:
     """One pedestrian walking a straight line, as recorded trajectories."""
     rows = [TRACE_HEADER]
@@ -1276,15 +1293,8 @@ class TestCalibrateSfm:
 
     def test_routes_are_planned_once_per_run(self, tmp_path, monkeypatch) -> None:
         scene_path = write_boxed_scene(tmp_path)
-        records = tmp_path / "detours.csv"
-        rows = [TRACE_HEADER]
-        # both straight routes cross the box; agents of two sizes need two
-        # visibility graphs
-        for f, (x, y) in enumerate([(-10, 0), (-5, 3), (0, 3.5), (5, 3), (10, 0)]):
-            rows.append(f"s1,{f},p1,ped,{float(x)!r},{float(y)!r}")
-        for f, (x, y) in enumerate([(-16, 0), (-8, -4), (0, -4.5), (8, -4), (16, 0)]):
-            rows.append(f"s1,{f},c1,car,{float(x)!r},{float(y)!r}")
-        records.write_text("\n".join(rows) + "\n")
+        # agents of two sizes need two visibility graphs
+        records = write_detour_records(tmp_path)
         clearances = count_graph_builds(monkeypatch)
         out = tmp_path / "cal"
         code = main([
@@ -1409,6 +1419,27 @@ class TestCalibrateBundledData:
         assert code == 0
         assert (sha256(out / "history.csv"), sha256(out / "best_params.json")) == self.PINNED[command]
 
+    # sha256 of (history.csv, best_params.json) of calibrate-sfm around
+    # an obstacle, recorded before the agent rules moved to plain floats:
+    # pins obstacle repulsion, the planner and the pair repulsion of a
+    # pedestrian against a pedestrian and a car.
+    PINNED_BOXED = (
+        "588069ee129a2e8e94a37c1d8a7f09d593606a7e81fdc020c82ab7327e3dc106",
+        "b44197fa40664d0d76e14aaeb640640f0e212c929bc75f0ed7579ac9e3bfce0e",
+    )
+
+    def test_obstacle_scene_outputs_match_the_pinned_digests(self, tmp_path) -> None:
+        scene_path = write_boxed_scene(tmp_path)
+        records = write_detour_records(tmp_path, ("p2", "ped", [(9, 1), (4, 3), (0, 3), (-4, 3), (-9, 1)]))
+        out = tmp_path / "cal"
+        code = main([
+            "calibrate-sfm", "--scene", str(scene_path), "--trajectories", str(records),
+            "--out-dir", str(out), "--population", "6", "--generations", "2",
+            "--jobs", "1", "--seed", "0",
+        ])
+        assert code == 0
+        assert (sha256(out / "history.csv"), sha256(out / "best_params.json")) == self.PINNED_BOXED
+
     @pytest.mark.parametrize("command", ["calibrate-sfm", "calibrate-game"])
     def test_agent_changing_kind_exits_2_with_one_line(self, tmp_path, capsys, command) -> None:
         lines = (DATA / "trajectories.csv").read_text().splitlines()
@@ -1489,6 +1520,36 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("key, label", [
+        ("obstacles", "obstacle[1]"),
+        ("intersection_zones", "intersection_zone[1]"),
+        ("road_zones", "road_zone[1]"),
+    ])
+    def test_polygon_edge_under_1_mm_exits_2_with_one_line(self, tmp_path, capsys, key, label) -> None:
+        # The on-edge band of the 1e-12 m edge would reach (0.5, 0.5).
+        sliver = [[0.0, 0.0], [1e-12, 0.0], [0.0, 1.0]]
+        square = [[5.0, 5.0], [6.0, 5.0], [6.0, 6.0], [5.0, 6.0]]
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps({"bounds": [-1, -1, 10, 10], key: [square, sliver]}))
+        assert main(["validate", "--scene", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: {label}: edge 0 is 1e-12 m long, shorter than 1 mm\n"
+
+    def test_polygon_edges_are_measured_in_metres(self, tmp_path, capsys) -> None:
+        # 0.5 units at 10 m per unit: 5 m long, however short in units.
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({
+            "bounds": [0, 0, 10, 10], "meters_per_unit": 10.0,
+            "obstacles": [[[1, 1], [1.5, 1], [1.5, 1.5], [1, 1.5]]],
+        }))
+        assert main(["validate", "--scene", str(scene)]) == 0
+        scene.write_text(json.dumps({
+            "bounds": [0, 0, 10, 10], "meters_per_unit": 1e-4,
+            "obstacles": [[[1, 1], [9, 1], [9, 9], [1, 9]]],
+        }))
+        assert main(["validate", "--scene", str(scene)]) == 2
+        assert "obstacle[0]: edge 0 is 0.0008 m long, shorter than 1 mm" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "content, field",

@@ -11,7 +11,7 @@ from sharedspace.geometry import (
     _PARAM_TOL,
     InvalidSceneError,
     Vec2,
-    _on_segment,
+    _on_segment_xy,
     bearing_deg,
     manhattan,
     nearest_point_on_polygon,
@@ -252,6 +252,11 @@ class TestBatchedRules:
         assert not unsure.any()
 
 
+def on_segment(p, a, b):
+    """The on-segment rule, taking Vec2s."""
+    return _on_segment_xy(p.x, p.y, a.x, a.y, b.x, b.y)
+
+
 # The zone test and the bearing in their Vec2 form, as they were before
 # they were written out on plain floats; the float forms must agree to
 # the bit.
@@ -346,7 +351,7 @@ class TestFloatRulesMatchVec2Forms:
             assert point_in_zone(p, zone) == vec_point_in_zone(p, zone)
             for i in range(n):
                 a, b = zone[i], zone[(i + 1) % n]
-                assert _on_segment(p, a, b) == vec_on_segment(p, a, b)
+                assert on_segment(p, a, b) == vec_on_segment(p, a, b)
 
     @settings(max_examples=150, deadline=None)
     @given(zone_and_probes())
@@ -379,10 +384,10 @@ class TestFloatRulesMatchVec2Forms:
         a, b = Vec2(0.0, 0.0), Vec2(1.0, 0.0)
         for k, on in ((0.5, True), (2.0, False)):
             p = Vec2(0.5, k * _LINE_TOL)
-            assert _on_segment(p, a, b) is on is vec_on_segment(p, a, b)
+            assert on_segment(p, a, b) is on is vec_on_segment(p, a, b)
         for k, on in ((0.5, True), (2.0, False)):
             p = Vec2(1.0 + k * _PARAM_TOL, 0.0)
-            assert _on_segment(p, a, b) is on is vec_on_segment(p, a, b)
+            assert on_segment(p, a, b) is on is vec_on_segment(p, a, b)
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -148,8 +148,9 @@ class TestFieldOfView:
 
 
 def test_only_the_view_test_calls_within_cone() -> None:
-    """One view test: in the package, only scene.in_field_of_view calls
-    geometry.within_cone."""
+    """One view test: in the package, the cone rule on plain floats,
+    geometry._within_cone_xy, is called only by scene.in_field_of_view
+    and by its Vec2 form geometry.within_cone, and nothing calls that."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -162,9 +163,12 @@ def test_only_the_view_test_calls_within_cone() -> None:
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-                if name == "within_cone":
-                    found.append((path.name, owner.get(node)))
-    assert found == [("scene.py", "in_field_of_view")]
+                if name in ("within_cone", "_within_cone_xy"):
+                    found.append((name, path.name, owner.get(node)))
+    assert sorted(found) == [
+        ("_within_cone_xy", "geometry.py", "within_cone"),
+        ("_within_cone_xy", "scene.py", "in_field_of_view"),
+    ]
 
 
 class TestSceneIO:

@@ -507,18 +507,22 @@ class Simulation:
 
         # Each agent moves in place: its integration reads only its own
         # state and its directive, all of which are built by now.
+        dt = self.config.dt
+        isfinite = math.isfinite
         for aid, agent in self.world.agents.items():
-            self._advance_waypoints(agent)
-            agent.position, agent.velocity, agent.heading = forces_mod.integrate_step(
-                agent, assignments[aid][1], self.config.dt, sfm
-            )
-            if not (agent.position.is_finite() and agent.velocity.is_finite()):
+            if len(agent.waypoints) > 1:
+                self._advance_waypoints(agent)
+            p, v, h = forces_mod.integrate_step(agent, assignments[aid][1], dt, sfm)
+            agent.position, agent.velocity, agent.heading = p, v, h
+            if not (isfinite(p.x) and isfinite(p.y) and isfinite(v.x) and isfinite(v.y)):
                 raise ScenarioRejectedError(
                     f"agent {aid}: non-finite state at step {self.world.step}"
                 )
 
         for aid, agent in self.world.agents.items():
-            if agent.position.distance_to(agent.goal) <= ARRIVAL_TOLERANCE:
+            p, g = agent.position, agent.goal
+            # Vec2.distance_to, on the floats
+            if math.hypot(p.x - g.x, p.y - g.y) <= ARRIVAL_TOLERANCE:
                 if aid not in self.trace.arrived_step:
                     self.trace.arrived_step[aid] = self.world.step
                     self._pending_despawn.add(aid)

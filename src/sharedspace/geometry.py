@@ -1,13 +1,15 @@
 """Planar geometry primitives shared across the simulator.
 
-Zones and view cones are boundary inclusive; collinear segment overlap
-counts as an intersection.
+`Vec2` is the one point and vector type: an immutable, slotted pair of
+floats that compares, hashes and pickles by value. Zones and view cones
+are boundary inclusive; collinear segment overlap counts as an
+intersection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Sequence
 
 import numpy as np
@@ -17,10 +19,45 @@ class InvalidSceneError(ValueError):
     """Raised for degenerate or self-intersecting scene geometry."""
 
 
-@dataclass(frozen=True)
 class Vec2:
+    """An immutable 2-D point or vector of two floats.
+
+    It behaves as a frozen dataclass of fields `x` and `y` would: equal
+    to, and hashed as, another Vec2 with equal `(x, y)`, never equal to
+    a tuple, with the dataclass `repr`, and assignment or deletion of a
+    field raises `FrozenInstanceError`. It is slotted, so it has no
+    `__dict__`, and construction stores through the slot descriptors
+    rather than `object.__setattr__`, which makes it about twice as
+    cheap to build. It pickles, copies and deep-copies by value."""
+
+    __slots__ = ("x", "y")
+    __match_args__ = ("x", "y")
     x: float
     y: float
+
+    def __init__(self, x: float, y: float) -> None:
+        _set_x(self, x)
+        _set_y(self, y)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[float, float]]:
+        return (self.__class__, (self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(x={self.x!r}, y={self.y!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) == (other.x, other.y)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -62,6 +99,10 @@ class Vec2:
 
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y)
+
+
+_set_x = Vec2.x.__set__
+_set_y = Vec2.y.__set__
 
 
 # Angular guard soaking up one-ulp atan2 noise on boundary fixtures.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -150,34 +151,44 @@ class CarPairs(NamedTuple):
     bearing: np.ndarray  # abs_bearings_deg of the offset from the heading
 
 
+_agent_id = operator.attrgetter("id")
+
+
 class AgentColumns:
     """One engine step's snapshot of the agents it is given, shared by
     the passes of that step: the cars, then the pedestrians, each in
     ascending id order. This is the one place that sorts and splits a
     step's agents. The agents must not move while it is in use.
 
-    Each car's zone flags are tested here, once, with the scalar zone
-    tests: `in_intersection`, and `in_road` (in a road zone and in no
-    intersection zone; the road zones are tested only for cars outside
-    every intersection zone). Each test counts the crossing parity
-    first and tries the edges' on-segment rule only for a point the
-    parity puts outside, since a point inside is in the zone whether or
-    not it lies on an edge. The numpy columns of the kinematic state
-    and the (cars x agents) pair geometry that recognition screens with
-    are made on first use, at most once. Recognition and the repulsion
-    pass below their scalar guards read none of them, so a
-    calibration-sized step never builds them."""
+    One pass over the sorted agents splits them and tests each car's
+    zone flags, once, with the scalar zone tests: `in_intersection`,
+    and `in_road` (in a road zone and in no intersection zone; the road
+    zones are tested only for cars outside every intersection zone).
+    Each test counts the crossing parity first and tries the edges'
+    on-segment rule only for a point the parity puts outside, since a
+    point inside is in the zone whether or not it lies on an edge. The
+    numpy columns of the kinematic state and the (cars x agents) pair
+    geometry that recognition screens with are made on first use, at
+    most once. Recognition and the repulsion pass below their scalar
+    guards read none of them, so a calibration-sized step never builds
+    them."""
 
     def __init__(self, agents: Iterable[AgentState], scene: Scene) -> None:
-        ordered = sorted(agents, key=lambda a: a.id)
-        self.cars = [a for a in ordered if a.kind is AgentKind.CAR]
-        self.pedestrians = [a for a in ordered if a.kind is AgentKind.PEDESTRIAN]
-        self.agents = self.cars + self.pedestrians
-        self.in_intersection = [in_intersection_zone(c.position, scene) for c in self.cars]
-        self.in_road = [
-            not inside and in_road_zone(c.position, scene)
-            for c, inside in zip(self.cars, self.in_intersection)
-        ]
+        cars: list[AgentState] = []
+        pedestrians: list[AgentState] = []
+        in_intersection: list[bool] = []
+        in_road: list[bool] = []
+        for a in sorted(agents, key=_agent_id):
+            if a.kind is AgentKind.CAR:
+                cars.append(a)
+                inside = in_intersection_zone(a.position, scene)
+                in_intersection.append(inside)
+                in_road.append(not inside and in_road_zone(a.position, scene))
+            else:
+                pedestrians.append(a)
+        self.cars, self.pedestrians = cars, pedestrians
+        self.agents = cars + pedestrians
+        self.in_intersection, self.in_road = in_intersection, in_road
 
     @cached_property
     def row(self) -> dict[str, int]:

@@ -322,6 +322,30 @@ class TestLifecycle:
             Simulation(SimulationConfig(scene=scene, scenario=scenario))
 
 
+class TestNonFiniteState:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("coordinate", range(4), ids=["position.x", "position.y", "velocity.x", "velocity.y"])
+    def test_any_non_finite_coordinate_rejects_the_scenario(self, monkeypatch, coordinate, bad) -> None:
+        integrate = forces.integrate_step
+
+        def spoiling(agent, directive, dt, params):
+            position, velocity, heading = integrate(agent, directive, dt, params)
+            if sim.world.step == 3 and agent.id == "p1":
+                xs = [position.x, position.y, velocity.x, velocity.y]
+                xs[coordinate] = bad
+                return Vec2(xs[0], xs[1]), Vec2(xs[2], xs[3]), heading
+            return position, velocity, heading
+
+        monkeypatch.setattr(forces, "integrate_step", spoiling)
+        sim = Simulation(crossing_config())
+        for _ in range(3):
+            sim.step()
+        assert set(sim.world.agents) == {"c1", "p1"}
+        with pytest.raises(ScenarioRejectedError) as rejected:
+            sim.step()
+        assert str(rejected.value) == "agent p1: non-finite state at step 3"
+
+
 class TestPlannedWaypoints:
     def test_given_waypoints_give_the_same_trace_and_stay_unchanged(self) -> None:
         box = (Vec2(-2.0, -2.0), Vec2(2.0, -2.0), Vec2(2.0, 2.0), Vec2(-2.0, 2.0))

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -64,6 +67,88 @@ class TestVec2:
 
     def test_manhattan(self):
         assert manhattan(Vec2(1, 2), Vec2(4, -2)) == 7.0
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+NAN = float("nan")
+
+
+def same_bits(u, v):
+    return type(u) is type(v) and (u.x.hex(), u.y.hex()) == (v.x.hex(), v.y.hex())
+
+
+class TestVec2IsAnImmutableValue:
+    """What `@dataclass(frozen=True)` with fields x and y gave Vec2: no
+    assignment or deletion, equality and hash of `(x, y)`, its repr, and
+    pickling and copying by value. Vec2 is slotted, so no `__dict__`."""
+
+    @pytest.mark.parametrize("name", ["x", "y", "z"])
+    def test_assignment_and_deletion_raise(self, name):
+        v = Vec2(1.0, 2.0)
+        with pytest.raises(FrozenInstanceError):
+            setattr(v, name, 3.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(v, name)
+        assert (v.x, v.y) == (1.0, 2.0)
+
+    def test_there_is_no_instance_dict(self):
+        v = Vec2(1.0, 2.0)
+        assert not hasattr(v, "__dict__")
+        assert Vec2.__slots__ == ("x", "y")
+
+    @given(any_float, any_float, any_float, any_float)
+    def test_equality_and_hash_are_those_of_the_pair(self, a, b, c, d):
+        u, v = Vec2(a, b), Vec2(c, d)
+        assert (u == v) is ((a, b) == (c, d))
+        assert (u != v) is ((a, b) != (c, d))
+        assert hash(u) == hash((a, b))
+
+    def test_signed_zeros_and_a_shared_nan(self):
+        assert Vec2(0.0, -0.0) == Vec2(-0.0, 0.0)
+        assert hash(Vec2(0.0, -0.0)) == hash(Vec2(-0.0, 0.0))
+        # The pair compares items by identity first, so one NaN object
+        # is equal to itself there, and two NaN objects are not.
+        assert Vec2(NAN, 1.0) == Vec2(NAN, 1.0)
+        assert Vec2(float("nan"), 1.0) != Vec2(float("nan"), 1.0)
+        assert hash(Vec2(NAN, 1.0)) == hash((NAN, 1.0))
+
+    def test_never_equal_to_a_tuple_or_another_type(self):
+        assert Vec2(1, 2) != (1, 2)
+        assert (1, 2) != Vec2(1, 2)
+        assert not Vec2(1, 2) == (1, 2)
+        assert Vec2(1, 2) != [1, 2]
+        assert Vec2(1, 2).__eq__((1, 2)) is NotImplemented
+        assert len({Vec2(1, 2), (1, 2)}) == 2
+
+    @given(any_float, any_float)
+    def test_repr_is_the_dataclass_repr(self, x, y):
+        assert repr(Vec2(x, y)) == f"Vec2(x={x!r}, y={y!r})"
+
+    def test_repr_of_ints_and_keywords(self):
+        assert repr(Vec2(1, 2)) == "Vec2(x=1, y=2)"
+        assert Vec2(y=2.0, x=1.0) == Vec2(1.0, 2.0)
+
+    def test_match_args(self):
+        match Vec2(3.0, -4.0):
+            case Vec2(x, y):
+                assert (x, y) == (3.0, -4.0)
+            case _:
+                pytest.fail("Vec2 did not match positionally")
+
+    @given(any_float, any_float)
+    def test_pickle_copy_and_deepcopy_round_trip(self, x, y):
+        v = Vec2(x, y)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert same_bits(pickle.loads(pickle.dumps(v, protocol)), v)
+        assert same_bits(copy.copy(v), v)
+        assert same_bits(copy.deepcopy(v), v)
+
+    def test_copies_inside_containers_stay_frozen_values(self):
+        poly = [Vec2(0.0, -0.0), Vec2(1e-300, math.inf)]
+        for twin in (copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+            assert all(same_bits(a, b) for a, b in zip(twin, poly))
+            with pytest.raises(FrozenInstanceError):
+                twin[0].x = 1.0
 
 
 class TestPointInZone:

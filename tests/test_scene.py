@@ -141,9 +141,11 @@ class TestFieldOfView:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_range_then_cone_gates(self, at, heading, target, half, view_range):
         """The gates recognition and car following once tested inline:
-        distance_to against the range, then within_cone of the offset."""
+        distance_to against the range, then within_cone of the offset
+        from the observer's own heading (the helper normalises the one
+        it is given, which for a heading of ~1e-170 turns the cone)."""
         a = ped(position=at, heading=heading)
-        inline = at.distance_to(target) <= view_range and within_cone(heading, target - at, half)
+        inline = at.distance_to(target) <= view_range and within_cone(a.heading, target - at, half)
         assert in_field_of_view(a, target, half, view_range) == inline
 
 

@@ -30,7 +30,7 @@ from sharedspace.conflicts import (
 )
 from sharedspace.geometry import Vec2, bearing_deg, within_cone
 from sharedspace.params import SfmParams
-from sharedspace.scene import AgentColumns, AgentKind, Rect, Scene
+from sharedspace.scene import AgentColumns, AgentKind, Rect, Scene, in_intersection_zone, in_road_zone
 
 P = SfmParams()
 ALWAYS, NEVER = 0, 10**9
@@ -297,6 +297,75 @@ class TestMarginsAreNeeded:
             assert recognition_accepts(c, p, True, False, params)
             out = check_screens([c], [p], INTERSECTION, params=params)
             assert [x.competitive_users for x in out.new_conflicts] == [("p1",)]
+
+
+def oracle_columns(agents, scene):
+    """The snapshot rule as three comprehensions over the sorted agents,
+    the form AgentColumns had before it split and tested them in one
+    pass: (cars, pedestrians, agents, in_intersection, in_road)."""
+    ordered = sorted(agents, key=lambda a: a.id)
+    cars = [a for a in ordered if a.kind is AgentKind.CAR]
+    pedestrians = [a for a in ordered if a.kind is AgentKind.PEDESTRIAN]
+    in_intersection = [in_intersection_zone(c.position, scene) for c in cars]
+    in_road = [not inside and in_road_zone(c.position, scene) for c, inside in zip(cars, in_intersection)]
+    return cars, pedestrians, cars + pedestrians, in_intersection, in_road
+
+
+# Zones of both kinds that overlap, with a slanted edge and vertices off
+# the quarter-metre grid.
+OVERLAPPING = Scene(
+    intersection_zones=(_box(-10, -10, 10, 10), (Vec2(0, 0), Vec2(20.5, 0), Vec2(0, 20.5))),
+    road_zones=(_box(-20, -5, 20, 5), (Vec2(5, 5), Vec2(24.3, 7.1), Vec2(11.9, 23.7))),
+    bounds=Rect(-60, -60, 60, 60),
+)
+
+
+@st.composite
+def zoned_agents(draw):
+    """A scene with both zone kinds and agents on its zones' vertices,
+    on their edges and anywhere, with ids that may repeat."""
+    scene = draw(st.sampled_from([MIXED, OVERLAPPING]))
+    zones = [*scene.intersection_zones, *scene.road_zones]
+    agents = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            zone = draw(st.sampled_from(zones))
+            k = draw(st.integers(0, len(zone) - 1))
+            a, b = zone[k], zone[(k + 1) % len(zone)]
+            t = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+            position = Vec2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+        else:
+            position = Vec2(draw(coord), draw(coord))
+        make = car if draw(st.booleans()) else ped
+        agents.append(make(draw(st.text("abc", min_size=1, max_size=2)), position=position))
+    return scene, agents
+
+
+class TestAgentColumnsOracle:
+    @given(zoned_agents())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_matches_the_comprehensions(self, case):
+        scene, agents = case
+        columns = AgentColumns(iter(agents), scene)
+        cars, pedestrians, everyone, in_intersection, in_road = oracle_columns(agents, scene)
+        assert list(map(id, columns.cars)) == list(map(id, cars))
+        assert list(map(id, columns.pedestrians)) == list(map(id, pedestrians))
+        assert list(map(id, columns.agents)) == list(map(id, everyone))
+        assert columns.in_intersection == in_intersection
+        assert columns.in_road == in_road
+        assert all(type(flag) is bool for flag in columns.in_intersection + columns.in_road)
+
+    def test_cars_on_the_shared_edge_and_vertices(self):
+        # x = 0 bounds both zones of MIXED, so a car there is in the
+        # intersection zone and never counts as on the road.
+        cars = [car(f"c{k}", position=Vec2(x, y)) for k, (x, y) in enumerate(
+            [(0, 0), (0, 20), (-20, -20), (20, 20), (20, 0), (20.25, 0)]
+        )]
+        columns = AgentColumns(cars, MIXED)
+        assert columns.in_intersection == [True, True, True, False, False, False]
+        assert columns.in_road == [False, False, False, True, True, False]
+        assert columns.in_intersection == oracle_columns(cars, MIXED)[3]
+        assert columns.in_road == oracle_columns(cars, MIXED)[4]
 
 
 class TestAgentColumns:

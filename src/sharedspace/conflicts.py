@@ -22,11 +22,11 @@ decides nothing, so conflicts, their ids and order are the same with
 or without it.
 
 The active conflicts are the only record of who is engaged with whom.
-A pass reads two maps of engagements from them: the one it started
-with and a live one that it updates as it creates conflicts and merges
-them away. A pair engaged in either map is not tested again, so a
-road-zone merge that dissolves an engagement does not let the pair be
-detected again in the same pass.
+A pass keeps two maps of engagements: every pair engaged during the
+pass, when it began or in a conflict it created, which is not tested
+again; and the pairs of the conflicts in play, which the road-zone merge
+rule reads. So a merge that dissolves an engagement, old or new, does
+not let the pair be detected again in the same pass.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Vec2, cone_limit, segments_intersect, widened
+from .geometry import Vec2, abs_bearings_deg, cone_limit, segments_intersect, widened
 from .params import SfmParams
 from .scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view
 # Kept importable here: perfbench/tracer.py patches these names.
@@ -167,6 +167,20 @@ def classify_conflict(
     return ConflictClass.NO_NEW_CONFLICT, (), []
 
 
+def car_pairs(columns: AgentColumns) -> tuple[np.ndarray, np.ndarray]:
+    """The screen's (cars x agents) distance and bearing folded into
+    [0, 180] degrees: row k is car k, column j agent j, and the offset
+    is agent j's position minus car k's."""
+    k, n = columns.kinematics, len(columns.cars)
+    hx, hy = k.hx[:n, None], k.hy[:n, None]
+    with np.errstate(all="ignore"):
+        ox = k.x - k.x[:n, None]
+        oy = k.y - k.y[:n, None]
+        # bearing_deg's cross and dot products and squared norm.
+        bearing = abs_bearings_deg(hx * oy - hy * ox, hx * ox + hy * oy, ox * ox + oy * oy)
+        return np.hypot(ox, oy), bearing
+
+
 def _scan_lists(columns: AgentColumns, params: SfmParams) -> list[list[AgentState]]:
     """Per car of `columns`: the road users its scan tests, in scan
     order. An intersection car scans the cars, then the pedestrians; a
@@ -181,11 +195,12 @@ def _scan_lists(columns: AgentColumns, params: SfmParams) -> list[list[AgentStat
             for inter, road in zip(columns.in_intersection, columns.in_road)
         ]
     n = len(cars)
-    k, pairs = columns.kinematics, columns.car_pairs
+    k = columns.kinematics
+    distance, bearing = car_pairs(columns)
     cone = np.where(
         k.is_car, cone_limit(CAR_CONE_HALF_ANGLE_DEG), cone_limit(params.fov_half_angle_deg)
     )
-    unseen = (pairs.distance > widened(params.v_r)) | (pairs.bearing > cone)
+    unseen = (distance > widened(params.v_r)) | (bearing > cone)
     with np.errstate(all="ignore"):
         # predicted_position, then the gap from each car's to each agent's.
         lead = params.s_c * k.max_speed
@@ -212,10 +227,12 @@ def recognize_conflicts(
     next_id: int = 0,
     columns: AgentColumns | None = None,
 ) -> RecognitionOutcome:
-    """One recognition pass over every car, in ascending id order.
-    `columns`, when given, is the step's snapshot in `scene`; it is used
-    only when its `cars` and `pedestrians` are the very lists passed,
-    and otherwise a snapshot of the given agents is taken."""
+    """One recognition pass over every car, in ascending id order. A car
+    tests no agent engaged with it during the pass, even in a conflict
+    that a merge has since absorbed. `columns`, when given, is the
+    step's snapshot in `scene`; it is used only when its `cars` and
+    `pedestrians` are the very lists passed, and otherwise a snapshot
+    of the given agents is taken."""
     if columns is None or columns.cars is not cars or columns.pedestrians is not pedestrians:
         columns = AgentColumns([*cars, *pedestrians], scene)
     outcome = RecognitionOutcome()
@@ -228,8 +245,8 @@ def recognize_conflicts(
     v_r, ped_half_angle = params.v_r, params.fov_half_angle_deg
 
     conflict_by_id: dict[int, Conflict] = {c.id: c for c in active_conflicts}
-    prior = partner_sets(active_conflicts, agents)
-    partners = {aid: set(ids) for aid, ids in prior.items()}
+    engaged_in_pass = partner_sets(active_conflicts, agents)
+    partners = {aid: set(ids) for aid, ids in engaged_in_pass.items()}
     counter = next_id
     # Each agent's predicted position, made when a pair first needs it.
     ahead: dict[str, Vec2] = {}
@@ -245,8 +262,7 @@ def recognize_conflicts(
     ):
         competitive_peds: list[str] = []
         competitive_cars: list[str] = []
-        # Agents engaged with the car when the pass began or since.
-        engaged = prior[car.id] | partners[car.id]
+        engaged = engaged_in_pass[car.id]
         if in_intersection:
             for other in scan:
                 if other.id == car.id or other.id in engaged:
@@ -299,6 +315,7 @@ def recognize_conflicts(
         counter += 1
         outcome.new_conflicts.append(conflict)
         conflict_by_id[conflict.id] = conflict
+        _engage(engaged_in_pass, conflict)
         _engage(partners, conflict)
     outcome.dissolved_ids.sort()
     return outcome

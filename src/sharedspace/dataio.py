@@ -34,6 +34,8 @@ FEATURE_ID_COLUMNS = ("scenario_id", "step", "conflict_id", "agent_id", "kind", 
 AGENT_KINDS = tuple(AgentKind)
 _KIND_CODES = {kind.value: code for code, kind in enumerate(AGENT_KINDS)}
 _UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that surrogateescape kept
+# Ids go unquoted into the UTF-8 CSV outputs, which these characters would break.
+ID_BREAKERS = re.compile(r'[,"\r\n\0\ud800-\udfff]')
 
 
 class TrajectoryFormatError(ValueError):
@@ -249,8 +251,16 @@ def read_columns(
 
 
 def load_trajectories(path: str | Path) -> TrajectoryTable:
-    """The rows of a trajectory CSV, whose coordinates are meters."""
+    """The rows of a trajectory CSV, whose coordinates are meters. The
+    outputs carry its ids unquoted, so they follow the scenario id rule."""
     table = read_columns(path, TRAJECTORY_COLUMNS)
+    for name in ("scenario_id", "agent_id"):
+        ids = table.columns[name]
+        bad = {v for v in set(ids) if not v or ID_BREAKERS.search(v)}  # each distinct id once
+        if bad:
+            table.flag(np.fromiter(map(bad.__contains__, ids), bool, len(ids)), lambda i: (
+                f"{name}: expected a nonempty id with no comma, quote, line break or NUL, got {ids[i]!r}"
+            ))
     frame = table.convert("frame", int, np.int64, "bad frame {!r}")
     table.flag(frame < 0, "negative frame")
     kind = table.convert("kind", _KIND_CODES.__getitem__, np.int8, "kind must be 'ped' or 'car', got {!r}")

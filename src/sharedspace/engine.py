@@ -7,7 +7,7 @@ pass read; run conflict recognition, solve games for new conflicts and
 latch the chosen actions, assign each agent one mode together with the
 one directive it moves under (cars: stopping > game > following > free
 flow; pedestrians: game > forces), record the frame with each agent's
-mode (the dropped agents as "arrived"), sum the agent repulsion on
+mode (the dropped agents as Mode.ARRIVED), sum the agent repulsion on
 every pedestrian in force mode in one pass to complete their
 directives, then move each agent in place under its directive (a
 non-finite position or velocity rejects the scenario), then retire
@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -39,7 +38,7 @@ from . import forces as forces_mod
 from . import game as game_mod
 from . import jsonin
 from .conflicts import CAR_CONE_HALF_ANGLE_DEG, Conflict
-from .dataio import DECISION_COLUMNS, FEATURE_ID_COLUMNS, TRAJECTORY_COLUMNS, write_csv
+from .dataio import DECISION_COLUMNS, FEATURE_ID_COLUMNS, ID_BREAKERS, TRAJECTORY_COLUMNS, write_csv
 from .game import Action, FeatureVector, PairContext
 from .geometry import Vec2, segments_intersect
 from .params import ParameterSet
@@ -72,12 +71,15 @@ class ScenarioRejectedError(RuntimeError):
     """Raised when a scenario cannot be simulated (e.g. unreachable goal)."""
 
 
-class Mode(enum.Enum):
+class Mode(str, enum.Enum):
+    """An agent's mode in a step, equal to its value; ARRIVED tags its farewell frame."""
+
     FREE_FLOW = "free_flow"
     FORCES = "forces"
     FOLLOWING = "following"
     GAME = "game"
     STOPPING = "stopping"
+    ARRIVED = "arrived"
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ class TraceRow(NamedTuple):
     kind: AgentKind
     x: float
     y: float
-    mode: str
+    mode: Mode
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,7 @@ def plan_waypoints(scene: Scene, entries: Iterable[AgentEntry]) -> dict[str, lis
         if graph is None:
             graph = graphs[clearance] = build_visibility_graph(scene, clearance)
         try:
-            path = plan_path(graph, entry.position, entry.goal, scene)
+            path = plan_path(graph, entry.position, entry.goal)
         except UnreachableGoalError as exc:
             raise ScenarioRejectedError(f"agent {entry.id}: {exc}") from exc
         waypoints[entry.id] = path[1:] if len(path) > 1 else [entry.goal]
@@ -277,28 +279,25 @@ class Simulation:
             self.world.active_conflicts = [
                 r for r in self.world.active_conflicts if r.conflict.id not in dissolved
             ]
+        if outcome.new_conflicts:
+            # Ids increase, so the last new conflict holds the largest.
+            self._next_conflict_id = outcome.new_conflicts[-1].id + 1
         for conflict in outcome.new_conflicts:
-            self._next_conflict_id = max(self._next_conflict_id, conflict.id + 1)
             self._create_game(conflict)
 
     def _create_game(self, conflict: Conflict) -> None:
+        """Play the conflict's game. Recognition forms conflicts among the
+        step's agents, each with a competitive user, so all are present."""
         self.trace.conflicts.append(conflict)
-        leader = self.world.agents[conflict.anchor_car]
-        followers = [
-            self.world.agents[uid]
-            for uid in conflict.competitive_users
-            if uid in self.world.agents
-        ]
-        if not followers:
-            return
+        agents = self.world.agents
+        leader = agents[conflict.anchor_car]
+        followers = [agents[uid] for uid in conflict.competitive_users]
         # Feature extraction counts each member's active games, the one
         # being created included.
-        for m in conflict.participants():
-            agent = self.world.agents.get(m)
-            if agent is not None:
-                agent.active_interactions = 1 + sum(
-                    m in r.conflict.participants() for r in self.world.active_conflicts
-                )
+        for agent in (leader, *followers):
+            agent.active_interactions = 1 + sum(
+                agent.id in r.conflict.participants() for r in self.world.active_conflicts
+            )
         sfm, gp = self.config.params.sfm, self.config.params.game
         contexts = {}
         for f in followers:
@@ -313,14 +312,12 @@ class Simulation:
         actions.update({f.id: a for f, a in zip(followers, profile)})
         bound = self.engagements()
         binds = tuple(aid for aid in actions if aid not in bound)
-        self.world.active_conflicts.append(ConflictRuntime(conflict, actions, binds))
-        nearest_follower = conflicts_mod.nearest_id(
-            leader, [f.id for f in followers], self.world.agents
-        )
+        runtime = ConflictRuntime(conflict, actions, binds)
+        self.world.active_conflicts.append(runtime)
         for aid, action in actions.items():
-            agent = self.world.agents[aid]
+            agent = agents[aid]
             if aid == leader.id:
-                role, fv = "leader", contexts[nearest_follower].leader_view
+                role, fv = "leader", contexts[self._game_partner(aid, runtime).id].leader_view
             else:
                 role, fv = "follower", contexts[aid].follower_view
             self.trace.decisions.append(
@@ -492,7 +489,7 @@ class Simulation:
         self._run_recognition(columns)
         assignments = self._assign_modes(columns)
         for agent in frame:
-            mode = "arrived" if agent.id in arrived else assignments[agent.id][0].value
+            mode = Mode.ARRIVED if agent.id in arrived else assignments[agent.id][0]
             self.trace.rows.append(
                 TraceRow(self.world.step, agent.id, agent.kind, agent.position.x, agent.position.y, mode)
             )
@@ -521,11 +518,10 @@ class Simulation:
 
         for aid, agent in self.world.agents.items():
             p, g = agent.position, agent.goal
-            # Vec2.distance_to, on the floats
+            # Vec2.distance_to, on the floats; an agent arrives once, as it is dropped next step
             if math.hypot(p.x - g.x, p.y - g.y) <= ARRIVAL_TOLERANCE:
-                if aid not in self.trace.arrived_step:
-                    self.trace.arrived_step[aid] = self.world.step
-                    self._pending_despawn.add(aid)
+                self.trace.arrived_step[aid] = self.world.step
+                self._pending_despawn.add(aid)
 
         self._retire_conflicts()
         self.world.step += 1
@@ -549,12 +545,8 @@ def run_scenario(
 
 # - scenario files -----------------------------------------------------
 
-# Ids go unquoted into the UTF-8 CSV outputs, which these characters would break.
-_ID_BREAKERS = re.compile(r'[,"\r\n\0\ud800-\udfff]')
-
-
 def _identifier(value: object, field: str, error: type[Exception]) -> str:
-    if not (isinstance(value, str) and value and value == value.strip() and not _ID_BREAKERS.search(value)):
+    if not (isinstance(value, str) and value and value == value.strip() and not ID_BREAKERS.search(value)):
         raise error(f"{field}: expected a nonempty string with no comma, quote, line break, NUL"
                     f" or surrounding whitespace, got {json.dumps(value)}")
     return value

@@ -24,19 +24,16 @@ chosen from the input size:
   component by 1e-12 times the sum of the pair forces' magnitudes.
 
 Measured on one core of a shared 2-vCPU Xeon host (Python 3.11, numpy
-2.4), a pair of the float rule takes ~1.4 us (~5.6 us in its former
-`Vec2` form), and the numpy pass ~55-65 us, building the snapshot's
-numpy columns included: the two break even between 40 and 50 pairs
-(between 8 and 10 with the `Vec2` form). The guard stays at 8, where
-it was set, because moving it changes which path, and so which bits, a
-step of 9 to ~45 pairs gets. A calibration step (2-3 agents) sums pair
-by pair; a crowd step (~60 agents) takes the numpy pass, which reads
-the step's AgentColumns snapshot.
+2.4), a pair of the float rule takes ~1.4 us and the numpy pass ~55-65
+us, building the snapshot's numpy columns included: the two break even
+between 40 and 50 pairs. The guard stays at 8 because moving it changes
+which path, and so which bits, a step of 9 to ~45 pairs gets. A
+calibration step (2-3 agents) sums pair by pair; a crowd step (~60
+agents) takes the numpy pass, which reads the step's AgentColumns
+snapshot.
 
 `obstacle_repulsion` makes one pass per obstacle polygon on plain
-floats, with the operations of its former `Vec2` form, so its bits are
-unchanged. On the pedestrians of the `obstacles` benchmark's 10-box
-scene a call went from ~200 to ~54 us on the same host.
+floats.
 """
 
 from __future__ import annotations
@@ -183,7 +180,7 @@ def _agent_repulsion_grid(
 ) -> list[Vec2]:
     """agent_repulsion_totals as one numpy pass over an (agents x
     targets) grid."""
-    row = columns.row
+    row = {a.id: r for r, a in enumerate(columns.agents)}
     k = columns.kinematics
     cols = np.array([row[a.id] for a in agents])
     rows = np.array([row[t.id] for t in targets])

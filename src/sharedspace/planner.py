@@ -11,7 +11,9 @@ stays the oracle (`segment_is_free` is its scene-wide form). The test
 of whether a corner lies inside an obstacle is the same test on the
 zero-length segment from the corner to itself: such a segment gets the
 parameters {0, 1} alone, so its one midpoint is the corner, and the
-scalar rule reads it as `not point_strictly_inside`.
+scalar rule reads it as `not point_strictly_inside`. There is one
+`_Obstacles` index per graph: `build_visibility_graph` makes it and the
+graph keeps it, and `plan_path` tests its endpoint segments with it.
 
 - Bounding-box pre-check. A (segment, polygon) pair whose boxes are
   strictly disjoint, the polygon's padded by _BOX_PAD of the coordinate
@@ -33,7 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -64,9 +66,11 @@ class UnreachableGoalError(RuntimeError):
 
 @dataclass
 class VisibilityGraph:
-    nodes: list[Vec2] = field(default_factory=list)
+    nodes: list[Vec2]
     # adjacency: node index -> list of (neighbor index, edge length)
-    edges: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
+    edges: dict[int, list[tuple[int, float]]]
+    # the scene's obstacles the graph was built in, which plan_path reads
+    obstacles: _Obstacles
 
 
 def _inflated_corners(poly: list[Vec2], clearance: float) -> list[Vec2]:
@@ -174,11 +178,12 @@ def build_visibility_graph(scene: Scene, clearance: float = 0.0) -> VisibilityGr
         d = nodes[a].distance_to(nodes[b])
         edges[a].append((b, d))
         edges[b].append((a, d))
-    return VisibilityGraph(nodes=nodes, edges=edges)
+    return VisibilityGraph(nodes=nodes, edges=edges, obstacles=obstacles)
 
 
-def plan_path(graph: VisibilityGraph, start: Vec2, goal: Vec2, scene: Scene) -> list[Vec2]:
-    """Shortest waypoint path from start to goal, including both ends.
+def plan_path(graph: VisibilityGraph, start: Vec2, goal: Vec2) -> list[Vec2]:
+    """Shortest waypoint path from start to goal, including both ends,
+    around the obstacles of the scene the graph was built in.
 
     Raises UnreachableGoalError when no obstacle-free route exists.
     """
@@ -188,7 +193,7 @@ def plan_path(graph: VisibilityGraph, start: Vec2, goal: Vec2, scene: Scene) -> 
     # the direct segment, then each endpoint to every graph node
     ends = np.repeat([start_idx, goal_idx], start_idx)
     others = np.tile(np.arange(start_idx), 2)
-    free = _Obstacles(scene.obstacles).visible(
+    free = graph.obstacles.visible(
         nodes, np.concatenate(([start_idx], ends)), np.concatenate(([goal_idx], others))
     )
     if free[0]:

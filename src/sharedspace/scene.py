@@ -1,8 +1,9 @@
 """World layout and per-agent state.
 
 A scene holds static geometry only: obstacle polygons, intersection
-zones, road zones and the rectangular scene bounds. Pixel-space inputs
-are converted to meters once at load time via meters_per_unit.
+zones, road zones and the rectangular scene bounds, all in meters. A
+scene file's coordinates are scaled by its meters_per_unit once, at
+load time; the scene keeps no scale.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .geometry import (
     Vec2,
     _validate_simple_polygon,
     _within_cone_xy,
-    abs_bearings_deg,
     point_in_zone,
 )
 
@@ -58,11 +58,8 @@ class Scene:
     intersection_zones: list[list[Vec2]] = field(default_factory=list)
     road_zones: list[list[Vec2]] = field(default_factory=list)
     bounds: Rect = Rect(0.0, 0.0, 100.0, 100.0)
-    meters_per_unit: float = 1.0
 
     def validate(self) -> None:
-        if not (self.meters_per_unit > 0.0):
-            raise InvalidSceneError("meters_per_unit must be positive")
         if self.bounds.x_min >= self.bounds.x_max or self.bounds.y_min >= self.bounds.y_max:
             raise InvalidSceneError("bounds must span a positive area")
         for label, polys in (
@@ -143,14 +140,6 @@ class Kinematics(NamedTuple):
     is_car: np.ndarray  # bool
 
 
-class CarPairs(NamedTuple):
-    """(cars x agents) arrays: row k is car k, column j agent j, and the
-    offset is agent j's position minus car k's."""
-
-    distance: np.ndarray  # np.hypot of the offset
-    bearing: np.ndarray  # abs_bearings_deg of the offset from the heading
-
-
 _agent_id = operator.attrgetter("id")
 
 
@@ -166,12 +155,13 @@ class AgentColumns:
     zones are tested only for cars outside every intersection zone).
     Each test counts the crossing parity first and tries the edges'
     on-segment rule only for a point the parity puts outside, since a
-    point inside is in the zone whether or not it lies on an edge. The
-    numpy columns of the kinematic state and the (cars x agents) pair
-    geometry that recognition screens with are made on first use, at
-    most once. Recognition and the repulsion pass below their scalar
-    guards read none of them, so a calibration-sized step never builds
-    them."""
+    point inside is in the zone whether or not it lies on an edge.
+
+    `kinematics`, the numpy columns of the agents' state, is made on
+    first use, at most once: the recognition screen and the repulsion
+    grid both read it, and each builds its own pair tables from it.
+    Recognition and the repulsion pass below their scalar guards read
+    none of it, so a calibration-sized step never builds it."""
 
     def __init__(self, agents: Iterable[AgentState], scene: Scene) -> None:
         cars: list[AgentState] = []
@@ -191,11 +181,6 @@ class AgentColumns:
         self.in_intersection, self.in_road = in_intersection, in_road
 
     @cached_property
-    def row(self) -> dict[str, int]:
-        """Each agent's index in `agents`."""
-        return {a.id: k for k, a in enumerate(self.agents)}
-
-    @cached_property
     def kinematics(self) -> Kinematics:
         flat: list[float] = []
         add = flat.extend
@@ -208,18 +193,6 @@ class AgentColumns:
         n = len(self.agents)
         table = np.array(flat, dtype=float).reshape(n, 8).T.copy()
         return Kinematics(*table, np.arange(n) < len(self.cars))
-
-    @cached_property
-    def car_pairs(self) -> CarPairs:
-        k = self.kinematics
-        n = len(self.cars)
-        hx, hy = k.hx[:n, None], k.hy[:n, None]
-        with np.errstate(all="ignore"):
-            ox = k.x - k.x[:n, None]
-            oy = k.y - k.y[:n, None]
-            # bearing_deg's cross and dot products and squared norm.
-            bearing = abs_bearings_deg(hx * oy - hy * ox, hx * ox + hy * oy, ox * ox + oy * oy)
-            return CarPairs(np.hypot(ox, oy), bearing)
 
 
 def in_field_of_view(
@@ -244,6 +217,8 @@ def load_scene(path: str | Path) -> Scene:
     keys = ("obstacles", "intersection_zones", "road_zones", "bounds", "meters_per_unit")
     with jsonin.document(path, InvalidSceneError, keys) as raw:
         scale = jsonin.number(raw.get("meters_per_unit", 1.0), "meters_per_unit", InvalidSceneError)
+        if not scale > 0.0:
+            raise InvalidSceneError("meters_per_unit must be positive")
         bounds = raw.get("bounds")
         if not (isinstance(bounds, list) and len(bounds) == 4):
             raise InvalidSceneError("bounds must be [x_min, y_min, x_max, y_max]")
@@ -264,7 +239,6 @@ def load_scene(path: str | Path) -> Scene:
             intersection_zones=polygons("intersection_zones"),
             road_zones=polygons("road_zones"),
             bounds=Rect(*(jsonin.number(v, "bounds", InvalidSceneError) * scale for v in bounds)),
-            meters_per_unit=scale,
         )
         scene.validate()
     return scene

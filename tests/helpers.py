@@ -43,7 +43,6 @@ def open_square_scene(half: float = 30.0, zone: str = "intersection") -> Scene:
         intersection_zones=(ring,) if zone == "intersection" else (),
         road_zones=(ring,) if zone == "road" else (),
         bounds=Rect(-2 * half, -2 * half, 2 * half, 2 * half),
-        meters_per_unit=1.0,
     )
 
 

@@ -759,7 +759,6 @@ def boxed_scene() -> Scene:
         intersection_zones=(),
         road_zones=(),
         bounds=Rect(-30.0, -30.0, 30.0, 30.0),
-        meters_per_unit=1.0,
     )
 
 

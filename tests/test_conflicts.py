@@ -245,6 +245,25 @@ class TestRoadZone:
             ("c2", ("p2",))
         ]
 
+    def test_pair_engaged_earlier_in_the_pass_is_not_detected_again(self):
+        # c1 (intersection) creates (c1; p1, c3). c2 (road) detects p1,
+        # c1's nearest partner, and absorbs that fresh conflict. When the
+        # pass reaches c3, it must not pair up with p1 and c1 again.
+        scene = Scene(
+            intersection_zones=((Vec2(-30, -10), Vec2(0, -10), Vec2(0, 10), Vec2(-30, 10)),),
+            road_zones=((Vec2(0, -10), Vec2(30, -10), Vec2(30, 10), Vec2(0, 10)),),
+            bounds=Rect(-60, -60, 60, 60),
+        )
+        c1 = car("c1", position=Vec2(-2, 0), heading=Vec2(1, 0), max_speed=0.3)
+        c2 = car("c2", position=Vec2(5, 0), heading=Vec2(-1, 0), speed=5.0, max_speed=5.0, goal=Vec2(-20, 0))
+        c3 = car("c3", position=Vec2(-1, 3), heading=Vec2(0, -1), max_speed=0.3)
+        p1 = ped("p1", position=Vec2(0.5, -1), heading=Vec2(0, 1), max_speed=0.3, goal=Vec2(0.5, 10))
+        out = recognize([c1, c2, c3], [p1], scene=scene)
+        assert [(c.anchor_car, c.competitive_users) for c in out.new_conflicts] == [
+            ("c2", ("p1", "c1"))
+        ]
+        assert out.dissolved_ids == []
+
 
 class TestPassBehavior:
     def test_idempotent_on_fixed_snapshot(self):

@@ -14,12 +14,14 @@ import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharedspace.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sharedspace"
+SCENE = Path(__file__).resolve().parents[1] / "data" / "scene.json"
 
 TRAJECTORIES = [["scenario_id", "frame", "agent_id", "kind", "x", "y"]] + [
     ["s1", str(f), agent, kind, repr(0.5 * f + dx), "0.0"]
@@ -128,6 +130,34 @@ def test_a_mutated_csv_exits_0_or_2_naming_its_first_bad_line(case) -> None:
     else:
         assert code == 2
         assert err.startswith(f"error: {mutated}:{line}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "calibrate-sfm"])
+@pytest.mark.parametrize("column, bad", [
+    ("scenario_id", ""), ("scenario_id", "s,1"),
+    ("agent_id", ""), ("agent_id", "a,b"), ("agent_id", 'a"b'),
+    ("agent_id", "a\rb"), ("agent_id", "a\nb"), ("agent_id", "a\0b"),
+])
+def test_an_id_the_outputs_cannot_carry_exits_2_with_one_line(tmp_path, command, column, bad) -> None:
+    # c1's rows from frame 1 on, the first of them on line 5; every field
+    # quoted, so the file itself is well-formed CSV.
+    rows = [list(row) for row in TRAJECTORIES]
+    j = rows[0].index(column)
+    for row in rows[4::2]:
+        row[j] = bad
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(",".join('"' + f.replace('"', '""') + '"' for f in row) + "\n" for row in rows)
+    if command == "evaluate":
+        argv = ["evaluate", "--real", str(path), "--sim", str(path), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["calibrate-sfm", "--scene", str(SCENE), "--trajectories", str(path),
+                "--out-dir", str(tmp_path / "out"), "--population", "4", "--generations", "1"]
+    assert run(argv) == (2, (
+        f"error: {path}:5: {column}: expected a nonempty id with no comma, quote, line break"
+        f" or NUL, got {bad!r}\n"
+    ))
+    assert not (tmp_path / "out").exists()
 
 
 def test_only_read_columns_parses_csv() -> None:

@@ -150,7 +150,7 @@ class TestTrajectoryScreen:
         [
             "scenario_id,frame,agent_id,kind,x,y\r\ns1,0,p1,ped,1.5,2\r\ns1,1,p1,ped,2.5,2\r\n",
             "scenario_id,frame,agent_id,kind,x,y\n\ns1,0,p1,ped,1.5,2\n\n\ns1,0,c1,car,0,0\n\n",
-            'scenario_id,frame,agent_id,kind,x,y\n"s1","0",p1,"ped","1.5",2\n"s,1",0,"p1",car,0,0\n',
+            'scenario_id,frame,agent_id,kind,x,y\n"s1","0",p1,"ped","1.5",2\n"s2",0,"p1",car,0,0\n',
             " scenario_id , frame,agent_id,kind,x,y\n s1 , 0 ,p1 , ped,1.5 , 2\t\ns1,1, p1,ped ,\t2.5,2\n",
             "scenario_id,frame,agent_id,kind,x,y\ns1,+3,p1,ped,+1.5,-0\ns1,1_0,p1,ped,1_0.5,1e-320\n",
             # agents told apart by scenario; the same frame for another agent
@@ -188,6 +188,13 @@ class TestTrajectoryScreen:
             ("s1,0,p1,ped,0,0,0", "expected 6 columns"),
             ("s1,0,q1,ped,0,0", "frames must increase per agent (agent 'q1' frame 0 after 0)"),
             (" s1 ,-0,q1 ,ped,0,0", "frames must increase per agent (agent 'q1' frame 0 after 0)"),
+            # ids go unquoted into the outputs
+            ('"s,1",1,q1,ped,0,0', "scenario_id: expected a nonempty id with no comma, quote, line break"
+                                   " or NUL, got 's,1'"),
+            ('s1,1,"q\n1",ped,0,0', "agent_id: expected a nonempty id with no comma, quote, line break"
+                                    " or NUL, got 'q\\n1'"),
+            ("s1,1, ,ped,0,0", "agent_id: expected a nonempty id with no comma, quote, line break"
+                               " or NUL, got ''"),
         ],
     )
     def test_bad_row_is_handed_to_the_row_pass(self, tmp_path: Path, row: str, message: str) -> None:
@@ -346,7 +353,7 @@ class TestLineNumbers:
     @pytest.mark.parametrize(
         "load, text",
         [
-            (load_trajectories, 'scenario_id,frame,agent_id,kind,x,y\ns1,0,"p\n1",ped,0,0\n\ns1,1,p1,ped,0,fly\n'),
+            (load_trajectories, 'scenario_id,frame,agent_id,kind,x,y\ns1,0,"p1\n",ped,0,0\n\ns1,1,p1,ped,0,fly\n'),
             (load_annotations, 'scenario_id,agent_id,conflict_idx,action\ns1,"c\n1",0,continue\n\ns1,c1,0,fly\n'),
             (load_decisions,
              'scenario_id,step,conflict_id,agent_id,action\ns1,0,0,"c\n1",continue\n\ns1,0,0,c1,fly\n'),
@@ -365,7 +372,7 @@ class TestLineNumbers:
         "before, message",
         [
             ([], "2: not UTF-8 text"),
-            (['s1,0,"p\n1",ped,0,0', "", "s1,1,p1,ped,0,0"], "5: not UTF-8 text"),
+            (['s1,0,"p1\n",ped,0,0', "", "s1,1,p1,ped,0,0"], "5: not UTF-8 text"),
             # the byte lies past the first 8 KiB that the text reader decodes
             ([f"s1,{f},p1,ped,0,0" for f in range(2000)], "2002: not UTF-8 text"),
             # a row that breaks a rule ends the table before the byte is reached

@@ -315,7 +315,6 @@ class TestLifecycle:
             intersection_zones=(),
             road_zones=(),
             bounds=Rect(-30.0, -30.0, 30.0, 30.0),
-            meters_per_unit=1.0,
         )
         scenario = Scenario("s", [ped_entry("p1", position=Vec2(-10.0, 0.0), goal=Vec2(0.0, 0.0))])
         with pytest.raises(ScenarioRejectedError, match="p1"):
@@ -355,7 +354,6 @@ class TestPlannedWaypoints:
             intersection_zones=(ring,),
             road_zones=(),
             bounds=Rect(-40.0, -40.0, 40.0, 40.0),
-            meters_per_unit=1.0,
         )
         config = crossing_config(scene=scene)
         plan = plan_waypoints(scene, config.scenario.entries)
@@ -367,6 +365,26 @@ class TestPlannedWaypoints:
         assert given == planned_here
         assert given.conflicts
         assert plan == before
+
+    def test_one_obstacle_index_per_clearance(self, monkeypatch) -> None:
+        from sharedspace import planner
+
+        built = []
+
+        class CountedObstacles(planner._Obstacles):
+            def __init__(self, polygons) -> None:
+                built.append(len(polygons))
+                super().__init__(polygons)
+
+        monkeypatch.setattr(planner, "_Obstacles", CountedObstacles)
+        box = (Vec2(-2.0, -2.0), Vec2(2.0, -2.0), Vec2(2.0, 2.0), Vec2(-2.0, 2.0))
+        scene = Scene(obstacles=(box,), bounds=Rect(-40.0, -40.0, 40.0, 40.0))
+        # Three cars and three pedestrians: two clearances, six routes.
+        entries = [car_entry(f"c{k}", position=Vec2(-14.0, k - 1.0), goal=Vec2(30.0, k - 1.0)) for k in range(3)]
+        entries += [ped_entry(f"p{k}", position=Vec2(k - 1.0, -8.0), goal=Vec2(k - 1.0, 8.0)) for k in range(3)]
+        plan = plan_waypoints(scene, entries)
+        assert all(len(route) > 1 for route in plan.values())
+        assert built == [1, 1]
 
     @pytest.mark.parametrize("name", ["position", "goal"])
     def test_given_waypoints_do_not_skip_the_bounds_check(self, name) -> None:

@@ -37,7 +37,6 @@ def obstacle_scene(poly):
         intersection_zones=(),
         road_zones=(),
         bounds=Rect(-100, -100, 100, 100),
-        meters_per_unit=1.0,
     )
 
 
@@ -320,7 +319,6 @@ class TestObstacleRepulsion:
             intersection_zones=(),
             road_zones=(),
             bounds=Rect(-100, -100, 100, 100),
-            meters_per_unit=1.0,
         )
         a = ped(position=Vec2(2, 5), heading=Vec2(1, 0))
         f = obstacle_repulsion(a, scene, P)

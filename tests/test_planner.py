@@ -36,7 +36,6 @@ def scene_with(obstacles):
         intersection_zones=(),
         road_zones=(),
         bounds=Rect(-100, -100, 100, 100),
-        meters_per_unit=1.0,
     )
 
 
@@ -113,13 +112,13 @@ class TestPlanPath:
     def test_direct_when_free(self):
         scene = scene_with([rect_poly(0, 0, 4, 4)])
         g = build_visibility_graph(scene)
-        path = plan_path(g, Vec2(-5, -5), Vec2(-5, 5), scene)
+        path = plan_path(g, Vec2(-5, -5), Vec2(-5, 5))
         assert path == [Vec2(-5, -5), Vec2(-5, 5)]
 
     def test_detour_around_square(self):
         scene = scene_with([rect_poly(-2, -2, 2, 2)])
         g = build_visibility_graph(scene, clearance=0.5)
-        path = plan_path(g, Vec2(-6, 0), Vec2(6, 0), scene)
+        path = plan_path(g, Vec2(-6, 0), Vec2(6, 0))
         assert path[0] == Vec2(-6, 0)
         assert path[-1] == Vec2(6, 0)
         assert len(path) > 2
@@ -129,7 +128,7 @@ class TestPlanPath:
     def test_detour_longer_than_straight_line(self):
         scene = scene_with([rect_poly(-2, -2, 2, 2)])
         g = build_visibility_graph(scene, clearance=0.5)
-        path = plan_path(g, Vec2(-6, 0), Vec2(6, 0), scene)
+        path = plan_path(g, Vec2(-6, 0), Vec2(6, 0))
         assert path_length(path) > 12.0
 
     def test_unreachable_goal_raises(self):
@@ -143,14 +142,14 @@ class TestPlanPath:
         scene = scene_with(walls)
         g = build_visibility_graph(scene, clearance=0.2)
         with pytest.raises(UnreachableGoalError):
-            plan_path(g, Vec2(-20, 0), Vec2(0, 0), scene)
+            plan_path(g, Vec2(-20, 0), Vec2(0, 0))
 
     def test_clearance_respected_along_path(self):
         obstacle = rect_poly(-3, -3, 3, 3)
         scene = scene_with([obstacle])
         clearance = 0.8
         g = build_visibility_graph(scene, clearance=clearance)
-        path = plan_path(g, Vec2(-10, 0), Vec2(10, 0), scene)
+        path = plan_path(g, Vec2(-10, 0), Vec2(10, 0))
         for a, b in zip(path, path[1:]):
             for t in range(21):
                 p = a + (b - a) * (t / 20.0)
@@ -178,7 +177,7 @@ class TestPlanPath:
             g = build_visibility_graph(scene, clearance=0.0)
             expected = dijkstra_cost(scene, g, start, goal)
             try:
-                path = plan_path(g, start, goal, scene)
+                path = plan_path(g, start, goal)
             except UnreachableGoalError:
                 assert expected == math.inf
                 continue
@@ -207,7 +206,8 @@ def reference_graph(scene, clearance):
                 d = nodes[i].distance_to(nodes[j])
                 edges[i].append((j, d))
                 edges[j].append((i, d))
-    return VisibilityGraph(nodes=nodes, edges=edges)
+    # No obstacle index: reference_plan tests its segments on the scene.
+    return VisibilityGraph(nodes=nodes, edges=edges, obstacles=None)
 
 
 def reference_plan(graph, start, goal, scene):
@@ -246,9 +246,9 @@ def reference_plan(graph, start, goal, scene):
     raise UnreachableGoalError(start, goal)
 
 
-def plan_or_none(plan, graph, start, goal, scene):
+def plan_or_none(plan, *args):
     try:
-        return plan(graph, start, goal, scene)
+        return plan(*args)
     except UnreachableGoalError:
         return None
 
@@ -301,7 +301,7 @@ class TestBatchedMatchesScalarRules:
         expected = reference_graph(scene, clearance)
         assert_same_graph(got, expected)
         for start, goal in routes:
-            assert plan_or_none(plan_path, got, start, goal, scene) == plan_or_none(
+            assert plan_or_none(plan_path, got, start, goal) == plan_or_none(
                 reference_plan, expected, start, goal, scene
             )
 
@@ -320,7 +320,7 @@ class TestBatchedMatchesScalarRules:
             got = build_visibility_graph(scene, clearance)
             expected = reference_graph(scene, clearance)
             assert_same_graph(got, expected)
-            assert plan_path(got, Vec2(-9, -3), Vec2(12, 12), scene) == reference_plan(
+            assert plan_path(got, Vec2(-9, -3), Vec2(12, 12)) == reference_plan(
                 expected, Vec2(-9, -3), Vec2(12, 12), scene
             )
 
@@ -328,5 +328,5 @@ class TestBatchedMatchesScalarRules:
         scene = scene_with([rect_poly(-2, -2, 2, 2)])
         graph = build_visibility_graph(scene, clearance=0.5)
         before = {i: list(nbrs) for i, nbrs in graph.edges.items()}
-        plan_path(graph, Vec2(-6, 0), Vec2(6, 0), scene)
+        plan_path(graph, Vec2(-6, 0), Vec2(6, 0))
         assert graph.edges == before

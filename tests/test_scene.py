@@ -47,7 +47,6 @@ def make_scene(**kw):
         intersection_zones=(square(0, 0, 5),),
         road_zones=(square(20, 0, 5),),
         bounds=Rect(-50, -50, 50, 50),
-        meters_per_unit=1.0,
     )
     defaults.update(kw)
     return Scene(**defaults)
@@ -73,10 +72,12 @@ class TestSceneValidation:
         with pytest.raises(InvalidSceneError):
             scene.validate()
 
-    def test_nonpositive_scale_rejected(self):
-        scene = make_scene(meters_per_unit=0.0)
-        with pytest.raises(InvalidSceneError):
-            scene.validate()
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_nonpositive_scale_rejected(self, tmp_path, scale):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"bounds": [-1, -1, 1, 1], "meters_per_unit": scale}))
+        with pytest.raises(InvalidSceneError, match="meters_per_unit must be positive"):
+            load_scene(path)
 
 
 class TestZoneQueries:

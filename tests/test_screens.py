@@ -386,14 +386,14 @@ class TestAgentColumns:
             assert (k.ux[i].hex(), k.uy[i].hex()) == (unit.x.hex(), unit.y.hex())
             assert (k.max_speed[i], k.diameter[i]) == (a.max_speed, a.diameter)
             assert k.is_car[i] == (a.kind is AgentKind.CAR)
-        pairs = columns.car_pairs
+        distance, bearing = conflicts.car_pairs(columns)
         for i, c in enumerate(cars):
             for j, a in enumerate(agents):
                 offset = a.position - c.position
-                assert pairs.distance[i, j] == pytest.approx(offset.norm(), rel=1e-15, abs=0.0)
+                assert distance[i, j] == pytest.approx(offset.norm(), rel=1e-15, abs=0.0)
                 theta = bearing_deg(c.heading, offset)
                 folded = theta if theta <= 180.0 else 360.0 - theta
-                assert pairs.bearing[i, j] == pytest.approx(folded, rel=1e-12, abs=1e-12)
+                assert bearing[i, j] == pytest.approx(folded, rel=1e-12, abs=1e-12)
 
     @given(crowds(), st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)

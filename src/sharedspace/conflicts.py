@@ -22,11 +22,16 @@ decides nothing, so conflicts, their ids and order are the same with
 or without it.
 
 The active conflicts are the only record of who is engaged with whom.
-A pass keeps two maps of engagements: every pair engaged during the
-pass, when it began or in a conflict it created, which is not tested
-again; and the pairs of the conflicts in play, which the road-zone merge
-rule reads. So a merge that dissolves an engagement, old or new, does
-not let the pair be detected again in the same pass.
+A pass keeps two maps of engagements, both seeded from the partner map
+of the active conflicts that the simulation keeps across steps (or
+derived from the active conflicts by `partner_sets` when none is
+given): every pair engaged during the pass, when it began or in a
+conflict it created, which is not tested again; and the pairs of the
+conflicts in play, which the road-zone merge rule reads. So a merge
+that dissolves an engagement, old or new, does not let the pair be
+detected again in the same pass. The pass reads the given map until it
+forms its first conflict and works on copies from then on, so the
+caller's map is never changed.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -93,15 +98,21 @@ def nearest_id(
     agent: AgentState, candidates: Iterable[str], agents: Mapping[str, AgentState]
 ) -> str | None:
     """The candidate present in `agents` nearest to `agent`; ties go to
-    the smallest id, and None when no candidate is present."""
+    the smallest id, and None when no candidate is present. A candidate
+    at a NaN or infinite distance never wins. One pass in any order:
+    the result does not depend on how a set of candidates iterates."""
+    p = agent.position
+    x, y = p.x, p.y
     best: str | None = None
-    best_d = float("inf")
-    for cid in sorted(candidates):
+    best_d = math.inf
+    for cid in candidates:
         other = agents.get(cid)
         if other is None:
             continue
-        d = agent.position.distance_to(other.position)
-        if d < best_d:
+        q = other.position
+        # Vec2.distance_to, on the floats.
+        d = math.hypot(x - q.x, y - q.y)
+        if d < best_d or (d == best_d and best is not None and cid < best):
             best = cid
             best_d = d
     return best
@@ -222,17 +233,21 @@ def recognize_conflicts(
     pedestrians: Sequence[AgentState],
     scene: Scene,
     params: SfmParams,
-    active_conflicts: Sequence[Conflict] = (),
+    active_conflicts: Collection[Conflict] = (),
     step: int = 0,
     next_id: int = 0,
     columns: AgentColumns | None = None,
+    partners: Mapping[str, set[str]] | None = None,
 ) -> RecognitionOutcome:
     """One recognition pass over every car, in ascending id order. A car
     tests no agent engaged with it during the pass, even in a conflict
     that a merge has since absorbed. `columns`, when given, is the
     step's snapshot in `scene`; it is used only when its `cars` and
     `pedestrians` are the very lists passed, and otherwise a snapshot
-    of the given agents is taken."""
+    of the given agents is taken. `partners`, when given, must equal
+    `partner_sets(active_conflicts, ids of the given agents)`; the pass
+    copies it before its first change and leaves it as it was. Without
+    it the pass derives that map itself."""
     if columns is None or columns.cars is not cars or columns.pedestrians is not pedestrians:
         columns = AgentColumns([*cars, *pedestrians], scene)
     outcome = RecognitionOutcome()
@@ -241,12 +256,15 @@ def recognize_conflicts(
         # No pair to test: no conflict forms and none is merged away.
         return outcome
     cars = columns.cars
-    agents: dict[str, AgentState] = {a.id: a for a in columns.agents}
     v_r, ped_half_angle = params.v_r, params.fov_half_angle_deg
-
-    conflict_by_id: dict[int, Conflict] = {c.id: c for c in active_conflicts}
-    engaged_in_pass = partner_sets(active_conflicts, agents)
-    partners = {aid: set(ids) for aid, ids in engaged_in_pass.items()}
+    if partners is None:
+        partners = partner_sets(active_conflicts, (a.id for a in columns.agents))
+    # Both maps are the given one until the pass forms its first
+    # conflict, which copies them. `agents` is made for the first car
+    # with a competitor, `conflict_by_id` with the first conflict.
+    engaged_in_pass = partners
+    agents: dict[str, AgentState] | None = None
+    conflict_by_id: dict[int, Conflict] | None = None
     counter = next_id
     # Each agent's predicted position, made when a pair first needs it.
     ahead: dict[str, Vec2] = {}
@@ -287,12 +305,20 @@ def recognize_conflicts(
                 if segments_intersect(back_position, ped.goal, car.position, car.goal):
                     competitive_peds.append(ped.id)
 
+        if not (competitive_peds or competitive_cars):
+            continue
+        if agents is None:
+            agents = {a.id: a for a in columns.agents}
         conflict_class, users, merged_cars = classify_conflict(
             car, competitive_peds, competitive_cars, cars, agents, partners,
             in_intersection, in_road,
         )
         if conflict_class is ConflictClass.NO_NEW_CONFLICT:
             continue
+        if conflict_by_id is None:
+            conflict_by_id = {c.id: c for c in active_conflicts}
+            engaged_in_pass = {aid: set(ids) for aid, ids in partners.items()}
+            partners = {aid: set(ids) for aid, ids in partners.items()}
         if merged_cars:
             # A road-zone merge absorbs the merged cars' existing conflicts.
             absorbed = set(merged_cars)

@@ -14,8 +14,12 @@ non-finite position or velocity rejects the scenario), then retire
 conflicts whose actions have completed or timed out. An agent is one
 AgentState object from its spawn until it is dropped.
 
-The active conflicts are the only record of who is engaged with whom;
-recognition and feature extraction derive what they need from them.
+The active conflicts are the only record of who is engaged with whom.
+What recognition, game creation and mode assignment read of them (who
+is bound to which game, each conflict by id, each agent's partners and
+its count of active games) is a ConflictIndex kept in step with them:
+it changes only where a game is created, retired or dissolved, or where
+agents spawn or leave, and no step rebuilds it from the games.
 
 The trace holds one row per decision: each game member's action with
 the features it saw. decisions.csv and features.csv are both written
@@ -31,7 +35,8 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import conflicts as conflicts_mod
 from . import forces as forces_mod
@@ -174,11 +179,61 @@ class ConflictRuntime:
     binds: tuple[str, ...]
 
 
+class ConflictIndex:
+    """What the active games say about who is engaged, kept across steps:
+    `bound` maps each bound agent to the game it acts on (an agent that
+    has left stays until its game retires), `by_id` each active
+    conflict's id to it in creation order, and `games` each member of an
+    active game to the number of active games it is in. Each game is
+    added once and removed once; the partner map is rebuilt only after
+    the games or the present agents changed."""
+
+    def __init__(self) -> None:
+        self.bound: dict[str, ConflictRuntime] = {}
+        self.by_id: dict[int, Conflict] = {}
+        self.games: dict[str, int] = {}
+        self._partners: dict[str, set[str]] | None = None
+
+    def add(self, runtime: ConflictRuntime) -> None:
+        self.by_id[runtime.conflict.id] = runtime.conflict
+        for aid in runtime.binds:
+            self.bound[aid] = runtime
+        games = self.games
+        # `actions` has one key per member.
+        for aid in runtime.actions:
+            games[aid] = games.get(aid, 0) + 1
+        self._partners = None
+
+    def remove(self, runtime: ConflictRuntime) -> None:
+        del self.by_id[runtime.conflict.id]
+        for aid in runtime.binds:
+            del self.bound[aid]
+        games = self.games
+        for aid in runtime.actions:
+            if games[aid] == 1:
+                del games[aid]
+            else:
+                games[aid] -= 1
+        self._partners = None
+
+    def agents_changed(self) -> None:
+        """Call when agents spawn or leave."""
+        self._partners = None
+
+    def partners(self, ids: Iterable[str]) -> dict[str, set[str]]:
+        """`conflicts.partner_sets` of the active conflicts over `ids`,
+        the present agents; not to be changed by the caller."""
+        if self._partners is None:
+            self._partners = conflicts_mod.partner_sets(self.by_id.values(), ids)
+        return self._partners
+
+
 @dataclass
 class WorldState:
     step: int
     agents: dict[str, AgentState]
     active_conflicts: list[ConflictRuntime]
+    conflict_index: ConflictIndex = field(default_factory=ConflictIndex)
 
 
 def check_bounds(scene: Scene, entries: Iterable[AgentEntry]) -> None:
@@ -243,10 +298,11 @@ class Simulation:
             check_bounds(config.scene, self._entries)
         self._waypoints = waypoints
 
-    def engagements(self) -> dict[str, ConflictRuntime]:
-        """The game each bound agent acts on, from the active conflicts;
-        an agent that has left stays listed until its game retires."""
-        return {aid: r for r in self.world.active_conflicts for aid in r.binds}
+    def engagements(self) -> Mapping[str, ConflictRuntime]:
+        """The game each bound agent acts on, a read-only view of the map
+        kept with the active conflicts; an agent that has left stays
+        listed until its game retires."""
+        return MappingProxyType(self.world.conflict_index.bound)
 
     def _game_partner(self, agent_id: str, runtime: ConflictRuntime) -> AgentState | None:
         """The leader (the conflict's anchor car) plays against its
@@ -263,22 +319,34 @@ class Simulation:
 
     # - conflict handling ----------------------------------------------
 
+    def _keep_games(self, keep: Callable[[ConflictRuntime], bool]) -> None:
+        """Keep the active games for which `keep` holds; the others leave
+        the index."""
+        index = self.world.conflict_index
+        kept = []
+        for runtime in self.world.active_conflicts:
+            if keep(runtime):
+                kept.append(runtime)
+            else:
+                index.remove(runtime)
+        self.world.active_conflicts = kept
+
     def _run_recognition(self, columns: AgentColumns) -> None:
+        index = self.world.conflict_index
         outcome = conflicts_mod.recognize_conflicts(
             columns.cars,
             columns.pedestrians,
             self.config.scene,
             self.config.params.sfm,
-            active_conflicts=[r.conflict for r in self.world.active_conflicts],
+            active_conflicts=index.by_id.values(),
             step=self.world.step,
             next_id=self._next_conflict_id,
             columns=columns,
+            partners=index.partners(self.world.agents),
         )
         if outcome.dissolved_ids:
             dissolved = set(outcome.dissolved_ids)
-            self.world.active_conflicts = [
-                r for r in self.world.active_conflicts if r.conflict.id not in dissolved
-            ]
+            self._keep_games(lambda r: r.conflict.id not in dissolved)
         if outcome.new_conflicts:
             # Ids increase, so the last new conflict holds the largest.
             self._next_conflict_id = outcome.new_conflicts[-1].id + 1
@@ -290,14 +358,13 @@ class Simulation:
         step's agents, each with a competitive user, so all are present."""
         self.trace.conflicts.append(conflict)
         agents = self.world.agents
+        index = self.world.conflict_index
         leader = agents[conflict.anchor_car]
         followers = [agents[uid] for uid in conflict.competitive_users]
         # Feature extraction counts each member's active games, the one
         # being created included.
         for agent in (leader, *followers):
-            agent.active_interactions = 1 + sum(
-                agent.id in r.conflict.participants() for r in self.world.active_conflicts
-            )
+            agent.active_interactions = 1 + index.games.get(agent.id, 0)
         sfm, gp = self.config.params.sfm, self.config.params.game
         contexts = {}
         for f in followers:
@@ -310,10 +377,10 @@ class Simulation:
         leader_action, profile = game_mod.solve_spne(payoff)
         actions = {leader.id: leader_action}
         actions.update({f.id: a for f, a in zip(followers, profile)})
-        bound = self.engagements()
-        binds = tuple(aid for aid in actions if aid not in bound)
+        binds = tuple(aid for aid in actions if aid not in index.bound)
         runtime = ConflictRuntime(conflict, actions, binds)
         self.world.active_conflicts.append(runtime)
+        index.add(runtime)
         for aid, action in actions.items():
             agent = agents[aid]
             if aid == leader.id:
@@ -344,19 +411,20 @@ class Simulation:
             return True
         return False
 
+    def _in_play(self, runtime: ConflictRuntime) -> bool:
+        """The game has not timed out and some member still present has
+        not completed its action."""
+        if self.world.step - runtime.conflict.created_at_step >= CONFLICT_TIMEOUT_STEPS:
+            return False
+        for aid, action in runtime.actions.items():
+            agent = self.world.agents.get(aid)
+            if agent is not None and not self._action_completed(agent, action, self._game_partner(aid, runtime)):
+                return True
+        return False
+
     def _retire_conflicts(self) -> None:
-        """Keep the games that have not timed out and in which some member
-        still present has not completed its action."""
-        kept = []
-        for runtime in self.world.active_conflicts:
-            if self.world.step - runtime.conflict.created_at_step >= CONFLICT_TIMEOUT_STEPS:
-                continue
-            for aid, action in runtime.actions.items():
-                agent = self.world.agents.get(aid)
-                if agent is not None and not self._action_completed(agent, action, self._game_partner(aid, runtime)):
-                    kept.append(runtime)
-                    break
-        self.world.active_conflicts = kept
+        """Keep the games still in play."""
+        self._keep_games(self._in_play)
 
     # - modes and movement ----------------------------------------------
 
@@ -390,10 +458,10 @@ class Simulation:
         brakes = self.config.params.game.regime != "dut"
         assignments: dict[str, tuple[Mode, forces_mod.Directive | None]] = {}
         follower_of: dict[str, str] = {}
-        games = self.engagements()
+        bound = self.world.conflict_index.bound
         for car in cars:
             stopping_for = forces_mod.reactive_stopping(car, peds, sfm) if brakes else []
-            runtime = games.get(car.id)
+            runtime = bound.get(car.id)
             leader = None
             if stopping_for:
                 target = min(
@@ -422,7 +490,7 @@ class Simulation:
         for car in cars:
             car.followed_by_car_id = follower_of.get(car.id)
         for ped in peds:
-            runtime = games.get(ped.id)
+            runtime = bound.get(ped.id)
             if runtime is not None:
                 assignments[ped.id] = (Mode.GAME, self._game_directive(ped, runtime)[0])
             else:
@@ -467,6 +535,7 @@ class Simulation:
                 heading=heading,
                 diameter=e.diameter,
             )
+            self.world.conflict_index.agents_changed()
 
     def _advance_waypoints(self, agent: AgentState) -> None:
         while (
@@ -484,6 +553,7 @@ class Simulation:
         self._pending_despawn = set()
         for aid in arrived:
             del self.world.agents[aid]
+            self.world.conflict_index.agents_changed()
         columns = AgentColumns(self.world.agents.values(), self.config.scene)
 
         self._run_recognition(columns)

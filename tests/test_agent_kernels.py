@@ -6,7 +6,9 @@ position, the turn sign of `segments_intersect` and the targets of
 `Vec2` temporaries. Those
 forms are kept below as oracles; the float forms must give the same
 bits, for coincident agents, zero headings, overlapping car discs,
-cone boundaries, collinear points and signed zeros.
+cone boundaries, collinear points and signed zeros. `nearest_id` was a
+scan of the sorted candidates; that form is its oracle, and the
+one-pass form must pick the same id in any candidate order.
 """
 
 import math
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharedspace.conflicts import predicted_position
+from sharedspace.conflicts import nearest_id, predicted_position
 from sharedspace.forces import (
     SCALAR_REPULSION_MAX_PAIRS,
     DriveTo,
@@ -147,6 +149,20 @@ def vec_apply_action_target(agent, action, partner, sfm):
     if vec_in_field_of_view(agent, partner.position, sfm.fov_half_angle_deg, sfm.v_r):
         return partner.position - partner.heading * sfm.s_a
     return agent.next_waypoint()
+
+
+def sorted_scan_nearest_id(agent, candidates, agents):
+    best = None
+    best_d = float("inf")
+    for cid in sorted(candidates):
+        other = agents.get(cid)
+        if other is None:
+            continue
+        d = agent.position.distance_to(other.position)
+        if d < best_d:
+            best = cid
+            best_d = d
+    return best
 
 
 # ---- inputs ----
@@ -403,3 +419,76 @@ class TestApplyAction:
         directive = apply_action(ped, Action.CONTINUE, car, sfm)
         assert directive.target == (Vec2(7.0, 0.0) if cuts else ped.goal)
         assert directive.target == vec_apply_action_target(ped, Action.CONTINUE, car, sfm)
+
+
+# ---- the nearest candidate ----
+
+
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+GRID = st.integers(-6, 6).map(lambda k: k * 0.5)
+# Ids the agents may take, and ids no agent has.
+PRESENT_IDS = ["a0", "a1", "a10", "a2", "b", "o"]
+ABSENT_IDS = ["gone", "a3"]
+
+
+@st.composite
+def nearest_cases(draw):
+    """An observer and agents around it. On the half-metre grid every
+    distance is exact, so offsets that swap or negate an earlier one tie
+    exactly; agents also sit on the observer, at arbitrary floats, and
+    at infinite or NaN coordinates."""
+    observer_at = Vec2(draw(GRID | NON_FINITE | st.floats(-1e3, 1e3)), draw(GRID))
+    offsets: list[tuple[float, float]] = []
+    by_id = {}
+    for aid in draw(st.lists(st.sampled_from(PRESENT_IDS), unique=True)):
+        how = draw(st.sampled_from(["tie", "grid", "on", "float", "non_finite"]))
+        if how == "tie" and offsets:
+            dx, dy = draw(st.sampled_from(offsets))
+            sx, sy = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([1.0, -1.0]))
+            dx, dy = (sx * dx, sy * dy) if draw(st.booleans()) else (sx * dy, sy * dx)
+        elif how == "on":
+            dx, dy = 0.0, 0.0
+        elif how == "float":
+            dx, dy = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+        elif how == "non_finite":
+            dx, dy = draw(NON_FINITE), draw(GRID | NON_FINITE)
+        else:
+            dx, dy = draw(GRID), draw(GRID)
+        offsets.append((dx, dy))
+        position = Vec2(observer_at.x + dx, observer_at.y + dy)
+        by_id[aid] = agent(aid, draw(st.sampled_from([PED, CAR])), position, Vec2(1.0, 0.0))
+    observer = by_id.get("o") or agent("o", CAR, observer_at, Vec2(1.0, 0.0))
+    candidates = draw(st.lists(st.sampled_from(PRESENT_IDS + ABSENT_IDS), max_size=12))
+    return observer, candidates, by_id
+
+
+class TestNearestId:
+    @settings(max_examples=600, deadline=None)
+    @given(nearest_cases(), st.data())
+    def test_matches_the_sorted_scan_in_any_order(self, case, data):
+        observer, candidates, by_id = case
+        want = sorted_scan_nearest_id(observer, candidates, by_id)
+        assert nearest_id(observer, candidates, by_id) == want
+        assert nearest_id(observer, reversed(candidates), by_id) == want
+        assert nearest_id(observer, data.draw(st.permutations(candidates)), by_id) == want
+        assert nearest_id(observer, set(candidates), by_id) == want
+        assert nearest_id(observer, iter(candidates), by_id) == want
+
+    @pytest.mark.parametrize("order", [["p2", "p1", "p3"], ["p3", "p1", "p2"], ["p1", "p3", "p2"]])
+    def test_an_exact_tie_goes_to_the_smallest_id(self, order):
+        observer = agent("c", CAR, Vec2(0.0, 0.0), Vec2(1.0, 0.0))
+        by_id = {
+            "p1": agent("p1", PED, Vec2(0.0, 2.0), Vec2(1.0, 0.0)),
+            "p2": agent("p2", PED, Vec2(-2.0, 0.0), Vec2(1.0, 0.0)),
+            "p3": agent("p3", PED, Vec2(0.0, -2.0), Vec2(1.0, 0.0)),
+        }
+        assert nearest_id(observer, order, by_id) == "p1"
+        assert nearest_id(observer, set(order), by_id) == "p1"
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_absent_and_non_finite_candidates_lose(self, bad):
+        observer = agent("c", CAR, Vec2(0.0, 0.0), Vec2(1.0, 0.0))
+        by_id = {"p0": agent("p0", PED, Vec2(bad, 0.0), Vec2(1.0, 0.0))}
+        assert nearest_id(observer, ["p0", "gone"], by_id) is None
+        by_id["p9"] = agent("p9", PED, Vec2(1e300, 1e300), Vec2(1.0, 0.0))
+        assert nearest_id(observer, {"p0", "gone", "p9"}, by_id) == "p9"

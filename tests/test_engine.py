@@ -1011,6 +1011,31 @@ class TestRoadZoneCrowds:
         )
         assert output_digests(config, tmp_path) == self.PINNED_SMALL[regime]
 
+    # sha256 of the outputs of a 160-agent crowd on a 100 m road square,
+    # recorded while recognition still rebuilt the engagements, partner
+    # sets and game counts from the active games at every step; keeping
+    # them across steps must not change them.
+    PINNED_LARGE = {
+        "hbs": {
+            "trace.csv": "9abd6d2de15aa77756cb2641cd99a64ae4eba5af12fa469fb542cba8b628557d",
+            "decisions.csv": "b88ea22b6f5b494c1313dc3cac3921dc5325a852ca164f25ceae1c3b83afe1d8",
+            "features.csv": "b17f66f1712b3e728723b1f964aa83e49e25edc31297bac254914f44c8e3fe89",
+        },
+        "dut": {
+            "trace.csv": "e369310c96698992d0a028474fd9727e1888e46fa053071b86d115b238110a28",
+            "decisions.csv": "e74ded6179c8d3055d3b626613ed2d7130c215bcbefacd7b66d72220c830fdc1",
+            "features.csv": "005c6b28f09912db3e89aafde605fe8a4d44a3908c0ab33e9f67f807d352e3e9",
+        },
+    }
+
+    @pytest.mark.parametrize("regime", ["hbs", "dut"])
+    def test_large_crowd_outputs_match_the_pinned_digests(self, tmp_path, regime) -> None:
+        config = SimulationConfig(
+            scene=open_square_scene(half=50, zone="road"), scenario=two_way_crowd(0, 128, 32),
+            params=ParameterSet.defaults(regime), max_steps=60,
+        )
+        assert output_digests(config, tmp_path) == self.PINNED_LARGE[regime]
+
 
 def output_digests(config: SimulationConfig, out: Path) -> dict[str, str]:
     """sha256 of each CSV a run of `config` writes."""
@@ -1022,3 +1047,155 @@ def output_digests(config: SimulationConfig, out: Path) -> dict[str, str]:
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("trace.csv", "decisions.csv", "features.csv")
     }
+
+
+# ---------------------------------------------------------------------------
+# The conflict index kept across steps
+# ---------------------------------------------------------------------------
+
+
+def steady_crowd(seed: int, n_peds: int = 50, n_cars: int = 8, steps: int = 60) -> Scenario:
+    """A steady two-way crowd on the bundled square, in the manner of
+    the benchmark's crowd: pedestrians cross S<->N and cars W<->E; the
+    given numbers are spread along their routes at step 0, and as many
+    again spawn at their route's start over the run."""
+    rng = random.Random(seed)
+    entries = []
+    for kind, n, prefix in ((AgentKind.PEDESTRIAN, n_peds, "p"), (AgentKind.CAR, n_cars, "c")):
+        walking = kind is AgentKind.PEDESTRIAN
+        for i in range(2 * n):
+            sign = 1.0 if i % 2 else -1.0
+            lateral = rng.uniform(-25.0, 25.0)
+            now = i < n
+            along = sign * (-30.0 + (rng.uniform(0.0, 54.0) if now else 0.0))
+            speed = rng.uniform(1.1, 1.5) if walking else rng.uniform(3.0, 5.0)
+            pos = Vec2(lateral, along) if walking else Vec2(along, lateral)
+            goal = Vec2(lateral, 30.0 * sign) if walking else Vec2(30.0 * sign, lateral)
+            vel = Vec2(0.0, speed * sign) if walking else Vec2(speed * sign, 0.0)
+            entries.append(AgentEntry(
+                f"{prefix}{i:03d}", kind, 0 if now else rng.randrange(1, steps), pos, vel, goal,
+                speed, speed * (1.3 if walking else 1.1), 0.5 if walking else 2.0,
+            ))
+    return Scenario(f"steady{seed}", entries)
+
+
+def rederived_index(sim: Simulation) -> dict:
+    """What the kept index must hold, derived afresh from the active
+    games and the present agents."""
+    active = sim.world.active_conflicts
+    games: dict[str, int] = {}
+    for runtime in active:
+        for aid in set(runtime.conflict.participants()):
+            games[aid] = games.get(aid, 0) + 1
+    return {
+        "bound": {aid: r.conflict.id for r in active for aid in r.binds},
+        "by_id": [(r.conflict.id, r.conflict) for r in active],
+        "games": games,
+        "partners": conflicts.partner_sets([r.conflict for r in active], sim.world.agents),
+    }
+
+
+def kept_index(sim: Simulation) -> dict:
+    index = sim.world.conflict_index
+    bound = sim.engagements()
+    # The bound map names the very runtimes in play.
+    assert all(any(r is runtime for r in sim.world.active_conflicts) for runtime in bound.values())
+    return {
+        "bound": {aid: r.conflict.id for aid, r in bound.items()},
+        "by_id": list(index.by_id.items()),
+        "games": dict(index.games),
+        "partners": index.partners(sim.world.agents),
+    }
+
+
+def checking_recognition(monkeypatch) -> list[int]:
+    """Patch recognition so that every pass checks the partner map it is
+    handed against a fresh derivation and leaves it unchanged; returns
+    the list the dissolved ids are collected in."""
+    dissolved: list[int] = []
+    recognize = conflicts.recognize_conflicts
+
+    def checked(cars, peds, *args, **kwargs):
+        given = kwargs["partners"]
+        ids = [a.id for a in (*cars, *peds)]
+        assert given == conflicts.partner_sets(kwargs["active_conflicts"], ids)
+        before = {aid: set(members) for aid, members in given.items()}
+        outcome = recognize(cars, peds, *args, **kwargs)
+        assert given == before
+        dissolved.extend(outcome.dissolved_ids)
+        return outcome
+
+    monkeypatch.setattr(conflicts, "recognize_conflicts", checked)
+    return dissolved
+
+
+class TestConflictIndex:
+    @pytest.mark.parametrize("scene_name", ["bundled", "open_road", "road"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("regime", ["hbs", "dut"])
+    def test_kept_index_equals_a_fresh_derivation_at_every_step(
+        self, monkeypatch, scene_name, seed, regime
+    ) -> None:
+        dissolved = checking_recognition(monkeypatch)
+        if scene_name == "bundled":
+            scene, scenario = load_scene(BUNDLED_SCENE), steady_crowd(seed)
+        else:
+            scene = open_square_scene(zone="road") if scene_name == "open_road" else ROAD_SCENE
+            scenario = two_way_crowd(seed)
+        config = SimulationConfig(
+            scene=scene, scenario=scenario, params=ParameterSet.defaults(regime), max_steps=60,
+        )
+        sim = Simulation(config)
+        retired = 0
+        for _ in range(config.max_steps):
+            assert kept_index(sim) == rederived_index(sim)
+            before = {r.conflict.id for r in sim.world.active_conflicts}
+            sim.step()
+            assert kept_index(sim) == rederived_index(sim)
+            after = {r.conflict.id for r in sim.world.active_conflicts}
+            retired += len(before - after - set(dissolved))
+        # The runs reach every kind of change to the games: road-zone
+        # merges dissolve games only where there are road zones.
+        assert sim.trace.conflicts and retired
+        assert bool(dissolved) is (scene_name != "bundled")
+
+    def test_direct_game_calls_keep_the_index(self, monkeypatch) -> None:
+        # The calls the engagement tests above make by hand: a later game
+        # over a bound pedestrian, then a retirement by timeout only.
+        monkeypatch.setattr(engine, "CONFLICT_TIMEOUT_STEPS", 1)
+        config = crossing_config(max_steps=3)
+        config.scenario.entries.append(
+            car_entry("c9", position=Vec2(20.0, 20.0), goal=Vec2(-20.0, 20.0), velocity=Vec2(-2.0, 0.0))
+        )
+        sim = Simulation(config)
+        assert kept_index(sim) == rederived_index(sim)
+        sim.step()
+        assert kept_index(sim) == rederived_index(sim)
+        first_id = sim.trace.conflicts[0].id
+        sim._create_game(Conflict(
+            id=99, conflict_class=ConflictClass.PEDESTRIANS_TO_CAR, anchor_car="c9",
+            competitive_users=("p1",), created_at_step=sim.world.step,
+        ))
+        kept = kept_index(sim)
+        assert kept == rederived_index(sim)
+        assert kept["games"] == {"c1": 1, "p1": 2, "c9": 1}
+        assert kept["bound"] == {"c1": first_id, "p1": first_id, "c9": 99}
+        monkeypatch.setattr(sim, "_action_completed", lambda agent, action, partner: False)
+        sim._retire_conflicts()
+        kept = kept_index(sim)
+        assert kept == rederived_index(sim)
+        assert kept["games"] == {"p1": 1, "c9": 1}
+        assert kept["bound"] == {"c9": 99}
+        sim.step()
+        assert kept_index(sim) == rederived_index(sim)
+
+    def test_engagements_are_a_read_only_view(self) -> None:
+        sim = Simulation(crossing_config(max_steps=2))
+        sim.step()
+        view = sim.engagements()
+        assert set(view) == {"c1", "p1"}
+        with pytest.raises(TypeError):
+            view["c9"] = view["c1"]
+        # The view follows the kept map as games retire.
+        sim._keep_games(lambda runtime: False)
+        assert dict(view) == {} and sim.world.active_conflicts == []

@@ -483,8 +483,8 @@ def _cmd_calibrate(ns: argparse.Namespace) -> int:
 def _load_observations(path: Path, subject: str, wanted: list[str] | None):
     """The feature matrix, action labels and feature names (in file
     order) of the rows of `subject`; the rows of other subjects are
-    dropped before any value is read."""
-    table = read_columns(path, ("action",), exact=False, keep=("kind", subject))
+    dropped before any value is read, so the file needs a kind column."""
+    table = read_columns(path, ("action", "kind"), exact=False, keep=("kind", subject))
     feature_cols = [c for c in table.columns if c not in FEATURE_ID_COLUMNS and c != "action"]
     unknown = set(wanted or ()) - set(feature_cols)
     if unknown:
@@ -677,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-features", help="backward-eliminate decision-model features")
     p.add_argument("--observations", required=True,
-                   help="features CSV (e.g. from simulate) with an action column")
+                   help="features CSV (e.g. from simulate) with kind and action columns")
     p.add_argument("--subject", choices=["car", "ped"], required=True)
     p.add_argument("--alpha", type=_alpha, default=0.09)
     p.add_argument("--keep", default="", help="comma-separated features never dropped")

@@ -3,9 +3,10 @@
 Trajectory CSVs carry exactly the columns
 scenario_id,frame,agent_id,kind,x,y with kind in {ped, car}; simulator
 traces use the same layout, so real and simulated data interchange
-freely. `agent_tracks` is the one grouping of rows into per-agent
-arrays; calibration and `compare_trajectories` both read it. Positions
-are compared frame by frame over the frames both sources share.
+freely. `agent_tracks` groups rows into per-agent arrays for
+calibration; it and `compare_trajectories` share one ordering of rows
+by agent and frame. Positions are compared frame by frame over the
+frames both sources share.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ _KIND_CODES = {kind.value: code for code, kind in enumerate(AGENT_KINDS)}
 _UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that surrogateescape kept
 # Ids go unquoted into the UTF-8 CSV outputs, which these characters would break.
 ID_BREAKERS = re.compile(r'[,"\r\n\0\ud800-\udfff]')
+# ASCII bytes that csv.reader or str.strip may take for more than a
+# character of a field: the quote, NUL (an error to Python 3.10's csv)
+# and whitespace other than the line feed
+_NOT_PLAIN = b'"\0' + bytes(b for b in range(128) if chr(b).isspace() and b != ord("\n"))
+# `_read_plain` reads this many bytes at a time, so it never holds a whole file's text
+_PLAIN_BLOCK = 1 << 16
 
 
 class TrajectoryFormatError(ValueError):
@@ -202,10 +209,18 @@ def read_columns(
     raises for line 1. Blank rows are skipped. The first row whose width
     is not the header's, that the csv module cannot parse, or that holds
     a byte UTF-8 cannot decode, is the table's first bad row, and the
-    table holds only the rows before it. With `keep` = (name, value) and
-    a header that names that column, it holds only the rows whose field
-    reads `value`.
+    table holds only the rows before it. With `keep` = (name, value),
+    name one of `columns`, it holds only the rows whose field reads
+    `value`.
+
+    A plain file, as `_read_plain` defines it, is split as text. Any
+    other file, with quoted fields, CRLF line ends, padded fields, blank
+    rows or bytes beyond ASCII, goes through csv.reader. On a plain file
+    the two give the same table.
     """
+    table = _read_plain(path, columns, exact, keep)
+    if table is not None:
+        return table
     rows: list[list[str]] = []
     error = None
     for errors in ("strict", "surrogateescape"):
@@ -226,13 +241,7 @@ def read_columns(
     if not rows:
         raise TrajectoryFormatError(error or f"{path}:1: empty file")
     header = [name.strip() for name in rows.pop(0)]
-    if exact and tuple(header) != tuple(columns):
-        raise TrajectoryFormatError(f"{path}:1: header must be {','.join(columns)}")
-    if not set(columns) <= set(header):
-        raise TrajectoryFormatError(f"{path}:1: needs columns {sorted(columns)}")
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise TrajectoryFormatError(f"{path}:1: duplicate column {name!r}")
+    _check_header(path, header, columns, exact)
     width = np.fromiter(map(len, rows), np.intp, len(rows))
     lines = np.flatnonzero(width) + 2
     rows = list(filter(None, rows))
@@ -242,12 +251,82 @@ def read_columns(
         error = f"{path}:{lines[end]}: expected {len(header)} columns"
         del rows[end:]
         lines = lines[:end]
-    if keep and keep[0] in header:
+    if keep:
         k, value = header.index(keep[0]), keep[1]
         mask = np.fromiter((row[k].strip() == value for row in rows), bool, len(rows))
         rows, lines = list(compress(rows, mask)), lines[mask]
     stripped = [tuple(map(str.strip, column)) for column in zip(*rows)] or [()] * len(header)
     return CsvColumns(path, dict(zip(header, stripped)), lines, len(rows), error)
+
+
+def _check_header(path: str | Path, header: list[str], columns: Sequence[str], exact: bool) -> None:
+    if exact and tuple(header) != tuple(columns):
+        raise TrajectoryFormatError(f"{path}:1: header must be {','.join(columns)}")
+    if not set(columns) <= set(header):
+        raise TrajectoryFormatError(f"{path}:1: needs columns {sorted(columns)}")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise TrajectoryFormatError(f"{path}:1: duplicate column {name!r}")
+
+
+def _read_plain(
+    path: str | Path, columns: Sequence[str], exact: bool, keep: tuple[str, str] | None
+) -> CsvColumns | None:
+    """`read_columns` on a plain file: ASCII text with no quote, CR, NUL
+    or whitespace but the line feed, no blank line, and no line longer
+    than the csv module's field limit. csv.reader splits such a text at
+    each comma and line feed and nowhere else, and no field has anything
+    to strip, so the text is split as it is, one block of whole lines at
+    a time. A block's text, and the fields of the rows `keep` drops, go
+    with the block. None for any other file."""
+    limit = csv.field_size_limit()
+    header: list[str] = []
+    fields: list[list[str]] = []
+    lines = []
+    n, error, rest = 0, None, b""
+    with open(path, "rb") as fh:
+        while error is None:
+            chunk = fh.read(_PLAIN_BLOCK)
+            if not chunk and not rest:
+                break
+            text = rest + chunk
+            cut = text.rfind(b"\n") + 1 if chunk else len(text)
+            text, rest = text[:cut], text[cut:]
+            if not text:
+                continue
+            if not text.isascii() or any(byte in text for byte in _NOT_PLAIN):
+                return None
+            raw = np.frombuffer(text, np.uint8)
+            ends = np.flatnonzero(raw == ord("\n"))
+            if raw[-1] != ord("\n"):
+                ends = np.append(ends, len(raw))
+            length = np.diff(ends, prepend=-1) - 1
+            if not length.all() or length.max() > limit:
+                return None
+            # each line's field count, from the commas before its end
+            width = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends), prepend=0) + 1
+            block = text.replace(b"\n", b",").decode("ascii").split(",")
+            if not header:
+                header, block, width = block[:width[0]], block[width[0]:], width[1:]
+                _check_header(path, header, columns, exact)
+                fields = [[] for _ in header]
+            w = len(header)
+            wrong = np.flatnonzero(width != w)
+            m = int(wrong[0]) if wrong.size else len(width)
+            rows = np.arange(n + 2, n + m + 2)
+            n += m
+            if wrong.size:
+                error = f"{path}:{n + 2}: expected {w} columns"
+            if keep:
+                mask = list(map(keep[1].__eq__, block[header.index(keep[0]):m * w:w]))
+                rows = rows[np.array(mask, dtype=bool)]
+            for j, column in enumerate(fields):
+                column.extend(compress(block[j:m * w:w], mask) if keep else block[j:m * w:w])
+            lines.append(rows)
+    if not header:
+        return None
+    lines = np.concatenate(lines)
+    return CsvColumns(path, dict(zip(header, map(tuple, fields))), lines, len(lines), error)
 
 
 def load_trajectories(path: str | Path) -> TrajectoryTable:
@@ -351,9 +430,23 @@ def agent_tracks(records: Sequence[TrajectoryRecord]) -> dict[tuple[str, str], T
     """Index records as (scenario_id, agent_id) -> (kind, frames, x, y),
     agents in order of first appearance, frames sorted and the last row
     of a repeated frame kept. An agent whose kind changes is an error."""
-    table = records if isinstance(records, TrajectoryTable) else TrajectoryTable.from_records(records)
+    table, first_kind, order = _track_rows(records)
     if not len(table):
         return {}
+    a, f = table.agent[order], table.frame[order]
+    x, y = table.x[order], table.y[order]
+    bounds = [0, *(np.flatnonzero(a[1:] != a[:-1]) + 1).tolist(), len(order)]
+    return {
+        table.agents[a[lo]]: (AGENT_KINDS[first_kind[a[lo]]], f[lo:hi], x[lo:hi], y[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    }
+
+
+def _track_rows(records: Sequence[TrajectoryRecord]) -> tuple[TrajectoryTable, np.ndarray, np.ndarray]:
+    """The table of `records`, each agent's first kind, and the row
+    order by agent and then frame that keeps the last row of a repeated
+    frame. An agent whose kind changes is an error."""
+    table = records if isinstance(records, TrajectoryTable) else TrajectoryTable.from_records(records)
     agent, kind = table.agent, table.kind
     first_kind = kind[np.unique(agent, return_index=True)[1]]
     flipped = np.flatnonzero(kind != first_kind[agent])
@@ -364,18 +457,13 @@ def agent_tracks(records: Sequence[TrajectoryRecord]) -> dict[tuple[str, str], T
     a, f = agent[order], table.frame[order]
     last = np.ones(len(order), dtype=bool)
     last[:-1] = (a[1:] != a[:-1]) | (f[1:] != f[:-1])
-    order, a, f = order[last], a[last], f[last]
-    x, y = table.x[order], table.y[order]
-    bounds = [0, *(np.flatnonzero(a[1:] != a[:-1]) + 1).tolist(), len(order)]
-    return {
-        table.agents[a[lo]]: (AGENT_KINDS[first_kind[a[lo]]], f[lo:hi], x[lo:hi], y[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    }
+    return table, first_kind, order[last]
 
 
 def _hypot(dx: np.ndarray, dy: np.ndarray) -> list[float]:
-    # math.hypot, as Vec2.distance_to computes it: np.hypot may round differently
-    return list(map(math.hypot, dx.tolist(), dy.tolist()))
+    # math.hypot, as Vec2.distance_to computes it: np.hypot may round
+    # differently. A memoryview hands out the floats one at a time.
+    return list(map(math.hypot, memoryview(dx), memoryview(dy)))
 
 
 def track_speeds(frames: np.ndarray, x: np.ndarray, y: np.ndarray, frame_seconds: float) -> np.ndarray:
@@ -481,33 +569,56 @@ def compare_trajectories(
     """Per-agent displacement and speed metrics over shared frames.
 
     Agents present in the real data but absent from the simulation (or
-    sharing no frames with it) are listed as unmatched. Each metric
-    equals `ade` and `speed_deviation` on the agent's frame -> position
-    dicts bit for bit: the same float operations in frame order.
+    sharing no frames with it) are listed as unmatched. Real and
+    simulated rows are joined on (agent, frame) in one pass, and every
+    displacement and step speed is computed at once; each agent's
+    metrics then sum its slice of them in frame order, so they equal
+    `ade` and `speed_deviation` on the agent's frame -> position dicts
+    bit for bit.
     """
-    real_by_agent = agent_tracks(real_records)
-    sim_by_agent = agent_tracks(sim_records)
+    real, real_kind, real_rows = _track_rows(real_records)
+    sim, _, sim_rows = _track_rows(sim_records)
+    code = {key: i for i, key in enumerate(real.agents)}
+    # the simulated rows of real agents, each agent as its real code
+    sim_agent = np.array([code.get(key, -1) for key in sim.agents], dtype=np.intp)[sim.agent[sim_rows]]
+    sim_rows, sim_agent = sim_rows[sim_agent >= 0], sim_agent[sim_agent >= 0]
+    # A stable sort by agent and frame puts each real row just before the
+    # simulated row of its agent and frame, if there is one.
+    agent = np.concatenate([real.agent[real_rows], sim_agent])
+    frame = np.concatenate([real.frame[real_rows], sim.frame[sim_rows]])
+    order = np.lexsort((frame, agent))
+    agent, frame = agent[order], frame[order]
+    pair = np.flatnonzero((agent[1:] == agent[:-1]) & (frame[1:] == frame[:-1]))
+    # the common rows, sorted by agent and then frame
+    agent, frame = agent[pair], frame[pair]
+    ri, si = real_rows[order[pair]], sim_rows[order[pair + 1] - len(real_rows)]
+    rx, ry, sx, sy = real.x[ri], real.y[ri], sim.x[si], sim.y[si]
+    del order, pair, ri, si  # hold fewer arrays while the floats are made
+    bounds = np.searchsorted(agent, np.arange(len(code) + 1)).tolist()
+    spans = list(zip(bounds, bounds[1:]))  # each real agent's common rows
+    shifts = _span_sums(_hypot(rx - sx, ry - sy), spans)
+    gaps = None
+    # speed_deviation's test: a NaN frame_seconds passes it
+    if not frame_seconds <= 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):  # steps from one agent to the next go unread
+            gap = track_speeds(frame, rx, ry, frame_seconds) - track_speeds(frame, sx, sy, frame_seconds)
+        gaps = _span_sums(np.abs(gap).tolist(), [(lo, hi - 1) for lo, hi in spans])
     report = MetricReport()
-    for key in sorted(real_by_agent):
-        kind, real_frames, rx, ry = real_by_agent[key]
-        if key not in sim_by_agent:
+    for key in sorted(code):
+        c = code[key]
+        lo, hi = spans[c]
+        if lo == hi:
             report.unmatched_agents.append(key)
             continue
-        _, sim_frames, sx, sy = sim_by_agent[key]
-        common, ri, si = np.intersect1d(real_frames, sim_frames, assume_unique=True, return_indices=True)
-        if not common.size:
-            report.unmatched_agents.append(key)
-            continue
-        rx, ry, sx, sy = rx[ri], ry[ri], sx[si], sy[si]
-        displacement = sum(_hypot(rx - sx, ry - sy)) / common.size
-        sd = None
-        # speed_deviation's test: a NaN frame_seconds passes it
-        if common.size >= 2 and not frame_seconds <= 0.0:
-            real_speeds = track_speeds(common, rx, ry, frame_seconds)
-            sim_speeds = track_speeds(common, sx, sy, frame_seconds)
-            sd = sum(np.abs(real_speeds - sim_speeds).tolist()) / (common.size - 1)
-        report.per_agent.append(AgentMetrics(key[0], key[1], kind, displacement, sd))
+        sd = gaps[c] / (hi - lo - 1) if gaps is not None and hi - lo >= 2 else None
+        kind = AGENT_KINDS[real_kind[c]]
+        report.per_agent.append(AgentMetrics(key[0], key[1], kind, shifts[c] / (hi - lo), sd))
     return report
+
+
+def _span_sums(values: list[float], spans: Sequence[tuple[int, int]]) -> list[float]:
+    # the built-in sum, as ade and speed_deviation add
+    return [sum(values[lo:hi]) for lo, hi in spans]
 
 
 def attach_decision_metrics(

@@ -83,11 +83,15 @@ def _log_likelihood(X: np.ndarray, codes: np.ndarray, beta: np.ndarray) -> tuple
     return ll, probs
 
 
-def _gradient(X: np.ndarray, codes: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    n, K = probs.shape
-    indicator = np.zeros((n, K))
+def _indicator(codes: np.ndarray, K: int) -> np.ndarray:
+    """(n, K) one-hot outcomes, a zero row for the baseline."""
+    indicator = np.zeros((len(codes), K))
     rows = codes >= 0
     indicator[np.nonzero(rows)[0], codes[rows]] = 1.0
+    return indicator
+
+
+def _gradient(X: np.ndarray, indicator: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return (indicator - probs).T @ X              # (K, p)
 
 
@@ -133,11 +137,12 @@ def fit_multinomial_logit(
 
     codes, outcomes = _encode_labels(y, baseline)
     K = len(outcomes)
+    indicator = _indicator(codes, K)
     beta = np.zeros((K, p))
     ll, probs = _log_likelihood(X, codes, beta)
 
     for _ in range(MAX_ITER):
-        grad = _gradient(X, codes, probs)
+        grad = _gradient(X, indicator, probs)
         if np.abs(grad).max() < GRADIENT_TOL:
             break
         H = _hessian(X, probs)
@@ -162,7 +167,7 @@ def fit_multinomial_logit(
             raise ConvergenceError(
                 "coefficients diverging; outcomes may be perfectly separable"
             )
-        if abs(improved) < LOGLIK_TOL and np.abs(_gradient(X, codes, probs)).max() < GRADIENT_TOL:
+        if abs(improved) < LOGLIK_TOL and np.abs(_gradient(X, indicator, probs)).max() < GRADIENT_TOL:
             break
     else:
         raise ConvergenceError(f"no convergence after {MAX_ITER} iterations")
@@ -198,7 +203,7 @@ def log_likelihood_and_gradient(
     codes, outcomes = _encode_labels(y, baseline)
     beta = np.asarray(beta, dtype=float).reshape(len(outcomes), X.shape[1])
     ll, probs = _log_likelihood(X, codes, beta)
-    return ll, _gradient(X, codes, probs)
+    return ll, _gradient(X, _indicator(codes, len(outcomes)), probs)
 
 
 @dataclass

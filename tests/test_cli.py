@@ -1017,6 +1017,20 @@ class TestSelectFeatures:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("dropped", ["kind", "action"])
+    def test_missing_kind_or_action_column_exits_2(self, tmp_path, capsys, dropped) -> None:
+        # without a kind column no row could be told apart by --subject
+        path = write_logit_observations(tmp_path)
+        rows = [row.split(",") for row in path.read_text().splitlines()]
+        j = rows[0].index(dropped)
+        path.write_text("".join(",".join(row[:j] + row[j + 1:]) + "\n" for row in rows))
+        code = main([
+            "select-features", "--observations", str(path), "--subject", "ped",
+            "--out-dir", str(tmp_path / "sel"),
+        ])
+        assert (code, capsys.readouterr().err) == (2, f"error: {path}:1: needs columns ['action', 'kind']\n")
+        assert not (tmp_path / "sel").exists()
+
     def test_short_row_exits_2_with_its_line(self, tmp_path, capsys) -> None:
         path = write_logit_observations(tmp_path)
         with open(path, "a") as fh:

@@ -54,8 +54,10 @@ def csv_line(fields: list[str]) -> str:
 
 @st.composite
 def mutated_files(draw):
-    """A format, its file's text with up to three mutated rows, and the
-    line main() must name: that of the first broken row, or None."""
+    """A format, its file's text with up to three mutated rows and LF or
+    CRLF line ends, and the line main() must name: that of the first
+    broken row, or None. Padded and quoted fields, blank rows and CRLF
+    line ends break nothing."""
     name = draw(st.sampled_from(sorted(FORMATS)))
     rows, tokens = FORMATS[name]
     rows = [list(row) for row in rows]
@@ -66,7 +68,7 @@ def mutated_files(draw):
         broken.add(0)
     blanks = {}
     for i in draw(st.sets(st.integers(1, len(rows) - 1), max_size=3)):
-        mutation = draw(st.sampled_from(["drop", "add", "token", "blank", "quoted"]))
+        mutation = draw(st.sampled_from(["drop", "add", "token", "blank", "quoted", "padded"]))
         if mutation == "drop":
             rows[i].pop()
         elif mutation == "add":
@@ -76,10 +78,13 @@ def mutated_files(draw):
             rows[i][column] = draw(st.sampled_from(tokens[column]))
         elif mutation == "blank":
             blanks[i] = draw(st.integers(1, 2))
-        else:
+        elif mutation == "quoted":
             # a field that spans two lines, still valid once stripped
             column = draw(st.sampled_from(sorted(tokens)))
             rows[i][column] += "\n"
+        else:
+            column = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][column] = f" {rows[i][column]}\t"
         if mutation in ("drop", "add", "token"):
             broken.add(i)
     records = []
@@ -88,7 +93,8 @@ def mutated_files(draw):
         records += [""] * blanks.get(i, 0)
         line_of[i] = len(records) + 1  # a record index: a two-line field is one line
         records.append(csv_line(row))
-    return name, "\n".join(records) + "\n", line_of[min(broken)] if broken else None
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return name, end.join(records) + end, line_of[min(broken)] if broken else None
 
 
 def run(argv: list[str]) -> tuple[int, str]:

@@ -9,13 +9,15 @@ from __future__ import annotations
 import csv
 import math
 import random
+import string
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharedspace import cli
+from sharedspace import cli, dataio
 from sharedspace.dataio import (
     ANNOTATION_COLUMNS,
     TRAJECTORY_COLUMNS,
@@ -36,6 +38,7 @@ from sharedspace.dataio import (
     load_decisions,
     load_trajectories,
     parse_action,
+    read_columns,
     speed_deviation,
     write_annotations,
     write_metric_report,
@@ -394,6 +397,154 @@ class TestLineNumbers:
         with pytest.raises(TrajectoryFormatError) as err:
             load_trajectories(path)
         assert str(err.value) == f"{path}:1: not UTF-8 text"
+
+
+# What a plain field may hold: printable ASCII but the quote, the comma
+# and the space, and two control characters neither csv nor strip reads.
+PLAIN_FIELD = "".join(sorted(set(string.printable) - set(string.whitespace) - set('",'))) + "\x01\x7f"
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and rows of plain fields, the columns a reader asks for,
+    whether it asks for exactly those, and a (name, value) to keep."""
+    header = draw(st.lists(st.sampled_from(["id", "kind", "x", "y", "a-b"]), min_size=1, max_size=4))
+    # a field of a one-column row may not be empty: that line would be blank
+    text = st.text(PLAIN_FIELD, min_size=1 if len(header) == 1 else 0, max_size=5)
+    row = st.lists(st.one_of(st.sampled_from(["car", "ped"]), text), min_size=len(header), max_size=len(header))
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    exact = draw(st.booleans())
+    columns = tuple(header) if exact else tuple(draw(st.sets(st.sampled_from(header), min_size=1)))
+    keep = None
+    if draw(st.booleans()):
+        keep = (draw(st.sampled_from(columns)), draw(st.sampled_from(["car", "ped"])))
+    return [header, *rows], columns, exact, keep
+
+
+def read_both_ways(path: Path, columns, exact, keep) -> tuple[object, object, list[bool]]:
+    """What read_columns gives, what its csv path alone gives (each a
+    table's fields or the message it raised), and whether each call of
+    the plain path made a table."""
+    taken: list[bool] = []
+    plain_path = dataio._read_plain
+
+    def spy(*args):
+        table = plain_path(*args)
+        taken.append(table is not None)
+        return table
+
+    def outcome():
+        try:
+            table = read_columns(path, columns, exact, keep)
+        except TrajectoryFormatError as exc:
+            return str(exc)
+        return list(table.columns.items()), table.lines.tolist(), table.lines.dtype, table.n, table.error
+
+    with mock.patch.object(dataio, "_read_plain", spy):
+        got = outcome()
+    with mock.patch.object(dataio, "_read_plain", lambda *args: None):
+        expected = outcome()
+    return got, expected, taken
+
+
+# Each way to write a table; the plain ones must take the plain path.
+def _write_plain(rows, draw):
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
+def _at(rows, draw):
+    i = draw(st.integers(0, len(rows) - 1))
+    return i, draw(st.integers(0, len(rows[i]) - 1))
+
+
+def _with_field(change):
+    def write(rows, draw):
+        rows = [list(row) for row in rows]
+        i, j = _at(rows, draw)
+        rows[i][j] = change(rows[i][j])
+        return _write_plain(rows, draw)
+    return write
+
+
+def _quoted(rows, draw):
+    rows = [list(row) for row in rows]
+    for change in (lambda f: f'"{f}"', lambda f: f'"{f}\n{f}"'):
+        i, j = _at(rows, draw)
+        rows[i][j] = change(rows[i][j])
+    return _write_plain(rows, draw)
+
+
+def _blank_row(rows, draw):
+    lines = list(map(",".join, rows))
+    lines.insert(draw(st.integers(1, len(lines))), "")
+    return "\n".join(lines) + "\n"
+
+
+def _wrong_width(rows, draw):
+    rows = [list(row) for row in rows]
+    i = draw(st.integers(1, len(rows) - 1))
+    if draw(st.booleans()) and ",".join(rows[i][:-1]):  # a row too short, but not a blank line
+        rows[i].pop()
+    else:
+        rows[i].append("extra")
+    return _write_plain(rows, draw)
+
+
+WRITERS = {
+    "plain": (_write_plain, True),
+    "CRLF": (lambda rows, draw: _write_plain(rows, draw).replace("\n", "\r\n"), False),
+    "padded": (_with_field(lambda f: f" {f}\t"), False),
+    "quoted": (_quoted, False),
+    "blank row": (_blank_row, False),
+    "NUL": (_with_field(lambda f: f + "\0"), False),
+    "non-ASCII": (_with_field(lambda f: "\u00e9" + f), False),
+    "wrong width": (_wrong_width, True),
+    "field over the limit": (_with_field(lambda f: "x" * (csv.field_size_limit() + 1)), False),
+    "no final newline": (lambda rows, draw: _write_plain(rows, draw)[:-1], True),
+}
+
+
+class TestPlainPath:
+    """read_columns splits a plain file as text. Its oracle is the csv
+    path: on any table written any way, the two give the same columns,
+    line numbers, row count and error, or raise the same message."""
+
+    @pytest.mark.parametrize("way", sorted(WRITERS))
+    @settings(max_examples=40, deadline=None)
+    @given(table=csv_tables(), data=st.data())
+    def test_both_paths_read_the_same_table(self, tmp_path_factory, way, table, data) -> None:
+        rows, columns, exact, keep = table
+        write, plain = WRITERS[way]
+        path = tmp_path_factory.mktemp("plain") / "t.csv"
+        path.write_bytes(write(rows, data.draw).encode())
+        got, expected, taken = read_both_ways(path, columns, exact, keep)
+        assert got == expected
+        if plain and not isinstance(got, str):
+            assert taken == [True]
+
+    @pytest.mark.parametrize("code", range(128))
+    def test_every_ascii_character_reads_as_csv_reads_it(self, tmp_path: Path, code: int) -> None:
+        c = chr(code)
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"id,kind\n{c}a{c},car\nb,{c}ped{c}\n".encode())
+        got, expected, taken = read_both_ways(path, ("id", "kind"), True, ("kind", "ped"))
+        assert got == expected
+        # a line feed here makes blank lines
+        assert taken == [not c.isspace() and c not in '"\0']
+
+    def test_a_file_longer_than_a_block_is_read_whole(self, tmp_path: Path) -> None:
+        rows = [f"s{i % 3},{i},a{i % 7},{'car' if i % 2 else 'ped'},{i}.25,-{i}" for i in range(6000)]
+        path = write_csv(tmp_path / "t.csv", TRAJECTORY_COLUMNS, rows)
+        assert path.stat().st_size > 2 * dataio._PLAIN_BLOCK
+        for keep in (None, ("kind", "car")):
+            got, expected, taken = read_both_ways(path, TRAJECTORY_COLUMNS, True, keep)
+            assert got == expected and taken == [True]
+        # a bad row in a later block ends the table there
+        rows[4321] += ",0"
+        path = write_csv(tmp_path / "t.csv", TRAJECTORY_COLUMNS, rows)
+        got, expected, taken = read_both_ways(path, TRAJECTORY_COLUMNS, True, ("kind", "ped"))
+        assert got == expected and taken == [True]
+        assert got[3] == 2161 and got[4] == f"{path}:4323: expected 6 columns"
 
 
 class TestGroupByAgent:

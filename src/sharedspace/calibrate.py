@@ -16,21 +16,21 @@ selection with single-point crossover and Gaussian mutation, fully
 deterministic under a fixed seed. Candidate evaluations are independent
 simulations, so a caller may evaluate a population concurrently;
 results merge by chromosome index. A chromosome seen before in the same
-run is answered from its earlier score. Agent routes do not depend on
-the genes, so each calibration scenario plans them once and reuses the
-plan in every evaluation.
+run is answered from its earlier score.
 
-A new chromosome often agrees with an earlier one on every gene that
-some scenario's simulation reads. An objective that passes a
-SimulationMemo to the fitness functions runs each simulation on a
-recording view of the calibrated parameter group and keeps the
-scenario's score under the exact bits of the fields it read; a later
-match on those bits reuses the score with no simulation.
+Every fitness call goes through a SimulationMemo, the one cache of an
+objective; a call given none uses a fresh one. Agent routes do not
+depend on the genes, so the memo plans each scenario's routes once and
+reuses them in every simulation. A new chromosome often agrees with an
+earlier one on every gene that some scenario's simulation reads, so
+each simulation runs on a recording view of the calibrated parameter
+group and the memo keeps the scenario's score under the exact bits of
+the fields it read; a later match on those bits reuses the score with
+no simulation.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -305,11 +305,6 @@ class CalibrationScenario:
     scenario: Scenario
     real_positions: dict[str, dict[int, Vec2]]
     annotations: dict[tuple[str, int], Action] = field(default_factory=dict)
-    # (scene planned on, its waypoints or the rejection planning raised);
-    # see plan_scenarios
-    plan: tuple[Scene, dict[str, list[Vec2]] | ScenarioRejectedError] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
 
 def _scenario(scenario_id: str, agents: Mapping[str, Track], frame_seconds: float) -> Scenario:
@@ -455,29 +450,16 @@ def trace_decisions(trace: SimulationTrace) -> dict[tuple[str, int], Action]:
     return index_decisions(((row.agent_id,), row.action) for row in trace.decisions)
 
 
-def plan_scenarios(items: Sequence[CalibrationScenario], scene: Scene) -> None:
-    """Plan the agent routes of every item that holds no plan for an
-    equal scene, and keep them on the item: routes do not depend on the
-    genes, so every evaluation reuses them, and copies of the items (such
-    as those pickled to worker processes) carry them. A scenario that
-    planning rejects keeps the ScenarioRejectedError instead."""
-    for item in items:
-        if item.plan is None or item.plan[0] != scene:
-            try:
-                outcome = plan_waypoints(scene, item.scenario.entries)
-            except ScenarioRejectedError as exc:
-                outcome = exc
-            # a copy, so that a scene later changed in place no longer matches
-            item.plan = (copy.deepcopy(scene), outcome)
-
-
 def _simulate(
     item: CalibrationScenario,
+    waypoints: dict[str, list[Vec2]] | ScenarioRejectedError,
     scene: Scene,
     params: ParameterSet,
     frame_seconds: float,
     steps_past_last_frame: int,
 ) -> SimulationTrace:
+    if isinstance(waypoints, ScenarioRejectedError):
+        raise waypoints.with_traceback(None)
     last_frame = max(max(t) for t in item.real_positions.values())
     config = SimulationConfig(
         scene=scene,
@@ -486,27 +468,41 @@ def _simulate(
         dt=frame_seconds,
         max_steps=last_frame + steps_past_last_frame,
     )
-    plan_scenarios([item], scene)
-    waypoints = item.plan[1]
-    if isinstance(waypoints, ScenarioRejectedError):
-        raise waypoints.with_traceback(None)
     return run_scenario(config, waypoints)
 
 
 class SimulationMemo:
-    """The scenario scores of one objective run, each kept under the
-    exact bits of the calibrated parameters that its simulation and
-    scoring read (a `params.recording_view` notes them). A later
+    """The one cache of one objective run, by scenario position in the
+    objective's `training` list. For each scenario it keeps the route
+    plan, or the ScenarioRejectedError planning raised: routes do not
+    depend on the genes. Beside it, it keeps the scenario's scores, each
+    under the exact bits of the calibrated parameters that its simulation
+    and scoring read (a `params.recording_view` notes them). A later
     parameter set that agrees bit for bit on those values gets that
     score with no simulation: it is the same program on the same inputs.
     A failed simulation is kept under the reads made before it failed.
     A memo serves one objective on fixed scenarios, scene, base
-    parameters and frame length, and holds one entry per fresh scenario
-    simulation."""
+    parameters and frame length, and holds one plan per scenario and one
+    entry per fresh scenario simulation."""
 
     def __init__(self) -> None:
+        # scenario position -> its waypoints, or the rejection planning raised
+        self._plans: dict[int, dict[str, list[Vec2]] | ScenarioRejectedError] = {}
         # scenario position -> fields read -> bits of their values -> score
         self._scores: dict[int, dict[tuple[str, ...], dict[tuple, float]]] = {}
+
+    def plan(
+        self, index: int, item: CalibrationScenario, scene: Scene
+    ) -> dict[str, list[Vec2]] | ScenarioRejectedError:
+        """The routes of the scenario at `index`, planned on first use."""
+        plan = self._plans.get(index)
+        if plan is None:
+            try:
+                plan = plan_waypoints(scene, item.scenario.entries)
+            except ScenarioRejectedError as exc:
+                plan = exc
+            self._plans[index] = plan
+        return plan
 
     def get(self, index: int, group: SfmParams | GameParams) -> float | None:
         for names, scores in self._scores.get(index, {}).items():
@@ -527,7 +523,7 @@ def _bits(values) -> tuple:
 
 
 def _mean_score(
-    items: Sequence[CalibrationScenario],
+    items: Sequence[tuple[int, CalibrationScenario]],
     scene: Scene,
     params: ParameterSet,
     group: str,
@@ -535,34 +531,30 @@ def _mean_score(
     steps_past_last_frame: int,
     score: Callable[[CalibrationScenario, SimulationTrace], float],
     failure: float,
-    memo: SimulationMemo | None,
+    memo: SimulationMemo,
 ) -> float:
-    """Mean over `items` of `score` of each one's simulation, or
-    `failure` where simulating or scoring fails by design. With a memo,
-    each scenario is answered from it or simulated on a recording view of
-    the `group` parameters and kept in it."""
-    if memo is not None:
-        try:
-            params.validate()
-        except ParameterFileError:
-            # every simulation fails its own validation, as without a memo
-            memo = None
-
-    def simulated_score(item: CalibrationScenario, run_params: ParameterSet) -> float:
-        try:
-            return score(item, _simulate(item, scene, run_params, frame_seconds, steps_past_last_frame))
-        except SIMULATION_FAILURES:
-            return failure
-
+    """Mean over the (memo position, item) pairs of `items` of `score` of
+    each item's simulation, or `failure` where simulating or scoring
+    fails by design. Each scenario is answered from the memo or simulated
+    on a recording view of the `group` parameters and kept in it."""
+    try:
+        params.validate()
+    except ParameterFileError:
+        # every simulation would fail this validation; keep nothing
+        return failure
     scores = []
-    for index, item in enumerate(items):
-        if memo is None:
-            scores.append(simulated_score(item, params))
-            continue
+    for index, item in items:
         value = memo.get(index, getattr(params, group))
         if value is None:
             view = recording_view(getattr(params, group))
-            value = simulated_score(item, dataclasses.replace(params, **{group: view}))
+            try:
+                trace = _simulate(
+                    item, memo.plan(index, item, scene), scene, dataclasses.replace(params, **{group: view}),
+                    frame_seconds, steps_past_last_frame,
+                )
+                value = score(item, trace)
+            except SIMULATION_FAILURES:
+                value = failure
             memo.put(index, view, value)
         scores.append(value)
     return sum(scores) / len(scores)
@@ -586,13 +578,14 @@ def fitness_sfm(
 ) -> float:
     """Scenario-averaged positional error of the decoded parameter set;
     a scenario whose simulation fails scores the penalty. `memo`, kept
-    across the calls of one objective, answers repeated simulations."""
+    across the calls of one objective on `training`, answers repeated
+    plans and simulations; without one the call uses a fresh memo."""
     if not training:
         raise ScoreUndefinedError("no training scenarios")
     # Only observed frames are scored: simulate up to the last one.
     return _mean_score(
-        training, scene, decode(genes, base, "sfm"), "sfm", frame_seconds, 1,
-        _position_error, SCENARIO_FAILURE_PENALTY, memo,
+        list(enumerate(training)), scene, decode(genes, base, "sfm"), "sfm", frame_seconds, 1,
+        _position_error, SCENARIO_FAILURE_PENALTY, SimulationMemo() if memo is None else memo,
     )
 
 
@@ -606,13 +599,14 @@ def fitness_game(
 ) -> float:
     """Scenario-averaged decision agreement in [-1, 1] (higher is
     better). Scenarios without annotations are skipped; a failed
-    simulation scores -1 for its scenario. `memo` as for fitness_sfm."""
-    annotated = [item for item in training if item.annotations]
+    simulation scores -1 for its scenario. `memo` as for fitness_sfm;
+    its positions stay those of `training`."""
+    annotated = [(index, item) for index, item in enumerate(training) if item.annotations]
     if not annotated:
         raise ScoreUndefinedError("no annotated scenarios")
     # A game created after the last observed frame can still match an
     # annotation, so run on past it.
     return _mean_score(
         annotated, scene, decode(genes, base, "game"), "game", frame_seconds, STEPS_PAST_LAST_FRAME,
-        _agreement, -1.0, memo,
+        _agreement, -1.0, SimulationMemo() if memo is None else memo,
     )

@@ -45,7 +45,6 @@ from .calibrate import (
     fitness_game,
     fitness_sfm,
     ga_optimize,
-    plan_scenarios,
     train_test_split,
     write_history_csv,
 )
@@ -302,9 +301,10 @@ def _cmd_evaluate(ns: argparse.Namespace) -> int:
 
 class _FitnessWorker:
     """Per-chromosome objective; picklable so `--jobs` can hand it to
-    each pool process once. It plans the training scenarios' routes
-    when built, so every copy carries them and no process re-plans. Each
-    copy keeps its own SimulationMemo of the scenario simulations it ran."""
+    each pool process once. Its SimulationMemo plans the training
+    scenarios' routes when the worker is built, so every copy carries
+    them and no process re-plans; each copy then adds the scenario
+    simulations it runs to its own memo."""
 
     def __init__(
         self,
@@ -314,13 +314,14 @@ class _FitnessWorker:
         base: ParameterSet,
         frame_seconds: float,
     ) -> None:
-        plan_scenarios(training, scene)
         self.mode = mode
         self.training = training
         self.scene = scene
         self.base = base
         self.frame_seconds = frame_seconds
         self.memo = SimulationMemo()
+        for index, item in enumerate(training):
+            self.memo.plan(index, item, scene)
 
     def __call__(self, genes: list[float]) -> float:
         args = (genes, self.training, self.scene, self.base, self.frame_seconds, self.memo)

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_graph_builds, open_square_scene
+from helpers import open_square_scene
 from sharedspace import calibrate, engine
 from sharedspace.calibrate import (
     GAME_GENE_NAMES,
     GENE_NAMES,
     SCENARIO_FAILURE_PENALTY,
     SFM_GENE_NAMES,
+    STEPS_PAST_LAST_FRAME,
     CalibrationScenario,
     GaConfig,
     GaConfigError,
@@ -785,10 +786,10 @@ class TestFitnessSfm:
     def test_failed_scenario_scores_the_penalty(self) -> None:
         base = ParameterSet()
         genes = sfm_reference_values(base.sfm)
-        item = unreachable_item()
-        # the second call meets the rejection kept from the first
+        item, memo = unreachable_item(), SimulationMemo()
+        # the second call meets the rejection kept in the memo
         for _ in range(2):
-            score = fitness_sfm(genes, [item], boxed_scene(), base)
+            score = fitness_sfm(genes, [item], boxed_scene(), base, 0.5, memo)
             assert score == SCENARIO_FAILURE_PENALTY == 1000.0
 
     def test_scores_average_across_scenarios(self) -> None:
@@ -887,9 +888,9 @@ class TestFitnessGame:
     def test_failed_simulation_scores_minus_one(self) -> None:
         base = ParameterSet()
         genes = game_reference_values(base.game)
-        item = unreachable_item()
+        item, memo = unreachable_item(), SimulationMemo()
         for _ in range(2):
-            assert fitness_game(genes, [item], boxed_scene(), base) == -1.0
+            assert fitness_game(genes, [item], boxed_scene(), base, 0.5, memo) == -1.0
 
     def test_game_objective_negates_agreement(self, crossing) -> None:
         scene, base, scenario, trace = crossing
@@ -982,20 +983,60 @@ def detour_item(scene: Scene) -> CalibrationScenario:
     return CalibrationScenario(scenario=scenario, real_positions=trace_positions(trace))
 
 
+def count_plans(monkeypatch) -> list[tuple[list[AgentEntry], Scene]]:
+    """Record the entries and scene of every route plan the objectives
+    make."""
+    plans: list[tuple[list[AgentEntry], Scene]] = []
+    plan = calibrate.plan_waypoints
+
+    def counting(scene, entries):
+        plans.append((list(entries), scene))
+        return plan(scene, entries)
+
+    monkeypatch.setattr(calibrate, "plan_waypoints", counting)
+    return plans
+
+
+def planned(plans: list[tuple[list[AgentEntry], Scene]], items: list[CalibrationScenario]) -> list[str]:
+    """The scenario id of each plan in `plans`, looked up in `items`."""
+    return [next(i.scenario.scenario_id for i in items if i.scenario.entries == entries) for entries, _ in plans]
+
+
 class TestPlanReuse:
-    def test_routes_are_planned_once_while_the_scene_is_equal(self, monkeypatch) -> None:
+    def test_one_memo_plans_each_scenario_once(self, monkeypatch) -> None:
+        scene, training = boxed_set()  # the last scenario is rejected
+        base, memo = ParameterSet(), SimulationMemo()
+        genes = sfm_reference_values(base.sfm)
+        plans = count_plans(monkeypatch)
+        simulations = count_simulations(monkeypatch)
+        for scale in (1.0, 1.1, 0.9, 1.2):
+            fitness_sfm([scale * g for g in genes], training, scene, base, 0.5, memo)
+        assert simulations.count("detour") == 4
+        assert planned(plans, training) == ["detour", "pair", "bad"]
+
+    def test_a_call_without_a_memo_plans_its_items_once(self, monkeypatch) -> None:
+        scene, training = boxed_set()
+        base = ParameterSet()
+        plans = count_plans(monkeypatch)
+        fitness_sfm(sfm_reference_values(base.sfm), training, scene, base)
+        assert planned(plans, training) == ["detour", "pair", "bad"]
+        del plans[:]
+        # the decision objective plans the annotated scenarios only
+        fitness_game(game_reference_values(base.game), training, scene, base)
+        assert planned(plans, training) == ["pair", "bad"]
+
+    def test_a_moved_scene_is_planned_in_the_moved_scene(self, monkeypatch) -> None:
         scene = boxed_scene()
         item = detour_item(scene)
         base = ParameterSet()
         genes = sfm_reference_values(base.sfm)
-        builds = count_graph_builds(monkeypatch)
-        assert fitness_sfm(genes, [item], scene, base) == 0.0
-        assert fitness_sfm(genes, [item], boxed_scene(), base) == 0.0
-        fitness_sfm([1.1 * g for g in genes], [item], scene, base)
-        assert len(builds) == 1
+        assert fitness_sfm(genes, [item], scene, base, 0.5, SimulationMemo()) == 0.0
         moved = dataclasses.replace(scene, obstacles=[[v + Vec2(0.0, 1.0) for v in scene.obstacles[0]]])
-        fitness_sfm(genes, [item], moved, base)
-        assert len(builds) == 2
+        plans = count_plans(monkeypatch)
+        score = fitness_sfm(genes, [item], moved, base, 0.5, SimulationMemo())
+        assert [on for _, on in plans] == [moved]
+        assert score.hex() == reference_score("sfm", genes, [item], moved, base).hex()
+        assert score != 0.0
 
     def test_pickled_worker_scores_without_planning(self, monkeypatch) -> None:
         scene = boxed_scene()
@@ -1069,6 +1110,38 @@ def lineages(draw, bounds: list[tuple[float, float]]) -> list[list[float]]:
     return pool
 
 
+def reference_score(
+    group: str,
+    genes: list[float],
+    training: list[CalibrationScenario],
+    scene: Scene,
+    base: ParameterSet,
+) -> float:
+    """The objective of `group` with no memo: decode the genes, plan each
+    scenario, simulate it on the plain parameter set and score it, or
+    score the failure value where that fails by design."""
+    params = decode(genes, base, group)
+    if group == "sfm":
+        items, past, failure = training, 1, SCENARIO_FAILURE_PENALTY
+    else:
+        items, past, failure = [i for i in training if i.annotations], STEPS_PAST_LAST_FRAME, -1.0
+    scores = []
+    for item in items:
+        try:
+            waypoints = engine.plan_waypoints(scene, item.scenario.entries)
+            last_frame = max(max(frames) for frames in item.real_positions.values())
+            trace = run_scenario(SimulationConfig(
+                scene=scene, scenario=item.scenario, params=params, dt=0.5, max_steps=last_frame + past,
+            ), waypoints)
+            if group == "sfm":
+                scores.append(position_error_score(item.real_positions, trace_positions(trace)))
+            else:
+                scores.append(agreement_score(item.annotations, trace_decisions(trace)))
+        except (ScenarioError, ScenarioRejectedError, ParameterFileError, ScoreUndefinedError):
+            scores.append(failure)
+    return sum(scores) / len(scores)
+
+
 def reference_bounds(group: str) -> list[tuple[float, float]]:
     base = ParameterSet()
     values = sfm_reference_values(base.sfm) if group == "sfm" else game_reference_values(base.game)
@@ -1099,7 +1172,20 @@ class TestSimulationMemo:
         objective, base, memo = OBJECTIVES[group], ParameterSet(), SimulationMemo()
         for genes in data.draw(lineages(reference_bounds(group))):
             remembered = objective(genes, training, scene, base, 0.5, memo)
-            assert remembered.hex() == objective(genes, training, scene, base).hex()
+            assert remembered.hex() == reference_score(group, genes, training, scene, base).hex()
+
+    def test_a_game_worker_keeps_positions_past_unannotated_items(self) -> None:
+        scene, items = data_set()
+        crossing, giveway = items[1:3]
+        # ahead of the annotated scenarios, an unannotated one that planning
+        # rejects: every goal lies outside the scene's bounds
+        far = Scenario("far", [dataclasses.replace(e, goal=Vec2(100.0, e.goal.y)) for e in crossing.scenario.entries])
+        training = [CalibrationScenario(far, crossing.real_positions), crossing, giveway]
+        base = ParameterSet()
+        worker = _FitnessWorker("game", training, scene, base, 0.5)
+        reference = game_reference_values(base.game)
+        for genes in (reference, [0.5 * g for g in reference], [2.0 * g for g in reference]):
+            assert (-worker(genes)).hex() == reference_score("game", genes, training, scene, base).hex()
 
     def test_a_worker_reuses_across_the_ga_offspring(self, monkeypatch) -> None:
         scene, training = data_set()
@@ -1132,7 +1218,7 @@ class TestSimulationMemo:
         changed[SFM_GENE_NAMES.index("u0")] *= 2.0
         score = fitness_sfm(changed, training[:1], scene, base, 0.5, memo)
         assert simulations == ["detour"]
-        assert score == fitness_sfm(changed, training[:1], scene, base) != 0.0
+        assert score == reference_score("sfm", changed, training[:1], scene, base) != 0.0
 
     def test_a_failure_is_kept_only_for_the_values_it_read(self, monkeypatch) -> None:
         scene, training = boxed_set()

@@ -459,7 +459,8 @@ def _simulate(
     steps_past_last_frame: int,
 ) -> SimulationTrace:
     if isinstance(waypoints, ScenarioRejectedError):
-        raise waypoints.with_traceback(None)
+        # a fresh copy, so the kept one gathers no traceback
+        raise ScenarioRejectedError(*waypoints.args)
     last_frame = max(max(t) for t in item.real_positions.values())
     config = SimulationConfig(
         scene=scene,
@@ -474,10 +475,12 @@ def _simulate(
 class SimulationMemo:
     """The one cache of one objective run, by scenario position in the
     objective's `training` list. For each scenario it keeps the route
-    plan, or the ScenarioRejectedError planning raised: routes do not
-    depend on the genes. Beside it, it keeps the scenario's scores, each
-    under the exact bits of the calibrated parameters that its simulation
-    and scoring read (a `params.recording_view` notes them). A later
+    plan, or a copy of the ScenarioRejectedError planning raised, with
+    its message and no traceback (whose frames would hold the memo in a
+    reference cycle): routes do not depend on the genes. Beside it, it
+    keeps the scenario's scores, each under the exact bits of the
+    calibrated parameters that its simulation and scoring read (a
+    `params.recording_view` notes them). A later
     parameter set that agrees bit for bit on those values gets that
     score with no simulation: it is the same program on the same inputs.
     A failed simulation is kept under the reads made before it failed.
@@ -500,7 +503,7 @@ class SimulationMemo:
             try:
                 plan = plan_waypoints(scene, item.scenario.entries)
             except ScenarioRejectedError as exc:
-                plan = exc
+                plan = ScenarioRejectedError(*exc.args)
             self._plans[index] = plan
         return plan
 

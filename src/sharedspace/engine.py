@@ -45,9 +45,9 @@ from . import jsonin
 from .conflicts import CAR_CONE_HALF_ANGLE_DEG, Conflict
 from .dataio import DECISION_COLUMNS, FEATURE_ID_COLUMNS, ID_BREAKERS, TRAJECTORY_COLUMNS, write_csv
 from .game import Action, FeatureVector, PairContext
-from .geometry import Vec2, segments_intersect
+from .geometry import ObstacleIndex, Vec2, segments_intersect
 from .params import ParameterSet
-from .planner import UnreachableGoalError, build_visibility_graph, plan_path
+from .planner import UnreachableGoalError, VisibilityGraph, build_visibility_graph, plan_path
 from .scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view
 
 
@@ -253,17 +253,18 @@ def plan_waypoints(scene: Scene, entries: Iterable[AgentEntry]) -> dict[str, lis
     scene and the entry's position, goal and diameter, so a caller that
     simulates one scenario many times can plan once and pass the result
     to every Simulation. One visibility graph is built per distinct
-    clearance. Raises ScenarioRejectedError naming the first entry whose
-    position or goal lies outside the scene's bounds, or whose goal is
-    unreachable."""
-    graphs: dict[float, object] = {}
+    clearance, all from one index of the scene's obstacles. Raises
+    ScenarioRejectedError naming the first entry whose position or goal
+    lies outside the scene's bounds, or whose goal is unreachable."""
+    obstacles = ObstacleIndex(scene.obstacles)
+    graphs: dict[float, VisibilityGraph] = {}
     waypoints: dict[str, list[Vec2]] = {}
     for entry in entries:
         check_bounds(scene, (entry,))
         clearance = entry.diameter / 2.0 + PLANNER_CLEARANCE_MARGIN
         graph = graphs.get(clearance)
         if graph is None:
-            graph = graphs[clearance] = build_visibility_graph(scene, clearance)
+            graph = graphs[clearance] = build_visibility_graph(obstacles, clearance)
         try:
             path = plan_path(graph, entry.position, entry.goal)
         except UnreachableGoalError as exc:
@@ -297,6 +298,8 @@ class Simulation:
         else:
             check_bounds(config.scene, self._entries)
         self._waypoints = waypoints
+        # the one obstacle index of the force pass
+        self._obstacles = ObstacleIndex(config.scene.obstacles)
 
     def engagements(self) -> Mapping[str, ConflictRuntime]:
         """The game each bound agent acts on, a read-only view of the map
@@ -568,7 +571,7 @@ class Simulation:
         targets = [a for a in agents if assignments[a.id][1] is None]
         totals = forces_mod.agent_repulsion_totals(targets, agents, sfm, columns)
         for agent, total in zip(targets, totals):
-            push = total + forces_mod.obstacle_repulsion(agent, self.config.scene, sfm)
+            push = total + forces_mod.obstacle_repulsion(agent, self._obstacles, sfm)
             directive = forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed, push)
             assignments[agent.id] = (Mode.FORCES, directive)
 

@@ -3,13 +3,15 @@
 `Vec2` is the one point and vector type: an immutable, slotted pair of
 floats that compares, hashes and pickles by value. Zones and view cones
 are boundary inclusive; collinear segment overlap counts as an
-intersection.
+intersection. `ObstacleIndex` is the one index of a scene's obstacles,
+read by the force pass and the planner.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -265,40 +267,47 @@ def _within_cone_xy(hx: float, hy: float, ox: float, oy: float, half_angle_deg: 
 
 
 def nearest_point_on_segment(p: Vec2, a: Vec2, b: Vec2) -> Vec2:
-    return Vec2(*_nearest_on_segment_xy(p.x, p.y, a.x, a.y, b.x, b.y))
+    # the first edge of the ring (a, b) is a -> b
+    qx, qy, _, _ = _nearest_on_edges_xy(p.x, p.y, _edge_table((a, b))[:1])
+    return Vec2(qx, qy)
 
 
-def _nearest_on_segment_xy(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> tuple[float, float]:
-    """The point a + ab * t of segment a-b nearest to p, t clamped to
-    [0, 1]; a itself when the segment has zero length."""
-    abx = bx - ax
-    aby = by - ay
-    denom = abx * abx + aby * aby
-    if denom == 0.0:
-        return ax, ay
-    t = ((px - ax) * abx + (py - ay) * aby) / denom
-    # min(1.0, max(0.0, t)), NaN going to 0.0 as there
-    t = t if t > 0.0 else 0.0
-    t = t if t < 1.0 else 1.0
-    return ax + abx * t, ay + aby * t
+_Edge = tuple[float, float, float, float, float]
+
+
+def _edge_table(poly: Sequence[Vec2]) -> list[_Edge]:
+    """Each edge poly[i] -> poly[(i + 1) % n] on plain floats:
+    (ax, ay, abx, aby, |ab|^2), with ab = b - a."""
+    edges = []
+    for a, b in zip(poly, [*poly[1:], poly[0]]):
+        abx = b.x - a.x
+        aby = b.y - a.y
+        edges.append((a.x, a.y, abx, aby, abx * abx + aby * aby))
+    return edges
 
 
 def nearest_point_on_polygon(p: Vec2, poly: Sequence[Vec2]) -> tuple[Vec2, float]:
     """Closest boundary point of poly to p and its distance."""
-    qx, qy, d, _ = _nearest_on_polygon_xy(p.x, p.y, poly)
+    qx, qy, d, _ = _nearest_on_edges_xy(p.x, p.y, _edge_table(poly))
     return Vec2(qx, qy), d
 
 
-def _nearest_on_polygon_xy(px: float, py: float, poly: Sequence[Vec2]) -> tuple[float, float, float, int]:
-    """nearest_point_on_polygon on plain floats: (qx, qy, d, i), with
-    i the first edge poly[i] -> poly[(i + 1) % n] at the least
-    distance."""
+def _nearest_on_edges_xy(px: float, py: float, edges: Sequence[_Edge]) -> tuple[float, float, float, int]:
+    """The boundary point of an edge table nearest to p: (qx, qy, d, i),
+    with i the first edge at the least distance. On each edge it is the
+    point a + ab * t, t clamped to [0, 1], or a itself when the edge has
+    zero length."""
     best = None
     best_d = math.inf
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        qx, qy = _nearest_on_segment_xy(px, py, a.x, a.y, b.x, b.y)
+    for i, (ax, ay, abx, aby, ab_sq) in enumerate(edges):
+        if ab_sq == 0.0:
+            qx, qy = ax, ay
+        else:
+            t = ((px - ax) * abx + (py - ay) * aby) / ab_sq
+            # min(1.0, max(0.0, t)), NaN going to 0.0 as there
+            t = t if t > 0.0 else 0.0
+            t = t if t < 1.0 else 1.0
+            qx, qy = ax + abx * t, ay + aby * t
         d = math.hypot(px - qx, py - qy)
         if d < best_d:
             best = (qx, qy, d, i)
@@ -458,6 +467,161 @@ def segments_clear_of_polygons(a: np.ndarray, b: np.ndarray, verts: np.ndarray) 
     blocked = (inside & ~unsure & valid).any(axis=1)
     unsure = ~blocked & (unsure & valid).any(axis=1)
     return ~blocked & ~unsure, unsure
+
+
+# Padding of each obstacle's box in the visibility screens, relative to
+# the largest coordinate in play (and at least this in absolute terms).
+_BOX_PAD = 1e-6
+# The inside test's reach beyond an obstacle's box, relative to
+# max(1 / L_min, 1, E) of the polygon (see ObstacleIndex).
+_INSIDE_PAD = 1e-8
+# Pairs per kernel call: bounds the kernels' temporary arrays (about
+# 0.5 MB at this size for boxes) whatever the scene's size.
+_CHUNK = 256
+
+
+def _xy(points: Sequence[Vec2]) -> np.ndarray:
+    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+
+
+class ObstacleIndex:
+    """A scene's obstacle polygons, indexed once for both readers: the
+    force pass (`forces.obstacle_repulsion`) and the planner's
+    visibility test (`visible`). The polygons' vertices must be finite.
+
+    Per polygon it holds its box, its plain-float edge table
+    (`_edge_table`) and its counter-clockwise ring, and, from its
+    shortest edge length L_min and largest coordinate magnitude E, the
+    box padded by `_INSIDE_PAD * max(1 / L_min, 1, E)` (unbounded when
+    an edge has zero length): `reach`. Outside that box `point_in_zone`
+    is false, so the force pass tests it only inside:
+
+    - The crossing parity is even. Beyond the box in y no edge straddles
+      the point's row; beyond it in x the crossings of that row, which
+      come in pairs, all lie on the one side of the point, however the
+      crossing abscissa rounds (a few ulps of E).
+    - No on-segment band reaches the point. `_on_segment_xy` accepts a
+      point within about 1e-9 * max(1 / L, 1, |p - a|) of edge a-b (its
+      line band, plus 1e-12 of the same past the ends). For a point that
+      close, |p - a| <= L + that reach, so the reach is at most about
+      1e-9 * max(1 / L, 1, L) <= 3e-9 * max(1 / L_min, 1, E), under a
+      third of the pad. An edge of 1e-12 m reaches 1e3 m from its line, which is
+      why the pad holds the 1 / L_min term.
+
+    The visibility screens need no band: a segment clear of a polygon
+    only needs every point the scalar rule tests to lie outside it
+    strictly, and the strict test of a point with even parity is false
+    without the on-edge pass. Their pad is `_BOX_PAD` of the largest
+    coordinate in play; see `_screen`.
+
+    The arrays `visible` reads are made on its first call, so an index
+    that only the force pass reads costs no numpy work."""
+
+    def __init__(self, polygons: Sequence[Sequence[Vec2]]) -> None:
+        self.polygons = polygons
+        # per polygon: (x_min, y_min, x_max, y_max)
+        self.boxes: list[tuple[float, float, float, float]] = []
+        self.edges: list[list[_Edge]] = []
+        self.rings: list[list[Vec2]] = []
+        # per polygon: its box padded by the inside test's reach
+        self.reach: list[tuple[float, float, float, float]] = []
+        for poly in polygons:
+            if len(poly) < 3:
+                raise InvalidSceneError("obstacle polygon needs at least 3 vertices")
+            xs, ys = [v.x for v in poly], [v.y for v in poly]
+            box = (min(xs), min(ys), max(xs), max(ys))
+            edges = _edge_table(poly)
+            shortest = min(math.hypot(abx, aby) for _, _, abx, aby, _ in edges)
+            extent = max(map(abs, box))
+            pad = _INSIDE_PAD * max(1.0 / shortest, 1.0, extent) if shortest > 0.0 else math.inf
+            ring = list(poly)
+            if polygon_signed_area(ring) < 0.0:
+                ring.reverse()
+            self.boxes.append(box)
+            self.edges.append(edges)
+            self.rings.append(ring)
+            self.reach.append((box[0] - pad, box[1] - pad, box[2] + pad, box[3] + pad))
+
+    @cached_property
+    def _box_arrays(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The boxes' low and high corners, and the largest coordinate
+        magnitude."""
+        boxes = np.array(self.boxes, dtype=float).reshape(-1, 4)
+        extent = float(np.abs(boxes).max()) if len(boxes) else 0.0
+        return boxes[:, :2], boxes[:, 2:], extent
+
+    @cached_property
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+        """The vertices stacked by vertex count: polygon k is row slot[k]
+        of stacks[count[k]]; (count, slot, stacks)."""
+        verts = [_xy(poly) for poly in self.polygons]
+        count = np.array([len(v) for v in verts], dtype=int)
+        slot = np.zeros(len(verts), dtype=int)
+        stacks: dict[int, np.ndarray] = {}
+        for n in np.unique(count).tolist():
+            members = np.flatnonzero(count == n)
+            slot[members] = np.arange(len(members))
+            stacks[n] = np.stack([verts[k] for k in members.tolist()])
+        return count, slot, stacks
+
+    def _screen(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(segment, polygon) index pairs, segment s being a[s]-b[s],
+        that neither screen clears. Each polygon's box is padded by
+        _BOX_PAD of the largest coordinate in play (at least 1), and a
+        pair is clear when that box
+        - and the segment's box are strictly disjoint, or
+        - lies strictly on one side of the segment's line: the cross
+          product of b - a with the offset of each box corner from a
+          has one strict sign (the separating axis of the segment's
+          normal).
+        Every point the scalar rule tests lies on the segment to within
+        rounding, and the cross products are exact to about 1e-15 of
+        the coordinates, both far less than the pad; so each such point
+        lies outside the polygon's box, where the crossing parity is
+        even and `point_strictly_inside` is false. A zero-length
+        segment has no normal: its cross products are all zero."""
+        lo, hi, extent = self._box_arrays
+        extent = max(extent, float(np.abs(a).max()), float(np.abs(b).max()))
+        pad = _BOX_PAD * max(1.0, extent)
+        lo, hi = lo - pad, hi + pad
+        near = (np.minimum(a, b)[:, None, :] <= hi) & (np.maximum(a, b)[:, None, :] >= lo)
+        s, k = np.nonzero(near.all(axis=2))
+        ax, ay = a[s, 0, None, None], a[s, 1, None, None]
+        abx, aby = b[s, 0, None, None] - ax, b[s, 1, None, None] - ay
+        # corner (i, j) of each box is (x_i, y_j): (lo, hi) by (lo, hi)
+        cx = np.stack([lo[k, 0], hi[k, 0]], axis=1)[:, :, None]
+        cy = np.stack([lo[k, 1], hi[k, 1]], axis=1)[:, None, :]
+        cross = abx * (cy - ay) - aby * (cx - ax)
+        one_side = (cross > 0.0).all(axis=(1, 2)) | (cross < 0.0).all(axis=(1, 2))
+        return s[~one_side], k[~one_side]
+
+    def _by_count(self, segments: np.ndarray, polygons: np.ndarray):
+        """The pairs split by the polygon's vertex count, in chunks of
+        at most _CHUNK: (segments, polygon indices, their stacked
+        vertices) per chunk."""
+        count, slot, stacks = self._stacks
+        for n, stack in stacks.items():
+            sel = np.flatnonzero(count[polygons] == n)
+            for c in range(0, len(sel), _CHUNK):
+                k = polygons[sel[c : c + _CHUNK]]
+                yield segments[sel[c : c + _CHUNK]], k, stack[slot[k]]
+
+    def visible(self, points: Sequence[Vec2], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Per index pair: segment points[i]-points[j] is free of every
+        obstacle, as `segment_clear_of_polygon` decides for each. The
+        pairs `_screen` leaves go through `segments_clear_of_polygons`;
+        those it comes back unsure of, through the scalar rule."""
+        free = np.ones(len(i), dtype=bool)
+        if not self.polygons or not len(i):
+            return free
+        xy = _xy(points)
+        a, b = xy[i], xy[j]
+        for s, k, verts in self._by_count(*self._screen(a, b)):
+            clear, unsure = segments_clear_of_polygons(a[s], b[s], verts)
+            for m in np.flatnonzero(unsure).tolist():
+                clear[m] = segment_clear_of_polygon(points[i[s[m]]], points[j[s[m]]], self.polygons[k[m]])
+            free[s[~clear]] = False
+        return free
 
 
 # Screening of conflict recognition's pairs: a numpy pass that drops

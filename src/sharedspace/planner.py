@@ -5,24 +5,29 @@ edges connect mutually visible nodes. Paths come from A* with the
 straight-line heuristic and are returned as corner waypoints without
 densification.
 
-Visibility is decided in bulk by one test, `_Obstacles.visible`, with
-results identical to the scalar rule `segment_clear_of_polygon`, which
-stays the oracle (`segment_is_free` is its scene-wide form). The test
-of whether a corner lies inside an obstacle is the same test on the
-zero-length segment from the corner to itself: such a segment gets the
-parameters {0, 1} alone, so its one midpoint is the corner, and the
-scalar rule reads it as `not point_strictly_inside`. There is one
-`_Obstacles` index per graph: `build_visibility_graph` makes it and the
-graph keeps it, and `plan_path` tests its endpoint segments with it.
+Visibility is decided in bulk by one test, `geometry.ObstacleIndex.visible`,
+with results identical to the scalar rule `segment_clear_of_polygon`,
+which stays the oracle (`segment_is_free` is its scene-wide form). The
+test of whether a corner lies inside an obstacle is the same test on
+the zero-length segment from the corner to itself: such a segment gets
+the parameters {0, 1} alone, so its one midpoint is the corner, and the
+scalar rule reads it as `not point_strictly_inside`. The force pass
+reads the same kind of index (`forces.obstacle_repulsion`).
+`engine.plan_waypoints` builds one index for all its graphs, a graph
+keeps the one it was built from, and `plan_path` tests its endpoint
+segments with it.
 
-- Bounding-box pre-check. A (segment, polygon) pair whose boxes are
-  strictly disjoint, the polygon's padded by _BOX_PAD of the coordinate
-  scale, is clear. Every point the scalar rule tests lies on the
-  segment to within rounding, far less than the pad, and the even-odd
-  rule counts no crossing, or an even number, for a point outside the
-  polygon's box. The tolerance bands of
-  `_on_segment_xy` and `_crossing_params` can only add boundary points,
-  which are never strictly inside, so they cannot block such a pair.
+- Two screens, on the polygon's box padded by _BOX_PAD of the
+  coordinate scale. A (segment, polygon) pair is clear when the padded
+  box and the segment's box are strictly disjoint, or when the padded
+  box lies strictly on one side of the segment's line (the separating
+  axis of the segment's own normal; Ericson, Real-Time Collision
+  Detection, 2004, ch. 5). Every point the scalar rule tests lies on
+  the segment to within rounding, far less than the pad, so it lies
+  outside the polygon's box, where the even-odd rule counts no
+  crossing, or an even number. The tolerance bands of `_on_segment_xy`
+  and `_crossing_params` can only add boundary points, which are never
+  strictly inside, so they cannot block such a pair.
 - One numpy pass over the pairs left, grouped by the polygon's vertex
   count (`geometry.segments_clear_of_polygons`), repeating the scalar
   arithmetic element by element.
@@ -36,25 +41,11 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    InvalidSceneError,
-    Vec2,
-    polygon_signed_area,
-    segment_clear_of_polygon,
-    segments_clear_of_polygons,
-)
+from .geometry import ObstacleIndex, Vec2, segment_clear_of_polygon
 from .scene import Scene
-
-# Padding of each obstacle's bounding box in the pre-check, relative to
-# the largest coordinate in play (and at least this in absolute terms).
-_BOX_PAD = 1e-6
-# Pairs per kernel call: bounds the kernels' temporary arrays (about
-# 0.5 MB at this size for boxes) whatever the scene's size.
-_CHUNK = 256
 
 
 class UnreachableGoalError(RuntimeError):
@@ -69,15 +60,12 @@ class VisibilityGraph:
     nodes: list[Vec2]
     # adjacency: node index -> list of (neighbor index, edge length)
     edges: dict[int, list[tuple[int, float]]]
-    # the scene's obstacles the graph was built in, which plan_path reads
-    obstacles: _Obstacles
+    # the index of the obstacles the graph was built in, which plan_path reads
+    obstacles: ObstacleIndex
 
 
-def _inflated_corners(poly: list[Vec2], clearance: float) -> list[Vec2]:
-    # Work on a counterclockwise copy so edge normals point outward.
-    ring = list(poly)
-    if polygon_signed_area(ring) < 0.0:
-        ring.reverse()
+def _inflated_corners(ring: list[Vec2], clearance: float) -> list[Vec2]:
+    # The ring is counterclockwise, so edge normals point outward.
     n = len(ring)
     out = []
     for i in range(n):
@@ -101,72 +89,12 @@ def segment_is_free(scene: Scene, a: Vec2, b: Vec2) -> bool:
     return all(segment_clear_of_polygon(a, b, poly) for poly in scene.obstacles)
 
 
-def _xy(points: Sequence[Vec2]) -> np.ndarray:
-    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
-
-
-class _Obstacles:
-    """A scene's obstacle polygons as arrays for the batched visibility
-    tests: vertices stacked by vertex count, and bounding boxes."""
-
-    def __init__(self, polygons: Sequence[Sequence[Vec2]]) -> None:
-        self.polygons = polygons
-        verts = [_xy(poly) for poly in polygons]
-        if any(len(v) < 3 for v in verts):
-            raise InvalidSceneError("obstacle polygon needs at least 3 vertices")
-        self.lo = np.array([v.min(axis=0) for v in verts]).reshape(-1, 2)
-        self.hi = np.array([v.max(axis=0) for v in verts]).reshape(-1, 2)
-        self.extent = max((float(np.abs(v).max()) for v in verts), default=0.0)
-        # polygon k is row slot[k] of stacks[count[k]]
-        self.count = np.array([len(v) for v in verts], dtype=int)
-        self.slot = np.zeros(len(verts), dtype=int)
-        self.stacks: dict[int, np.ndarray] = {}
-        for n in np.unique(self.count).tolist():
-            members = np.flatnonzero(self.count == n)
-            self.slot[members] = np.arange(len(members))
-            self.stacks[n] = np.stack([verts[k] for k in members.tolist()])
-
-    def _near(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(query, polygon) index pairs whose boxes are not strictly
-        disjoint; query q spans the box lo[q]-hi[q]."""
-        extent = max(self.extent, float(np.abs(lo).max()), float(np.abs(hi).max()))
-        pad = _BOX_PAD * max(1.0, extent)
-        near = ((lo[:, None, :] <= self.hi + pad) & (hi[:, None, :] >= self.lo - pad)).all(axis=2)
-        return np.nonzero(near)
-
-    def _by_count(self, queries: np.ndarray, polygons: np.ndarray):
-        """The pairs split by the polygon's vertex count, in chunks of
-        at most _CHUNK: (queries, polygon indices, their stacked
-        vertices) per chunk."""
-        for n, stack in self.stacks.items():
-            sel = np.flatnonzero(self.count[polygons] == n)
-            for c in range(0, len(sel), _CHUNK):
-                k = polygons[sel[c : c + _CHUNK]]
-                yield queries[sel[c : c + _CHUNK]], k, stack[self.slot[k]]
-
-    def visible(self, points: Sequence[Vec2], i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Per index pair: segment points[i]-points[j] is free of every
-        obstacle (segment_is_free)."""
-        free = np.ones(len(i), dtype=bool)
-        if not self.polygons or not len(i):
-            return free
-        xy = _xy(points)
-        a, b = xy[i], xy[j]
-        for s, k, verts in self._by_count(*self._near(np.minimum(a, b), np.maximum(a, b))):
-            clear, unsure = segments_clear_of_polygons(a[s], b[s], verts)
-            for m in np.flatnonzero(unsure).tolist():
-                clear[m] = segment_clear_of_polygon(points[i[s[m]]], points[j[s[m]]], self.polygons[k[m]])
-            free[s[~clear]] = False
-        return free
-
-
-def build_visibility_graph(scene: Scene, clearance: float = 0.0) -> VisibilityGraph:
-    """Nodes are obstacle corners offset outward by clearance; an edge
-    joins every mutually visible node pair."""
+def build_visibility_graph(obstacles: ObstacleIndex, clearance: float = 0.0) -> VisibilityGraph:
+    """Nodes are the corners of the indexed obstacles offset outward by
+    clearance; an edge joins every mutually visible node pair."""
     if clearance < 0.0:
         raise ValueError("clearance must be nonnegative")
-    obstacles = _Obstacles(scene.obstacles)
-    corners = [c for poly in scene.obstacles for c in _inflated_corners(poly, clearance)]
+    corners = [c for ring in obstacles.rings for c in _inflated_corners(ring, clearance)]
     # A corner is a node unless it lies strictly inside an obstacle: the
     # zero-length segment from it to itself is not free.
     k = np.arange(len(corners))

@@ -99,9 +99,9 @@ def count_graph_builds(monkeypatch) -> list[float]:
     clearances: list[float] = []
     build = engine.build_visibility_graph
 
-    def counting(scene, clearance=0.0):
+    def counting(obstacles, clearance=0.0):
         clearances.append(clearance)
-        return build(scene, clearance)
+        return build(obstacles, clearance)
 
     monkeypatch.setattr(engine, "build_visibility_graph", counting)
     return clearances

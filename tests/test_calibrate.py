@@ -5,8 +5,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 import functools
+import gc
 import math
 import pickle
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1251,6 +1253,33 @@ class TestSimulationMemo:
         simulations = count_simulations(monkeypatch)
         assert fitness_sfm([2.0 * g for g in genes], training[2:], scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
         assert simulations == []
+
+    def test_a_game_weight_across_a_decision_boundary_simulates_again(self) -> None:
+        # g_angle = 5/3 is a decision boundary of the bundled crossing
+        # scenario at the other default weights (found by bisection): the
+        # two chromosomes differ in that one weight and agree differently.
+        scene, items = data_set()
+        crossing = items[1:2]
+        base, memo = ParameterSet(), SimulationMemo()
+        below, above = game_reference_values(base.game), game_reference_values(base.game)
+        below[GAME_GENE_NAMES.index("g_angle")] = 1.6666666
+        above[GAME_GENE_NAMES.index("g_angle")] = 1.6666667
+        want = [reference_score("game", genes, crossing, scene, base) for genes in (below, above)]
+        assert want[0] != want[1]
+        for genes, expected in zip((below, above, below, above), want + want):
+            assert fitness_game(genes, crossing, scene, base, 0.5, memo).hex() == expected.hex()
+
+    def test_a_dropped_memo_frees_without_the_cyclic_collector(self) -> None:
+        scene, base, memo = boxed_scene(), ParameterSet(), SimulationMemo()
+        genes = sfm_reference_values(base.sfm)
+        gc.disable()
+        try:
+            assert fitness_sfm(genes, [unreachable_item()], scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
+            alive = weakref.ref(memo)
+            del memo
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_an_invalid_chromosome_fails_every_scenario(self) -> None:
         scene, training = boxed_set()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import open_square_scene
+from helpers import count_graph_builds, open_square_scene
 from sharedspace import conflicts, engine, forces
 from sharedspace.conflicts import Conflict, ConflictClass
 from sharedspace.engine import (
@@ -366,25 +366,61 @@ class TestPlannedWaypoints:
         assert given.conflicts
         assert plan == before
 
-    def test_one_obstacle_index_per_clearance(self, monkeypatch) -> None:
-        from sharedspace import planner
-
+    @staticmethod
+    def count_obstacle_indexes(monkeypatch) -> list[engine.ObstacleIndex]:
+        """Record every obstacle index the engine builds."""
         built = []
 
-        class CountedObstacles(planner._Obstacles):
+        class CountedIndex(engine.ObstacleIndex):
             def __init__(self, polygons) -> None:
-                built.append(len(polygons))
+                built.append(self)
                 super().__init__(polygons)
 
-        monkeypatch.setattr(planner, "_Obstacles", CountedObstacles)
-        box = (Vec2(-2.0, -2.0), Vec2(2.0, -2.0), Vec2(2.0, 2.0), Vec2(-2.0, 2.0))
-        scene = Scene(obstacles=(box,), bounds=Rect(-40.0, -40.0, 40.0, 40.0))
+        monkeypatch.setattr(engine, "ObstacleIndex", CountedIndex)
+        return built
+
+    BOX = (Vec2(-2.0, -2.0), Vec2(2.0, -2.0), Vec2(2.0, 2.0), Vec2(-2.0, 2.0))
+
+    def test_one_obstacle_index_per_plan(self, monkeypatch) -> None:
+        built = self.count_obstacle_indexes(monkeypatch)
+        clearances = count_graph_builds(monkeypatch)
+        scene = Scene(obstacles=(self.BOX,), bounds=Rect(-40.0, -40.0, 40.0, 40.0))
         # Three cars and three pedestrians: two clearances, six routes.
         entries = [car_entry(f"c{k}", position=Vec2(-14.0, k - 1.0), goal=Vec2(30.0, k - 1.0)) for k in range(3)]
         entries += [ped_entry(f"p{k}", position=Vec2(k - 1.0, -8.0), goal=Vec2(k - 1.0, 8.0)) for k in range(3)]
         plan = plan_waypoints(scene, entries)
         assert all(len(route) > 1 for route in plan.values())
-        assert built == [1, 1]
+        assert len(clearances) == 2
+        assert len(built) == 1
+
+    def test_a_simulation_indexes_its_obstacles_once_to_plan_and_once_to_push(self, monkeypatch) -> None:
+        built = self.count_obstacle_indexes(monkeypatch)
+        planned_with = []
+        build = engine.build_visibility_graph
+
+        def recording_build(obstacles, clearance=0.0):
+            planned_with.append(obstacles)
+            return build(obstacles, clearance)
+
+        pushed_with = []
+        repel = forces.obstacle_repulsion
+
+        def recording_repel(agent, obstacles, params):
+            pushed_with.append(obstacles)
+            return repel(agent, obstacles, params)
+
+        monkeypatch.setattr(engine, "build_visibility_graph", recording_build)
+        monkeypatch.setattr(forces, "obstacle_repulsion", recording_repel)
+        scene = Scene(obstacles=(self.BOX,), bounds=Rect(-40.0, -40.0, 40.0, 40.0))
+        entries = [car_entry(f"c{k}", position=Vec2(-14.0, 3.0 * k), goal=Vec2(30.0, 3.0 * k)) for k in range(2)]
+        entries += [ped_entry(f"p{k}", position=Vec2(k - 0.5, -8.0), goal=Vec2(k - 0.5, 8.0)) for k in range(2)]
+        trace = run_scenario(SimulationConfig(scene=scene, scenario=Scenario("box", entries), max_steps=40))
+        assert len(built) == 2
+        planning, pushing = built
+        assert len(planned_with) == 2 and all(index is planning for index in planned_with)
+        # pedestrians in force mode step after step, all on the one index
+        assert len(pushed_with) > trace.steps_run > 0
+        assert all(index is pushing for index in pushed_with)
 
     @pytest.mark.parametrize("name", ["position", "goal"])
     def test_given_waypoints_do_not_skip_the_bounds_check(self, name) -> None:

@@ -24,7 +24,7 @@ from sharedspace.forces import (
     obstacle_repulsion,
     reactive_stopping,
 )
-from sharedspace.geometry import Vec2
+from sharedspace.geometry import ObstacleIndex, Vec2
 from sharedspace.params import SfmParams
 from sharedspace.scene import AgentKind, AgentState, Rect, Scene
 
@@ -301,7 +301,7 @@ class TestObstacleRepulsion:
     def test_closed_form_magnitude(self):
         scene = obstacle_scene(self.SQUARE)
         a = ped(position=Vec2(2, 5), heading=Vec2(1, 0))
-        f = obstacle_repulsion(a, scene, P)
+        f = obstacle_repulsion(a, ObstacleIndex(scene.obstacles), P)
         expected = 10.0 * math.exp(-1.0 / 0.2)
         assert f.norm() == pytest.approx(expected, rel=1e-12)
         assert f.y > 0.0  # pushes away from the wall
@@ -309,7 +309,7 @@ class TestObstacleRepulsion:
     def test_on_boundary_full_strength_outward(self):
         scene = obstacle_scene(self.SQUARE)
         a = ped(position=Vec2(2, 4), heading=Vec2(1, 0))
-        f = obstacle_repulsion(a, scene, P)
+        f = obstacle_repulsion(a, ObstacleIndex(scene.obstacles), P)
         assert f.norm() == pytest.approx(10.0, rel=1e-12)
         assert f.y > 0.0
 
@@ -321,7 +321,7 @@ class TestObstacleRepulsion:
             bounds=Rect(-100, -100, 100, 100),
         )
         a = ped(position=Vec2(2, 5), heading=Vec2(1, 0))
-        f = obstacle_repulsion(a, scene, P)
+        f = obstacle_repulsion(a, ObstacleIndex(scene.obstacles), P)
         # Symmetric gap: the two pushes cancel.
         assert f.norm() == pytest.approx(0.0, abs=1e-12)
 

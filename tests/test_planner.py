@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharedspace import planner
+from sharedspace import geometry
 from sharedspace.geometry import (
+    ObstacleIndex,
     Vec2,
     nearest_point_on_polygon,
     point_strictly_inside,
@@ -71,16 +72,16 @@ def dijkstra_cost(scene, graph, start, goal):
 
 class TestVisibilityGraph:
     def test_no_obstacles_empty_graph(self):
-        g = build_visibility_graph(scene_with([]))
+        g = build_visibility_graph(ObstacleIndex([]))
         assert g.nodes == []
 
     def test_square_gives_four_corners(self):
-        g = build_visibility_graph(scene_with([rect_poly(0, 0, 4, 4)]), clearance=0.5)
+        g = build_visibility_graph(ObstacleIndex([rect_poly(0, 0, 4, 4)]), clearance=0.5)
         assert len(g.nodes) == 4
 
     def test_inflated_corner_distance(self):
         poly = rect_poly(0, 0, 4, 4)
-        g = build_visibility_graph(scene_with([poly]), clearance=0.5)
+        g = build_visibility_graph(ObstacleIndex([poly]), clearance=0.5)
         for node in g.nodes:
             _, d = nearest_point_on_polygon(node, poly)
             # Square corner miter: clearance on both adjacent edges.
@@ -89,7 +90,7 @@ class TestVisibilityGraph:
     def test_corner_inside_other_obstacle_dropped(self):
         a = rect_poly(0, 0, 4, 4)
         b = rect_poly(3, 3, 10, 10)  # overlaps a's top-right corner region
-        g = build_visibility_graph(scene_with([a, b]), clearance=0.0)
+        g = build_visibility_graph(ObstacleIndex([a, b]), clearance=0.0)
         assert all(
             not point_strictly_inside(n, a) and not point_strictly_inside(n, b)
             for n in g.nodes
@@ -97,11 +98,11 @@ class TestVisibilityGraph:
 
     def test_negative_clearance_rejected(self):
         with pytest.raises(ValueError):
-            build_visibility_graph(scene_with([]), clearance=-0.1)
+            build_visibility_graph(ObstacleIndex([]), clearance=-0.1)
 
     def test_edges_symmetric(self):
         g = build_visibility_graph(
-            scene_with([rect_poly(0, 0, 4, 4), rect_poly(10, 0, 14, 4)]), clearance=0.3
+            ObstacleIndex([rect_poly(0, 0, 4, 4), rect_poly(10, 0, 14, 4)]), clearance=0.3
         )
         for i, nbrs in g.edges.items():
             for j, d in nbrs:
@@ -111,13 +112,13 @@ class TestVisibilityGraph:
 class TestPlanPath:
     def test_direct_when_free(self):
         scene = scene_with([rect_poly(0, 0, 4, 4)])
-        g = build_visibility_graph(scene)
+        g = build_visibility_graph(ObstacleIndex(scene.obstacles))
         path = plan_path(g, Vec2(-5, -5), Vec2(-5, 5))
         assert path == [Vec2(-5, -5), Vec2(-5, 5)]
 
     def test_detour_around_square(self):
         scene = scene_with([rect_poly(-2, -2, 2, 2)])
-        g = build_visibility_graph(scene, clearance=0.5)
+        g = build_visibility_graph(ObstacleIndex(scene.obstacles), clearance=0.5)
         path = plan_path(g, Vec2(-6, 0), Vec2(6, 0))
         assert path[0] == Vec2(-6, 0)
         assert path[-1] == Vec2(6, 0)
@@ -127,7 +128,7 @@ class TestPlanPath:
 
     def test_detour_longer_than_straight_line(self):
         scene = scene_with([rect_poly(-2, -2, 2, 2)])
-        g = build_visibility_graph(scene, clearance=0.5)
+        g = build_visibility_graph(ObstacleIndex(scene.obstacles), clearance=0.5)
         path = plan_path(g, Vec2(-6, 0), Vec2(6, 0))
         assert path_length(path) > 12.0
 
@@ -140,7 +141,7 @@ class TestPlanPath:
             rect_poly(4, -4, 5, 4),
         ]
         scene = scene_with(walls)
-        g = build_visibility_graph(scene, clearance=0.2)
+        g = build_visibility_graph(ObstacleIndex(scene.obstacles), clearance=0.2)
         with pytest.raises(UnreachableGoalError):
             plan_path(g, Vec2(-20, 0), Vec2(0, 0))
 
@@ -148,7 +149,7 @@ class TestPlanPath:
         obstacle = rect_poly(-3, -3, 3, 3)
         scene = scene_with([obstacle])
         clearance = 0.8
-        g = build_visibility_graph(scene, clearance=clearance)
+        g = build_visibility_graph(ObstacleIndex(scene.obstacles), clearance=clearance)
         path = plan_path(g, Vec2(-10, 0), Vec2(10, 0))
         for a, b in zip(path, path[1:]):
             for t in range(21):
@@ -174,7 +175,7 @@ class TestPlanPath:
             goal = Vec2(30, rng.uniform(-25, 25))
             if any(point_strictly_inside(p, o) for o in obstacles for p in (start, goal)):
                 continue
-            g = build_visibility_graph(scene, clearance=0.0)
+            g = build_visibility_graph(ObstacleIndex(scene.obstacles), clearance=0.0)
             expected = dijkstra_cost(scene, g, start, goal)
             try:
                 path = plan_path(g, start, goal)
@@ -195,8 +196,8 @@ def reference_graph(scene, clearance):
     """build_visibility_graph decided pair by pair with the scalar rules."""
     nodes = [
         corner
-        for poly in scene.obstacles
-        for corner in _inflated_corners(poly, clearance)
+        for ring in ObstacleIndex(scene.obstacles).rings
+        for corner in _inflated_corners(ring, clearance)
         if not any(point_strictly_inside(corner, other) for other in scene.obstacles)
     ]
     edges = {i: [] for i in range(len(nodes))}
@@ -293,11 +294,60 @@ clearances = st.sampled_from([0.0, 0.25, 0.45, 0.5, 1.2, 1.3])
 points = st.builds(Vec2, st.one_of(grid, st.floats(-8.0, 8.0)), st.one_of(grid, st.floats(-8.0, 8.0)))
 
 
+# Boxes, maybe turned, at coordinates up to 1e4 with sides from 1e-3 to
+# 10 m, and segments placed on their features.
+far = st.floats(-1e4, 1e4, allow_nan=False)
+box_side = st.floats(-3.0, 1.0).map(lambda k: 10.0**k)
+
+
+@st.composite
+def feature_segments(draw):
+    """A scene of one to three boxes and segments that graze a corner
+    (through it, the box on one side), run along an edge, end on the
+    boundary, or have zero length; grazing ones may be moved 1e-9 m
+    across their line."""
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        x, y, w, h = draw(far), draw(far), draw(box_side), draw(box_side)
+        polys.append(tilted_box(x, y, w, h, draw(st.one_of(st.just(0.0), st.floats(0.0, math.pi)))))
+    segments = []
+    for poly in polys:
+        for k in range(4):
+            prev, c, nxt = poly[k - 1], poly[k], poly[(k + 1) % 4]
+            into, along = (c - prev), (nxt - c)
+            # a line through the corner between the incoming edge's
+            # direction and the outgoing one's leaves the box on one side
+            t = draw(st.floats(0.05, 0.95))
+            d = into * t + along * (1.0 - t)
+            r1, r2 = draw(st.sampled_from([0.0, 0.5, 2.0])), draw(st.sampled_from([0.5, 2.0]))
+            nudge = d.left_normal() * (draw(st.sampled_from([0.0, 1e-9, -1e-9])) / max(d.norm(), 1e-300))
+            segments.append((c - d * r1 + nudge, c + d * r2 + nudge))
+            s1, s2 = draw(st.sampled_from([-0.5, 0.0, 0.3])), draw(st.sampled_from([0.7, 1.0, 1.5]))
+            segments.append((c + along * s1, c + along * s2))
+            on = c + along * draw(st.floats(0.0, 1.0))
+            off = on + Vec2(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))) * max(along.norm(), into.norm())
+            segments += [(on, off), (off, on), (c, c), (on, on)]
+    centre = polys[0][0] + (polys[0][2] - polys[0][0]) * 0.5
+    segments.append((centre, centre))
+    return scene_with(polys), segments
+
+
+class TestObstacleScreens:
+    @settings(max_examples=60, deadline=None)
+    @given(feature_segments())
+    def test_visible_is_segment_is_free(self, case):
+        scene, segments = case
+        points = [p for segment in segments for p in segment]
+        i = np.arange(0, len(points), 2)
+        got = ObstacleIndex(scene.obstacles).visible(points, i, i + 1).tolist()
+        assert got == [segment_is_free(scene, a, b) for a, b in segments]
+
+
 class TestBatchedMatchesScalarRules:
     @settings(max_examples=80, deadline=None)
     @given(box_scenes(), clearances, st.lists(st.tuples(points, points), min_size=1, max_size=4))
     def test_graph_and_plans_match_the_scalar_reference(self, scene, clearance, routes):
-        got = build_visibility_graph(scene, clearance)
+        got = build_visibility_graph(ObstacleIndex(scene.obstacles), clearance)
         expected = reference_graph(scene, clearance)
         assert_same_graph(got, expected)
         for start, goal in routes:
@@ -314,10 +364,10 @@ class TestBatchedMatchesScalarRules:
                 return ~decided, np.ones_like(decided)
             return wrapped
 
-        monkeypatch.setattr(planner, "segments_clear_of_polygons", all_unsure(planner.segments_clear_of_polygons))
+        monkeypatch.setattr(geometry, "segments_clear_of_polygons", all_unsure(geometry.segments_clear_of_polygons))
         scene = scene_with([rect_poly(0, 0, 4, 4), rect_poly(3, 3, 10, 10), rect_poly(-6, 0, -2, 2)])
         for clearance in (0.0, 0.5):
-            got = build_visibility_graph(scene, clearance)
+            got = build_visibility_graph(ObstacleIndex(scene.obstacles), clearance)
             expected = reference_graph(scene, clearance)
             assert_same_graph(got, expected)
             assert plan_path(got, Vec2(-9, -3), Vec2(12, 12)) == reference_plan(
@@ -326,7 +376,7 @@ class TestBatchedMatchesScalarRules:
 
     def test_plan_path_leaves_the_graph_unchanged(self):
         scene = scene_with([rect_poly(-2, -2, 2, 2)])
-        graph = build_visibility_graph(scene, clearance=0.5)
+        graph = build_visibility_graph(ObstacleIndex(scene.obstacles), clearance=0.5)
         before = {i: list(nbrs) for i, nbrs in graph.edges.items()}
         plan_path(graph, Vec2(-6, 0), Vec2(6, 0))
         assert graph.edges == before

@@ -19,6 +19,7 @@ from sharedspace import geometry
 from sharedspace.forces import obstacle_repulsion
 from sharedspace.geometry import (
     InvalidSceneError,
+    ObstacleIndex,
     Vec2,
     _on_segment_xy,
     _validate_simple_polygon,
@@ -256,22 +257,98 @@ class TestObstacleRepulsion:
     )
     def test_matches_the_vec2_form(self, cases, u0, r_obstacle):
         scene = scene_of(*(poly for poly, _ in cases))
+        index = ObstacleIndex(scene.obstacles)
         params = SfmParams(u0=u0, r_obstacle=r_obstacle)
         for p in (p for _, probes in cases for p in probes):
             agent = ped(position=p)
-            got = obstacle_repulsion(agent, scene, params)
+            got = obstacle_repulsion(agent, index, params)
             want = vec_obstacle_repulsion(agent, scene, params)
             assert bits(got.x, got.y) == bits(want.x, want.y)
 
     @pytest.mark.parametrize("poly, p", FIXED)
     def test_fixed_cases(self, poly, p):
         agent = ped(position=p)
-        got = obstacle_repulsion(agent, scene_of(poly), P)
+        got = obstacle_repulsion(agent, ObstacleIndex([poly]), P)
         want = vec_obstacle_repulsion(agent, scene_of(poly), P)
         assert bits(got.x, got.y) == bits(want.x, want.y)
 
     def test_an_obstacle_free_scene_reads_no_parameter(self):
-        assert obstacle_repulsion(ped(), scene_of(), None) == Vec2(0.0, 0.0)
+        assert obstacle_repulsion(ped(), ObstacleIndex(scene_of().obstacles), None) == Vec2(0.0, 0.0)
+
+
+# ---- the reach box: the inside test only where it can be true ----
+
+# Shortest edges from 1e-12 m to 10 m, at coordinates up to 1e4.
+short_edge = st.floats(-12.0, 1.0).map(lambda k: 10.0**k)
+far_centre = st.floats(-1e4, 1e4, allow_nan=False)
+
+
+@st.composite
+def polygons_with_a_short_edge(draw):
+    """A box, a sliver triangle or a box with one corner cut off,
+    maybe turned, with an edge about as short as the drawn length (or
+    of none, where the coordinates' rounding merges two vertices)."""
+    cx, cy, short = draw(far_centre), draw(far_centre), draw(short_edge)
+    long = draw(st.floats(short, 10.0))
+    kind = draw(st.sampled_from(["box", "sliver", "cut"]))
+    if kind == "box":
+        shape = [(0.0, 0.0), (short, 0.0), (short, long), (0.0, long)]
+    elif kind == "sliver":
+        shape = [(0.0, 0.0), (short, 0.0), (0.0, long)]
+    else:
+        shape = [(0.0, 0.0), (long, 0.0), (long, long - short), (long - short, long), (0.0, long)]
+    turn = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 * math.pi)))
+    c, s = math.cos(turn), math.sin(turn)
+    poly = [Vec2(cx + x * c - y * s, cy + x * s + y * c) for x, y in shape]
+    if draw(st.booleans()):
+        poly.reverse()
+    return poly
+
+
+def reach_probes(poly):
+    """Points just inside and just outside each side and corner of the
+    polygon's reach box, and at the on-edge reach of every edge: beside
+    its midpoint at fractions of 1e-9 * max(1 / L, 1, L / 2), and past
+    its ends at fractions of 1e-12 * max(1 / L, 1, L). An unbounded box
+    (the polygon has a zero-length edge) has no sides to probe."""
+    index = ObstacleIndex([poly])
+    (x0, y0, x1, y1), (bx0, by0, bx1, by1) = index.reach[0], index.boxes[0]
+    probes = []
+    if math.isfinite(x1 - x0):
+        xs = [v for x in (x0, x1) for v in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+        ys = [v for y in (y0, y1) for v in (math.nextafter(y, -math.inf), y, math.nextafter(y, math.inf))]
+        probes += [Vec2(x, y) for x in xs for y in (by0, (by0 + by1) / 2, by1, *ys)]
+        probes += [Vec2(x, y) for y in ys for x in (bx0, (bx0 + bx1) / 2, bx1)]
+    for a, b in zip(poly, [*poly[1:], poly[0]]):
+        ab = b - a
+        length = ab.norm()
+        if length == 0.0:
+            continue
+        u = ab * (1.0 / length)
+        mid = a + ab * 0.5
+        beside = 1e-9 * max(1.0 / length, 1.0, length / 2.0)
+        past = 1e-12 * max(1.0 / length, 1.0, length)
+        for f in (0.5, 0.99, 1.01, 2.0):
+            probes += [mid + u.left_normal() * (beside * f), mid - u.left_normal() * (beside * f)]
+            probes += [b + u * (past * f), a - u * (past * f)]
+    return probes
+
+
+class TestReachBox:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(polygons_with_a_short_edge(), min_size=1, max_size=2))
+    def test_repulsion_matches_the_full_inside_test(self, polygons):
+        index, scene = ObstacleIndex(polygons), scene_of(*polygons)
+        for p in (p for poly in polygons for p in reach_probes(poly)):
+            agent = ped(position=p)
+            got = obstacle_repulsion(agent, index, P)
+            want = vec_obstacle_repulsion(agent, scene, P)
+            assert bits(got.x, got.y) == bits(want.x, want.y)
+
+    def test_a_sliver_pads_its_box_beyond_its_band(self):
+        # SLIVER's band reaches 1e3 from its short edge (see FIXED)
+        x0, y0, x1, y1 = ObstacleIndex([SLIVER]).reach[0]
+        assert min(-x0, -y0, x1, y1) > 1e3
 
 
 # ---- the on-edge pass runs only when it can change the answer ----

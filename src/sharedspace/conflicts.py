@@ -18,8 +18,12 @@ RECOGNITION_SCALAR_MAX_PAIRS (car, other agent) pairs a numpy pass over
 the snapshot first drops the pairs that surely fail range, cone or
 predicted gap (its bands widened by geometry's margins), and only the
 rest go through the scalar rules, in the same order. The screen
-decides nothing, so conflicts, their ids and order are the same with
-or without it.
+decides no conflict, so conflicts, their ids and order are the same
+with or without it. Its heading-by-offset dot and cross products stay
+on the snapshot (`AgentColumns.car_dot`, `car_cross`), where they do
+decide each car's reactive-stopping corridor
+(`forces.stopping_lists`): no margin is needed there, since they are
+the products the scalar corridor computes, to the bit.
 
 The active conflicts are the only record of who is engaged with whom.
 A pass keeps two maps of engagements, both seeded from the partner map
@@ -178,18 +182,21 @@ def classify_conflict(
     return ConflictClass.NO_NEW_CONFLICT, (), []
 
 
-def car_pairs(columns: AgentColumns) -> tuple[np.ndarray, np.ndarray]:
-    """The screen's (cars x agents) distance and bearing folded into
-    [0, 180] degrees: row k is car k, column j agent j, and the offset
-    is agent j's position minus car k's."""
+def car_pairs(columns: AgentColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The screen's (cars x agents) distance, bearing folded into [0, 180]
+    degrees, and the dot and cross products of heading and offset
+    (hx * ox + hy * oy, hx * oy - hy * ox): row k is car k, column j
+    agent j, and the offset is agent j's position minus car k's."""
     k, n = columns.kinematics, len(columns.cars)
     hx, hy = k.hx[:n, None], k.hy[:n, None]
     with np.errstate(all="ignore"):
         ox = k.x - k.x[:n, None]
         oy = k.y - k.y[:n, None]
         # bearing_deg's cross and dot products and squared norm.
-        bearing = abs_bearings_deg(hx * oy - hy * ox, hx * ox + hy * oy, ox * ox + oy * oy)
-        return np.hypot(ox, oy), bearing
+        cross = hx * oy - hy * ox
+        dot = hx * ox + hy * oy
+        bearing = abs_bearings_deg(cross, dot, ox * ox + oy * oy)
+        return np.hypot(ox, oy), bearing, dot, cross
 
 
 def _scan_lists(columns: AgentColumns, params: SfmParams) -> list[list[AgentState]]:
@@ -198,7 +205,9 @@ def _scan_lists(columns: AgentColumns, params: SfmParams) -> list[list[AgentStat
     road car the pedestrians; any other car nobody. Above
     RECOGNITION_SCALAR_MAX_PAIRS pairs, the lists leave out the agents
     that the screen finds surely out of range, out of the angle window
-    or (intersection cars) predicted too far apart."""
+    or (intersection cars) predicted too far apart; the screen's dot and
+    cross products stay on `columns` (`car_dot`, `car_cross`), where the
+    stopping test reads them."""
     cars, peds, agents = columns.cars, columns.pedestrians, columns.agents
     if len(cars) * (len(agents) - 1) <= RECOGNITION_SCALAR_MAX_PAIRS:
         return [
@@ -207,7 +216,7 @@ def _scan_lists(columns: AgentColumns, params: SfmParams) -> list[list[AgentStat
         ]
     n = len(cars)
     k = columns.kinematics
-    distance, bearing = car_pairs(columns)
+    distance, bearing, columns.car_dot, columns.car_cross = car_pairs(columns)
     cone = np.where(
         k.is_car, cone_limit(CAR_CONE_HALF_ANGLE_DEG), cone_limit(params.fov_half_angle_deg)
     )

@@ -9,7 +9,8 @@ one directive it moves under (cars: stopping > game > following > free
 flow; pedestrians: game > forces), record the frame with each agent's
 mode (the dropped agents as Mode.ARRIVED), sum the agent repulsion on
 every pedestrian in force mode in one pass to complete their
-directives, then move each agent in place under its directive (a
+directives (each total, plus the obstacle push, as two floats), then
+move each agent in place under its directive (a
 non-finite position or velocity rejects the scenario), then retire
 conflicts whose actions have completed or timed out. An agent is one
 AgentState object from its spawn until it is dropped.
@@ -60,6 +61,11 @@ PLANNER_CLEARANCE_MARGIN = 0.2
 
 # A game retires at this age (steps) even if its actions never complete.
 CONFLICT_TIMEOUT_STEPS = 40
+
+# The largest desired or maximum speed (m/s) a scenario may give: no
+# road user moves this fast, and speeds near the float range overflow
+# the first step.
+MAX_SPEED = 1e3
 
 # Per-kind values for whatever a scenario leaves out.
 KIND_DEFAULTS = {
@@ -118,6 +124,9 @@ class Scenario:
             for name in ("desired_speed", "max_speed", "diameter"):
                 if not math.isfinite(getattr(e, name)):
                     raise ScenarioError(f"{e.id}: {name} must be finite")
+            for name, speed in (("desired_speed", e.desired_speed), ("max_speed", e.max_speed)):
+                if speed > MAX_SPEED:
+                    raise ScenarioError(f"{e.id}: {name} must be at most {MAX_SPEED:g} m/s, got {speed!r}")
             for v in (e.position, e.velocity, e.goal):
                 if not v.is_finite():
                     raise ScenarioError(f"{e.id}: non-finite coordinates")
@@ -462,8 +471,14 @@ class Simulation:
         assignments: dict[str, tuple[Mode, forces_mod.Directive | None]] = {}
         follower_of: dict[str, str] = {}
         bound = self.world.conflict_index.bound
-        for car in cars:
-            stopping_for = forces_mod.reactive_stopping(car, peds, sfm) if brakes else []
+        # Above the recognition guard the screen's products decide the
+        # corridors; below it each car scans the pedestrians.
+        screened = forces_mod.stopping_lists(columns, sfm) if brakes and columns.car_dot is not None else None
+        for k, car in enumerate(cars):
+            if screened is not None:
+                stopping_for = screened[k]
+            else:
+                stopping_for = forces_mod.reactive_stopping(car, peds, sfm) if brakes else []
             runtime = bound.get(car.id)
             leader = None
             if stopping_for:
@@ -561,18 +576,25 @@ class Simulation:
 
         self._run_recognition(columns)
         assignments = self._assign_modes(columns)
+        # The pedestrians in force mode, in world order, wait for the
+        # repulsion pass.
+        targets = []
         for agent in frame:
-            mode = Mode.ARRIVED if agent.id in arrived else assignments[agent.id][0]
+            if agent.id in arrived:
+                mode = Mode.ARRIVED
+            else:
+                mode, directive = assignments[agent.id]
+                if directive is None:
+                    targets.append(agent)
             self.trace.rows.append(
                 TraceRow(self.world.step, agent.id, agent.kind, agent.position.x, agent.position.y, mode)
             )
         sfm = self.config.params.sfm
-        agents = list(self.world.agents.values())
-        targets = [a for a in agents if assignments[a.id][1] is None]
-        totals = forces_mod.agent_repulsion_totals(targets, agents, sfm, columns)
-        for agent, total in zip(targets, totals):
-            push = total + forces_mod.obstacle_repulsion(agent, self._obstacles, sfm)
-            directive = forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed, push)
+        agents = list(self.world.agents.values()) if arrived else frame
+        xs, ys = forces_mod.repulsion_sums(targets, agents, sfm, columns)
+        for agent, fx, fy in zip(targets, xs, ys):
+            o = forces_mod.obstacle_repulsion(agent, self._obstacles, sfm)
+            directive = forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed, fx + o.x, fy + o.y)
             assignments[agent.id] = (Mode.FORCES, directive)
 
         # Each agent moves in place: its integration reads only its own

@@ -4,15 +4,21 @@ Pedestrians move under a driving force plus exponential repulsion from
 agents and obstacles, weighted by an anisotropy factor that discounts
 events behind them. Cars move through discrete modes (free flow,
 following, game action, reactive stopping). Each agent-step arrives
-here as one directive: a `DriveTo`, whose `push` carries a force-mode
-pedestrian's summed agent and obstacle repulsion, or a `SetSpeed`. A
-car stopping, following too close or decelerating in a game slows by
-the one braking rule, `brake_for`.
+here as one directive: a `DriveTo` (target, speed, and the floats
+`push_x` and `push_y`, 0.0 unless set, which carry a force-mode
+pedestrian's summed agent and obstacle repulsion), or a `SetSpeed`.
+`integrate_step` is the one integrator of both. A car stopping,
+following too close or decelerating in a game slows by the one braking
+rule, `brake_for`.
 
 `agent_repulsion` is the pairwise rule, a `Vec2` view of its plain-float
 form `_repulsion_xy`. The engine sums it for every pedestrian in force
-mode once per step (`agent_repulsion_totals`), by one of two paths
-chosen from the input size:
+mode once per step (`repulsion_sums`, which hands each total on as its
+two floats; `agent_repulsion_totals` is a `Vec2` view of it), adds the
+obstacle push to those floats and puts them in the pedestrian's
+`DriveTo`: the floats a `Vec2` push held, added in the order
+`Vec2.__add__` adds them, so the bits are those of the `Vec2` form. The
+sum takes one of two paths chosen from the input size:
 
 - up to SCALAR_REPULSION_MAX_PAIRS (target, other agent) pairs, the
   sequential sum of `_repulsion_xy`, added in agent order on plain
@@ -30,7 +36,13 @@ between 40 and 50 pairs. The guard stays at 8 because moving it changes
 which path, and so which bits, a step of 9 to ~45 pairs gets. A
 calibration step (2-3 agents) sums pair by pair; a crowd step (~60
 agents) takes the numpy pass, which reads the step's AgentColumns
-snapshot.
+snapshot and reuses its temporaries in place.
+
+A car's stopping corridor is `_in_corridor`, one copy of the rule on
+floats, which `reactive_stopping` reads. Where the recognition screen
+ran, `stopping_lists` gives `reactive_stopping` for every car of the
+step from the screen's (car, agent) dot and cross products instead
+(`_corridor_mask`), which are the same IEEE products and sums.
 
 `obstacle_repulsion` makes one pass per obstacle polygon on plain
 floats, over the scene's `geometry.ObstacleIndex`, which the engine
@@ -63,11 +75,13 @@ _NO_FORCE = Vec2(0.0, 0.0)
 
 class DriveTo(NamedTuple):
     """Relax velocity toward a target point at a cruise speed, plus a
-    pre-summed acceleration (a pedestrian's repulsion terms)."""
+    pre-summed acceleration (push_x, push_y): a pedestrian's repulsion
+    terms."""
 
     target: Vec2
     speed: float
-    push: Vec2 = _NO_FORCE
+    push_x: float = 0.0
+    push_y: float = 0.0
 
 
 class SetSpeed(NamedTuple):
@@ -160,23 +174,36 @@ def agent_repulsion_totals(
     params: SfmParams,
     columns: AgentColumns | None = None,
 ) -> list[Vec2]:
+    """`repulsion_sums` as one Vec2 per target."""
+    xs, ys = repulsion_sums(targets, agents, params, columns)
+    return [Vec2(x, y) for x, y in zip(xs, ys)]
+
+
+def repulsion_sums(
+    targets: Sequence[AgentState],
+    agents: Sequence[AgentState],
+    params: SfmParams,
+    columns: AgentColumns | None = None,
+) -> tuple[list[float], list[float]]:
     """For each target, the sum of agent_repulsion from every other
-    agent, added in the order of `agents`; every target must be one of
-    `agents`. Up to SCALAR_REPULSION_MAX_PAIRS (target, other agent)
-    pairs this is that sum, pair by pair; above it, one numpy pass,
-    which reads `columns` when given: a snapshot of these same agents."""
+    agent, added in the order of `agents`, as its x and its y components;
+    every target must be one of `agents`. Up to
+    SCALAR_REPULSION_MAX_PAIRS (target, other agent) pairs this is that
+    sum, pair by pair; above it, one numpy pass, which reads `columns`
+    when given: a snapshot of these same agents."""
     if not targets:
-        return []
+        return [], []
     if len(targets) * (len(agents) - 1) <= SCALAR_REPULSION_MAX_PAIRS:
-        totals = []
+        xs, ys = [], []
         for t in targets:
             tx = ty = 0.0
             for other in agents:
                 if other.id != t.id:
                     fx, fy = _repulsion_xy(t, other, params)
                     tx, ty = tx + fx, ty + fy
-            totals.append(Vec2(tx, ty))
-        return totals
+            xs.append(tx)
+            ys.append(ty)
+        return xs, ys
     if columns is None:
         columns = AgentColumns(agents, Scene())
     return _agent_repulsion_grid(targets, agents, params, columns)
@@ -187,9 +214,11 @@ def _agent_repulsion_grid(
     agents: Sequence[AgentState],
     params: SfmParams,
     columns: AgentColumns,
-) -> list[Vec2]:
-    """agent_repulsion_totals as one numpy pass over an (agents x
-    targets) grid."""
+) -> tuple[list[float], list[float]]:
+    """repulsion_sums as one numpy pass over an (agents x targets) grid.
+    The grid's temporaries are reused in place; each element goes
+    through the same operations in the same order as in the pair rule's
+    array form, so the bits do not depend on it."""
     row = {a.id: r for r, a in enumerate(columns.agents)}
     k = columns.kinematics
     cols = np.array([row[a.id] for a in agents])
@@ -202,20 +231,37 @@ def _agent_repulsion_grid(
     ox = tx - sx
     oy = ty - sy
     coincident = (ox * ox + oy * oy == 0.0) & ~own
-    pp = ~s_car & ~t_car
+    # Pedestrian targets (the engine's only kind) pair by the source alone.
+    pp = ~s_car if not t_car.any() else ~s_car & ~t_car
     v0 = np.where(pp, params.v0_pp, params.v0_pc)
     sigma = np.where(pp, params.sigma_pp, params.sigma_pc)
     hx, hy = k.ux[rows], k.uy[rows]
     with np.errstate(divide="ignore", invalid="ignore"):
         n = np.hypot(ox, oy)
-        ux, uy = ox / n, oy / n
-    d = np.maximum(0.0, n - tr - sr)
-    # Anisotropy: cosine between the heading and the direction to j.
-    cos_phi = np.clip(hx * -ux + hy * -uy, -1.0, 1.0)
+        ux, uy = np.divide(ox, n, out=ox), np.divide(oy, n, out=oy)
+    # d = max(0, n - tr - sr), then the strength v0 * exp(-d / sigma).
+    d = np.subtract(n, tr, out=n)
+    d -= sr
+    np.maximum(0.0, d, out=d)
+    np.negative(d, out=d)
+    d /= sigma
+    strength = np.exp(d, out=d)
+    strength *= v0
+    # Anisotropy: cosine between the heading and the direction to j,
+    # hx * -ux + hy * -uy written as the same -(hx * ux + hy * uy).
+    cos_phi = hx * ux
+    cos_phi += hy * uy
+    np.negative(cos_phi, out=cos_phi)
+    np.clip(cos_phi, -1.0, 1.0, out=cos_phi)
     a = params.anisotropy
-    factor = a + (1.0 - a) * (1.0 + cos_phi) / 2.0
-    magnitude = v0 * np.exp(-d / sigma) * factor
-    fx, fy = ux * magnitude, uy * magnitude
+    # factor = a + (1 - a) * (1 + cos_phi) / 2
+    factor = cos_phi
+    factor += 1.0
+    factor *= 1.0 - a
+    factor /= 2.0
+    factor += a
+    strength *= factor
+    fx, fy = np.multiply(ux, strength, out=ux), np.multiply(uy, strength, out=uy)
     if coincident.any():
         # Push along the target's left normal at full strength.
         normals = [t.heading.left_normal().normalized() for t in targets]
@@ -223,9 +269,9 @@ def _agent_repulsion_grid(
         fx = np.where(coincident, push[:, 0] * v0, fx)
         fy = np.where(coincident, push[:, 1] * v0, fy)
     # cumsum adds each column in agent order, as a sequential loop would.
-    fx = np.where(own, 0.0, fx).cumsum(axis=0)[-1]
-    fy = np.where(own, 0.0, fy).cumsum(axis=0)[-1]
-    return [Vec2(float(x), float(y)) for x, y in zip(fx, fy)]
+    fx[own] = 0.0
+    fy[own] = 0.0
+    return fx.cumsum(axis=0)[-1].tolist(), fy.cumsum(axis=0)[-1].tolist()
 
 
 def obstacle_repulsion(agent: AgentState, obstacles: ObstacleIndex, params: SfmParams) -> Vec2:
@@ -338,6 +384,34 @@ def reactive_stopping(
     return braking
 
 
+def stopping_lists(columns: AgentColumns, params: SfmParams) -> list[list[AgentState]]:
+    """reactive_stopping(car, columns.pedestrians, params) for each car of
+    a snapshot the recognition screen left its products on, in car
+    order: `_corridor_mask` decides the corridors, and only the
+    crossing-motion test is left per pedestrian."""
+    cars, peds = columns.cars, columns.pedestrians
+    lists: list[list[AgentState]] = [[] for _ in cars]
+    rows, cols = np.nonzero(_corridor_mask(columns, params))
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        h, v = cars[r].heading, peds[c].velocity
+        if abs(v.x * -h.y + v.y * h.x) > 1e-9:
+            lists[r].append(peds[c])
+    return lists
+
+
+def _corridor_mask(columns: AgentColumns, params: SfmParams) -> np.ndarray:
+    """(cars x pedestrians) `_in_corridor` of a snapshot the recognition
+    screen left its products on (`car_dot`, `car_cross`). They are the
+    offset-by-heading products `_in_corridor` makes: ox * hx + oy * hy
+    is hx * ox + hy * oy, and ox * -hy + oy * hx is hx * oy - hy * ox,
+    to the bit. So the mask decides, with no margin."""
+    n = len(columns.cars)
+    dot, cross = columns.car_dot[:, n:], columns.car_cross[:, n:]
+    diameter = columns.kinematics.diameter
+    half_width = (diameter[:n, None] + diameter[n:]) / 2.0
+    return (0.0 < dot) & (dot <= params.d_min_pc) & (np.abs(cross) <= half_width)
+
+
 def _unit_or(x: float, y: float, fallback: Vec2) -> tuple[float, float]:
     """Vec2(x, y).normalized(), or fallback where that is zero."""
     n = math.hypot(x, y)
@@ -365,11 +439,11 @@ def integrate_step(
         vx, vy = dx * new_speed, dy * new_speed
     else:
         # driving_force(agent, target, speed, params.tau) + push
-        target, push = directive.target, directive.push
+        target = directive.target
         dx, dy = _unit_or(target.x - agent.position.x, target.y - agent.position.y, agent.heading)
         inv_tau = 1.0 / params.tau
-        tx = 0.0 + (dx * directive.speed - vx) * inv_tau + push.x
-        ty = 0.0 + (dy * directive.speed - vy) * inv_tau + push.y
+        tx = 0.0 + (dx * directive.speed - vx) * inv_tau + directive.push_x
+        ty = 0.0 + (dy * directive.speed - vy) * inv_tau + directive.push_y
         vx, vy = vx + tx * dt, vy + ty * dt
     speed = math.hypot(vx, vy)
     if speed > agent.max_speed > 0.0:

@@ -116,6 +116,15 @@ def fit_multinomial_logit(
     baseline: str,
     feature_names: Sequence[str] | None = None,
 ) -> LogitModel:
+    X, feature_names = _checked_design(X, y, feature_names)
+    return _fit(X, y, baseline, feature_names)
+
+
+def _checked_design(
+    X: np.ndarray, y: Sequence[str], feature_names: Sequence[str] | None
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """X as a float array of full column rank with one label per row,
+    and its column names (x0, x1, ... when none are given)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
@@ -134,7 +143,12 @@ def fit_multinomial_logit(
             raise ValueError("feature_names length does not match X columns")
     if np.linalg.matrix_rank(X) < p:
         raise RankDeficiencyError("design matrix columns are linearly dependent")
+    return X, feature_names
 
+
+def _fit(X: np.ndarray, y: Sequence[str], baseline: str, feature_names: tuple[str, ...]) -> LogitModel:
+    """fit_multinomial_logit of a design `_checked_design` accepted."""
+    n, p = X.shape
     codes, outcomes = _encode_labels(y, baseline)
     K = len(outcomes)
     indicator = _indicator(codes, K)
@@ -234,7 +248,9 @@ def backward_eliminate(
 
     Significance per feature is its smallest Wald p-value across outcome
     equations. Features in `keep` are never dropped. At least one
-    feature always remains.
+    feature always remains. The design is checked once, as
+    fit_multinomial_logit checks it: the columns left after a drop are a
+    subset of a full-rank design, so each refit skips the rank test.
     """
     X = np.asarray(X, dtype=float)
     names = list(feature_names)
@@ -243,9 +259,10 @@ def backward_eliminate(
     unknown_keep = set(keep) - set(names)
     if unknown_keep:
         raise ValueError(f"keep-list names unknown features: {sorted(unknown_keep)}")
+    X, _ = _checked_design(X, y, names)
     eliminated: list[EliminationStep] = []
     while True:
-        model = fit_multinomial_logit(X, y, baseline, feature_names=names)
+        model = _fit(X, y, baseline, tuple(names))
         droppable = [
             (model.feature_p_value(name), name)
             for name in names

@@ -161,7 +161,15 @@ class AgentColumns:
     first use, at most once: the recognition screen and the repulsion
     grid both read it, and each builds its own pair tables from it.
     Recognition and the repulsion pass below their scalar guards read
-    none of it, so a calibration-sized step never builds it."""
+    none of it, so a calibration-sized step never builds it. When the
+    recognition screen runs, it leaves its (cars x agents) dot and
+    cross products of each car's heading with its offset to each agent
+    in `car_dot` and `car_cross` (None otherwise), for the stopping
+    test of the same step."""
+
+    # Set by the recognition screen on the snapshots it runs on.
+    car_dot: np.ndarray | None = None
+    car_cross: np.ndarray | None = None
 
     def __init__(self, agents: Iterable[AgentState], scene: Scene) -> None:
         cars: list[AgentState] = []

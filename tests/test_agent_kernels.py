@@ -13,10 +13,12 @@ one-pass form must pick the same id in any candidate order.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sharedspace import forces
 from sharedspace.conflicts import nearest_id, predicted_position
 from sharedspace.forces import (
     SCALAR_REPULSION_MAX_PAIRS,
@@ -39,7 +41,7 @@ from sharedspace.geometry import (
     within_cone,
 )
 from sharedspace.params import SfmParams
-from sharedspace.scene import AgentKind, AgentState, in_field_of_view
+from sharedspace.scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view
 
 PED, CAR = AgentKind.PEDESTRIAN, AgentKind.CAR
 
@@ -83,6 +85,45 @@ def vec_repulsion_totals(targets, agents, params):
                 total = total + vec_agent_repulsion(t, other, params)
         totals.append(total)
     return totals
+
+
+def grid_with_temporaries(targets, agents, params, columns):
+    """forces._agent_repulsion_grid as it was before it reused its
+    temporaries in place: a new array per operation, `v0` and `sigma`
+    per (source, target) pair, and the anisotropy cosine as
+    hx * -ux + hy * -uy. Its sums must agree to the bit."""
+    row = {a.id: r for r, a in enumerate(columns.agents)}
+    k = columns.kinematics
+    cols = np.array([row[a.id] for a in agents])
+    rows = np.array([row[t.id] for t in targets])
+    radius = np.where(k.is_car, k.diameter / 2.0, 0.0)
+    sx, sy, sr, s_car = k.x[cols, None], k.y[cols, None], radius[cols, None], k.is_car[cols, None]
+    tx, ty, tr, t_car = k.x[rows], k.y[rows], radius[rows], k.is_car[rows]
+    own = cols[:, None] == rows[None, :]
+    ox = tx - sx
+    oy = ty - sy
+    coincident = (ox * ox + oy * oy == 0.0) & ~own
+    pp = ~s_car & ~t_car
+    v0 = np.where(pp, params.v0_pp, params.v0_pc)
+    sigma = np.where(pp, params.sigma_pp, params.sigma_pc)
+    hx, hy = k.ux[rows], k.uy[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.hypot(ox, oy)
+        ux, uy = ox / n, oy / n
+    d = np.maximum(0.0, n - tr - sr)
+    cos_phi = np.clip(hx * -ux + hy * -uy, -1.0, 1.0)
+    a = params.anisotropy
+    factor = a + (1.0 - a) * (1.0 + cos_phi) / 2.0
+    magnitude = v0 * np.exp(-d / sigma) * factor
+    fx, fy = ux * magnitude, uy * magnitude
+    if coincident.any():
+        normals = [t.heading.left_normal().normalized() for t in targets]
+        push = np.array([(q.x, q.y) for q in normals])
+        fx = np.where(coincident, push[:, 0] * v0, fx)
+        fy = np.where(coincident, push[:, 1] * v0, fy)
+    fx = np.where(own, 0.0, fx).cumsum(axis=0)[-1]
+    fy = np.where(own, 0.0, fy).cumsum(axis=0)[-1]
+    return [float(x) for x in fx], [float(y) for y in fy]
 
 
 def vec_bearing_deg(heading, offset):
@@ -260,6 +301,17 @@ class TestPairRepulsion:
         got = agent_repulsion_totals(targets, crowd, p)
         want = vec_repulsion_totals(targets, crowd, p)
         assert [bits(v.x, v.y) for v in got] == [bits(v.x, v.y) for v in want]
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12).flatmap(agents), params, st.booleans(), st.data())
+    def test_grid_matches_its_form_with_temporaries(self, crowd, p, pedestrians_only, data):
+        pool = [a for a in crowd if a.kind is PED] if pedestrians_only else crowd
+        targets = data.draw(st.lists(st.sampled_from(pool or crowd), min_size=1, unique_by=lambda a: a.id))
+        columns = AgentColumns(crowd, Scene())
+        got = forces._agent_repulsion_grid(targets, crowd, p, columns)
+        want = grid_with_temporaries(targets, crowd, p, columns)
+        assert [bits(*v) for v in zip(*got)] == [bits(*v) for v in zip(*want)]
 
 
 # ---- the view cone ----

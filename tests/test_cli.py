@@ -15,7 +15,7 @@ from helpers import count_graph_builds, open_square_scene
 from sharedspace import __version__, calibrate, cli
 from sharedspace.cli import main
 from sharedspace.dataio import FEATURE_ID_COLUMNS, TrajectoryFormatError, parse_action
-from sharedspace.engine import AgentEntry, Scenario, save_scenario
+from sharedspace.engine import AgentEntry, Scenario, load_scenario, save_scenario
 from sharedspace.geometry import Vec2
 from sharedspace.params import ParameterSet, load_parameter_set, save_parameter_set
 from sharedspace.scene import AgentKind, save_scene
@@ -516,22 +516,47 @@ class TestSimulate:
         assert not (out / "trace.csv").exists()
 
     def test_non_finite_state_exits_3_with_one_line(self, tmp_path, capsys) -> None:
-        # Speeds of 1e308 overflow the first integration step.
+        # A step of 1e308 s overflows the first position update.
         scene_path = tmp_path / "scene.json"
         save_scene(open_square_scene(), scene_path)
-        scenario = json.loads((DATA / "crossing.json").read_text())
-        scenario["agents"][0].update(desired_speed=1e308, max_speed=1e308)
-        scenario_path = tmp_path / "huge.json"
-        scenario_path.write_text(json.dumps(scenario))
         out = tmp_path / "out"
         code = main([
-            "simulate", "--scene", str(scene_path), "--scenario", str(scenario_path),
-            "--out-dir", str(out),
+            "simulate", "--scene", str(scene_path), "--scenario", str(DATA / "crossing.json"),
+            "--out-dir", str(out), "--dt", "1e308",
         ])
         assert code == 3
         err = capsys.readouterr().err
         assert err == "error: scenario rejected: agent c1: non-finite state at step 0\n"
         assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("fields", [
+        {"desired_speed": 1e308, "max_speed": 1e308},
+        {"max_speed": 1000.5},
+    ])
+    def test_a_speed_beyond_the_bound_exits_2_with_one_line(self, tmp_path, capsys, fields) -> None:
+        # Speeds of 1e308 once overflowed the first step (exit 3).
+        scenario = json.loads((DATA / "crossing.json").read_text())
+        i = next(i for i, a in enumerate(scenario["agents"]) if a["id"] == "c1")
+        scenario["agents"][i].update(fields)
+        scenario_path = tmp_path / "huge.json"
+        scenario_path.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--scene", str(DATA / "scene.json"), "--scenario", str(scenario_path),
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        name = next(iter(fields))
+        err = capsys.readouterr().err
+        assert err == f"error: {scenario_path}: c1: {name} must be at most 1000 m/s, got {fields[name]!r}\n"
+        assert not (out / "trace.csv").exists()
+
+    def test_a_speed_at_the_bound_is_accepted(self, tmp_path) -> None:
+        scenario = json.loads((DATA / "crossing.json").read_text())
+        scenario["agents"][0].update(max_speed=1000.0)
+        scenario_path = tmp_path / "fast.json"
+        scenario_path.write_text(json.dumps(scenario))
+        assert load_scenario(scenario_path).entries[0].max_speed == 1000.0
 
     @pytest.mark.parametrize("params", [{"g_angle": float("nan")}, {"u0": float("inf")}])
     def test_non_finite_params_exit_2_with_one_line(self, tmp_path, capsys, params) -> None:

@@ -448,13 +448,13 @@ class TestModes:
     def test_steps_without_force_mode_agents(self, monkeypatch) -> None:
         # Step 0 holds no agent; at step 1 both agents are in a game.
         sums = []
-        totals = forces.agent_repulsion_totals
+        totals = forces.repulsion_sums
 
         def recording(targets, agents, params, *columns):
             sums.append(([t.id for t in targets], [a.id for a in agents]))
             return totals(targets, agents, params, *columns)
 
-        monkeypatch.setattr(forces, "agent_repulsion_totals", recording)
+        monkeypatch.setattr(forces, "repulsion_sums", recording)
         scenario = Scenario("crossing", [car_entry(entry_step=1), ped_entry(entry_step=1)])
         trace = run_scenario(crossing_config(scenario=scenario, max_steps=3))
         assert modes_at_step(trace, 1) == {"c1": "game", "p1": "game"}
@@ -1071,6 +1071,54 @@ class TestRoadZoneCrowds:
             params=ParameterSet.defaults(regime), max_steps=60,
         )
         assert output_digests(config, tmp_path) == self.PINNED_LARGE[regime]
+
+
+class TestIntersectionZoneCrowds:
+    # sha256 of the outputs of a 64-agent crowd on a 100 m square that is
+    # all intersection zone, recorded while each force-mode pedestrian's
+    # repulsion total was a Vec2 and each car scanned every pedestrian
+    # for its stopping corridor; passing the totals on as floats and
+    # deciding the corridors from the recognition screen's products
+    # must not change them.
+    PINNED = {
+        "hbs": {
+            "trace.csv": "d880a6bcc2b0b66300df707997c8f6da83435c31b590f8ab0c5ddf066476b91f",
+            "decisions.csv": "1f6b997416d599f10849d3cf97605764c2431e09883cce5c5071894885b3200f",
+            "features.csv": "7f821990545a565bf2d074393c3c8ed1d9f522b8cef4f9d9fccd28523ddbf80b",
+        },
+        "dut": {
+            "trace.csv": "8e3da7dc982d0b14c657bbace5dab54e72d01b17fc4d48cbffea631f43218faf",
+            "decisions.csv": "33fb21810622b35d4dede5f686121d5af8c8a2fbffe7ed864cc39ecb6ede746d",
+            "features.csv": "6e803afe478f9ee5a0d97bb27cc48649a19ea9ceb82c66a661a42e3f0f24a9cd",
+        },
+    }
+
+    @pytest.mark.parametrize("regime", ["hbs", "dut"])
+    def test_crowd_outputs_match_the_pinned_digests(self, monkeypatch, tmp_path, regime) -> None:
+        grids, stops = [], []
+        grid, stopping = forces._agent_repulsion_grid, forces.stopping_lists
+
+        def counting(*args):
+            grids.append(len(args[0]))
+            return grid(*args)
+
+        def recording(columns, params):
+            lists = stopping(columns, params)
+            if columns.car_dot is not None:
+                stops.extend(p.id for ps in lists for p in ps)
+            return lists
+
+        monkeypatch.setattr(forces, "_agent_repulsion_grid", counting)
+        monkeypatch.setattr(forces, "stopping_lists", recording)
+        config = SimulationConfig(
+            scene=open_square_scene(half=50), scenario=two_way_crowd(0, 56, 8),
+            params=ParameterSet.defaults(regime), max_steps=60,
+        )
+        assert output_digests(config, tmp_path) == self.PINNED[regime]
+        # The run reaches the repulsion grid, and under hbs cars brake
+        # for pedestrians in corridors that the screen's products decide.
+        assert max(grids) > 40
+        assert bool(stops) is (regime == "hbs")
 
 
 def output_digests(config: SimulationConfig, out: Path) -> dict[str, str]:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -492,7 +493,7 @@ class TestIntegrateStep:
         a = ped(position=Vec2(0, 0), heading=Vec2(1, 0), speed=1.0, max_speed=10.0)
         # At its cruise speed the driving term is zero: only the push acts.
         position, velocity, _ = integrate_step(
-            a, DriveTo(Vec2(5, 0), 1.0, push=Vec2(2.0, 0.0)), dt=0.5, params=P
+            a, DriveTo(Vec2(5, 0), 1.0, push_x=2.0, push_y=0.0), dt=0.5, params=P
         )
         # v' = 1 + 0.5*2 = 2; x' = 0 + 0.5*2 = 1 (new velocity moves the agent)
         assert velocity.x == pytest.approx(2.0)
@@ -501,7 +502,7 @@ class TestIntegrateStep:
     def test_speed_clamped_to_max(self):
         a = ped(position=Vec2(0, 0), heading=Vec2(1, 0), speed=1.0, max_speed=1.2)
         _, velocity, _ = integrate_step(
-            a, DriveTo(Vec2(5, 0), 1.0, push=Vec2(100.0, 0.0)), dt=0.5, params=P
+            a, DriveTo(Vec2(5, 0), 1.0, push_x=100.0, push_y=0.0), dt=0.5, params=P
         )
         assert velocity.norm() == pytest.approx(1.2)
 
@@ -514,7 +515,7 @@ class TestIntegrateStep:
     def test_heading_follows_motion(self):
         a = ped(position=Vec2(0, 0), heading=Vec2(1, 0), speed=0.0, max_speed=5.0)
         *_, heading = integrate_step(
-            a, DriveTo(Vec2(0, 0), 0.0, push=Vec2(0.0, 3.0)), dt=0.5, params=P
+            a, DriveTo(Vec2(0, 0), 0.0, push_x=0.0, push_y=3.0), dt=0.5, params=P
         )
         assert heading.y == pytest.approx(1.0)
 
@@ -532,9 +533,25 @@ class TestIntegrateStep:
         assert a.velocity.x == pytest.approx(1.4, rel=1e-6)
 
 
+class VecDriveTo(NamedTuple):
+    """DriveTo as it was before its push became two floats: one Vec2."""
+
+    target: Vec2
+    speed: float
+    push: Vec2 = Vec2(0.0, 0.0)
+
+
+def vec_push(directive):
+    """A DriveTo's push as a Vec2, from either form."""
+    if isinstance(directive, VecDriveTo):
+        return directive.push
+    return Vec2(directive.push_x, directive.push_y)
+
+
 def vec_integrate_step(agent, directive, dt, params):
     """integrate_step in its Vec2 form, as it was before it was written
-    out on plain floats; the float form must agree to the bit."""
+    out on plain floats, for a DriveTo of either form; the float form
+    must agree to the bit."""
     if isinstance(directive, SetSpeed):
         new_speed = max(0.0, directive.speed)
         direction = agent.velocity.normalized()
@@ -543,7 +560,7 @@ def vec_integrate_step(agent, directive, dt, params):
         velocity = direction * new_speed
     else:
         drive = driving_force(agent, directive.target, directive.speed, params.tau)
-        total = Vec2(0.0, 0.0) + drive + directive.push
+        total = Vec2(0.0, 0.0) + drive + vec_push(directive)
         velocity = agent.velocity + total * dt
     speed = velocity.norm()
     if speed > agent.max_speed > 0.0:
@@ -579,8 +596,41 @@ _vec = st.builds(Vec2, _signed, _signed)
 _directive = st.one_of(
     st.builds(SetSpeed, st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-5.0, 10.0))),
     st.builds(DriveTo, _vec, st.floats(0.0, 10.0)),
-    st.builds(DriveTo, _vec, st.floats(0.0, 10.0), push=_vec),
+    st.builds(DriveTo, _vec, st.floats(0.0, 10.0), push_x=_signed, push_y=_signed),
 )
+
+
+class TestFloatPush:
+    """The force pass hands each pedestrian its repulsion total as two
+    floats, adds the obstacle push to them and puts them in its DriveTo;
+    until then the total was a Vec2, added to the obstacle push's Vec2."""
+
+    @given(
+        _vec,
+        _vec,
+        _signed,
+        _signed,
+        st.sampled_from([Vec2(0.0, 0.0), Vec2(-0.0, 0.0), Vec2(0.0, -0.0), Vec2(3.5, -0.25)]),
+        st.floats(0.0, 3.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_vec2_push(self, position, velocity, fx, fy, obstacle, speed):
+        agent = dataclasses.replace(ped(position=position, max_speed=2.5), velocity=velocity)
+        target = Vec2(4.0, -3.0)
+        old = VecDriveTo(target, speed, Vec2(fx, fy) + obstacle)
+        new = DriveTo(target, speed, fx + obstacle.x, fy + obstacle.y)
+        assert vec_bits(integrate_step(agent, new, 0.5, P)) == vec_bits(vec_integrate_step(agent, old, 0.5, P))
+
+    @pytest.mark.parametrize("fx, fy", [(-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, 1.5)])
+    def test_negative_zero_totals(self, fx, fy):
+        # A -0.0 total plus the 0.0 of an obstacle-free scene is 0.0 in
+        # the Vec2 sum; kept as -0.0 the result is the same.
+        agent = dataclasses.replace(ped(max_speed=2.0, heading=Vec2(0, 1)), velocity=Vec2(-0.0, 0.0))
+        for target, speed in ((Vec2(0.0, 0.0), 0.0), (Vec2(0.0, 5.0), 1.2)):
+            old = VecDriveTo(target, speed, Vec2(fx, fy) + Vec2(0.0, 0.0))
+            for push in ((fx, fy), (fx + 0.0, fy + 0.0)):
+                got = integrate_step(agent, DriveTo(target, speed, *push), 0.5, P)
+                assert vec_bits(got) == vec_bits(vec_integrate_step(agent, old, 0.5, P))
 
 
 class TestIntegrateStepMatchesVec2Form:
@@ -610,10 +660,10 @@ class TestIntegrateStepMatchesVec2Form:
         [
             (Vec2(0.0, 0.0), SetSpeed(1.0)),  # no motion: along the heading
             (Vec2(-0.0, 0.0), SetSpeed(-0.0)),
-            (Vec2(0.0, -0.0), DriveTo(Vec2(0.0, 0.0), 0.0, push=Vec2(-0.0, -0.0))),  # 0.0 + -0.0 is 0.0
+            (Vec2(0.0, -0.0), DriveTo(Vec2(0.0, 0.0), 0.0, push_x=-0.0, push_y=-0.0)),  # 0.0 + -0.0 is 0.0
             (Vec2(-0.0, -0.0), DriveTo(Vec2(0.0, 0.0), 0.0)),
             (Vec2(1.0, 0.0), DriveTo(Vec2(0.0, 0.0), 1.0)),  # target underfoot
-            (Vec2(3.0, 4.0), DriveTo(Vec2(0.0, 0.0), 0.0, push=Vec2(100.0, 0.0))),  # clamped
+            (Vec2(3.0, 4.0), DriveTo(Vec2(0.0, 0.0), 0.0, push_x=100.0, push_y=0.0)),  # clamped
             (Vec2(3.0, 4.0), SetSpeed(9.0)),  # clamped
             (Vec2(1e-10, 0.0), DriveTo(Vec2(5.0, 0.0), 1e-10)),  # too slow to turn
         ],

@@ -276,3 +276,33 @@ class TestBackwardElimination:
             X, y, baseline="continue", feature_names=("f0", "f1", "f2", "noise"), alpha=1.0
         )
         assert all_kept.retained == ("f0", "f1", "f2", "noise")
+
+    def test_the_rank_is_tested_once_and_every_refit_is_a_full_fit(self, monkeypatch) -> None:
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(800, 4))
+        y = multinomial_labels(rng, X[:, :1], {"yes": [1.5]}, baseline="no")
+        names = ("signal", "n1", "n2", "n3")
+        ranks = []
+        rank = np.linalg.matrix_rank
+
+        def counting(A, *args, **kwargs):
+            ranks.append(A.shape)
+            return rank(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+        result = backward_eliminate(X, y, baseline="no", feature_names=names)
+        assert len(result.eliminated) >= 2
+        assert ranks == [X.shape]
+        kept = [names.index(name) for name in result.retained]
+        full = fit_multinomial_logit(X[:, kept], y, baseline="no", feature_names=result.retained)
+        for field in ("coef", "std_errors", "p_values"):
+            assert getattr(result.model, field).tobytes() == getattr(full, field).tobytes()
+        assert result.model.log_likelihood == full.log_likelihood
+
+    def test_a_rank_deficient_design_is_rejected_before_any_fit(self) -> None:
+        X, y = elimination_data(seed=14)
+        X = np.column_stack([X, X[:, 0] + X[:, 1]])
+        with pytest.raises(RankDeficiencyError):
+            backward_eliminate(
+                X, y, baseline="continue", feature_names=("f0", "f1", "f2", "noise", "sum")
+            )

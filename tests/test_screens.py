@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import car, open_square_scene, ped
-from sharedspace import conflicts
+from sharedspace import conflicts, forces
 from sharedspace.conflicts import (
     CAR_CONE_HALF_ANGLE_DEG,
     Conflict,
@@ -28,6 +28,7 @@ from sharedspace.conflicts import (
     predicted_position,
     recognize_conflicts,
 )
+from sharedspace.forces import in_stopping_corridor, reactive_stopping
 from sharedspace.geometry import Vec2, bearing_deg, within_cone
 from sharedspace.params import SfmParams
 from sharedspace.scene import AgentColumns, AgentKind, Rect, Scene, in_intersection_zone, in_road_zone
@@ -341,6 +342,106 @@ def zoned_agents(draw):
     return scene, agents
 
 
+# - the stopping corridor from the screen's products ----------------------
+
+AXES = [Vec2(1, 0), Vec2(-1, 0), Vec2(0, 1), Vec2(0, -1)]
+# Walking across a car on the +x axis, along it, standing, and at and
+# just past the crossing-motion threshold of 1e-9 m/s.
+PED_VELOCITIES = [Vec2(0.0, 1.2), Vec2(1.2, 0.0), Vec2(0.0, 0.0), Vec2(-0.0, 1e-9), Vec2(0.0, -2e-9)]
+
+
+@st.composite
+def corridor_crowds(draw):
+    """Cars, some with an axis heading and some with a heading of any
+    length, and pedestrians anywhere or placed on a car's corridor edges:
+    0, d_min_pc or beyond it along the heading, on or inside a lateral
+    edge, so that the products land on the bounds exactly."""
+    params = draw(st.sampled_from([P, dataclasses.replace(P, d_min_pc=5.0)]))
+    cars = []
+    for k in range(draw(st.integers(1, 4))):
+        on_axis = draw(st.booleans())
+        c = car(
+            f"c{k}",
+            position=Vec2(draw(coord), draw(coord)),
+            heading=draw(st.sampled_from(AXES) if on_axis else heading),
+            diameter=draw(st.sampled_from([2.0, 1.5])),
+        )
+        if not on_axis:
+            c.heading = c.heading * draw(st.sampled_from([1.0, 3.0, 1e-3]))
+        cars.append(c)
+    peds = []
+    for k in range(draw(st.integers(1, 16))):
+        c = draw(st.sampled_from(cars))
+        diameter = draw(st.sampled_from([0.5, 0.3]))
+        if draw(st.booleans()):
+            position = Vec2(draw(coord), draw(coord))
+        else:
+            along = draw(st.sampled_from([0.0, params.d_min_pc, 3.0, -0.25, params.d_min_pc + 0.25]))
+            side = (c.diameter + diameter) / 2.0 * draw(st.sampled_from([1.0, -1.0, 0.5, 0.0, 1.25]))
+            h = c.heading
+            position = Vec2(c.position.x + h.x * along - h.y * side, c.position.y + h.y * along + h.x * side)
+        p = ped(f"p{k:02d}", position=position, diameter=diameter)
+        v = draw(st.one_of(st.sampled_from(PED_VELOCITIES), st.builds(Vec2, coord, coord)))
+        p.velocity = Vec2(v.x * c.heading.x - v.y * c.heading.y, v.x * c.heading.y + v.y * c.heading.x)
+        peds.append(p)
+    return cars, peds, params
+
+
+def screened_columns(agents, params=P):
+    """The agents' snapshot after a recognition screen ran on it."""
+    with guard(ALWAYS):
+        columns = AgentColumns(agents, INTERSECTION)
+        conflicts._scan_lists(columns, params)
+    return columns
+
+
+class TestStoppingFromTheScreen:
+    @given(corridor_crowds())
+    @settings(max_examples=200, deadline=None)
+    def test_the_screen_products_decide_as_the_scalar_corridor(self, crowd):
+        cars, peds, params = crowd
+        columns = screened_columns(cars + peds, params)
+        assert columns.car_dot is not None
+        inside = forces._corridor_mask(columns, params)
+        peds = columns.pedestrians
+        for k, c in enumerate(columns.cars):
+            got = [p.id for j, p in enumerate(peds) if inside[k, j]]
+            assert got == [p.id for p in forces._in_corridor(c, peds, params)]
+        assert [[p.id for p in ps] for ps in forces.stopping_lists(columns, params)] == [
+            [p.id for p in reactive_stopping(c, peds, params)] for c in columns.cars
+        ]
+
+    @pytest.mark.parametrize(
+        "along, side, inside",
+        [
+            (0.0, 0.0, False),  # dot = 0: beside the car's centre
+            (P.d_min_pc, 0.0, True),  # dot = d_min_pc
+            (math.nextafter(P.d_min_pc, 9.0), 0.0, False),
+            (4.0, 1.25, True),  # |cross| on the lateral edge
+            (4.0, -1.25, True),
+            (4.0, math.nextafter(1.25, 2.0), False),
+            (math.nextafter(0.0, 1.0), 1.25, True),
+        ],
+    )
+    def test_pedestrians_on_the_corridor_edges(self, along, side, inside):
+        c = car("c1", position=Vec2(0.0, -1.5), heading=Vec2(1, 0))
+        p = ped("p1", position=Vec2(along, -1.5 + side), heading=Vec2(0, 1))
+        columns = screened_columns([c, p, ped("p2", position=Vec2(40.0, 40.0))])
+        assert in_stopping_corridor(c, p, P) is inside
+        assert forces._corridor_mask(columns, P)[0].tolist() == [inside, False]
+        assert [[x.id for x in ps] for ps in forces.stopping_lists(columns, P)] == [["p1"] if inside else []]
+
+    def test_below_the_guard_the_snapshot_keeps_no_products(self):
+        # The engine then lets each car scan the pedestrians.
+        c = car("c1", position=Vec2(0, 0), heading=Vec2(1, 0))
+        p = ped("p1", position=Vec2(3.0, 0.5), heading=Vec2(0, 1))
+        with guard(NEVER):
+            columns = AgentColumns([c, p], INTERSECTION)
+            recognize_conflicts(columns.cars, columns.pedestrians, INTERSECTION, P, columns=columns)
+        assert columns.car_dot is None and columns.car_cross is None
+        assert reactive_stopping(c, [p], P) == [p]
+
+
 class TestAgentColumnsOracle:
     @given(zoned_agents())
     @settings(max_examples=200, deadline=None)
@@ -386,7 +487,7 @@ class TestAgentColumns:
             assert (k.ux[i].hex(), k.uy[i].hex()) == (unit.x.hex(), unit.y.hex())
             assert (k.max_speed[i], k.diameter[i]) == (a.max_speed, a.diameter)
             assert k.is_car[i] == (a.kind is AgentKind.CAR)
-        distance, bearing = conflicts.car_pairs(columns)
+        distance, bearing, _, _ = conflicts.car_pairs(columns)
         for i, c in enumerate(cars):
             for j, a in enumerate(agents):
                 offset = a.position - c.position

@@ -3,10 +3,14 @@ own process in a scratch directory."""
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from sharedspace.cli import main
 
@@ -66,3 +70,93 @@ def test_run_calibration_drives_both_cli_rounds(tmp_path) -> None:
     ])
     # The script reports round 2's outcome, failure included.
     assert proc.returncode == round2
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def synthetic_run(side: str, pair: int, work: float, rss: float, correct: bool = True) -> dict:
+    metrics = {"work_per_s": {"value": work, "unit": "1/s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    return {"side": side, "pair": pair, "result": {"correct": correct, "metrics": metrics}}
+
+
+def test_bench_pairs_summary_arithmetic() -> None:
+    bench_pairs = load_bench_pairs()
+    parent = [10.0, 12.0, 11.0, 13.0, 9.0]
+    change = [11.0, 12.0, 12.5, 12.0, 10.0]
+    rss_parent = [50.0, 50.0, 51.0, 49.0, 50.0]
+    rss_change = [49.0, 50.5, 51.0, 48.0, 52.0]
+    runs = [
+        synthetic_run(side, pair, work[pair - 1], rss[pair - 1])
+        for pair in (3, 1, 5, 2, 4)
+        for side, work, rss in (("change", change, rss_change), ("parent", parent, rss_parent))
+    ]
+    summary = bench_pairs.summarize(runs, {"work_per_s": "higher", "peak_rss_mb": "lower"})
+    work = summary["work_per_s"]
+    # sorted parent 9, 10, 11, 12, 13: quartiles 10 and 12 (linear)
+    assert work["parent_median"] == 11.0 and work["change_median"] == 12.0
+    assert work["parent_quartiles"] == [10.0, 12.0] and work["parent_iqr"] == 2.0
+    # sorted change 10, 11, 12, 12, 12.5
+    assert work["change_quartiles"] == [11.0, 12.0]
+    assert work["ratio"] == 12.0 / 11.0
+    assert work["parent_runs"] == parent and work["change_runs"] == change
+    # pair 2 is a tie, and pair 4 a loss
+    assert work["change_better_pairs"] == 3 and work["pairs"] == 5 and work["all_correct"]
+    rss = summary["peak_rss_mb"]
+    assert rss["parent_median"] == 50.0 and rss["change_median"] == 50.5
+    assert rss["parent_quartiles"] == [50.0, 50.0] and rss["parent_iqr"] == 0.0
+    assert rss["change_better_pairs"] == 2  # lower is better; pair 3 is a tie
+    runs[0]["result"]["correct"] = False
+    assert not bench_pairs.summarize(runs, {"work_per_s": "higher"})["work_per_s"]["all_correct"]
+    with pytest.raises(ValueError):
+        bench_pairs.summarize(runs[1:], {"work_per_s": "higher"})
+
+
+STUB_RUN = """\
+import json, sys
+from pathlib import Path
+root = Path(__file__).resolve().parents[1]
+with (root.parent / "order.txt").open("a") as log:
+    log.write(root.name + "\\n")
+value = float((root / "value.txt").read_text())
+print("env " + json.dumps({"python": "stub", "args": sys.argv[1:]}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"work_per_s": {"value": value, "unit": "1/s"}}}))
+"""
+
+
+def test_bench_pairs_alternates_and_writes_the_layout(tmp_path) -> None:
+    for side, value in (("parent", "100.0"), ("change", "110.0")):
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(STUB_RUN)
+        (root / "value.txt").write_text(value)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "work_per_s", "better": "higher"}]}
+    ))
+    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "crowd",
+            "--pairs", "3", "--seconds", "1", "--tag", "t", "--out-dir", str(tmp_path)]
+    for seed in ("0", "7", "0"):
+        proc = run_script("bench_pairs.py", tmp_path, *args, "--seed", seed)
+        assert proc.returncode == 0, proc.stderr
+    order = (tmp_path / "order.txt").read_text().split()
+    assert order[:6] == ["parent", "change", "change", "parent", "parent", "change"]
+    bench = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert list(bench) == ["about", "host", "summary", "runs"]
+    assert set(bench["summary"]) == {"crowd@seed0", "crowd@seed7"}
+    # the second seed-0 set replaced the first
+    assert [(r["seed"], r["pair"], r["side"]) for r in bench["runs"]].count((0, 1, "parent")) == 1
+    assert len(bench["runs"]) == 12
+    work = bench["summary"]["crowd@seed0"]["work_per_s"]
+    assert (work["parent_median"], work["change_median"], work["change_better_pairs"]) == (100.0, 110.0, 3)
+    assert bench["host"]["args"] == ["--workload", "crowd", "--seed", "0", "--seconds", "1.0", "--trace", "0"]
+
+
+def test_bench_pairs_refuses_a_directory_without_the_benchmark(tmp_path) -> None:
+    proc = run_script("bench_pairs.py", tmp_path, str(tmp_path), str(tmp_path), "--workload", "crowd", "--tag", "t")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {tmp_path} has no perfbench/run.py\n"

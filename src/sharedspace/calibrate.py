@@ -195,10 +195,13 @@ def ga_optimize(
     def scored(population: np.ndarray) -> np.ndarray:
         nonlocal cache_hits
         keys = [individual.tobytes() for individual in population]
-        fresh = list(dict.fromkeys(k for k in keys if k not in seen))
+        fresh: dict[bytes, int] = {}  # each unseen key's first row
+        for row, k in enumerate(keys):
+            if k not in seen:
+                fresh.setdefault(k, row)
         cache_hits += len(keys) - len(fresh)
         if fresh:
-            batch = population[[keys.index(k) for k in fresh]]
+            batch = population[list(fresh.values())]
             values = np.asarray(evaluate(batch), dtype=float)
             if values.shape != (batch.shape[0],):
                 raise GaConfigError(

@@ -511,13 +511,16 @@ def _drop_constant_columns(X: np.ndarray, names: list[str]):
 def _cmd_select_features(ns: argparse.Namespace) -> int:
     wanted = [s.strip() for s in ns.features.split(",") if s.strip()] if ns.features else None
     X, labels, names = _load_observations(Path(ns.observations), ns.subject, wanted)
-    X, names, dropped = _drop_constant_columns(X, names)
-    if not names:
-        raise CliError("all feature columns are constant; nothing to fit")
     keep = [s.strip() for s in ns.keep.split(",") if s.strip()] if ns.keep else []
     unknown = set(keep) - set(names)
     if unknown:
         raise CliError(f"keep-list names unknown features: {sorted(unknown)}")
+    X, names, dropped = _drop_constant_columns(X, names)
+    constant = set(keep).intersection(dropped)
+    if constant:
+        raise CliError(f"keep-list names constant features, which cannot be fitted: {sorted(constant)}")
+    if not names:
+        raise CliError("all feature columns are constant; nothing to fit")
     outcomes = sorted(set(labels))
     if Action.CONTINUE.value not in outcomes:
         raise CliError(f"baseline 'continue' not present in outcomes {outcomes}")

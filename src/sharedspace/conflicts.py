@@ -13,15 +13,15 @@ pedestrian. A car in neither zone forms no conflict. The competitor
 sets found are then classified into one of three complex conflict
 kinds, or dismissed.
 
-The pair gates are these scalar rules. Above
-RECOGNITION_SCALAR_MAX_PAIRS (car, other agent) pairs a numpy pass over
-the snapshot first drops the pairs that surely fail range, cone or
-predicted gap (its bands widened by geometry's margins), and only the
-rest go through the scalar rules, in the same order. The screen
-decides no conflict, so conflicts, their ids and order are the same
-with or without it. Its heading-by-offset dot and cross products stay
-on the snapshot (`AgentColumns.car_dot`, `car_cross`), where they do
-decide each car's reactive-stopping corridor
+The pair gates are these scalar rules. On a `screened` snapshot, one
+of more than RECOGNITION_SCALAR_MAX_PAIRS (car, other agent) pairs, a
+numpy pass over the snapshot's `car_pairs` table first drops the pairs
+that surely fail range, cone or predicted gap (its bands widened by
+geometry's margins), and only the rest go through the scalar rules, in
+the same order. The screen decides no conflict, so conflicts, their
+ids and order are the same with or without it. The table's
+heading-by-offset dot and cross products, made once per snapshot, do
+decide each car's reactive-stopping corridor on a screened snapshot
 (`forces.stopping_lists`): no margin is needed there, since they are
 the products the scalar corridor computes, to the bit.
 
@@ -47,7 +47,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Vec2, abs_bearings_deg, cone_limit, segments_intersect, widened
+from .geometry import Vec2, cone_limit, segments_intersect, widened
 from .params import SfmParams
 from .scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view
 # Kept importable here: perfbench/tracer.py patches these names.
@@ -182,41 +182,30 @@ def classify_conflict(
     return ConflictClass.NO_NEW_CONFLICT, (), []
 
 
-def car_pairs(columns: AgentColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The screen's (cars x agents) distance, bearing folded into [0, 180]
-    degrees, and the dot and cross products of heading and offset
-    (hx * ox + hy * oy, hx * oy - hy * ox): row k is car k, column j
-    agent j, and the offset is agent j's position minus car k's."""
-    k, n = columns.kinematics, len(columns.cars)
-    hx, hy = k.hx[:n, None], k.hy[:n, None]
-    with np.errstate(all="ignore"):
-        ox = k.x - k.x[:n, None]
-        oy = k.y - k.y[:n, None]
-        # bearing_deg's cross and dot products and squared norm.
-        cross = hx * oy - hy * ox
-        dot = hx * ox + hy * oy
-        bearing = abs_bearings_deg(cross, dot, ox * ox + oy * oy)
-        return np.hypot(ox, oy), bearing, dot, cross
+def screened(columns: AgentColumns) -> bool:
+    """Whether the snapshot has more than RECOGNITION_SCALAR_MAX_PAIRS
+    (car, other agent) pairs: the one size rule by which recognition
+    runs its numpy screen and the stopping test reads the snapshot's
+    `car_pairs`."""
+    return len(columns.cars) * (len(columns.agents) - 1) > RECOGNITION_SCALAR_MAX_PAIRS
 
 
 def _scan_lists(columns: AgentColumns, params: SfmParams) -> list[list[AgentState]]:
     """Per car of `columns`: the road users its scan tests, in scan
     order. An intersection car scans the cars, then the pedestrians; a
-    road car the pedestrians; any other car nobody. Above
-    RECOGNITION_SCALAR_MAX_PAIRS pairs, the lists leave out the agents
-    that the screen finds surely out of range, out of the angle window
-    or (intersection cars) predicted too far apart; the screen's dot and
-    cross products stay on `columns` (`car_dot`, `car_cross`), where the
-    stopping test reads them."""
+    road car the pedestrians; any other car nobody. On a `screened`
+    snapshot the lists leave out the agents that the screen, from the
+    snapshot's `car_pairs`, finds surely out of range, out of the angle
+    window or (intersection cars) predicted too far apart."""
     cars, peds, agents = columns.cars, columns.pedestrians, columns.agents
-    if len(cars) * (len(agents) - 1) <= RECOGNITION_SCALAR_MAX_PAIRS:
+    if not screened(columns):
         return [
             agents if inter else peds if road else []
             for inter, road in zip(columns.in_intersection, columns.in_road)
         ]
     n = len(cars)
     k = columns.kinematics
-    distance, bearing, columns.car_dot, columns.car_cross = car_pairs(columns)
+    distance, bearing, _, _ = columns.car_pairs
     cone = np.where(
         k.is_car, cone_limit(CAR_CONE_HALF_ANGLE_DEG), cone_limit(params.fov_half_angle_deg)
     )

@@ -2,25 +2,25 @@
 
 Each step: spawn due agents, drop those that arrived last step, take
 one AgentColumns snapshot of the rest (the cars, then the pedestrians,
-in id order), which recognition, mode assignment and the repulsion
-pass read; run conflict recognition, solve games for new conflicts and
-latch the chosen actions, assign each agent one mode together with the
-one directive it moves under (cars: stopping > game > following > free
-flow; pedestrians: game > forces), record the frame with each agent's
-mode (the dropped agents as Mode.ARRIVED), sum the agent repulsion on
-every pedestrian in force mode in one pass to complete their
-directives (each total, plus the obstacle push, as two floats), then
-move each agent in place under its directive (a
+in id order), the one that recognition, mode assignment and the
+repulsion pass read; run conflict recognition, solve games for new
+conflicts and latch the chosen actions, assign each agent one mode
+together with the one directive it moves under (cars: stopping > game >
+following > free flow; pedestrians: game > forces), record the frame
+with each agent's mode (the dropped agents as Mode.ARRIVED), sum the
+agent repulsion on every pedestrian in force mode in one pass to
+complete their directives (each total, plus the obstacle push, as two
+floats), then move each agent in place under its directive (a
 non-finite position or velocity rejects the scenario), then retire
 conflicts whose actions have completed or timed out. An agent is one
 AgentState object from its spawn until it is dropped.
 
-The active conflicts are the only record of who is engaged with whom.
-What recognition, game creation and mode assignment read of them (who
-is bound to which game, each conflict by id, each agent's partners and
-its count of active games) is a ConflictIndex kept in step with them:
-it changes only where a game is created, retired or dissolved, or where
-agents spawn or leave, and no step rebuilds it from the games.
+The active games are the only record of who is engaged with whom, and
+the world's ConflictIndex is their one record: each game by id, with
+what recognition, game creation and mode assignment read of them (who
+is bound to which game, each agent's partners and its count of active
+games). It changes only where a game is created, retired or dissolved,
+or where agents spawn or leave; no step rebuilds it from the games.
 
 The trace holds one row per decision: each game member's action with
 the features it saw. decisions.csv and features.csv are both written
@@ -36,8 +36,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import conflicts as conflicts_mod
 from . import forces as forces_mod
@@ -189,22 +188,22 @@ class ConflictRuntime:
 
 
 class ConflictIndex:
-    """What the active games say about who is engaged, kept across steps:
-    `bound` maps each bound agent to the game it acts on (an agent that
-    has left stays until its game retires), `by_id` each active
-    conflict's id to it in creation order, and `games` each member of an
-    active game to the number of active games it is in. Each game is
-    added once and removed once; the partner map is rebuilt only after
-    the games or the present agents changed."""
+    """The active games, kept across steps: `by_id` maps each active
+    conflict's id to its game in creation order, `bound` each bound agent
+    to the game it acts on (an agent that has left stays until its game
+    retires), and `games` each member of an active game to the number of
+    active games it is in. Each game is added once and removed once; the
+    partner map is rebuilt only after the games or the present agents
+    changed."""
 
     def __init__(self) -> None:
         self.bound: dict[str, ConflictRuntime] = {}
-        self.by_id: dict[int, Conflict] = {}
+        self.by_id: dict[int, ConflictRuntime] = {}
         self.games: dict[str, int] = {}
         self._partners: dict[str, set[str]] | None = None
 
     def add(self, runtime: ConflictRuntime) -> None:
-        self.by_id[runtime.conflict.id] = runtime.conflict
+        self.by_id[runtime.conflict.id] = runtime
         for aid in runtime.binds:
             self.bound[aid] = runtime
         games = self.games
@@ -233,7 +232,7 @@ class ConflictIndex:
         """`conflicts.partner_sets` of the active conflicts over `ids`,
         the present agents; not to be changed by the caller."""
         if self._partners is None:
-            self._partners = conflicts_mod.partner_sets(self.by_id.values(), ids)
+            self._partners = conflicts_mod.partner_sets((r.conflict for r in self.by_id.values()), ids)
         return self._partners
 
 
@@ -241,7 +240,6 @@ class ConflictIndex:
 class WorldState:
     step: int
     agents: dict[str, AgentState]
-    active_conflicts: list[ConflictRuntime]
     conflict_index: ConflictIndex = field(default_factory=ConflictIndex)
 
 
@@ -296,7 +294,7 @@ class Simulation:
         if not (config.dt > 0.0 and math.isfinite(config.dt)):
             raise ScenarioError("dt must be positive and finite")
         self.config = config
-        self.world = WorldState(step=0, agents={}, active_conflicts=[])
+        self.world = WorldState(step=0, agents={})
         self.trace = SimulationTrace(scenario_id=config.scenario.scenario_id)
         self._entries = sorted(config.scenario.entries, key=lambda e: (e.entry_step, e.id))
         self._spawn_cursor = 0
@@ -309,12 +307,6 @@ class Simulation:
         self._waypoints = waypoints
         # the one obstacle index of the force pass
         self._obstacles = ObstacleIndex(config.scene.obstacles)
-
-    def engagements(self) -> Mapping[str, ConflictRuntime]:
-        """The game each bound agent acts on, a read-only view of the map
-        kept with the active conflicts; an agent that has left stays
-        listed until its game retires."""
-        return MappingProxyType(self.world.conflict_index.bound)
 
     def _game_partner(self, agent_id: str, runtime: ConflictRuntime) -> AgentState | None:
         """The leader (the conflict's anchor car) plays against its
@@ -335,13 +327,9 @@ class Simulation:
         """Keep the active games for which `keep` holds; the others leave
         the index."""
         index = self.world.conflict_index
-        kept = []
-        for runtime in self.world.active_conflicts:
-            if keep(runtime):
-                kept.append(runtime)
-            else:
+        if index.by_id:
+            for runtime in [r for r in index.by_id.values() if not keep(r)]:
                 index.remove(runtime)
-        self.world.active_conflicts = kept
 
     def _run_recognition(self, columns: AgentColumns) -> None:
         index = self.world.conflict_index
@@ -350,7 +338,7 @@ class Simulation:
             columns.pedestrians,
             self.config.scene,
             self.config.params.sfm,
-            active_conflicts=index.by_id.values(),
+            active_conflicts=[r.conflict for r in index.by_id.values()] if index.by_id else (),
             step=self.world.step,
             next_id=self._next_conflict_id,
             columns=columns,
@@ -391,7 +379,6 @@ class Simulation:
         actions.update({f.id: a for f, a in zip(followers, profile)})
         binds = tuple(aid for aid in actions if aid not in index.bound)
         runtime = ConflictRuntime(conflict, actions, binds)
-        self.world.active_conflicts.append(runtime)
         index.add(runtime)
         for aid, action in actions.items():
             agent = agents[aid]
@@ -471,9 +458,9 @@ class Simulation:
         assignments: dict[str, tuple[Mode, forces_mod.Directive | None]] = {}
         follower_of: dict[str, str] = {}
         bound = self.world.conflict_index.bound
-        # Above the recognition guard the screen's products decide the
-        # corridors; below it each car scans the pedestrians.
-        screened = forces_mod.stopping_lists(columns, sfm) if brakes and columns.car_dot is not None else None
+        # On a screened snapshot its products decide the corridors;
+        # otherwise each car scans the pedestrians.
+        screened = forces_mod.stopping_lists(columns, sfm) if brakes and conflicts_mod.screened(columns) else None
         for k, car in enumerate(cars):
             if screened is not None:
                 stopping_for = screened[k]

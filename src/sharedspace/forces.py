@@ -14,18 +14,17 @@ rule, `brake_for`.
 `agent_repulsion` is the pairwise rule, a `Vec2` view of its plain-float
 form `_repulsion_xy`. The engine sums it for every pedestrian in force
 mode once per step (`repulsion_sums`, which hands each total on as its
-two floats; `agent_repulsion_totals` is a `Vec2` view of it), adds the
-obstacle push to those floats and puts them in the pedestrian's
-`DriveTo`: the floats a `Vec2` push held, added in the order
-`Vec2.__add__` adds them, so the bits are those of the `Vec2` form. The
-sum takes one of two paths chosen from the input size:
+two floats), adds the obstacle push to those floats and puts them in
+the pedestrian's `DriveTo`: the floats a `Vec2` push held, added in the
+order `Vec2.__add__` adds them, so the bits are those of the `Vec2`
+form. The sum takes one of two paths chosen from the input size:
 
 - up to SCALAR_REPULSION_MAX_PAIRS (target, other agent) pairs, the
   sequential sum of `_repulsion_xy`, added in agent order on plain
   floats: exactly the sum of `agent_repulsion`, bit for bit;
-- above it, one numpy pass that applies the same rule to all pairs at
-  once and adds each target's terms in agent order. numpy's `exp` and
-  `hypot` may differ from `math`'s in the last bit, so a total can
+- above it, one numpy pass over the given AgentColumns snapshot that
+  applies the same rule to all pairs at once and adds each target's
+  terms in agent order. numpy's `exp` and `hypot` may differ from `math`'s in the last bit, so a total can
   differ from the sequential sum by a few ulps: the tests bound each
   component by 1e-12 times the sum of the pair forces' magnitudes.
 
@@ -39,10 +38,10 @@ agents) takes the numpy pass, which reads the step's AgentColumns
 snapshot and reuses its temporaries in place.
 
 A car's stopping corridor is `_in_corridor`, one copy of the rule on
-floats, which `reactive_stopping` reads. Where the recognition screen
-ran, `stopping_lists` gives `reactive_stopping` for every car of the
-step from the screen's (car, agent) dot and cross products instead
-(`_corridor_mask`), which are the same IEEE products and sums.
+floats, which `reactive_stopping` reads. On a snapshot the recognition
+screen runs on, `stopping_lists` gives `reactive_stopping` for every
+car of the step from the dot and cross products of its `car_pairs`
+instead (`_corridor_mask`), the same IEEE products and sums.
 
 `obstacle_repulsion` makes one pass per obstacle polygon on plain
 floats, over the scene's `geometry.ObstacleIndex`, which the engine
@@ -67,7 +66,7 @@ import numpy as np
 
 from .geometry import ObstacleIndex, Vec2, _edge_table, _nearest_on_edges_xy, point_in_zone
 from .params import SfmParams
-from .scene import AgentColumns, AgentKind, AgentState, Scene
+from .scene import AgentColumns, AgentKind, AgentState
 
 
 _NO_FORCE = Vec2(0.0, 0.0)
@@ -168,29 +167,18 @@ def _repulsion_xy(i: AgentState, j: AgentState, params: SfmParams) -> tuple[floa
 SCALAR_REPULSION_MAX_PAIRS = 8
 
 
-def agent_repulsion_totals(
-    targets: Sequence[AgentState],
-    agents: Sequence[AgentState],
-    params: SfmParams,
-    columns: AgentColumns | None = None,
-) -> list[Vec2]:
-    """`repulsion_sums` as one Vec2 per target."""
-    xs, ys = repulsion_sums(targets, agents, params, columns)
-    return [Vec2(x, y) for x, y in zip(xs, ys)]
-
-
 def repulsion_sums(
     targets: Sequence[AgentState],
     agents: Sequence[AgentState],
     params: SfmParams,
-    columns: AgentColumns | None = None,
+    columns: AgentColumns,
 ) -> tuple[list[float], list[float]]:
     """For each target, the sum of agent_repulsion from every other
     agent, added in the order of `agents`, as its x and its y components;
-    every target must be one of `agents`. Up to
-    SCALAR_REPULSION_MAX_PAIRS (target, other agent) pairs this is that
-    sum, pair by pair; above it, one numpy pass, which reads `columns`
-    when given: a snapshot of these same agents."""
+    every target must be one of `agents`, and `columns` a snapshot of
+    these same agents. Up to SCALAR_REPULSION_MAX_PAIRS (target, other
+    agent) pairs this is that sum, pair by pair; above it, one numpy
+    pass over `columns`."""
     if not targets:
         return [], []
     if len(targets) * (len(agents) - 1) <= SCALAR_REPULSION_MAX_PAIRS:
@@ -204,8 +192,6 @@ def repulsion_sums(
             xs.append(tx)
             ys.append(ty)
         return xs, ys
-    if columns is None:
-        columns = AgentColumns(agents, Scene())
     return _agent_repulsion_grid(targets, agents, params, columns)
 
 
@@ -386,9 +372,8 @@ def reactive_stopping(
 
 def stopping_lists(columns: AgentColumns, params: SfmParams) -> list[list[AgentState]]:
     """reactive_stopping(car, columns.pedestrians, params) for each car of
-    a snapshot the recognition screen left its products on, in car
-    order: `_corridor_mask` decides the corridors, and only the
-    crossing-motion test is left per pedestrian."""
+    the snapshot, in car order: `_corridor_mask` decides the corridors,
+    and only the crossing-motion test is left per pedestrian."""
     cars, peds = columns.cars, columns.pedestrians
     lists: list[list[AgentState]] = [[] for _ in cars]
     rows, cols = np.nonzero(_corridor_mask(columns, params))
@@ -400,13 +385,14 @@ def stopping_lists(columns: AgentColumns, params: SfmParams) -> list[list[AgentS
 
 
 def _corridor_mask(columns: AgentColumns, params: SfmParams) -> np.ndarray:
-    """(cars x pedestrians) `_in_corridor` of a snapshot the recognition
-    screen left its products on (`car_dot`, `car_cross`). They are the
-    offset-by-heading products `_in_corridor` makes: ox * hx + oy * hy
-    is hx * ox + hy * oy, and ox * -hy + oy * hx is hx * oy - hy * ox,
-    to the bit. So the mask decides, with no margin."""
+    """(cars x pedestrians) `_in_corridor` of a snapshot, from the dot and
+    cross products of its `car_pairs`, the offset-by-heading products
+    `_in_corridor` makes: ox * hx + oy * hy is hx * ox + hy * oy, and
+    ox * -hy + oy * hx is hx * oy - hy * ox, to the bit. So the mask
+    decides, with no margin."""
     n = len(columns.cars)
-    dot, cross = columns.car_dot[:, n:], columns.car_cross[:, n:]
+    _, _, dot, cross = columns.car_pairs
+    dot, cross = dot[:, n:], cross[:, n:]
     diameter = columns.kinematics.diameter
     half_width = (diameter[:n, None] + diameter[n:]) / 2.0
     return (0.0 < dot) & (dot <= params.d_min_pc) & (np.abs(cross) <= half_width)

@@ -4,6 +4,9 @@ A scene holds static geometry only: obstacle polygons, intersection
 zones, road zones and the rectangular scene bounds, all in meters. A
 scene file's coordinates are scaled by its meters_per_unit once, at
 load time; the scene keeps no scale.
+
+An AgentColumns is one engine step's snapshot of its agents, the one
+owner of what the step derives from them, from their order to pair tables.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .geometry import (
     Vec2,
     _validate_simple_polygon,
     _within_cone_xy,
+    abs_bearings_deg,
     point_in_zone,
 )
 
@@ -157,19 +161,10 @@ class AgentColumns:
     on-segment rule only for a point the parity puts outside, since a
     point inside is in the zone whether or not it lies on an edge.
 
-    `kinematics`, the numpy columns of the agents' state, is made on
-    first use, at most once: the recognition screen and the repulsion
-    grid both read it, and each builds its own pair tables from it.
-    Recognition and the repulsion pass below their scalar guards read
-    none of it, so a calibration-sized step never builds it. When the
-    recognition screen runs, it leaves its (cars x agents) dot and
-    cross products of each car's heading with its offset to each agent
-    in `car_dot` and `car_cross` (None otherwise), for the stopping
-    test of the same step."""
-
-    # Set by the recognition screen on the snapshots it runs on.
-    car_dot: np.ndarray | None = None
-    car_cross: np.ndarray | None = None
+    `kinematics` (read by the recognition screen and the repulsion grid)
+    and `car_pairs` (by the recognition screen and the stopping test)
+    are made on first use, at most once; a calibration-sized step, below
+    every scalar guard, builds neither."""
 
     def __init__(self, agents: Iterable[AgentState], scene: Scene) -> None:
         cars: list[AgentState] = []
@@ -201,6 +196,23 @@ class AgentColumns:
         n = len(self.agents)
         table = np.array(flat, dtype=float).reshape(n, 8).T.copy()
         return Kinematics(*table, np.arange(n) < len(self.cars))
+
+    @cached_property
+    def car_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(cars x agents) distance, bearing folded into [0, 180] degrees,
+        and the dot and cross products of heading and offset
+        (hx * ox + hy * oy, hx * oy - hy * ox): row k is car k, column j
+        agent j, and the offset is agent j's position minus car k's."""
+        k, n = self.kinematics, len(self.cars)
+        hx, hy = k.hx[:n, None], k.hy[:n, None]
+        with np.errstate(all="ignore"):
+            ox = k.x - k.x[:n, None]
+            oy = k.y - k.y[:n, None]
+            # bearing_deg's cross and dot products and squared norm.
+            cross = hx * oy - hy * ox
+            dot = hx * ox + hy * oy
+            bearing = abs_bearings_deg(cross, dot, ox * ox + oy * oy)
+            return np.hypot(ox, oy), bearing, dot, cross
 
 
 def in_field_of_view(

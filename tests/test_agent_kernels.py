@@ -25,9 +25,9 @@ from sharedspace.forces import (
     DriveTo,
     _repulsion_xy,
     agent_repulsion,
-    agent_repulsion_totals,
     anisotropy_factor,
     car_following_force,
+    repulsion_sums,
 )
 from sharedspace.game import Action, apply_action
 from sharedspace.geometry import (
@@ -298,9 +298,9 @@ class TestPairRepulsion:
         # Up to SCALAR_REPULSION_MAX_PAIRS pairs: the scalar path.
         most = SCALAR_REPULSION_MAX_PAIRS // (len(crowd) - 1)
         targets = data.draw(st.lists(st.sampled_from(crowd), min_size=1, max_size=most, unique_by=lambda a: a.id))
-        got = agent_repulsion_totals(targets, crowd, p)
+        xs, ys = repulsion_sums(targets, crowd, p, AgentColumns(crowd, Scene()))
         want = vec_repulsion_totals(targets, crowd, p)
-        assert [bits(v.x, v.y) for v in got] == [bits(v.x, v.y) for v in want]
+        assert [bits(x, y) for x, y in zip(xs, ys)] == [bits(v.x, v.y) for v in want]
 
 
     @settings(max_examples=200, deadline=None)

@@ -255,6 +255,42 @@ class TestGaOptimize:
         assert result.evaluations == config.population_size + 3 * (config.population_size - 1)
         assert result.cache_hits == result.evaluations - config.population_size
 
+    def test_fresh_chromosomes_are_scored_once_in_first_appearance_order(self, monkeypatch) -> None:
+        # Generation 0 holds four chromosomes at the rows `order` gives,
+        # so its batch repeats some; without variation generation 1 only
+        # copies them.
+        monkeypatch.setattr(calibrate, "MUTATION_RATE", 0.0)
+        monkeypatch.setattr(calibrate, "CROSSOVER_RATE", 0.0)
+        order = [0, 1, 0, 2, 1, 3, 2, 0]
+        make_rng = np.random.default_rng
+        lows, highs = np.array(QUAD_BOUNDS).T
+        distinct = make_rng(5).uniform(lows, highs, size=(4, len(QUAD_BOUNDS)))
+
+        class Repeating:
+            def __init__(self, seed: int) -> None:
+                self.rng = make_rng(seed)
+
+            def uniform(self, lows, highs, size):
+                return self.rng.uniform(lows, highs, size=(4, size[1]))[order]
+
+            def __getattr__(self, name: str):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", Repeating)
+        batches = []
+
+        def scoring(population: np.ndarray) -> np.ndarray:
+            batches.append(population.copy())
+            return population[:, 0] + 10.0 * population[:, 1]
+
+        result = ga_optimize(QUAD_BOUNDS, scoring, GaConfig(population_size=len(order), max_generations=1, seed=5))
+        assert len(batches) == 1 and np.array_equal(batches[0], distinct)
+        # Each row's score is its own chromosome's.
+        scores = (distinct[:, 0] + 10.0 * distinct[:, 1])[order]
+        assert result.history[0] == GenStats(0, float(scores.min()), float(scores.mean()))
+        assert np.array_equal(result.best_genes, distinct[order][int(np.argmin(scores))])
+        assert result.cache_hits == (len(order) - 4) + (len(order) - calibrate.ELITISM)
+
     def test_per_individual_adapts_scalar_objective(self) -> None:
         batch = per_individual(quadratic)
         population = np.array([[3.0, 3.0], [4.0, 2.0]])

@@ -1015,6 +1015,31 @@ class TestSelectFeatures:
         assert code == 2
         assert capsys.readouterr().err == "error: keep-list names unknown features: ['zzz']\n"
 
+    def constant_speed_table(self, tmp_path) -> Path:
+        """A 4-row car table whose own_speed is 1.0 on every row."""
+        path = tmp_path / "observations.csv"
+        rows = ["kind,own_speed,gap,action"]
+        rows += [f"car,1.0,{g},{a}" for g, a in zip((1, 2, 3, 4), ("continue", "decelerate") * 2)]
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    def test_keeping_a_constant_feature_exits_2_naming_it(self, tmp_path, capsys) -> None:
+        code = main([
+            "select-features", "--observations", str(self.constant_speed_table(tmp_path)),
+            "--subject", "car", "--keep", "own_speed", "--out-dir", str(tmp_path / "sel"),
+        ])
+        assert (code, capsys.readouterr().err) == (
+            2, "error: keep-list names constant features, which cannot be fitted: ['own_speed']\n"
+        )
+        assert not (tmp_path / "sel").exists()
+
+    def test_keeping_an_unknown_feature_beside_a_constant_one_exits_2(self, tmp_path, capsys) -> None:
+        code = main([
+            "select-features", "--observations", str(self.constant_speed_table(tmp_path)),
+            "--subject", "car", "--keep", "own_speed,zzz", "--out-dir", str(tmp_path / "sel"),
+        ])
+        assert (code, capsys.readouterr().err) == (2, "error: keep-list names unknown features: ['zzz']\n")
+
     @pytest.mark.parametrize(
         "actions, message",
         [

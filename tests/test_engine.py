@@ -3,10 +3,13 @@ priorities, conflict lifecycle, determinism, and trace output."""
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import random
+from functools import cached_property
 from pathlib import Path
+from typing import Collection
 
 import pytest
 
@@ -31,7 +34,7 @@ from sharedspace.engine import (
 from sharedspace.game import Action
 from sharedspace.geometry import Vec2
 from sharedspace.params import ParameterSet
-from sharedspace.scene import AgentKind, AgentState, Rect, Scene, load_scene
+from sharedspace.scene import AgentColumns, AgentKind, AgentState, Rect, Scene, load_scene
 
 
 def car_entry(
@@ -609,6 +612,11 @@ class TestBraking:
 # ---------------------------------------------------------------------------
 
 
+def active_games(sim: Simulation) -> list:
+    """The simulation's games in play, in creation order."""
+    return list(sim.world.conflict_index.by_id.values())
+
+
 class TestConflictLifecycle:
     def test_crossing_conflict_is_recognized_and_resolved(self) -> None:
         trace = run_scenario(crossing_config())
@@ -694,13 +702,11 @@ class TestConflictLifecycle:
         sim = Simulation(config)
         for _ in range(5):
             sim.step()
-        assert len(sim.world.active_conflicts) == 1
-        assert sim.world.active_conflicts[0].conflict.created_at_step == 0
+        assert [r.conflict.created_at_step for r in active_games(sim)] == [0]
         sim.step()  # age reaches the timeout at step 5
-        assert sim.world.active_conflicts == []
+        assert active_games(sim) == []
         sim.step()  # the unresolved standoff re-engages afresh
-        assert len(sim.world.active_conflicts) == 1
-        assert sim.world.active_conflicts[0].conflict.created_at_step == 6
+        assert [r.conflict.created_at_step for r in active_games(sim)] == [6]
         assert len(sim.trace.conflicts) == 2
 
     def test_first_conflict_keeps_the_binding(self) -> None:
@@ -711,7 +717,7 @@ class TestConflictLifecycle:
         sim = Simulation(config)
         sim.step()
         first_id = sim.trace.conflicts[0].id
-        assert {aid: r.conflict.id for aid, r in sim.engagements().items()} == {
+        assert {aid: r.conflict.id for aid, r in sim.world.conflict_index.bound.items()} == {
             "c1": first_id,
             "p1": first_id,
         }
@@ -724,9 +730,10 @@ class TestConflictLifecycle:
             created_at_step=sim.world.step,
         )
         sim._create_game(extra)
-        assert sim.engagements()["p1"].conflict.id == first_id
-        assert sim.engagements()["c9"].conflict.id == 99
-        assert sim.engagements()["p1"] is sim.world.active_conflicts[0]
+        bound = sim.world.conflict_index.bound
+        assert bound["p1"].conflict.id == first_id
+        assert bound["c9"].conflict.id == 99
+        assert bound["p1"] is active_games(sim)[0]
 
     def test_retiring_the_bound_game_unbinds_despite_a_later_game(self, monkeypatch) -> None:
         monkeypatch.setattr(engine, "CONFLICT_TIMEOUT_STEPS", 1)
@@ -736,7 +743,7 @@ class TestConflictLifecycle:
         )
         sim = Simulation(config)
         sim.step()
-        first = sim.engagements()["p1"]
+        first = sim.world.conflict_index.bound["p1"]
         later = Conflict(
             id=99,
             conflict_class=ConflictClass.PEDESTRIANS_TO_CAR,
@@ -749,10 +756,10 @@ class TestConflictLifecycle:
         # it, the later one has not.
         monkeypatch.setattr(sim, "_action_completed", lambda agent, action, partner: False)
         sim._retire_conflicts()
-        assert [r.conflict.id for r in sim.world.active_conflicts] == [99]
-        assert first not in sim.world.active_conflicts
+        assert [r.conflict.id for r in active_games(sim)] == [99]
+        assert first not in active_games(sim)
         # p1 still plays in game 99 but was never bound to it.
-        assert {aid: r.conflict.id for aid, r in sim.engagements().items()} == {"c9": 99}
+        assert {aid: r.conflict.id for aid, r in sim.world.conflict_index.bound.items()} == {"c9": 99}
 
     def test_road_merge_dissolves_the_absorbed_game_and_unbinds_it(self) -> None:
         # c2 engages p1 at step 0; c1 arrives at step 1 with the same
@@ -772,16 +779,17 @@ class TestConflictLifecycle:
         )
         sim = Simulation(config)
         sim.step()
-        absorbed = sim.engagements()["c2"]
+        bound = sim.world.conflict_index.bound
+        absorbed = bound["c2"]
         assert absorbed.conflict.participants() == ("c2", "p1")
-        assert sim.engagements()["p1"] is absorbed
+        assert bound["p1"] is absorbed
         sim.step()
-        (merged,) = sim.world.active_conflicts
+        (merged,) = active_games(sim)
         assert merged.conflict.conflict_class is ConflictClass.PEDESTRIANS_TO_CARS
         assert merged.conflict.participants() == ("c1", "p1", "c2")
         # Without the unbinding, c2 and p1 would still act on the
         # dissolved game.
-        assert sim.engagements() == {"c1": merged, "p1": merged, "c2": merged}
+        assert bound == {"c1": merged, "p1": merged, "c2": merged}
         modes = {r.agent_id: r.mode for r in sim.trace.rows if r.step == 1}
         assert modes == {"c1": "game", "c2": "game", "p1": "game"}
 
@@ -977,7 +985,7 @@ class TestRoadZoneCrowds:
         for _ in range(config.max_steps):
             engaged = {
                 (a, b)
-                for r in sim.world.active_conflicts
+                for r in active_games(sim)
                 for a in r.conflict.participants()
                 for b in r.conflict.participants()
             }
@@ -1104,8 +1112,7 @@ class TestIntersectionZoneCrowds:
 
         def recording(columns, params):
             lists = stopping(columns, params)
-            if columns.car_dot is not None:
-                stops.extend(p.id for ps in lists for p in ps)
+            stops.extend(p.id for ps in lists for p in ps)
             return lists
 
         monkeypatch.setattr(forces, "_agent_repulsion_grid", counting)
@@ -1119,6 +1126,72 @@ class TestIntersectionZoneCrowds:
         # for pedestrians in corridors that the screen's products decide.
         assert max(grids) > 40
         assert bool(stops) is (regime == "hbs")
+
+
+# ---------------------------------------------------------------------------
+# One owner for the step's snapshot
+# ---------------------------------------------------------------------------
+
+
+def snapshot_calls() -> set[tuple[str, str, str]]:
+    """(module, enclosing function, guarding condition) of every
+    `AgentColumns(...)` call in the package's source."""
+    found = set()
+
+    def visit(node: ast.AST, module: str, where: str, guard: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, f"{where}.{child.name}".lstrip("."), "")
+                continue
+            if isinstance(child, ast.If):
+                visit(child, module, where, ast.unparse(child.test))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "AgentColumns":
+                    found.add((module, where, guard))
+            visit(child, module, where, guard)
+
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "", "")
+    return found
+
+
+class TestStepSnapshot:
+    def test_the_step_and_a_recognition_given_no_snapshot_alone_take_one(self) -> None:
+        (recognition,) = [c for c in snapshot_calls() if c[0] == "conflicts"]
+        assert snapshot_calls() == {("engine", "Simulation.step", ""), recognition}
+        assert recognition[1] == "recognize_conflicts"
+        assert recognition[2].startswith("columns is None or ")
+
+    @pytest.mark.parametrize("regime", ["hbs", "dut"])
+    def test_one_snapshot_and_at_most_one_pair_table_per_step(self, monkeypatch, regime) -> None:
+        config = SimulationConfig(
+            scene=open_square_scene(half=50), scenario=two_way_crowd(0, 56, 8),
+            params=ParameterSet.defaults(regime), max_steps=60,
+        )
+        sim = Simulation(config)
+        snapshots, tables = [], []
+
+        class Counting(AgentColumns):
+            def __init__(self, *args) -> None:
+                super().__init__(*args)
+                snapshots.append(sim.world.step)
+
+            @cached_property
+            def car_pairs(self):
+                tables.append(sim.world.step)
+                return AgentColumns.car_pairs.func(self)
+
+        monkeypatch.setattr(engine, "AgentColumns", Counting)
+        monkeypatch.setattr(conflicts, "AgentColumns", Counting)
+        for _ in range(config.max_steps):
+            sim.step()
+        assert snapshots == list(range(config.max_steps))
+        # The recognition screen runs on most steps of this crowd, and
+        # under hbs the stopping test reads the same table.
+        assert len(tables) > config.max_steps // 2
+        assert len(set(tables)) == len(tables)
 
 
 def output_digests(config: SimulationConfig, out: Path) -> dict[str, str]:
@@ -1163,33 +1236,55 @@ def steady_crowd(seed: int, n_peds: int = 50, n_cars: int = 8, steps: int = 60) 
     return Scenario(f"steady{seed}", entries)
 
 
-def rederived_index(sim: Simulation) -> dict:
-    """What the kept index must hold, derived afresh from the active
-    games and the present agents."""
-    active = sim.world.active_conflicts
+def rederived_index(sim: Simulation, ended: Collection[int]) -> dict:
+    """What the kept index must hold, derived afresh: its games are the
+    conflicts of the run's trace less the `ended` ones, in creation
+    order, each with its members' actions as the decisions recorded
+    them; its other maps follow from those games and the present
+    agents."""
+    actions: dict[int, list[tuple[str, Action]]] = {}
+    for d in sim.trace.decisions:
+        actions.setdefault(d.conflict_id, []).append((d.agent_id, d.action))
+    active = [c for c in sim.trace.conflicts if c.id not in ended]
     games: dict[str, int] = {}
-    for runtime in active:
-        for aid in set(runtime.conflict.participants()):
+    for conflict in active:
+        for aid in set(conflict.participants()):
             games[aid] = games.get(aid, 0) + 1
     return {
-        "bound": {aid: r.conflict.id for r in active for aid in r.binds},
-        "by_id": [(r.conflict.id, r.conflict) for r in active],
+        "runtimes": [(c.id, c, actions[c.id]) for c in active],
+        # Who a game binds depends on the games before it: read its own record.
+        "bound": {aid: r.conflict.id for r in sim.world.conflict_index.by_id.values() for aid in r.binds},
         "games": games,
-        "partners": conflicts.partner_sets([r.conflict for r in active], sim.world.agents),
+        "partners": conflicts.partner_sets(active, sim.world.agents),
     }
 
 
 def kept_index(sim: Simulation) -> dict:
     index = sim.world.conflict_index
-    bound = sim.engagements()
     # The bound map names the very runtimes in play.
-    assert all(any(r is runtime for r in sim.world.active_conflicts) for runtime in bound.values())
+    assert all(index.by_id[r.conflict.id] is r for r in index.bound.values())
     return {
-        "bound": {aid: r.conflict.id for aid, r in bound.items()},
-        "by_id": list(index.by_id.items()),
+        "runtimes": [(cid, r.conflict, list(r.actions.items())) for cid, r in index.by_id.items()],
+        "bound": {aid: r.conflict.id for aid, r in index.bound.items()},
         "games": dict(index.games),
         "partners": index.partners(sim.world.agents),
     }
+
+
+def recording_retirements(monkeypatch, sim: Simulation) -> list[int]:
+    """Patch the simulation's retirement test so that it records the id
+    of every game it finds out of play; returns that list."""
+    retired: list[int] = []
+    in_play = sim._in_play
+
+    def recorded(runtime) -> bool:
+        if in_play(runtime):
+            return True
+        retired.append(runtime.conflict.id)
+        return False
+
+    monkeypatch.setattr(sim, "_in_play", recorded)
+    return retired
 
 
 def checking_recognition(monkeypatch) -> list[int]:
@@ -1230,14 +1325,11 @@ class TestConflictIndex:
             scene=scene, scenario=scenario, params=ParameterSet.defaults(regime), max_steps=60,
         )
         sim = Simulation(config)
-        retired = 0
+        retired = recording_retirements(monkeypatch, sim)
         for _ in range(config.max_steps):
-            assert kept_index(sim) == rederived_index(sim)
-            before = {r.conflict.id for r in sim.world.active_conflicts}
+            assert kept_index(sim) == rederived_index(sim, {*dissolved, *retired})
             sim.step()
-            assert kept_index(sim) == rederived_index(sim)
-            after = {r.conflict.id for r in sim.world.active_conflicts}
-            retired += len(before - after - set(dissolved))
+            assert kept_index(sim) == rederived_index(sim, {*dissolved, *retired})
         # The runs reach every kind of change to the games: road-zone
         # merges dissolve games only where there are road zones.
         assert sim.trace.conflicts and retired
@@ -1252,34 +1344,33 @@ class TestConflictIndex:
             car_entry("c9", position=Vec2(20.0, 20.0), goal=Vec2(-20.0, 20.0), velocity=Vec2(-2.0, 0.0))
         )
         sim = Simulation(config)
-        assert kept_index(sim) == rederived_index(sim)
+        retired = recording_retirements(monkeypatch, sim)
+        assert kept_index(sim) == rederived_index(sim, retired)
         sim.step()
-        assert kept_index(sim) == rederived_index(sim)
+        assert kept_index(sim) == rederived_index(sim, retired)
         first_id = sim.trace.conflicts[0].id
         sim._create_game(Conflict(
             id=99, conflict_class=ConflictClass.PEDESTRIANS_TO_CAR, anchor_car="c9",
             competitive_users=("p1",), created_at_step=sim.world.step,
         ))
         kept = kept_index(sim)
-        assert kept == rederived_index(sim)
+        assert kept == rederived_index(sim, retired)
         assert kept["games"] == {"c1": 1, "p1": 2, "c9": 1}
         assert kept["bound"] == {"c1": first_id, "p1": first_id, "c9": 99}
         monkeypatch.setattr(sim, "_action_completed", lambda agent, action, partner: False)
         sim._retire_conflicts()
         kept = kept_index(sim)
-        assert kept == rederived_index(sim)
+        assert kept == rederived_index(sim, retired)
         assert kept["games"] == {"p1": 1, "c9": 1}
         assert kept["bound"] == {"c9": 99}
+        assert retired == [first_id]
         sim.step()
-        assert kept_index(sim) == rederived_index(sim)
+        assert kept_index(sim) == rederived_index(sim, retired)
 
-    def test_engagements_are_a_read_only_view(self) -> None:
+    def test_keeping_no_game_empties_the_index(self) -> None:
         sim = Simulation(crossing_config(max_steps=2))
         sim.step()
-        view = sim.engagements()
-        assert set(view) == {"c1", "p1"}
-        with pytest.raises(TypeError):
-            view["c9"] = view["c1"]
-        # The view follows the kept map as games retire.
+        index = sim.world.conflict_index
+        assert set(index.bound) == {"c1", "p1"}
         sim._keep_games(lambda runtime: False)
-        assert dict(view) == {} and sim.world.active_conflicts == []
+        assert (index.by_id, index.bound, index.games) == ({}, {}, {})

@@ -14,7 +14,6 @@ from sharedspace.forces import (
     DriveTo,
     SetSpeed,
     agent_repulsion,
-    agent_repulsion_totals,
     anisotropy_factor,
     brake_for,
     car_following_force,
@@ -24,10 +23,11 @@ from sharedspace.forces import (
     integrate_step,
     obstacle_repulsion,
     reactive_stopping,
+    repulsion_sums,
 )
 from sharedspace.geometry import ObstacleIndex, Vec2
 from sharedspace.params import SfmParams
-from sharedspace.scene import AgentKind, AgentState, Rect, Scene
+from sharedspace.scene import AgentColumns, AgentKind, AgentState, Rect, Scene
 
 P = SfmParams()
 
@@ -155,8 +155,14 @@ def sequential_totals(targets, agents, params=P):
     return out
 
 
+def repulsion_totals(targets, agents, params=P):
+    """repulsion_sums over a snapshot of `agents`, one Vec2 per target."""
+    xs, ys = repulsion_sums(targets, agents, params, AgentColumns(agents, Scene()))
+    return [Vec2(x, y) for x, y in zip(xs, ys)]
+
+
 def assert_matches_sequential(targets, agents, params=P):
-    got = agent_repulsion_totals(targets, agents, params)
+    got = repulsion_totals(targets, agents, params)
     assert len(got) == len(targets)
     for g, (want, scale) in zip(got, sequential_totals(targets, agents, params)):
         assert abs(g.x - want.x) <= 1e-12 * scale
@@ -193,17 +199,17 @@ class TestAgentRepulsionTotals:
         assert_matches_sequential(agents, agents)
 
     def test_no_targets(self):
-        assert agent_repulsion_totals([], [], P) == []
-        assert agent_repulsion_totals([], [ped("a"), car("b")], P) == []
+        assert repulsion_totals([], [], P) == []
+        assert repulsion_totals([], [ped("a"), car("b")], P) == []
 
     def test_single_agent_feels_nothing(self):
         a = ped("a", position=Vec2(2, 3))
-        assert agent_repulsion_totals([a], [a], P) == [Vec2(0.0, 0.0)]
+        assert repulsion_totals([a], [a], P) == [Vec2(0.0, 0.0)]
 
     def test_coincident_agents_push_along_left_normal(self):
         a = ped("a", position=Vec2(1, 1), heading=Vec2(1, 0))
         b = ped("b", position=Vec2(1, 1), heading=Vec2(0, 1))
-        got = agent_repulsion_totals([a, b], [a, b], P)
+        got = repulsion_totals([a, b], [a, b], P)
         assert got == [Vec2(0.0, 1.4), Vec2(-1.4, 0.0)]
         assert got == [agent_repulsion(a, b, P), agent_repulsion(b, a, P)]
 
@@ -212,7 +218,7 @@ class TestAgentRepulsionTotals:
         b = ped("b", position=Vec2(0.4, 0))
         c = ped("c", position=Vec2(0, 0))
         # Away from b at the side weight; no push from the coincident c.
-        [got] = agent_repulsion_totals([a], [a, b, c], P)
+        [got] = repulsion_totals([a], [a, b, c], P)
         assert got.x == pytest.approx(-1.4 * math.exp(-1.0) * 0.6, rel=1e-12)
         assert got.y == 0.0
         assert_matches_sequential([a], [a, b, c])
@@ -220,7 +226,7 @@ class TestAgentRepulsionTotals:
     def test_car_target_subtracts_both_radii(self):
         a = car("a", position=Vec2(0, 0), heading=Vec2(1, 0), diameter=2.0)
         b = car("b", position=Vec2(5, 0), heading=Vec2(-1, 0), diameter=3.0)
-        [got] = agent_repulsion_totals([a], [a, b], P)
+        [got] = repulsion_totals([a], [a, b], P)
         assert got.x == pytest.approx(-10.0 * math.exp(-2.5 / 0.2), rel=1e-12)
         assert got.y == 0.0
         assert_matches_sequential([a], [a, b])
@@ -237,7 +243,7 @@ class TestAgentRepulsionTotals:
             for k in range(25)
         ]
         assert_matches_sequential(agents, agents, wide)
-        assert agent_repulsion_totals(agents, agents, wide) != agent_repulsion_totals(
+        assert repulsion_totals(agents, agents, wide) != repulsion_totals(
             agents, agents, P
         )
 
@@ -253,7 +259,7 @@ def sequential_bits(targets, agents):
 
 @pytest.fixture
 def grid_calls(monkeypatch):
-    """Count the numpy passes agent_repulsion_totals makes."""
+    """Count the numpy passes repulsion_sums makes."""
     calls = []
     grid = forces._agent_repulsion_grid
 
@@ -277,7 +283,7 @@ class TestRepulsionCrossover:
         ]
         most = max(1, SCALAR_REPULSION_MAX_PAIRS // max(1, len(agents) - 1))
         targets = data.draw(st.lists(st.sampled_from(agents), min_size=1, max_size=most, unique_by=lambda a: a.id))
-        got = agent_repulsion_totals(targets, agents, P)
+        got = repulsion_totals(targets, agents, P)
         assert bits(*got) == sequential_bits(targets, agents)
 
     def row(self, n):
@@ -286,7 +292,7 @@ class TestRepulsionCrossover:
 
     def test_at_the_crossover_sums_pair_by_pair(self, grid_calls):
         agents = self.row(SCALAR_REPULSION_MAX_PAIRS + 1)
-        got = agent_repulsion_totals(agents[:1], agents, P)
+        got = repulsion_totals(agents[:1], agents, P)
         assert grid_calls == []
         assert bits(*got) == sequential_bits(agents[:1], agents)
 

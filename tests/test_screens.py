@@ -388,7 +388,8 @@ def corridor_crowds(draw):
 
 
 def screened_columns(agents, params=P):
-    """The agents' snapshot after a recognition screen ran on it."""
+    """The agents' snapshot after a recognition screen ran on it, which
+    made its `car_pairs`."""
     with guard(ALWAYS):
         columns = AgentColumns(agents, INTERSECTION)
         conflicts._scan_lists(columns, params)
@@ -401,7 +402,7 @@ class TestStoppingFromTheScreen:
     def test_the_screen_products_decide_as_the_scalar_corridor(self, crowd):
         cars, peds, params = crowd
         columns = screened_columns(cars + peds, params)
-        assert columns.car_dot is not None
+        assert "car_pairs" in vars(columns)
         inside = forces._corridor_mask(columns, params)
         peds = columns.pedestrians
         for k, c in enumerate(columns.cars):
@@ -438,7 +439,7 @@ class TestStoppingFromTheScreen:
         with guard(NEVER):
             columns = AgentColumns([c, p], INTERSECTION)
             recognize_conflicts(columns.cars, columns.pedestrians, INTERSECTION, P, columns=columns)
-        assert columns.car_dot is None and columns.car_cross is None
+        assert "car_pairs" not in vars(columns)
         assert reactive_stopping(c, [p], P) == [p]
 
 
@@ -487,7 +488,7 @@ class TestAgentColumns:
             assert (k.ux[i].hex(), k.uy[i].hex()) == (unit.x.hex(), unit.y.hex())
             assert (k.max_speed[i], k.diameter[i]) == (a.max_speed, a.diameter)
             assert k.is_car[i] == (a.kind is AgentKind.CAR)
-        distance, bearing, _, _ = conflicts.car_pairs(columns)
+        distance, bearing, _, _ = columns.car_pairs
         for i, c in enumerate(cars):
             for j, a in enumerate(agents):
                 offset = a.position - c.position

@@ -441,9 +441,10 @@ def agreement_score(
 
 
 def trace_positions(trace: SimulationTrace) -> dict[str, dict[int, Vec2]]:
+    """Each agent's recorded positions by step: the trace's own Vec2s."""
     out: dict[str, dict[int, Vec2]] = {}
-    for row in trace.rows:
-        out.setdefault(row.agent_id, {})[row.step] = Vec2(row.x, row.y)
+    for step, agent_id, _, position, _ in trace.records:
+        out.setdefault(agent_id, {})[step] = position
     return out
 
 

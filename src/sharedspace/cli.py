@@ -2,8 +2,9 @@
 
 Subcommands: simulate, evaluate, calibrate-sfm, calibrate-game,
 select-features, validate. Every run writes a manifest.json carrying
-the resolved configuration, a config hash, input file hashes, the seed
-and the tool version, so results can be reproduced bit-exactly. No
+the resolved configuration, a config hash, input file hashes, the seed,
+the tool version and the host (Python, numpy and its SIMD kernels, the
+machine), so results can be reproduced bit-exactly on a like host. No
 command writes to its input files.
 
 Exit codes: 0 success, 2 configuration or input-format error, 3
@@ -22,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -116,6 +118,22 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _host() -> dict:
+    """What decides an output's last bits beside its inputs: numpy's
+    `exp` and `log` round differently under different SIMD kernels."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return {
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "numpy": np.__version__,
+        "numpy_simd_baseline": list(umath.__cpu_baseline__),
+        "numpy_simd_dispatched": [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)],
+        "machine": platform.machine(),
+    }
+
+
 def _write_manifest(
     out_dir: Path,
     command: str,
@@ -133,6 +151,7 @@ def _write_manifest(
         "config_sha256": _config_hash(config),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": list(outputs),
+        "host": _host(),
     }
     if extra:
         manifest.update(extra)

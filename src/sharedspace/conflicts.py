@@ -14,11 +14,11 @@ sets found are then classified into one of three complex conflict
 kinds, or dismissed.
 
 The pair gates are these scalar rules. On a `screened` snapshot, one
-of more than RECOGNITION_SCALAR_MAX_PAIRS (car, other agent) pairs, a
-numpy pass over the snapshot's `car_pairs` table first drops the pairs
-that surely fail range, cone or predicted gap (its bands widened by
-geometry's margins), and only the rest go through the scalar rules, in
-the same order. The screen decides no conflict, so conflicts, their
+of more than scene.RECOGNITION_SCALAR_MAX_PAIRS (car, other agent)
+pairs, a numpy pass over the snapshot's `car_pairs` table first drops
+the pairs that surely fail range, cone or predicted gap (its bands
+widened by geometry's margins), and only the rest go through the scalar
+rules, in the same order. The screen decides no conflict, so conflicts, their
 ids and order are the same with or without it. The table's
 heading-by-offset dot and cross products, made once per snapshot, do
 decide each car's reactive-stopping corridor on a screened snapshot
@@ -54,14 +54,6 @@ from .scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view
 from .scene import in_intersection_zone, in_road_zone  # noqa: F401
 
 CAR_CONE_HALF_ANGLE_DEG = 90.0
-
-# Up to this many (car, other agent) pairs the scalar gates test every
-# pair; above it a numpy screen runs first. On one core of a shared
-# 2-vCPU Xeon host (Python 3.11, numpy 2.4), with random crowds in a
-# 60 m square, the two break even between 76 and 100 pairs, the screen
-# paying for the snapshot's numpy columns: 53 against 11 us at 4 pairs,
-# 99 against 195 us at 210 pairs.
-RECOGNITION_SCALAR_MAX_PAIRS = 80
 
 
 class ConflictClass(enum.Enum):
@@ -182,14 +174,6 @@ def classify_conflict(
     return ConflictClass.NO_NEW_CONFLICT, (), []
 
 
-def screened(columns: AgentColumns) -> bool:
-    """Whether the snapshot has more than RECOGNITION_SCALAR_MAX_PAIRS
-    (car, other agent) pairs: the one size rule by which recognition
-    runs its numpy screen and the stopping test reads the snapshot's
-    `car_pairs`."""
-    return len(columns.cars) * (len(columns.agents) - 1) > RECOGNITION_SCALAR_MAX_PAIRS
-
-
 def _scan_lists(columns: AgentColumns, params: SfmParams) -> list[list[AgentState]]:
     """Per car of `columns`: the road users its scan tests, in scan
     order. An intersection car scans the cars, then the pedestrians; a
@@ -198,7 +182,7 @@ def _scan_lists(columns: AgentColumns, params: SfmParams) -> list[list[AgentStat
     snapshot's `car_pairs`, finds surely out of range, out of the angle
     window or (intersection cars) predicted too far apart."""
     cars, peds, agents = columns.cars, columns.pedestrians, columns.agents
-    if not screened(columns):
+    if not columns.screened:
         return [
             agents if inter else peds if road else []
             for inter, road in zip(columns.in_intersection, columns.in_road)

@@ -22,9 +22,12 @@ is bound to which game, each agent's partners and its count of active
 games). It changes only where a game is created, retired or dissolved,
 or where agents spawn or leave; no step rebuilds it from the games.
 
-The trace holds one row per decision: each game member's action with
-the features it saw. decisions.csv and features.csv are both written
-from those rows, one line each, in the same order.
+The trace holds one record per agent-step, the tuple (step, agent_id,
+kind, position, mode), position being the agent's own stored Vec2;
+`SimulationTrace.rows` is a read-only view of them as TraceRows. It also
+holds one row per decision: each game member's action with the features
+it saw. decisions.csv and features.csv are both written from those rows,
+one line each, in the same order.
 
 Runs are deterministic: equal configuration gives bit-identical traces.
 """
@@ -168,12 +171,17 @@ class DecisionRow:
 @dataclass
 class SimulationTrace:
     scenario_id: str
-    rows: list[TraceRow] = field(default_factory=list)
+    records: list[tuple[int, str, AgentKind, Vec2, Mode]] = field(default_factory=list)
     decisions: list[DecisionRow] = field(default_factory=list)
     conflicts: list[Conflict] = field(default_factory=list)
     arrived_step: dict[str, int] = field(default_factory=dict)
     steps_run: int = 0
     truncated: bool = False
+
+    @property
+    def rows(self) -> list[TraceRow]:
+        """The records as TraceRows, made afresh on each read."""
+        return [TraceRow(step, aid, kind, p.x, p.y, mode) for step, aid, kind, p, mode in self.records]
 
 
 @dataclass
@@ -460,7 +468,7 @@ class Simulation:
         bound = self.world.conflict_index.bound
         # On a screened snapshot its products decide the corridors;
         # otherwise each car scans the pedestrians.
-        screened = forces_mod.stopping_lists(columns, sfm) if brakes and conflicts_mod.screened(columns) else None
+        screened = forces_mod.stopping_lists(columns, sfm) if brakes and columns.screened else None
         for k, car in enumerate(cars):
             if screened is not None:
                 stopping_for = screened[k]
@@ -566,6 +574,7 @@ class Simulation:
         # The pedestrians in force mode, in world order, wait for the
         # repulsion pass.
         targets = []
+        step, records = self.world.step, self.trace.records
         for agent in frame:
             if agent.id in arrived:
                 mode = Mode.ARRIVED
@@ -573,9 +582,7 @@ class Simulation:
                 mode, directive = assignments[agent.id]
                 if directive is None:
                     targets.append(agent)
-            self.trace.rows.append(
-                TraceRow(self.world.step, agent.id, agent.kind, agent.position.x, agent.position.y, mode)
-            )
+            records.append((step, agent.id, agent.kind, agent.position, mode))
         sfm = self.config.params.sfm
         agents = list(self.world.agents.values()) if arrived else frame
         xs, ys = forces_mod.repulsion_sums(targets, agents, sfm, columns)
@@ -694,7 +701,7 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
     write_csv(path, TRAJECTORY_COLUMNS, (
-        f"{trace.scenario_id},{row.step},{row.agent_id},{row.kind.value},{row.x!r},{row.y!r}" for row in trace.rows
+        f"{trace.scenario_id},{step},{aid},{kind.value},{p.x!r},{p.y!r}" for step, aid, kind, p, _ in trace.records
     ))
 
 

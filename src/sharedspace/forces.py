@@ -271,8 +271,8 @@ def obstacle_repulsion(agent: AgentState, obstacles: ObstacleIndex, params: SfmP
     p = agent.position
     px, py = p.x, p.y
     tx = ty = 0.0
-    for edges, (x0, y0, x1, y1), poly, ring in zip(
-        obstacles.edges, obstacles.reach, obstacles.polygons, obstacles.rings
+    for k, (edges, (x0, y0, x1, y1), poly) in enumerate(
+        zip(obstacles.edges, obstacles.reach, obstacles.polygons)
     ):
         # The unit vector from the nearest boundary point q, made as
         # Vec2.normalized makes it: d is hypot(px - qx, py - qy).
@@ -286,7 +286,7 @@ def obstacle_repulsion(agent: AgentState, obstacles: ObstacleIndex, params: SfmP
             # On or inside the obstacle: push along the outward normal of
             # the nearest edge of the counter-clockwise ring, at d = 0
             # strength.
-            normal = _outward_normal_near(p, ring)
+            normal = _outward_normal_near(p, obstacles.rings[k])
             ux, uy = normal.x, normal.y
             d = 0.0
         s = u0 * math.exp(-d / r_obstacle)

@@ -490,7 +490,7 @@ class ObstacleIndex:
     visibility test (`visible`). The polygons' vertices must be finite.
 
     Per polygon it holds its box, its plain-float edge table
-    (`_edge_table`) and its counter-clockwise ring, and, from its
+    (`_edge_table`) and, from its
     shortest edge length L_min and largest coordinate magnitude E, the
     box padded by `_INSIDE_PAD * max(1 / L_min, 1, E)` (unbounded when
     an edge has zero length): `reach`. Outside that box `point_in_zone`
@@ -515,14 +515,15 @@ class ObstacleIndex:
     coordinate in play; see `_screen`.
 
     The arrays `visible` reads are made on its first call, so an index
-    that only the force pass reads costs no numpy work."""
+    that only the force pass reads costs no numpy work; so are the
+    counter-clockwise `rings`, which the planner reads at once and the
+    force pass only for a pedestrian on or inside an obstacle."""
 
     def __init__(self, polygons: Sequence[Sequence[Vec2]]) -> None:
         self.polygons = polygons
         # per polygon: (x_min, y_min, x_max, y_max)
         self.boxes: list[tuple[float, float, float, float]] = []
         self.edges: list[list[_Edge]] = []
-        self.rings: list[list[Vec2]] = []
         # per polygon: its box padded by the inside test's reach
         self.reach: list[tuple[float, float, float, float]] = []
         for poly in polygons:
@@ -534,13 +535,14 @@ class ObstacleIndex:
             shortest = min(math.hypot(abx, aby) for _, _, abx, aby, _ in edges)
             extent = max(map(abs, box))
             pad = _INSIDE_PAD * max(1.0 / shortest, 1.0, extent) if shortest > 0.0 else math.inf
-            ring = list(poly)
-            if polygon_signed_area(ring) < 0.0:
-                ring.reverse()
             self.boxes.append(box)
             self.edges.append(edges)
-            self.rings.append(ring)
             self.reach.append((box[0] - pad, box[1] - pad, box[2] + pad, box[3] + pad))
+
+    @cached_property
+    def rings(self) -> list[list[Vec2]]:
+        """Each polygon's vertices in counter-clockwise order."""
+        return [list(reversed(poly)) if polygon_signed_area(poly) < 0.0 else list(poly) for poly in self.polygons]
 
     @cached_property
     def _box_arrays(self) -> tuple[np.ndarray, np.ndarray, float]:

@@ -147,6 +147,15 @@ class Kinematics(NamedTuple):
 _agent_id = operator.attrgetter("id")
 
 
+# Up to this many (car, other agent) pairs conflict recognition's
+# scalar gates test every pair; above it a numpy screen runs first. On
+# one core of a shared 2-vCPU Xeon host (Python 3.11, numpy 2.4), with
+# random crowds in a 60 m square, the two break even between 76 and 100
+# pairs, the screen paying for the snapshot's numpy columns: 53 against
+# 11 us at 4 pairs, 99 against 195 us at 210 pairs.
+RECOGNITION_SCALAR_MAX_PAIRS = 80
+
+
 class AgentColumns:
     """One engine step's snapshot of the agents it is given, shared by
     the passes of that step: the cars, then the pedestrians, each in
@@ -161,6 +170,9 @@ class AgentColumns:
     on-segment rule only for a point the parity puts outside, since a
     point inside is in the zone whether or not it lies on an edge.
 
+    `screened` is the one copy of the size rule, more than
+    RECOGNITION_SCALAR_MAX_PAIRS (car, other agent) pairs, by which
+    recognition screens and the stopping test reads `car_pairs`.
     `kinematics` (read by the recognition screen and the repulsion grid)
     and `car_pairs` (by the recognition screen and the stopping test)
     are made on first use, at most once; a calibration-sized step, below
@@ -182,6 +194,7 @@ class AgentColumns:
         self.cars, self.pedestrians = cars, pedestrians
         self.agents = cars + pedestrians
         self.in_intersection, self.in_road = in_intersection, in_road
+        self.screened = len(cars) * (len(self.agents) - 1) > RECOGNITION_SCALAR_MAX_PAIRS
 
     @cached_property
     def kinematics(self) -> Kinematics:

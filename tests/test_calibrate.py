@@ -60,6 +60,7 @@ from sharedspace.dataio import (
 from sharedspace.engine import (
     AgentEntry,
     DecisionRow,
+    Mode,
     Scenario,
     ScenarioError,
     ScenarioRejectedError,
@@ -725,18 +726,25 @@ class TestAgreementScore:
 
 class TestTraceIndexing:
     def test_trace_positions_groups_rows_by_agent_and_step(self) -> None:
-        trace = SimulationTrace(
-            scenario_id="s",
-            rows=[
-                TraceRow(0, "p1", AgentKind.PEDESTRIAN, 1.0, 2.0, "forces"),
-                TraceRow(1, "p1", AgentKind.PEDESTRIAN, 1.5, 2.5, "forces"),
-                TraceRow(0, "c1", AgentKind.CAR, -3.0, 0.0, "free_flow"),
-            ],
-        )
-        assert trace_positions(trace) == {
+        ped, car = AgentKind.PEDESTRIAN, AgentKind.CAR
+        records = [
+            (0, "p1", ped, Vec2(1.0, 2.0), Mode.FORCES),
+            (1, "p1", ped, Vec2(1.5, 2.5), Mode.FORCES),
+            (0, "c1", car, Vec2(-3.0, 0.0), Mode.FREE_FLOW),
+        ]
+        trace = SimulationTrace(scenario_id="s", records=records)
+        positions = trace_positions(trace)
+        assert positions == {
             "p1": {0: Vec2(1.0, 2.0), 1: Vec2(1.5, 2.5)},
             "c1": {0: Vec2(-3.0, 0.0)},
         }
+        # The recorded objects themselves, not copies.
+        assert all(positions[aid][step] is p for step, aid, _, p, _ in records)
+        assert trace.rows == [
+            TraceRow(0, "p1", ped, 1.0, 2.0, "forces"),
+            TraceRow(1, "p1", ped, 1.5, 2.5, "forces"),
+            TraceRow(0, "c1", car, -3.0, 0.0, "free_flow"),
+        ]
 
     def test_trace_decisions_index_by_per_agent_ordinal(self) -> None:
         fv = FeatureVector(*[0.0] * len(dataclasses.fields(FeatureVector)))

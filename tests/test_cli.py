@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,26 @@ DECISIONS_HEADER = "scenario_id,step,conflict_id,agent_id,action"
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def assert_host_recorded(manifest: dict) -> None:
+    """The manifest names what decides its outputs' last bits: the
+    interpreter, numpy's version, its baseline SIMD set and the
+    dispatchable kernels this process runs, and the machine."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    host = manifest["host"]
+    assert set(host) == {"python", "numpy", "numpy_simd_baseline", "numpy_simd_dispatched", "machine"}
+    assert host["python"] == f"{platform.python_implementation()} {platform.python_version()}"
+    assert host["numpy"] == np.__version__
+    assert host["machine"] == platform.machine()
+    assert host["numpy_simd_baseline"] == list(umath.__cpu_baseline__)
+    # Every compiled-in target the CPU runs, in numpy's order.
+    dispatched = host["numpy_simd_dispatched"]
+    assert dispatched == [name for name in umath.__cpu_dispatch__ if name in dispatched]
+    assert {name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)} == set(dispatched)
 
 
 def write_crossing_inputs(tmp_path: Path) -> tuple[Path, Path]:
@@ -285,6 +306,7 @@ class TestSimulate:
         assert manifest["conflicts"] == 1
         assert manifest["truncated"] is False
         assert sorted(manifest["outputs"]) == ["decisions.csv", "features.csv", "trace.csv"]
+        assert_host_recorded(manifest)
 
     # sha256 of the outputs on the bundled crossing, recorded before
     # decisions.csv and features.csv were written from one row per
@@ -694,6 +716,7 @@ class TestEvaluate:
         assert manifest["pedestrian"]["ade_mean"] == 0.0
         assert manifest["car"]["ade_mean"] == 0.0
         assert manifest["unmatched_agents"] == 0
+        assert_host_recorded(manifest)
         assert (out / "summary.txt").read_text().strip() == stdout.strip()
 
     def test_summary_lines_are_the_manifest_statistics(self, tmp_path) -> None:
@@ -932,6 +955,7 @@ class TestSelectFeatures:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["retained"] == ["f0", "f1"]
         assert manifest["eliminated"] == ["noise"]
+        assert_host_recorded(manifest)
         model_lines = (out / "model.csv").read_text().splitlines()
         assert model_lines[0] == "outcome,feature,coefficient,std_error,p_value"
         # one equation (decelerate vs continue) with two retained features
@@ -1276,6 +1300,7 @@ class TestCalibrateSfm:
         assert manifest["train_scenarios"] == ["s1"]
         assert manifest["test_scenarios"] == []  # a single scenario is never split
         assert manifest["best_fitness"] < 1.0
+        assert_host_recorded(manifest)
 
     def test_search_box_stays_inside_the_valid_anisotropy(self, tmp_path) -> None:
         params = tmp_path / "params.json"
@@ -1414,6 +1439,7 @@ class TestCalibrateGame:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "calibrate-game"
         assert manifest["best_agreement"] == 1.0
+        assert_host_recorded(manifest)
         assert 0 <= manifest["cache_hits"] < manifest["evaluations"]
         assert len(manifest["config"]["gene_names"]) == 6
         fitted = load_parameter_set(out / "best_params.json")

@@ -12,17 +12,24 @@ from pathlib import Path
 from typing import Collection
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import count_graph_builds, open_square_scene
 from sharedspace import conflicts, engine, forces
+from sharedspace import scene as scene_mod
+from sharedspace.calibrate import trace_positions
 from sharedspace.conflicts import Conflict, ConflictClass
 from sharedspace.engine import (
     AgentEntry,
+    Mode,
     Scenario,
     ScenarioError,
     ScenarioRejectedError,
     Simulation,
     SimulationConfig,
+    SimulationTrace,
+    TraceRow,
     load_scenario,
     plan_waypoints,
     run_scenario,
@@ -882,6 +889,108 @@ class TestOutputs:
 
 
 # ---------------------------------------------------------------------------
+# One record per agent-step
+# ---------------------------------------------------------------------------
+
+
+class RowRecording(Simulation):
+    """A simulation that also records each frame's TraceRows on its own,
+    as the oracle of the trace's records: the two floats of each agent's
+    position when the frame is recorded, and the mode the step assigned
+    it (ARRIVED for an agent dropped that step). It keeps each recorded
+    position object too."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.expected: list[TraceRow] = []
+        self.held: list[Vec2] = []
+
+    def _spawn_due(self) -> None:
+        super()._spawn_due()
+        # The frame: every agent present once this step's agents spawned.
+        self._frame = list(self.world.agents.values())
+        self._dropped = set(self._pending_despawn)
+
+    def _assign_modes(self, columns):
+        assignments = super()._assign_modes(columns)
+        for a in self._frame:
+            mode = Mode.ARRIVED if a.id in self._dropped else assignments[a.id][0]
+            self.expected.append(TraceRow(self.world.step, a.id, a.kind, a.position.x, a.position.y, mode))
+            self.held.append(a.position)
+        return assignments
+
+
+@st.composite
+def random_crowds(draw) -> tuple[Scenario, str, str, int]:
+    """A crowd of up to 30 pedestrians and 8 cars with random starts,
+    goals, speeds and entry steps in a 50 m square, with a scene, a
+    regime and a step count. Some agents arrive within the run, and the
+    larger crowds take the screened paths."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n_peds, n_cars = draw(st.integers(0, 30)), draw(st.integers(0, 8))
+    entries = []
+    for i in range(n_peds + n_cars):
+        is_car = i >= n_peds
+        start = Vec2(rng.uniform(-25.0, 25.0), rng.uniform(-25.0, 25.0))
+        goal = start + Vec2(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
+        speed = rng.uniform(3.0, 6.0) if is_car else rng.uniform(0.8, 1.6)
+        entries.append(AgentEntry(
+            f"{'c' if is_car else 'p'}{i:02d}", AgentKind.CAR if is_car else AgentKind.PEDESTRIAN,
+            rng.randrange(0, 5), start, (goal - start).normalized() * speed, goal,
+            speed, speed * 1.3, 2.0 if is_car else 0.5,
+        ))
+    scene_name = draw(st.sampled_from(["bundled", "road"]))
+    return Scenario("random", entries), scene_name, draw(st.sampled_from(["hbs", "dut"])), draw(st.integers(1, 40))
+
+
+class TestTraceRecords:
+    @given(random_crowds())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_are_the_rows_recorded_from_the_agents(self, crowd) -> None:
+        scenario, scene_name, regime, steps = crowd
+        scene = load_scene(BUNDLED_SCENE) if scene_name == "bundled" else ROAD_SCENE
+        sim = RowRecording(SimulationConfig(
+            scene=scene, scenario=scenario, params=ParameterSet.defaults(regime), max_steps=steps,
+        ))
+        trace = sim.run()
+        rows = trace.rows
+        assert rows == sim.expected
+        # Field by field and bit for bit: 0.0 == -0.0, but not in hex.
+        for got, want in zip(rows, sim.expected):
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex())
+        # Each record holds the agent's own position object, and the
+        # scorer's map hands back those objects.
+        assert len(trace.records) == len(sim.held)
+        assert all(r[3] is p for r, p in zip(trace.records, sim.held))
+        positions = trace_positions(trace)
+        assert all(positions[aid][step] is p for step, aid, _, p, _ in trace.records)
+        assert sum(map(len, positions.values())) == len(trace.records)
+
+    @given(st.lists(st.tuples(
+        st.integers(0, 5), st.sampled_from(["a", "b", "c"]), st.sampled_from(list(AgentKind)),
+        st.floats(allow_nan=False), st.floats(allow_nan=False), st.sampled_from(list(Mode)),
+    ), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_view_any_trace_bit_for_bit(self, fields) -> None:
+        records = [(step, aid, kind, Vec2(x, y), mode) for step, aid, kind, x, y, mode in fields]
+        trace = SimulationTrace("s", records=records)
+        assert [tuple(r) for r in trace.rows] == fields
+        assert [(r.x.hex(), r.y.hex()) for r in trace.rows] == [(x.hex(), y.hex()) for _, _, _, x, y, _ in fields]
+        # The view is made afresh: changing it leaves the records as they are.
+        trace.rows.clear()
+        assert len(trace.records) == len(fields)
+        # The last record of an agent in a step is the one scored.
+        last = {(aid, step): p for step, aid, _, p, _ in records}
+        positions = trace_positions(trace)
+        assert {(aid, step): p for aid, track in positions.items() for step, p in track.items()} == last
+        assert all(positions[aid][step] is p for (aid, step), p in last.items())
+
+    def test_only_the_rows_view_builds_trace_rows(self) -> None:
+        assert calls_of("TraceRow") == {("engine", "SimulationTrace.rows", "")}
+
+
+# ---------------------------------------------------------------------------
 # Screened pair passes
 # ---------------------------------------------------------------------------
 
@@ -939,7 +1048,7 @@ class TestScreenedPasses:
         monkeypatch.setattr(conflicts, "segments_intersect", counting)
         traces = []
         for guard in (0, 10**9):  # screen recognition, then test all pairs
-            monkeypatch.setattr(conflicts, "RECOGNITION_SCALAR_MAX_PAIRS", guard)
+            monkeypatch.setattr(scene_mod, "RECOGNITION_SCALAR_MAX_PAIRS", guard)
             config = SimulationConfig(
                 scene=scene, scenario=two_way_crowd(), params=ParameterSet.defaults(regime),
                 max_steps=60,
@@ -1133,9 +1242,9 @@ class TestIntersectionZoneCrowds:
 # ---------------------------------------------------------------------------
 
 
-def snapshot_calls() -> set[tuple[str, str, str]]:
+def calls_of(name: str) -> set[tuple[str, str, str]]:
     """(module, enclosing function, guarding condition) of every
-    `AgentColumns(...)` call in the package's source."""
+    `name(...)` call in the package's source."""
     found = set()
 
     def visit(node: ast.AST, module: str, where: str, guard: str) -> None:
@@ -1148,7 +1257,7 @@ def snapshot_calls() -> set[tuple[str, str, str]]:
                 continue
             if isinstance(child, ast.Call):
                 f = child.func
-                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "AgentColumns":
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
                     found.add((module, where, guard))
             visit(child, module, where, guard)
 
@@ -1159,8 +1268,8 @@ def snapshot_calls() -> set[tuple[str, str, str]]:
 
 class TestStepSnapshot:
     def test_the_step_and_a_recognition_given_no_snapshot_alone_take_one(self) -> None:
-        (recognition,) = [c for c in snapshot_calls() if c[0] == "conflicts"]
-        assert snapshot_calls() == {("engine", "Simulation.step", ""), recognition}
+        (recognition,) = [c for c in calls_of("AgentColumns") if c[0] == "conflicts"]
+        assert calls_of("AgentColumns") == {("engine", "Simulation.step", ""), recognition}
         assert recognition[1] == "recognize_conflicts"
         assert recognition[2].startswith("columns is None or ")
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from helpers import car, open_square_scene, ped
 from sharedspace import conflicts, forces
+from sharedspace import scene as scene_mod
 from sharedspace.conflicts import (
     CAR_CONE_HALF_ANGLE_DEG,
     Conflict,
@@ -40,12 +41,12 @@ ALWAYS, NEVER = 0, 10**9
 @contextmanager
 def guard(value: int):
     """Set recognition's guard: ALWAYS screens, NEVER tests all pairs."""
-    saved = conflicts.RECOGNITION_SCALAR_MAX_PAIRS
-    conflicts.RECOGNITION_SCALAR_MAX_PAIRS = value
+    saved = scene_mod.RECOGNITION_SCALAR_MAX_PAIRS
+    scene_mod.RECOGNITION_SCALAR_MAX_PAIRS = value
     try:
         yield
     finally:
-        conflicts.RECOGNITION_SCALAR_MAX_PAIRS = saved
+        scene_mod.RECOGNITION_SCALAR_MAX_PAIRS = saved
 
 
 def _box(x0, y0, x1, y1):

@@ -20,9 +20,15 @@ committed BENCH_*.json files:
 - `host`: the `env` line perfbench printed;
 - `summary`: per `W@seedS` and per end-to-end metric, the median of each
   side, numpy's linear quartiles of each side and the parent's IQR, the
-  ratio of the medians (change / parent), and in how many pairs the
+  ratio of the medians (change / parent), in how many pairs the
   change was better, by the metric's `better` in CHANGE's
-  BENCHMARK.json (an equal value is no win);
+  BENCHMARK.json (an equal value is no win), and a `verdict`:
+  - `gain`: the change won at least 9 in 10 pairs, and its median is
+    better than the parent's by more than the parent's IQR;
+  - `regression`: its median is worse than the parent's by more than
+    the metric's relative `bound`;
+  - `unresolved`: the parent's IQR is wider than that bound;
+  - `unchanged`: none of these;
 - `runs`: every run, with its side, pair and result.
 
 A file that exists already keeps its other workloads and seeds: the
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -63,12 +70,16 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return ns
 
 
-def summarize(runs: Iterable[Mapping], better: Mapping[str, str]) -> dict:
+def summarize(
+    runs: Iterable[Mapping], better: Mapping[str, str], bounds: Mapping[str, float] | None = None
+) -> dict:
     """Per end-to-end metric in `better` ("lower" or "higher"): both
     sides' medians, linear quartiles and runs in pair order, the
-    parent's IQR, the ratio of the medians and the pairs the change won.
-    Each run is {"side", "pair", "result"}, the result being perfbench's
-    last JSON line; every pair must have one run on each side."""
+    parent's IQR, the ratio of the medians, the pairs the change won and
+    the verdict, with the metric's relative bound from `bounds` (a
+    metric with none is never a regression or unresolved). Each run is
+    {"side", "pair", "result"}, the result being perfbench's last JSON
+    line; every pair must have one run on each side."""
     by_pair: dict[int, dict[str, Mapping]] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
@@ -85,11 +96,23 @@ def summarize(runs: Iterable[Mapping], better: Mapping[str, str]) -> dict:
             wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
         else:
             wins = sum(c > p for p, c in zip(values["parent"], values["change"]))
+        iqr = quartiles["parent"][1] - quartiles["parent"][0]
+        gain = medians["change"] - medians["parent"]
+        gain = -gain if direction == "lower" else gain
+        bound = (bounds or {}).get(name, math.inf) * abs(medians["parent"])
+        if wins >= 0.9 * len(pairs) and gain > iqr:
+            verdict = "gain"
+        elif -gain > bound:
+            verdict = "regression"
+        elif iqr > bound:
+            verdict = "unresolved"
+        else:
+            verdict = "unchanged"
         summary[name] = {
             "parent_median": medians["parent"],
             "change_median": medians["change"],
             "ratio": medians["change"] / medians["parent"],
-            "parent_iqr": quartiles["parent"][1] - quartiles["parent"][0],
+            "parent_iqr": iqr,
             "parent_quartiles": quartiles["parent"],
             "change_quartiles": quartiles["change"],
             "parent_runs": values["parent"],
@@ -97,6 +120,7 @@ def summarize(runs: Iterable[Mapping], better: Mapping[str, str]) -> dict:
             "change_better_pairs": wins,
             "pairs": len(pairs),
             "all_correct": all_correct,
+            "verdict": verdict,
         }
     return summary
 
@@ -123,6 +147,7 @@ def main(argv: list[str]) -> int:
             return 2
     spec = json.loads((ns.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     runs, host = [], {}
     for pair in range(1, ns.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
@@ -145,13 +170,13 @@ def main(argv: list[str]) -> int:
             f"{ns.about}").strip()
     bench["about"] = "\n".join(x for x in (bench.get("about", ""), line) if x)
     bench["host"] = host
-    bench["summary"][key] = summarize(runs, better)
+    bench["summary"][key] = summarize(runs, better, bounds)
     bench["runs"] = [r for r in bench["runs"] if (r["workload"], r["seed"]) != (ns.workload, ns.seed)] + runs
     path.write_text(json.dumps(bench, indent=1) + "\n")
     for name, s in bench["summary"][key].items():
         print(f"{key} {name}: {s['parent_median']:.6g} -> {s['change_median']:.6g} "
               f"(x{s['ratio']:.4f}, better in {s['change_better_pairs']}/{s['pairs']}, "
-              f"parent IQR {s['parent_iqr']:.4g})")
+              f"parent IQR {s['parent_iqr']:.4g}): {s['verdict']}")
     return 0
 
 

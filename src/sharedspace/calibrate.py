@@ -19,9 +19,10 @@ results merge by chromosome index. A chromosome seen before in the same
 run is answered from its earlier score.
 
 Every fitness call goes through a SimulationMemo, the one cache of an
-objective; a call given none uses a fresh one. Agent routes do not
-depend on the genes, so the memo plans each scenario's routes once and
-reuses them in every simulation. A new chromosome often agrees with an
+objective; a call given none uses a fresh one. Agent routes and the
+scene's obstacle index do not depend on the genes, so the memo builds
+the index once, plans each scenario's routes once, and hands both to
+every simulation. A new chromosome often agrees with an
 earlier one on every gene that some scenario's simulation reads, so
 each simulation runs on a recording view of the calibrated parameter
 group and the memo keeps the scenario's score under the exact bits of
@@ -61,7 +62,7 @@ from .engine import (
     run_scenario,
 )
 from .game import Action
-from .geometry import Vec2
+from .geometry import ObstacleIndex, Vec2
 from .params import ANISOTROPY_MAX, GameParams, ParameterFileError, ParameterSet, SfmParams, recording_view
 from .scene import Scene
 
@@ -457,6 +458,7 @@ def trace_decisions(trace: SimulationTrace) -> dict[tuple[str, int], Action]:
 def _simulate(
     item: CalibrationScenario,
     waypoints: dict[str, list[Vec2]] | ScenarioRejectedError,
+    obstacles: ObstacleIndex,
     scene: Scene,
     params: ParameterSet,
     frame_seconds: float,
@@ -473,12 +475,13 @@ def _simulate(
         dt=frame_seconds,
         max_steps=last_frame + steps_past_last_frame,
     )
-    return run_scenario(config, waypoints)
+    return run_scenario(config, waypoints, obstacles)
 
 
 class SimulationMemo:
     """The one cache of one objective run, by scenario position in the
-    objective's `training` list. For each scenario it keeps the route
+    objective's `training` list. It keeps the index of the scene's
+    obstacles, and for each scenario the route
     plan, or a copy of the ScenarioRejectedError planning raised, with
     its message and no traceback (whose frames would hold the memo in a
     reference cycle): routes do not depend on the genes. Beside it, it
@@ -497,6 +500,13 @@ class SimulationMemo:
         self._plans: dict[int, dict[str, list[Vec2]] | ScenarioRejectedError] = {}
         # scenario position -> fields read -> bits of their values -> score
         self._scores: dict[int, dict[tuple[str, ...], dict[tuple, float]]] = {}
+        self._obstacles: ObstacleIndex | None = None
+
+    def obstacles(self, scene: Scene) -> ObstacleIndex:
+        """The index of the scene's obstacles, built on first use."""
+        if self._obstacles is None:
+            self._obstacles = ObstacleIndex(scene.obstacles)
+        return self._obstacles
 
     def plan(
         self, index: int, item: CalibrationScenario, scene: Scene
@@ -505,7 +515,7 @@ class SimulationMemo:
         plan = self._plans.get(index)
         if plan is None:
             try:
-                plan = plan_waypoints(scene, item.scenario.entries)
+                plan = plan_waypoints(scene, item.scenario.entries, self.obstacles(scene))
             except ScenarioRejectedError as exc:
                 plan = ScenarioRejectedError(*exc.args)
             self._plans[index] = plan
@@ -556,8 +566,8 @@ def _mean_score(
             view = recording_view(getattr(params, group))
             try:
                 trace = _simulate(
-                    item, memo.plan(index, item, scene), scene, dataclasses.replace(params, **{group: view}),
-                    frame_seconds, steps_past_last_frame,
+                    item, memo.plan(index, item, scene), memo.obstacles(scene), scene,
+                    dataclasses.replace(params, **{group: view}), frame_seconds, steps_past_last_frame,
                 )
                 value = score(item, trace)
             except SIMULATION_FAILURES:

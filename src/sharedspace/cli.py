@@ -503,19 +503,26 @@ def _cmd_calibrate(ns: argparse.Namespace) -> int:
 def _load_observations(path: Path, subject: str, wanted: list[str] | None):
     """The feature matrix, action labels and feature names (in file
     order) of the rows of `subject`; the rows of other subjects are
-    dropped before any value is read, so the file needs a kind column."""
-    table = read_columns(path, ("action", "kind"), exact=False, keep=("kind", subject))
-    feature_cols = [c for c in table.columns if c not in FEATURE_ID_COLUMNS and c != "action"]
-    unknown = set(wanted or ()) - set(feature_cols)
-    if unknown:
-        raise TrajectoryFormatError(f"{path}:1: unknown feature columns {sorted(unknown)}")
-    feature_cols = [c for c in feature_cols if not wanted or c in wanted]
-    if not feature_cols:
-        raise TrajectoryFormatError(f"{path}:1: no feature columns")
-    X = np.column_stack([table.convert(c, float, float, "non-numeric feature value") for c in feature_cols])
-    table.flag(~np.isfinite(X).all(axis=1), "non-finite feature value")
-    labels = table.convert("action", lambda token: parse_action(token).value)
+    dropped before any value is read, so the file needs a kind column.
+    Each block of rows is typed as it is read."""
+    feature_cols: list[str] = []
+
+    def typed(block) -> dict:
+        if not feature_cols:  # the first block: the header's names
+            names = [c for c in block.columns if c not in FEATURE_ID_COLUMNS and c != "action"]
+            unknown = set(wanted or ()) - set(names)
+            if unknown:
+                raise TrajectoryFormatError(f"{path}:1: unknown feature columns {sorted(unknown)}")
+            feature_cols.extend(c for c in names if not wanted or c in wanted)
+            if not feature_cols:
+                raise TrajectoryFormatError(f"{path}:1: no feature columns")
+        X = np.column_stack([block.convert(c, float, float, "non-numeric feature value") for c in feature_cols])
+        block.flag(~np.isfinite(X).all(axis=1), "non-finite feature value")
+        return {"X": X, "labels": block.convert("action", lambda token: parse_action(token).value)}
+
+    table = read_columns(path, ("action", "kind"), exact=False, keep=("kind", subject), rules=typed)
     table.check()
+    X, labels = table.columns["X"], table.columns["labels"]
     if not labels:
         raise TrajectoryFormatError(f"{path}: no rows for subject {subject!r}")
     return X, labels, feature_cols

@@ -16,7 +16,8 @@ import math
 import re
 import statistics
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress, islice
+from operator import attrgetter, ne
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -140,17 +141,18 @@ class TrajectoryTable(Sequence[TrajectoryRecord]):
 
 @dataclass
 class CsvColumns:
-    """The data rows of one CSV file, by column, every field stripped.
+    """The data rows of a block of a CSV file, by column, every field
+    stripped; or of the whole file, by what its rules made of each block.
 
-    A loader tests its rules with `convert` and `flag` in the order a
-    loop over the rows would test them within one row. Each rule reads
+    A loader's rules test a block with `convert` and `flag` in the order
+    a loop over the rows would test them within one row. Each rule reads
     only the rows before the first bad row found so far, so a later rule
     takes over only with a lower row, and `check` raises what that loop
     would raise: the first bad row's line and the first rule it breaks.
     """
 
     path: str | Path
-    columns: dict[str, tuple[str, ...]]
+    columns: dict[str, Sequence]
     # each row's record index in the file, counting the header and blank
     # rows: a quoted field that spans two lines is on one line
     lines: np.ndarray
@@ -200,7 +202,8 @@ class CsvColumns:
 
 
 def read_columns(
-    path: str | Path, columns: Sequence[str], exact: bool = True, keep: tuple[str, str] | None = None
+    path: str | Path, columns: Sequence[str], exact: bool = True, keep: tuple[str, str] | None = None,
+    rules: Callable[[CsvColumns], dict] = attrgetter("columns"),
 ) -> CsvColumns:
     """The data rows of the CSV file at `path`, by column.
 
@@ -213,14 +216,20 @@ def read_columns(
     name one of `columns`, it holds only the rows whose field reads
     `value`.
 
-    A plain file, as `_read_plain` defines it, is split as text. Any
-    other file, with quoted fields, CRLF line ends, padded fields, blank
-    rows or bytes beyond ASCII, goes through csv.reader. On a plain file
-    the two give the same table.
+    A plain file, as `_read_plain` defines it, is split as text, one
+    block at a time. Any other file, with quoted fields, CRLF line ends,
+    padded fields, blank rows or bytes beyond ASCII, goes through
+    csv.reader as one block. On a plain file the two give the same
+    table. `rules` type each block in file order, and the table joins
+    what they return: arrays end to end, lists as one list; by default,
+    the text. Reading stops at the block with the first bad row. State
+    the rules carry from block to block may depend only on the rows
+    before, in file order: after a block that is not plain, the csv pass
+    reads the file again from its first row.
     """
-    table = _read_plain(path, columns, exact, keep)
-    if table is not None:
-        return table
+    blocks = _read_plain(path, columns, exact, keep, rules)
+    if blocks is not None:
+        return _joined(path, blocks)
     rows: list[list[str]] = []
     error = None
     for errors in ("strict", "surrogateescape"):
@@ -255,8 +264,22 @@ def read_columns(
         k, value = header.index(keep[0]), keep[1]
         mask = np.fromiter((row[k].strip() == value for row in rows), bool, len(rows))
         rows, lines = list(compress(rows, mask)), lines[mask]
-    stripped = [tuple(map(str.strip, column)) for column in zip(*rows)] or [()] * len(header)
-    return CsvColumns(path, dict(zip(header, stripped)), lines, len(rows), error)
+    stripped = [list(map(str.strip, column)) for column in zip(*rows)] or [[] for _ in header]
+    block = CsvColumns(path, dict(zip(header, stripped)), lines, len(rows), error)
+    block.columns = rules(block)
+    return block
+
+
+def _joined(path: str | Path, blocks: list[CsvColumns]) -> CsvColumns:
+    """One table of a plain file's blocks, each holding what the rules
+    made of it; the last block's first bad row is the table's."""
+    last = blocks[-1]
+    columns = {
+        name: np.concatenate(parts) if isinstance(parts[0], np.ndarray) else list(chain.from_iterable(parts))
+        for name, parts in zip(last.columns, zip(*(block.columns.values() for block in blocks)))
+    }
+    lines = np.concatenate([block.lines for block in blocks])
+    return CsvColumns(path, columns, lines, len(lines) - len(last.lines) + last.n, last.error)
 
 
 def _check_header(path: str | Path, header: list[str], columns: Sequence[str], exact: bool) -> None:
@@ -270,19 +293,20 @@ def _check_header(path: str | Path, header: list[str], columns: Sequence[str], e
 
 
 def _read_plain(
-    path: str | Path, columns: Sequence[str], exact: bool, keep: tuple[str, str] | None
-) -> CsvColumns | None:
-    """`read_columns` on a plain file: ASCII text with no quote, CR, NUL
-    or whitespace but the line feed, no blank line, and no line longer
-    than the csv module's field limit. csv.reader splits such a text at
-    each comma and line feed and nowhere else, and no field has anything
-    to strip, so the text is split as it is, one block of whole lines at
-    a time. A block's text, and the fields of the rows `keep` drops, go
-    with the block. None for any other file."""
+    path: str | Path, columns: Sequence[str], exact: bool, keep: tuple[str, str] | None,
+    rules: Callable[[CsvColumns], dict],
+) -> list[CsvColumns] | None:
+    """`read_columns`' blocks of a plain file: ASCII text with no quote,
+    CR, NUL or whitespace but the line feed, no blank line, and no line
+    longer than the csv module's field limit. csv.reader splits such a
+    text at each comma and line feed and nowhere else, and no field has
+    anything to strip, so the text is split as it is, one block of whole
+    lines at a time. `rules` make each block's columns before the next
+    is read, so a block's text, and the fields of the rows `keep` drops,
+    go with the block. None for any other file."""
     limit = csv.field_size_limit()
     header: list[str] = []
-    fields: list[list[str]] = []
-    lines = []
+    blocks: list[CsvColumns] = []
     n, error, rest = 0, None, b""
     with open(path, "rb") as fh:
         while error is None:
@@ -305,11 +329,10 @@ def _read_plain(
                 return None
             # each line's field count, from the commas before its end
             width = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends), prepend=0) + 1
-            block = text.replace(b"\n", b",").decode("ascii").split(",")
+            fields = text.replace(b"\n", b",").decode("ascii").split(",")
             if not header:
-                header, block, width = block[:width[0]], block[width[0]:], width[1:]
+                header, fields, width = fields[:width[0]], fields[width[0]:], width[1:]
                 _check_header(path, header, columns, exact)
-                fields = [[] for _ in header]
             w = len(header)
             wrong = np.flatnonzero(width != w)
             m = int(wrong[0]) if wrong.size else len(width)
@@ -318,39 +341,59 @@ def _read_plain(
             if wrong.size:
                 error = f"{path}:{n + 2}: expected {w} columns"
             if keep:
-                mask = list(map(keep[1].__eq__, block[header.index(keep[0]):m * w:w]))
-                rows = rows[np.array(mask, dtype=bool)]
-            for j, column in enumerate(fields):
-                column.extend(compress(block[j:m * w:w], mask) if keep else block[j:m * w:w])
-            lines.append(rows)
-    if not header:
-        return None
-    lines = np.concatenate(lines)
-    return CsvColumns(path, dict(zip(header, map(tuple, fields))), lines, len(lines), error)
+                kept = np.fromiter(map(keep[1].__eq__, fields[header.index(keep[0]):m * w:w]), bool, m)
+                rows = rows[kept]
+                # the kept rows' fields, one slice per run of kept rows
+                runs = np.flatnonzero(np.diff(kept, prepend=False, append=False)) * w
+                fields = list(chain.from_iterable(map(fields.__getitem__, map(slice, runs[::2], runs[1::2]))))
+                m = len(rows)
+            block = CsvColumns(path, {name: fields[j:m * w:w] for j, name in enumerate(header)}, rows, m, error)
+            del fields
+            block.columns = rules(block)
+            blocks.append(block)
+            error = block.error
+    return blocks or None
+
+
+def _agent_codes(block: CsvColumns, codes: dict[tuple[str, str], int]) -> np.ndarray:
+    """Each row's (scenario_id, agent_id) key as its number in `codes`,
+    which numbers keys in order of first appearance. An agent's rows
+    come in runs: this looks up one key per run, and tests a key's ids,
+    which the outputs carry unquoted, when the key first comes."""
+    sids, aids = block.columns["scenario_id"], block.columns["agent_id"]
+    n = len(sids)
+    change = np.fromiter(map(ne, sids, islice(sids, 1, None)), bool, max(n - 1, 0))
+    change |= np.fromiter(map(ne, aids, islice(aids, 1, None)), bool, max(n - 1, 0))
+    starts = [0, *(np.flatnonzero(change) + 1).tolist()] if n else []
+    for i in starts:
+        if (sids[i], aids[i]) not in codes:
+            for name, v in (("scenario_id", sids[i]), ("agent_id", aids[i])):
+                if i < block.n and (not v or ID_BREAKERS.search(v)):
+                    block.fail(i, f"{name}: expected a nonempty id with no comma, quote, line break or NUL,"
+                                  f" got {v!r}")
+            codes[sids[i], aids[i]] = len(codes)
+    runs = [codes[sids[i], aids[i]] for i in starts]
+    return np.repeat(np.array(runs, dtype=np.intp), np.diff([*starts, n]))
 
 
 def load_trajectories(path: str | Path) -> TrajectoryTable:
-    """The rows of a trajectory CSV, whose coordinates are meters. The
-    outputs carry its ids unquoted, so they follow the scenario id rule."""
-    table = read_columns(path, TRAJECTORY_COLUMNS)
-    for name in ("scenario_id", "agent_id"):
-        ids = table.columns[name]
-        bad = {v for v in set(ids) if not v or ID_BREAKERS.search(v)}  # each distinct id once
-        if bad:
-            table.flag(np.fromiter(map(bad.__contains__, ids), bool, len(ids)), lambda i: (
-                f"{name}: expected a nonempty id with no comma, quote, line break or NUL, got {ids[i]!r}"
-            ))
-    frame = table.convert("frame", int, np.int64, "bad frame {!r}")
-    table.flag(frame < 0, "negative frame")
-    kind = table.convert("kind", _KIND_CODES.__getitem__, np.int8, "kind must be 'ped' or 'car', got {!r}")
-    x = table.convert("x", float, float, "bad coordinates")
-    y = table.convert("y", float, float, "bad coordinates")
-    table.flag(~(np.isfinite(x) & np.isfinite(y)), "non-finite coordinates")
-    agent_ids = table.columns["agent_id"]
-    keys = list(zip(table.columns["scenario_id"], agent_ids))
-    codes = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    agent = np.fromiter(map(codes.__getitem__, keys), np.intp, len(keys))
-    del keys
+    """The rows of a trajectory CSV, whose coordinates are meters. Each
+    block of rows is typed as it is read; the one rule across rows, that
+    an agent's frames increase, runs once on the whole table."""
+    codes: dict[tuple[str, str], int] = {}
+
+    def typed(block: CsvColumns) -> dict:
+        agent = _agent_codes(block, codes)
+        frame = block.convert("frame", int, np.int64, "bad frame {!r}")
+        block.flag(frame < 0, "negative frame")
+        kind = block.convert("kind", _KIND_CODES.__getitem__, np.int8, "kind must be 'ped' or 'car', got {!r}")
+        x = block.convert("x", float, float, "bad coordinates")
+        y = block.convert("y", float, float, "bad coordinates")
+        block.flag(~(np.isfinite(x) & np.isfinite(y)), "non-finite coordinates")
+        return {"agent": agent, "kind": kind, "frame": frame, "x": x, "y": y}
+
+    table = read_columns(path, TRAJECTORY_COLUMNS, rules=typed)
+    agents, agent, frame = list(codes), table.columns["agent"], table.columns["frame"]
     # each row's previous frame of its agent in file order, -1 for the first
     order = np.argsort(agent, kind="stable")
     before, after = order[:-1], order[1:]
@@ -358,10 +401,10 @@ def load_trajectories(path: str | Path) -> TrajectoryTable:
     prev = np.full_like(frame, -1)
     prev[after[same]] = frame[before[same]]
     table.flag(frame <= prev, lambda i: (
-        f"frames must increase per agent (agent {agent_ids[i]!r} frame {frame[i]} after {prev[i]})"
+        f"frames must increase per agent (agent {agents[agent[i]][1]!r} frame {frame[i]} after {prev[i]})"
     ))
     table.check()
-    return TrajectoryTable(list(codes), agent, kind, frame, x, y)
+    return TrajectoryTable(agents, **table.columns)
 
 
 def write_csv(path: str | Path, columns: Sequence[str], lines: Iterable[str]) -> None:

@@ -262,16 +262,19 @@ def check_bounds(scene: Scene, entries: Iterable[AgentEntry]) -> None:
                 )
 
 
-def plan_waypoints(scene: Scene, entries: Iterable[AgentEntry]) -> dict[str, list[Vec2]]:
+def plan_waypoints(
+    scene: Scene, entries: Iterable[AgentEntry], obstacles: ObstacleIndex | None = None
+) -> dict[str, list[Vec2]]:
     """Each entry's route around the scene's obstacles: the waypoints
     after its start, ending at its goal. The route depends only on the
     scene and the entry's position, goal and diameter, so a caller that
     simulates one scenario many times can plan once and pass the result
     to every Simulation. One visibility graph is built per distinct
-    clearance, all from one index of the scene's obstacles. Raises
+    clearance, all from one index of the scene's obstacles, `obstacles`
+    or one built here. Raises
     ScenarioRejectedError naming the first entry whose position or goal
     lies outside the scene's bounds, or whose goal is unreachable."""
-    obstacles = ObstacleIndex(scene.obstacles)
+    obstacles = ObstacleIndex(scene.obstacles) if obstacles is None else obstacles
     graphs: dict[float, VisibilityGraph] = {}
     waypoints: dict[str, list[Vec2]] = {}
     for entry in entries:
@@ -290,12 +293,14 @@ def plan_waypoints(scene: Scene, entries: Iterable[AgentEntry]) -> dict[str, lis
 
 class Simulation:
     def __init__(
-        self, config: SimulationConfig, waypoints: dict[str, list[Vec2]] | None = None
+        self, config: SimulationConfig, waypoints: dict[str, list[Vec2]] | None = None,
+        obstacles: ObstacleIndex | None = None,
     ) -> None:
         """`waypoints` maps every agent id to its planned route, as
         returned by plan_waypoints; when omitted the routes are planned
         here. Either way every agent must start and end inside the scene's
-        bounds. Spawned agents get copies, so the mapping is never changed."""
+        bounds. Spawned agents get copies, so the mapping is never changed.
+        `obstacles` indexes the scene's obstacles; built here if omitted."""
         config.scene.validate()
         config.scenario.validate()
         config.params.validate()
@@ -314,7 +319,7 @@ class Simulation:
             check_bounds(config.scene, self._entries)
         self._waypoints = waypoints
         # the one obstacle index of the force pass
-        self._obstacles = ObstacleIndex(config.scene.obstacles)
+        self._obstacles = ObstacleIndex(config.scene.obstacles) if obstacles is None else obstacles
 
     def _game_partner(self, agent_id: str, runtime: ConflictRuntime) -> AgentState | None:
         """The leader (the conflict's anchor car) plays against its
@@ -627,9 +632,10 @@ class Simulation:
 
 
 def run_scenario(
-    config: SimulationConfig, waypoints: dict[str, list[Vec2]] | None = None
+    config: SimulationConfig, waypoints: dict[str, list[Vec2]] | None = None,
+    obstacles: ObstacleIndex | None = None,
 ) -> SimulationTrace:
-    return Simulation(config, waypoints).run()
+    return Simulation(config, waypoints, obstacles).run()
 
 
 # - scenario files -----------------------------------------------------

@@ -338,7 +338,10 @@ def _in_corridor(
 ) -> list[AgentState]:
     """Pedestrians, in input order, in the frontal corridor of the car:
     within one safety distance ahead along its heading, and inside a lane
-    as wide as both bodies along the heading's left normal."""
+    as wide as both bodies along the heading's left normal. It reads
+    `d_min_pc` only when there is a pedestrian to test."""
+    if not pedestrians:
+        return []
     cx, cy = car.position.x, car.position.y
     hx, hy = car.heading.x, car.heading.y
     d_min, diameter = params.d_min_pc, car.diameter

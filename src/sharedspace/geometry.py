@@ -470,7 +470,8 @@ def segments_clear_of_polygons(a: np.ndarray, b: np.ndarray, verts: np.ndarray) 
 
 
 # Padding of each obstacle's box in the visibility screens, relative to
-# the largest coordinate in play (and at least this in absolute terms).
+# the largest coordinate in play (and at least this in absolute terms):
+# a segment that passes a box closer than that goes to the exact kernels.
 _BOX_PAD = 1e-6
 # The inside test's reach beyond an obstacle's box, relative to
 # max(1 / L_min, 1, E) of the polygon (see ObstacleIndex).
@@ -583,8 +584,9 @@ class ObstacleIndex:
         even and `point_strictly_inside` is false. A zero-length
         segment has no normal: its cross products are all zero.
 
-        No test observes the pad, and no scene that Scene.validate
-        accepts was found that does. The screen sees each corner
+        A test holds the screen to the pad: a near miss by a few ulps
+        is left to the kernels. But no segment was found whose `visible`
+        answer a zero pad changes. The screen sees each corner
         through the same rounded offset from a, and the same rounded
         b - a, that the scalar rule's crossing tests use, and rounding
         is monotone, so a strict computed sign is the sign of those
@@ -592,9 +594,8 @@ class ObstacleIndex:
         rounding of a + (b - a) * s, and it lies near a box only between
         two crossings near it. Searches of segments up to 1e11 m long
         passing 1e-9 to 1e-5 m from a box corner, and of boxes around
-        the rule's rounded midpoint, found no segment whose answer a
-        zero pad changes. The pad stays because the argument above
-        needs it, not because a case is known."""
+        the rule's rounded midpoint, found none. The pad stays because
+        the argument above needs it, not because a case is known."""
         lo, hi, extent = self._box_arrays
         extent = max(extent, float(np.abs(a).max()), float(np.abs(b).max()))
         pad = _BOX_PAD * max(1.0, extent)

@@ -57,7 +57,8 @@ class LogitModel:
         return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _encode_labels(y: Sequence[str], baseline: str) -> tuple[np.ndarray, tuple[str, ...]]:
+def _encode_labels(y: Sequence[str], baseline: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """Each label's code, the non-baseline outcomes and the indicator."""
     distinct = set(y)
     classes = sorted(map(str, distinct))
     if baseline not in classes:
@@ -68,7 +69,8 @@ def _encode_labels(y: Sequence[str], baseline: str) -> tuple[np.ndarray, tuple[s
     # Baseline encodes as -1; outcome k as its row in the coefficient matrix.
     row = {c: k for k, c in enumerate(outcomes)}
     code = {label: row.get(str(label), -1) for label in distinct}
-    return np.fromiter(map(code.__getitem__, y), int, len(y)), outcomes
+    codes = np.fromiter(map(code.__getitem__, y), int, len(y))
+    return codes, outcomes, _indicator(codes, len(outcomes))
 
 
 def _log_likelihood(X: np.ndarray, codes: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -117,7 +119,7 @@ def fit_multinomial_logit(
     feature_names: Sequence[str] | None = None,
 ) -> LogitModel:
     X, feature_names = _checked_design(X, y, feature_names)
-    return _fit(X, y, baseline, feature_names)
+    return _fit(X, _encode_labels(y, baseline), baseline, feature_names)
 
 
 def _checked_design(
@@ -146,12 +148,12 @@ def _checked_design(
     return X, feature_names
 
 
-def _fit(X: np.ndarray, y: Sequence[str], baseline: str, feature_names: tuple[str, ...]) -> LogitModel:
-    """fit_multinomial_logit of a design `_checked_design` accepted."""
+def _fit(X: np.ndarray, labels: tuple, baseline: str, feature_names: tuple[str, ...]) -> LogitModel:
+    """fit_multinomial_logit of a design `_checked_design` accepted, on
+    its `_encode_labels`."""
     n, p = X.shape
-    codes, outcomes = _encode_labels(y, baseline)
+    codes, outcomes, indicator = labels
     K = len(outcomes)
-    indicator = _indicator(codes, K)
     beta = np.zeros((K, p))
     ll, probs = _log_likelihood(X, codes, beta)
 
@@ -214,10 +216,10 @@ def log_likelihood_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Exact log-likelihood and its gradient at beta, for verification."""
     X = np.asarray(X, dtype=float)
-    codes, outcomes = _encode_labels(y, baseline)
+    codes, outcomes, indicator = _encode_labels(y, baseline)
     beta = np.asarray(beta, dtype=float).reshape(len(outcomes), X.shape[1])
     ll, probs = _log_likelihood(X, codes, beta)
-    return ll, _gradient(X, _indicator(codes, len(outcomes)), probs)
+    return ll, _gradient(X, indicator, probs)
 
 
 @dataclass
@@ -250,7 +252,8 @@ def backward_eliminate(
     equations. Features in `keep` are never dropped. At least one
     feature always remains. The design is checked once, as
     fit_multinomial_logit checks it: the columns left after a drop are a
-    subset of a full-rank design, so each refit skips the rank test.
+    subset of a full-rank design, so each refit skips the rank test. The
+    labels are encoded once too, since a drop leaves them as they are.
     """
     X = np.asarray(X, dtype=float)
     names = list(feature_names)
@@ -260,9 +263,10 @@ def backward_eliminate(
     if unknown_keep:
         raise ValueError(f"keep-list names unknown features: {sorted(unknown_keep)}")
     X, _ = _checked_design(X, y, names)
+    labels = _encode_labels(y, baseline)
     eliminated: list[EliminationStep] = []
     while True:
-        model = _fit(X, y, baseline, tuple(names))
+        model = _fit(X, labels, baseline, tuple(names))
         droppable = [
             (model.feature_p_value(name), name)
             for name in names

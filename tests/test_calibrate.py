@@ -70,7 +70,7 @@ from sharedspace.engine import (
     run_scenario,
 )
 from sharedspace.game import Action, FeatureVector
-from sharedspace.geometry import Vec2
+from sharedspace.geometry import ObstacleIndex, Vec2
 from sharedspace.params import ParameterFileError, ParameterSet, SfmParams, recording_view
 from sharedspace.scene import AgentKind, Rect, Scene, load_scene
 
@@ -1035,9 +1035,9 @@ def count_plans(monkeypatch) -> list[tuple[list[AgentEntry], Scene]]:
     plans: list[tuple[list[AgentEntry], Scene]] = []
     plan = calibrate.plan_waypoints
 
-    def counting(scene, entries):
+    def counting(scene, entries, *rest):
         plans.append((list(entries), scene))
-        return plan(scene, entries)
+        return plan(scene, entries, *rest)
 
     monkeypatch.setattr(calibrate, "plan_waypoints", counting)
     return plans
@@ -1207,7 +1207,62 @@ def count_simulations(monkeypatch) -> list[str]:
     return ids
 
 
+def car_entry(agent_id: str, position: Vec2, goal: Vec2) -> AgentEntry:
+    return dataclasses.replace(crossing_scenario().entries[0], id=agent_id, position=position, goal=goal)
+
+
 class TestSimulationMemo:
+    def test_one_obstacle_index_per_objective(self, monkeypatch) -> None:
+        scene, training = boxed_set()
+        built = []
+        init = ObstacleIndex.__init__
+
+        def counting(index, polygons):
+            built.append(index)
+            init(index, polygons)
+
+        monkeypatch.setattr(ObstacleIndex, "__init__", counting)
+        pushed_with = []
+        simulation_init = engine.Simulation.__init__
+
+        def recording(simulation, *args):
+            simulation_init(simulation, *args)
+            pushed_with.append(simulation._obstacles)
+
+        monkeypatch.setattr(engine.Simulation, "__init__", recording)
+        base, simulated = ParameterSet(), []
+        for objective, genes in ((fitness_sfm, sfm_reference_values(base.sfm)),
+                                 (fitness_game, game_reference_values(base.game))):
+            del built[:], pushed_with[:]
+            memo = SimulationMemo()
+            for scale in (1.0, 1.1, 0.9):
+                objective([scale * g for g in genes], training, scene, base, 0.5, memo)
+            assert len(built) == 1
+            assert pushed_with and all(index is built[0] for index in pushed_with)
+            simulated.append(len(pushed_with))
+        assert simulated[0] >= 3
+
+    def test_a_car_only_run_does_not_read_d_min_pc(self, monkeypatch) -> None:
+        # two cars too far apart to meet: no pedestrian to stop for, no game
+        scene = open_square_scene()
+        scenario = Scenario("cars", [
+            car_entry("c1", Vec2(-14.0, -20.0), Vec2(30.0, -20.0)),
+            car_entry("c2", Vec2(-14.0, 20.0), Vec2(30.0, 20.0)),
+        ])
+        base = ParameterSet()
+        view = recording_view(base.sfm)
+        trace = run_scenario(SimulationConfig(scene, scenario, dataclasses.replace(base, sfm=view)))
+        assert trace.steps_run > 0 and "d_min_pc" not in vars(view)
+        item = CalibrationScenario(scenario, trace_positions(trace))
+        memo = SimulationMemo()
+        genes = sfm_reference_values(base.sfm)
+        assert fitness_sfm(genes, [item], scene, base, 0.5, memo) == 0.0
+        simulations = count_simulations(monkeypatch)
+        changed = list(genes)
+        changed[SFM_GENE_NAMES.index("d_min_pc")] *= 1.5
+        assert fitness_sfm(changed, [item], scene, base, 0.5, memo) == 0.0
+        assert simulations == []
+
     @pytest.mark.parametrize("group,items", [
         ("sfm", "data"), ("sfm", "boxed"), ("game", "data"), ("game", "boxed"),
     ])
@@ -1271,11 +1326,11 @@ class TestSimulationMemo:
         base, memo = ParameterSet(), SimulationMemo()
         simulate = calibrate.run_scenario
 
-        def blowing_up(config, waypoints):
+        def blowing_up(config, *args):
             # a non-finite state that only a large v0_pp brings about
             if config.params.sfm.v0_pp > 2.0:
                 raise ScenarioRejectedError("agent p1: non-finite state at step 3")
-            return simulate(config, waypoints)
+            return simulate(config, *args)
 
         monkeypatch.setattr(calibrate, "run_scenario", blowing_up)
         genes = sfm_reference_values(base.sfm)

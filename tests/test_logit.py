@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import multinomial_labels
+from sharedspace import logit
 from sharedspace.logit import (
     ConvergenceError,
     RankDeficiencyError,
@@ -298,6 +299,22 @@ class TestBackwardElimination:
         for field in ("coef", "std_errors", "p_values"):
             assert getattr(result.model, field).tobytes() == getattr(full, field).tobytes()
         assert result.model.log_likelihood == full.log_likelihood
+
+    def test_the_labels_are_encoded_once(self, monkeypatch) -> None:
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(800, 4))
+        y = multinomial_labels(rng, X[:, :1], {"yes": [1.5]}, baseline="no")
+        encoded = []
+        encode = logit._encode_labels
+
+        def counting(labels, baseline):
+            encoded.append(baseline)
+            return encode(labels, baseline)
+
+        monkeypatch.setattr(logit, "_encode_labels", counting)
+        result = backward_eliminate(X, y, baseline="no", feature_names=("signal", "n1", "n2", "n3"))
+        assert len(result.eliminated) >= 2
+        assert encoded == ["no"]
 
     def test_a_rank_deficient_design_is_rejected_before_any_fit(self) -> None:
         X, y = elimination_data(seed=14)

@@ -342,6 +342,23 @@ class TestObstacleScreens:
         got = ObstacleIndex(scene.obstacles).visible(points, i, i + 1).tolist()
         assert got == [segment_is_free(scene, a, b) for a, b in segments]
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e10])
+    def test_a_near_miss_is_left_to_the_exact_test(self, scale):
+        """The screen clears a pair only by more than its pad: a segment
+        that passes a box corner a few ulps of its coordinates away goes
+        to the exact kernels. Coordinates near 1e10, which Scene.validate
+        would not take, are tested on the index itself."""
+        c = scale
+        index = ObstacleIndex([(Vec2(c, c), Vec2(c + 1.0, c), Vec2(c + 1.0, c + 1.0), Vec2(c, c + 1.0))])
+        miss = 4.0 * math.ulp(c + 1001.0)
+        # slope 1, above the corner (c, c + 1) by `miss`; the box lies below the line
+        a, b = Vec2(c - 1000.0, c - 999.0 + miss), Vec2(c + 1000.0, c + 1001.0 + miss)
+        assert a.y - a.x > 1.0 and b.y - b.x > 1.0
+        kept, _ = index._screen(np.array([[a.x, a.y]]), np.array([[b.x, b.y]]))
+        assert kept.tolist() == [0]
+        assert index.visible([a, b], np.array([0]), np.array([1])).tolist() == [True]
+        assert segment_clear_of_polygon(a, b, index.polygons[0])
+
 
 class TestBatchedMatchesScalarRules:
     @settings(max_examples=80, deadline=None)

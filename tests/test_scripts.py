@@ -116,6 +116,38 @@ def test_bench_pairs_summary_arithmetic() -> None:
         bench_pairs.summarize(runs[1:], {"work_per_s": "higher"})
 
 
+def verdicts(parent: list[float], change: list[float], better: str, bound: float | None = 0.25) -> str:
+    bench_pairs = load_bench_pairs()
+    runs = [
+        synthetic_run(side, pair, values[pair - 1], 50.0)
+        for pair in range(1, len(parent) + 1)
+        for side, values in (("parent", parent), ("change", change))
+    ]
+    bounds = {} if bound is None else {"work_per_s": bound}
+    return bench_pairs.summarize(runs, {"work_per_s": better}, bounds)["work_per_s"]["verdict"]
+
+
+def test_bench_pairs_verdicts() -> None:
+    parent = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1, 99.9]  # IQR 0.475
+    # 9 of 10 pairs won, the median 1.0 better: a gain either way round
+    up = [p + 1.0 for p in parent[:9]] + [parent[9] - 1.0]
+    assert verdicts(parent, up, "higher") == "gain"
+    assert verdicts([-p for p in parent], [-c for c in up], "lower") == "gain"
+    # 8 of 10 pairs won is not enough, nor is a median gain inside the IQR
+    assert verdicts(parent, [p + 1.0 for p in parent[:8]] + parent[8:], "higher") == "unchanged"
+    assert verdicts(parent, [p + 0.3 for p in parent], "higher") == "unchanged"
+    # worse by more than the bound: 30 % down, or 30 % up where lower is better
+    assert verdicts(parent, [0.7 * p for p in parent], "higher") == "regression"
+    assert verdicts(parent, [1.3 * p for p in parent], "lower") == "regression"
+    assert verdicts(parent, [0.8 * p for p in parent], "higher") == "unchanged"
+    # a parent too spread to tell a 25 % bound: quartiles 70 and 130
+    wide = [40.0, 70.0, 70.0, 100.0, 100.0, 100.0, 130.0, 130.0, 130.0, 160.0]
+    assert verdicts(wide, wide, "higher") == "unresolved"
+    assert verdicts(wide, [0.5 * p for p in wide], "higher") == "regression"
+    # no bound: never a regression, never unresolved
+    assert verdicts(wide, [0.5 * p for p in wide], "higher", bound=None) == "unchanged"
+
+
 STUB_RUN = """\
 import json, sys
 from pathlib import Path

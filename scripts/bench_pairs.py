@@ -22,11 +22,14 @@ committed BENCH_*.json files:
   side, numpy's linear quartiles of each side and the parent's IQR, the
   ratio of the medians (change / parent), in how many pairs the
   change was better, by the metric's `better` in CHANGE's
-  BENCHMARK.json (an equal value is no win), and a `verdict`:
+  BENCHMARK.json (an equal value is no win), each side's share of
+  failed ops (perfbench's `failed` over `attempted`, summed over its
+  runs), and a `verdict`:
+  - `regression`: the change failed a larger share of ops than the
+    parent, or its median is worse than the parent's by more than the
+    metric's relative `bound`;
   - `gain`: the change won at least 9 in 10 pairs, and its median is
     better than the parent's by more than the parent's IQR;
-  - `regression`: its median is worse than the parent's by more than
-    the metric's relative `bound`;
   - `unresolved`: the parent's IQR is wider than that bound;
   - `unchanged`: none of these;
 - `runs`: every run, with its side, pair and result.
@@ -77,7 +80,8 @@ def summarize(
     sides' medians, linear quartiles and runs in pair order, the
     parent's IQR, the ratio of the medians, the pairs the change won and
     the verdict, with the metric's relative bound from `bounds` (a
-    metric with none is never a regression or unresolved). Each run is
+    metric with none is a regression only by failed ops, and never
+    unresolved), and each side's share of failed ops. Each run is
     {"side", "pair", "result"}, the result being perfbench's last JSON
     line; every pair must have one run on each side."""
     by_pair: dict[int, dict[str, Mapping]] = {}
@@ -87,6 +91,11 @@ def summarize(
     if any(set(p) != set(SIDES) for p in pairs):
         raise ValueError("every pair needs one parent and one change run")
     all_correct = all(p[side]["correct"] for p in pairs for side in SIDES)
+    failed_share = {}
+    for side in SIDES:
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        failed_share[side] = sum(p[side]["failed"] for p in pairs) / attempted if attempted else 0.0
+    more_failed = failed_share["change"] > failed_share["parent"]
     summary = {}
     for name, direction in better.items():
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
@@ -100,10 +109,10 @@ def summarize(
         gain = medians["change"] - medians["parent"]
         gain = -gain if direction == "lower" else gain
         bound = (bounds or {}).get(name, math.inf) * abs(medians["parent"])
-        if wins >= 0.9 * len(pairs) and gain > iqr:
-            verdict = "gain"
-        elif -gain > bound:
+        if more_failed or -gain > bound:
             verdict = "regression"
+        elif wins >= 0.9 * len(pairs) and gain > iqr:
+            verdict = "gain"
         elif iqr > bound:
             verdict = "unresolved"
         else:
@@ -120,6 +129,8 @@ def summarize(
             "change_better_pairs": wins,
             "pairs": len(pairs),
             "all_correct": all_correct,
+            "parent_failed_share": failed_share["parent"],
+            "change_failed_share": failed_share["change"],
             "verdict": verdict,
         }
     return summary

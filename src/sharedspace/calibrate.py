@@ -19,15 +19,16 @@ results merge by chromosome index. A chromosome seen before in the same
 run is answered from its earlier score.
 
 Every fitness call goes through a SimulationMemo, the one cache of an
-objective; a call given none uses a fresh one. Agent routes and the
-scene's obstacle index do not depend on the genes, so the memo builds
-the index once, plans each scenario's routes once, and hands both to
-every simulation. A new chromosome often agrees with an
-earlier one on every gene that some scenario's simulation reads, so
-each simulation runs on a recording view of the calibrated parameter
-group and the memo keeps the scenario's score under the exact bits of
-the fields it read; a later match on those bits reuses the score with
-no simulation.
+objective; a call given none uses a fresh one. Agent routes do not
+depend on the genes, so the memo plans each scenario's routes once and
+hands them to every simulation. Planning and every simulation read the
+scene's one obstacle index, which the scene builds on first read, so
+all objectives on one scene share it. A new chromosome often agrees
+with an earlier one on every gene that some scenario's simulation
+reads, so each simulation runs on a recording view of the calibrated
+parameter group and the memo keeps the scenario's score under the
+exact bits of the fields it read; a later match on those bits reuses
+the score with no simulation.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .engine import (
     run_scenario,
 )
 from .game import Action
-from .geometry import ObstacleIndex, Vec2
+from .geometry import Vec2
 from .params import ANISOTROPY_MAX, GameParams, ParameterFileError, ParameterSet, SfmParams, recording_view
 from .scene import Scene
 
@@ -458,7 +459,6 @@ def trace_decisions(trace: SimulationTrace) -> dict[tuple[str, int], Action]:
 def _simulate(
     item: CalibrationScenario,
     waypoints: dict[str, list[Vec2]] | ScenarioRejectedError,
-    obstacles: ObstacleIndex,
     scene: Scene,
     params: ParameterSet,
     frame_seconds: float,
@@ -475,18 +475,18 @@ def _simulate(
         dt=frame_seconds,
         max_steps=last_frame + steps_past_last_frame,
     )
-    return run_scenario(config, waypoints, obstacles)
+    return run_scenario(config, waypoints)
 
 
 class SimulationMemo:
     """The one cache of one objective run, by scenario position in the
-    objective's `training` list. It keeps the index of the scene's
-    obstacles, and for each scenario the route
+    objective's `training` list. It keeps for each scenario the route
     plan, or a copy of the ScenarioRejectedError planning raised, with
     its message and no traceback (whose frames would hold the memo in a
-    reference cycle): routes do not depend on the genes. Beside it, it
-    keeps the scenario's scores, each under the exact bits of the
-    calibrated parameters that its simulation and scoring read (a
+    reference cycle): routes do not depend on the genes. The obstacle
+    index is the scene's own, not the memo's. Beside the plans, it keeps
+    the scenario's scores, each under the exact bits of the calibrated
+    parameters that its simulation and scoring read (a
     `params.recording_view` notes them). A later
     parameter set that agrees bit for bit on those values gets that
     score with no simulation: it is the same program on the same inputs.
@@ -500,13 +500,6 @@ class SimulationMemo:
         self._plans: dict[int, dict[str, list[Vec2]] | ScenarioRejectedError] = {}
         # scenario position -> fields read -> bits of their values -> score
         self._scores: dict[int, dict[tuple[str, ...], dict[tuple, float]]] = {}
-        self._obstacles: ObstacleIndex | None = None
-
-    def obstacles(self, scene: Scene) -> ObstacleIndex:
-        """The index of the scene's obstacles, built on first use."""
-        if self._obstacles is None:
-            self._obstacles = ObstacleIndex(scene.obstacles)
-        return self._obstacles
 
     def plan(
         self, index: int, item: CalibrationScenario, scene: Scene
@@ -515,7 +508,7 @@ class SimulationMemo:
         plan = self._plans.get(index)
         if plan is None:
             try:
-                plan = plan_waypoints(scene, item.scenario.entries, self.obstacles(scene))
+                plan = plan_waypoints(scene, item.scenario.entries)
             except ScenarioRejectedError as exc:
                 plan = ScenarioRejectedError(*exc.args)
             self._plans[index] = plan
@@ -566,7 +559,7 @@ def _mean_score(
             view = recording_view(getattr(params, group))
             try:
                 trace = _simulate(
-                    item, memo.plan(index, item, scene), memo.obstacles(scene), scene,
+                    item, memo.plan(index, item, scene), scene,
                     dataclasses.replace(params, **{group: view}), frame_seconds, steps_past_last_frame,
                 )
                 value = score(item, trace)

@@ -321,9 +321,10 @@ def _cmd_evaluate(ns: argparse.Namespace) -> int:
 class _FitnessWorker:
     """Per-chromosome objective; picklable so `--jobs` can hand it to
     each pool process once. Its SimulationMemo plans the training
-    scenarios' routes when the worker is built, so every copy carries
-    them and no process re-plans; each copy then adds the scenario
-    simulations it runs to its own memo."""
+    scenarios' routes when the worker is built, which also builds the
+    scene's obstacle index, so every copy carries both and no process
+    re-plans or re-indexes; each copy then adds the scenario simulations
+    it runs to its own memo."""
 
     def __init__(
         self,

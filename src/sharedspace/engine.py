@@ -48,7 +48,7 @@ from . import jsonin
 from .conflicts import CAR_CONE_HALF_ANGLE_DEG, Conflict
 from .dataio import DECISION_COLUMNS, FEATURE_ID_COLUMNS, ID_BREAKERS, TRAJECTORY_COLUMNS, write_csv
 from .game import Action, FeatureVector, PairContext
-from .geometry import ObstacleIndex, Vec2, segments_intersect
+from .geometry import Vec2, segments_intersect
 from .params import ParameterSet
 from .planner import UnreachableGoalError, VisibilityGraph, build_visibility_graph, plan_path
 from .scene import AgentColumns, AgentKind, AgentState, Scene, in_field_of_view
@@ -262,19 +262,17 @@ def check_bounds(scene: Scene, entries: Iterable[AgentEntry]) -> None:
                 )
 
 
-def plan_waypoints(
-    scene: Scene, entries: Iterable[AgentEntry], obstacles: ObstacleIndex | None = None
-) -> dict[str, list[Vec2]]:
+def plan_waypoints(scene: Scene, entries: Iterable[AgentEntry]) -> dict[str, list[Vec2]]:
     """Each entry's route around the scene's obstacles: the waypoints
     after its start, ending at its goal. The route depends only on the
     scene and the entry's position, goal and diameter, so a caller that
     simulates one scenario many times can plan once and pass the result
     to every Simulation. One visibility graph is built per distinct
-    clearance, all from one index of the scene's obstacles, `obstacles`
-    or one built here. Raises
-    ScenarioRejectedError naming the first entry whose position or goal
-    lies outside the scene's bounds, or whose goal is unreachable."""
-    obstacles = ObstacleIndex(scene.obstacles) if obstacles is None else obstacles
+    clearance, all from the scene's obstacle index.
+
+    Raises ScenarioRejectedError naming the first entry whose position
+    or goal lies outside the scene's bounds, or whose goal is
+    unreachable."""
     graphs: dict[float, VisibilityGraph] = {}
     waypoints: dict[str, list[Vec2]] = {}
     for entry in entries:
@@ -282,7 +280,7 @@ def plan_waypoints(
         clearance = entry.diameter / 2.0 + PLANNER_CLEARANCE_MARGIN
         graph = graphs.get(clearance)
         if graph is None:
-            graph = graphs[clearance] = build_visibility_graph(obstacles, clearance)
+            graph = graphs[clearance] = build_visibility_graph(scene.obstacle_index, clearance)
         try:
             path = plan_path(graph, entry.position, entry.goal)
         except UnreachableGoalError as exc:
@@ -292,15 +290,11 @@ def plan_waypoints(
 
 
 class Simulation:
-    def __init__(
-        self, config: SimulationConfig, waypoints: dict[str, list[Vec2]] | None = None,
-        obstacles: ObstacleIndex | None = None,
-    ) -> None:
+    def __init__(self, config: SimulationConfig, waypoints: dict[str, list[Vec2]] | None = None) -> None:
         """`waypoints` maps every agent id to its planned route, as
         returned by plan_waypoints; when omitted the routes are planned
         here. Either way every agent must start and end inside the scene's
-        bounds. Spawned agents get copies, so the mapping is never changed.
-        `obstacles` indexes the scene's obstacles; built here if omitted."""
+        bounds. Spawned agents get copies, so the mapping is never changed."""
         config.scene.validate()
         config.scenario.validate()
         config.params.validate()
@@ -318,8 +312,6 @@ class Simulation:
         else:
             check_bounds(config.scene, self._entries)
         self._waypoints = waypoints
-        # the one obstacle index of the force pass
-        self._obstacles = ObstacleIndex(config.scene.obstacles) if obstacles is None else obstacles
 
     def _game_partner(self, agent_id: str, runtime: ConflictRuntime) -> AgentState | None:
         """The leader (the conflict's anchor car) plays against its
@@ -591,8 +583,9 @@ class Simulation:
         sfm = self.config.params.sfm
         agents = list(self.world.agents.values()) if arrived else frame
         xs, ys = forces_mod.repulsion_sums(targets, agents, sfm, columns)
+        obstacles = self.config.scene.obstacle_index
         for agent, fx, fy in zip(targets, xs, ys):
-            o = forces_mod.obstacle_repulsion(agent, self._obstacles, sfm)
+            o = forces_mod.obstacle_repulsion(agent, obstacles, sfm)
             directive = forces_mod.DriveTo(agent.next_waypoint(), agent.desired_speed, fx + o.x, fy + o.y)
             assignments[agent.id] = (Mode.FORCES, directive)
 
@@ -622,20 +615,18 @@ class Simulation:
         self.trace.steps_run = self.world.step
 
     def run(self) -> SimulationTrace:
-        while self.world.step < self.config.max_steps and (
-            self.world.agents or self._spawn_cursor < len(self._entries)
-        ):
+        """Step until no agent is present or yet to spawn; a run that
+        reaches max_steps first is truncated."""
+        while self.world.agents or self._spawn_cursor < len(self._entries):
+            if self.world.step >= self.config.max_steps:
+                self.trace.truncated = True
+                break
             self.step()
-        if self.world.agents:
-            self.trace.truncated = True
         return self.trace
 
 
-def run_scenario(
-    config: SimulationConfig, waypoints: dict[str, list[Vec2]] | None = None,
-    obstacles: ObstacleIndex | None = None,
-) -> SimulationTrace:
-    return Simulation(config, waypoints, obstacles).run()
+def run_scenario(config: SimulationConfig, waypoints: dict[str, list[Vec2]] | None = None) -> SimulationTrace:
+    return Simulation(config, waypoints).run()
 
 
 # - scenario files -----------------------------------------------------

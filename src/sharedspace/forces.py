@@ -44,8 +44,8 @@ car of the step from the dot and cross products of its `car_pairs`
 instead (`_corridor_mask`), the same IEEE products and sums.
 
 `obstacle_repulsion` makes one pass per obstacle polygon on plain
-floats, over the scene's `geometry.ObstacleIndex`, which the engine
-builds once per simulation: the nearest boundary point from the
+floats, over the scene's one `geometry.ObstacleIndex`
+(`scene.Scene.obstacle_index`): the nearest boundary point from the
 polygon's edge table, and the inside test (crossing parity, then the
 on-edge pass) only for a pedestrian inside the polygon's reach box.
 That box is the polygon's box padded by 1e-8 * max(1 / L_min, 1, E),

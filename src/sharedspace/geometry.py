@@ -4,7 +4,8 @@
 floats that compares, hashes and pickles by value. Zones and view cones
 are boundary inclusive; collinear segment overlap counts as an
 intersection. `ObstacleIndex` is the one index of a scene's obstacles,
-read by the force pass and the planner.
+which the scene builds and owns (`scene.Scene.obstacle_index`), read
+by the force pass and the planner.
 """
 
 from __future__ import annotations
@@ -488,7 +489,9 @@ def _xy(points: Sequence[Vec2]) -> np.ndarray:
 class ObstacleIndex:
     """A scene's obstacle polygons, indexed once for both readers: the
     force pass (`forces.obstacle_repulsion`) and the planner's
-    visibility test (`visible`). The polygons' vertices must be finite.
+    visibility test (`visible`). A scene builds its one index on first
+    read (`scene.Scene.obstacle_index`). The polygons' vertices must be
+    finite.
 
     Per polygon it holds its box, its plain-float edge table
     (`_edge_table`) and, from its

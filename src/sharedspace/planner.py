@@ -12,10 +12,10 @@ test of whether a corner lies inside an obstacle is the same test on
 the zero-length segment from the corner to itself: such a segment gets
 the parameters {0, 1} alone, so its one midpoint is the corner, and the
 scalar rule reads it as `not point_strictly_inside`. The force pass
-reads the same kind of index (`forces.obstacle_repulsion`).
-`engine.plan_waypoints` builds one index for all its graphs, a graph
-keeps the one it was built from, and `plan_path` tests its endpoint
-segments with it.
+reads the same index (`forces.obstacle_repulsion`): the scene's own,
+`scene.Scene.obstacle_index`, from which `engine.plan_waypoints` builds
+all its graphs. A graph keeps the index it was built from, and
+`plan_path` tests its endpoint segments with it.
 
 - Two screens, on the polygon's box padded by _BOX_PAD of the
   coordinate scale. A (segment, polygon) pair is clear when the padded

@@ -3,7 +3,8 @@
 A scene holds static geometry only: obstacle polygons, intersection
 zones, road zones and the rectangular scene bounds, all in meters. A
 scene file's coordinates are scaled by its meters_per_unit once, at
-load time; the scene keeps no scale.
+load time; the scene keeps no scale. A scene cannot change once built,
+so it owns what is derived from its geometry: its one obstacle index.
 
 An AgentColumns is one engine step's snapshot of its agents, the one
 owner of what the step derives from them, from their order to pair tables.
@@ -25,6 +26,7 @@ import numpy as np
 from . import jsonin
 from .geometry import (
     InvalidSceneError,
+    ObstacleIndex,
     Vec2,
     _validate_simple_polygon,
     _within_cone_xy,
@@ -56,12 +58,18 @@ class Rect:
 MIN_EDGE_M = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scene:
-    obstacles: list[list[Vec2]] = field(default_factory=list)
-    intersection_zones: list[list[Vec2]] = field(default_factory=list)
-    road_zones: list[list[Vec2]] = field(default_factory=list)
+    obstacles: Sequence[Sequence[Vec2]] = ()
+    intersection_zones: Sequence[Sequence[Vec2]] = ()
+    road_zones: Sequence[Sequence[Vec2]] = ()
     bounds: Rect = Rect(0.0, 0.0, 100.0, 100.0)
+
+    @cached_property
+    def obstacle_index(self) -> ObstacleIndex:
+        """The one index of the scene's obstacles, which planning and the
+        force pass read; built on first read, and pickled with the scene."""
+        return ObstacleIndex(self.obstacles)
 
     def validate(self) -> None:
         if self.bounds.x_min >= self.bounds.x_max or self.bounds.y_min >= self.bounds.y_max:

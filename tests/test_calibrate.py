@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import open_square_scene
-from sharedspace import calibrate, engine
+from sharedspace import calibrate, engine, forces
 from sharedspace.calibrate import (
     GAME_GENE_NAMES,
     GENE_NAMES,
@@ -1035,9 +1035,9 @@ def count_plans(monkeypatch) -> list[tuple[list[AgentEntry], Scene]]:
     plans: list[tuple[list[AgentEntry], Scene]] = []
     plan = calibrate.plan_waypoints
 
-    def counting(scene, entries, *rest):
+    def counting(scene, entries):
         plans.append((list(entries), scene))
-        return plan(scene, entries, *rest)
+        return plan(scene, entries)
 
     monkeypatch.setattr(calibrate, "plan_waypoints", counting)
     return plans
@@ -1212,7 +1212,7 @@ def car_entry(agent_id: str, position: Vec2, goal: Vec2) -> AgentEntry:
 
 
 class TestSimulationMemo:
-    def test_one_obstacle_index_per_objective(self, monkeypatch) -> None:
+    def test_one_obstacle_index_per_scene(self, monkeypatch) -> None:
         scene, training = boxed_set()
         built = []
         init = ObstacleIndex.__init__
@@ -1223,24 +1223,28 @@ class TestSimulationMemo:
 
         monkeypatch.setattr(ObstacleIndex, "__init__", counting)
         pushed_with = []
-        simulation_init = engine.Simulation.__init__
+        repel = forces.obstacle_repulsion
 
-        def recording(simulation, *args):
-            simulation_init(simulation, *args)
-            pushed_with.append(simulation._obstacles)
+        def recording(agent, obstacles, params):
+            pushed_with.append(obstacles)
+            return repel(agent, obstacles, params)
 
-        monkeypatch.setattr(engine.Simulation, "__init__", recording)
-        base, simulated = ParameterSet(), []
+        monkeypatch.setattr(forces, "obstacle_repulsion", recording)
+        simulated = count_simulations(monkeypatch)
+        # boxed_set simulated on its scene; an equal copy has no index yet
+        scene = dataclasses.replace(scene)
+        base, runs = ParameterSet(), []
         for objective, genes in ((fitness_sfm, sfm_reference_values(base.sfm)),
                                  (fitness_game, game_reference_values(base.game))):
-            del built[:], pushed_with[:]
+            del pushed_with[:], simulated[:]
             memo = SimulationMemo()
             for scale in (1.0, 1.1, 0.9):
                 objective([scale * g for g in genes], training, scene, base, 0.5, memo)
-            assert len(built) == 1
-            assert pushed_with and all(index is built[0] for index in pushed_with)
-            simulated.append(len(pushed_with))
-        assert simulated[0] >= 3
+            assert pushed_with and all(index is scene.obstacle_index for index in pushed_with)
+            runs.append(len(simulated))
+        # both objectives, planning and pushing, on one index
+        assert built == [scene.obstacle_index]
+        assert runs[0] >= 3
 
     def test_a_car_only_run_does_not_read_d_min_pc(self, monkeypatch) -> None:
         # two cars too far apart to meet: no pedestrian to stop for, no game
@@ -1326,11 +1330,11 @@ class TestSimulationMemo:
         base, memo = ParameterSet(), SimulationMemo()
         simulate = calibrate.run_scenario
 
-        def blowing_up(config, *args):
+        def blowing_up(config, waypoints):
             # a non-finite state that only a large v0_pp brings about
             if config.params.sfm.v0_pp > 2.0:
                 raise ScenarioRejectedError("agent p1: non-finite state at step 3")
-            return simulate(config, *args)
+            return simulate(config, waypoints)
 
         monkeypatch.setattr(calibrate, "run_scenario", blowing_up)
         genes = sfm_reference_values(base.sfm)

@@ -280,6 +280,17 @@ class TestLifecycle:
         assert trace.steps_run == 3
         assert {r.step for r in trace.rows} == {0, 1, 2}
 
+    def test_an_entry_yet_to_spawn_when_steps_run_out_truncates_the_run(self) -> None:
+        scenario = Scenario("s", [
+            ped_entry("p1", position=Vec2(0.0, -3.0), goal=Vec2(0.0, 3.0)),
+            ped_entry("p2", entry_step=50, position=Vec2(3.0, -8.0), goal=Vec2(3.0, 8.0)),
+        ])
+        trace = run_scenario(SimulationConfig(scene=open_square_scene(), scenario=scenario, max_steps=20))
+        assert set(trace.arrived_step) == {"p1"}
+        assert {r.agent_id for r in trace.rows} == {"p1"}
+        assert trace.steps_run == 20
+        assert trace.truncated
+
     def test_everyone_arrives_in_the_crossing_scenario(self) -> None:
         trace = run_scenario(crossing_config())
         assert not trace.truncated
@@ -377,16 +388,16 @@ class TestPlannedWaypoints:
         assert plan == before
 
     @staticmethod
-    def count_obstacle_indexes(monkeypatch) -> list[engine.ObstacleIndex]:
-        """Record every obstacle index the engine builds."""
+    def count_obstacle_indexes(monkeypatch) -> list[scene_mod.ObstacleIndex]:
+        """Record every obstacle index a scene builds."""
         built = []
 
-        class CountedIndex(engine.ObstacleIndex):
+        class CountedIndex(scene_mod.ObstacleIndex):
             def __init__(self, polygons) -> None:
                 built.append(self)
                 super().__init__(polygons)
 
-        monkeypatch.setattr(engine, "ObstacleIndex", CountedIndex)
+        monkeypatch.setattr(scene_mod, "ObstacleIndex", CountedIndex)
         return built
 
     BOX = (Vec2(-2.0, -2.0), Vec2(2.0, -2.0), Vec2(2.0, 2.0), Vec2(-2.0, 2.0))
@@ -403,7 +414,7 @@ class TestPlannedWaypoints:
         assert len(clearances) == 2
         assert len(built) == 1
 
-    def test_a_simulation_indexes_its_obstacles_once_to_plan_and_once_to_push(self, monkeypatch) -> None:
+    def test_a_simulation_plans_and_pushes_on_the_scene_s_one_index(self, monkeypatch) -> None:
         built = self.count_obstacle_indexes(monkeypatch)
         planned_with = []
         build = engine.build_visibility_graph
@@ -425,12 +436,11 @@ class TestPlannedWaypoints:
         entries = [car_entry(f"c{k}", position=Vec2(-14.0, 3.0 * k), goal=Vec2(30.0, 3.0 * k)) for k in range(2)]
         entries += [ped_entry(f"p{k}", position=Vec2(k - 0.5, -8.0), goal=Vec2(k - 0.5, 8.0)) for k in range(2)]
         trace = run_scenario(SimulationConfig(scene=scene, scenario=Scenario("box", entries), max_steps=40))
-        assert len(built) == 2
-        planning, pushing = built
-        assert len(planned_with) == 2 and all(index is planning for index in planned_with)
+        assert built == [scene.obstacle_index]
+        assert len(planned_with) == 2 and all(index is built[0] for index in planned_with)
         # pedestrians in force mode step after step, all on the one index
         assert len(pushed_with) > trace.steps_run > 0
-        assert all(index is pushing for index in pushed_with)
+        assert all(index is built[0] for index in pushed_with)
 
     @pytest.mark.parametrize("name", ["position", "goal"])
     def test_given_waypoints_do_not_skip_the_bounds_check(self, name) -> None:
@@ -1264,6 +1274,13 @@ def calls_of(name: str) -> set[tuple[str, str, str]]:
     for path in sorted(Path(engine.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, "", "")
     return found
+
+
+class TestSceneIndex:
+    def test_only_the_scene_builds_an_obstacle_index(self) -> None:
+        """The scene owns its obstacle index: planning and the force
+        pass read `Scene.obstacle_index`, and nothing else builds one."""
+        assert calls_of("ObstacleIndex") == {("scene", "Scene.obstacle_index", "")}
 
 
 class TestStepSnapshot:

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import car, ped
+from sharedspace import scene as scene_mod
 from sharedspace.geometry import InvalidSceneError, Vec2, within_cone
 from sharedspace.scene import (
     AgentKind,
@@ -78,6 +81,25 @@ class TestSceneValidation:
         path.write_text(json.dumps({"bounds": [-1, -1, 1, 1], "meters_per_unit": scale}))
         with pytest.raises(InvalidSceneError, match="meters_per_unit must be positive"):
             load_scene(path)
+
+
+class TestSceneIsFrozen:
+    @pytest.mark.parametrize("name", ["obstacles", "intersection_zones", "road_zones", "bounds"])
+    def test_assigning_a_field_raises(self, name):
+        scene = make_scene()
+        before = getattr(scene, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scene, name, ())
+        assert getattr(scene, name) is before
+
+    def test_the_index_is_built_once_and_pickled_with_the_scene(self, monkeypatch):
+        scene = make_scene()
+        index = scene.obstacle_index
+        assert scene.obstacle_index is index and index.polygons is scene.obstacles
+        copy = pickle.loads(pickle.dumps(scene))
+        monkeypatch.setattr(scene_mod, "ObstacleIndex", None)  # a rebuild would fail
+        assert copy == scene
+        assert copy.obstacle_index.rings == index.rings
 
 
 class TestZoneQueries:

@@ -79,9 +79,12 @@ def load_bench_pairs():
     return module
 
 
-def synthetic_run(side: str, pair: int, work: float, rss: float, correct: bool = True) -> dict:
+def synthetic_run(
+    side: str, pair: int, work: float, rss: float, correct: bool = True, failed: int = 0, attempted: int = 20
+) -> dict:
     metrics = {"work_per_s": {"value": work, "unit": "1/s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
-    return {"side": side, "pair": pair, "result": {"correct": correct, "metrics": metrics}}
+    result = {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
+    return {"side": side, "pair": pair, "result": result}
 
 
 def test_bench_pairs_summary_arithmetic() -> None:
@@ -106,22 +109,31 @@ def test_bench_pairs_summary_arithmetic() -> None:
     assert work["parent_runs"] == parent and work["change_runs"] == change
     # pair 2 is a tie, and pair 4 a loss
     assert work["change_better_pairs"] == 3 and work["pairs"] == 5 and work["all_correct"]
+    assert work["parent_failed_share"] == work["change_failed_share"] == 0.0
     rss = summary["peak_rss_mb"]
     assert rss["parent_median"] == 50.0 and rss["change_median"] == 50.5
     assert rss["parent_quartiles"] == [50.0, 50.0] and rss["parent_iqr"] == 0.0
     assert rss["change_better_pairs"] == 2  # lower is better; pair 3 is a tie
+    runs[0]["result"]["failed"] = 3  # a change run: 3 of the change's 100 ops
+    work = bench_pairs.summarize(runs, {"work_per_s": "higher"})["work_per_s"]
+    assert (work["parent_failed_share"], work["change_failed_share"]) == (0.0, 0.03)
     runs[0]["result"]["correct"] = False
     assert not bench_pairs.summarize(runs, {"work_per_s": "higher"})["work_per_s"]["all_correct"]
     with pytest.raises(ValueError):
         bench_pairs.summarize(runs[1:], {"work_per_s": "higher"})
 
 
-def verdicts(parent: list[float], change: list[float], better: str, bound: float | None = 0.25) -> str:
+def verdicts(
+    parent: list[float], change: list[float], better: str, bound: float | None = 0.25,
+    failed: tuple[int, int] = (0, 0),
+) -> str:
+    """The verdict on `work_per_s`; `failed` is the (parent, change)
+    failed ops of each run, out of 20 attempted."""
     bench_pairs = load_bench_pairs()
     runs = [
-        synthetic_run(side, pair, values[pair - 1], 50.0)
+        synthetic_run(side, pair, values[pair - 1], 50.0, failed=n)
         for pair in range(1, len(parent) + 1)
-        for side, values in (("parent", parent), ("change", change))
+        for side, values, n in (("parent", parent, failed[0]), ("change", change, failed[1]))
     ]
     bounds = {} if bound is None else {"work_per_s": bound}
     return bench_pairs.summarize(runs, {"work_per_s": better}, bounds)["work_per_s"]["verdict"]
@@ -146,6 +158,13 @@ def test_bench_pairs_verdicts() -> None:
     assert verdicts(wide, [0.5 * p for p in wide], "higher") == "regression"
     # no bound: never a regression, never unresolved
     assert verdicts(wide, [0.5 * p for p in wide], "higher", bound=None) == "unchanged"
+    # a change that fails a larger share of ops gains nothing: it regresses,
+    # bound or no bound; an equal or smaller share keeps the gain
+    assert verdicts(parent, up, "higher", failed=(0, 1)) == "regression"
+    assert verdicts(parent, up, "higher", failed=(2, 3), bound=None) == "regression"
+    assert verdicts(parent, parent, "higher", failed=(0, 1)) == "regression"
+    assert verdicts(parent, up, "higher", failed=(1, 1)) == "gain"
+    assert verdicts(parent, up, "higher", failed=(3, 1)) == "gain"
 
 
 STUB_RUN = """\

@@ -29,6 +29,10 @@ holds one row per decision: each game member's action with the features
 it saw. decisions.csv and features.csv are both written from those rows,
 one line each, in the same order.
 
+A simulation trusts its scene, which was checked when it was built,
+and checks its scenario, parameters and dt. A scenario file is read and
+written by one field list, `_ENTRY_RULES`.
+
 Runs are deterministic: equal configuration gives bit-identical traces.
 """
 
@@ -294,8 +298,9 @@ class Simulation:
         """`waypoints` maps every agent id to its planned route, as
         returned by plan_waypoints; when omitted the routes are planned
         here. Either way every agent must start and end inside the scene's
-        bounds. Spawned agents get copies, so the mapping is never changed."""
-        config.scene.validate()
+        bounds. Spawned agents get copies, so the mapping is never changed.
+        The scene is valid because it exists; the scenario, parameters
+        and dt are checked here."""
         config.scenario.validate()
         config.params.validate()
         if not (config.dt > 0.0 and math.isfinite(config.dt)):
@@ -674,23 +679,16 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    payload = {
-        "scenario_id": scenario.scenario_id,
-        "agents": [
-            {
-                "id": e.id,
-                "kind": e.kind.value,
-                "entry_step": e.entry_step,
-                "position": [e.position.x, e.position.y],
-                "velocity": [e.velocity.x, e.velocity.y],
-                "goal": [e.goal.x, e.goal.y],
-                "desired_speed": e.desired_speed,
-                "max_speed": e.max_speed,
-                "diameter": e.diameter,
-            }
-            for e in scenario.entries
-        ],
-    }
+    """Each entry's fields in the order of _ENTRY_RULES, which
+    load_scenario reads: a Vec2 as [x, y] and the kind as its value."""
+
+    def plain(value: object) -> object:
+        if isinstance(value, Vec2):
+            return [value.x, value.y]
+        return value.value if isinstance(value, AgentKind) else value
+
+    agents = [{key: plain(getattr(e, key)) for key in _ENTRY_RULES} for e in scenario.entries]
+    payload = {"scenario_id": scenario.scenario_id, "agents": agents}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 

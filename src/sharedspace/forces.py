@@ -92,15 +92,6 @@ class SetSpeed(NamedTuple):
 Directive = DriveTo | SetSpeed
 
 
-def driving_force(agent: AgentState, target: Vec2, speed: float, tau: float) -> Vec2:
-    """Relaxation toward the desired velocity over time tau."""
-    direction = (target - agent.position).normalized()
-    if direction.norm_sq() == 0.0:
-        direction = agent.heading
-    desired = direction * speed
-    return (desired - agent.velocity) * (1.0 / tau)
-
-
 def anisotropy_factor(heading: Vec2, to_target: Vec2, anisotropy: float) -> float:
     """Weight in [anisotropy, 1]: 1 dead ahead, anisotropy directly behind."""
     return _anisotropy_xy(heading.x, heading.y, to_target.x, to_target.y, anisotropy)
@@ -418,7 +409,7 @@ def integrate_step(
     directive: velocity first, then position with the new velocity.
     Speed is clamped to the agent's maximum. The agent is not changed.
 
-    The arithmetic is that of the Vec2 rules (`driving_force`,
+    The arithmetic is that of the Vec2 rules (the driving force,
     `Vec2.normalized`, ...) written out on plain floats, operation by
     operation, so the result is the same to the bit."""
     vx, vy = agent.velocity.x, agent.velocity.y
@@ -427,7 +418,7 @@ def integrate_step(
         dx, dy = _unit_or(vx, vy, agent.heading)
         vx, vy = dx * new_speed, dy * new_speed
     else:
-        # driving_force(agent, target, speed, params.tau) + push
+        # the driving force (desired - current velocity) / tau, plus the push
         target = directive.target
         dx, dy = _unit_or(target.x - agent.position.x, target.y - agent.position.y, agent.heading)
         inv_tau = 1.0 / params.tau

@@ -3,9 +3,12 @@
 `Vec2` is the one point and vector type: an immutable, slotted pair of
 floats that compares, hashes and pickles by value. Zones and view cones
 are boundary inclusive; collinear segment overlap counts as an
-intersection. `ObstacleIndex` is the one index of a scene's obstacles,
-which the scene builds and owns (`scene.Scene.obstacle_index`), read
-by the force pass and the planner.
+intersection. The cone test and the nearest boundary point run on plain
+floats (`_within_cone_xy`, `_nearest_on_edges_xy`). `ObstacleIndex` is
+the one index of a scene's obstacles, which the scene builds and owns
+(`scene.Scene.obstacle_index`), read by the force pass and the planner.
+`_validate_simple_polygon` is the polygon rule of `scene.Scene.validate`,
+which a scene runs once, when it is built.
 """
 
 from __future__ import annotations
@@ -250,14 +253,9 @@ def _bearing_deg_xy(hx: float, hy: float, ox: float, oy: float) -> float:
     return 0.0 if ang >= 360.0 else ang
 
 
-def within_cone(heading: Vec2, offset: Vec2, half_angle_deg: float) -> bool:
-    """Boundary-inclusive cone test around heading."""
-    return _within_cone_xy(heading.x, heading.y, offset.x, offset.y, half_angle_deg)
-
-
 def _within_cone_xy(hx: float, hy: float, ox: float, oy: float, half_angle_deg: float) -> bool:
-    """within_cone on plain floats: the offset (ox, oy) from the heading
-    (hx, hy)."""
+    """Boundary-inclusive cone test of the offset (ox, oy) around the
+    heading (hx, hy), on plain floats."""
     if half_angle_deg >= 180.0:
         return True
     theta = _bearing_deg_xy(hx, hy, ox, oy)
@@ -265,12 +263,6 @@ def _within_cone_xy(hx: float, hy: float, ox: float, oy: float, half_angle_deg: 
         theta <= half_angle_deg + _ANGLE_EPS_DEG
         or theta >= 360.0 - half_angle_deg - _ANGLE_EPS_DEG
     )
-
-
-def nearest_point_on_segment(p: Vec2, a: Vec2, b: Vec2) -> Vec2:
-    # the first edge of the ring (a, b) is a -> b
-    qx, qy, _, _ = _nearest_on_edges_xy(p.x, p.y, _edge_table((a, b))[:1])
-    return Vec2(qx, qy)
 
 
 _Edge = tuple[float, float, float, float, float]
@@ -285,12 +277,6 @@ def _edge_table(poly: Sequence[Vec2]) -> list[_Edge]:
         aby = b.y - a.y
         edges.append((a.x, a.y, abx, aby, abx * abx + aby * aby))
     return edges
-
-
-def nearest_point_on_polygon(p: Vec2, poly: Sequence[Vec2]) -> tuple[Vec2, float]:
-    """Closest boundary point of poly to p and its distance."""
-    qx, qy, d, _ = _nearest_on_edges_xy(p.x, p.y, _edge_table(poly))
-    return Vec2(qx, qy), d
 
 
 def _nearest_on_edges_xy(px: float, py: float, edges: Sequence[_Edge]) -> tuple[float, float, float, int]:
@@ -490,8 +476,8 @@ class ObstacleIndex:
     """A scene's obstacle polygons, indexed once for both readers: the
     force pass (`forces.obstacle_repulsion`) and the planner's
     visibility test (`visible`). A scene builds its one index on first
-    read (`scene.Scene.obstacle_index`). The polygons' vertices must be
-    finite.
+    read (`scene.Scene.obstacle_index`), from polygons its own check
+    passed: at least 3 finite vertices each, which the index trusts.
 
     Per polygon it holds its box, its plain-float edge table
     (`_edge_table`) and, from its
@@ -531,8 +517,6 @@ class ObstacleIndex:
         # per polygon: its box padded by the inside test's reach
         self.reach: list[tuple[float, float, float, float]] = []
         for poly in polygons:
-            if len(poly) < 3:
-                raise InvalidSceneError("obstacle polygon needs at least 3 vertices")
             xs, ys = [v.x for v in poly], [v.y for v in poly]
             box = (min(xs), min(ys), max(xs), max(ys))
             edges = _edge_table(poly)
@@ -658,7 +642,7 @@ def widened(bound):
 
 
 def cone_limit(half_angle_deg: float) -> float:
-    """The screen's limit on abs_bearings_deg for within_cone: beyond
+    """The screen's limit on abs_bearings_deg for _within_cone_xy: beyond
     it the rule surely fails. Its margin is relative to the full turn,
     which bearing_deg rounds its angle into."""
     if half_angle_deg >= 180.0:

@@ -47,15 +47,6 @@ class LogitModel:
         """Smallest p-value the feature attains across outcome equations."""
         return float(self.p_values[:, self.feature_names.index(feature)].min())
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """(n, n_outcomes + 1) probabilities, baseline column first."""
-        X = np.asarray(X, dtype=float)
-        eta = X @ self.coef.T
-        eta = np.concatenate([np.zeros((X.shape[0], 1)), eta], axis=1)
-        eta -= eta.max(axis=1, keepdims=True)
-        expd = np.exp(eta)
-        return expd / expd.sum(axis=1, keepdims=True)
-
 
 def _encode_labels(y: Sequence[str], baseline: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     """Each label's code, the non-baseline outcomes and the indicator."""

@@ -3,8 +3,10 @@
 A scene holds static geometry only: obstacle polygons, intersection
 zones, road zones and the rectangular scene bounds, all in meters. A
 scene file's coordinates are scaled by its meters_per_unit once, at
-load time; the scene keeps no scale. A scene cannot change once built,
-so it owns what is derived from its geometry: its one obstacle index.
+load time; the scene keeps no scale. A scene is checked once, when it
+is built, and holds its polygons as tuples, so it cannot change once
+built and no reader checks it again; it owns what is derived from its
+geometry: its one obstacle index.
 
 An AgentColumns is one engine step's snapshot of its agents, the one
 owner of what the step derives from them, from their order to pair tables.
@@ -60,10 +62,20 @@ MIN_EDGE_M = 1e-3
 
 @dataclass(frozen=True)
 class Scene:
-    obstacles: Sequence[Sequence[Vec2]] = ()
-    intersection_zones: Sequence[Sequence[Vec2]] = ()
-    road_zones: Sequence[Sequence[Vec2]] = ()
+    """Given polygons as any sequences of Vec2, it stores each as a tuple
+    and runs `validate`, so an invalid scene raises InvalidSceneError
+    here and a scene that exists is valid. A pickled copy is not checked
+    again."""
+
+    obstacles: tuple[tuple[Vec2, ...], ...] = ()
+    intersection_zones: tuple[tuple[Vec2, ...], ...] = ()
+    road_zones: tuple[tuple[Vec2, ...], ...] = ()
     bounds: Rect = Rect(0.0, 0.0, 100.0, 100.0)
+
+    def __post_init__(self) -> None:
+        for name in ("obstacles", "intersection_zones", "road_zones"):
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
+        self.validate()
 
     @cached_property
     def obstacle_index(self) -> ObstacleIndex:
@@ -72,6 +84,7 @@ class Scene:
         return ObstacleIndex(self.obstacles)
 
     def validate(self) -> None:
+        """The one validity check of a scene, run by `__post_init__`."""
         if self.bounds.x_min >= self.bounds.x_max or self.bounds.y_min >= self.bounds.y_max:
             raise InvalidSceneError("bounds must span a positive area")
         for label, polys in (
@@ -264,7 +277,7 @@ def load_scene(path: str | Path) -> Scene:
         if not (isinstance(bounds, list) and len(bounds) == 4):
             raise InvalidSceneError("bounds must be [x_min, y_min, x_max, y_max]")
 
-        def polygons(key: str) -> tuple[tuple[Vec2, ...], ...]:
+        def polygons(key: str) -> list[list[Vec2]]:
             polys = raw.get(key, [])
             if not isinstance(polys, list):
                 raise InvalidSceneError(f"{key}: expected a list of polygons")
@@ -272,17 +285,15 @@ def load_scene(path: str | Path) -> Scene:
             for i, poly in enumerate(polys):
                 if not isinstance(poly, list):
                     raise InvalidSceneError(f"{key}[{i}]: expected a list of [x, y] pairs")
-                out.append(tuple(jsonin.point(p, f"{key}[{i}]", InvalidSceneError) * scale for p in poly))
-            return tuple(out)
+                out.append([jsonin.point(p, f"{key}[{i}]", InvalidSceneError) * scale for p in poly])
+            return out
 
-        scene = Scene(
+        return Scene(
             obstacles=polygons("obstacles"),
             intersection_zones=polygons("intersection_zones"),
             road_zones=polygons("road_zones"),
             bounds=Rect(*(jsonin.number(v, "bounds", InvalidSceneError) * scale for v in bounds)),
         )
-        scene.validate()
-    return scene
 
 
 def save_scene(scene: Scene, path: str | Path) -> None:

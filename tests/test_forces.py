@@ -18,7 +18,6 @@ from sharedspace.forces import (
     brake_for,
     car_following_force,
     decel_rate,
-    driving_force,
     in_stopping_corridor,
     integrate_step,
     obstacle_repulsion,
@@ -41,26 +40,44 @@ def obstacle_scene(poly):
     )
 
 
+def vec_driving_force(agent, target, speed, tau):
+    """The driving force in its Vec2 form: relaxation toward the desired
+    velocity over time tau."""
+    direction = (target - agent.position).normalized()
+    if direction.norm_sq() == 0.0:
+        direction = agent.heading
+    desired = direction * speed
+    return (desired - agent.velocity) * (1.0 / tau)
+
+
+def drive_acceleration(agent, target, speed, tau, dt=0.1):
+    """The acceleration integrate_step gives an agent driven to target
+    with no push and no speed cap, read from one step's velocity change."""
+    uncapped = dataclasses.replace(agent, max_speed=math.inf)
+    _, velocity, _ = integrate_step(uncapped, DriveTo(target, speed), dt, SfmParams(tau=tau))
+    return (velocity - agent.velocity) * (1.0 / dt)
+
+
 class TestDrivingForce:
     def test_at_rest_accelerates_toward_target(self):
         a = ped(position=Vec2(0, 0), heading=Vec2(1, 0), speed=0.0)
-        f = driving_force(a, Vec2(10, 0), speed=1.4, tau=0.5)
+        f = drive_acceleration(a, Vec2(10, 0), speed=1.4, tau=0.5)
         assert f.x == pytest.approx(1.4 / 0.5)
         assert f.y == 0.0
 
     def test_at_desired_velocity_zero_force(self):
         a = ped(position=Vec2(0, 0), heading=Vec2(1, 0), speed=1.4)
-        f = driving_force(a, Vec2(10, 0), speed=1.4, tau=0.5)
+        f = drive_acceleration(a, Vec2(10, 0), speed=1.4, tau=0.5)
         assert f.norm() == pytest.approx(0.0, abs=1e-12)
 
     def test_overspeed_brakes(self):
         a = ped(position=Vec2(0, 0), heading=Vec2(1, 0), speed=2.0)
-        f = driving_force(a, Vec2(10, 0), speed=1.0, tau=0.5)
+        f = drive_acceleration(a, Vec2(10, 0), speed=1.0, tau=0.5)
         assert f.x == pytest.approx((1.0 - 2.0) / 0.5)
 
     def test_target_at_own_position_uses_heading(self):
         a = ped(position=Vec2(3, 3), heading=Vec2(0, 1), speed=0.0)
-        f = driving_force(a, Vec2(3, 3), speed=1.0, tau=0.5)
+        f = drive_acceleration(a, Vec2(3, 3), speed=1.0, tau=0.5)
         assert f.y > 0.0
 
 
@@ -565,7 +582,7 @@ def vec_integrate_step(agent, directive, dt, params):
             direction = agent.heading
         velocity = direction * new_speed
     else:
-        drive = driving_force(agent, directive.target, directive.speed, params.tau)
+        drive = vec_driving_force(agent, directive.target, directive.speed, params.tau)
         total = Vec2(0.0, 0.0) + drive + vec_push(directive)
         velocity = agent.velocity + total * dt
     speed = velocity.norm()

@@ -14,11 +14,12 @@ from sharedspace.geometry import (
     _PARAM_TOL,
     InvalidSceneError,
     Vec2,
+    _edge_table,
+    _nearest_on_edges_xy,
     _on_segment_xy,
+    _within_cone_xy,
     bearing_deg,
     manhattan,
-    nearest_point_on_polygon,
-    nearest_point_on_segment,
     point_in_zone,
     point_strictly_inside,
     points_strictly_inside,
@@ -26,10 +27,22 @@ from sharedspace.geometry import (
     segment_clear_of_polygon,
     segments_clear_of_polygons,
     segments_intersect,
-    within_cone,
 )
 
 SQUARE = (Vec2(0, 0), Vec2(4, 0), Vec2(4, 4), Vec2(0, 4))
+
+
+def within_cone(heading, offset, half_angle_deg):
+    """The cone test of Vec2 arguments."""
+    return _within_cone_xy(heading.x, heading.y, offset.x, offset.y, half_angle_deg)
+
+
+def nearest_point_on_polygon(p, poly):
+    """The boundary point of poly nearest to p, and its distance; a
+    segment (a, b) is the ring of two vertices."""
+    qx, qy, d, _ = _nearest_on_edges_xy(p.x, p.y, _edge_table(poly))
+    return Vec2(qx, qy), d
+
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 vec = st.builds(Vec2, finite, finite)
@@ -264,11 +277,11 @@ class TestWithinCone:
 
 class TestNearestPoints:
     def test_segment_interior(self):
-        p = nearest_point_on_segment(Vec2(1, 5), Vec2(0, 0), Vec2(4, 0))
+        p, _ = nearest_point_on_polygon(Vec2(1, 5), (Vec2(0, 0), Vec2(4, 0)))
         assert p == Vec2(1, 0)
 
     def test_segment_clamps_to_endpoint(self):
-        p = nearest_point_on_segment(Vec2(-3, 2), Vec2(0, 0), Vec2(4, 0))
+        p, _ = nearest_point_on_polygon(Vec2(-3, 2), (Vec2(0, 0), Vec2(4, 0)))
         assert p == Vec2(0, 0)
 
     def test_polygon_nearest_edge(self):

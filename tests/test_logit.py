@@ -113,22 +113,6 @@ class TestFit:
             for j in range(2):
                 assert abs(model.coef[k, j] - true[cls][j]) < 0.2
 
-    def test_predict_proba_is_a_softmax_over_fitted_utilities(self) -> None:
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(300, 2))
-        y = multinomial_labels(rng, X, {"b": [1.0, 0.5], "c": [-0.5, 1.0]}, baseline="a")
-        model = fit_multinomial_logit(X, y, baseline="a")
-        grid = rng.normal(size=(20, 2))
-        probs = model.predict_proba(grid)
-        assert probs.shape == (20, 3)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(probs > 0.0)
-        # Column 0 is the baseline with utility zero.
-        eta = np.concatenate([np.zeros((20, 1)), grid @ model.coef.T], axis=1)
-        manual = np.exp(eta - eta.max(axis=1, keepdims=True))
-        manual /= manual.sum(axis=1, keepdims=True)
-        assert np.allclose(probs, manual, atol=1e-12)
-
     def test_wald_statistics_flag_the_informative_feature(self) -> None:
         rng = np.random.default_rng(11)
         X = np.column_stack([rng.normal(size=2000), rng.normal(size=2000)])

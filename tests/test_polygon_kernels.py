@@ -1,6 +1,6 @@
 """The polygon kernels on plain floats against their Vec2 forms.
 
-`geometry.nearest_point_on_polygon`, `geometry._even_odd` and
+`geometry._nearest_on_edges_xy`, `geometry._even_odd` and
 `forces.obstacle_repulsion` were once written with `Vec2` temporaries,
 the even-odd test in one pass that tried each edge's on-segment rule
 before its crossing. Those forms are kept below as oracles; the float
@@ -21,15 +21,16 @@ from sharedspace.geometry import (
     InvalidSceneError,
     ObstacleIndex,
     Vec2,
+    _edge_table,
+    _nearest_on_edges_xy,
     _on_segment_xy,
     _validate_simple_polygon,
-    nearest_point_on_polygon,
     point_in_zone,
     point_strictly_inside,
     polygon_signed_area,
 )
 from sharedspace.params import SfmParams
-from sharedspace.scene import Rect, Scene
+from sharedspace.scene import Scene
 
 P = SfmParams()
 
@@ -97,9 +98,9 @@ def vec_outward_normal_near(p, poly):
     return best_normal
 
 
-def vec_obstacle_repulsion(agent, scene, params):
+def vec_obstacle_repulsion(agent, polygons, params):
     total = Vec2(0.0, 0.0)
-    for poly in scene.obstacles:
+    for poly in polygons:
         nearest, d = vec_nearest_point_on_polygon(agent.position, poly)
         direction = (agent.position - nearest).normalized()
         if direction.norm_sq() == 0.0 or one_pass_even_odd(agent.position, poly, True):
@@ -116,8 +117,10 @@ def bits(*values):
     return tuple(float.hex(v) for v in values)
 
 
-def scene_of(*obstacles):
-    return Scene(obstacles=list(obstacles), bounds=Rect(-2e3, -2e3, 2e3, 2e3))
+def float_nearest(p, poly):
+    """_nearest_on_edges_xy over poly's edge table: (qx, qy, d)."""
+    qx, qy, d, _ = _nearest_on_edges_xy(p.x, p.y, _edge_table(poly))
+    return qx, qy, d
 
 
 def box(cx, cy, w, h):
@@ -211,20 +214,17 @@ class TestNearestPointOnPolygon:
     def test_matches_the_vec2_form(self, case):
         poly, probes = case
         for p in probes:
-            q, d = nearest_point_on_polygon(p, poly)
             want, want_d = vec_nearest_point_on_polygon(p, poly)
-            assert bits(q.x, q.y, d) == bits(want.x, want.y, want_d)
+            assert bits(*float_nearest(p, poly)) == bits(want.x, want.y, want_d)
 
     @pytest.mark.parametrize("poly, p", FIXED)
     def test_fixed_cases(self, poly, p):
-        q, d = nearest_point_on_polygon(p, poly)
         want, want_d = vec_nearest_point_on_polygon(p, poly)
-        assert bits(q.x, q.y, d) == bits(want.x, want.y, want_d)
+        assert bits(*float_nearest(p, poly)) == bits(want.x, want.y, want_d)
 
     def test_a_tie_goes_to_the_first_edge(self):
         # (2, 2) is 2 from every edge of the square; edge 0 is the bottom.
-        q, d = nearest_point_on_polygon(Vec2(2.0, 2.0), SQUARE)
-        assert (q, d) == (Vec2(2.0, 0.0), 2.0)
+        assert _nearest_on_edges_xy(2.0, 2.0, _edge_table(SQUARE)) == (2.0, 0.0, 2.0, 0)
 
 
 class TestEvenOdd:
@@ -243,7 +243,7 @@ class TestEvenOdd:
 
     @pytest.mark.parametrize("p", [Vec2(5e-13, -5e-4), Vec2(0.5, 0.5)])
     def test_a_point_far_from_a_short_edge_can_lie_on_it(self, p):
-        assert nearest_point_on_polygon(p, SLIVER)[1] >= 5e-4
+        assert float_nearest(p, SLIVER)[2] >= 5e-4
         assert point_in_zone(p, SLIVER)
         assert not point_strictly_inside(p, SLIVER)
 
@@ -256,24 +256,24 @@ class TestObstacleRepulsion:
         st.floats(0.05, 2.0),
     )
     def test_matches_the_vec2_form(self, cases, u0, r_obstacle):
-        scene = scene_of(*(poly for poly, _ in cases))
-        index = ObstacleIndex(scene.obstacles)
+        polygons = [poly for poly, _ in cases]
+        index = ObstacleIndex(polygons)
         params = SfmParams(u0=u0, r_obstacle=r_obstacle)
         for p in (p for _, probes in cases for p in probes):
             agent = ped(position=p)
             got = obstacle_repulsion(agent, index, params)
-            want = vec_obstacle_repulsion(agent, scene, params)
+            want = vec_obstacle_repulsion(agent, polygons, params)
             assert bits(got.x, got.y) == bits(want.x, want.y)
 
     @pytest.mark.parametrize("poly, p", FIXED)
     def test_fixed_cases(self, poly, p):
         agent = ped(position=p)
         got = obstacle_repulsion(agent, ObstacleIndex([poly]), P)
-        want = vec_obstacle_repulsion(agent, scene_of(poly), P)
+        want = vec_obstacle_repulsion(agent, [poly], P)
         assert bits(got.x, got.y) == bits(want.x, want.y)
 
     def test_an_obstacle_free_scene_reads_no_parameter(self):
-        assert obstacle_repulsion(ped(), ObstacleIndex(scene_of().obstacles), None) == Vec2(0.0, 0.0)
+        assert obstacle_repulsion(ped(), Scene().obstacle_index, None) == Vec2(0.0, 0.0)
 
 
 # ---- the reach box: the inside test only where it can be true ----
@@ -338,11 +338,11 @@ class TestReachBox:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(polygons_with_a_short_edge(), min_size=1, max_size=2))
     def test_repulsion_matches_the_full_inside_test(self, polygons):
-        index, scene = ObstacleIndex(polygons), scene_of(*polygons)
+        index = ObstacleIndex(polygons)
         for p in (p for poly in polygons for p in reach_probes(poly)):
             agent = ped(position=p)
             got = obstacle_repulsion(agent, index, P)
-            want = vec_obstacle_repulsion(agent, scene, P)
+            want = vec_obstacle_repulsion(agent, polygons, P)
             assert bits(got.x, got.y) == bits(want.x, want.y)
 
     def test_a_sliver_pads_its_box_beyond_its_band(self):

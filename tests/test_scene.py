@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import math
 import pickle
 from pathlib import Path
 
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 from helpers import car, ped
 from sharedspace import scene as scene_mod
-from sharedspace.geometry import InvalidSceneError, Vec2, within_cone
+from sharedspace.calibrate import build_calibration_set, fitness_sfm, sfm_reference_values
+from sharedspace.dataio import load_trajectories
+from sharedspace.geometry import InvalidSceneError, Vec2, _within_cone_xy
+from sharedspace.params import ParameterSet
 from sharedspace.scene import (
     AgentKind,
     AgentState,
@@ -25,6 +29,7 @@ from sharedspace.scene import (
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sharedspace"
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 coords = st.floats(-50.0, 50.0, allow_nan=False)
 # Some points on a coarse grid, so that coincident points, exact range
@@ -60,20 +65,19 @@ class TestSceneValidation:
         make_scene().validate()
 
     def test_degenerate_obstacle_rejected(self):
-        scene = make_scene(obstacles=((Vec2(0, 0), Vec2(1, 0), Vec2(2, 0)),))
-        with pytest.raises(InvalidSceneError):
-            scene.validate()
+        with pytest.raises(InvalidSceneError, match="zero-area"):
+            make_scene(obstacles=((Vec2(0, 0), Vec2(1, 0), Vec2(2, 0)),))
 
     def test_self_intersecting_polygon_rejected(self):
-        bowtie = (Vec2(0, 0), Vec2(2, 2), Vec2(2, 0), Vec2(0, 2))
-        scene = make_scene(obstacles=(bowtie,))
-        with pytest.raises(InvalidSceneError):
-            scene.validate()
+        # not symmetric, so its signed area is not zero and the
+        # self-intersection rule, not the zero-area one, rejects it
+        bowtie = (Vec2(0, 0), Vec2(2, 2), Vec2(2, 0), Vec2(0, 3))
+        with pytest.raises(InvalidSceneError, match="self-intersecting"):
+            make_scene(obstacles=(bowtie,))
 
     def test_inverted_bounds_rejected(self):
-        scene = make_scene(bounds=Rect(10, 0, -10, 5))
-        with pytest.raises(InvalidSceneError):
-            scene.validate()
+        with pytest.raises(InvalidSceneError, match="bounds"):
+            make_scene(bounds=Rect(10, 0, -10, 5))
 
     @pytest.mark.parametrize("scale", [0, -1])
     def test_nonpositive_scale_rejected(self, tmp_path, scale):
@@ -81,6 +85,55 @@ class TestSceneValidation:
         path.write_text(json.dumps({"bounds": [-1, -1, 1, 1], "meters_per_unit": scale}))
         with pytest.raises(InvalidSceneError, match="meters_per_unit must be positive"):
             load_scene(path)
+
+
+# Each rule of Scene.validate broken once, on each kind of polygon given
+# as lists, as a caller may pass them, with the message it raises.
+INVALID = {
+    "inverted bounds": (dict(bounds=Rect(10, 0, -10, 5)), "positive area"),
+    "bounds of no area": (dict(bounds=Rect(-50, 0, 50, 0)), "positive area"),
+    "two vertices": (dict(obstacles=[[Vec2(0, 0), Vec2(1, 0)]]), "3 vertices"),
+    "zero area": (dict(intersection_zones=[[Vec2(0, 0), Vec2(1, 0), Vec2(2, 0)]]), "zero-area"),
+    "self-intersecting": (dict(road_zones=[[Vec2(0, 0), Vec2(2, 2), Vec2(2, 0), Vec2(0, 3)]]), "self-intersecting"),
+    "non-finite vertex": (dict(obstacles=[[Vec2(0, 0), Vec2(math.inf, 0), Vec2(0, 1)]]), "non-finite"),
+    "vertex outside bounds": (dict(road_zones=[list(square(49, 0, 2))]), "outside bounds"),
+    "edge shorter than 1 mm": (dict(intersection_zones=[[Vec2(0, 0), Vec2(1e-4, 0), Vec2(0, 1)]]), "shorter than 1 mm"),
+}
+
+
+class TestSceneIsCheckedWhenBuilt:
+    @pytest.mark.parametrize("fields, rule", INVALID.values(), ids=list(INVALID))
+    def test_an_invalid_scene_cannot_be_built(self, fields, rule):
+        with pytest.raises(InvalidSceneError, match=rule):
+            make_scene(**fields)
+
+    def test_a_scene_built_from_lists_holds_tuples(self):
+        ring = list(square(0, 0, 5))
+        scene = make_scene(obstacles=[ring], intersection_zones=[ring], road_zones=[])
+        for name in ("obstacles", "intersection_zones", "road_zones"):
+            polygons = getattr(scene, name)
+            assert type(polygons) is tuple and all(type(p) is tuple for p in polygons)
+        ring.append(Vec2(9, 9))  # the caller's list is not the scene's
+        same = make_scene(obstacles=(square(0, 0, 5),), intersection_zones=(square(0, 0, 5),), road_zones=())
+        assert scene == same and hash(scene) == hash(same)
+
+    def test_a_scene_is_checked_once_for_a_load_and_three_evaluations(self, monkeypatch):
+        """Neither a simulation nor its route plan checks the scene again."""
+        calls = []
+        validate = Scene.validate
+
+        def counting(scene):
+            calls.append(scene)
+            validate(scene)
+
+        monkeypatch.setattr(Scene, "validate", counting)
+        scene = load_scene(DATA / "scene.json")
+        training = build_calibration_set(load_trajectories(DATA / "trajectories.csv"))
+        base = ParameterSet()
+        genes = sfm_reference_values(base.sfm)
+        for k in (1.0, 1.1, 0.9):
+            assert math.isfinite(fitness_sfm([g * k for g in genes], training, scene, base))
+        assert calls == [scene]
 
 
 class TestSceneIsFrozen:
@@ -164,18 +217,21 @@ class TestFieldOfView:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_range_then_cone_gates(self, at, heading, target, half, view_range):
         """The gates recognition and car following once tested inline:
-        distance_to against the range, then within_cone of the offset
+        distance_to against the range, then the cone test of the offset
         from the observer's own heading (the helper normalises the one
         it is given, which for a heading of ~1e-170 turns the cone)."""
         a = ped(position=at, heading=heading)
-        inline = at.distance_to(target) <= view_range and within_cone(a.heading, target - at, half)
+        offset = target - at
+        inline = at.distance_to(target) <= view_range and _within_cone_xy(
+            a.heading.x, a.heading.y, offset.x, offset.y, half
+        )
         assert in_field_of_view(a, target, half, view_range) == inline
 
 
 def test_only_the_view_test_calls_within_cone() -> None:
     """One view test: in the package, the cone rule on plain floats,
-    geometry._within_cone_xy, is called only by scene.in_field_of_view
-    and by its Vec2 form geometry.within_cone, and nothing calls that."""
+    geometry._within_cone_xy, is called only by scene.in_field_of_view,
+    and it has no Vec2 form (geometry.within_cone) that could be called."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -190,10 +246,7 @@ def test_only_the_view_test_calls_within_cone() -> None:
                 name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
                 if name in ("within_cone", "_within_cone_xy"):
                     found.append((name, path.name, owner.get(node)))
-    assert sorted(found) == [
-        ("_within_cone_xy", "geometry.py", "within_cone"),
-        ("_within_cone_xy", "scene.py", "in_field_of_view"),
-    ]
+    assert sorted(found) == [("_within_cone_xy", "scene.py", "in_field_of_view")]
 
 
 class TestSceneIO:

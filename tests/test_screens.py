@@ -30,7 +30,7 @@ from sharedspace.conflicts import (
     recognize_conflicts,
 )
 from sharedspace.forces import in_stopping_corridor, reactive_stopping
-from sharedspace.geometry import Vec2, bearing_deg, within_cone
+from sharedspace.geometry import Vec2, _within_cone_xy, bearing_deg
 from sharedspace.params import SfmParams
 from sharedspace.scene import AgentColumns, AgentKind, Rect, Scene, in_intersection_zone, in_road_zone
 
@@ -69,16 +69,16 @@ def recognition_accepts(c, other, in_intersection, in_road, params=P):
     """The geometric gates of the recognition scan, pair by pair."""
     if other is c or c.position.distance_to(other.position) > params.v_r:
         return False
-    offset = other.position - c.position
+    h, offset = c.heading, other.position - c.position
     if in_intersection:
         is_car = other.kind is AgentKind.CAR
         half = CAR_CONE_HALF_ANGLE_DEG if is_car else params.fov_half_angle_deg
         gap = predicted_position(c, params).distance_to(predicted_position(other, params))
-        return within_cone(c.heading, offset, half) and not gap > params.d_min_for(is_car)
+        return _within_cone_xy(h.x, h.y, offset.x, offset.y, half) and not gap > params.d_min_for(is_car)
     return (
         in_road
         and other.kind is AgentKind.PEDESTRIAN
-        and within_cone(c.heading, offset, params.fov_half_angle_deg)
+        and _within_cone_xy(h.x, h.y, offset.x, offset.y, params.fov_half_angle_deg)
     )
 
 

@@ -9,7 +9,9 @@ Two calibration targets share one GA core:
   negation).
 
 Both targets share one command path and one gene decoder, `decode`,
-which fills the parameter group a target names in `GENE_NAMES`.
+which fills the parameter group a target names in `GENE_NAMES`. Each
+input checks itself once, when built: an invalid chromosome fails in
+`decode` and scores the failure value with no simulation.
 
 Chromosomes are flat real vectors; the GA is elitist tournament
 selection with single-point crossover and Gaussian mutation, fully
@@ -129,6 +131,9 @@ class GaConfig:
     stagnation_window: int = 30
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.population_size < 2:
             raise GaConfigError("population_size must be at least 2")
@@ -182,7 +187,6 @@ def ga_optimize(
     """Minimize `evaluate` over the gene box. Non-finite scores count as
     the worst possible fitness; the run continues. `evaluate` must be
     deterministic: it sees each distinct chromosome once per run."""
-    config.validate()
     box = np.asarray(bounds, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
         raise GaConfigError("bounds must be a sequence of (low, high) pairs")
@@ -329,7 +333,10 @@ def _scenario(scenario_id: str, agents: Mapping[str, Track], frame_seconds: floa
             goal=Vec2(x[-1], y[-1]), desired_speed=desired, max_speed=max(desired, max(speeds, default=0.0)),
             diameter=defaults["diameter"],
         ))
-    return Scenario(scenario_id=scenario_id, entries=entries)
+    try:
+        return Scenario(scenario_id=scenario_id, entries=entries)
+    except ScenarioError as exc:
+        raise ScenarioError(f"scenario {scenario_id} inferred from trajectories: {exc}") from None
 
 
 def scenario_from_records(
@@ -354,7 +361,8 @@ def build_calibration_set(
 ) -> list[CalibrationScenario]:
     """One item per scenario of `records`, in id order, with its
     annotated decisions. Raises ScenarioError naming the first
-    annotation whose scenario has no trajectory of its agent."""
+    annotation whose scenario has no trajectory of its agent, or the
+    first scenario that breaks the scenario rules."""
     by_scenario: dict[str, dict[str, Track]] = {}
     for (sid, agent_id), track in agent_tracks(records).items():
         by_scenario.setdefault(sid, {})[agent_id] = track
@@ -405,7 +413,6 @@ class ScoreUndefinedError(ValueError):
 SIMULATION_FAILURES = (
     ScenarioError,
     ScenarioRejectedError,
-    ParameterFileError,
     ScoreUndefinedError,
 )
 
@@ -492,8 +499,8 @@ class SimulationMemo:
     score with no simulation: it is the same program on the same inputs.
     A failed simulation is kept under the reads made before it failed.
     A memo serves one objective on fixed scenarios, scene, base
-    parameters and frame length, and holds one plan per scenario and one
-    entry per fresh scenario simulation."""
+    parameters and frame length (the first three are immutable), and
+    holds one plan per scenario and one entry per fresh simulation."""
 
     def __init__(self) -> None:
         # scenario position -> its waypoints, or the rejection planning raised
@@ -535,7 +542,8 @@ def _bits(values) -> tuple:
 def _mean_score(
     items: Sequence[tuple[int, CalibrationScenario]],
     scene: Scene,
-    params: ParameterSet,
+    genes: Sequence[float],
+    base: ParameterSet,
     group: str,
     frame_seconds: float,
     steps_past_last_frame: int,
@@ -544,13 +552,14 @@ def _mean_score(
     memo: SimulationMemo,
 ) -> float:
     """Mean over the (memo position, item) pairs of `items` of `score` of
-    each item's simulation, or `failure` where simulating or scoring
-    fails by design. Each scenario is answered from the memo or simulated
-    on a recording view of the `group` parameters and kept in it."""
+    each item's simulation with `genes` decoded into `base`, or `failure`
+    where decoding, simulating or scoring fails by design. Each scenario
+    is answered from the memo or simulated on a recording view of the
+    `group` parameters and kept in it."""
     try:
-        params.validate()
+        params = decode(genes, base, group)
     except ParameterFileError:
-        # every simulation would fail this validation; keep nothing
+        # an invalid chromosome: nothing is simulated, and the memo keeps nothing
         return failure
     scores = []
     for index, item in items:
@@ -594,7 +603,7 @@ def fitness_sfm(
         raise ScoreUndefinedError("no training scenarios")
     # Only observed frames are scored: simulate up to the last one.
     return _mean_score(
-        list(enumerate(training)), scene, decode(genes, base, "sfm"), "sfm", frame_seconds, 1,
+        list(enumerate(training)), scene, genes, base, "sfm", frame_seconds, 1,
         _position_error, SCENARIO_FAILURE_PENALTY, SimulationMemo() if memo is None else memo,
     )
 
@@ -617,6 +626,6 @@ def fitness_game(
     # A game created after the last observed frame can still match an
     # annotation, so run on past it.
     return _mean_score(
-        annotated, scene, decode(genes, base, "game"), "game", frame_seconds, STEPS_PAST_LAST_FRAME,
+        annotated, scene, genes, base, "game", frame_seconds, STEPS_PAST_LAST_FRAME,
         _agreement, -1.0, SimulationMemo() if memo is None else memo,
     )

@@ -29,9 +29,9 @@ holds one row per decision: each game member's action with the features
 it saw. decisions.csv and features.csv are both written from those rows,
 one line each, in the same order.
 
-A simulation trusts its scene, which was checked when it was built,
-and checks its scenario, parameters and dt. A scenario file is read and
-written by one field list, `_ENTRY_RULES`.
+A simulation's inputs checked themselves when built and cannot change;
+it checks only that its agents start and end inside the scene's bounds.
+A scenario file is read and written by one field list, `_ENTRY_RULES`.
 
 Runs are deterministic: equal configuration gives bit-identical traces.
 """
@@ -41,6 +41,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -72,6 +73,9 @@ CONFLICT_TIMEOUT_STEPS = 40
 # road user moves this fast, and speeds near the float range overflow
 # the first step.
 MAX_SPEED = 1e3
+
+# Agents spawn, and are planned, in this order.
+_spawn_order = operator.attrgetter("entry_step", "id")
 
 # Per-kind values for whatever a scenario leaves out.
 KIND_DEFAULTS = {
@@ -112,10 +116,14 @@ class AgentEntry:
     diameter: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     scenario_id: str
-    entries: list[AgentEntry] = field(default_factory=list)
+    entries: tuple[AgentEntry, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries))
+        self.validate()
 
     def validate(self) -> None:
         seen = set()
@@ -138,7 +146,7 @@ class Scenario:
                     raise ScenarioError(f"{e.id}: non-finite coordinates")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
     scene: Scene
     scenario: Scenario
@@ -146,6 +154,10 @@ class SimulationConfig:
     dt: float = 0.5
     max_steps: int = 400
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ScenarioError("dt must be positive and finite")
 
 
 class TraceRow(NamedTuple):
@@ -274,12 +286,12 @@ def plan_waypoints(scene: Scene, entries: Iterable[AgentEntry]) -> dict[str, lis
     to every Simulation. One visibility graph is built per distinct
     clearance, all from the scene's obstacle index.
 
-    Raises ScenarioRejectedError naming the first entry whose position
-    or goal lies outside the scene's bounds, or whose goal is
-    unreachable."""
+    Raises ScenarioRejectedError naming the first entry in spawn order
+    whose position or goal lies outside the scene's bounds, or whose goal
+    is unreachable."""
     graphs: dict[float, VisibilityGraph] = {}
     waypoints: dict[str, list[Vec2]] = {}
-    for entry in entries:
+    for entry in sorted(entries, key=_spawn_order):
         check_bounds(scene, (entry,))
         clearance = entry.diameter / 2.0 + PLANNER_CLEARANCE_MARGIN
         graph = graphs.get(clearance)
@@ -299,16 +311,11 @@ class Simulation:
         returned by plan_waypoints; when omitted the routes are planned
         here. Either way every agent must start and end inside the scene's
         bounds. Spawned agents get copies, so the mapping is never changed.
-        The scene is valid because it exists; the scenario, parameters
-        and dt are checked here."""
-        config.scenario.validate()
-        config.params.validate()
-        if not (config.dt > 0.0 and math.isfinite(config.dt)):
-            raise ScenarioError("dt must be positive and finite")
+        The config and all it holds checked themselves when built."""
         self.config = config
         self.world = WorldState(step=0, agents={})
         self.trace = SimulationTrace(scenario_id=config.scenario.scenario_id)
-        self._entries = sorted(config.scenario.entries, key=lambda e: (e.entry_step, e.id))
+        self._entries = sorted(config.scenario.entries, key=_spawn_order)
         self._spawn_cursor = 0
         self._next_conflict_id = 0
         self._pending_despawn: set[str] = set()
@@ -673,9 +680,7 @@ def load_scenario(path: str | Path) -> Scenario:
             entries.append(AgentEntry(**{
                 key: read(item.get(key), f"{where}.{key}", ScenarioError) for key, read in _ENTRY_RULES.items()
             }))
-        scenario = Scenario(scenario_id, entries)
-        scenario.validate()
-    return scenario
+        return Scenario(scenario_id, entries)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

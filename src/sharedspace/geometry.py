@@ -192,9 +192,8 @@ def _even_odd(p: Vec2, zone: Sequence[Vec2], on_edge: bool) -> bool:
     the on-edge pass runs only when the parity differs from `on_edge`:
     when it agrees, both branches of the rule give the same answer. A
     point inside a zone makes no on-edge test, nor a point outside for
-    the strict test; the answer is the same either way."""
-    if len(zone) < 3:
-        raise InvalidSceneError("zone polygon needs at least 3 vertices")
+    the strict test; the answer is the same either way. Every zone is a
+    scene's polygon, checked when the scene was built."""
     px, py = p.x, p.y
     inside = False
     # Edge a -> b for every vertex b, a its predecessor.

@@ -1,5 +1,8 @@
 """Calibratable parameters for movement and decision models.
 
+A parameter group checks itself once, when built, and cannot change;
+a parameter set does not check its groups again.
+
 Two named regimes ship with the package: "hbs" (calibrated against a
 European shared-space street) and "dut" (adapted to a Chinese campus
 intersection: shorter view range and safety distance, split distance
@@ -34,7 +37,7 @@ def _require_finite(params: object) -> None:
 ANISOTROPY_MAX = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SfmParams:
     """Movement-layer constants: interaction strengths, ranges and the
     safety distances used by conflict detection."""
@@ -54,6 +57,9 @@ class SfmParams:
     s_c: float = 9.0          # conflict prediction horizon, seconds
     fov_half_angle_deg: float = 113.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         _require_finite(self)
         for name in (
@@ -71,7 +77,7 @@ class SfmParams:
         return self.d_min_cc if partner_is_car else self.d_min_pc
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameParams:
     """Decision-layer weights and thresholds."""
 
@@ -95,7 +101,12 @@ class GameParams:
     base_deviate: float = 3.0
     collision_penalty: float = -100.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
+        if self.regime not in ("hbs", "dut"):
+            raise ParameterFileError(f"unknown regime {self.regime!r}")
         _require_finite(self)
         for name in (
             "g_own_speed", "g_competitor_speed", "g_angle", "g_noai",
@@ -103,8 +114,6 @@ class GameParams:
         ):
             if getattr(self, name) < 0.0:
                 raise ParameterFileError(f"{name} must be nonnegative")
-        if self.regime not in ("hbs", "dut"):
-            raise ParameterFileError(f"unknown regime {self.regime!r}")
         if self.collision_penalty > 0.0:
             raise ParameterFileError("collision_penalty must not be positive")
 
@@ -126,8 +135,7 @@ class _Recorded:
 
 def _recording_class(group: type) -> type:
     namespace = {f.name: _Recorded(f.name) for f in dataclasses.fields(group)}
-    # Validation checks the source, so that it records no read.
-    namespace.update(__slots__=("_source",), validate=lambda view: view._source.validate())
+    namespace.update(__slots__=("_source",))
     return type(f"Recording{group.__name__}", (group,), namespace)
 
 
@@ -137,33 +145,21 @@ _RECORDING = {group: _recording_class(group) for group in (SfmParams, GameParams
 def recording_view(group: SfmParams | GameParams) -> SfmParams | GameParams:
     """A stand-in for the parameter group `group` that notes what is
     read of it: `vars(view)` maps each field read so far to its value, in
-    the order of first reads. Its `validate` checks `group` and records
-    nothing."""
+    the order of first reads. It is built without `__init__`, so `group`,
+    valid since it exists, is not checked again."""
     view = object.__new__(_RECORDING[type(group)])
-    view._source = group
+    object.__setattr__(view, "_source", group)
     return view
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParameterSet:
     sfm: SfmParams = dataclasses.field(default_factory=SfmParams)
     game: GameParams = dataclasses.field(default_factory=GameParams)
 
-    def validate(self) -> None:
-        self.sfm.validate()
-        self.game.validate()
-
     @classmethod
     def defaults(cls, regime: str = "hbs") -> "ParameterSet":
-        ps = cls()
-        if regime == "dut":
-            ps.sfm.v_r = 12.0
-            ps.sfm.d_min_pc = 5.0
-            ps.sfm.d_min_cc = 5.0
-            ps.game.regime = "dut"
-        elif regime != "hbs":
-            raise ParameterFileError(f"unknown regime {regime!r}")
-        return ps
+        return parameter_set_from_dict({"regime": regime})
 
 
 # File schema. Paired symbols accept either a scalar (applied to both
@@ -191,26 +187,28 @@ _KEYS = {*_PAIR_KEYS, *_SFM_SCALARS, *_GAME_SCALARS, "regime"}
 
 
 def parameter_set_from_dict(raw: dict) -> ParameterSet:
+    """The regime's defaults with `raw`'s values over them."""
     jsonin.fields(raw, _KEYS, ParameterFileError)
-    ps = ParameterSet.defaults(raw.get("regime", "hbs"))
+    game = {"regime": raw.get("regime", "hbs")}
+    sfm = {"v_r": 12.0, "d_min_pc": 5.0, "d_min_cc": 5.0} if game["regime"] == "dut" else {}
     for key, slots in _PAIR_KEYS.items():
         value = raw.get(key, {})
         if isinstance(value, dict):
             jsonin.fields(value, [s for s, _ in slots], ParameterFileError, key)
             for sub, attr in slots:
                 if sub in value:
-                    setattr(ps.sfm, attr, jsonin.number(value[sub], f"{key}.{sub}", ParameterFileError))
+                    sfm[attr] = jsonin.number(value[sub], f"{key}.{sub}", ParameterFileError)
         else:
             for _, attr in slots:
-                setattr(ps.sfm, attr, jsonin.number(value, key, ParameterFileError))
+                sfm[attr] = jsonin.number(value, key, ParameterFileError)
     for key, attr in _SFM_SCALARS.items():
         if key in raw:
-            setattr(ps.sfm, attr, jsonin.number(raw[key], key, ParameterFileError))
+            sfm[attr] = jsonin.number(raw[key], key, ParameterFileError)
     for key in _GAME_SCALARS:
         if key in raw:
-            setattr(ps.game, key, jsonin.number(raw[key], key, ParameterFileError))
-    ps.validate()
-    return ps
+            game[key] = jsonin.number(raw[key], key, ParameterFileError)
+    # the game group first, so that an unknown regime is the first error
+    return ParameterSet(game=GameParams(**game), sfm=SfmParams(**sfm))
 
 
 def parameter_set_to_dict(ps: ParameterSet) -> dict:

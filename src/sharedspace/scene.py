@@ -85,7 +85,10 @@ class Scene:
 
     def validate(self) -> None:
         """The one validity check of a scene, run by `__post_init__`."""
-        if self.bounds.x_min >= self.bounds.x_max or self.bounds.y_min >= self.bounds.y_max:
+        b = self.bounds
+        if not all(map(math.isfinite, (b.x_min, b.y_min, b.x_max, b.y_max))):
+            raise InvalidSceneError("bounds must be finite")
+        if b.x_min >= b.x_max or b.y_min >= b.y_max:
             raise InvalidSceneError("bounds must span a positive area")
         for label, polys in (
             ("obstacle", self.obstacles),

@@ -105,3 +105,18 @@ def count_graph_builds(monkeypatch) -> list[float]:
 
     monkeypatch.setattr(engine, "build_visibility_graph", counting)
     return clearances
+
+
+def count_validations(monkeypatch, *types: type) -> list[str]:
+    """Record the type name of every object of `types` whose `validate`
+    runs, in call order."""
+    calls: list[str] = []
+    for cls in types:
+        validate = cls.validate
+
+        def counting(obj, validate=validate, name=cls.__name__):
+            calls.append(name)
+            validate(obj)
+
+        monkeypatch.setattr(cls, "validate", counting)
+    return calls

@@ -8,6 +8,7 @@ import functools
 import gc
 import math
 import pickle
+import re
 import weakref
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import open_square_scene
+from helpers import count_validations, open_square_scene
 from sharedspace import calibrate, engine, forces
 from sharedspace.calibrate import (
     GAME_GENE_NAMES,
@@ -71,7 +72,7 @@ from sharedspace.engine import (
 )
 from sharedspace.game import Action, FeatureVector
 from sharedspace.geometry import ObstacleIndex, Vec2
-from sharedspace.params import ParameterFileError, ParameterSet, SfmParams, recording_view
+from sharedspace.params import GameParams, ParameterFileError, ParameterSet, SfmParams, recording_view
 from sharedspace.scene import AgentKind, Rect, Scene, load_scene
 
 
@@ -100,17 +101,16 @@ class TestGaConfig:
         ],
     )
     def test_out_of_range_settings_rejected(self, overrides) -> None:
-        config = GaConfig(**overrides)
         with pytest.raises(GaConfigError):
-            config.validate()
+            GaConfig(**overrides)
 
     def test_defaults_valid(self) -> None:
-        GaConfig().validate()
+        assert GaConfig().population_size == 50
 
     def test_population_is_bounded_above(self) -> None:
-        GaConfig(population_size=calibrate.MAX_POPULATION).validate()
+        assert GaConfig(population_size=calibrate.MAX_POPULATION).population_size == calibrate.MAX_POPULATION
         with pytest.raises(GaConfigError, match=f"at most {calibrate.MAX_POPULATION}"):
-            GaConfig(population_size=calibrate.MAX_POPULATION + 1).validate()
+            GaConfig(population_size=calibrate.MAX_POPULATION + 1)
 
     @pytest.mark.parametrize(
         "bounds",
@@ -334,12 +334,12 @@ class TestGenes:
     def test_default_bounds_stop_at_the_valid_anisotropy(self) -> None:
         # A reference anisotropy of 0.5 once gave a box up to 2.0, where
         # every chromosome scored the failure penalty as invalid.
-        base = ParameterSet()
-        base.sfm.anisotropy = 0.5
+        base = ParameterSet(sfm=SfmParams(anisotropy=0.5))
         bounds = default_bounds(sfm_reference_values(base.sfm), SFM_GENE_NAMES)
         assert dict(zip(SFM_GENE_NAMES, bounds))["anisotropy"] == (0.125, 1.0)
-        decode([hi for _, hi in bounds], base, "sfm").validate()
-        decode([lo for lo, _ in bounds], base, "sfm").validate()
+        # decode builds, and so checks, each corner's group
+        assert decode([hi for _, hi in bounds], base, "sfm").sfm.anisotropy == 1.0
+        assert decode([lo for lo, _ in bounds], base, "sfm").sfm.anisotropy == 0.125
 
     def test_default_bounds_keep_the_default_anisotropy_box(self) -> None:
         bounds = default_bounds(sfm_reference_values(ParameterSet().sfm), SFM_GENE_NAMES)
@@ -556,14 +556,23 @@ class TestBuildCalibrationSet:
             record(sid, f, aid, AgentKind.CAR if aid == "c" else AgentKind.PEDESTRIAN, x, y)
             for sid, f, aid, x, y in rows
         ]
+        expected = {}
+        for sid in sorted({r.scenario_id for r in records}):
+            try:
+                expected[sid] = scalar_scenario(sid, records, frame_seconds)
+            except ScenarioError as exc:
+                # the first scenario in id order that breaks the rules stops the build
+                rule = re.escape(f"scenario {sid} inferred from trajectories: {exc}")
+                with pytest.raises(ScenarioError, match=f"^{rule}$"):
+                    build_calibration_set(records, frame_seconds=frame_seconds)
+                return
         items = build_calibration_set(records, frame_seconds=frame_seconds)
-        assert [item.scenario.scenario_id for item in items] == sorted({r.scenario_id for r in records})
+        assert [item.scenario.scenario_id for item in items] == list(expected)
         for item in items:
             sid = item.scenario.scenario_id
-            expected = scalar_scenario(sid, records, frame_seconds)
             # repr shows every float's digits and any numpy scalar by name
-            assert repr(item.scenario) == repr(expected)
-            assert repr(scenario_from_records(sid, records, frame_seconds)) == repr(expected)
+            assert repr(item.scenario) == repr(expected[sid])
+            assert repr(scenario_from_records(sid, records, frame_seconds)) == repr(expected[sid])
             assert item.real_positions == {
                 aid: {r.frame: Vec2(r.x, r.y) for r in records if (r.scenario_id, r.agent_id) == (sid, aid)}
                 for aid in {r.agent_id for r in records if r.scenario_id == sid}
@@ -966,8 +975,9 @@ class TestFitnessFailures:
         [
             ScenarioError("bad"),
             ScenarioRejectedError("rejected"),
-            ParameterFileError("bad"),
-            ScoreUndefinedError("none"),
+            # keeps the id this case had when a simulation could also
+            # raise ParameterFileError
+            pytest.param(ScoreUndefinedError("none"), id="error3"),
         ],
     )
     def test_expected_failures_score_the_penalty(self, crossing, raising_simulator, error) -> None:
@@ -976,6 +986,15 @@ class TestFitnessFailures:
         raising_simulator(error)
         assert fitness_sfm(sfm_reference_values(base.sfm), [item], scene, base) == 1000.0
         assert fitness_game(game_reference_values(base.game), [item], scene, base) == -1.0
+
+    def test_a_parameter_error_from_a_simulation_propagates(self, crossing, raising_simulator) -> None:
+        # Parameters check themselves when built, so no simulation raises
+        # ParameterFileError: one that did would be a fault, not a bad score.
+        scene, base, scenario, trace = crossing
+        item = CalibrationScenario(scenario, trace_positions(trace), dict(trace_decisions(trace)))
+        raising_simulator(ParameterFileError("bad"))
+        with pytest.raises(ParameterFileError):
+            fitness_sfm(sfm_reference_values(base.sfm), [item], scene, base)
 
     def test_a_programming_error_propagates(self, crossing, raising_simulator) -> None:
         scene, base, scenario, trace = crossing
@@ -1032,20 +1051,35 @@ def detour_item(scene: Scene) -> CalibrationScenario:
 def count_plans(monkeypatch) -> list[tuple[list[AgentEntry], Scene]]:
     """Record the entries and scene of every route plan the objectives
     make."""
-    plans: list[tuple[list[AgentEntry], Scene]] = []
+    plans: list[tuple[tuple[AgentEntry, ...], Scene]] = []
     plan = calibrate.plan_waypoints
 
     def counting(scene, entries):
-        plans.append((list(entries), scene))
+        plans.append((tuple(entries), scene))
         return plan(scene, entries)
 
     monkeypatch.setattr(calibrate, "plan_waypoints", counting)
     return plans
 
 
-def planned(plans: list[tuple[list[AgentEntry], Scene]], items: list[CalibrationScenario]) -> list[str]:
+def planned(plans: list[tuple[tuple[AgentEntry, ...], Scene]], items: list[CalibrationScenario]) -> list[str]:
     """The scenario id of each plan in `plans`, looked up in `items`."""
     return [next(i.scenario.scenario_id for i in items if i.scenario.entries == entries) for entries, _ in plans]
+
+
+class TestInputsAreCheckedWhenBuilt:
+    def test_no_evaluation_checks_a_scenario_or_the_base_again(self, monkeypatch) -> None:
+        """Each scenario is checked when it is inferred; an evaluation
+        checks only the group its genes decode into, once."""
+        calls = count_validations(monkeypatch, Scenario, SfmParams, GameParams)
+        training = build_calibration_set(load_trajectories(DATA / "trajectories.csv"))
+        assert calls == ["Scenario"] * len(training) == ["Scenario"] * 5
+        scene, base, memo = load_scene(DATA / "scene.json"), ParameterSet(), SimulationMemo()
+        genes = sfm_reference_values(base.sfm)
+        del calls[:]
+        for k in (1.0, 1.1, 0.9):
+            assert math.isfinite(fitness_sfm([g * k for g in genes], training, scene, base, 0.5, memo))
+        assert calls == ["SfmParams"] * 3
 
 
 class TestPlanReuse:
@@ -1166,11 +1200,14 @@ def reference_score(
     """The objective of `group` with no memo: decode the genes, plan each
     scenario, simulate it on the plain parameter set and score it, or
     score the failure value where that fails by design."""
-    params = decode(genes, base, group)
     if group == "sfm":
         items, past, failure = training, 1, SCENARIO_FAILURE_PENALTY
     else:
         items, past, failure = [i for i in training if i.annotations], STEPS_PAST_LAST_FRAME, -1.0
+    try:
+        params = decode(genes, base, group)
+    except ParameterFileError:
+        return failure
     scores = []
     for item in items:
         try:
@@ -1183,7 +1220,7 @@ def reference_score(
                 scores.append(position_error_score(item.real_positions, trace_positions(trace)))
             else:
                 scores.append(agreement_score(item.annotations, trace_decisions(trace)))
-        except (ScenarioError, ScenarioRejectedError, ParameterFileError, ScoreUndefinedError):
+        except (ScenarioError, ScenarioRejectedError, ScoreUndefinedError):
             scores.append(failure)
     return sum(scores) / len(scores)
 
@@ -1384,13 +1421,18 @@ class TestSimulationMemo:
         finally:
             gc.enable()
 
-    def test_an_invalid_chromosome_fails_every_scenario(self) -> None:
+    def test_an_invalid_chromosome_fails_every_scenario(self, monkeypatch) -> None:
         scene, training = boxed_set()
         base, memo = ParameterSet(), SimulationMemo()
         genes = sfm_reference_values(base.sfm)
         genes[SFM_GENE_NAMES.index("anisotropy")] = 1.5
+        # the decoded group checks itself, so no scenario is simulated
+        with pytest.raises(ParameterFileError, match="anisotropy"):
+            decode(genes, base, "sfm")
+        simulations = count_simulations(monkeypatch)
         for _ in range(2):
             assert fitness_sfm(genes, training, scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
+        assert simulations == []
 
 
 # The modules a simulation runs in, which must read a parameter group

@@ -1544,6 +1544,25 @@ class TestCalibrateBundledData:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt, field, speed", [
+        ("0.0008", "max_speed", "1250.0"), ("0.0001", "desired_speed", "5970.1481150157415"),
+    ])
+    def test_a_frame_length_that_infers_impossible_speeds_exits_2(self, tmp_path, capsys, dt, field, speed) -> None:
+        # At these frame lengths the car_follow car moves faster than any
+        # road user: the scenario inferred from it breaks the scenario
+        # rules, which stops the run before any evaluation scores it.
+        out = tmp_path / "cal"
+        code = main([
+            "calibrate-sfm", "--scene", str(DATA / "scene.json"), "--trajectories", str(DATA / "trajectories.csv"),
+            "--out-dir", str(out), "--population", "6", "--generations", "2", "--dt", dt,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: scenario car_follow inferred from trajectories: c1: {field} must be at most 1000 m/s,"
+            f" got {speed}\n"
+        )
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # validate
@@ -1569,6 +1588,19 @@ class TestValidate:
         code = main(["validate", "--scene", str(scene_path), "--params", str(params_path)])
         assert code == 0
         assert "params" in capsys.readouterr().out
+
+    def test_validate_and_simulate_name_the_same_agent_out_of_bounds(self, tmp_path, capsys) -> None:
+        # both plan in spawn order, whatever order the file lists agents in
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"scenario_id": "s", "agents": [
+            {"id": "b", "kind": "ped", "position": [500, 0], "goal": [0, 0]},
+            {"id": "a", "kind": "ped", "position": [600, 0], "goal": [0, 0]},
+        ]}))
+        scene = str(DATA / "scene.json")
+        assert main(["validate", "--scene", scene, "--scenario", str(scenario)]) == 3
+        assert main(["simulate", "--scene", scene, "--scenario", str(scenario), "--out-dir", str(tmp_path / "o")]) == 3
+        line = "error: scenario rejected: agent a: position (600.0, 0.0) lies outside the scene bounds"
+        assert capsys.readouterr().err.splitlines() == [line, line]
 
     def test_unreachable_scenario_exits_3(self, tmp_path) -> None:
         scene_path = write_boxed_scene(tmp_path)
@@ -1625,6 +1657,13 @@ class TestValidate:
         assert main(["validate", "--scene", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {bad}: {label}: edge 0 is 1e-12 m long, shorter than 1 mm\n"
+
+    def test_bounds_that_overflow_when_scaled_exit_2_with_one_line(self, tmp_path, capsys) -> None:
+        # 1e308 units at 10 m per unit is past the float range
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps({"bounds": [0, 0, 1e308, 1e308], "meters_per_unit": 10}))
+        assert main(["validate", "--scene", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: bounds must be finite\n"
 
     def test_polygon_edges_are_measured_in_metres(self, tmp_path, capsys) -> None:
         # 0.5 units at 10 m per unit: 5 m long, however short in units.

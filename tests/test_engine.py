@@ -4,9 +4,13 @@ priorities, conflict lifecycle, determinism, and trace output."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import hashlib
 import json
+import math
+import pickle
 import random
+import re
 from functools import cached_property
 from pathlib import Path
 from typing import Collection
@@ -15,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_graph_builds, open_square_scene
+from helpers import count_graph_builds, count_validations, open_square_scene
 from sharedspace import conflicts, engine, forces
 from sharedspace import scene as scene_mod
 from sharedspace.calibrate import trace_positions
+from sharedspace.cli import main
 from sharedspace.conflicts import Conflict, ConflictClass
 from sharedspace.engine import (
     AgentEntry,
@@ -40,8 +45,11 @@ from sharedspace.engine import (
 )
 from sharedspace.game import Action
 from sharedspace.geometry import Vec2
-from sharedspace.params import ParameterSet
+from sharedspace.params import GameParams, ParameterSet, SfmParams
 from sharedspace.scene import AgentColumns, AgentKind, AgentState, Rect, Scene, load_scene
+
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def car_entry(
@@ -88,11 +96,20 @@ def ped_entry(
     )
 
 
+def crossing_scenario(*extra: AgentEntry) -> Scenario:
+    """The crossing's car and pedestrian, then the `extra` entries."""
+    return Scenario("crossing", [car_entry(), ped_entry(), *extra])
+
+
+def far_car() -> AgentEntry:
+    """A car driving -x along y = 20, far from the crossing."""
+    return car_entry("c9", position=Vec2(20.0, 20.0), goal=Vec2(-20.0, 20.0), velocity=Vec2(-2.0, 0.0))
+
+
 def crossing_config(**overrides) -> SimulationConfig:
     """A car driving +x meets a pedestrian crossing +y: one conflict
     fires at step 0 and both agents reach their goals."""
-    scenario = Scenario("crossing", [car_entry(), ped_entry()])
-    defaults = dict(scene=open_square_scene(), scenario=scenario)
+    defaults = dict(scene=open_square_scene(), scenario=crossing_scenario())
     defaults.update(overrides)
     return SimulationConfig(**defaults)
 
@@ -221,28 +238,100 @@ class TestScenarioFiles:
             load_scenario(path)
 
     def test_duplicate_ids_rejected(self) -> None:
-        scenario = Scenario("s", [ped_entry("p1"), ped_entry("p1")])
         with pytest.raises(ScenarioError, match="duplicate"):
-            scenario.validate()
+            Scenario("s", [ped_entry("p1"), ped_entry("p1")])
 
     def test_negative_entry_step_rejected(self) -> None:
-        scenario = Scenario("s", [ped_entry(entry_step=-1)])
         with pytest.raises(ScenarioError, match="entry_step"):
-            scenario.validate()
+            Scenario("s", [ped_entry(entry_step=-1)])
 
     def test_nonfinite_coordinates_rejected(self) -> None:
-        scenario = Scenario("s", [ped_entry(position=Vec2(float("nan"), 0.0))])
         with pytest.raises(ScenarioError, match="finite"):
-            scenario.validate()
+            Scenario("s", [ped_entry(position=Vec2(float("nan"), 0.0))])
 
     def test_nonpositive_dt_rejected(self) -> None:
         with pytest.raises(ScenarioError, match="dt"):
-            Simulation(crossing_config(dt=0.0))
+            crossing_config(dt=0.0)
 
     @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
     def test_nonfinite_dt_rejected(self, dt) -> None:
         with pytest.raises(ScenarioError, match="dt must be positive and finite"):
-            Simulation(crossing_config(dt=dt))
+            crossing_config(dt=dt)
+
+
+# The rules of Scenario.validate that TestScenarioFiles does not break,
+# each broken once on one entry, with the message it raises.
+INVALID_ENTRY = {
+    "zero desired speed": (dict(desired_speed=0.0), "p1: speeds and diameter must be positive"),
+    "negative max speed": (dict(max_speed=-1.0), "p1: speeds and diameter must be positive"),
+    "zero diameter": (dict(diameter=0.0), "p1: speeds and diameter must be positive"),
+    "infinite diameter": (dict(diameter=math.inf), "p1: diameter must be finite"),
+    "speed above MAX_SPEED": (dict(max_speed=2e3), "p1: max_speed must be at most 1000 m/s, got 2000.0"),
+}
+
+
+class TestScenarioIsCheckedWhenBuilt:
+    @pytest.mark.parametrize("fields, rule", INVALID_ENTRY.values(), ids=list(INVALID_ENTRY))
+    def test_an_invalid_scenario_cannot_be_built(self, fields, rule) -> None:
+        with pytest.raises(ScenarioError, match=f"^{re.escape(rule)}$"):
+            Scenario("s", [car_entry(), dataclasses.replace(ped_entry(), **fields)])
+
+    def test_a_scenario_built_from_a_list_holds_a_tuple(self) -> None:
+        entries = [car_entry(), ped_entry()]
+        scenario = Scenario("s", entries)
+        assert type(scenario.entries) is tuple
+        entries.append(ped_entry("p2"))  # the caller's list is not the scenario's
+        same = Scenario("s", (car_entry(), ped_entry()))
+        assert scenario == same and hash(scenario) == hash(same)
+
+    @pytest.mark.parametrize("obj, name", [
+        (crossing_scenario(), "entries"), (crossing_scenario(), "scenario_id"),
+        (crossing_config(), "scenario"), (crossing_config(), "params"), (crossing_config(), "dt"),
+    ])
+    def test_assigning_a_field_raises(self, obj, name) -> None:
+        before = getattr(obj, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, before)
+        assert getattr(obj, name) is before
+
+    def test_a_pickled_copy_is_equal_and_not_checked_again(self, monkeypatch) -> None:
+        scenario = crossing_scenario()
+        blob = pickle.dumps(scenario)
+        calls = count_validations(monkeypatch, Scenario)
+        assert pickle.loads(blob) == scenario and calls == []
+
+    def test_a_simulate_run_checks_each_input_once(self, monkeypatch, tmp_path) -> None:
+        """The load checks the scene, scenario and parameters; the
+        simulation checks none of them again."""
+        calls = count_validations(monkeypatch, Scene, Scenario, SfmParams, GameParams)
+        argv = ["simulate", "--scene", str(DATA / "scene.json"), "--scenario", str(DATA / "crossing.json"),
+                "--params", str(DATA / "params_hbs.json"), "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert calls == ["Scene", "Scenario", "GameParams", "SfmParams"]
+
+
+# The types that check themselves once, when built.
+SELF_CHECKED = ("Scene", "Scenario", "SfmParams", "GameParams", "GaConfig")
+
+
+def test_each_validate_is_called_only_from_its_own_post_init() -> None:
+    """In the package, every `validate` call is `self.validate()` in the
+    `__post_init__` of a self-checked type, one for each type."""
+    found = []
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in ast.walk(cls):
+                owner[node] = cls.name
+        functions = {}
+        for fn in (n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))):
+            for node in ast.walk(fn):
+                functions[node] = getattr(fn, "name", "<lambda>")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "validate":
+                found.append((owner.get(node), functions.get(node), ast.unparse(node)))
+    assert sorted(found) == sorted((name, "__post_init__", "self.validate()") for name in SELF_CHECKED)
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +693,7 @@ class TestBraking:
         ],
     )
     def test_one_rule_in_every_braking_mode(self, zone, entries, braking, other, mode) -> None:
-        params = ParameterSet()
-        params.sfm.d_min_cc = 10.0
+        params = ParameterSet(sfm=SfmParams(d_min_cc=10.0))
         config = SimulationConfig(
             scene=open_square_scene(zone=zone), scenario=Scenario("s", entries), params=params
         )
@@ -669,10 +757,8 @@ class TestConflictLifecycle:
     def test_a_second_game_counts_both_in_noai(self) -> None:
         # c1 meets p1 at step 0; p2 enters ahead of c1 at step 1 while
         # the first game is still active, and c1 joins a second game.
-        config = crossing_config(max_steps=2)
-        config.scenario.entries.append(ped_entry("p2", position=Vec2(4.0, -6.0),
-                                                 goal=Vec2(4.0, 8.0), entry_step=1))
-        sim = Simulation(config)
+        p2 = ped_entry("p2", position=Vec2(4.0, -6.0), goal=Vec2(4.0, 8.0), entry_step=1)
+        sim = Simulation(crossing_config(max_steps=2, scenario=crossing_scenario(p2)))
         sim.step()
         sim.step()
         first, second = sim.trace.conflicts
@@ -727,11 +813,7 @@ class TestConflictLifecycle:
         assert len(sim.trace.conflicts) == 2
 
     def test_first_conflict_keeps_the_binding(self) -> None:
-        config = crossing_config(max_steps=2)
-        config.scenario.entries.append(
-            car_entry("c9", position=Vec2(20.0, 20.0), goal=Vec2(-20.0, 20.0), velocity=Vec2(-2.0, 0.0))
-        )
-        sim = Simulation(config)
+        sim = Simulation(crossing_config(max_steps=2, scenario=crossing_scenario(far_car())))
         sim.step()
         first_id = sim.trace.conflicts[0].id
         assert {aid: r.conflict.id for aid, r in sim.world.conflict_index.bound.items()} == {
@@ -754,10 +836,7 @@ class TestConflictLifecycle:
 
     def test_retiring_the_bound_game_unbinds_despite_a_later_game(self, monkeypatch) -> None:
         monkeypatch.setattr(engine, "CONFLICT_TIMEOUT_STEPS", 1)
-        config = crossing_config(max_steps=3)
-        config.scenario.entries.append(
-            car_entry("c9", position=Vec2(20.0, 20.0), goal=Vec2(-20.0, 20.0), velocity=Vec2(-2.0, 0.0))
-        )
+        config = crossing_config(max_steps=3, scenario=crossing_scenario(far_car()))
         sim = Simulation(config)
         sim.step()
         first = sim.world.conflict_index.bound["p1"]
@@ -1033,7 +1112,7 @@ def _box(x0: float, y0: float, x1: float, y1: float) -> tuple[Vec2, ...]:
     return (Vec2(x0, y0), Vec2(x1, y0), Vec2(x1, y1), Vec2(x0, y1))
 
 
-BUNDLED_SCENE = Path(__file__).resolve().parents[1] / "data" / "scene.json"
+BUNDLED_SCENE = DATA / "scene.json"
 # A central intersection with a road section on each side of it, where
 # the cars' lanes meet the pedestrians' crossings.
 ROAD_SCENE = Scene(
@@ -1465,10 +1544,7 @@ class TestConflictIndex:
         # The calls the engagement tests above make by hand: a later game
         # over a bound pedestrian, then a retirement by timeout only.
         monkeypatch.setattr(engine, "CONFLICT_TIMEOUT_STEPS", 1)
-        config = crossing_config(max_steps=3)
-        config.scenario.entries.append(
-            car_entry("c9", position=Vec2(20.0, 20.0), goal=Vec2(-20.0, 20.0), velocity=Vec2(-2.0, 0.0))
-        )
+        config = crossing_config(max_steps=3, scenario=crossing_scenario(far_car()))
         sim = Simulation(config)
         retired = recording_retirements(monkeypatch, sim)
         assert kept_index(sim) == rederived_index(sim, retired)

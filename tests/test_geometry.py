@@ -28,6 +28,7 @@ from sharedspace.geometry import (
     segments_clear_of_polygons,
     segments_intersect,
 )
+from sharedspace.scene import Scene
 
 SQUARE = (Vec2(0, 0), Vec2(4, 0), Vec2(4, 4), Vec2(0, 4))
 
@@ -180,8 +181,10 @@ class TestPointInZone:
         assert not point_strictly_inside(Vec2(0, 2), SQUARE)
 
     def test_degenerate_zone_rejected(self):
-        with pytest.raises(InvalidSceneError):
-            point_in_zone(Vec2(0, 0), (Vec2(0, 0), Vec2(1, 1)))
+        # The zone tests trust their polygon: every zone is a scene's,
+        # and a scene rejects one of two vertices when it is built.
+        with pytest.raises(InvalidSceneError, match="3 vertices"):
+            Scene(intersection_zones=[(Vec2(0, 0), Vec2(1, 1))])
 
     def test_concave_zone(self):
         # L-shape: notch at the top right.
@@ -472,9 +475,10 @@ class TestFloatRulesMatchVec2Forms:
 
     @pytest.mark.parametrize("zone", [(), (Vec2(0, 0),), (Vec2(0, 0), Vec2(1, 0))])
     def test_strict_zone_test_needs_three_vertices(self, zone):
-        # Also for a point on the one segment that two vertices make.
-        with pytest.raises(InvalidSceneError):
-            point_strictly_inside(Vec2(0.5, 0.0), zone)
+        # The test reads obstacles, which a scene checks when it is
+        # built: none of fewer than three vertices reaches it.
+        with pytest.raises(InvalidSceneError, match="3 vertices"):
+            Scene(obstacles=[zone])
 
     def test_both_sides_of_each_band(self):
         # The edge (0, 0)-(1, 0) has scale 1: half a band off it counts

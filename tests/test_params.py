@@ -1,7 +1,13 @@
+import dataclasses
 import json
+import math
+import pickle
+from pathlib import Path
 
 import pytest
 
+from helpers import count_validations
+from sharedspace.engine import Scenario, SimulationConfig
 from sharedspace.params import (
     GameParams,
     ParameterFileError,
@@ -13,6 +19,9 @@ from sharedspace.params import (
     recording_view,
     save_parameter_set,
 )
+from sharedspace.scene import Scene
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 class TestDefaults:
@@ -59,29 +68,84 @@ class TestDefaults:
             ParameterSet.defaults("other")
 
 
+# The rules of SfmParams.validate and GameParams.validate that
+# TestValidation does not break, each broken once, with its message.
+INVALID_SFM = {
+    "non-finite": (dict(u0=math.inf), "u0 must be finite"),
+    "negative anisotropy": (dict(anisotropy=-0.1), r"anisotropy must lie in \[0, 1\]"),
+    "zero field of view": (dict(fov_half_angle_deg=0.0), r"fov_half_angle_deg must lie in \(0, 180\]"),
+    "field of view past 180": (dict(fov_half_angle_deg=181.0), r"fov_half_angle_deg must lie in \(0, 180\]"),
+}
+INVALID_GAME = {
+    "non-finite": (dict(g_angle=math.nan), "g_angle must be finite"),
+    "negative weight": (dict(g_noai=-1.0), "g_noai must be nonnegative"),
+    "positive collision penalty": (dict(collision_penalty=1.0), "collision_penalty must not be positive"),
+}
+
+
 class TestValidation:
+    """Each group checks itself when built: an invalid one cannot exist."""
+
     def test_negative_strength_rejected(self):
-        with pytest.raises(ParameterFileError):
-            SfmParams(v0_pp=-1.0).validate()
+        with pytest.raises(ParameterFileError, match="v0_pp must be positive"):
+            SfmParams(v0_pp=-1.0)
 
     def test_zero_tau_rejected(self):
-        with pytest.raises(ParameterFileError):
-            SfmParams(tau=0.0).validate()
+        with pytest.raises(ParameterFileError, match="tau must be positive"):
+            SfmParams(tau=0.0)
 
     def test_anisotropy_range(self):
-        with pytest.raises(ParameterFileError):
-            SfmParams(anisotropy=1.5).validate()
-        SfmParams(anisotropy=0.0).validate()
-        SfmParams(anisotropy=1.0).validate()
+        with pytest.raises(ParameterFileError, match="anisotropy"):
+            SfmParams(anisotropy=1.5)
+        assert SfmParams(anisotropy=0.0).anisotropy == 0.0
+        assert SfmParams(anisotropy=1.0).anisotropy == 1.0
 
     def test_bad_regime_rejected(self):
-        with pytest.raises(ParameterFileError):
-            GameParams(regime="xyz").validate()
+        with pytest.raises(ParameterFileError, match="unknown regime 'xyz'"):
+            GameParams(regime="xyz")
+
+    @pytest.mark.parametrize("fields, rule", INVALID_SFM.values(), ids=list(INVALID_SFM))
+    def test_an_invalid_sfm_group_cannot_be_built(self, fields, rule):
+        with pytest.raises(ParameterFileError, match=rule):
+            SfmParams(**fields)
+
+    @pytest.mark.parametrize("fields, rule", INVALID_GAME.values(), ids=list(INVALID_GAME))
+    def test_an_invalid_game_group_cannot_be_built(self, fields, rule):
+        with pytest.raises(ParameterFileError, match=rule):
+            GameParams(**fields)
+
+    def test_replace_checks_the_new_group(self):
+        with pytest.raises(ParameterFileError, match="tau must be positive"):
+            dataclasses.replace(SfmParams(), tau=0.0)
 
     def test_d_min_lookup(self):
         p = SfmParams(d_min_pc=5.0, d_min_cc=7.0)
         assert p.d_min_for(partner_is_car=False) == 5.0
         assert p.d_min_for(partner_is_car=True) == 7.0
+
+
+class TestParametersAreFrozen:
+    @pytest.mark.parametrize("obj, name", [
+        (SfmParams(), "v_r"), (GameParams(), "regime"), (ParameterSet(), "sfm"), (ParameterSet(), "game"),
+    ])
+    def test_assigning_a_field_raises(self, obj, name):
+        before = getattr(obj, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, before)
+        assert getattr(obj, name) is before
+
+    def test_a_pickled_copy_is_equal_and_not_checked_again(self, monkeypatch):
+        ps = ParameterSet.defaults("dut")
+        blob = pickle.dumps(ps)
+        calls = count_validations(monkeypatch, SfmParams, GameParams)
+        assert pickle.loads(blob) == ps and calls == []
+
+    def test_a_parameter_set_checks_its_groups_once_when_loaded(self, monkeypatch):
+        calls = count_validations(monkeypatch, SfmParams, GameParams)
+        ps = load_parameter_set(DATA / "params_dut.json")
+        assert calls == ["GameParams", "SfmParams"]
+        ParameterSet(ps.sfm, ps.game)
+        assert calls == ["GameParams", "SfmParams"]
 
 
 class TestSerialization:
@@ -146,11 +210,9 @@ class TestRecordingView:
         assert view.d_min_for(True) == 3.0
         assert vars(view) == {"d_min_cc": 3.0}
 
-    def test_validation_checks_the_source_and_records_nothing(self):
-        recording_view(SfmParams()).validate()
-        view = recording_view(SfmParams(anisotropy=1.5))
-        with pytest.raises(ParameterFileError, match="anisotropy"):
-            view.validate()
+    def test_a_parameter_set_holding_a_view_records_nothing(self):
+        # neither the set nor a config built on it checks the group again
         view = recording_view(ParameterSet().game)
-        ParameterSet(sfm=SfmParams(), game=view).validate()
+        params = ParameterSet(sfm=SfmParams(), game=view)
+        SimulationConfig(Scene(), Scenario("s", []), params)
         assert vars(view) == {}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import car, ped
+from helpers import car, count_validations, ped
 from sharedspace import scene as scene_mod
 from sharedspace.calibrate import build_calibration_set, fitness_sfm, sfm_reference_values
 from sharedspace.dataio import load_trajectories
@@ -92,6 +92,7 @@ class TestSceneValidation:
 INVALID = {
     "inverted bounds": (dict(bounds=Rect(10, 0, -10, 5)), "positive area"),
     "bounds of no area": (dict(bounds=Rect(-50, 0, 50, 0)), "positive area"),
+    "infinite bounds": (dict(bounds=Rect(-50, -50, math.inf, 50)), "bounds must be finite"),
     "two vertices": (dict(obstacles=[[Vec2(0, 0), Vec2(1, 0)]]), "3 vertices"),
     "zero area": (dict(intersection_zones=[[Vec2(0, 0), Vec2(1, 0), Vec2(2, 0)]]), "zero-area"),
     "self-intersecting": (dict(road_zones=[[Vec2(0, 0), Vec2(2, 2), Vec2(2, 0), Vec2(0, 3)]]), "self-intersecting"),
@@ -117,23 +118,22 @@ class TestSceneIsCheckedWhenBuilt:
         same = make_scene(obstacles=(square(0, 0, 5),), intersection_zones=(square(0, 0, 5),), road_zones=())
         assert scene == same and hash(scene) == hash(same)
 
+    def test_bounds_that_overflow_when_scaled_are_rejected_at_load(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"bounds": [0, 0, 1e308, 1e308], "meters_per_unit": 10}))
+        with pytest.raises(InvalidSceneError, match="bounds must be finite"):
+            load_scene(path)
+
     def test_a_scene_is_checked_once_for_a_load_and_three_evaluations(self, monkeypatch):
         """Neither a simulation nor its route plan checks the scene again."""
-        calls = []
-        validate = Scene.validate
-
-        def counting(scene):
-            calls.append(scene)
-            validate(scene)
-
-        monkeypatch.setattr(Scene, "validate", counting)
+        calls = count_validations(monkeypatch, Scene)
         scene = load_scene(DATA / "scene.json")
         training = build_calibration_set(load_trajectories(DATA / "trajectories.csv"))
         base = ParameterSet()
         genes = sfm_reference_values(base.sfm)
         for k in (1.0, 1.1, 0.9):
             assert math.isfinite(fitness_sfm([g * k for g in genes], training, scene, base))
-        assert calls == [scene]
+        assert calls == ["Scene"]
 
 
 class TestSceneIsFrozen:

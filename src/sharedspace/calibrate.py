@@ -15,22 +15,17 @@ input checks itself once, when built: an invalid chromosome fails in
 
 Chromosomes are flat real vectors; the GA is elitist tournament
 selection with single-point crossover and Gaussian mutation, fully
-deterministic under a fixed seed. Candidate evaluations are independent
-simulations, so a caller may evaluate a population concurrently;
-results merge by chromosome index. A chromosome seen before in the same
+deterministic under a fixed seed. A chromosome seen before in the same
 run is answered from its earlier score.
 
-Every fitness call goes through a SimulationMemo, the one cache of an
-objective; a call given none uses a fresh one. Agent routes do not
-depend on the genes, so the memo plans each scenario's routes once and
-hands them to every simulation. Planning and every simulation read the
-scene's one obstacle index, which the scene builds on first read, so
-all objectives on one scene share it. A new chromosome often agrees
-with an earlier one on every gene that some scenario's simulation
-reads, so each simulation runs on a recording view of the calibrated
-parameter group and the memo keeps the scenario's score under the
-exact bits of the fields it read; a later match on those bits reuses
-the score with no simulation.
+Every score comes from an `Objective`, which plans each scenario's
+routes once and holds the one memo of scenario scores, each kept under
+the exact bits of the calibrated fields its simulation read. Given a
+generation, it simulates only the (chromosome, scenario) pairs that its
+memo cannot answer, through a mapper that may hand them to other
+processes; the memo stays in the calling process. Planning and every
+simulation read the scene's one obstacle index, which the scene builds
+on first read, so all objectives on one scene share it.
 """
 
 from __future__ import annotations
@@ -61,6 +56,7 @@ from .engine import (
     ScenarioRejectedError,
     SimulationConfig,
     SimulationTrace,
+    check_time_step,
     plan_waypoints,
     run_scenario,
 )
@@ -410,11 +406,7 @@ class ScoreUndefinedError(ValueError):
 # What simulating and scoring one scenario raise by design; a fitness
 # function scores any of them as a failed scenario. Anything else is a
 # fault in the program and propagates.
-SIMULATION_FAILURES = (
-    ScenarioError,
-    ScenarioRejectedError,
-    ScoreUndefinedError,
-)
+SIMULATION_FAILURES = (ScenarioRejectedError, ScoreUndefinedError)
 
 
 def position_error_score(
@@ -463,120 +455,137 @@ def trace_decisions(trace: SimulationTrace) -> dict[tuple[str, int], Action]:
     return index_decisions(((row.agent_id,), row.action) for row in trace.decisions)
 
 
-def _simulate(
-    item: CalibrationScenario,
-    waypoints: dict[str, list[Vec2]] | ScenarioRejectedError,
-    scene: Scene,
-    params: ParameterSet,
-    frame_seconds: float,
-    steps_past_last_frame: int,
-) -> SimulationTrace:
-    if isinstance(waypoints, ScenarioRejectedError):
-        # a fresh copy, so the kept one gathers no traceback
-        raise ScenarioRejectedError(*waypoints.args)
-    last_frame = max(max(t) for t in item.real_positions.values())
-    config = SimulationConfig(
-        scene=scene,
-        scenario=item.scenario,
-        params=params,
-        dt=frame_seconds,
-        max_steps=last_frame + steps_past_last_frame,
-    )
-    return run_scenario(config, waypoints)
+class Objective:
+    """The objective of one calibration: each chromosome's mean score
+    over the scored scenarios of `training` (every one for the "sfm"
+    group, the annotated ones for "game"), each simulated with the genes
+    decoded into `base`, or the failure value where decoding, simulating
+    or scoring fails by design. The frame length is checked here, once;
+    the other inputs are immutable.
 
+    Routes do not depend on the genes, so each scenario is planned once,
+    when the objective is built; a rejection is kept as a copy with no
+    traceback (whose frames would hold the objective in a reference
+    cycle). The objective holds the one score memo: each scenario's
+    scores, each under the exact bits of the calibrated fields that its
+    simulation and scoring read (a `params.recording_view` notes them),
+    and a failure under the reads made before it failed. A chromosome
+    that agrees on those bits gets the score with no simulation: it is
+    the same program on the same inputs.
 
-class SimulationMemo:
-    """The one cache of one objective run, by scenario position in the
-    objective's `training` list. It keeps for each scenario the route
-    plan, or a copy of the ScenarioRejectedError planning raised, with
-    its message and no traceback (whose frames would hold the memo in a
-    reference cycle): routes do not depend on the genes. The obstacle
-    index is the scene's own, not the memo's. Beside the plans, it keeps
-    the scenario's scores, each under the exact bits of the calibrated
-    parameters that its simulation and scoring read (a
-    `params.recording_view` notes them). A later
-    parameter set that agrees bit for bit on those values gets that
-    score with no simulation: it is the same program on the same inputs.
-    A failed simulation is kept under the reads made before it failed.
-    A memo serves one objective on fixed scenarios, scene, base
-    parameters and frame length (the first three are immutable), and
-    holds one plan per scenario and one entry per fresh simulation."""
+    A call decodes each chromosome once and hands the (chromosome,
+    scenario) pairs the memo cannot answer, as `(row, column, decoded
+    group)` tasks, through `mapper` to `simulate`. Each pair is checked
+    when `mapper` takes it, so an in-process `map` sees every earlier
+    result, and a process pool's `map`, which takes every task first,
+    those of earlier calls. The scores are the same either way."""
 
-    def __init__(self) -> None:
-        # scenario position -> its waypoints, or the rejection planning raised
-        self._plans: dict[int, dict[str, list[Vec2]] | ScenarioRejectedError] = {}
-        # scenario position -> fields read -> bits of their values -> score
-        self._scores: dict[int, dict[tuple[str, ...], dict[tuple, float]]] = {}
+    def __init__(
+        self,
+        group: str,
+        training: Sequence[CalibrationScenario],
+        scene: Scene,
+        base: ParameterSet,
+        frame_seconds: float,
+    ) -> None:
+        check_time_step(frame_seconds)
+        if group == "sfm":
+            self.items = list(training)
+            if not self.items:
+                raise ScoreUndefinedError("no training scenarios")
+            # Only observed frames are scored: simulate up to the last one.
+            past, self._score, self._failure = 1, _position_error, SCENARIO_FAILURE_PENALTY
+        else:
+            self.items = [item for item in training if item.annotations]
+            if not self.items:
+                raise ScoreUndefinedError("no annotated scenarios")
+            # A game created after the last observed frame can still match
+            # an annotation, so run on past it.
+            past, self._score, self._failure = STEPS_PAST_LAST_FRAME, _agreement, -1.0
+        self.group, self.scene, self.base, self.frame_seconds = group, scene, base, frame_seconds
+        self._max_steps = [max(max(t) for t in item.real_positions.values()) + past for item in self.items]
+        self._plans = [self._plan(item) for item in self.items]
+        # scenario column -> fields read -> bits of their values -> score
+        self._memo: list[dict[tuple[str, ...], dict[tuple, float]]] = [{} for _ in self.items]
+        # (chromosome, scenario) pairs simulated, answered by the memo, and failed
+        self.simulations = self.memo_hits = self.failed_simulations = 0
 
-    def plan(
-        self, index: int, item: CalibrationScenario, scene: Scene
-    ) -> dict[str, list[Vec2]] | ScenarioRejectedError:
-        """The routes of the scenario at `index`, planned on first use."""
-        plan = self._plans.get(index)
-        if plan is None:
-            try:
-                plan = plan_waypoints(scene, item.scenario.entries)
-            except ScenarioRejectedError as exc:
-                plan = ScenarioRejectedError(*exc.args)
-            self._plans[index] = plan
-        return plan
+    def _plan(self, item: CalibrationScenario) -> dict[str, list[Vec2]] | ScenarioRejectedError:
+        try:
+            return plan_waypoints(self.scene, item.scenario.entries)
+        except ScenarioRejectedError as exc:
+            return ScenarioRejectedError(*exc.args)
 
-    def get(self, index: int, group: SfmParams | GameParams) -> float | None:
-        for names, scores in self._scores.get(index, {}).items():
+    def lookup(self, column: int, group: SfmParams | GameParams) -> float | None:
+        """The memo's score of scenario `column` for `group`, if it has one."""
+        for names, scores in self._memo[column].items():
             score = scores.get(_bits(getattr(group, name) for name in names))
             if score is not None:
                 return score
         return None
 
-    def put(self, index: int, view: SfmParams | GameParams, score: float) -> None:
-        read = vars(view)
-        names = tuple(sorted(read))
-        self._scores.setdefault(index, {}).setdefault(names, {})[_bits(read[n] for n in names)] = score
+    def __call__(self, population: Sequence[Sequence[float]], mapper=map) -> list[float]:
+        """The score of each chromosome of `population`, in order."""
+        groups = []
+        for genes in population:
+            try:
+                groups.append(getattr(decode(genes, self.base, self.group), self.group))
+            except ParameterFileError:
+                groups.append(None)  # an invalid chromosome: nothing is simulated
+        scores = [[None] * len(self.items) for _ in groups]
+
+        def misses():
+            for row, group in enumerate(groups):
+                if group is None:
+                    continue
+                for column in range(len(self.items)):
+                    value = self.lookup(column, group)
+                    if value is None:
+                        self.simulations += 1
+                        yield row, column, group
+                    else:
+                        self.memo_hits += 1
+                        scores[row][column] = value
+
+        for row, column, read, value in mapper(self.simulate, misses()):
+            if value is None:
+                self.failed_simulations += 1
+                value = self._failure
+            names = tuple(sorted(read))
+            self._memo[column].setdefault(names, {})[_bits(read[n] for n in names)] = value
+            scores[row][column] = value
+        return [
+            self._failure if group is None else sum(row) / len(row)
+            for group, row in zip(groups, scores)
+        ]
+
+    def simulate(self, task: tuple[int, int, SfmParams | GameParams]) -> tuple[int, int, dict, float | None]:
+        """Simulate and score one `(row, column, group)` task: its row and
+        column, the calibrated fields read and their values, and the score,
+        or None where the simulation or its scoring failed by design."""
+        row, column, group = task
+        plan = self._plans[column]
+        if isinstance(plan, ScenarioRejectedError):
+            return row, column, {}, None
+        view = recording_view(group)
+        item = self.items[column]
+        config = SimulationConfig(
+            scene=self.scene,
+            scenario=item.scenario,
+            params=dataclasses.replace(self.base, **{self.group: view}),
+            dt=self.frame_seconds,
+            max_steps=self._max_steps[column],
+        )
+        try:
+            value = self._score(item, run_scenario(config, plan))
+        except SIMULATION_FAILURES:
+            value = None
+        return row, column, vars(view), value
 
 
 def _bits(values) -> tuple:
     """Exact keys: `==` would merge 0.0 and -0.0."""
     return tuple(v.hex() if isinstance(v, float) else v for v in values)
-
-
-def _mean_score(
-    items: Sequence[tuple[int, CalibrationScenario]],
-    scene: Scene,
-    genes: Sequence[float],
-    base: ParameterSet,
-    group: str,
-    frame_seconds: float,
-    steps_past_last_frame: int,
-    score: Callable[[CalibrationScenario, SimulationTrace], float],
-    failure: float,
-    memo: SimulationMemo,
-) -> float:
-    """Mean over the (memo position, item) pairs of `items` of `score` of
-    each item's simulation with `genes` decoded into `base`, or `failure`
-    where decoding, simulating or scoring fails by design. Each scenario
-    is answered from the memo or simulated on a recording view of the
-    `group` parameters and kept in it."""
-    try:
-        params = decode(genes, base, group)
-    except ParameterFileError:
-        # an invalid chromosome: nothing is simulated, and the memo keeps nothing
-        return failure
-    scores = []
-    for index, item in items:
-        value = memo.get(index, getattr(params, group))
-        if value is None:
-            view = recording_view(getattr(params, group))
-            try:
-                trace = _simulate(
-                    item, memo.plan(index, item, scene), scene,
-                    dataclasses.replace(params, **{group: view}), frame_seconds, steps_past_last_frame,
-                )
-                value = score(item, trace)
-            except SIMULATION_FAILURES:
-                value = failure
-            memo.put(index, view, value)
-        scores.append(value)
-    return sum(scores) / len(scores)
 
 
 def _position_error(item: CalibrationScenario, trace: SimulationTrace) -> float:
@@ -593,19 +602,10 @@ def fitness_sfm(
     scene: Scene,
     base: ParameterSet,
     frame_seconds: float = 0.5,
-    memo: SimulationMemo | None = None,
 ) -> float:
     """Scenario-averaged positional error of the decoded parameter set;
-    a scenario whose simulation fails scores the penalty. `memo`, kept
-    across the calls of one objective on `training`, answers repeated
-    plans and simulations; without one the call uses a fresh memo."""
-    if not training:
-        raise ScoreUndefinedError("no training scenarios")
-    # Only observed frames are scored: simulate up to the last one.
-    return _mean_score(
-        list(enumerate(training)), scene, genes, base, "sfm", frame_seconds, 1,
-        _position_error, SCENARIO_FAILURE_PENALTY, SimulationMemo() if memo is None else memo,
-    )
+    a scenario whose simulation fails scores the penalty."""
+    return Objective("sfm", training, scene, base, frame_seconds)([genes])[0]
 
 
 def fitness_game(
@@ -614,18 +614,8 @@ def fitness_game(
     scene: Scene,
     base: ParameterSet,
     frame_seconds: float = 0.5,
-    memo: SimulationMemo | None = None,
 ) -> float:
     """Scenario-averaged decision agreement in [-1, 1] (higher is
     better). Scenarios without annotations are skipped; a failed
-    simulation scores -1 for its scenario. `memo` as for fitness_sfm;
-    its positions stay those of `training`."""
-    annotated = [(index, item) for index, item in enumerate(training) if item.annotations]
-    if not annotated:
-        raise ScoreUndefinedError("no annotated scenarios")
-    # A game created after the last observed frame can still match an
-    # annotation, so run on past it.
-    return _mean_score(
-        annotated, scene, genes, base, "game", frame_seconds, STEPS_PAST_LAST_FRAME,
-        _agreement, -1.0, SimulationMemo() if memo is None else memo,
-    )
+    simulation scores -1 for its scenario."""
+    return Objective("game", training, scene, base, frame_seconds)([genes])[0]

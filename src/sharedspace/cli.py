@@ -37,10 +37,9 @@ from .calibrate import (
     GENE_NAMES,
     MAX_POPULATION,
     SCENARIO_FAILURE_PENALTY,
-    CalibrationScenario,
     GaConfig,
     GaConfigError,
-    SimulationMemo,
+    Objective,
     build_calibration_set,
     decode,
     default_bounds,
@@ -318,54 +317,22 @@ def _cmd_evaluate(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # calibration (shared plumbing)
 
-class _FitnessWorker:
-    """Per-chromosome objective; picklable so `--jobs` can hand it to
-    each pool process once. Its SimulationMemo plans the training
-    scenarios' routes when the worker is built, which also builds the
-    scene's obstacle index, so every copy carries both and no process
-    re-plans or re-indexes; each copy then adds the scenario simulations
-    it runs to its own memo."""
-
-    def __init__(
-        self,
-        mode: str,
-        training: list[CalibrationScenario],
-        scene,
-        base: ParameterSet,
-        frame_seconds: float,
-    ) -> None:
-        self.mode = mode
-        self.training = training
-        self.scene = scene
-        self.base = base
-        self.frame_seconds = frame_seconds
-        self.memo = SimulationMemo()
-        for index, item in enumerate(training):
-            self.memo.plan(index, item, scene)
-
-    def __call__(self, genes: list[float]) -> float:
-        args = (genes, self.training, self.scene, self.base, self.frame_seconds, self.memo)
-        if self.mode == "sfm":
-            return fitness_sfm(*args)
-        return -fitness_game(*args)
+# The objective of the GA run in progress in a pool process, installed
+# by the pool's initializer, so that each task carries only one
+# scenario's inputs.
+_installed_objective: Objective | None = None
 
 
-# The objective of the GA run in progress in this process: set once per
-# pool process by the pool's initializer (in-process for --jobs 1), so
-# each task carries only its genes.
-_installed_worker: _FitnessWorker | None = None
+def _install_objective(objective: Objective | None) -> None:
+    global _installed_objective
+    _installed_objective = objective
 
 
-def _install_worker(worker: _FitnessWorker | None) -> None:
-    global _installed_worker
-    _installed_worker = worker
+def _simulate(task):
+    return _installed_objective.simulate(task)
 
 
-def _evaluate(genes: list[float]) -> float:
-    return _installed_worker(genes)
-
-
-def _run_ga(ns: argparse.Namespace, worker: _FitnessWorker, bounds) -> tuple:
+def _run_ga(ns: argparse.Namespace, objective: Objective, sign: float, bounds) -> tuple:
     ga_config = GaConfig(
         population_size=ns.population,
         max_generations=ns.generations,
@@ -376,18 +343,21 @@ def _run_ga(ns: argparse.Namespace, worker: _FitnessWorker, bounds) -> tuple:
     # than the chromosomes that one batch can hand out.
     workers = min(ns.jobs, os.cpu_count() or 1, ns.population)
     with contextlib.ExitStack() as stack:
+        mapper = map
         if workers > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_install_worker, initargs=(worker,)
-            )
-            mapper = stack.enter_context(pool).map
-        else:
-            _install_worker(worker)
-            stack.callback(_install_worker, None)
-            mapper = map
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_install_objective, initargs=(objective,)
+            ))
+
+            def mapper(simulate, tasks):
+                # Each process simulates on its installed copy of the
+                # objective. A message carries as many tasks as a
+                # chromosome has scenarios, so a generation takes no more
+                # messages than it has new chromosomes.
+                return pool.map(_simulate, tasks, chunksize=len(objective.items))
 
         def batch(population: np.ndarray) -> np.ndarray:
-            return np.array(list(mapper(_evaluate, population.tolist())), dtype=float)
+            return sign * np.array(objective(population, mapper), dtype=float)
 
         result = ga_optimize(bounds, batch, ga_config)
     return result, ga_config
@@ -446,8 +416,8 @@ def _cmd_calibrate(ns: argparse.Namespace) -> int:
     gene_names = GENE_NAMES[target.group]
     reference = getattr(base, target.group)
     bounds = default_bounds([getattr(reference, name) for name in gene_names], gene_names)
-    worker = _FitnessWorker(target.group, train, scene, base, ns.dt)
-    result, ga_config = _run_ga(ns, worker, bounds)
+    objective = Objective(target.group, train, scene, base, ns.dt)
+    result, ga_config = _run_ga(ns, objective, target.sign, bounds)
     score = target.sign * result.best_fitness
     # compared in the GA's terms, where lower is better
     if not math.isfinite(score) or result.best_fitness >= target.sign * target.worst:
@@ -456,11 +426,8 @@ def _cmd_calibrate(ns: argparse.Namespace) -> int:
     out = _out_dir(ns.out_dir)
     save_parameter_set(best, out / "best_params.json")
     write_history_csv(result.history, out / "history.csv")
-    test_score = (
-        target.sign * _FitnessWorker(target.group, test, scene, base, ns.dt)(result.best_genes)
-        if test
-        else None
-    )
+    fitness = fitness_sfm if target.group == "sfm" else fitness_game
+    test_score = fitness(result.best_genes, test, scene, base, ns.dt) if test else None
     config = {
         "scene": ns.scene,
         "trajectories": ns.trajectories,
@@ -489,6 +456,9 @@ def _cmd_calibrate(ns: argparse.Namespace) -> int:
             f"test_{target.score}": test_score,
             "evaluations": result.evaluations,
             "cache_hits": result.cache_hits,
+            "scenario_simulations": objective.simulations,
+            "memo_hits": objective.memo_hits,
+            "failed_simulations": objective.failed_simulations,
             "stopped_early": result.stopped_early,
             "train_scenarios": [t.scenario.scenario_id for t in train],
             "test_scenarios": [t.scenario.scenario_id for t in test],
@@ -654,7 +624,7 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stagnation", type=_at_least_one, default=30)
     p.add_argument("--train-fraction", type=_fraction, default=0.66)
     p.add_argument("--jobs", type=_at_least_one, default=1,
-                   help="concurrent chromosome evaluations")
+                   help="processes that simulate each generation's new (chromosome, scenario) pairs")
 
 
 def build_parser() -> argparse.ArgumentParser:

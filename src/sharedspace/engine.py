@@ -146,6 +146,12 @@ class Scenario:
                     raise ScenarioError(f"{e.id}: non-finite coordinates")
 
 
+def check_time_step(dt: float) -> None:
+    """The rule for a step's (or an observed frame's) length in seconds."""
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ScenarioError("dt must be positive and finite")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     scene: Scene
@@ -156,8 +162,7 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ScenarioError("dt must be positive and finite")
+        check_time_step(self.dt)
 
 
 class TraceRow(NamedTuple):

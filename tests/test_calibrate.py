@@ -29,8 +29,8 @@ from sharedspace.calibrate import (
     GaConfig,
     GaConfigError,
     GenStats,
+    Objective,
     ScoreUndefinedError,
-    SimulationMemo,
     agreement_score,
     build_calibration_set,
     decode,
@@ -49,7 +49,7 @@ from sharedspace.calibrate import (
     train_test_split,
     write_history_csv,
 )
-from sharedspace.cli import _FitnessWorker
+from sharedspace.cli import _TARGETS
 from sharedspace.dataio import (
     DecisionAnnotation,
     TrajectoryFormatError,
@@ -841,11 +841,10 @@ class TestFitnessSfm:
     def test_failed_scenario_scores_the_penalty(self) -> None:
         base = ParameterSet()
         genes = sfm_reference_values(base.sfm)
-        item, memo = unreachable_item(), SimulationMemo()
+        objective = Objective("sfm", [unreachable_item()], boxed_scene(), base, 0.5)
         # the second call meets the rejection kept in the memo
         for _ in range(2):
-            score = fitness_sfm(genes, [item], boxed_scene(), base, 0.5, memo)
-            assert score == SCENARIO_FAILURE_PENALTY == 1000.0
+            assert objective([genes]) == [SCENARIO_FAILURE_PENALTY] == [1000.0]
 
     def test_scores_average_across_scenarios(self) -> None:
         scene = boxed_scene()
@@ -869,9 +868,9 @@ class TestFitnessSfm:
         scenario = Scenario("lone", [ped_entry("p1", Vec2(0.0, -8.0), Vec2(0.0, 8.0))])
         trace = run_scenario(SimulationConfig(scene=scene, scenario=scenario, params=base))
         item = CalibrationScenario(scenario=scenario, real_positions=trace_positions(trace))
-        worker = _FitnessWorker("sfm", [item], scene, base, 0.5)
+        objective = Objective("sfm", [item], scene, base, 0.5)
         genes = sfm_reference_values(base.sfm)
-        assert worker(genes) == fitness_sfm(genes, [item], scene, base) == 0.0
+        assert objective([genes, genes]) == [fitness_sfm(genes, [item], scene, base)] * 2 == [0.0, 0.0]
 
 
 @pytest.fixture(scope="module")
@@ -943,16 +942,19 @@ class TestFitnessGame:
     def test_failed_simulation_scores_minus_one(self) -> None:
         base = ParameterSet()
         genes = game_reference_values(base.game)
-        item, memo = unreachable_item(), SimulationMemo()
+        objective = Objective("game", [unreachable_item()], boxed_scene(), base, 0.5)
         for _ in range(2):
-            assert fitness_game(genes, [item], boxed_scene(), base, 0.5, memo) == -1.0
+            assert objective([genes]) == [-1.0]
 
     def test_game_objective_negates_agreement(self, crossing) -> None:
         scene, base, scenario, trace = crossing
         item = CalibrationScenario(scenario, trace_positions(trace), dict(trace_decisions(trace)))
-        worker = _FitnessWorker("game", [item], scene, base, 0.5)
+        # calibrate-game hands the GA the negated agreement, which it minimizes
+        sign = _TARGETS["calibrate-game"].sign
         genes = game_reference_values(base.game)
-        assert worker(genes) == -fitness_game(genes, [item], scene, base) == -1.0
+        assert sign * Objective("game", [item], scene, base, 0.5)([genes])[0] == -fitness_game(
+            genes, [item], scene, base
+        ) == -1.0
 
 
 class TestFitnessFailures:
@@ -973,10 +975,9 @@ class TestFitnessFailures:
     @pytest.mark.parametrize(
         "error",
         [
-            ScenarioError("bad"),
-            ScenarioRejectedError("rejected"),
-            # keeps the id this case had when a simulation could also
-            # raise ParameterFileError
+            # keep the ids these cases had when a simulation could also
+            # raise ScenarioError and ParameterFileError
+            pytest.param(ScenarioRejectedError("rejected"), id="error1"),
             pytest.param(ScoreUndefinedError("none"), id="error3"),
         ],
     )
@@ -986,6 +987,31 @@ class TestFitnessFailures:
         raising_simulator(error)
         assert fitness_sfm(sfm_reference_values(base.sfm), [item], scene, base) == 1000.0
         assert fitness_game(game_reference_values(base.game), [item], scene, base) == -1.0
+
+    def test_a_scenario_error_from_a_simulation_propagates(self, crossing, raising_simulator) -> None:
+        # The objective checks the frame length when it is built, so no
+        # simulation raises ScenarioError: one that did would be a fault.
+        scene, base, scenario, trace = crossing
+        item = CalibrationScenario(scenario, trace_positions(trace), dict(trace_decisions(trace)))
+        raising_simulator(ScenarioError("dt must be positive and finite"))
+        with pytest.raises(ScenarioError):
+            fitness_sfm(sfm_reference_values(base.sfm), [item], scene, base)
+        with pytest.raises(ScenarioError):
+            fitness_game(game_reference_values(base.game), [item], scene, base)
+
+    @pytest.mark.parametrize("frame_seconds", [0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("objective", ["sfm", "game"])
+    def test_an_invalid_frame_length_raises(self, objective, frame_seconds, monkeypatch) -> None:
+        scene, training = data_set()
+        base = ParameterSet()
+        simulations = count_simulations(monkeypatch)
+        fitness, genes = {
+            "sfm": (fitness_sfm, sfm_reference_values(base.sfm)),
+            "game": (fitness_game, game_reference_values(base.game)),
+        }[objective]
+        with pytest.raises(ScenarioError, match="dt must be positive and finite"):
+            fitness(genes, training, scene, base, frame_seconds)
+        assert simulations == []
 
     def test_a_parameter_error_from_a_simulation_propagates(self, crossing, raising_simulator) -> None:
         # Parameters check themselves when built, so no simulation raises
@@ -1074,23 +1100,26 @@ class TestInputsAreCheckedWhenBuilt:
         calls = count_validations(monkeypatch, Scenario, SfmParams, GameParams)
         training = build_calibration_set(load_trajectories(DATA / "trajectories.csv"))
         assert calls == ["Scenario"] * len(training) == ["Scenario"] * 5
-        scene, base, memo = load_scene(DATA / "scene.json"), ParameterSet(), SimulationMemo()
+        scene, base = load_scene(DATA / "scene.json"), ParameterSet()
+        objective = Objective("sfm", training, scene, base, 0.5)
         genes = sfm_reference_values(base.sfm)
         del calls[:]
         for k in (1.0, 1.1, 0.9):
-            assert math.isfinite(fitness_sfm([g * k for g in genes], training, scene, base, 0.5, memo))
+            assert math.isfinite(objective([[g * k for g in genes]])[0])
         assert calls == ["SfmParams"] * 3
 
 
 class TestPlanReuse:
     def test_one_memo_plans_each_scenario_once(self, monkeypatch) -> None:
         scene, training = boxed_set()  # the last scenario is rejected
-        base, memo = ParameterSet(), SimulationMemo()
+        base = ParameterSet()
         genes = sfm_reference_values(base.sfm)
         plans = count_plans(monkeypatch)
         simulations = count_simulations(monkeypatch)
+        objective = Objective("sfm", training, scene, base, 0.5)
+        assert planned(plans, training) == ["detour", "pair", "bad"]
         for scale in (1.0, 1.1, 0.9, 1.2):
-            fitness_sfm([scale * g for g in genes], training, scene, base, 0.5, memo)
+            objective([[scale * g for g in genes]])
         assert simulations.count("detour") == 4
         assert planned(plans, training) == ["detour", "pair", "bad"]
 
@@ -1110,20 +1139,21 @@ class TestPlanReuse:
         item = detour_item(scene)
         base = ParameterSet()
         genes = sfm_reference_values(base.sfm)
-        assert fitness_sfm(genes, [item], scene, base, 0.5, SimulationMemo()) == 0.0
+        assert fitness_sfm(genes, [item], scene, base) == 0.0
         moved = dataclasses.replace(scene, obstacles=[[v + Vec2(0.0, 1.0) for v in scene.obstacles[0]]])
         plans = count_plans(monkeypatch)
-        score = fitness_sfm(genes, [item], moved, base, 0.5, SimulationMemo())
+        score = fitness_sfm(genes, [item], moved, base)
         assert [on for _, on in plans] == [moved]
         assert score.hex() == reference_score("sfm", genes, [item], moved, base).hex()
         assert score != 0.0
 
     def test_pickled_worker_scores_without_planning(self, monkeypatch) -> None:
+        # what a pool process receives: the objective, with its plans
         scene = boxed_scene()
         base = ParameterSet()
         genes = sfm_reference_values(base.sfm)
         training = [detour_item(scene), unreachable_item()]
-        worker = _FitnessWorker("sfm", training, scene, base, 0.5)
+        objective = Objective("sfm", training, scene, base, 0.5)
         expected = fitness_sfm(genes, [detour_item(scene), unreachable_item()], scene, base)
 
         def no_planning(*args, **kwargs):
@@ -1131,8 +1161,10 @@ class TestPlanReuse:
 
         monkeypatch.setattr(engine, "build_visibility_graph", no_planning)
         monkeypatch.setattr(engine, "plan_path", no_planning)
-        restored = pickle.loads(pickle.dumps(worker))
-        assert restored(genes) == expected == pytest.approx(500.0, rel=1e-12)
+        restored = pickle.loads(pickle.dumps(objective))
+        group = decode(genes, base, "sfm").sfm
+        assert [restored.simulate((0, column, group))[3] for column in (0, 1)] == [0.0, None]
+        assert restored([genes]) == [expected] == [pytest.approx(500.0, rel=1e-12)]
 
 
 # ---------------------------------------------------------------------------
@@ -1165,7 +1197,6 @@ def boxed_set() -> tuple[Scene, list[CalibrationScenario]]:
 
 
 SETS = {"data": data_set, "boxed": boxed_set}
-OBJECTIVES = {"sfm": fitness_sfm, "game": fitness_game}
 
 
 @st.composite
@@ -1234,14 +1265,23 @@ def reference_bounds(group: str) -> list[tuple[float, float]]:
 def count_simulations(monkeypatch) -> list[str]:
     """Record the scenario id of every simulation the objectives run."""
     ids: list[str] = []
-    simulate = calibrate._simulate
+    simulate = Objective.simulate
 
-    def counting(item, *args):
-        ids.append(item.scenario.scenario_id)
-        return simulate(item, *args)
+    def counting(objective, task):
+        ids.append(objective.items[task[1]].scenario.scenario_id)
+        return simulate(objective, task)
 
-    monkeypatch.setattr(calibrate, "_simulate", counting)
+    monkeypatch.setattr(Objective, "simulate", counting)
     return ids
+
+
+def eager_map(simulate, tasks) -> list:
+    """A model of a process pool's map that starts no process: it takes
+    every task before it returns the first result."""
+    return [simulate(task) for task in list(tasks)]
+
+
+MAPPERS = {"map": map, "eager": eager_map}
 
 
 def car_entry(agent_id: str, position: Vec2, goal: Vec2) -> AgentEntry:
@@ -1249,6 +1289,8 @@ def car_entry(agent_id: str, position: Vec2, goal: Vec2) -> AgentEntry:
 
 
 class TestSimulationMemo:
+    """The one score memo, which an Objective holds."""
+
     def test_one_obstacle_index_per_scene(self, monkeypatch) -> None:
         scene, training = boxed_set()
         built = []
@@ -1271,12 +1313,11 @@ class TestSimulationMemo:
         # boxed_set simulated on its scene; an equal copy has no index yet
         scene = dataclasses.replace(scene)
         base, runs = ParameterSet(), []
-        for objective, genes in ((fitness_sfm, sfm_reference_values(base.sfm)),
-                                 (fitness_game, game_reference_values(base.game))):
+        for group, genes in (("sfm", sfm_reference_values(base.sfm)), ("game", game_reference_values(base.game))):
             del pushed_with[:], simulated[:]
-            memo = SimulationMemo()
+            objective = Objective(group, training, scene, base, 0.5)
             for scale in (1.0, 1.1, 0.9):
-                objective([scale * g for g in genes], training, scene, base, 0.5, memo)
+                objective([[scale * g for g in genes]])
             assert pushed_with and all(index is scene.obstacle_index for index in pushed_with)
             runs.append(len(simulated))
         # both objectives, planning and pushing, on one index
@@ -1295,13 +1336,13 @@ class TestSimulationMemo:
         trace = run_scenario(SimulationConfig(scene, scenario, dataclasses.replace(base, sfm=view)))
         assert trace.steps_run > 0 and "d_min_pc" not in vars(view)
         item = CalibrationScenario(scenario, trace_positions(trace))
-        memo = SimulationMemo()
+        objective = Objective("sfm", [item], scene, base, 0.5)
         genes = sfm_reference_values(base.sfm)
-        assert fitness_sfm(genes, [item], scene, base, 0.5, memo) == 0.0
+        assert objective([genes]) == [0.0]
         simulations = count_simulations(monkeypatch)
         changed = list(genes)
         changed[SFM_GENE_NAMES.index("d_min_pc")] *= 1.5
-        assert fitness_sfm(changed, [item], scene, base, 0.5, memo) == 0.0
+        assert objective([changed]) == [0.0]
         assert simulations == []
 
     @pytest.mark.parametrize("group,items", [
@@ -1311,10 +1352,33 @@ class TestSimulationMemo:
     @given(data=st.data())
     def test_scores_equal_fresh_evaluations_bit_for_bit(self, group, items, data) -> None:
         scene, training = SETS[items]()
-        objective, base, memo = OBJECTIVES[group], ParameterSet(), SimulationMemo()
+        base = ParameterSet()
+        objective = Objective(group, training, scene, base, 0.5)
         for genes in data.draw(lineages(reference_bounds(group))):
-            remembered = objective(genes, training, scene, base, 0.5, memo)
+            [remembered] = objective([genes])
             assert remembered.hex() == reference_score(group, genes, training, scene, base).hex()
+
+    @pytest.mark.parametrize("mapper", ["map", "eager"])
+    @pytest.mark.parametrize("group,items", [("sfm", "boxed"), ("game", "data")])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_generations_score_as_fresh_evaluations_under_any_mapper(self, group, items, mapper, data) -> None:
+        scene, training = SETS[items]()
+        base = ParameterSet()
+        objective = Objective(group, training, scene, base, 0.5)
+        bounds = reference_bounds(group)
+        invalid = [high for _, high in bounds]
+        invalid[0] = -1.0  # no gene may be negative, so this does not decode
+        decodable = 0
+        for _ in range(2):
+            generation = data.draw(lineages(bounds))
+            generation.insert(data.draw(st.integers(0, len(generation))), invalid)
+            scores = objective(generation, MAPPERS[mapper])
+            assert [s.hex() for s in scores] == [
+                reference_score(group, genes, training, scene, base).hex() for genes in generation
+            ]
+            decodable += len(generation) - 1
+        assert objective.simulations + objective.memo_hits == decodable * len(objective.items)
 
     def test_a_game_worker_keeps_positions_past_unannotated_items(self) -> None:
         scene, items = data_set()
@@ -1324,47 +1388,69 @@ class TestSimulationMemo:
         far = Scenario("far", [dataclasses.replace(e, goal=Vec2(100.0, e.goal.y)) for e in crossing.scenario.entries])
         training = [CalibrationScenario(far, crossing.real_positions), crossing, giveway]
         base = ParameterSet()
-        worker = _FitnessWorker("game", training, scene, base, 0.5)
+        objective = Objective("game", training, scene, base, 0.5)
         reference = game_reference_values(base.game)
         for genes in (reference, [0.5 * g for g in reference], [2.0 * g for g in reference]):
-            assert (-worker(genes)).hex() == reference_score("game", genes, training, scene, base).hex()
+            assert objective([genes])[0].hex() == reference_score("game", genes, training, scene, base).hex()
 
     def test_a_worker_reuses_across_the_ga_offspring(self, monkeypatch) -> None:
         scene, training = data_set()
-        worker = _FitnessWorker("sfm", training, scene, ParameterSet(), 0.5)
+        objective = Objective("sfm", training, scene, ParameterSet(), 0.5)
         simulations = count_simulations(monkeypatch)
-        result = ga_optimize(reference_bounds("sfm"), per_individual(worker), GaConfig(6, 2, seed=0))
-        assert len(simulations) < len(training) * (result.evaluations - result.cache_hits)
+        result = ga_optimize(reference_bounds("sfm"), objective, GaConfig(6, 2, seed=0))
+        assert len(simulations) == objective.simulations < len(training) * (result.evaluations - result.cache_hits)
+        assert objective.simulations + objective.memo_hits == len(training) * (result.evaluations - result.cache_hits)
+        assert objective.failed_simulations == 0
 
     def test_an_unread_gene_change_reuses_the_simulation(self, monkeypatch) -> None:
         scene = open_square_scene()  # no obstacles: u0 and r_obstacle go unread
         scenario = crossing_scenario()
         item = CalibrationScenario(scenario, trace_positions(run_scenario(SimulationConfig(scene, scenario))))
-        base, memo = ParameterSet(), SimulationMemo()
+        base = ParameterSet()
+        objective = Objective("sfm", [item], scene, base, 0.5)
         genes = sfm_reference_values(base.sfm)
-        assert fitness_sfm(genes, [item], scene, base, 0.5, memo) == 0.0
+        assert objective([genes]) == [0.0]
         simulations = count_simulations(monkeypatch)
         for name in ("u0", "r_obstacle"):
             changed = list(genes)
             changed[SFM_GENE_NAMES.index(name)] *= 2.0
-            assert fitness_sfm(changed, [item], scene, base, 0.5, memo) == 0.0
+            assert objective([changed]) == [0.0]
         assert simulations == []
+
+    @pytest.mark.parametrize("mapper, runs", [("map", 1), ("eager", 2)])
+    def test_map_sees_the_earlier_results_of_its_own_call(self, monkeypatch, mapper, runs) -> None:
+        # In-process map takes a task only after the previous result is
+        # stored, so --jobs 1 simulates what it did one chromosome at a
+        # time; a pool takes the whole generation first and learns its
+        # results only for the next call.
+        scene = open_square_scene()  # no obstacles: u0 goes unread
+        scenario = crossing_scenario()
+        item = CalibrationScenario(scenario, trace_positions(run_scenario(SimulationConfig(scene, scenario))))
+        objective = Objective("sfm", [item], scene, ParameterSet(), 0.5)
+        genes = sfm_reference_values(ParameterSet().sfm)
+        changed = list(genes)
+        changed[SFM_GENE_NAMES.index("u0")] *= 2.0
+        simulations = count_simulations(monkeypatch)
+        assert objective([genes, changed], MAPPERS[mapper]) == [0.0, 0.0]
+        assert simulations == ["crossing"] * runs
+        assert (objective.simulations, objective.memo_hits) == (runs, 2 - runs)
 
     def test_a_read_gene_change_simulates_again(self, monkeypatch) -> None:
         scene, training = boxed_set()
-        base, memo = ParameterSet(), SimulationMemo()
+        base = ParameterSet()
+        objective = Objective("sfm", training[:1], scene, base, 0.5)
         genes = sfm_reference_values(base.sfm)
-        fitness_sfm(genes, training[:1], scene, base, 0.5, memo)
+        objective([genes])
         simulations = count_simulations(monkeypatch)
         changed = list(genes)
         changed[SFM_GENE_NAMES.index("u0")] *= 2.0
-        score = fitness_sfm(changed, training[:1], scene, base, 0.5, memo)
+        [score] = objective([changed])
         assert simulations == ["detour"]
         assert score == reference_score("sfm", changed, training[:1], scene, base) != 0.0
 
     def test_a_failure_is_kept_only_for_the_values_it_read(self, monkeypatch) -> None:
         scene, training = boxed_set()
-        base, memo = ParameterSet(), SimulationMemo()
+        base = ParameterSet()
         simulate = calibrate.run_scenario
 
         def blowing_up(config, waypoints):
@@ -1377,22 +1463,38 @@ class TestSimulationMemo:
         genes = sfm_reference_values(base.sfm)
         strong = list(genes)
         strong[SFM_GENE_NAMES.index("v0_pp")] = 3.0
-        item = training[:1]
-        assert fitness_sfm(strong, item, scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
-        assert fitness_sfm(genes, item, scene, base, 0.5, memo) == 0.0
+        objective = Objective("sfm", training[:1], scene, base, 0.5)
+        assert objective([strong, genes]) == [SCENARIO_FAILURE_PENALTY, 0.0]
+        assert (objective.simulations, objective.failed_simulations) == (2, 1)
         simulations = count_simulations(monkeypatch)
-        assert fitness_sfm(strong, item, scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
-        assert fitness_sfm(genes, item, scene, base, 0.5, memo) == 0.0
+        assert objective([strong, genes]) == [SCENARIO_FAILURE_PENALTY, 0.0]
         assert simulations == []
 
     def test_an_unreachable_goal_is_reused_for_any_genes(self, monkeypatch) -> None:
         scene, training = boxed_set()
-        base, memo = ParameterSet(), SimulationMemo()
+        base = ParameterSet()
+        objective = Objective("sfm", training[2:], scene, base, 0.5)
         genes = sfm_reference_values(base.sfm)
-        assert fitness_sfm(genes, training[2:], scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
+        assert objective([genes]) == [SCENARIO_FAILURE_PENALTY]
         simulations = count_simulations(monkeypatch)
-        assert fitness_sfm([2.0 * g for g in genes], training[2:], scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
+        assert objective([[2.0 * g for g in genes]]) == [SCENARIO_FAILURE_PENALTY]
         assert simulations == []
+
+    def test_a_failure_before_any_read_is_reused_for_any_genes(self, monkeypatch) -> None:
+        scene, training = boxed_set()
+        base = ParameterSet()
+
+        def failing(config, waypoints):
+            raise ScenarioRejectedError("agent p1: non-finite state at step 0")
+
+        monkeypatch.setattr(calibrate, "run_scenario", failing)
+        objective = Objective("sfm", training[:1], scene, base, 0.5)
+        genes = sfm_reference_values(base.sfm)
+        assert objective([genes]) == [SCENARIO_FAILURE_PENALTY]
+        simulations = count_simulations(monkeypatch)
+        assert objective([[2.0 * g for g in genes]]) == [SCENARIO_FAILURE_PENALTY]
+        assert simulations == []
+        assert (objective.simulations, objective.memo_hits, objective.failed_simulations) == (1, 1, 1)
 
     def test_a_game_weight_across_a_decision_boundary_simulates_again(self) -> None:
         # g_angle = 5/3 is a decision boundary of the bundled crossing
@@ -1400,30 +1502,33 @@ class TestSimulationMemo:
         # two chromosomes differ in that one weight and agree differently.
         scene, items = data_set()
         crossing = items[1:2]
-        base, memo = ParameterSet(), SimulationMemo()
+        base = ParameterSet()
+        objective = Objective("game", crossing, scene, base, 0.5)
         below, above = game_reference_values(base.game), game_reference_values(base.game)
         below[GAME_GENE_NAMES.index("g_angle")] = 1.6666666
         above[GAME_GENE_NAMES.index("g_angle")] = 1.6666667
         want = [reference_score("game", genes, crossing, scene, base) for genes in (below, above)]
         assert want[0] != want[1]
         for genes, expected in zip((below, above, below, above), want + want):
-            assert fitness_game(genes, crossing, scene, base, 0.5, memo).hex() == expected.hex()
+            assert objective([genes])[0].hex() == expected.hex()
 
     def test_a_dropped_memo_frees_without_the_cyclic_collector(self) -> None:
-        scene, base, memo = boxed_scene(), ParameterSet(), SimulationMemo()
+        scene, base = boxed_scene(), ParameterSet()
         genes = sfm_reference_values(base.sfm)
         gc.disable()
         try:
-            assert fitness_sfm(genes, [unreachable_item()], scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
-            alive = weakref.ref(memo)
-            del memo
+            objective = Objective("sfm", [unreachable_item()], scene, base, 0.5)
+            assert objective([genes]) == [SCENARIO_FAILURE_PENALTY]
+            alive = weakref.ref(objective)
+            del objective
             assert alive() is None
         finally:
             gc.enable()
 
     def test_an_invalid_chromosome_fails_every_scenario(self, monkeypatch) -> None:
         scene, training = boxed_set()
-        base, memo = ParameterSet(), SimulationMemo()
+        base = ParameterSet()
+        objective = Objective("sfm", training, scene, base, 0.5)
         genes = sfm_reference_values(base.sfm)
         genes[SFM_GENE_NAMES.index("anisotropy")] = 1.5
         # the decoded group checks itself, so no scenario is simulated
@@ -1431,8 +1536,9 @@ class TestSimulationMemo:
             decode(genes, base, "sfm")
         simulations = count_simulations(monkeypatch)
         for _ in range(2):
-            assert fitness_sfm(genes, training, scene, base, 0.5, memo) == SCENARIO_FAILURE_PENALTY
+            assert objective([genes]) == [SCENARIO_FAILURE_PENALTY]
         assert simulations == []
+        assert objective.simulations == objective.memo_hits == 0
 
 
 # The modules a simulation runs in, which must read a parameter group
@@ -1465,10 +1571,18 @@ def test_the_simulator_never_reads_a_parameter_group_wholesale(module) -> None:
 
 
 def test_the_memo_tells_signed_zeros_apart() -> None:
-    memo = SimulationMemo()
+    scene, training = boxed_set()
+    base = ParameterSet()
+    objective = Objective("sfm", training[:2], scene, base, 0.5)
     view = recording_view(SfmParams(anisotropy=0.0))
     assert view.anisotropy == 0.0
-    memo.put(0, view, 1.0)
-    assert memo.get(0, SfmParams(anisotropy=0.0, v_r=1.0)) == 1.0
-    assert memo.get(0, SfmParams(anisotropy=-0.0)) is None
-    assert memo.get(1, SfmParams(anisotropy=0.0)) is None
+
+    def recorded(simulate, tasks):
+        # scenario 0 read only anisotropy = 0.0; scenario 1 read it as 1.0
+        return [(row, column, vars(view) if column == 0 else {"anisotropy": 1.0}, 1.0 + column)
+                for row, column, _ in tasks]
+
+    assert objective([sfm_reference_values(base.sfm)], recorded) == [1.5]
+    assert objective.lookup(0, SfmParams(anisotropy=0.0, v_r=1.0)) == 1.0
+    assert objective.lookup(0, SfmParams(anisotropy=-0.0)) is None
+    assert objective.lookup(1, SfmParams(anisotropy=0.0)) is None

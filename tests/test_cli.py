@@ -1322,29 +1322,31 @@ class TestCalibrateSfm:
     def test_parallel_evaluation_reproduces_the_serial_run(self, tmp_path, monkeypatch) -> None:
         pickles = []
 
-        def counting_getstate(worker):
-            pickles.append(worker.mode)
-            return dict(worker.__dict__)
+        def counting_getstate(objective):
+            pickles.append(objective.group)
+            return dict(objective.__dict__)
 
-        monkeypatch.setattr(cli._FitnessWorker, "__getstate__", counting_getstate, raising=False)
+        monkeypatch.setattr(calibrate.Objective, "__getstate__", counting_getstate, raising=False)
         _, serial = self.run_micro(tmp_path, "serial")
         assert pickles == []
         _, parallel = self.run_micro(tmp_path, "parallel", "--jobs", "2")
         assert (serial / "best_params.json").read_bytes() == (parallel / "best_params.json").read_bytes()
         assert (serial / "history.csv").read_bytes() == (parallel / "history.csv").read_bytes()
         # At most once per pool process (never, where processes fork),
-        # not once per evaluation.
-        evaluations = json.loads((parallel / "manifest.json").read_text())["evaluations"]
-        assert evaluations > 2
+        # not once per task.
+        manifest = json.loads((parallel / "manifest.json").read_text())
+        assert manifest["evaluations"] > 2 and manifest["scenario_simulations"] > 2
         assert len(pickles) <= 2
-        assert cli._installed_worker is None
+        # the pool's initializer installs the objective in the pool's processes only
+        assert cli._installed_objective is None
 
     def test_pool_size_is_capped_by_cores_and_population(self, tmp_path, monkeypatch) -> None:
         sizes = []
 
         class RecordingPool:
-            """Records the pool size asked for and evaluates in this
-            process, so the test starts no process."""
+            """Records the pool size asked for and simulates in this
+            process, so the test starts no process. Like a process pool,
+            its map takes every task before it returns a result."""
 
             def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
@@ -1354,10 +1356,10 @@ class TestCalibrateSfm:
                 return self
 
             def __exit__(self, *exc_info):
-                cli._install_worker(None)
+                cli._install_objective(None)
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, items, chunksize=1):
+                return [fn(item) for item in list(items)]
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         _, serial = self.run_micro(tmp_path, "serial")
@@ -1369,7 +1371,7 @@ class TestCalibrateSfm:
             assert code == 0
             assert sizes == ([] if size is None else [size])
             assert (out / "history.csv").read_bytes() == (serial / "history.csv").read_bytes()
-        assert cli._installed_worker is None
+        assert cli._installed_objective is None
 
     def test_inputs_are_not_mutated(self, tmp_path) -> None:
         scene_path = tmp_path / "scene.json"
@@ -1477,14 +1479,14 @@ class TestCalibrateGame:
         assert not out.exists()
 
 
-def calibrate_bundled(tmp_path: Path, command: str, trajectories: Path) -> tuple[int, Path]:
+def calibrate_bundled(tmp_path: Path, command: str, trajectories: Path, *extra: str) -> tuple[int, Path]:
     """A short seed-0 run of `command` on the bundled scene and annotations."""
     out = tmp_path / "cal"
     annotations = ["--annotations", str(DATA / "annotations.csv")] if command == "calibrate-game" else []
     code = main([
         command, "--scene", str(DATA / "scene.json"), "--trajectories", str(trajectories),
         *annotations, "--out-dir", str(out), "--population", "6", "--generations", "2",
-        "--seed", "0",
+        "--seed", "0", *extra,
     ])
     return code, out
 
@@ -1529,6 +1531,21 @@ class TestCalibrateBundledData:
         ])
         assert code == 0
         assert (sha256(out / "history.csv"), sha256(out / "best_params.json")) == self.PINNED_BOXED
+
+    @pytest.mark.parametrize("command", ["calibrate-sfm", "calibrate-game"])
+    def test_manifest_counts_each_scored_pair_once(self, tmp_path, command) -> None:
+        # every scenario trains; a chromosome the GA's cache answers asks
+        # the objective nothing, and no chromosome in the search box fails
+        # to decode
+        code, out = calibrate_bundled(tmp_path, command, DATA / "trajectories.csv", "--train-fraction", "1")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        scored = len(manifest["train_scenarios"])
+        fresh = manifest["evaluations"] - manifest["cache_hits"]
+        assert manifest["scenario_simulations"] + manifest["memo_hits"] == fresh * scored
+        assert manifest["scenario_simulations"] > 0 and manifest["failed_simulations"] == 0
+        if command == "calibrate-sfm":
+            assert manifest["memo_hits"] > 0
 
     @pytest.mark.parametrize("command", ["calibrate-sfm", "calibrate-game"])
     def test_agent_changing_kind_exits_2_with_one_line(self, tmp_path, capsys, command) -> None:
